@@ -143,8 +143,7 @@ def _microbench_scan_modes(horizon: int) -> dict:
     pre-columnar behaviour, kept as a switchable baseline precisely so
     this comparison stays honest.  Bare steady-state ticks include the
     per-monitor record/report pipeline both modes pay identically, so
-    this ratio is a floor on the scan speedup; the end-to-end 10k
-    dual-mode run below measures the full controller workload.
+    this ratio is a floor on the scan speedup.
     """
     from repro.config.builtin import replicated_landscape
     from repro.sim.runner import SimulationRunner
@@ -179,20 +178,19 @@ def _microbench_scan_modes(horizon: int) -> dict:
     return results
 
 
-def _bench_landscape_10k(horizon: int, both_modes: bool) -> dict:
+def _bench_landscape_10k(horizon: int) -> dict:
     """End-to-end seeded run on the synthetic 10k-host landscape.
 
     No chaos profile (the fault injector's RNG stream is a separate
-    concern); the numbers answer one question — does a simulated minute
-    on 10,013 hosts tick in a small fraction of a real minute?
-
-    With ``both_modes`` the same seeded window also runs in object-graph
-    scan mode.  The two runs make identical decisions (the equivalence
-    tests pin that byte-for-byte), so the wall-clock ratio is the honest
-    controller speedup on the full 10k workload — monitor sweep,
-    situation scan, fuzzy ranking and the watch-time decision bursts
-    included.  The object-graph run takes minutes, so ``--quick`` skips
-    it.
+    concern); the numbers answer two questions in absolute terms — does
+    a simulated minute on 10,013 hosts tick in a small fraction of a
+    real minute, and how long does the controller stall in the worst
+    one?  The worst tick is the minute-10 watch-time expiry, when every
+    overloaded replica's situation is confirmed at once and the decision
+    loop ranks ~10k candidate hosts per executed action;
+    ``landscape_10k_burst_tick_seconds`` is that controller tick.  Both
+    are budgets on the one columnar implementation (ROADMAP item 3), not
+    ratios against the object-graph scan mode.
     """
     from repro.config.builtin import landscape_10k
     from repro.sim.runner import SimulationRunner
@@ -209,35 +207,32 @@ def _bench_landscape_10k(horizon: int, both_modes: bool) -> dict:
         lint="off",
     )
     build_seconds = time.perf_counter() - build_started
+    tick_seconds = []
+    controller_tick = runner.controller.tick
+
+    def timed_tick(now):
+        started = time.perf_counter()
+        try:
+            return controller_tick(now)
+        finally:
+            tick_seconds.append(time.perf_counter() - started)
+
+    runner.controller.tick = timed_tick
     started = time.perf_counter()
     runner.run()
     elapsed = time.perf_counter() - started
-    results = {
+    return {
         "landscape_10k_hosts": len(runner.platform.hosts),
         "landscape_10k_horizon_minutes": horizon,
         "landscape_10k_build_seconds": round(build_seconds, 3),
         "landscape_10k_seconds": round(elapsed, 3),
         "landscape_10k_ticks_per_second": round(horizon / elapsed, 2),
         "landscape_10k_seconds_per_sim_minute": round(elapsed / horizon, 4),
+        "landscape_10k_burst_tick_seconds": round(max(tick_seconds), 3),
+        "landscape_10k_server_selection": dict(
+            runner.controller.server_selector.stats
+        ),
     }
-    if both_modes:
-        print("landscape-10k object-graph comparison run ...", flush=True)
-        og_runner = SimulationRunner(
-            Scenario.FULL_MOBILITY,
-            user_factor=1.0,
-            horizon=horizon,
-            seed=7,
-            landscape=landscape_10k(),
-            collect_host_series=False,
-            lint="off",
-            scan_mode="object-graph",
-        )
-        started = time.perf_counter()
-        og_runner.run()
-        og_elapsed = time.perf_counter() - started
-        results["landscape_10k_object_graph_seconds"] = round(og_elapsed, 3)
-        results["landscape_10k_columnar_speedup"] = round(og_elapsed / elapsed, 2)
-    return results
 
 
 def _microbench_domain_scaling(horizon: int) -> dict:
@@ -423,7 +418,8 @@ def run(quick: bool) -> dict:
     print("scan-mode microbenchmark (1k-host landscape) ...", flush=True)
     results.update(_microbench_scan_modes(120 if quick else 240))
     print("landscape-10k end-to-end run ...", flush=True)
-    results.update(_bench_landscape_10k(10 if quick else 30, both_modes=not quick))
+    # never shorter than 12 minutes: the burst is the minute-10 tick
+    results.update(_bench_landscape_10k(12 if quick else 30))
     print("domain-scaling microbenchmark (4x landscape) ...", flush=True)
     results.update(_microbench_domain_scaling(240 if quick else 720))
     print("multi-process federation (2 and 4 agent processes) ...", flush=True)

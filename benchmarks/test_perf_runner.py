@@ -7,7 +7,8 @@ perf-smoke job runs it explicitly.  Two guards:
   speedup on the monitoring/decision hot path (>= 2x vs the embedded
   pre-refactor baseline);
 * a fresh quick chaos run must not fall more than 25% below the
-  committed runner throughput.
+  committed runner throughput, and the 10k landscape must stay inside
+  its absolute budgets (seconds per simulated minute, burst tick).
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ BENCH_FILE = REPO_ROOT / "BENCH_runner.json"
 
 #: Allowed throughput regression before the smoke test fails.
 REGRESSION_TOLERANCE = 0.25
+
+#: Longest the controller may stall in one tick of the 10k landscape: the
+#: minute-10 watch-time expiry, 720 ranked placements over ~10k candidate
+#: hosts each.  About twice the committed measurement; the per-action
+#: re-fuzzification this budget replaced took 10.3 s on the same machine.
+BURST_TICK_BUDGET_SECONDS = 6.0
 
 
 def _committed() -> dict:
@@ -68,23 +75,14 @@ def test_committed_bench_documents_multiproc_domain_scaling():
 
 
 def test_committed_bench_documents_columnar_speedup():
-    """The columnar controller must beat the object-graph path >= 5x.
+    """The columnar steady-state tick must beat the object-graph walk.
 
-    The guarded ratio is the end-to-end 10k-host seeded window run in
-    both scan modes: identical decisions (pinned byte-for-byte by the
-    equivalence tests), so the wall-clock ratio captures the full
-    controller workload — monitor sweep, situation scans, fuzzy ranking
-    and the watch-time decision bursts.  The 1k bare-tick microbenchmark
-    isolates the steady-state scan; both modes pay the same per-monitor
-    record/report pipeline there, so its floor is lower.
+    The 1k bare-tick microbenchmark isolates the steady-state scan; both
+    modes pay the same per-monitor record/report pipeline there, so the
+    floor is modest.  The 10k workload is guarded by absolute budgets
+    (below), not by a ratio against the object-graph mode.
     """
-    payload = _committed()
-    results = payload["results"]
-    assert results["landscape_10k_object_graph_seconds"] > 0
-    assert results["landscape_10k_columnar_speedup"] >= 5.0, (
-        f"columnar 10k-workload speedup "
-        f"{results['landscape_10k_columnar_speedup']}x < 5x"
-    )
+    results = _committed()["results"]
     assert results["controller_tick_1k_columnar_ms"] > 0
     assert results["controller_tick_1k_object_graph_ms"] > 0
     assert results["controller_tick_columnar_speedup"] >= 2.5, (
@@ -102,6 +100,20 @@ def test_committed_bench_documents_10k_real_time_ticks():
     assert per_minute <= 6.0, (
         f"landscape-10k ticks at {per_minute}s per sim-minute; the 10k "
         f"target is real time with wide margin (<= 6s)"
+    )
+    burst = results["landscape_10k_burst_tick_seconds"]
+    assert 0 < burst <= BURST_TICK_BUDGET_SECONDS, (
+        f"landscape-10k decision burst stalls the controller for {burst}s "
+        f"(budget {BURST_TICK_BUDGET_SECONDS}s)"
+    )
+    # the window ranks off the incremental score table: no per-host
+    # fallback, and at least ten times fewer host evaluations than
+    # running the controller for every server on every call would take
+    selection = results["landscape_10k_server_selection"]
+    assert selection["rank_calls"] > 0
+    assert selection["scalar_fallbacks"] == 0
+    assert selection["hosts_rescored"] * 10 < (
+        selection["rank_calls"] * results["landscape_10k_hosts"]
     )
 
 
@@ -180,19 +192,12 @@ def test_runner_throughput_no_regression():
     )
 
 
-def test_landscape_10k_throughput_no_regression():
-    """Fresh short seeded 10k window vs the committed throughput.
-
-    Runs last: the 10k landscape leaves a large gen-2 heap behind, which
-    slows the smaller timing tests when it precedes them in one process.
-    """
+def _landscape_10k_runner(horizon: int):
     from repro.config.builtin import landscape_10k
     from repro.sim.runner import SimulationRunner
     from repro.sim.scenarios import Scenario
 
-    committed = _committed()["results"]["landscape_10k_ticks_per_second"]
-    horizon = 5
-    runner = SimulationRunner(
+    return SimulationRunner(
         Scenario.FULL_MOBILITY,
         user_factor=1.0,
         horizon=horizon,
@@ -201,6 +206,17 @@ def test_landscape_10k_throughput_no_regression():
         collect_host_series=False,
         lint="off",
     )
+
+
+def test_landscape_10k_throughput_no_regression():
+    """Fresh short seeded 10k window vs the committed throughput.
+
+    Runs late: the 10k landscape leaves a large gen-2 heap behind, which
+    slows the smaller timing tests when it precedes them in one process.
+    """
+    committed = _committed()["results"]["landscape_10k_ticks_per_second"]
+    horizon = 5
+    runner = _landscape_10k_runner(horizon)
     gc.collect()
     started = time.perf_counter()
     runner.run()
@@ -211,3 +227,27 @@ def test_landscape_10k_throughput_no_regression():
         f"ticks/s < {floor:.2f} (committed {committed:.2f} "
         f"- {REGRESSION_TOLERANCE:.0%})"
     )
+
+
+def test_landscape_10k_burst_tick_within_budget():
+    """Fresh seeded 10k window through the minute-10 decision burst."""
+    runner = _landscape_10k_runner(12)
+    tick_seconds = []
+    controller_tick = runner.controller.tick
+
+    def timed_tick(now):
+        started = time.perf_counter()
+        try:
+            return controller_tick(now)
+        finally:
+            tick_seconds.append(time.perf_counter() - started)
+
+    runner.controller.tick = timed_tick
+    gc.collect()
+    runner.run()
+    assert max(tick_seconds) <= BURST_TICK_BUDGET_SECONDS, (
+        f"landscape-10k burst tick took {max(tick_seconds):.2f}s "
+        f"(budget {BURST_TICK_BUDGET_SECONDS}s)"
+    )
+    stats = runner.controller.server_selector.stats
+    assert stats["rank_calls"] > 0 and stats["scalar_fallbacks"] == 0

@@ -15,6 +15,7 @@ minute after the workload model has updated instance demands.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -750,15 +751,15 @@ class AutoGlobeController:
         """Start one instance on the preferred host or any eligible one."""
         service = self.platform.service(service_name)
         action = Action.START if not service.running_instances else Action.SCALE_OUT
-        host_names = ([preferred_host] if preferred_host else []) + [
-            ranked.host_name
-            for ranked in self.server_selector.rank(
-                self.platform,
-                Action.SCALE_OUT,
-                self.platform.eligible_hosts(service_name),
-            )
-        ]
-        for host_name in host_names:
+        ranking = self.server_selector.rank(
+            self.platform,
+            Action.SCALE_OUT,
+            self.platform.eligible_hosts(service_name),
+        )
+        for host_name in itertools.chain(
+            [preferred_host] if preferred_host else [],
+            (ranked.host_name for ranked in ranking),
+        ):
             try:
                 outcome = self.executor.execute(
                     action,

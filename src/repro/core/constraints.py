@@ -13,10 +13,11 @@ constraints with the platform's runtime state.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.config.model import Action
 from repro.serviceglobe.host import ServiceHost
+from repro.serviceglobe.landscape_state import HostIds
 from repro.serviceglobe.platform import Platform
 
 __all__ = ["verify_action", "candidate_hosts"]
@@ -83,13 +84,15 @@ def candidate_hosts(
     action: Action,
     service_name: str,
     instance_id: Optional[str] = None,
-) -> List[ServiceHost]:
+) -> Sequence[ServiceHost]:
     """Hosts that could physically receive the action's new/moved instance.
 
     Applies the platform's feasibility checks plus the performance index
     relation of the relocation actions: scale-up targets a more powerful
     host, scale-down a less powerful one, move an equivalently powerful
-    one (Table 2).
+    one (Table 2).  On the columnar substrate the result is a
+    :class:`HostIds` carrying the filtered id array, which the server
+    selector ranks without materializing host objects.
     """
     if not action.needs_target_host:
         return []
@@ -109,15 +112,14 @@ def candidate_hosts(
             running, key=lambda i: (platform.host_cpu_load(i.host_name), i.instance_id)
         )
     source_name = instance.host_name
-    state = getattr(platform, "landscape_state", None)
-    eligible_ids = getattr(platform, "eligible_ids", None)
-    if state is not None and state.cache_enabled and eligible_ids is not None:
+    eligible = platform.eligible_hosts(service_name)
+    if isinstance(eligible, HostIds):
         # the perf-index relation over thousands of eligible hosts is one
         # column comparison; ids arrive in the same substrate order the
         # host objects would, so the filtered list is identical
-        ids = eligible_ids(service_name)
+        state, ids = eligible.state, eligible.ids
         source_id = state.host_index.ids.get(source_name, -1)
-        if ids is not None and source_id >= 0:
+        if source_id >= 0:
             perf = state.host_perf_index
             source_index = perf[source_id]
             if action is Action.SCALE_UP:
@@ -127,9 +129,7 @@ def candidate_hosts(
             else:
                 keep = perf[ids] == source_index
             keep &= ids != source_id
-            host_objs = state.host_objs
-            return [host_objs[i] for i in ids[keep]]
-    eligible = platform.eligible_hosts(service_name)
+            return HostIds(state, ids[keep])
     source_index = platform.host(source_name).performance_index
     if action is Action.SCALE_UP:
         return [

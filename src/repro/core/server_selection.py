@@ -12,12 +12,16 @@ Candidate filtering (constraints, protection mode) happens in the
 decision loop; this module only scores hosts that were already deemed
 possible.  Ties are broken by lower current CPU load, then by host name,
 so rankings are deterministic.
+
+On the columnar substrate the per-server evaluation is incremental: a
+:class:`_ScoreTable` keeps the suitability of every host and re-scores
+only hosts whose inputs changed since it last looked (DESIGN §14).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, cast
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from repro.fuzzy.defuzzify import _GRADE_TOLERANCE, LeftmostMax
 from repro.fuzzy.rules import RuleBase
 from repro.fuzzy.sets import ClippedSet, MembershipFunction, UnionSet
 from repro.serviceglobe.host import ServiceHost
+from repro.serviceglobe.landscape_state import LandscapeState
 from repro.serviceglobe.platform import Platform
 
 __all__ = ["RankedHost", "ServerSelector", "host_measurements"]
@@ -89,6 +94,79 @@ def host_measurements(
     }
 
 
+class _Ranking(Sequence[RankedHost]):
+    """Best-first ranking that builds :class:`RankedHost` objects on access.
+
+    Owns its sorted id and score arrays (gathered copies), so a later
+    refresh of the score table does not change it.
+    """
+
+    __slots__ = ("_names", "_ids", "_scores", "_stats")
+
+    def __init__(self, names, ids, scores, stats) -> None:
+        self._names = names
+        self._ids = ids
+        self._scores = scores
+        self._stats = stats
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        self._stats["ranked_materialised"] += 1
+        return RankedHost(self._names[self._ids[index]], float(self._scores[index]))
+
+
+class _ScoreColumn:
+    """``scores`` and ``cpuLoad`` of every host under one rule base."""
+
+    __slots__ = ("scores", "cpu", "seen", "rules", "consequents", "ramp")
+
+    def __init__(self, size: int, rules: list, consequents: list, ramp) -> None:
+        self.scores = np.empty(size, dtype=np.float64)
+        self.cpu = np.empty(size, dtype=np.float64)
+        #: ``state.refresh_seq`` up to which the columns are current
+        self.seen = -1
+        self.rules = rules
+        self.consequents = consequents
+        self.ramp = ramp
+
+
+class _ScoreTable:
+    """Incremental host-suitability table of one landscape state.
+
+    Holds what is fixed per state — the membership grades of the six
+    spec-derived inputs and each host's rank in name order (the last
+    tie-break, as an integer column) — plus one :class:`_ScoreColumn`
+    per action, refreshed only for hosts whose ``host_stamp`` moved past
+    the column's ``seen``.  Dropped when the state is replaced or
+    :meth:`LandscapeState.rebuild` ran (``restore_state``).
+    """
+
+    __slots__ = ("state", "rebuilds", "static_grades", "name_rank", "columns")
+
+    def __init__(self, state: LandscapeState, static_fields, engine) -> None:
+        self.state = state
+        self.rebuilds = state.rebuilds
+        specs = [host.spec for host in state.host_objs]
+        self.static_grades = engine.fuzzify_columns(
+            {
+                input_name: np.array(
+                    [float(getattr(spec, attr)) for spec in specs], dtype=np.float64
+                )
+                for input_name, attr in static_fields
+            }
+        )
+        names = state.host_index.names
+        self.name_rank = np.empty(len(names), dtype=np.int64)
+        self.name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
+            len(names)
+        )
+        self.columns: Dict[Action, _ScoreColumn] = {}
+
+
 class ServerSelector:
     """Scores candidate target hosts for actions that need one.
 
@@ -119,14 +197,22 @@ class ServerSelector:
             self._controller.engine.validate(rulebase)
         #: host name -> (spec, static Table 3 fields); the spec-derived
         #: inputs never change while the spec object does not, so the
-        #: batch path re-derives only the four load-dependent fields
+        #: scalar path re-derives only the four load-dependent fields
         self._static_inputs: Dict[str, tuple] = {}
-        #: per-landscape-state static columns (spec fields + names),
-        #: keyed by ``id(state)``; see :meth:`_static_columns`
-        self._static_columns: Dict[int, tuple] = {}
-        #: per-rule-base leftmost-max lookup tables, keyed by
-        #: ``id(rulebase)``; see :meth:`_scores_analytic`
-        self._ramp_tables: Dict[int, tuple] = {}
+        #: the score table of the landscape state last ranked on; one
+        #: slot, holding its state alive, so nothing is keyed by ``id()``
+        self._table: Optional[_ScoreTable] = None
+        #: plain counters (ops ``/stats``); nothing reads them in a run
+        self.stats: Dict[str, int] = dict.fromkeys(
+            (
+                "table_rebuilds",
+                "hosts_rescored",
+                "rank_calls",
+                "scalar_fallbacks",
+                "ranked_materialised",
+            ),
+            0,
+        )
 
     _STATIC_FIELDS = (
         ("performanceIndex", "performance_index"),
@@ -136,33 +222,6 @@ class ServerSelector:
         ("swapSpace", "swap_space_mb"),
         ("tempSpace", "temp_space_mb"),
     )
-
-    def _static_columns_for(self, state) -> tuple:
-        """Spec-derived input columns plus host names, indexed by host id.
-
-        Built once per landscape state (the host set and every host's
-        spec are fixed after construction); the per-candidate spec
-        identity check in :meth:`_rank_columnar` guards the rare spec
-        swap and falls back to the scalar path when it happens.
-        """
-        cached = self._static_columns.get(id(state))
-        if (
-            cached is not None
-            and cached[0] is state
-            and len(cached[1]) == len(state.host_objs)
-        ):
-            return cached
-        specs = [host.spec for host in state.host_objs]
-        columns = {
-            input_name: np.array(
-                [float(getattr(spec, attr)) for spec in specs], dtype=np.float64
-            )
-            for input_name, attr in self._STATIC_FIELDS
-        }
-        names = np.array([host.name for host in state.host_objs])
-        cached = (state, specs, columns, names)
-        self._static_columns[id(state)] = cached
-        return cached
 
     def _measurements_for(
         self, platform: Platform, host: ServiceHost
@@ -177,12 +236,8 @@ class ServerSelector:
         cached = self._static_inputs.get(host.name)
         if cached is None or cached[0] is not spec:
             static = {
-                "performanceIndex": float(spec.performance_index),
-                "numberOfCpus": float(spec.num_cpus),
-                "cpuClock": float(spec.cpu_clock_mhz),
-                "cpuCache": float(spec.cpu_cache_kb),
-                "swapSpace": float(spec.swap_space_mb),
-                "tempSpace": float(spec.temp_space_mb),
+                input_name: float(getattr(spec, attr))
+                for input_name, attr in self._STATIC_FIELDS
             }
             self._static_inputs[host.name] = (spec, static)
         else:
@@ -215,24 +270,25 @@ class ServerSelector:
         self,
         platform: Platform,
         action: Action,
-        candidates: List[ServiceHost],
-    ) -> List[RankedHost]:
+        candidates: Sequence[ServiceHost],
+    ) -> Sequence[RankedHost]:
         """Score all candidates, most suitable first.
 
-        The whole candidate list goes through one batched fuzzy
-        evaluation (:meth:`FuzzyController.evaluate_many`), whose
-        per-element outputs are bit-identical to scoring each host
-        individually — on a 10k-host landscape a single relocation can
-        have thousands of candidates, and per-host inference dominated
-        the decision burst before batching.
+        Thirty-two or more candidates bound to the platform's landscape
+        state are ranked off the incremental score table; its scores are
+        bit-identical to scoring each host individually, which is what
+        the per-host path below does for short lists, reservations and
+        unbound hosts.
         """
         rulebase = self._rulebases.get(action)
         if rulebase is None:
             raise ValueError(f"no server-selection rule base for {action.value}")
+        self.stats["rank_calls"] += 1
         if self.reservations is None and len(candidates) >= 32:
-            ranked = self._rank_columnar(platform, rulebase, candidates)
+            ranked = self._rank_table(platform, action, rulebase, candidates)
             if ranked is not None:
                 return ranked
+        self.stats["scalar_fallbacks"] += 1
         measurements_list = [
             self._measurements_for(platform, host) for host in candidates
         ]
@@ -244,14 +300,56 @@ class ServerSelector:
         scored.sort(key=lambda pair: (-pair[0].score, pair[1], pair[0].host_name))
         return [ranked for ranked, __ in scored]
 
-    def _scores_analytic(
+    def _rank_table(
         self,
+        platform: Platform,
+        action: Action,
         rulebase: RuleBase,
-        consequents: list,
-        domain: tuple,
-        strengths: "np.ndarray",
-    ) -> Optional["np.ndarray"]:
-        """Closed-form leftmost-max scores for single-consequent rule bases.
+        candidates: Sequence[ServiceHost],
+    ) -> Optional[Sequence[RankedHost]]:
+        """:meth:`rank` as a gather from the score table and one lexsort.
+
+        Returns ``None`` (caller takes the per-host path) when the
+        platform has no columnar state, a candidate is not bound to it,
+        or the rule base says nothing about suitability.
+        """
+        state = getattr(platform, "landscape_state", None)
+        if state is None or not state.cache_enabled:
+            return None
+        ids = state.host_ids(candidates)
+        if ids is None:
+            return None
+        table = self._table
+        if (
+            table is None
+            or table.state is not state
+            or table.rebuilds != state.rebuilds
+        ):
+            if state.host_ids(state.host_objs) is None:
+                return None  # a host object was re-bound to another state
+            table = self._table = _ScoreTable(
+                state, self._STATIC_FIELDS, self._controller.engine
+            )
+            self.stats["table_rebuilds"] += 1
+        column = table.columns.get(action)
+        if column is None:
+            column = self._new_column(table, rulebase)
+            if column is None:
+                return None
+            table.columns[action] = column
+        state.flush()
+        stale = np.flatnonzero(state.host_stamp > column.seen)
+        if len(stale):
+            self._rescore(table, column, stale)
+        column.seen = state.refresh_seq
+        scores = column.scores[ids]
+        order = np.lexsort((table.name_rank[ids], column.cpu[ids], -scores))
+        return _Ranking(state.host_index.names, ids[order], scores[order], self.stats)
+
+    def _new_column(
+        self, table: _ScoreTable, rulebase: RuleBase
+    ) -> Optional[_ScoreColumn]:
+        """An empty score column, with the rule base's closed form if any.
 
         Every server rule asserts the same ramp-shaped ``applicable``
         term, so the union of clipped consequents collapses pointwise:
@@ -259,114 +357,80 @@ class ServerSelector:
         select among the same floats, so the aggregated set's grid is
         bitwise equal to clipping at the row-maximum strength.  With a
         monotone consequent grid, the leftmost maximum is then one
-        ``searchsorted`` instead of a per-host grid sweep.  Returns
-        ``None`` (caller builds the sets per distinct strength row) when
-        the defuzzifier is not :class:`LeftmostMax`, the consequents
-        differ, or the grid is not monotone.
+        ``searchsorted`` instead of a per-host grid sweep.  ``ramp`` stays
+        ``None`` (sets are built per distinct strength row) when the
+        defuzzifier is not :class:`LeftmostMax`, the consequents differ,
+        or the grid is not monotone.
         """
-        defuzzifier = self._controller.defuzzifier
-        if type(defuzzifier) is not LeftmostMax:
-            return None
-        cached = self._ramp_tables.get(id(rulebase))
-        if cached is None or cached[0] is not rulebase:
-            consequent = consequents[0]
-            table = None
-            if all(other is consequent for other in consequents):
-                lo, hi = domain
-                xs = np.linspace(lo, hi, defuzzifier.resolution)
-                grid = np.asarray(consequent.evaluate(xs), dtype=np.float64)
-                if np.all(np.diff(grid) >= 0.0):
-                    table = (xs, grid, float(grid.max()))
-            cached = (rulebase, table)
-            self._ramp_tables[id(rulebase)] = cached
-        table = cached[1]
-        if table is None:
-            return None
-        xs, grid, grid_max = table
-        heights = strengths.max(axis=1)
-        # the scalar defuzzifier computes peak = mus.max() = min(grid_max,
-        # height) and takes the first grid point with mus >= peak - tol;
-        # for a monotone grid that is exactly this searchsorted
-        thresholds = np.minimum(grid_max, heights) - _GRADE_TOLERANCE
-        indices = np.searchsorted(grid, thresholds, side="left")
-        return cast("np.ndarray", xs[indices])
-
-    def _rank_columnar(
-        self,
-        platform: Platform,
-        rulebase: RuleBase,
-        candidates: List[ServiceHost],
-    ) -> Optional[List[RankedHost]]:
-        """Column-at-a-time :meth:`rank` off the landscape substrate.
-
-        Reads every Table 3 input for all candidates in a handful of
-        vectorized column operations, fuzzifies the columns directly and
-        defuzzifies only the *distinct* firing-strength rows — replicated
-        landscapes collapse thousands of candidates to a few dozen unique
-        rows.  Returns ``None`` (caller falls back to the per-host path)
-        when a candidate is not bound to the platform's landscape state
-        or a spec object changed identity; the produced ranking is
-        bit-identical to the fallback's.
-        """
-        state = getattr(platform, "landscape_state", None)
-        if state is None or not state.cache_enabled:
-            return None
-        statics = self._static_columns_for(state)
-        __, specs, static_columns, names = statics
-        host_objs = state.host_objs
-        bound = len(host_objs)
-        id_list = []
-        for host in candidates:
-            hid = host.state_id
-            if (
-                hid < 0
-                or hid >= bound
-                or host_objs[hid] is not host
-                or specs[hid] is not host.spec
-            ):
-                return None
-            id_list.append(hid)
-        ids = np.asarray(id_list, dtype=np.int64)
-        cpu, mem, running, free = state.host_server_inputs(ids)
-        columns = {
-            "cpuLoad": cpu,
-            "memLoad": mem,
-            "instancesOnServer": running,
-            "memory": free,
-        }
-        for input_name in static_columns:
-            columns[input_name] = static_columns[input_name][ids]
         engine = self._controller.engine
-        grades = engine.fuzzify_columns(columns)
         rules = [
             rule for rule in rulebase if rule.output_variable == OUTPUT_VARIABLE
         ]
         if not rules:
             return None
+        consequents = [engine._resolve_consequent(rule) for rule in rules]
+        defuzzifier = self._controller.defuzzifier
+        ramp = None
+        if type(defuzzifier) is LeftmostMax and all(
+            other is consequents[0] for other in consequents
+        ):
+            lo, hi = self._output_domain()
+            xs = np.linspace(lo, hi, defuzzifier.resolution)
+            grid = np.asarray(consequents[0].evaluate(xs), dtype=np.float64)
+            if np.all(np.diff(grid) >= 0.0):
+                ramp = (xs, grid, float(grid.max()))
+        return _ScoreColumn(len(table.name_rank), rules, consequents, ramp)
+
+    def _output_domain(self) -> tuple:
+        domain = self._controller.engine.output_domain(OUTPUT_VARIABLE)
+        assert domain is not None  # validated at construction
+        return domain
+
+    def _rescore(
+        self, table: _ScoreTable, column: _ScoreColumn, ids: "np.ndarray"
+    ) -> None:
+        """Re-evaluate the controller for hosts ``ids``, column at a time.
+
+        Fuzzification, rule strengths and defuzzification are all
+        element-wise, so scoring a subset yields the same floats as
+        scoring the whole landscape — or each host on its own.
+        """
+        cpu, mem, running, free = table.state.host_server_inputs(ids)
+        grades = self._controller.engine.fuzzify_columns(
+            {
+                "cpuLoad": cpu,
+                "memLoad": mem,
+                "instancesOnServer": running,
+                "memory": free,
+            }
+        )
+        for input_name, terms in table.static_grades.items():
+            grades[input_name] = {term: values[ids] for term, values in terms.items()}
         strengths = np.stack(
-            [rule.antecedent.truth_many(grades) * rule.weight for rule in rules],
+            [rule.antecedent.truth_many(grades) * rule.weight for rule in column.rules],
             axis=1,
         )
-        domain = engine.output_domain(OUTPUT_VARIABLE)
-        assert domain is not None  # validated at construction
-        consequents = [engine._resolve_consequent(rule) for rule in rules]
-        scores = self._scores_analytic(rulebase, consequents, domain, strengths)
-        if scores is None:
+        if column.ramp is not None:
+            xs, grid, grid_max = column.ramp
+            # the scalar defuzzifier computes peak = mus.max() = min(grid_max,
+            # height) and takes the first grid point with mus >= peak - tol;
+            # for a monotone grid that is exactly this searchsorted
+            thresholds = np.minimum(grid_max, strengths.max(axis=1)) - _GRADE_TOLERANCE
+            scores = xs[np.searchsorted(grid, thresholds, side="left")]
+        else:
+            domain = self._output_domain()
             unique_rows, inverse = np.unique(strengths, axis=0, return_inverse=True)
             unique_scores = np.empty(len(unique_rows), dtype=np.float64)
             for j, row in enumerate(unique_rows):
-                heights = row.tolist()
                 clipped = [
                     ClippedSet(consequent, height)
-                    for consequent, height in zip(consequents, heights)
+                    for consequent, height in zip(column.consequents, row.tolist())
                 ]
                 fuzzy_set: MembershipFunction = (
                     clipped[0] if len(clipped) == 1 else UnionSet(tuple(clipped))
                 )
                 unique_scores[j] = self._controller.defuzzifier(fuzzy_set, domain)
             scores = unique_scores[inverse]
-        candidate_names = names[ids]
-        order = np.lexsort((candidate_names, cpu, -scores))
-        score_list = scores.tolist()
-        name_list = candidate_names.tolist()
-        return [RankedHost(name_list[i], score_list[i]) for i in order]
+        column.scores[ids] = scores
+        column.cpu[ids] = cpu
+        self.stats["hosts_rescored"] += len(ids)

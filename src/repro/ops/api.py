@@ -134,6 +134,19 @@ class OpsBridge:
                 leaves.append(candidate)
         return leaves
 
+    def server_selection_stats(self) -> Dict[str, int]:
+        """``ServerSelector.stats`` summed over the run's controllers."""
+        selectors = []
+        for owner in [self.control_plane, *self._leaf_controllers()]:
+            selector = getattr(owner, "server_selector", None)
+            if selector is not None and selector not in selectors:
+                selectors.append(selector)
+        totals: Dict[str, int] = {}
+        for selector in selectors:
+            for name, count in selector.stats.items():
+                totals[name] = totals.get(name, 0) + count
+        return totals
+
     def _landscape_snapshot(self, now: int) -> Dict[str, Any]:
         platform = self.platform
         state = platform.landscape_state
@@ -405,6 +418,7 @@ class OpsServer:
     def stats(self) -> Dict[str, Any]:
         return {
             "events_forwarded": self.events_forwarded,
+            "server_selection": self.bridge.server_selection_stats(),
             "clients": [
                 {
                     "id": client.id,

@@ -40,6 +40,16 @@ the world:
     bumped on every write; lets speculative batch computations (the
     batched fuzzy ranking) detect that the world moved underneath them.
 
+``refresh_seq`` / ``host_stamp``
+    ``host_stamp[hid]`` is the value of ``refresh_seq`` at which the
+    host's aggregate columns were last recomputed.  Stamps are written
+    where the lazy recomputation already visits the host (never on the
+    per-write path), so a consumer that remembers the ``refresh_seq`` it
+    last saw finds the hosts to re-derive with one column comparison.
+``rebuilds``
+    bumped by :meth:`rebuild`; consumers holding derived per-host
+    tables drop them wholesale.
+
 ``cache_enabled = False`` turns every cached read back into the legacy
 object-graph traversal — the benchmark's "object-graph" comparison mode
 and the equivalence suite's reference path.
@@ -47,7 +57,19 @@ and the equivalence suite's reference path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Set, Tuple, cast
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    cast,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -57,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serviceglobe.host import ServiceHost
     from repro.serviceglobe.service import ServiceDefinition, ServiceInstance
 
-__all__ = ["IdMap", "LandscapeState"]
+__all__ = ["HostIds", "IdMap", "LandscapeState"]
 
 
 class IdMap:
@@ -97,6 +119,34 @@ def _grow(array: npt.NDArray[Any], size: int, fill: object) -> npt.NDArray[Any]:
     grown = np.full(capacity, fill, dtype=array.dtype)
     grown[: array.shape[0]] = array
     return grown
+
+
+class HostIds(Sequence["ServiceHost"]):
+    """The hosts of a state-id array; host objects are looked up on access.
+
+    Placement filters produce id arrays of thousands of hosts whose
+    consumer (the server selector) wants the ids back; the sequence hands
+    them over as :attr:`ids` and still reads as a list of hosts.
+    """
+
+    __slots__ = ("state", "ids")
+
+    def __init__(self, state: "LandscapeState", ids: npt.NDArray[np.int64]) -> None:
+        self.state = state
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: Any) -> Any:
+        host_objs = self.state.host_objs
+        if isinstance(index, slice):
+            return [host_objs[i] for i in self.ids[index]]
+        return host_objs[self.ids[index]]
+
+    def __iter__(self) -> Iterator["ServiceHost"]:
+        host_objs = self.state.host_objs
+        return (host_objs[i] for i in self.ids.tolist())
 
 
 class LandscapeState:
@@ -146,6 +196,9 @@ class LandscapeState:
         self.registry_version = 0
         self.topology_version = 0
         self.mutation_version = 0
+        self.refresh_seq = 0
+        self.host_stamp = np.zeros(n, dtype=np.int64)
+        self.rebuilds = 0
         self._down_cache: Tuple[int, Tuple[int, ...]] = (-1, ())
 
         for host in hosts.values():
@@ -225,6 +278,7 @@ class LandscapeState:
         self._dirty_services.update(range(len(self.service_index)))
         self.topology_version += 1
         self.mutation_version += 1
+        self.rebuilds += 1
 
     # -- lazy recomputation -----------------------------------------------------------
 
@@ -273,6 +327,8 @@ class LandscapeState:
         if self._dirty_hosts:
             for hid in self._dirty_hosts:
                 self._refresh_host(hid)
+            self.refresh_seq += 1
+            self.host_stamp[list(self._dirty_hosts)] = self.refresh_seq
             self._dirty_hosts.clear()
         if self._dirty_services:
             for sid in self._dirty_services:
@@ -283,6 +339,8 @@ class LandscapeState:
         if hid in self._dirty_hosts:
             self._refresh_host(hid)
             self._dirty_hosts.discard(hid)
+            self.refresh_seq += 1
+            self.host_stamp[hid] = self.refresh_seq
 
     def _ensure_service(self, sid: int) -> None:
         if sid in self._dirty_services:
@@ -368,6 +426,20 @@ class LandscapeState:
             np.float64
         )
         return cpu, mem, running, free
+
+    def host_ids(
+        self, hosts: Sequence["ServiceHost"]
+    ) -> Optional[npt.NDArray[np.int64]]:
+        """State ids of ``hosts`` in order; ``None`` if one is not bound here."""
+        if isinstance(hosts, HostIds):
+            return hosts.ids if hosts.state is self else None
+        host_objs = self.host_objs
+        bound = len(host_objs)
+        ids = [host.state_id for host in hosts]
+        for hid, host in zip(ids, hosts):
+            if not 0 <= hid < bound or host_objs[hid] is not host:
+                return None
+        return np.asarray(ids, dtype=np.int64)
 
     def service_demand_values(self, ids: npt.NDArray[np.int64]) -> List[float]:
         self.flush()

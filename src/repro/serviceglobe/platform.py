@@ -13,7 +13,7 @@ watch times, applicability thresholds) belong to the controller.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.serviceglobe.actions import (
 from repro.serviceglobe.code import CodeBundle, CodeRepository
 from repro.serviceglobe.dispatcher import Dispatcher, UserDistribution
 from repro.serviceglobe.host import ServiceHost
-from repro.serviceglobe.landscape_state import LandscapeState
+from repro.serviceglobe.landscape_state import HostIds, LandscapeState
 from repro.serviceglobe.network import NetworkFabric
 from repro.serviceglobe.registry import ServiceRegistry
 from repro.serviceglobe.service import (
@@ -246,7 +246,7 @@ class Platform:
             return f"needs {needed} MB but only {free} MB free"
         return None
 
-    def eligible_hosts(self, service_name: str) -> List[ServiceHost]:
+    def eligible_hosts(self, service_name: str) -> Sequence[ServiceHost]:
         """All hosts that could physically run another instance now.
 
         The columnar fast path evaluates the ``can_host`` conjunction as
@@ -255,8 +255,7 @@ class Platform:
         """
         ids = self.eligible_ids(service_name)
         if ids is not None:
-            host_objs = self.landscape_state.host_objs
-            return [host_objs[i] for i in ids]
+            return HostIds(self.landscape_state, ids)
         return [
             host
             for host in self.hosts.values()
@@ -1001,11 +1000,10 @@ class DomainView:
 
     # -- feasibility (placement candidates stay inside the shard) ------------------
 
-    def eligible_hosts(self, service_name: str) -> List[ServiceHost]:
+    def eligible_hosts(self, service_name: str) -> Sequence[ServiceHost]:
         ids = self.eligible_ids(service_name)
         if ids is not None:
-            host_objs = self.platform.landscape_state.host_objs
-            return [host_objs[i] for i in ids]
+            return HostIds(self.platform.landscape_state, ids)
         return [
             host
             for host in self.hosts.values()
@@ -1031,6 +1029,21 @@ class DomainView:
                 o for o in self.platform.orphans if o.service_name not in self.services
             ]
         return mine
+
+    def _own_host(self, host_name: str) -> str:
+        if host_name not in self.hosts:
+            raise NoSuchTarget(
+                f"control domain {self.name!r} does not administer host {host_name}"
+            )
+        return host_name
+
+    def crash_host(self, host_name: str) -> List[ServiceInstance]:
+        """:meth:`Platform.crash_host` for a host of this domain."""
+        return self.platform.crash_host(self._own_host(host_name))
+
+    def recover_host(self, host_name: str) -> None:
+        """:meth:`Platform.recover_host` for a host of this domain."""
+        self.platform.recover_host(self._own_host(host_name))
 
     def hosts_down(self) -> List[str]:
         """Domain hosts currently out of the landscape."""

@@ -27,7 +27,7 @@ from repro.config.model import (
 from repro.core.controlplane import ControlPlane
 from repro.core.federation import FederatedControlPlane
 from repro.monitoring.lms import Situation, SituationKind
-from repro.serviceglobe.actions import ActionError
+from repro.serviceglobe.actions import ActionError, NoSuchTarget
 from repro.serviceglobe.platform import Platform
 
 MOBILE = frozenset(
@@ -105,6 +105,19 @@ class TestConstruction:
         assert set(plane.shards["d2"].view.hosts) == {"B1", "B2"}
         assert set(plane.shards["d1"].view.services) == {"SVC-A"}
         assert set(plane.shards["d2"].view.services) == {"SVC-B"}
+
+    def test_views_crash_and_recover_only_their_own_hosts(self):
+        platform, plane = make_plane()
+        view = plane.shards["d1"].view
+        victims = view.crash_host("A1")
+        assert [v.service_name for v in victims] == ["SVC-A"]
+        assert view.hosts_down() == platform.hosts_down() == ["A1"]
+        view.recover_host("A1")
+        assert platform.hosts_down() == []
+        for refused in (view.crash_host, view.recover_host):
+            with pytest.raises(NoSuchTarget, match="does not administer"):
+                refused("B1")
+        assert platform.host("B1").up
 
     def test_each_shard_gets_its_own_archive(self):
         __, plane = make_plane()

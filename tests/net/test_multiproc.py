@@ -149,3 +149,28 @@ class TestChaosRun:
         header, events = read_trace(result.trace_path)
         assert header.complete
         assert events
+
+    def test_landscape_chaos_runs_to_completion(self, tmp_path):
+        """Host crashes injected inside an agent go through its
+        ``DomainView`` (bench README defect 2: ``crash_host`` was missing
+        there, so the agent died on the first crash and, after its
+        respawns, the run)."""
+        result = run_multiproc(
+            2,
+            tmp_path / "state",
+            tmp_path / "out",
+            scenario=Scenario.FULL_MOBILITY,
+            user_factor=1.15,
+            horizon=60,
+            seed=7,
+            start_minute=START,
+            chaos_seed=115,
+            max_respawns=0,
+        )
+        assert result.report.errors == ()
+        assert all(
+            not s["net"]["partial"] for s in result.domain_summaries.values()
+        )
+        __, events = read_trace(result.trace_path)
+        faults = [event.record["kind"] for event in events if event.topic == "faults"]
+        assert "host-crash" in faults

@@ -87,10 +87,15 @@ class TestHttpEndpoints:
         assert "no such endpoint" in payload["error"]
 
     def test_stats_endpoint(self, harness):
-        _, _, _, client = harness
+        runner, _, _, client = harness
         stats = client.get("/stats")
         assert "events_forwarded" in stats
         assert isinstance(stats["clients"], list)
+        assert stats["server_selection"] == runner.controller.server_selector.stats
+        assert set(stats["server_selection"]) == {
+            "table_rebuilds", "hosts_rescored", "rank_calls",
+            "scalar_fallbacks", "ranked_materialised",
+        }
 
 
 class TestVerdicts:
