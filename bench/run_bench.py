@@ -110,8 +110,14 @@ def _microbench_series() -> dict:
     }
 
 
-def _microbench_controller_tick(horizon: int) -> float:
-    """Mean controller tick cost at the end of a warmed-up plain run."""
+def _microbench_controller_tick(horizon: int, landscape=None) -> float:
+    """Mean controller tick cost at the end of a warmed-up plain run.
+
+    ``landscape`` defaults to the Section 5.1 landscape (19 hosts); the
+    1k series passes 53 replicas of it (1,007 hosts), where the bare
+    steady-state tick is dominated by the per-monitor record/report
+    pipeline behind the column reads.
+    """
     from repro.sim.runner import SimulationRunner
     from repro.sim.scenarios import Scenario
 
@@ -120,6 +126,7 @@ def _microbench_controller_tick(horizon: int) -> float:
         user_factor=1.15,
         horizon=horizon,
         seed=7,
+        landscape=landscape,
         collect_host_series=False,
     )
     runner.run()
@@ -130,52 +137,6 @@ def _microbench_controller_tick(horizon: int) -> float:
     for offset in range(ticks):
         controller.tick(end + offset)
     return round((time.perf_counter() - started) / ticks * 1e3, 4)
-
-
-def _microbench_scan_modes(horizon: int) -> dict:
-    """Columnar vs object-graph controller tick on a ~1k-host landscape.
-
-    Both variants run the same warmed-up seeded workload (53 replicas of
-    the Section 5.1 landscape, 1,007 hosts) and then time bare controller
-    ticks.  The columnar mode reads host/service measurements from the
-    shared :class:`LandscapeState` columns and batches fuzzy inference;
-    the object-graph mode walks every host and instance per tick — the
-    pre-columnar behaviour, kept as a switchable baseline precisely so
-    this comparison stays honest.  Bare steady-state ticks include the
-    per-monitor record/report pipeline both modes pay identically, so
-    this ratio is a floor on the scan speedup.
-    """
-    from repro.config.builtin import replicated_landscape
-    from repro.sim.runner import SimulationRunner
-    from repro.sim.scenarios import Scenario
-
-    results = {}
-    for label, mode in (("columnar", "columnar"), ("object_graph", "object-graph")):
-        runner = SimulationRunner(
-            Scenario.FULL_MOBILITY,
-            user_factor=1.15,
-            horizon=horizon,
-            seed=7,
-            landscape=replicated_landscape(53),
-            collect_host_series=False,
-            scan_mode=mode,
-        )
-        runner.run()
-        controller = runner.controller
-        end = runner.start_minute + runner.horizon
-        ticks = 240
-        started = time.perf_counter()
-        for offset in range(ticks):
-            controller.tick(end + offset)
-        results[f"controller_tick_1k_{label}_ms"] = round(
-            (time.perf_counter() - started) / ticks * 1e3, 4
-        )
-    results["controller_tick_columnar_speedup"] = round(
-        results["controller_tick_1k_object_graph_ms"]
-        / results["controller_tick_1k_columnar_ms"],
-        2,
-    )
-    return results
 
 
 def _bench_landscape_10k(horizon: int) -> dict:
@@ -189,8 +150,7 @@ def _bench_landscape_10k(horizon: int) -> dict:
     overloaded replica's situation is confirmed at once and the decision
     loop ranks ~10k candidate hosts per executed action;
     ``landscape_10k_burst_tick_seconds`` is that controller tick.  Both
-    are budgets on the one columnar implementation (ROADMAP item 3), not
-    ratios against the object-graph scan mode.
+    are absolute budgets.
     """
     from repro.config.builtin import landscape_10k
     from repro.sim.runner import SimulationRunner
@@ -396,6 +356,8 @@ def _microbench_multiproc(horizon: int) -> dict:
 
 
 def run(quick: bool) -> dict:
+    from repro.config.builtin import replicated_landscape
+
     results: dict = {}
     print("chaos run, 12 hours ...", flush=True)
     twelve = _chaos_run(720)
@@ -415,8 +377,10 @@ def run(quick: bool) -> dict:
     results["controller_tick_ms"] = _microbench_controller_tick(
         720 if quick else 4800
     )
-    print("scan-mode microbenchmark (1k-host landscape) ...", flush=True)
-    results.update(_microbench_scan_modes(120 if quick else 240))
+    print("controller tick microbenchmark (1k-host landscape) ...", flush=True)
+    results["controller_tick_1k_ms"] = _microbench_controller_tick(
+        120 if quick else 240, landscape=replicated_landscape(53)
+    )
     print("landscape-10k end-to-end run ...", flush=True)
     # never shorter than 12 minutes: the burst is the minute-10 tick
     results.update(_bench_landscape_10k(12 if quick else 30))

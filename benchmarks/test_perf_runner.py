@@ -6,9 +6,10 @@ perf-smoke job runs it explicitly.  Two guards:
 * the committed ``BENCH_runner.json`` must document the refactor's
   speedup on the monitoring/decision hot path (>= 2x vs the embedded
   pre-refactor baseline);
-* a fresh quick chaos run must not fall more than 25% below the
-  committed runner throughput, and the 10k landscape must stay inside
-  its absolute budgets (seconds per simulated minute, burst tick).
+* a fresh quick chaos run and fresh bare ticks on the 1k-host landscape
+  must not fall more than 25% below the committed throughput, and the
+  10k landscape must stay inside its absolute budgets (seconds per
+  simulated minute, burst tick).
 """
 
 from __future__ import annotations
@@ -72,23 +73,6 @@ def test_committed_bench_documents_multiproc_domain_scaling():
         # throughput badly, and the committed file to say it is core-bound
         assert scaling >= 0.8
         assert results.get("federation_multiproc_core_bound", cpu_count < 4)
-
-
-def test_committed_bench_documents_columnar_speedup():
-    """The columnar steady-state tick must beat the object-graph walk.
-
-    The 1k bare-tick microbenchmark isolates the steady-state scan; both
-    modes pay the same per-monitor record/report pipeline there, so the
-    floor is modest.  The 10k workload is guarded by absolute budgets
-    (below), not by a ratio against the object-graph mode.
-    """
-    results = _committed()["results"]
-    assert results["controller_tick_1k_columnar_ms"] > 0
-    assert results["controller_tick_1k_object_graph_ms"] > 0
-    assert results["controller_tick_columnar_speedup"] >= 2.5, (
-        f"columnar steady-state tick speedup "
-        f"{results['controller_tick_columnar_speedup']}x < 2.5x at 1k hosts"
-    )
 
 
 def test_committed_bench_documents_10k_real_time_ticks():
@@ -189,6 +173,21 @@ def test_runner_throughput_no_regression():
     assert ticks_per_second >= floor, (
         f"runner throughput regressed: {ticks_per_second:.1f} ticks/s "
         f"< {floor:.1f} (committed {committed:.1f} - {REGRESSION_TOLERANCE:.0%})"
+    )
+
+
+def test_controller_tick_1k_no_regression():
+    """Fresh bare controller ticks on the 1,007-host landscape vs committed."""
+    from bench.run_bench import _microbench_controller_tick
+    from repro.config.builtin import replicated_landscape
+
+    committed = _committed()["results"]["controller_tick_1k_ms"]
+    gc.collect()
+    tick_ms = _microbench_controller_tick(120, landscape=replicated_landscape(53))
+    ceiling = committed / (1.0 - REGRESSION_TOLERANCE)
+    assert tick_ms <= ceiling, (
+        f"1k-host controller tick regressed: {tick_ms:.2f} ms > {ceiling:.2f} "
+        f"(committed {committed:.2f} - {REGRESSION_TOLERANCE:.0%} throughput)"
     )
 
 

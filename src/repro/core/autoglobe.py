@@ -60,26 +60,14 @@ class AutoGlobeController:
         reservations=None,
         executor: Optional[ActionExecutor] = None,
         relocation_handler=None,
-        scan_mode: str = "columnar",
     ) -> None:
-        if scan_mode not in ("columnar", "object-graph"):
-            raise ValueError(
-                f"scan_mode must be 'columnar' or 'object-graph', got {scan_mode!r}"
-            )
-        #: ``"columnar"`` (the default) drives the per-minute cycle off the
-        #: platform's :class:`~repro.serviceglobe.landscape_state.LandscapeState`:
+        #: the per-minute cycle runs off the platform's
+        #: :class:`~repro.serviceglobe.landscape_state.LandscapeState`:
         #: monitor sets are re-synchronized only when a version counter
         #: moved, samples are computed as vectorized column reads, down
         #: hosts come from the cached down-id scan and open situations are
-        #: ranked in one batched fuzzy evaluation.  ``"object-graph"``
-        #: disables the columnar cache and walks the object graph exactly
-        #: as the pre-columnar controller did — the reference path for the
-        #: equivalence suite and the benchmark baseline.  All controllers
-        #: sharing one platform must use the same mode.
-        self.scan_mode = scan_mode
+        #: ranked in one batched fuzzy evaluation
         self.platform = platform
-        if scan_mode == "object-graph":
-            platform.landscape_state.cache_enabled = False
         self.settings = settings if settings is not None else platform.landscape.controller
         self.archive = archive if archive is not None else InMemoryLoadArchive()
         self.enabled = enabled
@@ -192,25 +180,14 @@ class AutoGlobeController:
 
     def _sync_host_monitors(self) -> None:
         state = self.platform.landscape_state
-        if (
-            self.scan_mode == "columnar"
-            and self._registry_cursor == state.registry_version
-        ):
+        if self._registry_cursor == state.registry_version:
             return  # host set is fixed, service set unchanged since last sync
         for host in self.platform.hosts.values():
             if host.name in self._host_cpu_monitors:
                 continue
-            cpu_monitor = LoadMonitor(
-                host.name, "cpu",
-                probe=lambda h=host: h.cpu_load,
-                archive=self.archive,
-            )
+            cpu_monitor = LoadMonitor(host.name, "cpu", archive=self.archive)
             cpu_monitor.report_sink = self._report_buffer
-            mem_monitor = LoadMonitor(
-                host.name, "mem",
-                probe=lambda n=host.name: self.platform.host_mem_load(n),
-                archive=self.archive,
-            )
+            mem_monitor = LoadMonitor(host.name, "mem", archive=self.archive)
             mem_monitor.report_sink = self._report_buffer
             self._host_cpu_monitors[host.name] = cpu_monitor
             self._host_mem_monitors[host.name] = mem_monitor
@@ -229,25 +206,21 @@ class AutoGlobeController:
             # total demand, not average load: invariant under the
             # controller's own scale-outs, so daily patterns stay clean
             monitor = LoadMonitor(
-                f"service:{service_name}",
-                "demand",
-                probe=lambda n=service_name: self.platform.service_demand(n),
-                archive=self.archive,
+                f"service:{service_name}", "demand", archive=self.archive
             )
             monitor.report_sink = self._report_buffer
             self._service_monitors[service_name] = monitor
         self._registry_cursor = state.registry_version
-        if self.scan_mode == "columnar":
-            self._host_monitor_ids = np.fromiter(
-                (state.host_index.ids[name] for name in self._host_cpu_monitors),
-                dtype=np.int64,
-                count=len(self._host_cpu_monitors),
-            )
-            self._service_monitor_ids = np.fromiter(
-                (state.service_index.ids[name] for name in self._service_monitors),
-                dtype=np.int64,
-                count=len(self._service_monitors),
-            )
+        self._host_monitor_ids = np.fromiter(
+            (state.host_index.ids[name] for name in self._host_cpu_monitors),
+            dtype=np.int64,
+            count=len(self._host_cpu_monitors),
+        )
+        self._service_monitor_ids = np.fromiter(
+            (state.service_index.ids[name] for name in self._service_monitors),
+            dtype=np.int64,
+            count=len(self._service_monitors),
+        )
 
     def _sync_instance_monitors(self) -> None:
         """Create advisors for new instances, retire stale ones.
@@ -255,16 +228,13 @@ class AutoGlobeController:
         An instance's advisor watches the CPU load of the instance's
         *current* host (an instance suffers when its host saturates); its
         idle threshold depends on the host's performance index, so moving
-        an instance recreates its advisor.  In columnar scan mode the
-        rebuild runs only when the landscape's topology version moved —
-        placement, running set and host health changes are exactly the
-        events that can invalidate the advisor set.
+        an instance recreates its advisor.  The rebuild runs only when
+        the landscape's topology version moved — placement, running set
+        and host health changes are exactly the events that can
+        invalidate the advisor set.
         """
         state = self.platform.landscape_state
-        if (
-            self.scan_mode == "columnar"
-            and self._topology_cursor == state.topology_version
-        ):
+        if self._topology_cursor == state.topology_version:
             return
         self._topology_cursor = state.topology_version
         running: Dict[str, ServiceInstance] = {
@@ -285,10 +255,7 @@ class AutoGlobeController:
             monitor = self._instance_monitors.get(instance.instance_id)
             if monitor is None:
                 monitor = LoadMonitor(
-                    instance.instance_id,
-                    "cpu",
-                    probe=lambda i=instance: self.platform.host(i.host_name).cpu_load,
-                    archive=self.archive,
+                    instance.instance_id, "cpu", archive=self.archive
                 )
                 monitor.report_sink = self._report_buffer
                 self._instance_monitors[instance.instance_id] = monitor
@@ -375,7 +342,7 @@ class AutoGlobeController:
         vanished instances stay vanished), so a situation filtered out
         here is also skipped by the loop.
         """
-        if self.scan_mode != "columnar" or len(situations) < 2:
+        if len(situations) < 2:
             return {}, -1
         survivors = [
             situation
@@ -438,10 +405,10 @@ class AutoGlobeController:
     def _down_host_names(self) -> List[str]:
         """Down hosts of this controller's platform, in substrate order.
 
-        Columnar scan mode reads the landscape state's cached down-id
-        tuple (one identity check in the steady state) and filters it to
-        the platform's host set — a :class:`DomainView` administers a
-        subset of the global landscape.
+        Reads the landscape state's cached down-id tuple (one identity
+        check in the steady state) and filters it to the platform's host
+        set — a :class:`DomainView` administers a subset of the global
+        landscape.
         """
         state = self.platform.landscape_state
         names = state.host_index.names
@@ -455,12 +422,7 @@ class AutoGlobeController:
     def _blind_hosts(self, now: int) -> set:
         """Hosts with no usable measurements this minute: down or in a
         monitoring outage."""
-        if self.scan_mode == "columnar":
-            blind = set(self._down_host_names())
-        else:
-            blind = {
-                name for name, host in self.platform.hosts.items() if not host.up
-            }
+        blind = set(self._down_host_names())
         for name, until in list(self._monitor_outages.items()):
             if now <= until:
                 blind.add(name)
@@ -470,17 +432,15 @@ class AutoGlobeController:
 
     # -- the per-minute cycle ------------------------------------------------------------
 
-    def _sample_columnar(self, now: int, blind: set) -> None:
+    def _sample(self, now: int, blind: set) -> None:
         """One tick's monitor sweep off the columnar state.
 
-        The per-monitor probe lambdas are bypassed: each monitor family's
-        values come from one vectorized column read (the state flushes its
-        dirty ids once, up front) and are pushed through the exact same
-        record/report/observe pipeline as :meth:`LoadMonitor.sample`.
-        Loop order matches the object-graph sweep — cpu monitors, mem
-        monitors, service monitors, instance monitors, each in dict
-        insertion order — so the report buffer and every advisor see the
-        identical event sequence.
+        Each monitor family's values come from one vectorized column read
+        (the state flushes its dirty ids once, up front) and are pushed
+        through :meth:`LoadMonitor.push`.  The loop order — cpu monitors,
+        mem monitors, service monitors, instance monitors, each in dict
+        insertion order — fixes the order of the report buffer and of the
+        advisors' observations, and with it the seeded traces.
         """
         state = self.platform.landscape_state
         cpu_values = state.host_cpu_values(self._host_monitor_ids)
@@ -535,29 +495,7 @@ class AutoGlobeController:
         if self._pending_observation_restores:
             self._restore_observations(now)
         blind = self._blind_hosts(now)
-        if self.scan_mode == "columnar":
-            self._sample_columnar(now, blind)
-        else:
-            for name, monitor in self._host_cpu_monitors.items():
-                if name in blind:
-                    monitor.mark_dropped(now)
-                else:
-                    monitor.sample(now)
-            for name, monitor in self._host_mem_monitors.items():
-                if name in blind:
-                    monitor.mark_dropped(now)
-                else:
-                    monitor.sample(now)
-            # service demand is aggregated from the registry's own state,
-            # not shipped through per-host monitoring agents: always
-            # available
-            for monitor in self._service_monitors.values():
-                monitor.sample(now)
-            for (__, host_name), advisor in list(self._instance_advisors.items()):
-                if host_name in blind:
-                    advisor.monitor.mark_dropped(now)
-                else:
-                    advisor.monitor.sample(now)
+        self._sample(now, blind)
         # one batched flush per tick: the archive consumes this minute's
         # reports off the bus before any decision queries watch-time means
         if self._report_buffer:
@@ -574,13 +512,8 @@ class AutoGlobeController:
         # a crashed host voids its pending observations: whatever was
         # suspected before the crash cannot be confirmed against a host
         # that no longer exists in the landscape
-        if self.scan_mode == "columnar":
-            for name in self._down_host_names():
-                self.lms.cancel_subject(name, now)
-        else:
-            for name, host in self.platform.hosts.items():
-                if not host.up:
-                    self.lms.cancel_subject(name, now)
+        for name in self._down_host_names():
+            self.lms.cancel_subject(name, now)
         outcomes: List[ActionOutcome] = []
         situations = self.lms.tick(now)
         if not self.enabled:
@@ -809,16 +742,9 @@ class AutoGlobeController:
         """
         outcomes: List[ActionOutcome] = []
         state = self.platform.landscape_state
-        columnar = self.scan_mode == "columnar" and state.cache_enabled
         service_ids = state.service_index.ids
         for service_name in sorted(self.platform.services):
-            if columnar:
-                running = state.service_running_count(service_ids[service_name]) > 0
-            else:
-                running = bool(
-                    self.platform.service(service_name).running_instances
-                )
-            if running:
+            if state.service_running_count(service_ids[service_name]) > 0:
                 self._seen_running.add(service_name)
                 continue
             if (

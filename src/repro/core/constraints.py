@@ -90,9 +90,9 @@ def candidate_hosts(
     Applies the platform's feasibility checks plus the performance index
     relation of the relocation actions: scale-up targets a more powerful
     host, scale-down a less powerful one, move an equivalently powerful
-    one (Table 2).  On the columnar substrate the result is a
-    :class:`HostIds` carrying the filtered id array, which the server
-    selector ranks without materializing host objects.
+    one (Table 2).  The result is a :class:`HostIds` carrying the
+    filtered id array, which the server selector ranks without
+    materializing host objects.
     """
     if not action.needs_target_host:
         return []
@@ -111,40 +111,18 @@ def candidate_hosts(
         instance = max(
             running, key=lambda i: (platform.host_cpu_load(i.host_name), i.instance_id)
         )
-    source_name = instance.host_name
+    # the perf-index relation over thousands of eligible hosts is one
+    # column comparison, in substrate order
     eligible = platform.eligible_hosts(service_name)
-    if isinstance(eligible, HostIds):
-        # the perf-index relation over thousands of eligible hosts is one
-        # column comparison; ids arrive in the same substrate order the
-        # host objects would, so the filtered list is identical
-        state, ids = eligible.state, eligible.ids
-        source_id = state.host_index.ids.get(source_name, -1)
-        if source_id >= 0:
-            perf = state.host_perf_index
-            source_index = perf[source_id]
-            if action is Action.SCALE_UP:
-                keep = perf[ids] > source_index
-            elif action is Action.SCALE_DOWN:
-                keep = perf[ids] < source_index
-            else:
-                keep = perf[ids] == source_index
-            keep &= ids != source_id
-            return HostIds(state, ids[keep])
-    source_index = platform.host(source_name).performance_index
+    state, ids = eligible.state, eligible.ids
+    source_id = platform.host(instance.host_name).state_id
+    perf = state.host_perf_index
+    source_index = perf[source_id]
     if action is Action.SCALE_UP:
-        return [
-            host
-            for host in eligible
-            if host.name != source_name and host.performance_index > source_index
-        ]
-    if action is Action.SCALE_DOWN:
-        return [
-            host
-            for host in eligible
-            if host.name != source_name and host.performance_index < source_index
-        ]
-    return [
-        host
-        for host in eligible
-        if host.name != source_name and host.performance_index == source_index
-    ]
+        keep = perf[ids] > source_index
+    elif action is Action.SCALE_DOWN:
+        keep = perf[ids] < source_index
+    else:
+        keep = perf[ids] == source_index
+    keep &= ids != source_id
+    return HostIds(state, ids[keep])

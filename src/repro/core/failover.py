@@ -117,9 +117,6 @@ class ControllerSupervisor:
         with a per-replica seed.  Defaults to a pristine executor.
     lease_ttl:
         Lease validity in simulated minutes.
-    scan_mode:
-        Landscape scan strategy forwarded to every replica
-        (``"columnar"`` or ``"object-graph"``).
     """
 
     def __init__(
@@ -134,11 +131,8 @@ class ControllerSupervisor:
         executor_factory: Optional[Callable[[str, int], ActionExecutor]] = None,
         lease_ttl: int = DEFAULT_LEASE_TTL,
         relocation_handler=None,
-        scan_mode: str = "columnar",
     ) -> None:
         self.platform = platform
-        #: landscape scan strategy, forwarded to every replica
-        self.scan_mode = scan_mode
         #: control domain this supervisor's replicas administer (from a
         #: DomainView's marker); empty when supervising the whole landscape
         self.domain = getattr(platform, "domain_name", "")
@@ -206,7 +200,6 @@ class ControllerSupervisor:
             enabled=self._enabled,
             executor=executor,
             relocation_handler=self._relocation_handler,
-            scan_mode=self.scan_mode,
         )
         controller.attach_journal(self.store.journal)
         self.replicas.append(controller)

@@ -202,10 +202,6 @@ class FederatedControlPlane:
         shard's position, so federated chaos runs are reproducible.
     lease_ttl:
         Per-domain lease validity in simulated minutes (supervised only).
-    scan_mode:
-        Landscape scan strategy forwarded to every shard controller
-        (``"columnar"`` or ``"object-graph"``); all shards share one
-        platform substrate so they must agree on the mode.
     """
 
     def __init__(
@@ -220,7 +216,6 @@ class FederatedControlPlane:
         execution_faults: Optional[ExecutionFaults] = None,
         chaos_seed: Optional[int] = None,
         lease_ttl: Optional[int] = None,
-        scan_mode: str = "columnar",
     ) -> None:
         landscape = platform.landscape
         if not landscape.is_federated:
@@ -285,7 +280,6 @@ class FederatedControlPlane:
                     standby=standby,
                     executor_factory=self._executor_factory_for(view, index),
                     relocation_handler=handler,
-                    scan_mode=scan_mode,
                     **({"lease_ttl": lease_ttl} if lease_ttl is not None else {}),
                 )
             else:
@@ -296,7 +290,6 @@ class FederatedControlPlane:
                     enabled=enabled,
                     executor=self._make_executor(view, index, f"{domain.name}-exec", 0),
                     relocation_handler=handler,
-                    scan_mode=scan_mode,
                 )
             self.shards[domain.name] = DomainShard(
                 name=domain.name, view=view, controller=controller, archive=archive

@@ -314,7 +314,7 @@ class ServerSelector:
         or the rule base says nothing about suitability.
         """
         state = getattr(platform, "landscape_state", None)
-        if state is None or not state.cache_enabled:
+        if state is None:
             return None
         ids = state.host_ids(candidates)
         if ids is None:

@@ -4,11 +4,13 @@
 which is a specialized service for resource monitoring of service hosts
 and of resource usage of services, respectively."  (Section 2)
 
-A :class:`LoadMonitor` samples a probe once per tick, keeps the local
-time series and *pushes* each measurement to its subscribers (the
-advisors) and to the controller's per-tick report buffer, which is
-flushed to the load archive in one batch.  Monitors constructed without
-a report sink fall back to storing each sample in the archive directly.
+A :class:`LoadMonitor` is push-only: the controller reads one tick's
+values for all monitored subjects off the landscape state's columns and
+hands each monitor its measurement.  The monitor keeps the local time
+series and forwards the measurement to its subscribers (the advisors)
+and to the controller's per-tick report buffer, which is flushed to the
+load archive in one batch.  A monitor without a report sink stores each
+sample in its archive directly.
 """
 
 from __future__ import annotations
@@ -20,15 +22,12 @@ from repro.monitoring.timeseries import LoadSeries
 
 __all__ = ["LoadMonitor"]
 
-#: A probe returns the current measurement for its subject in [0, 1].
-Probe = Callable[[], float]
-
 #: An observer receives each new sample as ``(time, value)``.
 ReportObserver = Callable[[int, float], None]
 
 
 class LoadMonitor:
-    """Periodically samples one measurement of one subject.
+    """The per-minute measurements of one metric of one subject.
 
     Parameters
     ----------
@@ -37,8 +36,6 @@ class LoadMonitor:
         or ``"FI#2"`` for a service instance.
     metric:
         Measurement name, e.g. ``"cpu"`` or ``"mem"``.
-    probe:
-        Zero-argument callable returning the current value.
     archive:
         Optional load archive receiving every aggregated sample.
     """
@@ -47,12 +44,10 @@ class LoadMonitor:
         self,
         subject: str,
         metric: str,
-        probe: Probe,
         archive: Optional[LoadArchive] = None,
     ) -> None:
         self.subject = subject
         self.metric = metric
-        self._probe = probe
         self._archive = archive
         self.series = LoadSeries(name=f"{subject}/{metric}")
         #: minutes whose report never arrived (monitoring degradation)
@@ -74,19 +69,8 @@ class LoadMonitor:
             return True
         return False
 
-    def sample(self, time: int) -> float:
-        """Take one measurement, record it and report it."""
-        return self.push(time, float(self._probe()))
-
     def push(self, time: int, value: float) -> float:
-        """Record and report an externally computed measurement.
-
-        The columnar controller computes one tick's values for all
-        monitored subjects in a few vectorized array operations and
-        pushes them here, bypassing the per-monitor probe call; the
-        recording, sink/archive and observer plumbing is exactly the
-        probe path's.
-        """
+        """Record this minute's measurement and report it."""
         self.series.record(time, value)
         if self.report_sink is not None:
             self.report_sink.append((self.subject, self.metric, time, value))

@@ -48,6 +48,10 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 #: Events a slow WebSocket client may have in flight before drops begin.
 CLIENT_QUEUE_LIMIT = 256
 
+#: Largest client frame the server reads; the stream is one-way, so a
+#: longer one is answered with close 1009 instead of being buffered.
+MAX_CLIENT_FRAME = 1 << 16
+
 Listener = Callable[[Dict[str, Any]], None]
 
 
@@ -150,25 +154,17 @@ class OpsBridge:
     def _landscape_snapshot(self, now: int) -> Dict[str, Any]:
         platform = self.platform
         state = platform.landscape_state
+        state.flush()
+        host_ids = state.host_index.ids
         hosts = []
-        columnar = bool(getattr(state, "cache_enabled", False))
-        if columnar:
-            state.flush()
-        host_ids = state.host_index.ids if columnar else {}
         for name, host in platform.hosts.items():
-            if columnar:
-                hid = host_ids[name]
-                cpu = state.host_cpu_load(hid)
-                mem = state.host_mem_load(hid)
-            else:
-                cpu = host.cpu_load
-                mem = platform.host_mem_load(name)
+            hid = host_ids[name]
             hosts.append(
                 {
                     "name": name,
                     "up": bool(host.up),
-                    "cpu_load": round(float(cpu), 6),
-                    "mem_load": round(float(mem), 6),
+                    "cpu_load": round(state.host_cpu_load(hid), 6),
+                    "mem_load": round(state.host_mem_load(hid), 6),
                     "instances": [
                         instance.instance_id
                         for instance in host.running_instances
@@ -176,24 +172,15 @@ class OpsBridge:
                 }
             )
         services = []
-        service_ids = state.service_index.ids if columnar else {}
+        service_ids = state.service_index.ids
         for name in sorted(platform.services):
-            service = platform.service(name)
-            if columnar:
-                sid = service_ids[name]
-                running = state.service_running_count(sid)
-                demand = state.service_demand(sid)
-                load = state.service_load(sid)
-            else:
-                running = len(service.running_instances)
-                demand = platform.service_demand(name)
-                load = platform.service_load(name)
+            sid = service_ids[name]
             services.append(
                 {
                     "name": name,
-                    "running_instances": int(running),
-                    "demand": round(float(demand), 6),
-                    "load": round(float(load), 6),
+                    "running_instances": state.service_running_count(sid),
+                    "demand": round(state.service_demand(sid), 6),
+                    "load": round(state.service_load(sid), 6),
                 }
             )
         return {"time": now, "hosts": hosts, "services": services}
@@ -290,9 +277,14 @@ class _WSClient:
 
     _ids = 0
 
-    def __init__(self) -> None:
+    def __init__(
+        self, writer: asyncio.StreamWriter, handler: "asyncio.Task[None]"
+    ) -> None:
         _WSClient._ids += 1
         self.id = _WSClient._ids
+        self.writer = writer
+        #: the connection's handler task, awaited on shutdown
+        self.handler = handler
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=CLIENT_QUEUE_LIMIT)
         #: drops not yet surfaced in-band (reset when the notice sends)
         self.dropped = 0
@@ -387,8 +379,27 @@ class OpsServer:
         self._started.set()
         async with server:
             await self._stop_event.wait()
-        for client in list(self._clients):
+            await self._close_clients()
+
+    async def _close_clients(self) -> None:
+        """Close every ``/events`` subscriber and let its handler finish.
+
+        A handler still running when ``asyncio.run`` returns is
+        cancelled, which the stream protocol logs as an error.  Closing
+        the transport ends the handler's read with EOF instead.
+        """
+        handlers = []
+        for client in self._clients:
             client.closed = True
+            transport = client.writer.transport
+            if transport.get_write_buffer_size():
+                transport.abort()  # a stalled peer never lets a close frame out
+            else:
+                client.writer.write(struct.pack("!BBH", 0x88, 2, 1001))  # going away
+                client.writer.close()
+            handlers.append(client.handler)
+        if handlers:
+            await asyncio.wait(handlers, timeout=5.0)
 
     # -- event fan-out ----------------------------------------------------------------
 
@@ -563,7 +574,7 @@ class OpsServer:
             ).encode("latin-1")
         )
         await writer.drain()
-        client = _WSClient()
+        client = _WSClient(writer, asyncio.current_task())
         self._clients.append(client)
         sender = asyncio.ensure_future(self._ws_sender(client, writer))
         try:
@@ -614,17 +625,21 @@ class OpsServer:
         while not client.closed:
             try:
                 first = await reader.readexactly(2)
+                opcode = first[0] & 0x0F
+                masked = bool(first[1] & 0x80)
+                length = first[1] & 0x7F
+                if length == 126:
+                    length = struct.unpack("!H", await reader.readexactly(2))[0]
+                elif length == 127:
+                    length = struct.unpack("!Q", await reader.readexactly(8))[0]
+                if length > MAX_CLIENT_FRAME:
+                    writer.write(struct.pack("!BBH", 0x88, 2, 1009))  # too big
+                    await writer.drain()
+                    return
+                mask = await reader.readexactly(4) if masked else b""
+                payload = await reader.readexactly(length) if length else b""
             except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            opcode = first[0] & 0x0F
-            masked = bool(first[1] & 0x80)
-            length = first[1] & 0x7F
-            if length == 126:
-                length = struct.unpack("!H", await reader.readexactly(2))[0]
-            elif length == 127:
-                length = struct.unpack("!Q", await reader.readexactly(8))[0]
-            mask = await reader.readexactly(4) if masked else b""
-            payload = await reader.readexactly(length) if length else b""
+                return  # the peer went away, possibly in the middle of a frame
             if masked:
                 payload = bytes(
                     byte ^ mask[i % 4] for i, byte in enumerate(payload)

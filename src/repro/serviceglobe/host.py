@@ -19,13 +19,13 @@ class ServiceHost:
     CPU capacity equals the server's performance index: a host with
     index ``p`` saturates at a total instance demand of ``p`` units.
 
-    When bound to a columnar
-    :class:`~repro.serviceglobe.landscape_state.LandscapeState` the load
-    and memory aggregates are served from the state's cached columns
-    (recomputed lazily with the exact same left-to-right sums), and
-    every mutation — attach, detach, ``up`` flips — writes through to
-    the cache.  Unbound hosts compute everything from the instance list,
-    exactly as before.
+    A host of a platform is bound to the platform's
+    :class:`~repro.serviceglobe.landscape_state.LandscapeState`: its
+    demand and CPU load are served from the state's columns (recomputed
+    lazily as exact left-to-right sums), and every mutation — attach,
+    detach, ``up`` flips — writes through to the state.  A host built on
+    its own (a unit test, the allocation designer) is unbound and sums
+    its instance list.
     """
 
     __slots__ = ("spec", "instances", "_up", "_landscape_state", "state_id")
@@ -112,7 +112,7 @@ class ServiceHost:
     def total_demand(self) -> float:
         """Aggregate CPU demand of all running instances (may exceed capacity)."""
         state = self._landscape_state
-        if state is not None and state.cache_enabled:
+        if state is not None:
             return state.host_total_demand(self.state_id)
         return sum(i.demand for i in self.running_instances)
 
@@ -120,7 +120,7 @@ class ServiceHost:
     def cpu_load(self) -> float:
         """Observable CPU load in [0, 1]; a saturated CPU reads 100%."""
         state = self._landscape_state
-        if state is not None and state.cache_enabled:
+        if state is not None:
             return state.host_cpu_load(self.state_id)
         return min(self.total_demand / self.cpu_capacity, 1.0)
 

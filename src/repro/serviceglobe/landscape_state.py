@@ -1,4 +1,4 @@
-"""Columnar landscape state: the SoA substrate behind the hot path.
+"""Columnar landscape state: the one place measurements are read from.
 
 The object graph (:class:`~repro.serviceglobe.host.ServiceHost`,
 :class:`~repro.serviceglobe.service.ServiceInstance`) stays the source
@@ -6,18 +6,21 @@ of truth for *structure*; this module keeps the derived quantities the
 control loop reads tens of thousands of times per tick — per-host demand
 and memory sums, per-service instance counts and load sums, up/blind
 flags, placement-eligibility inputs — in numpy structure-of-arrays
-columns with stable integer ids mapped from names.
+columns with stable integer ids mapped from names.  Controller,
+platform, monitors and the ops API all read these columns; nothing
+re-derives them by walking the objects.
 
-Two properties make the substrate safe to put under a byte-identical
-control loop:
+Two properties keep seeded runs byte-identical on top of it:
 
-* **Exact sums.**  Cached aggregates are recomputed with the same
-  left-to-right Python float additions as the object-graph expressions
-  they replace (never ``np.sum``, whose pairwise reduction associates
-  differently), so every cached read is bit-identical to the legacy
-  traversal.  Vectorized consumers (``np.minimum(demand / capacity,
-  1.0)``) only apply IEEE operations element-wise, which match the
-  scalar ``min(d / c, 1.0)`` exactly.
+* **Exact sums.**  Aggregates are recomputed as left-to-right Python
+  float additions over the host's / service's instance list in list
+  order (never ``np.sum``, whose pairwise reduction associates
+  differently), so a read equals the plain loop
+  ``sum(i.demand for i in running)`` bit for bit — which is what
+  ``tests/serviceglobe/test_landscape_state.py`` checks against a naive
+  evaluator after every mutation.  Vectorized consumers
+  (``np.minimum(demand / capacity, 1.0)``) only apply IEEE operations
+  element-wise, which match the scalar ``min(d / c, 1.0)`` exactly.
 
 * **Write-through invalidation.**  Every mutation path — instance
   ``demand``/``state`` writes, host ``up`` flips, attach/detach, service
@@ -49,10 +52,6 @@ the world:
 ``rebuilds``
     bumped by :meth:`rebuild`; consumers holding derived per-host
     tables drop them wholesale.
-
-``cache_enabled = False`` turns every cached read back into the legacy
-object-graph traversal — the benchmark's "object-graph" comparison mode
-and the equivalence suite's reference path.
 """
 
 from __future__ import annotations
@@ -158,9 +157,6 @@ class LandscapeState:
         services: Dict[str, "ServiceDefinition"],
         memory_of: Callable[[str], int],
     ) -> None:
-        #: when ``False`` every read falls back to the object-graph
-        #: traversal (the benchmark's legacy comparison mode)
-        self.cache_enabled = True
         self.memory_of = memory_of
         self.host_index = IdMap()
         self.service_index = IdMap()
@@ -347,7 +343,7 @@ class LandscapeState:
             self._refresh_service(sid)
             self._dirty_services.discard(sid)
 
-    # -- scalar reads (bit-identical to the object-graph expressions) ------------------
+    # -- scalar reads ------------------------------------------------------------------
 
     def host_total_demand(self, hid: int) -> float:
         self._ensure_host(hid)
@@ -414,9 +410,9 @@ class LandscapeState:
 
         Returns ``(cpu_load, mem_load, running_instances, memory_free_mb)``
         float columns.  Each element is bit-identical to the scalar
-        object-graph expression for the same host: the loads divide the
-        same exact sums by the same capacities, and the instance count and
-        free memory are exact integers converted to float.
+        read for the same host: the loads divide the same exact sums by
+        the same capacities, and the instance count and free memory are
+        exact integers converted to float.
         """
         self.flush()
         cpu = np.minimum(self.host_demand[ids] / self.host_cpu_capacity[ids], 1.0)

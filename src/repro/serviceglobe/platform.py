@@ -13,7 +13,7 @@ watch times, applicability thresholds) belong to the controller.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -236,44 +236,29 @@ class Platform:
         for other_name in others:
             if self.service(other_name).spec.constraints.exclusive:
                 return f"host is reserved exclusively for {other_name}"
-        state = self.landscape_state
-        if state.cache_enabled:
-            free = state.host_memory_free(host.state_id)
-        else:
-            free = host.memory_free_mb(self.memory_of)
+        free = self.landscape_state.host_memory_free(host.state_id)
         needed = service.spec.workload.memory_per_instance_mb
         if needed > free:
             return f"needs {needed} MB but only {free} MB free"
         return None
 
-    def eligible_hosts(self, service_name: str) -> Sequence[ServiceHost]:
+    def eligible_hosts(self, service_name: str) -> HostIds:
         """All hosts that could physically run another instance now.
 
-        The columnar fast path evaluates the ``can_host`` conjunction as
-        one vectorized mask over the landscape state's columns instead
-        of re-deriving memory sums and service rosters host by host.
+        The ``can_host`` conjunction is evaluated as one vectorized mask
+        over the landscape state's columns instead of re-deriving memory
+        sums and service rosters host by host.
         """
-        ids = self.eligible_ids(service_name)
-        if ids is not None:
-            return HostIds(self.landscape_state, ids)
-        return [
-            host
-            for host in self.hosts.values()
-            if self.can_host(service_name, host.name) is None
-        ]
+        return HostIds(self.landscape_state, self.eligible_ids(service_name))
 
-    def eligible_ids(self, service_name: str) -> Optional[np.ndarray]:
+    def eligible_ids(self, service_name: str) -> np.ndarray:
         """State ids of the eligible hosts in substrate order.
 
-        ``None`` when the columnar cache is disabled (callers fall back
-        to the object-graph scan).  The id array lets placement filters
-        (performance-index relations, source exclusion) run as column
-        operations without materializing host objects first.
+        The id array lets placement filters (performance-index
+        relations, source exclusion) run as column operations without
+        materializing host objects first.
         """
-        state = self.landscape_state
-        if not state.cache_enabled:
-            return None
-        mask = state.eligible_mask(self.service(service_name))
+        mask = self.landscape_state.eligible_mask(self.service(service_name))
         return np.flatnonzero(mask)
 
     # -- primitive operations -----------------------------------------------------------
@@ -450,10 +435,8 @@ class Platform:
     def hosts_down(self) -> List[str]:
         """Names of hosts currently out of the landscape."""
         state = self.landscape_state
-        if state.cache_enabled:
-            names = state.host_index.names
-            return sorted(names[hid] for hid in state.down_host_ids())
-        return sorted(name for name, host in self.hosts.items() if not host.up)
+        names = state.host_index.names
+        return sorted(names[hid] for hid in state.down_host_ids())
 
     # -- action execution ------------------------------------------------------------------
 
@@ -794,31 +777,21 @@ class Platform:
         return self.host(host_name).cpu_load
 
     def host_mem_load(self, host_name: str) -> float:
-        host = self.host(host_name)
-        state = self.landscape_state
-        if state.cache_enabled:
-            return state.host_mem_load(host.state_id)
-        return host.mem_load(self.memory_of)
+        return self.landscape_state.host_mem_load(self.host(host_name).state_id)
 
     def instance_load(self, instance: ServiceInstance) -> float:
         """The instance's own demand relative to its host's capacity."""
         return min(instance.demand / self.host(instance.host_name).cpu_capacity, 1.0)
 
-    def _service_id(self, service_name: str) -> Optional[int]:
-        state = self.landscape_state
-        if not state.cache_enabled:
-            return None
-        return state.service_index.ids.get(service_name)
+    def _service_id(self, service_name: str) -> int:
+        try:
+            return self.landscape_state.service_index.ids[service_name]
+        except KeyError:
+            raise NoSuchTarget(f"unknown service {service_name!r}") from None
 
     def service_load(self, service_name: str) -> float:
         """Average load of all instances of a service (Table 1)."""
-        sid = self._service_id(service_name)
-        if sid is not None:
-            return self.landscape_state.service_load(sid)
-        instances = self.service(service_name).running_instances
-        if not instances:
-            return 0.0
-        return sum(self.instance_load(i) for i in instances) / len(instances)
+        return self.landscape_state.service_load(self._service_id(service_name))
 
     def service_demand(self, service_name: str) -> float:
         """Total CPU demand of a service in performance-index units.
@@ -828,20 +801,11 @@ class Platform:
         the load-forecasting extension: the daily pattern of a service's
         demand is not polluted by the controller's own remedies.
         """
-        sid = self._service_id(service_name)
-        if sid is not None:
-            return self.landscape_state.service_demand(sid)
-        return sum(i.demand for i in self.service(service_name).running_instances)
+        return self.landscape_state.service_demand(self._service_id(service_name))
 
     def service_capacity(self, service_name: str) -> float:
         """Total performance index of the hosts running the service."""
-        sid = self._service_id(service_name)
-        if sid is not None:
-            return self.landscape_state.service_capacity(sid)
-        return sum(
-            self.host(i.host_name).cpu_capacity
-            for i in self.service(service_name).running_instances
-        )
+        return self.landscape_state.service_capacity(self._service_id(service_name))
 
 
 class DomainView:
@@ -1000,21 +964,12 @@ class DomainView:
 
     # -- feasibility (placement candidates stay inside the shard) ------------------
 
-    def eligible_hosts(self, service_name: str) -> Sequence[ServiceHost]:
-        ids = self.eligible_ids(service_name)
-        if ids is not None:
-            return HostIds(self.platform.landscape_state, ids)
-        return [
-            host
-            for host in self.hosts.values()
-            if self.platform.can_host(service_name, host.name) is None
-        ]
+    def eligible_hosts(self, service_name: str) -> HostIds:
+        return HostIds(self.platform.landscape_state, self.eligible_ids(service_name))
 
-    def eligible_ids(self, service_name: str) -> Optional[np.ndarray]:
+    def eligible_ids(self, service_name: str) -> np.ndarray:
         """Domain-scoped :meth:`Platform.eligible_ids` (substrate order)."""
         state = self.platform.landscape_state
-        if not state.cache_enabled:
-            return None
         mask = state.eligible_mask(self.platform.service(service_name))
         ids = self._host_id_array
         return ids[mask[ids]]
@@ -1048,12 +1003,10 @@ class DomainView:
     def hosts_down(self) -> List[str]:
         """Domain hosts currently out of the landscape."""
         state = self.platform.landscape_state
-        if state.cache_enabled:
-            ids = self._host_id_array
-            down = ids[~state.host_up[ids]]
-            names = state.host_index.names
-            return sorted(names[i] for i in down)
-        return sorted(name for name, host in self.hosts.items() if not host.up)
+        ids = self._host_id_array
+        down = ids[~state.host_up[ids]]
+        names = state.host_index.names
+        return sorted(names[i] for i in down)
 
     # -- action execution ----------------------------------------------------------
 

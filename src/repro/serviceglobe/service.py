@@ -42,13 +42,12 @@ class ServiceInstance:
     users:
         Interactive user sessions currently connected to this instance.
 
-    ``demand`` and ``state`` are write-through properties: when the
-    instance is bound to a columnar
-    :class:`~repro.serviceglobe.landscape_state.LandscapeState`, writing
-    either marks the instance's host and service aggregates stale so
-    cached sums never go out of sync with the object graph.  Unbound
-    instances (unit tests building them directly) behave like plain
-    attributes.
+    ``demand`` and ``state`` are write-through properties: an instance
+    of a platform is bound to the platform's
+    :class:`~repro.serviceglobe.landscape_state.LandscapeState`, and
+    writing either marks the instance's host and service columns stale,
+    to be re-summed before their next read.  On an instance built on its
+    own (a unit test) they are plain attributes.
     """
 
     __slots__ = (

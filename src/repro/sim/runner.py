@@ -126,16 +126,6 @@ class SimulationRunner:
         (:class:`repro.analysis.verify.TraceVerifier`) to the telemetry
         bus as a sanitizer: every published event is checked live, and
         :meth:`verification_report` returns the findings after the run.
-    scan_mode:
-        Landscape scan strategy for every controller the runner builds.
-        ``"columnar"`` (the default) reads measurements from the
-        platform's :class:`~repro.serviceglobe.landscape_state.LandscapeState`
-        columns and batches fuzzy inference across open situations;
-        ``"object-graph"`` walks the host/instance objects per tick, the
-        pre-columnar behaviour.  Both modes produce bit-identical runs;
-        the flag exists for benchmarks and equivalence tests.  Ignored
-        by ``controller_factory`` controllers, which construct
-        themselves.
     store_path:
         Persist every telemetry envelope to a SQLite event store
         (:class:`repro.ops.store.TelemetryStore`) at this path; batches
@@ -187,7 +177,6 @@ class SimulationRunner:
         snapshot_interval: int = 10,
         kill_at: Optional[int] = None,
         verify: bool = False,
-        scan_mode: str = "columnar",
         store_path: Optional[Union[str, Path]] = None,
         serve: Optional[Tuple[str, int]] = None,
         pace: float = 0.0,
@@ -197,11 +186,6 @@ class SimulationRunner:
             raise ValueError(
                 f"lint must be 'off', 'warn' or 'strict', got {lint!r}"
             )
-        if scan_mode not in ("columnar", "object-graph"):
-            raise ValueError(
-                f"scan_mode must be 'columnar' or 'object-graph', got {scan_mode!r}"
-            )
-        self.scan_mode = scan_mode
         if snapshot_interval < 1:
             raise ValueError("snapshot interval must be at least one minute")
         if resume and state_dir is None:
@@ -328,7 +312,6 @@ class SimulationRunner:
                     self._execution_faults(chaos) if chaos is not None else None
                 ),
                 chaos_seed=chaos.seed if chaos is not None else None,
-                scan_mode=scan_mode,
             )
         elif supervised:
             from repro.core.failover import ControllerSupervisor
@@ -343,7 +326,6 @@ class SimulationRunner:
                 store=self._store,
                 standby=standby,
                 executor_factory=self._make_executor_factory(chaos),
-                scan_mode=scan_mode,
             )
         elif controller_factory is not None:
             self.controller = controller_factory(
@@ -357,8 +339,7 @@ class SimulationRunner:
                     seed=chaos.seed,
                 )
             self.controller = AutoGlobeController(
-                self.platform, enabled=enabled, archive=archive,
-                executor=executor, scan_mode=scan_mode,
+                self.platform, enabled=enabled, archive=archive, executor=executor
             )
         self.executor = executor
         self.injector: Optional[FaultInjector] = None

@@ -14,13 +14,10 @@ from repro.monitoring.monitor import LoadMonitor
 
 
 class Dial:
-    """A mutable probe."""
+    """The load the next pushed measurement carries."""
 
     def __init__(self, value=0.0):
         self.value = value
-
-    def __call__(self):
-        return self.value
 
 
 def make_stack(
@@ -34,7 +31,7 @@ def make_stack(
     dial = Dial()
     lms = LoadMonitoringSystem()
     monitor = LoadMonitor("Blade1" if service_name is None else f"{service_name}#1",
-                          "cpu", dial)
+                          "cpu")
     advisor = Advisor(
         monitor,
         subject_kind,
@@ -54,7 +51,7 @@ def run_minutes(dial, monitor, advisor, lms, loads, start=0):
     for offset, load in enumerate(loads):
         now = start + offset
         dial.value = load
-        monitor.sample(now)
+        monitor.push(now, dial.value)
         advisor.inspect(now)
         situations.extend(lms.tick(now))
     return situations
@@ -96,9 +93,9 @@ class TestOverloadDetection:
     def test_no_duplicate_observation_while_watching(self):
         dial, monitor, advisor, lms = make_stack()
         dial.value = 0.9
-        monitor.sample(0)
+        monitor.push(0, dial.value)
         advisor.inspect(0)
-        monitor.sample(1)
+        monitor.push(1, dial.value)
         advisor.inspect(1)
         assert len(lms.active_observations) == 1
 
@@ -140,7 +137,7 @@ class TestAdvisorValidation:
 
     def test_service_advisor_needs_service_name(self):
         lms = LoadMonitoringSystem()
-        monitor = LoadMonitor("X#1", "cpu", Dial())
+        monitor = LoadMonitor("X#1", "cpu")
         with pytest.raises(ValueError, match="service name"):
             Advisor(
                 monitor,
@@ -157,15 +154,15 @@ class TestMonitorArchiveIntegration:
     def test_samples_flow_into_archive(self):
         archive = InMemoryLoadArchive()
         dial = Dial(0.42)
-        monitor = LoadMonitor("Blade1", "cpu", dial, archive=archive)
+        monitor = LoadMonitor("Blade1", "cpu", archive=archive)
         for t in range(5):
-            monitor.sample(t)
+            monitor.push(t, dial.value)
         assert archive.average("Blade1", "cpu", 0, 4) == pytest.approx(0.42)
 
     def test_lms_cancel(self):
         dial, monitor, advisor, lms = make_stack()
         dial.value = 0.9
-        monitor.sample(0)
+        monitor.push(0, dial.value)
         advisor.inspect(0)
         assert lms.observing("Blade1", SituationKind.SERVER_OVERLOADED)
         lms.cancel("Blade1", SituationKind.SERVER_OVERLOADED)

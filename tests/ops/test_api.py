@@ -8,7 +8,9 @@ clients.
 """
 
 import io
+import logging
 import socket
+import struct
 import threading
 import time
 
@@ -255,7 +257,7 @@ class TestWebSocket:
         """Queue overflow increments ``dropped`` instead of blocking."""
         _, _, server, _ = harness
         monkeypatch.setattr(api, "CLIENT_QUEUE_LIMIT", 2)
-        client = api._WSClient()
+        client = api._WSClient(writer=None, handler=None)  # never closed here
         server._clients.append(client)
         try:
             for i in range(5):
@@ -265,6 +267,123 @@ class TestWebSocket:
         assert client.queue.qsize() == 2
         assert client.dropped == 3  # pending in-band notice
         assert client.dropped_total == 3  # lifetime, what /stats reports
+
+
+def _upgrade(port: int) -> socket.socket:
+    """A raw socket past the ``/events`` handshake and the hello frame."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.sendall(
+        (
+            "GET /events HTTP/1.1\r\n"
+            f"Host: 127.0.0.1:{port}\r\n"
+            "Upgrade: websocket\r\n"
+            "Connection: Upgrade\r\n"
+            "Sec-WebSocket-Key: cmF3LXNvY2tldC1jbGllbnQ=\r\n"
+            "Sec-WebSocket-Version: 13\r\n"
+            "\r\n"
+        ).encode("latin-1")
+    )
+    received = b""
+    while b"hello" not in received:
+        chunk = sock.recv(4096)
+        assert chunk, "server closed during the handshake"
+        received += chunk
+    return sock
+
+
+def _read_until_closed(sock: socket.socket) -> bytes:
+    received = b""
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return received
+        received += chunk
+
+
+def _wait_for_no_clients(server: OpsServer) -> None:
+    deadline = time.monotonic() + 10
+    while server._clients and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert server._clients == []
+
+
+class TestClientFrames:
+    def test_truncated_frame_header_is_end_of_stream(self, harness, caplog):
+        _, _, server, client = harness
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            sock = _upgrade(server.port)
+            # a masked text frame announcing a 16-bit length, cut after
+            # the first length byte
+            sock.sendall(b"\x81\xfe\x01")
+            sock.close()
+            _wait_for_no_clients(server)
+        assert caplog.records == []
+        assert client.get("/stats")["clients"] == []
+
+    def test_oversized_frame_is_refused_with_1009(self, harness):
+        _, _, server, _ = harness
+        sock = _upgrade(server.port)
+        # header only: a masked binary frame announcing 1 MiB
+        sock.sendall(struct.pack("!BBQ", 0x82, 0x80 | 127, 1 << 20))
+        received = _read_until_closed(sock)
+        sock.close()
+        assert received.endswith(struct.pack("!BBH", 0x88, 2, 1009))
+        _wait_for_no_clients(server)
+
+    def test_frame_at_the_limit_is_read_and_ignored(self, harness):
+        _, _, server, _ = harness
+        sock = _upgrade(server.port)
+        sock.sendall(
+            struct.pack("!BBQ", 0x82, 0x80 | 127, api.MAX_CLIENT_FRAME)
+            + bytes(4 + api.MAX_CLIENT_FRAME)
+            + struct.pack("!BB", 0x88, 0x80)  # then a masked close
+            + bytes(4)
+        )
+        assert _read_until_closed(sock) == struct.pack("!BB", 0x88, 0)
+        sock.close()
+
+
+class TestShutdown:
+    def test_stop_with_live_subscriber_closes_it_cleanly(self, caplog, capfd):
+        """``stop()`` says goodbye instead of cancelling the handler.
+
+        A handler cancelled by the closing event loop is logged by
+        asyncio as ``Exception in callback ... CancelledError``.
+        """
+        runner = SimulationRunner(Scenario.STATIC, horizon=10, seed=7)
+        bridge = OpsBridge(runner.platform, runner.controller, run_info={})
+        bridge.attach(runner.platform.bus)
+        bridge.refresh(T0)
+        server = OpsServer(bridge, port=0).start()
+        client = OpsClient("127.0.0.1", server.port)
+        seen = []
+        ready = threading.Event()
+
+        def consume():
+            try:
+                for message in client.events():
+                    seen.append(message["type"])
+                    ready.set()
+                seen.append("closed by a close frame")
+            except ConnectionError as error:
+                seen.append(repr(error))
+
+        reader = threading.Thread(target=consume, daemon=True)
+        reader.start()
+        try:
+            assert ready.wait(timeout=10)
+            capfd.readouterr()
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                server.stop()
+            reader.join(timeout=10)
+        finally:
+            server.stop()
+            bridge.detach()
+        assert not reader.is_alive()
+        assert seen == ["hello", "closed by a close frame"]
+        assert caplog.records == []
+        assert capfd.readouterr().err == ""
+        assert server._clients == []
 
 
 class TestBridgeLifecycle:
