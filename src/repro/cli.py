@@ -169,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="additionally crash the controller and partition "
                           "the leader (implies the supervised controller)")
     run.add_argument("--state-dir", default=None, metavar="PATH",
-                     help="persist journal, snapshots, lease and load "
-                          "archive here; enables crash recovery")
+                     help="keep the run's state.db (journal, snapshots, "
+                          "lease, load archive) here; enables crash "
+                          "recovery; a used directory needs --resume")
     run.add_argument("--resume", action="store_true",
                      help="continue from the last snapshot in --state-dir")
     run.add_argument("--standby", action="store_true",

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config.model import ControllerSettings
-from repro.core.alerts import CommandQueue
+from repro.core.alerts import Alert, AlertSeverity, CommandQueue
 from repro.core.autoglobe import AutoGlobeController
 from repro.core.state import DurableStateStore, replay_journal
 from repro.monitoring.archive import InMemoryLoadArchive, LoadArchive
@@ -82,7 +82,7 @@ class _AlertsView:
         ]
 
     def escalations(self):
-        return [
+        return self._supervisor._restored_escalations + [
             alert
             for controller in self._supervisor.replicas
             for alert in controller.alerts.escalations()
@@ -152,6 +152,9 @@ class ControllerSupervisor:
         self._replica_sequence = 0
         #: every replica ever created, newest last (alert aggregation)
         self.replicas: List[AutoGlobeController] = []
+        #: escalations raised before the snapshot this run resumed from;
+        #: their replicas are gone, the run's escalation count is not
+        self._restored_escalations: List[Alert] = []
         #: (time, kind, detail) supervision events: crashes, recoveries,
         #: failovers, partition heals — merged into the run's fault records
         self.events: List[Tuple[int, str, str]] = []
@@ -499,6 +502,9 @@ class ControllerSupervisor:
             ),
             "monitor_outages": dict(self._monitor_outages),
             "events": [list(event) for event in self.events],
+            "escalations": [
+                [alert.time, alert.message] for alert in self.alerts.escalations()
+            ],
             "downtime_minutes": self.downtime_minutes,
             "restart_at": self._restart_at,
             "partitioned_until": self._partitioned_until,
@@ -507,13 +513,18 @@ class ControllerSupervisor:
     def restore_state(self, payload: Dict[str, Any], now: int) -> None:
         """Rebuild supervision state from a full-run snapshot.
 
-        The journal is truncated back to the snapshot's sequence number
-        — everything after it belongs to the abandoned timeline between
-        the snapshot and the kill — and the active replica is rebuilt
-        under its pre-kill identity, so the lease renews under the same
-        holder and intent ids stay unambiguous.
+        The store is rewound to the snapshot (journal sequence number
+        and minute ``now``) — everything after it belongs to the
+        abandoned timeline between the snapshot and the kill — and the
+        active replica is rebuilt under its pre-kill identity, so the
+        lease renews under the same holder and intent ids stay
+        unambiguous.
         """
         self.events = [tuple(event) for event in payload.get("events", [])]
+        self._restored_escalations = [
+            Alert(int(time), AlertSeverity.ESCALATION, message)
+            for time, message in payload.get("escalations", [])
+        ]
         self.downtime_minutes = int(payload.get("downtime_minutes", 0))
         self._restart_at = payload.get("restart_at")
         self._partitioned_until = payload.get("partitioned_until")
@@ -521,7 +532,7 @@ class ControllerSupervisor:
             current = self._monitor_outages.get(host_name, -1)
             self._monitor_outages[host_name] = max(current, int(until))
         journal_seq = int(payload.get("journal_seq", 0))
-        self.store.journal.truncate(journal_seq)
+        self.store.rewind(journal_seq, now)
         self.replicas = []
         self._pending_intents = {}
         active_replica = payload.get("active_replica")

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.config.model import Action, ControllerSettings
 from repro.core.alerts import CommandQueue
@@ -188,14 +188,12 @@ class FederatedControlPlane:
         :class:`~repro.core.failover.ControllerSupervisor` (leases and
         fencing tokens are then per-domain).
     state_dir:
-        Durable-state root; each domain persists under its own
-        subdirectory (``<state_dir>/<domain>/``) so journals, snapshots
-        and lease rows never mix.  ``None`` keeps stores in memory.
+        Durable-state root; each domain persists in the ``state.db`` of
+        its own subdirectory (``<state_dir>/<domain>/``) so journals,
+        snapshots, lease rows and load archives never mix.  ``None``
+        keeps stores and archives in memory.
     standby:
         Hot-standby failover inside each domain (supervised only).
-    archive_factory:
-        ``domain name -> LoadArchive`` building each domain's archive;
-        defaults to in-memory archives.
     execution_faults / chaos_seed:
         Chaos actuation profile: every shard executor gets its own
         deterministic RNG stream derived from ``chaos_seed`` and the
@@ -212,7 +210,6 @@ class FederatedControlPlane:
         supervised: bool = False,
         state_dir: Optional[Path] = None,
         standby: bool = False,
-        archive_factory: Optional[Callable[[str], LoadArchive]] = None,
         execution_faults: Optional[ExecutionFaults] = None,
         chaos_seed: Optional[int] = None,
         lease_ttl: Optional[int] = None,
@@ -262,21 +259,19 @@ class FederatedControlPlane:
                 host_names=domain.servers,
                 service_names=homes_by_domain.get(domain.name, []),
             )
-            archive = (
-                archive_factory(domain.name)
-                if archive_factory is not None
-                else InMemoryLoadArchive()
-            )
+            archive: LoadArchive = InMemoryLoadArchive()
             handler = self._relocation_handler_for(domain.name)
             controller: DomainController
             if supervised:
-                store_dir = state_dir / domain.name if state_dir else None
+                store = DurableStateStore(state_dir / domain.name if state_dir else None)
+                if state_dir:
+                    archive = store.archive
                 controller = ControllerSupervisor(
                     view,
                     settings=self.settings,
                     archive=archive,
                     enabled=enabled,
-                    store=DurableStateStore(store_dir),
+                    store=store,
                     standby=standby,
                     executor_factory=self._executor_factory_for(view, index),
                     relocation_handler=handler,
@@ -665,6 +660,16 @@ class FederatedControlPlane:
                 shard.controller.restore_state(shard_payload, now)
             else:
                 shard.controller.restore_state(shard_payload)
+
+    @property
+    def stores(self) -> List[DurableStateStore]:
+        """The supervised domains' state stores."""
+        return [shard.controller.store for shard in self._supervised_shards]
+
+    def close(self) -> None:
+        """Close every domain's state store (idempotent)."""
+        for store in self.stores:
+            store.close()
 
     def reconcile(
         self, now: int, intents: Dict[str, Dict[str, Any]]

@@ -1,51 +1,58 @@
-"""Durable controller state: write-ahead journal, snapshots, leases.
+"""Durable controller state: one ``state.db`` per state directory.
 
 The paper's controller is the one component AutoGlobe cannot heal: every
 self-organizing decision (the Figure 6 loop, protection mode,
 semi-automatic approvals) lives in the controller process, and losing it
 collapses availability toward the no-controller floor.  This module
 makes the administration layer as fault-tolerant as the landscape it
-administers:
+administers.  Everything durable is a table of one SQLite file, opened
+once by :class:`StateDb`:
 
-* :class:`StateJournal` — an append-only JSON-lines write-ahead journal
-  of the controller's soft state: protection-registry entries, LMS
-  watch-time observation progress, pending semi-automatic approvals and
-  the executor's two-phase action log (intent before the platform
-  mutates, commit after).  Reads tolerate a torn tail: a record half
-  written when the process died is ignored, everything before it is
-  kept.
-* :class:`SnapshotStore` — periodic full-state snapshots written
-  atomically (temp file + ``os.replace``), so recovery replays only the
-  journal suffix past the snapshot.
-* :class:`LeaseStore` — SQLite-backed leader lease with monotonically
-  increasing *fencing tokens*.  A new leadership grant bumps the token;
-  the platform rejects actions carrying an older token
+* ``journal`` (:class:`StateJournal`) — the write-ahead journal of the
+  controller's soft state: protection-registry entries, LMS watch-time
+  observation progress, pending semi-automatic approvals and the
+  executor's two-phase action log (intent before the platform mutates,
+  commit after).  A record is committed before ``append`` returns.
+* ``snapshots`` (:class:`SnapshotStore`) — the latest full-state
+  snapshot of each kind, saved all-or-nothing, so recovery replays only
+  the journal suffix past the snapshot.
+* ``lease`` (:class:`LeaseStore`) — the leader lease with monotonically
+  increasing *fencing tokens*, fsynced before ``acquire`` returns.  A
+  new leadership grant bumps the token; the platform rejects actions
+  carrying an older one
   (:class:`~repro.serviceglobe.actions.FencedActionError`), so a deposed
   or partitioned leader cannot double-apply actions.
-* :func:`replay_journal` — the idempotent fold from (snapshot, journal
-  suffix) back to controller state.  Applying the same suffix twice
-  yields the same state: protection entries max-merge, observations and
-  approvals upsert by id, and action intents are resolved by their
-  commit records — whatever intent remains unresolved was in flight
-  when the controller died and must be reconciled against the platform.
+* ``load_samples`` / ``admin_events`` — the load archive
+  (:class:`~repro.monitoring.archive.SqliteLoadArchive`), one
+  all-or-nothing batch per tick.
 
-:class:`DurableStateStore` bundles the three behind one directory (or
-fully in memory for hot-standby failover without persistence).
+A file that fails its integrity check on open raises
+:class:`StateCorruptError`; nothing is skipped, dropped or rebuilt.
+:func:`replay_journal` is the idempotent fold from (snapshot, journal
+suffix) back to controller state: whatever action intent it leaves
+unresolved was in flight when the controller died and must be
+reconciled against the platform.  :class:`DurableStateStore` bundles the
+accessors behind one directory (or ``":memory:"`` for hot-standby
+failover without persistence).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.config.model import Action
+from repro.monitoring.archive import SqliteLoadArchive
 from repro.serviceglobe.actions import ActionOutcome
 
 __all__ = [
+    "STATE_FILE",
+    "StateCorruptError",
+    "StateDb",
     "JournalRecord",
     "StateJournal",
     "SnapshotStore",
@@ -93,6 +100,150 @@ def outcome_from_dict(payload: Dict[str, Any]) -> ActionOutcome:
     )
 
 
+# -- the one state file ---------------------------------------------------------------
+
+#: name of the state file inside a state directory
+STATE_FILE = "state.db"
+
+
+class StateCorruptError(Exception):
+    """A state file failed its integrity check on open; nothing in it
+    (journal, snapshots, lease) is trusted, repaired or skipped."""
+
+    def __init__(self, path: str, detail: str) -> None:
+        super().__init__(
+            f"state database {path!r} is corrupt ({detail}); move the file "
+            "aside to start over from empty state"
+        )
+        self.path = path
+        self.detail = detail
+
+
+class StateDb:
+    """The one SQLite connection to a state file (or ``":memory:"``).
+
+    WAL mode lets the federation server renew a domain's lease while the
+    domain's agent journals into the same file.  The connection is in
+    autocommit mode: a single statement is committed (handed to the OS at
+    ``synchronous=NORMAL``, which survives ``kill -9``) when ``execute``
+    returns; anything spanning statements runs in :meth:`transaction`.
+    """
+
+    #: How long a writer waits for a competing process's transaction
+    #: before giving up; transactions here are tiny, so contention
+    #: clears in microseconds and this is pure safety margin.
+    BUSY_TIMEOUT_MS = 5_000
+
+    _SCHEMA = """
+    CREATE TABLE IF NOT EXISTS journal (
+        seq  INTEGER PRIMARY KEY,
+        kind TEXT NOT NULL,
+        data TEXT NOT NULL
+    );
+    CREATE TABLE IF NOT EXISTS snapshots (
+        kind        TEXT PRIMARY KEY,
+        tick        INTEGER NOT NULL,
+        journal_seq INTEGER NOT NULL,
+        payload     TEXT NOT NULL
+    );
+    CREATE TABLE IF NOT EXISTS lease (
+        id         INTEGER PRIMARY KEY CHECK (id = 1),
+        holder     TEXT NOT NULL,
+        token      INTEGER NOT NULL,
+        expires_at INTEGER NOT NULL
+    );
+    CREATE TABLE IF NOT EXISTS load_samples (
+        subject TEXT NOT NULL,
+        metric  TEXT NOT NULL,
+        time    INTEGER NOT NULL,
+        value   REAL NOT NULL,
+        PRIMARY KEY (subject, metric, time)
+    );
+    CREATE TABLE IF NOT EXISTS admin_events (
+        id       INTEGER PRIMARY KEY AUTOINCREMENT,
+        time     INTEGER NOT NULL,
+        category TEXT NOT NULL,
+        subject  TEXT NOT NULL,
+        details  TEXT NOT NULL
+    );
+    CREATE INDEX IF NOT EXISTS idx_events_time ON admin_events (time);
+    """
+
+    def __init__(
+        self, path: Union[str, Path] = ":memory:", cross_thread: bool = False
+    ) -> None:
+        self.path = str(path)
+        # cross_thread relaxes SQLite's same-thread check for callers
+        # that serialize access themselves (the federation server touches
+        # each domain's lease from reader, sweep and shutdown threads,
+        # all under one lock)
+        self.connection = sqlite3.connect(
+            self.path, isolation_level=None, check_same_thread=not cross_thread
+        )
+        self._closed = False
+        try:
+            self.connection.execute(f"PRAGMA busy_timeout = {self.BUSY_TIMEOUT_MS}")
+            self.connection.execute("PRAGMA journal_mode = WAL")
+            self.connection.execute("PRAGMA synchronous = NORMAL")
+            # surface torn pages now, not on some later query
+            status = self.connection.execute("PRAGMA quick_check").fetchone()
+            if status is None or status[0] != "ok":
+                raise sqlite3.DatabaseError(f"integrity check failed: {status}")
+            self.connection.executescript(self._SCHEMA)
+        except sqlite3.DatabaseError as error:
+            self.connection.close()
+            if isinstance(error, sqlite3.OperationalError):
+                raise  # locked or unwritable, not damaged
+            raise StateCorruptError(self.path, str(error)) from error
+
+    @contextmanager
+    def transaction(self, fsync: bool = False) -> Iterator[sqlite3.Connection]:
+        """``BEGIN IMMEDIATE`` … ``COMMIT``; any exception rolls back.
+
+        ``fsync`` commits at ``synchronous=FULL`` (the WAL is synced
+        before ``COMMIT`` returns: power loss, not just a killed
+        process); the pragma only takes effect between transactions.
+        """
+        connection = self.connection
+        if fsync:
+            connection.execute("PRAGMA synchronous = FULL")
+        try:
+            connection.execute("BEGIN IMMEDIATE")
+            yield connection
+            connection.execute("COMMIT")
+        except BaseException:
+            if connection.in_transaction:
+                connection.execute("ROLLBACK")
+            raise
+        finally:
+            if fsync:
+                connection.execute("PRAGMA synchronous = NORMAL")
+
+    def close(self) -> None:
+        """Fold the WAL into the file and close (idempotent); SQLite
+        deletes ``-wal``/``-shm`` when the file's last connection closes."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self.connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        finally:
+            self.connection.close()
+
+
+class _Table:
+    """An accessor over a :class:`StateDb`: shares an open one, or opens
+    its own on a path (closing the accessor closes the database)."""
+
+    def __init__(
+        self, db: Union[StateDb, str, Path] = ":memory:", cross_thread: bool = False
+    ) -> None:
+        self._db = db if isinstance(db, StateDb) else StateDb(db, cross_thread)
+
+    def close(self) -> None:
+        self._db.close()
+
+
 # -- journal --------------------------------------------------------------------------
 
 
@@ -106,155 +257,79 @@ class JournalRecord:
     data: Dict[str, Any]
 
 
-class StateJournal:
-    """Append-only write-ahead journal, JSON lines on disk.
+class StateJournal(_Table):
+    """Append-only write-ahead journal: the ``journal`` table.
 
-    Every ``append`` is flushed to the OS before returning, so a killed
-    process (SIGKILL, crash) loses at most the record being written —
-    and :meth:`load` tolerates exactly that torn tail: reading stops at
-    the first line that does not decode, keeping everything before it.
-
-    With ``path=None`` the journal lives in memory only (hot-standby
-    failover inside one process needs replay, not persistence).
+    Every ``append`` is one autocommitted row, so a killed process
+    (SIGKILL, crash) loses at most the record being written and a
+    reopened journal is a gapless prefix of what was appended.
     """
-
-    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self.records: List[JournalRecord] = []
-        self._handle = None
-        if self.path is not None:
-            self.records = self.load(self.path)
-            self._handle = open(self.path, "a", encoding="utf-8")
 
     @property
     def last_seq(self) -> int:
-        return self.records[-1].seq if self.records else 0
+        row = self._db.connection.execute("SELECT MAX(seq) FROM journal").fetchone()
+        return int(row[0] or 0)
 
     def append(self, kind: str, /, **data: Any) -> JournalRecord:
-        record = JournalRecord(seq=self.last_seq + 1, kind=kind, data=data)
-        self.records.append(record)
-        if self._handle is not None:
-            self._handle.write(
-                json.dumps(
-                    {"seq": record.seq, "kind": record.kind, "data": record.data}
-                )
-                + "\n"
-            )
-            self._handle.flush()
-        return record
+        # seq is the rowid: SQLite assigns max + 1, gapless across rewinds
+        cursor = self._db.connection.execute(
+            "INSERT INTO journal (kind, data) VALUES (?, ?)",
+            (kind, json.dumps(data)),
+        )
+        return JournalRecord(seq=int(cursor.lastrowid or 0), kind=kind, data=data)
 
     def since(self, seq: int) -> List[JournalRecord]:
         """Records with a sequence number strictly greater than ``seq``."""
-        return [record for record in self.records if record.seq > seq]
-
-    def truncate(self, seq: int) -> None:
-        """Drop every record past ``seq`` (and rewrite the file).
-
-        Used when a run resumes from a snapshot older than the journal
-        tail: everything after the snapshot belongs to the abandoned
-        timeline between the snapshot and the kill and must not be
-        replayed into the resumed one.
-        """
-        self.records = [record for record in self.records if record.seq <= seq]
-        if self.path is None:
-            return
-        self.close()
-        with open(self.path, "w", encoding="utf-8") as handle:
-            for record in self.records:
-                handle.write(
-                    json.dumps(
-                        {"seq": record.seq, "kind": record.kind, "data": record.data}
-                    )
-                    + "\n"
-                )
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    @staticmethod
-    def load(path: Union[str, Path]) -> List[JournalRecord]:
-        """Read a journal file, stopping at the first torn/undecodable line."""
-        records: List[JournalRecord] = []
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        raw = json.loads(line)
-                        records.append(
-                            JournalRecord(
-                                seq=int(raw["seq"]),
-                                kind=str(raw["kind"]),
-                                data=dict(raw["data"]),
-                            )
-                        )
-                    except (ValueError, KeyError, TypeError):
-                        break  # torn tail: the process died mid-write
-        except FileNotFoundError:
-            pass
-        return records
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        cursor = self._db.connection.execute(
+            "SELECT seq, kind, data FROM journal WHERE seq > ? ORDER BY seq", (seq,)
+        )
+        return [
+            JournalRecord(seq=int(s), kind=str(k), data=json.loads(d))
+            for s, k, d in cursor.fetchall()
+        ]
 
 
 # -- snapshots ------------------------------------------------------------------------
 
 
-class SnapshotStore:
-    """Atomic JSON snapshots, one file per snapshot kind.
-
-    ``save`` writes to a temp file and ``os.replace``s it into place, so
-    a crash mid-write leaves the previous snapshot intact.  With
-    ``directory=None`` snapshots are kept in memory only.
-    """
-
-    def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        self._memory: Dict[str, Dict[str, Any]] = {}
-
-    def _path_for(self, kind: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{kind}.snapshot.json"
+class SnapshotStore(_Table):
+    """The latest snapshot of each kind: one row of the ``snapshots``
+    table, replaced in a single statement, so a crash mid-write leaves
+    the previous snapshot intact."""
 
     def save(
         self, kind: str, tick: int, journal_seq: int, payload: Dict[str, Any]
     ) -> None:
-        snapshot = {"kind": kind, "tick": tick, "journal_seq": journal_seq,
-                    "payload": payload}
-        if self.directory is None:
-            self._memory[kind] = snapshot
-            return
-        target = self._path_for(kind)
-        temp = target.with_suffix(".tmp")
-        temp.write_text(json.dumps(snapshot), encoding="utf-8")
-        os.replace(temp, target)
+        self._db.connection.execute(
+            "INSERT OR REPLACE INTO snapshots (kind, tick, journal_seq, payload) "
+            "VALUES (?, ?, ?, ?)",
+            (kind, tick, journal_seq, json.dumps(payload)),
+        )
 
     def load(self, kind: str) -> Optional[Dict[str, Any]]:
-        """The latest snapshot of a kind, or ``None``.
-
-        A corrupt snapshot file (crash while no previous snapshot
-        existed) reads as ``None`` — recovery then replays the whole
-        journal.
-        """
-        if self.directory is None:
-            return self._memory.get(kind)
-        try:
-            return json.loads(self._path_for(kind).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+        """The latest snapshot of a kind, or ``None``."""
+        row = self._db.connection.execute(
+            "SELECT tick, journal_seq, payload FROM snapshots WHERE kind = ?",
+            (kind,),
+        ).fetchone()
+        if row is None:
             return None
+        tick, journal_seq, payload = row
+        return {"kind": kind, "tick": int(tick), "journal_seq": int(journal_seq),
+                "payload": json.loads(payload)}
 
 
 # -- leases ---------------------------------------------------------------------------
 
 
-class LeaseStore:
+class LeaseStore(_Table):
     """A single leader lease with monotonic fencing tokens.
 
-    Backed by SQLite (``:memory:`` by default) so that, with a state
-    directory, leadership survives process restarts: a resumed
-    controller re-acquires the lease with a *new, higher* token and the
-    platform's fencing guard rejects anything still carrying the old
-    one.
+    The ``lease`` table of a state file (``:memory:`` by default), so
+    that, with a state directory, leadership survives process restarts:
+    a resumed controller re-acquires the lease with a *new, higher*
+    token and the platform's fencing guard rejects anything still
+    carrying the old one.
 
     ``acquire`` returns the fencing token when the caller holds the
     lease afterwards (granted fresh, taken over after expiry, or
@@ -269,48 +344,13 @@ class LeaseStore:
     same bumped token — overlapping leadership, exactly what fencing
     exists to prevent.  With the write lock held from the first read,
     the loser of the race observes the winner's fresh lease and backs
-    off with ``None``.
+    off with ``None``.  The commit is fsynced: a grant the caller acts
+    on must not be lost where the actions it fenced survive.
     """
-
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS lease (
-        id         INTEGER PRIMARY KEY CHECK (id = 1),
-        holder     TEXT NOT NULL,
-        token      INTEGER NOT NULL,
-        expires_at INTEGER NOT NULL
-    );
-    """
-
-    #: How long a writer waits for a competing process's transaction
-    #: before giving up; lease transactions are tiny, so contention
-    #: clears in microseconds and this is pure safety margin.
-    BUSY_TIMEOUT_MS = 5_000
-
-    def __init__(
-        self,
-        path: Union[str, Path] = ":memory:",
-        cross_thread: bool = False,
-    ) -> None:
-        # cross_thread relaxes SQLite's same-thread check for callers
-        # that serialize access themselves (the federation server touches
-        # each domain's lease from reader, sweep and shutdown threads,
-        # all under one lock)
-        self._connection = sqlite3.connect(
-            str(path), check_same_thread=not cross_thread
-        )
-        self._connection.execute(
-            f"PRAGMA busy_timeout = {self.BUSY_TIMEOUT_MS}"
-        )
-        # autocommit mode: transactions are opened explicitly below
-        self._connection.isolation_level = None
-        self._connection.executescript(self._SCHEMA)
-
-    def close(self) -> None:
-        self._connection.close()
 
     def current(self) -> Optional[Tuple[str, int, int]]:
         """(holder, token, expires_at) of the lease row, or ``None``."""
-        row = self._connection.execute(
+        row = self._db.connection.execute(
             "SELECT holder, token, expires_at FROM lease WHERE id = 1"
         ).fetchone()
         if row is None:
@@ -320,29 +360,22 @@ class LeaseStore:
     def acquire(self, holder: str, now: int, ttl: int) -> Optional[int]:
         if ttl < 1:
             raise ValueError("lease ttl must be at least one minute")
-        connection = self._connection
-        connection.execute("BEGIN IMMEDIATE")
-        try:
-            row = connection.execute(
-                "SELECT holder, token, expires_at FROM lease WHERE id = 1"
-            ).fetchone()
+        with self._db.transaction(fsync=True) as connection:
+            row = self.current()
             if row is None:
-                token = 1
                 connection.execute(
                     "INSERT INTO lease (id, holder, token, expires_at) "
-                    "VALUES (1, ?, ?, ?)",
-                    (holder, token, now + ttl),
+                    "VALUES (1, ?, 1, ?)",
+                    (holder, now + ttl),
                 )
-                connection.execute("COMMIT")
-                return token
-            current_holder, token, expires_at = str(row[0]), int(row[1]), int(row[2])
+                return 1
+            current_holder, token, expires_at = row
             if current_holder == holder:
                 # renewal: same leadership, same token
                 connection.execute(
                     "UPDATE lease SET expires_at = ? WHERE id = 1",
                     (now + ttl,),
                 )
-                connection.execute("COMMIT")
                 return token
             if expires_at <= now:
                 token += 1
@@ -351,13 +384,8 @@ class LeaseStore:
                     "WHERE id = 1",
                     (holder, token, now + ttl),
                 )
-                connection.execute("COMMIT")
                 return token
-            connection.execute("COMMIT")
             return None
-        except BaseException:
-            connection.execute("ROLLBACK")
-            raise
 
     def renew(self, holder: str, now: int, ttl: int) -> Optional[int]:
         """Extend the lease if (and only if) ``holder`` still owns it."""
@@ -370,7 +398,7 @@ class LeaseStore:
         """Voluntarily give up the lease (the token stays monotonic)."""
         # the WHERE clause makes check-then-release a single atomic
         # statement: releasing a lease someone else took over is a no-op
-        self._connection.execute(
+        self._db.connection.execute(
             "UPDATE lease SET expires_at = 0 WHERE id = 1 AND holder = ?",
             (holder,),
         )
@@ -380,39 +408,55 @@ class LeaseStore:
 
 
 class DurableStateStore:
-    """Journal + snapshots + lease behind one state directory.
+    """Journal, snapshots, lease and load archive of one state directory:
+    tables of ``<directory>/state.db`` behind one connection.
 
-    With a directory, the layout is::
-
-        state_dir/journal.jsonl          append-only WAL
-        state_dir/controller.snapshot.json  per-tick controller state
-        state_dir/run.snapshot.json      periodic full-run state
-        state_dir/lease.db               leader lease + fencing tokens
-
-    With ``directory=None`` everything lives in memory: hot-standby
-    failover inside one process still journals and replays, it just does
-    not survive the process.
+    Without a directory the same tables live in a ``":memory:"``
+    database: hot-standby failover inside one process still journals and
+    replays, it just does not survive the process.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self.journal = StateJournal(self.directory / "journal.jsonl")
-            self.snapshots = SnapshotStore(self.directory)
-            self.lease = LeaseStore(self.directory / "lease.db")
+        if directory is None:
+            self.db = StateDb()
         else:
-            self.journal = StateJournal(None)
-            self.snapshots = SnapshotStore(None)
-            self.lease = LeaseStore(":memory:")
+            Path(directory).mkdir(parents=True, exist_ok=True)
+            self.db = StateDb(Path(directory) / STATE_FILE)
+        self.journal = StateJournal(self.db)
+        self.snapshots = SnapshotStore(self.db)
+        self.lease = LeaseStore(self.db)
+        self.archive = SqliteLoadArchive(self.db)
 
-    @property
-    def persistent(self) -> bool:
-        return self.directory is not None
+    def require_unused(self) -> None:
+        """Refuse to start a *new* run on an earlier run's state: it
+        would replay the old journal and wait on the dead leader's lease.
+
+        A successor taking over wants exactly that replay, so only the
+        runner and the agent call this, for a run that is not a resume.
+        """
+        snapshot = self.snapshots.load("run")
+        if snapshot is not None or self.journal.last_seq:
+            minute = snapshot["tick"] if snapshot is not None else "none yet"
+            raise ValueError(
+                f"state directory {Path(self.db.path).parent} holds an earlier "
+                f"run ({self.journal.last_seq} journal records, last run snapshot "
+                f"at minute {minute}); pass resume=True or an empty directory"
+            )
+
+    def rewind(self, journal_seq: int, tick: int) -> None:
+        """Back to a snapshot: drop what the abandoned timeline wrote.
+
+        A run resumes from a snapshot older than the kill; journal
+        records past the snapshot's sequence number and load samples and
+        administration events newer than its minute belong to the
+        timeline between the two and must not leak into the resumed one.
+        """
+        with self.db.transaction() as connection:
+            connection.execute("DELETE FROM journal WHERE seq > ?", (journal_seq,))
+            self.archive.truncate_after(tick)
 
     def close(self) -> None:
-        self.journal.close()
-        self.lease.close()
+        self.db.close()
 
 
 # -- replay ---------------------------------------------------------------------------

@@ -6,25 +6,28 @@ initialize all resource variables of the fuzzy controller."  (Section 2)
 
 Two implementations share one interface:
 
-* :class:`InMemoryLoadArchive` — fast dict-backed store, used by the
-  simulation runner;
-* :class:`SqliteLoadArchive` — persistent SQLite-backed store with the
-  same API plus coarse aggregation, suitable for long-running
-  deployments and for the load-forecasting extension.
+* :class:`InMemoryLoadArchive` — fast dict-backed store, the archive of
+  every run without a state directory;
+* :class:`SqliteLoadArchive` — the same API plus coarse aggregation over
+  two tables of a :class:`~repro.core.state.StateDb`: a state
+  directory's ``state.db`` (rewound with its journal on resume) or a
+  file of its own, for long-running deployments and load forecasting.
 """
 
 from __future__ import annotations
 
 import os
-import sqlite3
 import warnings
 from bisect import bisect_right
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
-from repro.telemetry.bus import EventBus
+from repro.telemetry.bus import Envelope, EventBus
 from repro.telemetry.records import TOPIC_REPORTS, LoadReportBatch
 from repro.telemetry.windows import sum_forward, window_bounds
+
+if TYPE_CHECKING:
+    from repro.core.state import StateDb
 
 __all__ = [
     "LoadArchive",
@@ -43,6 +46,10 @@ class LoadArchive:
     """
 
     def store(self, subject: str, metric: str, time: int, value: float) -> None:
+        raise NotImplementedError
+
+    def record_reports(self, rows: List[Tuple[str, str, int, float]]) -> None:
+        """Store one tick's load reports (one bus flush)."""
         raise NotImplementedError
 
     def store_event(
@@ -166,93 +173,48 @@ class InMemoryLoadArchive(LoadArchive):
 
 
 class SqliteLoadArchive(LoadArchive):
-    """SQLite-backed persistent archive.
+    """Persistent archive: the ``load_samples`` and ``admin_events`` tables
+    of a :class:`~repro.core.state.StateDb` — a state directory's
+    ``state.db`` (``DurableStateStore.archive``), a database file of its
+    own, or ``":memory:"`` (the default).
 
-    File-backed archives are opened in WAL mode with a busy timeout, so
-    a controller replica and an inspection tool can read concurrently
-    while the leader writes.  A corrupt database file — a crash tore it,
-    a disk flipped bits — does not abort the controller: the damaged
-    file is moved aside to ``<path>.corrupt`` with a warning and an
-    empty archive is rebuilt in its place (historic load data degrades
-    forecasting, losing it must not take down administration).
-
-    Parameters
-    ----------
-    path:
-        Database file, or ``":memory:"`` (the default) for an in-process
-        database.
+    A file of its own holds nothing but load data, so a corrupt one — a
+    crash tore it, a disk flipped bits — does not abort the controller:
+    the damaged file is moved aside to ``<path>.corrupt`` with a warning
+    and an empty archive is rebuilt in its place (historic load data
+    degrades forecasting, losing it must not take down administration).
     """
 
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS load_samples (
-        subject TEXT NOT NULL,
-        metric  TEXT NOT NULL,
-        time    INTEGER NOT NULL,
-        value   REAL NOT NULL,
-        PRIMARY KEY (subject, metric, time)
-    );
-    CREATE INDEX IF NOT EXISTS idx_samples_subject_time
-        ON load_samples (subject, metric, time);
-    CREATE TABLE IF NOT EXISTS admin_events (
-        id       INTEGER PRIMARY KEY AUTOINCREMENT,
-        time     INTEGER NOT NULL,
-        category TEXT NOT NULL,
-        subject  TEXT NOT NULL,
-        details  TEXT NOT NULL
-    );
-    CREATE INDEX IF NOT EXISTS idx_events_time ON admin_events (time);
-    """
+    def __init__(self, db: Union["StateDb", str, Path] = ":memory:") -> None:
+        # imported here: importing repro.core runs its package __init__,
+        # which imports the controller, which imports this module
+        from repro.core.state import StateCorruptError, StateDb
 
-    def __init__(self, path: Union[str, Path] = ":memory:") -> None:
-        self._path = str(path)
-        self._connection = self._open(self._path)
-
-    def _open(self, path: str) -> sqlite3.Connection:
-        try:
-            return self._connect(path)
-        except sqlite3.DatabaseError as error:
-            if path == ":memory:":
-                raise
-            corrupt = path + ".corrupt"
-            os.replace(path, corrupt)
-            warnings.warn(
-                f"load archive {path!r} is corrupt ({error}); moved it to "
-                f"{corrupt!r} and rebuilt an empty archive — historic load "
-                "data before this point is lost",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return self._connect(path)
-
-    def _connect(self, path: str) -> sqlite3.Connection:
-        connection = sqlite3.connect(path)
-        try:
-            if path != ":memory:":
-                connection.execute("PRAGMA journal_mode=WAL")
-                connection.execute("PRAGMA synchronous=NORMAL")
-                connection.execute("PRAGMA busy_timeout=5000")
-                # surface torn pages now, not on some later query
-                status = connection.execute(
-                    "PRAGMA quick_check"
-                ).fetchone()
-                if status is None or status[0] != "ok":
-                    raise sqlite3.DatabaseError(
-                        f"integrity check failed: {status}"
-                    )
-            connection.executescript(self._SCHEMA)
-            connection.commit()
-        except sqlite3.DatabaseError:
-            connection.close()
-            raise
-        return connection
+        if not isinstance(db, StateDb):
+            path = str(db)
+            try:
+                db = StateDb(path)
+            except StateCorruptError as error:
+                corrupt = path + ".corrupt"
+                os.replace(path, corrupt)
+                warnings.warn(
+                    f"load archive {path!r} is corrupt ({error.detail}); moved "
+                    f"it to {corrupt!r} and rebuilt an empty archive — historic "
+                    "load data before this point is lost",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                db = StateDb(path)
+        self._db = db
+        self._connection = db.connection
 
     def close(self) -> None:
-        self._connection.close()
+        self._db.close()
 
     def __enter__(self) -> "SqliteLoadArchive":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     def store(self, subject: str, metric: str, time: int, value: float) -> None:
@@ -270,8 +232,8 @@ class SqliteLoadArchive(LoadArchive):
         All-or-nothing: a crash mid-batch leaves the archive at the
         previous tick's state instead of a half-written minute.
         """
-        with self._connection:
-            self._connection.executemany(
+        with self._db.transaction() as connection:
+            connection.executemany(
                 "INSERT OR REPLACE INTO load_samples "
                 "(subject, metric, time, value) VALUES (?, ?, ?, ?)",
                 rows,
@@ -284,21 +246,14 @@ class SqliteLoadArchive(LoadArchive):
         self.record_reports(rows)
 
     def truncate_after(self, time: int) -> None:
-        """Drop samples and events newer than ``time``.
-
-        A resumed run rewinds to its last snapshot; whatever the
-        abandoned timeline recorded past that point must not leak into
-        the replayed one.
-        """
-        with self._connection:
-            self._connection.execute(
-                "DELETE FROM load_samples WHERE time > ?", (time,)
-            )
-            self._connection.execute(
-                "DELETE FROM admin_events WHERE time > ?", (time,)
-            )
+        """Drop samples and events newer than ``time``: what a timeline
+        abandoned at a resume recorded past the snapshot (atomic inside
+        :meth:`DurableStateStore.rewind <repro.core.state.DurableStateStore.rewind>`)."""
+        self._connection.execute("DELETE FROM load_samples WHERE time > ?", (time,))
+        self._connection.execute("DELETE FROM admin_events WHERE time > ?", (time,))
 
     def commit(self) -> None:
+        """Nothing is pending: every write above commits on its own."""
         self._connection.commit()
 
     def average(
@@ -407,7 +362,7 @@ class ArchiveFlusher:
         self.rows_flushed = 0
         bus.subscribe(TOPIC_REPORTS, self._on_batch)
 
-    def _on_batch(self, envelope) -> None:
+    def _on_batch(self, envelope: Envelope) -> None:
         batch: LoadReportBatch = envelope.record
         if not batch.rows or batch.domain != self.domain:
             return

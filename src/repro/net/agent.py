@@ -65,7 +65,6 @@ from repro.config.model import (
 )
 from repro.core.failover import ControllerSupervisor
 from repro.core.state import DurableStateStore
-from repro.monitoring.archive import SqliteLoadArchive
 from repro.monitoring.lms import Situation
 from repro.net.protocol import (
     FrameError,
@@ -136,9 +135,9 @@ class SessionSupervisor(ControllerSupervisor):
     """A :class:`ControllerSupervisor` whose lease lives on the server.
 
     The federation server's :class:`~repro.net.session.SessionManager`
-    owns the domain's :class:`~repro.core.state.LeaseStore` (the very
-    same ``lease.db``, so tokens stay monotonic across both sides'
-    restarts); this subclass therefore never acquires the lease itself —
+    owns the domain's :class:`~repro.core.state.LeaseStore` (the lease
+    table of the very same ``state.db``, so tokens stay monotonic across
+    both sides' restarts); this subclass therefore never acquires the lease itself —
     the fencing token arrives over the wire and is adopted explicitly.
     """
 
@@ -245,7 +244,14 @@ class DomainAgent:
         )
 
         self.dir = Path(state_dir) / domain
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.store = DurableStateStore(self.dir)
+        if not resume:
+            try:
+                # before the trace writer truncates the earlier run's trace
+                self.store.require_unused()
+            except ValueError:
+                self.store.close()
+                raise
         self.trace_path = self.dir / "telemetry.jsonl"
 
         self.clock = LamportClock()
@@ -261,8 +267,6 @@ class DomainAgent:
         self.view = DomainView(
             platform, domain, list(platform.hosts), list(platform.services)
         )
-        self.store = DurableStateStore(self.dir)
-        self.archive = SqliteLoadArchive(self.dir / "archive.db")
         enabled = (
             controller_enabled
             if controller_enabled is not None
@@ -271,7 +275,7 @@ class DomainAgent:
         self.supervisor = SessionSupervisor(
             self.view,
             settings=scenario_landscape.controller,
-            archive=self.archive,
+            archive=self.store.archive,
             enabled=enabled,
             store=self.store,
             standby=False,
@@ -341,11 +345,6 @@ class DomainAgent:
         self._resync_count = 0
         self._escrow_out_count = 0
         self._escrow_in_count = 0
-        # escalations from earlier incarnations of this run: the alert
-        # channel is not part of the supervisor snapshot, but the trace
-        # keeps the pre-crash escalation events, so the summary must
-        # keep counting them or AG305 reconciliation breaks on resume
-        self._escalation_base = 0
         self.result: Optional[SimulationResult] = None
 
     # -- construction helpers -------------------------------------------------------
@@ -1134,8 +1133,6 @@ class DomainAgent:
         # the trace tail must be durable before the snapshot that points
         # into it: resume truncates the trace to the snapshot's sequence
         self.writer.flush()
-        if hasattr(self.archive, "commit"):
-            self.archive.commit()
         payload: Dict[str, Any] = {
             "platform": self.view.platform.snapshot_state(),
             "workload": self.workload.snapshot_state(),
@@ -1153,10 +1150,6 @@ class DomainAgent:
                 "reserve_replies": self._reserve_replies,
                 "attach_replies": self._attach_replies,
                 "global_min": self._global_min,
-                "escalation_base": (
-                    self._escalation_base
-                    + len(self.supervisor.alerts.escalations())
-                ),
             },
         }
         if self.injector is not None:
@@ -1180,12 +1173,11 @@ class DomainAgent:
         tick = int(snapshot["tick"])
         payload = snapshot["payload"]
         self.view.platform.restore_state(payload["platform"])
-        if hasattr(self.archive, "truncate_after"):
-            self.archive.truncate_after(tick)
         self.workload.restore_state(payload["workload"])
         self.collector.restore_state(payload["collector"])
         if self.injector is not None and "injector" in payload:
             self.injector.restore_state(payload["injector"])
+        # rewinds the journal and the load archive to the snapshot too
         self.supervisor.restore_state(payload["supervisor"], tick)
         self._supervision_events = [
             SupervisionEvent(
@@ -1224,7 +1216,6 @@ class DomainAgent:
         self._reserve_replies = dict(net.get("reserve_replies", {}))
         self._attach_replies = dict(net.get("attach_replies", {}))
         self._global_min = int(net.get("global_min", self.start_minute))
-        self._escalation_base = int(net.get("escalation_base", 0))
         return tick
 
     # -- finishing ----------------------------------------------------------------------
@@ -1258,10 +1249,7 @@ class DomainAgent:
         final_minute = max(last, self.start_minute)
         result = self.collector.finalize(
             final_minute=final_minute,
-            escalation_count=(
-                self._escalation_base
-                + len(self.supervisor.alerts.escalations())
-            ),
+            escalation_count=len(self.supervisor.alerts.escalations()),
             fault_records=self._merged_fault_records(),
             controller_down_minutes=self.supervisor.downtime_minutes,
             **self._approval_counts(),
@@ -1288,6 +1276,7 @@ class DomainAgent:
             json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
         )
         self.writer.close()
+        self.store.close()
         if self._endpoint is not None:
             try:
                 self._endpoint.close()

@@ -1,10 +1,11 @@
 """Server-side heartbeat sessions over the per-domain lease store.
 
 A :class:`SessionManager` owns one :class:`repro.core.state.LeaseStore`
-per control domain (``state_dir/<domain>/lease.db`` — the same database
-the agent's own supervisor stack would use, so fencing tokens stay
-monotonic across agent restarts *and* server restarts).  The protocol
-mapping:
+per control domain, opened on ``state_dir/<domain>/state.db`` — the
+very file the domain's agent journals, snapshots and archives into, so
+fencing tokens stay monotonic across agent restarts *and* server
+restarts (WAL mode lets the two processes write side by side).  The
+protocol mapping:
 
 * **handshake** — a new agent incarnation releases any stale lease and
   acquires a fresh one, bumping the fencing token; a reconnecting,
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.core.state import LeaseStore
+from repro.core.state import STATE_FILE, LeaseStore
 
 __all__ = ["AgentSession", "SessionManager"]
 
@@ -94,7 +95,7 @@ class SessionManager:
         if lease is None:
             directory = self.state_dir / domain
             directory.mkdir(parents=True, exist_ok=True)
-            lease = LeaseStore(directory / "lease.db", cross_thread=True)
+            lease = LeaseStore(directory / STATE_FILE, cross_thread=True)
             self._leases[domain] = lease
         return lease
 

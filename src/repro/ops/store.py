@@ -2,7 +2,8 @@
 
 The store subscribes wildcard on the run's :class:`~repro.telemetry.bus.
 EventBus` and persists every envelope with its global sequence number.
-Durability follows the journal's discipline (PR 3) adapted to SQLite:
+Durability follows the discipline of the state directory's ``state.db``
+(:mod:`repro.core.state`), with batches where that commits row by row:
 
 * **Batched transactional flushes.**  Envelopes buffer in memory and
   commit in tick-aligned transactions: the buffer flushes when the

@@ -99,12 +99,12 @@ class SimulationRunner:
     state_dir:
         Directory for durable run state.  Enables the supervised
         controller with an on-disk
-        :class:`~repro.core.state.DurableStateStore` (journal, snapshots,
-        lease) and, unless an archive was passed explicitly, a
-        :class:`~repro.monitoring.archive.SqliteLoadArchive` at
-        ``state_dir/archive.db``.  Periodic full-run snapshots are
-        written every ``snapshot_interval`` minutes so a killed run can
-        be resumed.
+        :class:`~repro.core.state.DurableStateStore`: journal,
+        snapshots, lease and load archive are tables of
+        ``state_dir/state.db`` (so ``archive`` cannot be passed as
+        well).  Periodic full-run snapshots are written every
+        ``snapshot_interval`` minutes so a killed run can be resumed.
+        Without ``resume`` the directory must not hold an earlier run.
     resume:
         Continue a previous run from the last full-run snapshot in
         ``state_dir`` instead of starting fresh.  The re-simulation is
@@ -192,6 +192,12 @@ class SimulationRunner:
             raise ValueError("resume requires a state directory")
         if kill_at is not None and state_dir is None:
             raise ValueError("kill_at without a state directory loses the run")
+        if archive is not None and state_dir is not None:
+            raise ValueError(
+                "a state directory keeps the run's load archive in its "
+                "state.db, where resume rewinds it with the journal; pass "
+                "archive or state_dir, not both"
+            )
         if landscape is None:
             from repro.config.builtin import paper_landscape
 
@@ -282,12 +288,7 @@ class SimulationRunner:
                 "domains; each domain keeps its own archive (pass "
                 "state_dir for per-domain SQLite archives)"
             )
-        if not federated and self.state_dir is not None and archive is None:
-            from repro.monitoring.archive import SqliteLoadArchive
-
-            self.state_dir.mkdir(parents=True, exist_ok=True)
-            archive = SqliteLoadArchive(self.state_dir / "archive.db")
-        self.archive = archive
+        #: the state store that takes the full-run snapshots
         self._store = None
         executor = None
         if federated:
@@ -296,9 +297,8 @@ class SimulationRunner:
             if self.state_dir is not None:
                 from repro.core.state import DurableStateStore
 
-                self.state_dir.mkdir(parents=True, exist_ok=True)
                 # the root store holds the runner's full-run snapshots;
-                # each domain journals and leases under its own subdir
+                # each domain keeps its own state.db under its subdir
                 self._store = DurableStateStore(self.state_dir)
             self.controller = FederatedControlPlane(
                 self.platform,
@@ -307,7 +307,6 @@ class SimulationRunner:
                 supervised=supervised,
                 state_dir=self.state_dir,
                 standby=standby,
-                archive_factory=self._make_archive_factory(),
                 execution_faults=(
                     self._execution_faults(chaos) if chaos is not None else None
                 ),
@@ -318,6 +317,8 @@ class SimulationRunner:
             from repro.core.state import DurableStateStore
 
             self._store = DurableStateStore(self.state_dir)
+            if self.state_dir is not None:
+                archive = self._store.archive
             self.controller = ControllerSupervisor(
                 self.platform,
                 settings=scenario_landscape.controller,
@@ -341,7 +342,17 @@ class SimulationRunner:
             self.controller = AutoGlobeController(
                 self.platform, enabled=enabled, archive=archive, executor=executor
             )
+        self.archive = archive
         self.executor = executor
+        if self.state_dir is not None and not resume:
+            try:
+                self._store.require_unused()
+                if federated:
+                    for store in self.controller.stores:
+                        store.require_unused()
+            except ValueError:
+                self._close_state()
+                raise
         self.injector: Optional[FaultInjector] = None
         if chaos is not None:
             self.injector = FaultInjector(
@@ -410,34 +421,6 @@ class SimulationRunner:
             latency_jitter=chaos.action_latency_jitter,
         )
 
-    def _make_archive_factory(self):
-        """Per-domain archive builder for the federated control plane.
-
-        SQLite archives under ``state_dir/<domain>/`` when the run is
-        durable, in-memory archives otherwise — either way one archive
-        per domain, so measurements never cross shards.
-        """
-        state_dir = self.state_dir
-
-        def build(domain: str):
-            if state_dir is not None:
-                from repro.monitoring.archive import SqliteLoadArchive
-
-                directory = state_dir / domain
-                directory.mkdir(parents=True, exist_ok=True)
-                return SqliteLoadArchive(directory / "archive.db")
-            from repro.monitoring.archive import InMemoryLoadArchive
-
-            return InMemoryLoadArchive()
-
-        return build
-
-    def _domain_archives(self):
-        shards = getattr(self.controller, "shards", None)
-        if shards is None:
-            return [self.archive] if self.archive is not None else []
-        return [shard.archive for shard in shards.values()]
-
     def _make_executor_factory(self, chaos: Optional[ChaosProfile]):
         """Per-replica executor builder for the supervised controller.
 
@@ -464,10 +447,6 @@ class SimulationRunner:
     # -- durability -------------------------------------------------------------------
 
     def _save_run_snapshot(self, now: int) -> None:
-        assert self._store is not None
-        for archive in self._domain_archives():
-            if hasattr(archive, "commit"):
-                archive.commit()
         if self.telemetry_store is not None:
             # the snapshot claims everything up to bus_seq is durable;
             # the store must not still hold any of it in its batch buffer
@@ -490,7 +469,6 @@ class SimulationRunner:
 
         Returns the snapshot's tick; the loop continues at tick + 1.
         """
-        assert self._store is not None
         snapshot = self._store.snapshots.load("run")
         if snapshot is None:
             raise ValueError(
@@ -499,15 +477,11 @@ class SimulationRunner:
         tick = int(snapshot["tick"])
         payload = snapshot["payload"]
         self.platform.restore_state(payload["platform"])
-        for archive in self._domain_archives():
-            # whatever the abandoned timeline recorded past the snapshot
-            # must not leak into the replayed one
-            if hasattr(archive, "truncate_after"):
-                archive.truncate_after(tick)
         self.workload.restore_state(payload["workload"])
         self.collector.restore_state(payload["collector"])
         if self.injector is not None and "injector" in payload:
             self.injector.restore_state(payload["injector"])
+        # rewinds every domain's journal and archive to the snapshot too
         self.controller.restore_state(payload["supervisor"], tick)
         # bus subscriptions only observe live publishes: reseed the typed
         # event list from the supervisor's restored history, then let the
@@ -536,7 +510,7 @@ class SimulationRunner:
         else:
             self.workload.initialize()
         end = self.start_minute + self.horizon
-        persistent = self._store is not None and self._store.persistent
+        persistent = self.state_dir is not None
         try:
             for now in range(start, end):
                 self.workload.tick(now)
@@ -572,8 +546,14 @@ class SimulationRunner:
             **self._approval_counts(),
         )
 
+    def _close_state(self) -> None:
+        if self._store is not None:
+            self._store.close()
+        if self.platform.landscape.is_federated:
+            self.controller.close()
+
     def close(self) -> None:
-        """Stop the ops API and close the event store (idempotent)."""
+        """Stop the ops API, close the event and state stores (idempotent)."""
         if self.ops_server is not None:
             self.ops_server.stop()
             self.ops_server = None
@@ -582,6 +562,7 @@ class SimulationRunner:
             self.ops_bridge = None
         if self.telemetry_store is not None:
             self.telemetry_store.close()
+        self._close_state()
 
     def verification_report(self, result: Optional[SimulationResult] = None):
         """Finalize the live sanitizer and return its findings.

@@ -180,7 +180,7 @@ class TestInFlightIntentReconciliation:
     def _commits_for(self, supervisor, intent_id):
         return [
             record.data["status"]
-            for record in supervisor.store.journal.records
+            for record in supervisor.store.journal.since(0)
             if record.kind == "action-commit"
             and record.data["intent_id"] == intent_id
         ]

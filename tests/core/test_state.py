@@ -1,85 +1,90 @@
-"""The durable-state layer: journal, snapshots, leases, replay.
+"""The durable-state layer: one state.db, its accessors, replay.
 
-Acceptance: the journal survives torn tails, snapshots are atomic,
-fencing tokens are monotonic across leadership changes, and replaying
-the same journal suffix twice yields the same state (idempotency — the
-property that makes crash recovery safe to re-run).
+Acceptance: the journal survives a SIGKILL as a gapless prefix, a
+snapshot save and an archive batch are all-or-nothing, a lease grant is
+fsynced, a damaged file is a typed error, fencing tokens are monotonic
+across leadership changes, and replaying the same journal suffix twice
+yields the same state (idempotency — the property that makes crash
+recovery safe to re-run).
 """
 
 import json
+import os
+import signal
+import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.state import (
     DurableStateStore,
     JournalRecord,
     LeaseStore,
     SnapshotStore,
+    StateCorruptError,
+    StateDb,
     StateJournal,
     replay_journal,
 )
 
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _python(script, *args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *map(str, args)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        **kwargs,
+    )
+
 
 class TestStateJournal:
     def test_append_assigns_monotonic_sequence_numbers(self, tmp_path):
-        journal = StateJournal(tmp_path / "j.jsonl")
+        journal = StateJournal(tmp_path / "state.db")
         first = journal.append("tick", now=1)
         second = journal.append("protect", subject="host:Blade1", until=31)
         assert (first.seq, second.seq) == (1, 2)
         assert journal.last_seq == 2
 
     def test_reload_sees_every_flushed_record(self, tmp_path):
-        path = tmp_path / "j.jsonl"
+        path = tmp_path / "state.db"
         journal = StateJournal(path)
         journal.append("tick", now=1)
         journal.append("tick", now=2)
-        # no close(): a SIGKILL never closes handles, flush must suffice
-        assert [r.data["now"] for r in StateJournal.load(path)] == [1, 2]
-
-    def test_torn_tail_is_dropped_not_fatal(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = StateJournal(path)
-        journal.append("tick", now=1)
-        journal.append("tick", now=2)
-        journal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"seq": 3, "kind": "tick", "da')  # died mid-write
-        records = StateJournal.load(path)
-        assert [r.seq for r in records] == [1, 2]
-        # reopening appends after the surviving prefix
-        reopened = StateJournal(path)
-        assert reopened.append("tick", now=3).seq == 3
+        # no close(): a SIGKILL never closes handles, the commit must suffice
+        assert [r.data["now"] for r in StateJournal(path).since(0)] == [1, 2]
 
     def test_a_record_may_carry_a_kind_data_key(self, tmp_path):
         # LMS observation descriptors have a "kind" field of their own;
         # it must not collide with the journal's record kind
-        journal = StateJournal(tmp_path / "j.jsonl")
+        journal = StateJournal(tmp_path / "state.db")
         record = journal.append(
             "observation-open", subject="FI#1", kind="serverOverloaded"
         )
         assert record.kind == "observation-open"
         assert record.data["kind"] == "serverOverloaded"
+        assert journal.since(0) == [record]
 
     def test_truncate_drops_the_abandoned_timeline(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = StateJournal(path)
+        store = DurableStateStore(tmp_path)
         for now in range(1, 6):
-            journal.append("tick", now=now)
-        journal.truncate(3)
-        assert journal.last_seq == 3
-        assert [r.seq for r in StateJournal.load(path)] == [1, 2, 3]
+            store.journal.append("tick", now=now)
+        store.rewind(journal_seq=3, tick=3)
+        assert store.journal.last_seq == 3
+        reopened = StateJournal(tmp_path / "state.db")
+        assert [r.seq for r in reopened.since(0)] == [1, 2, 3]
         # appends continue from the truncation point, on disk too
-        journal.append("tick", now=99)
-        assert [r.seq for r in StateJournal.load(path)] == [1, 2, 3, 4]
-
-    def test_in_memory_journal_never_touches_disk(self):
-        journal = StateJournal(None)
-        journal.append("tick", now=1)
-        assert journal.path is None
-        assert journal.last_seq == 1
+        store.journal.append("tick", now=99)
+        assert [r.seq for r in reopened.since(0)] == [1, 2, 3, 4]
 
     def test_since_returns_strict_suffix(self):
-        journal = StateJournal(None)
+        journal = StateJournal()
         for now in range(1, 5):
             journal.append("tick", now=now)
         assert [r.seq for r in journal.since(2)] == [3, 4]
@@ -88,7 +93,7 @@ class TestStateJournal:
 
 class TestSnapshotStore:
     def test_save_then_load_round_trips(self, tmp_path):
-        store = SnapshotStore(tmp_path)
+        store = SnapshotStore(tmp_path / "state.db")
         store.save("controller", 720, 17, {"tick": 720})
         snapshot = store.load("controller")
         assert snapshot["tick"] == 720
@@ -96,20 +101,15 @@ class TestSnapshotStore:
         assert snapshot["payload"] == {"tick": 720}
 
     def test_save_replaces_atomically(self, tmp_path):
-        store = SnapshotStore(tmp_path)
+        store = SnapshotStore(tmp_path / "state.db")
         store.save("run", 1, 1, {"v": 1})
         store.save("run", 2, 2, {"v": 2})
         assert store.load("run")["payload"] == {"v": 2}
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_corrupt_snapshot_reads_as_none(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        (tmp_path / "run.snapshot.json").write_text('{"kind": "ru')
-        assert store.load("run") is None
+        assert SnapshotStore(tmp_path / "state.db").load("run")["tick"] == 2
 
     def test_missing_snapshot_reads_as_none(self, tmp_path):
-        assert SnapshotStore(tmp_path).load("controller") is None
-        assert SnapshotStore(None).load("controller") is None
+        assert SnapshotStore(tmp_path / "state.db").load("controller") is None
+        assert SnapshotStore().load("controller") is None
 
 
 class TestLeaseStore:
@@ -138,7 +138,7 @@ class TestLeaseStore:
         assert lease.acquire("controller-1", now=10, ttl=5) == 3
 
     def test_tokens_survive_process_restarts(self, tmp_path):
-        path = tmp_path / "lease.db"
+        path = tmp_path / "state.db"
         first = LeaseStore(path)
         first.acquire("controller-1", now=0, ttl=5)
         first.close()
@@ -167,16 +167,23 @@ class TestDurableStateStore:
         store.journal.append("tick", now=1)
         store.snapshots.save("controller", 1, 1, {})
         store.lease.acquire("controller-1", now=1, ttl=5)
+        store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
         names = {p.name for p in (tmp_path / "state").iterdir()}
-        assert {"journal.jsonl", "controller.snapshot.json", "lease.db"} <= names
-        assert store.persistent
+        assert names == {"state.db", "state.db-wal", "state.db-shm"}
+        store.close()
+        # SQLite removes -wal/-shm when the last connection closes
+        assert [p.name for p in (tmp_path / "state").iterdir()] == ["state.db"]
+        store.close()  # idempotent
 
-    def test_memory_store_works_without_a_directory(self):
+    def test_memory_store_works_without_a_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         store = DurableStateStore(None)
         store.journal.append("tick", now=1)
         store.snapshots.save("controller", 1, 1, {"tick": 1})
-        assert not store.persistent
+        store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
         assert store.snapshots.load("controller")["payload"] == {"tick": 1}
+        store.close()
+        assert list(tmp_path.iterdir()) == []
 
 
 def _records(*entries):
@@ -305,7 +312,7 @@ store.close()
 
 class TestLeaseFencingAcrossProcesses:
     def test_two_processes_never_hold_the_same_token(self, tmp_path):
-        """Two real processes hammer one lease.db; tokens never overlap.
+        """Two real processes hammer one state.db; tokens never overlap.
 
         Each round's lease (ttl 1 minute) is expired by the next round,
         so both processes race for the takeover ~every round.  A change
@@ -317,7 +324,7 @@ class TestLeaseFencingAcrossProcesses:
         import subprocess
         import sys as _sys
 
-        db = tmp_path / "lease.db"
+        db = tmp_path / "state.db"
         go = tmp_path / "go"
         procs = [
             subprocess.Popen(
@@ -346,3 +353,234 @@ class TestLeaseFencingAcrossProcesses:
         # both processes took leadership at least once (the race happened)
         everyone = set().union(*holders_by_token.values())
         assert everyone == {"proc-a", "proc-b"}
+
+
+_KILLED_MID_TICK = """
+import os, signal, sys
+from repro.core.state import DurableStateStore
+
+store = DurableStateStore(sys.argv[1])
+store.lease.acquire("controller-1", now=1, ttl=5)
+store.journal.append("tick", now=1)
+store.snapshots.save("controller", 1, store.journal.last_seq, {"tick": 1})
+store.archive.record_reports([(f"Blade{i}", "cpu", 1, 0.5) for i in range(65)])
+store.journal.append("action-intent", intent_id="controller-1:000001", action="move")
+
+
+def half_a_batch():
+    for i in range(65):
+        if i == 32:
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield (f"Blade{i}", "cpu", 2, 0.5)
+
+
+store.archive.record_reports(half_a_batch())
+"""
+
+
+class TestCrashSafety:
+    """Guarantees (a)-(d) of the one state file, each broken by hand once."""
+
+    def test_sigkill_between_intent_and_commit_mid_archive_batch(self, tmp_path):
+        child = _python(_KILLED_MID_TICK, tmp_path)
+        assert child.wait(timeout=60) == -signal.SIGKILL, child.stderr.read()
+        assert {p.name for p in tmp_path.iterdir()} <= {
+            "state.db", "state.db-wal", "state.db-shm",
+        }
+        store = DurableStateStore(tmp_path)  # passes quick_check
+        records = store.journal.since(0)
+        assert [r.seq for r in records] == [1, 2]
+        assert records[-1].kind == "action-intent"
+        # (a) the intent was committed when append() returned, so replay
+        # leaves it for reconciliation
+        assert set(replay_journal(None, records)["intents"]) == {
+            "controller-1:000001"
+        }
+        assert store.snapshots.load("controller")["payload"] == {"tick": 1}
+        assert store.lease.current() == ("controller-1", 1, 6)
+        # (c) the batch the kill interrupted is absent, the one before whole
+        assert len(store.archive.subjects()) == 65
+        assert store.archive.history("Blade0", "cpu") == [(1, 0.5)]
+        store.close()
+
+    def test_lease_transaction_commits_with_an_fsync(self, tmp_path):
+        """(b) synchronous=FULL (2) inside acquire, NORMAL (1) around it."""
+        store = DurableStateStore(tmp_path)
+        real = store.db.connection
+
+        class Spy:
+            seen = []
+
+            def execute(self, sql, *args):
+                if sql == "COMMIT":
+                    self.seen.append(
+                        real.execute("PRAGMA synchronous").fetchone()[0]
+                    )
+                return real.execute(sql, *args)
+
+        store.db.connection = Spy()
+        assert store.lease.acquire("controller-1", now=0, ttl=5) == 1
+        assert store.lease.renew("controller-1", now=1, ttl=5) == 1
+        assert store.lease.acquire("controller-2", now=9, ttl=5) == 2
+        assert Spy.seen == [2, 2, 2]
+        assert real.execute("PRAGMA synchronous").fetchone()[0] == 1
+        store.db.connection = real
+        store.close()
+
+    def test_a_flipped_page_is_a_typed_error(self, tmp_path):
+        """(d) one corruption rule: StateCorruptError naming the file."""
+        store = DurableStateStore(tmp_path)
+        for now in range(400):
+            store.journal.append("tick", now=now, padding="x" * 64)
+        store.close()
+        path = tmp_path / "state.db"
+        page_size = 4096
+        assert path.stat().st_size > 8 * page_size
+        with open(path, "r+b") as handle:
+            handle.seek(6 * page_size)
+            handle.write(b"\xff" * page_size)
+        with pytest.raises(StateCorruptError, match="move the file aside") as caught:
+            DurableStateStore(tmp_path)
+        assert caught.value.path == str(path)
+        assert path.exists()  # nothing was moved or rebuilt
+
+    def test_a_file_that_is_not_a_database_is_a_typed_error(self, tmp_path):
+        (tmp_path / "state.db").write_bytes(b"never a SQLite database" * 100)
+        with pytest.raises(StateCorruptError):
+            LeaseStore(tmp_path / "state.db")
+
+    def test_a_failed_transaction_rolls_back(self):
+        db = StateDb()
+        with pytest.raises(sqlite3.IntegrityError):
+            with db.transaction() as connection:
+                connection.execute(
+                    "INSERT INTO journal (seq, kind, data) VALUES (1, 'tick', '{}')"
+                )
+                connection.execute(
+                    "INSERT INTO journal (seq, kind, data) VALUES (1, 'tick', '{}')"
+                )
+        assert StateJournal(db).last_seq == 0
+
+
+_LEASE_SIDE = """
+import sys
+from repro.core.state import LeaseStore
+
+# what SessionManager does to a domain's state.db: grants under changing
+# holders, renewals, releases
+lease = LeaseStore(sys.argv[1], cross_thread=True)
+for k in range(int(sys.argv[2])):
+    holder = f"domain-1/session-{k // 3}"
+    token = lease.acquire(holder, now=k, ttl=60)
+    if token is None:
+        lease.release(lease.current()[0])
+        token = lease.acquire(holder, now=k, ttl=60)
+    lease.renew(holder, now=k, ttl=60)
+    print(holder, token)
+lease.close()
+"""
+
+_AGENT_SIDE = """
+import sys
+from repro.core.state import DurableStateStore
+
+# what an agent does to it: journal rows and one 65-row archive batch a tick
+store = DurableStateStore(sys.argv[1])
+for now in range(int(sys.argv[2])):
+    store.journal.append("action-intent", intent_id=f"c:{now}")
+    store.archive.record_reports([(f"Blade{i}", "cpu", now, 0.5) for i in range(65)])
+    store.journal.append("action-commit", intent_id=f"c:{now}")
+    store.journal.append("tick", now=now)
+    store.snapshots.save("controller", now, store.journal.last_seq, {"tick": now})
+store.close()
+"""
+
+
+class TestTwoProcessesOneFile:
+    def test_server_leases_and_agent_writes_share_state_db(self, tmp_path):
+        """No ``database is locked`` escapes busy_timeout, tokens never
+        repeat across holders, the journal stays gapless."""
+        rounds = 300
+        server = _python(_LEASE_SIDE, tmp_path / "state.db", rounds)
+        agent = _python(_AGENT_SIDE, tmp_path, rounds)
+        grants, server_err = server.communicate(timeout=120)
+        __, agent_err = agent.communicate(timeout=120)
+        assert server.returncode == 0, server_err
+        assert agent.returncode == 0, agent_err
+        holder_of = {}
+        for line in grants.splitlines():
+            holder, token = line.split()
+            assert holder_of.setdefault(int(token), holder) == holder
+        assert sorted(holder_of) == list(range(1, rounds // 3 + 1))
+        store = DurableStateStore(tmp_path)
+        assert [r.seq for r in store.journal.since(0)] == list(
+            range(1, 3 * rounds + 1)
+        )
+        assert len(store.archive.history("Blade64", "cpu")) == rounds
+        store.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["state.db"]
+
+
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(0, 50)),
+        st.tuples(st.just("save"), st.sampled_from(["controller", "run"]),
+                  st.integers(0, 50)),
+        st.tuples(st.just("reports"), st.integers(0, 50),
+                  st.lists(st.sampled_from(["Blade1", "Blade2", "FI#1"]),
+                           unique=True, max_size=3)),
+        st.tuples(st.just("event"), st.integers(0, 50)),
+        st.tuples(st.just("rewind"), st.integers(0, 8), st.integers(0, 50)),
+        st.tuples(st.just("reopen")),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+@settings(max_examples=40, deadline=None)
+@given(operations=_OPERATIONS)
+def test_store_equals_a_plain_dict_model(tmp_path_factory, on_disk, operations):
+    """One code path: the file and ``:memory:`` run the same body; the
+    only difference is what a reopen finds."""
+    directory = tmp_path_factory.mktemp("state") if on_disk else None
+    store = DurableStateStore(directory)
+    journal, snapshots, samples, events = [], {}, {}, []
+    for operation in operations:
+        if operation[0] == "append":
+            record = store.journal.append("tick", now=operation[1])
+            journal.append({"now": operation[1]})
+            assert record.seq == len(journal)
+        elif operation[0] == "save":
+            __, kind, tick = operation
+            store.snapshots.save(kind, tick, len(journal), {"tick": tick})
+            snapshots[kind] = (tick, len(journal))
+        elif operation[0] == "reports":
+            __, time, subjects = operation
+            store.archive.record_reports([(s, "cpu", time, 0.25) for s in subjects])
+            samples.update({(s, time): 0.25 for s in subjects})
+        elif operation[0] == "event":
+            store.archive.store_event(operation[1], "action", "FI", "move")
+            events.append(operation[1])
+        elif operation[0] == "rewind":
+            __, seq, tick = operation
+            store.rewind(seq, tick)
+            del journal[seq:]
+            samples = {key: v for key, v in samples.items() if key[1] <= tick}
+            events = [time for time in events if time <= tick]
+        else:
+            store.close()
+            store = DurableStateStore(directory)
+            if not on_disk:
+                journal, snapshots, samples, events = [], {}, {}, []
+        assert store.journal.last_seq == len(journal)
+        assert [r.data for r in store.journal.since(0)] == journal
+        for kind in ("controller", "run"):
+            loaded = store.snapshots.load(kind)
+            assert (loaded and (loaded["tick"], loaded["journal_seq"])) == snapshots.get(kind)
+        for subject in ("Blade1", "Blade2", "FI#1"):
+            assert dict(store.archive.history(subject, "cpu")) == {
+                time: value for (s, time), value in samples.items() if s == subject
+            }
+        assert sorted(row[0] for row in store.archive.events()) == sorted(events)
+    store.close()

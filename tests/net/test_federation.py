@@ -120,6 +120,23 @@ class TestCleanFederatedRun:
             assert summary["net"]["partial"] is False, domain
             assert summary["horizon_minutes"] == HORIZON
 
+    def test_each_domain_directory_holds_one_state_file(self, clean_run):
+        # agent (journal, snapshots, archive) and server (lease) shared
+        # the file; both closed it, so SQLite's -wal/-shm are gone too
+        for domain in DOMAINS:
+            names = sorted(p.name for p in (clean_run.state_dir / domain).iterdir())
+            assert names == ["state.db", "summary.json", "telemetry.jsonl"]
+
+    def test_a_used_state_directory_needs_resume(self, clean_run):
+        trace = clean_run.trace_paths["domain-1"]
+        before = trace.read_bytes()
+        with pytest.raises(ValueError, match="domain-1 holds an earlier run"):
+            DomainAgent(
+                "domain-1", len(DOMAINS), lambda: None, clean_run.state_dir,
+                horizon=HORIZON, start_minute=START,
+            )
+        assert trace.read_bytes() == before
+
     def test_merged_summary_sums_the_domains(self, clean_run):
         total = sum(
             s["action_count"] for s in clean_run.summaries.values()

@@ -57,14 +57,14 @@ class TestHandshake:
         reborn, _ = manager(tmp_path)
         second = reborn.handshake("domain-1", 1, 730)
         # the new server has no session record, so this is a re-grant:
-        # monotonicity must come from the shared lease.db on disk
+        # monotonicity must come from the shared state.db on disk
         assert second.token > first.token
         reborn.close()
 
     def test_foreign_lease_is_forced_over(self, tmp_path):
         # a single-process run's supervisor once owned this store
         (tmp_path / "domain-1").mkdir()
-        lease = LeaseStore(tmp_path / "domain-1" / "lease.db")
+        lease = LeaseStore(tmp_path / "domain-1" / "state.db")
         assert lease.acquire("controller-1", now=720, ttl=6000) == 1
         lease.close()
         sessions, _ = manager(tmp_path)

@@ -217,17 +217,75 @@ class TestKillAndResume:
 
         state = tmp_path / "state"
         names = {path.name for path in state.iterdir()}
-        assert {
-            "journal.jsonl",
-            "run.snapshot.json",
-            "controller.snapshot.json",
-            "lease.db",
-            "archive.db",
-        } <= names
+        # the killed process never closed: SQLite's own -wal/-shm may remain
+        assert {"state.db"} <= names <= {"state.db", "state.db-wal", "state.db-shm"}
 
         resumed = run(str(state), "resume")
         assert resumed.returncode == 0, resumed.stderr
         assert resumed.stdout == uninterrupted.stdout
+        assert [path.name for path in state.iterdir()] == ["state.db"]
+
+
+def _durable(state_dir, horizon, **kwargs):
+    return SimulationRunner(
+        Scenario.FULL_MOBILITY,
+        user_factor=1.15,
+        horizon=horizon,
+        seed=7,
+        collect_host_series=False,
+        chaos=default_chaos(115),
+        state_dir=state_dir,
+        **kwargs,
+    )
+
+
+class TestResumeOfAFinishedRun:
+    def test_restored_summary_equals_the_uninterrupted_one(self, tmp_path):
+        """Escalations raised before the snapshot survive the resume."""
+        from repro.sim.export import summary_json_payload
+
+        state = tmp_path / "state"
+        uninterrupted = summary_json_payload(_durable(state, HORIZON).run())
+        assert uninterrupted["escalation_count"] > 0
+        assert [path.name for path in state.iterdir()] == ["state.db"]
+        size = (state / "state.db").stat().st_size
+        for _ in range(3):
+            restored = summary_json_payload(
+                _durable(state, HORIZON, resume=True).run()
+            )
+            assert restored == uninterrupted
+            assert [path.name for path in state.iterdir()] == ["state.db"]
+            assert (state / "state.db").stat().st_size == size
+
+
+class TestStateIsClosed:
+    def test_a_run_that_raises_mid_horizon_still_closes_its_state(self, tmp_path):
+        runner = _durable(tmp_path / "state", 60)
+
+        def explode(now):
+            if now == runner.start_minute + 25:
+                raise RuntimeError("boom")
+
+        runner.collector.observe = explode
+        with pytest.raises(RuntimeError, match="boom"):
+            runner.run()
+        assert [p.name for p in (tmp_path / "state").iterdir()] == ["state.db"]
+        runner.close()  # a second close is a no-op
+
+    def test_every_domain_directory_holds_exactly_one_file(self, tmp_path):
+        from repro.config.builtin import paper_landscape, partition_landscape
+
+        runner = _durable(
+            tmp_path / "state", 30, landscape=partition_landscape(paper_landscape(), 2)
+        )
+        runner.run()
+        runner.close()
+        files = sorted(
+            str(p.relative_to(tmp_path / "state"))
+            for p in (tmp_path / "state").rglob("*")
+            if p.is_file()
+        )
+        assert files == ["domain-1/state.db", "domain-2/state.db", "state.db"]
 
 
 class TestRunnerValidation:
@@ -248,6 +306,24 @@ class TestRunnerValidation:
         )
         with pytest.raises(ValueError, match="cannot resume"):
             runner.run()
+
+    def test_a_used_state_directory_needs_resume(self, tmp_path):
+        """A new run must not replay an earlier run's journal and lease."""
+        _durable(tmp_path / "state", 20).run()
+        with pytest.raises(ValueError, match=r"state.*minute 739.*resume=True"):
+            _durable(tmp_path / "state", 10)
+        # the refused constructor left nothing open behind
+        assert [p.name for p in (tmp_path / "state").iterdir()] == ["state.db"]
+
+    def test_an_explicit_archive_cannot_join_a_state_directory(self, tmp_path):
+        from repro.monitoring.archive import InMemoryLoadArchive
+
+        with pytest.raises(ValueError, match="archive or state_dir"):
+            SimulationRunner(
+                Scenario.FULL_MOBILITY,
+                archive=InMemoryLoadArchive(),
+                state_dir=tmp_path / "state",
+            )
 
     def test_controller_fault_chaos_rejects_custom_factories(self):
         # the check fires during construction, before the factory runs
