@@ -3,22 +3,27 @@
 Two halves, meeting at a thread boundary:
 
 * :class:`OpsBridge` lives on the *simulation* side.  The runner calls
-  :meth:`OpsBridge.refresh` at every tick boundary, which rebuilds
-  lock-protected JSON snapshots of the landscape (read off the columnar
-  :class:`~repro.serviceglobe.landscape_state.LandscapeState`), open
-  situations, approvals and the running summary.  The bridge also
-  subscribes wildcard on the telemetry bus and forwards every envelope
-  to registered listeners — still on the simulation thread, so the
+  :meth:`OpsBridge.refresh` at every tick boundary, which rebuilds the
+  lock-protected situations, approvals and summary snapshots and
+  *captures* the landscape: fresh copies of the columnar
+  :class:`~repro.serviceglobe.landscape_state.LandscapeState`'s load
+  and count columns, rendered to the ``/state`` dict by
+  :meth:`OpsBridge.snapshot` once per tick somebody asks.  While
+  anybody listens, the bridge also converts every envelope once and
+  hands it to the listeners — still on the simulation thread, so the
   fan-out into the server's event loop is a single
   ``call_soon_threadsafe`` per envelope.
 * :class:`OpsServer` runs an asyncio event loop on a background thread.
   GET endpoints serve the bridge's snapshots; ``/events`` upgrades to a
-  WebSocket whose per-client bounded queues implement drop-counting
+  WebSocket.  The server listens on the bridge while it has a
+  subscriber, encodes each envelope to its frame once and queues the
+  bytes: per-client bounded queues implement drop-counting
   backpressure (a stalled client loses events and is told how many, but
-  can never block the simulation tick or starve other clients); the
-  approve/reject POST endpoints validate against the approvals snapshot
-  and post an :class:`~repro.core.alerts.ApprovalCommand` into the
-  controller's thread-safe command queue, drained at the next tick.
+  can never block the simulation tick or starve other clients), and
+  :meth:`OpsServer.stop` drains them.  The approve/reject POST
+  endpoints validate against the approvals snapshot and post an
+  :class:`~repro.core.alerts.ApprovalCommand` into the controller's
+  thread-safe command queue, drained at the next tick.
 
 The server never touches simulation state directly: snapshots flow
 sim-thread -> bridge -> server, verdicts flow server -> command queue ->
@@ -36,9 +41,11 @@ import struct
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.alerts import ApprovalCommand
 from repro.telemetry.bus import Envelope, EventBus, WILDCARD
-from repro.telemetry.records import record_to_dict
+from repro.telemetry.records import record_payload
 
 __all__ = ["OpsBridge", "OpsServer"]
 
@@ -52,7 +59,47 @@ CLIENT_QUEUE_LIMIT = 256
 #: longer one is answered with close 1009 instead of being buffered.
 MAX_CLIENT_FRAME = 1 << 16
 
+#: Header lines a request may carry before it is answered with 431.
+MAX_HEADER_LINES = 100
+
+#: Seconds :meth:`OpsServer.stop` gives reading clients to take their queue.
+DRAIN_TIMEOUT_S = 1.0
+
 Listener = Callable[[Dict[str, Any]], None]
+
+
+def _ws_frame(text: str) -> bytes:
+    """One unmasked RFC 6455 text frame."""
+    data = text.encode("utf-8")
+    length = len(data)
+    if length < 126:
+        header = struct.pack("!BB", 0x81, length)
+    elif length < 1 << 16:
+        header = struct.pack("!BBH", 0x81, 126, length)
+    else:
+        header = struct.pack("!BBQ", 0x81, 127, length)
+    return header + data
+
+
+def _render_landscape(capture: Tuple[Any, ...]) -> Dict[str, Any]:
+    """The ``/state`` dict of one :meth:`OpsBridge.refresh` capture: Python
+    floats and ``round`` (not ``np.round``), as ``LandscapeState``'s scalar reads."""
+    now, hosts, instances, up, cpu, mem, services, running, demand, loads = capture
+    return {
+        "time": now,
+        "hosts": [
+            {"name": name, "up": is_up, "cpu_load": round(cpu_load, 6),
+             "mem_load": round(mem_load, 6), "instances": ids}
+            for name, is_up, cpu_load, mem_load, ids in zip(
+                hosts, up.tolist(), cpu.tolist(), mem.tolist(), instances)
+        ],
+        "services": [
+            {"name": name, "running_instances": count, "demand": round(total, 6),
+             "load": round(load_sum / count if count else 0.0, 6)}
+            for name, count, total, load_sum in zip(
+                services, running.tolist(), demand.tolist(), loads.tolist())
+        ],
+    }
 
 
 class OpsBridge:
@@ -75,6 +122,12 @@ class OpsBridge:
         self.control_plane = control_plane
         self.run_info = dict(run_info or {})
         self._lock = threading.Lock()
+        #: the last boundary's capture; the one ``/state`` was rendered from
+        self._landscape: Tuple[Any, ...] = ()
+        self._rendered = self._landscape
+        #: names and ids by registry_version, instance ids by topology_version
+        self._names: Tuple[Any, ...] = (-1,)
+        self._instances: Tuple[Any, ...] = (-1,)
         self._snapshots: Dict[str, Any] = {
             "landscape": {"time": None, "hosts": [], "services": []},
             "situations": {"time": None, "open": [], "handled": 0, "recent": []},
@@ -105,7 +158,7 @@ class OpsBridge:
 
     def remove_listener(self, listener: Listener) -> None:
         with self._lock:
-            self._listeners = [l for l in self._listeners if l is not listener]
+            self._listeners = [l for l in self._listeners if l != listener]
 
     def _on_envelope(self, envelope: Envelope) -> None:
         self.events_seen += 1
@@ -115,7 +168,7 @@ class OpsBridge:
         payload = {
             "seq": envelope.seq,
             "topic": envelope.topic,
-            "record": record_to_dict(envelope.record),
+            "record": record_payload(envelope.record),
         }
         for listener in listeners:
             listener(payload)
@@ -151,39 +204,32 @@ class OpsBridge:
                 totals[name] = totals.get(name, 0) + count
         return totals
 
-    def _landscape_snapshot(self, now: int) -> Dict[str, Any]:
+    def _capture_landscape(self, now: int) -> Tuple[Any, ...]:
+        """Copies of the columns ``/state`` shows (fancy indexing copies)."""
         platform = self.platform
         state = platform.landscape_state
         state.flush()
-        host_ids = state.host_index.ids
-        hosts = []
-        for name, host in platform.hosts.items():
-            hid = host_ids[name]
-            hosts.append(
-                {
-                    "name": name,
-                    "up": bool(host.up),
-                    "cpu_load": round(state.host_cpu_load(hid), 6),
-                    "mem_load": round(state.host_mem_load(hid), 6),
-                    "instances": [
-                        instance.instance_id
-                        for instance in host.running_instances
-                    ],
-                }
+        if self._names[0] != state.registry_version:
+            hosts, services = list(platform.hosts), sorted(platform.services)
+            host_ids, service_ids = state.host_index.ids, state.service_index.ids
+            self._names = (
+                state.registry_version, hosts, services,
+                np.array([host_ids[name] for name in hosts], dtype=np.intp),
+                np.array([service_ids[name] for name in services], dtype=np.intp),
             )
-        services = []
-        service_ids = state.service_index.ids
-        for name in sorted(platform.services):
-            sid = service_ids[name]
-            services.append(
-                {
-                    "name": name,
-                    "running_instances": state.service_running_count(sid),
-                    "demand": round(state.service_demand(sid), 6),
-                    "load": round(state.service_load(sid), 6),
-                }
-            )
-        return {"time": now, "hosts": hosts, "services": services}
+        if self._instances[0] != state.topology_version:
+            self._instances = (state.topology_version, [
+                [instance.instance_id for instance in host.running_instances]
+                for host in platform.hosts.values()
+            ])
+        _, hosts, services, hids, sids = self._names
+        return (
+            now, hosts, self._instances[1], state.host_up[hids],
+            np.minimum(state.host_demand[hids] / state.host_cpu_capacity[hids], 1.0),
+            np.minimum(state.host_mem_used[hids] / state.host_memory_mb[hids], 1.0),
+            services, state.service_running[sids],
+            state.service_demand_sum[sids], state.service_load_sum[sids],
+        )
 
     def _situations_snapshot(self, now: int) -> Dict[str, Any]:
         open_observations: List[Dict[str, Any]] = []
@@ -234,20 +280,27 @@ class OpsBridge:
         return summary
 
     def refresh(self, now: int) -> None:
-        """Rebuild every snapshot; called at tick boundaries."""
-        landscape = self._landscape_snapshot(now)
+        """Capture the landscape, rebuild the rest; called at tick boundaries."""
+        landscape = self._capture_landscape(now)
         situations = self._situations_snapshot(now)
         approvals = self._approvals_snapshot(now)
         summary = self._summary_snapshot(now)
         with self._lock:
-            self._snapshots["landscape"] = landscape
+            self._landscape = landscape
             self._snapshots["situations"] = situations
             self._snapshots["approvals"] = approvals
             self._snapshots["summary"] = summary
 
     def snapshot(self, name: str) -> Any:
+        """The named snapshot as of the last tick boundary (any thread)."""
         with self._lock:
-            return self._snapshots[name]
+            capture = self._landscape
+            if name != "landscape" or capture is self._rendered:
+                return self._snapshots[name]
+        rendered = _render_landscape(capture)  # once per boundary asked
+        with self._lock:
+            self._snapshots[name], self._rendered = rendered, capture
+        return rendered
 
     # -- verdicts (any thread) --------------------------------------------------------
 
@@ -375,30 +428,34 @@ class OpsServer:
             self._started.set()
             return
         self.port = server.sockets[0].getsockname()[1]
-        self.bridge.add_listener(self._on_event)
         self._started.set()
         async with server:
             await self._stop_event.wait()
             await self._close_clients()
 
     async def _close_clients(self) -> None:
-        """Close every ``/events`` subscriber and let its handler finish.
+        """Drain and close every ``/events`` subscriber; let its handler finish.
 
-        A handler still running when ``asyncio.run`` returns is
-        cancelled, which the stream protocol logs as an error.  Closing
-        the transport ends the handler's read with EOF instead.
+        A client gets what its queue holds and then the close frame if
+        it takes them within ``DRAIN_TIMEOUT_S``; one whose queue is
+        full was stalled already and is aborted at once.  A handler
+        still running when ``asyncio.run`` returns is cancelled, which
+        the stream protocol logs as an error; closing the transport
+        ends its read with EOF instead.
         """
-        handlers = []
+        handlers = [client.handler for client in self._clients]
         for client in self._clients:
-            client.closed = True
-            transport = client.writer.transport
-            if transport.get_write_buffer_size():
-                transport.abort()  # a stalled peer never lets a close frame out
+            client.closed = True  # its sender stops; the rest goes out here
+            if client.queue.full():
+                client.writer.transport.abort()
             else:
-                client.writer.write(struct.pack("!BBH", 0x88, 2, 1001))  # going away
-                client.writer.close()
-            handlers.append(client.handler)
+                going_away = struct.pack("!BBH", 0x88, 2, 1001)
+                client.writer.write(self._take_queued(client, []) + going_away)
+                client.writer.close()  # once the peer has taken all of it
         if handlers:
+            await asyncio.wait(handlers, timeout=DRAIN_TIMEOUT_S)
+            for client in self._clients:  # not taken in time: stalled after all
+                client.writer.transport.abort()
             await asyncio.wait(handlers, timeout=5.0)
 
     # -- event fan-out ----------------------------------------------------------------
@@ -415,11 +472,12 @@ class OpsServer:
 
     def _fan_out(self, payload: Dict[str, Any]) -> None:
         self.events_forwarded += 1
+        frame = _ws_frame(json.dumps(payload))  # encoded once, for every client
         for client in self._clients:
             if client.closed:
                 continue
             try:
-                client.queue.put_nowait(payload)
+                client.queue.put_nowait(frame)
             except asyncio.QueueFull:
                 # backpressure: the stalled client loses this event and
                 # is told how many it lost once it drains again
@@ -447,22 +505,33 @@ class OpsServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
-            if not request_line:
+            try:
+                request_line = await reader.readline()
+                if not request_line:
+                    return
+                headers: Dict[str, str] = {}
+                for _n in range(MAX_HEADER_LINES + 1):
+                    line = await reader.readline()
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+                    key, _, value = line.decode("latin-1").partition(":")
+                    headers[key.strip().lower()] = value.strip()
+                else:
+                    raise ValueError("too many header lines")
+            except ValueError:  # or a line over the stream's 64 KiB limit
+                await self._respond(writer, 431, {"error": "header too large"})
                 return
             try:
                 method, path, _ = request_line.decode("latin-1").split(" ", 2)
+                length = int(headers.get("content-length") or "0")
+                if length < 0:
+                    raise ValueError("negative content length")
             except ValueError:
                 await self._respond(writer, 400, {"error": "malformed request"})
                 return
-            headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                key, _, value = line.decode("latin-1").partition(":")
-                headers[key.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
+            if length > MAX_CLIENT_FRAME:
+                await self._respond(writer, 413, {"error": "body too large"})
+                return
             if length:
                 await reader.readexactly(length)
             if (
@@ -538,7 +607,10 @@ class OpsServer:
         self, writer: asyncio.StreamWriter, status: int, payload: Any
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict"}
+        reason = {
+            200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict",
+            413: "Payload Too Large", 431: "Request Header Fields Too Large",
+        }
         head = (
             f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
             "Content-Type: application/json\r\n"
@@ -576,6 +648,8 @@ class OpsServer:
         await writer.drain()
         client = _WSClient(writer, asyncio.current_task())
         self._clients.append(client)
+        if len(self._clients) == 1:  # no subscriber, no per-envelope hand-off
+            self.bridge.add_listener(self._on_event)
         sender = asyncio.ensure_future(self._ws_sender(client, writer))
         try:
             await self._ws_receiver(client, reader, writer)
@@ -587,34 +661,31 @@ class OpsServer:
             except (asyncio.CancelledError, ConnectionError):
                 pass
             self._clients.remove(client)
+            if not self._clients:
+                self.bridge.remove_listener(self._on_event)
+
+    @staticmethod
+    def _take_queued(client: _WSClient, frames: List[bytes]) -> bytes:
+        """``frames`` and all the queue holds as one buffer, drop notice first."""
+        frames.extend(client.queue.get_nowait() for _ in range(client.queue.qsize()))
+        client.delivered += len(frames)
+        if client.dropped:
+            # surface the loss in-band before resuming the stream
+            notice = {"type": "dropped", "count": client.dropped}
+            client.dropped = 0
+            frames.insert(0, _ws_frame(json.dumps(notice)))
+        return b"".join(frames)
 
     async def _ws_sender(
         self, client: _WSClient, writer: asyncio.StreamWriter
     ) -> None:
-        hello = {"type": "hello", "endpoint": "/events"}
-        await self._ws_send_text(writer, json.dumps(hello))
-        while not client.closed:
-            payload = await client.queue.get()
-            if client.dropped:
-                # surface the loss in-band before resuming the stream
-                notice = {"type": "dropped", "count": client.dropped}
-                client.dropped = 0
-                await self._ws_send_text(writer, json.dumps(notice))
-            await self._ws_send_text(writer, json.dumps(payload))
-            client.delivered += 1
-
-    @staticmethod
-    async def _ws_send_text(writer: asyncio.StreamWriter, text: str) -> None:
-        data = text.encode("utf-8")
-        length = len(data)
-        if length < 126:
-            header = struct.pack("!BB", 0x81, length)
-        elif length < 1 << 16:
-            header = struct.pack("!BBH", 0x81, 126, length)
-        else:
-            header = struct.pack("!BBQ", 0x81, 127, length)
-        writer.write(header + data)
+        writer.write(_ws_frame(json.dumps({"type": "hello", "endpoint": "/events"})))
         await writer.drain()
+        while not client.closed:
+            first = await client.queue.get()
+            # one write for everything that queued up behind it
+            writer.write(self._take_queued(client, [first]))
+            await writer.drain()
 
     async def _ws_receiver(
         self,

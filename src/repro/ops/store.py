@@ -5,15 +5,15 @@ EventBus` and persists every envelope with its global sequence number.
 Durability follows the discipline of the state directory's ``state.db``
 (:mod:`repro.core.state`), with batches where that commits row by row:
 
-* **Batched transactional flushes.**  Envelopes buffer in memory and
-  commit in tick-aligned transactions: the buffer flushes when the
-  record time advances past the flush interval (``flush_ticks``
-  simulated minutes, so a batch never splits a tick), at a size cap, or
-  whenever a caller needs durability now (:meth:`flush` — the runner
-  flushes every tick while serving the live ops API, and before every
-  run snapshot).  A SIGKILL mid-flush loses at most the uncommitted
-  batch — SQLite's WAL guarantees every committed batch survives
-  intact, never torn.
+* **Group commit by wall-clock age.**  Envelopes buffer in memory and
+  commit in one transaction at a tick boundary: the runner calls
+  :meth:`TelemetryStore.end_tick` after every tick, served or not, and
+  the batch commits once it is ``MAX_AGE_S`` (0.25 s) of wall time old
+  or ``MAX_BATCH`` rows long — every tick of a paced run, about four
+  times a second of an unpaced one, and never in the middle of a tick.
+  :meth:`flush` is "commit now" (before every run snapshot, at close).
+  A SIGKILL loses at most the uncommitted tail batch — SQLite's WAL
+  guarantees every committed batch survives intact, never torn.
 * **Torn-batch-tolerant reopen.**  Reopening a killed store needs no
   repair step: whatever committed is there, gapless and in order;
   :func:`read_store` verifies gaplessness before calling a stream
@@ -31,8 +31,6 @@ ordering as :func:`repro.telemetry.trace.merge_traces`.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import io
 import json
 import pickle
@@ -43,7 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.telemetry.bus import Envelope, EventBus, WILDCARD
-from repro.telemetry.records import ActionEvent, record_to_dict
+from repro.telemetry.records import record_payload
 from repro.telemetry.trace import TraceEvent, TraceHeader, merge_traces
 
 __all__ = [
@@ -56,6 +54,8 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+#: one ``events`` row: (source, seq, topic, time, clock, record blob)
+_Row = Tuple[str, int, str, Optional[int], Optional[int], bytes]
 
 #: Every SQLite database file starts with these 16 bytes; the verifier
 #: sniffs them to route a path to :func:`read_store` instead of the
@@ -92,35 +92,6 @@ def is_store_file(path: PathLike) -> bool:
         return False
 
 
-#: record class -> its dataclass field names, resolved once per type
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
-
-
-def _payload_of(record: Any) -> Dict[str, Any]:
-    """The ingest hot path's :func:`record_to_dict`.
-
-    Parses to the exact same dict (the byte-identity tests pin this):
-    the field list is cached per record class instead of re-resolved per
-    event, and tuples are left for the JSON encoder, which writes them
-    as arrays anyway.  Action events keep the slow path — their outcome
-    flattening is bespoke and they are rare.
-    """
-    if isinstance(record, ActionEvent):
-        return record_to_dict(record)
-    cls = type(record)
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(field.name for field in dataclasses.fields(record))
-        _FIELD_NAMES[cls] = names
-    payload: Dict[str, Any] = {"type": cls.__name__}
-    for name in names:
-        value = getattr(record, name)
-        if isinstance(value, enum.Enum):
-            value = value.value
-        payload[name] = value
-    return payload
-
-
 def _encode_record(payload: Dict[str, Any]) -> bytes:
     """Serialize one record payload for the ``record`` column.
 
@@ -142,7 +113,7 @@ class _DataUnpickler(pickle.Unpickler):
     smuggle in a constructor.
     """
 
-    def find_class(self, module: str, name: str):  # pragma: no cover
+    def find_class(self, module: str, name: str) -> Any:  # pragma: no cover
         raise pickle.UnpicklingError(
             f"store record blobs hold plain data only "
             f"(refusing {module}.{name})"
@@ -163,9 +134,12 @@ def _json_shape(value: Any) -> Any:
 
 
 def _decode_record(blob: Any) -> Dict[str, Any]:
-    if isinstance(blob, bytes):
-        return _json_shape(_DataUnpickler(io.BytesIO(blob)).load())
-    return json.loads(blob)
+    record: Dict[str, Any] = (
+        _json_shape(_DataUnpickler(io.BytesIO(blob)).load())
+        if isinstance(blob, bytes)
+        else json.loads(blob)
+    )
+    return record
 
 
 class TelemetryStore:
@@ -183,18 +157,15 @@ class TelemetryStore:
     store.
     """
 
-    #: flush regardless of tick boundaries once this many rows buffered
+    #: rows after which a tick boundary commits whatever the batch's age
     MAX_BATCH = 1024
+    #: wall seconds after which a tick boundary commits the batch; half
+    #: of ``tail_store``'s poll, so a follower of a running store never
+    #: polls twice without fresh rows
+    MAX_AGE_S = 0.25
     BUSY_TIMEOUT_MS = 5_000
-    #: simulated minutes a batch spans before it commits (tick-aligned)
-    FLUSH_TICKS = 16
 
-    def __init__(
-        self,
-        path: PathLike,
-        cross_thread: bool = False,
-        flush_ticks: Optional[int] = None,
-    ) -> None:
+    def __init__(self, path: PathLike, cross_thread: bool = False) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._connection = sqlite3.connect(
@@ -212,14 +183,8 @@ class TelemetryStore:
         self._connection.executescript(_SCHEMA)
         self._set_meta("schema_version", str(STORE_SCHEMA_VERSION))
         self._bus: Optional[EventBus] = None
-        #: (source, seq, topic, time, clock, record-blob) rows awaiting commit
-        self._buffer: List[Tuple[str, int, str, Optional[int], Optional[int], bytes]] = []
-        self._buffer_tick: Optional[int] = None
-        self.flush_ticks = (
-            int(flush_ticks) if flush_ticks is not None else self.FLUSH_TICKS
-        )
-        if self.flush_ticks < 1:
-            raise ValueError("flush_ticks must be at least one tick")
+        self._buffer: List[_Row] = []  # awaiting commit
+        self._committed_at = _time.monotonic()
         self.inserted = 0
         self._closed = False
 
@@ -267,28 +232,14 @@ class TelemetryStore:
         self._bus = bus
 
     def _on_envelope(self, envelope: Envelope) -> None:
-        record = _payload_of(envelope.record)
+        record = record_payload(envelope.record)
         tick = record.get("time")
-        tick = int(tick) if isinstance(tick, int) else None
-        if self._buffer and (
-            len(self._buffer) >= self.MAX_BATCH
-            or (
-                tick is not None
-                and self._buffer_tick is not None
-                and tick - self._buffer_tick >= self.flush_ticks
-            )
-        ):
-            # the new tick's first event triggers the flush, so batches
-            # never split a tick
-            self.flush()
-        if self._buffer_tick is None and tick is not None:
-            self._buffer_tick = tick
         self._buffer.append(
             (
                 "",
                 envelope.seq,
                 envelope.topic,
-                tick,
+                int(tick) if isinstance(tick, int) else None,
                 None,
                 _encode_record(record),
             )
@@ -296,18 +247,31 @@ class TelemetryStore:
 
     # -- writes -----------------------------------------------------------------------
 
+    def end_tick(self) -> int:
+        """A tick is over: commit the batch if it is old or long enough.
+
+        The one commit policy, whoever reads the store: batches end on
+        tick boundaries only, so a committed prefix never holds part of
+        a tick, and a live reader is at most ``MAX_AGE_S`` plus one tick
+        behind the run.
+        """
+        if (
+            len(self._buffer) >= self.MAX_BATCH
+            or _time.monotonic() - self._committed_at >= self.MAX_AGE_S
+        ):
+            return self.flush()  # 0 rows from an empty buffer
+        return 0
+
     def flush(self) -> int:
-        """Commit the buffered batch in one transaction; rows committed."""
+        """Commit the buffered batch now, in one transaction; rows committed."""
         if not self._buffer:
             return 0
         rows, self._buffer = self._buffer, []
-        self._buffer_tick = None
-        return self._commit_rows(rows)
+        inserted = self._commit_rows(rows)
+        self._committed_at = _time.monotonic()
+        return inserted
 
-    def _commit_rows(
-        self,
-        rows: List[Tuple[str, int, str, Optional[int], Optional[int], str]],
-    ) -> int:
+    def _commit_rows(self, rows: List[_Row]) -> int:
         with self._lock:
             connection = self._connection
             connection.execute("BEGIN IMMEDIATE")
@@ -338,7 +302,7 @@ class TelemetryStore:
         batches deduplicate exactly as the federation server's in-memory
         collector does.
         """
-        encoded = []
+        encoded: List[_Row] = []
         for seq, topic, record, clock in rows:
             tick = record.get("time")
             encoded.append(

@@ -129,17 +129,21 @@ class SimulationRunner:
     store_path:
         Persist every telemetry envelope to a SQLite event store
         (:class:`repro.ops.store.TelemetryStore`) at this path; batches
-        commit transactionally at tick boundaries.  ``autoglobe verify``
-        and ``autoglobe tail`` read the store directly, and a resumed
-        run (``resume=True``) truncates it back to the snapshot's
-        sequence and continues it gaplessly.
+        commit at the first tick boundary 0.25 s of wall time after the
+        last one (every tick of a paced run), served or not.
+        ``autoglobe verify`` and ``autoglobe tail`` read the store
+        directly, and a resumed run (``resume=True``) truncates it back
+        to the snapshot's sequence and continues it gaplessly.
     serve:
         ``(host, port)`` to expose the live ops API
         (:class:`repro.ops.api.OpsServer`) for the duration of the run:
-        landscape/situation/approval snapshots over HTTP, an ``/events``
-        WebSocket, and POST approve/reject verdicts routed into the
-        controller's command queue at tick boundaries.  Port 0 binds an
-        ephemeral port (see ``runner.ops_server.port``).  Serving is
+        landscape/situation/approval snapshots of the last tick
+        boundary over HTTP (answered at once, also mid-tick), an
+        ``/events`` WebSocket that costs nothing until someone
+        subscribes and is drained before the server stops, and POST
+        approve/reject verdicts routed into the controller's command
+        queue at tick boundaries.  Port 0 binds an ephemeral port (see
+        ``runner.ops_server.port``).  Serving is
         read-only with respect to the simulation — a served run is
         byte-identical to an unserved one unless verdicts are posted.
     pace:
@@ -518,12 +522,9 @@ class SimulationRunner:
                     self.injector.tick(now)
                 self.controller.tick(now)
                 self.collector.observe(now)
+                if self.telemetry_store is not None:
+                    self.telemetry_store.end_tick()
                 if self.ops_bridge is not None:
-                    if self.telemetry_store is not None:
-                        # live consumers (tail --follow, the CI smoke
-                        # job) want the batch durable every tick; bulk
-                        # runs keep the store's wider flush interval
-                        self.telemetry_store.flush()
                     self.ops_bridge.refresh(now)
                 if persistent and (
                     (now - self.start_minute + 1) % self.snapshot_interval == 0

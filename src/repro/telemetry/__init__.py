@@ -36,6 +36,7 @@ from repro.telemetry.records import (
     SupervisionEvent,
     SupervisionEventKind,
     TelemetryRecord,
+    record_payload,
     record_to_dict,
     topic_of,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "TraceSchemaError",
     "TraceWriter",
     "read_trace",
+    "record_payload",
     "record_to_dict",
     "topic_of",
     "window_bounds",

@@ -51,6 +51,7 @@ __all__ = [
     "TOPICS",
     "topic_of",
     "record_to_dict",
+    "record_payload",
 ]
 
 
@@ -379,4 +380,37 @@ def record_to_dict(record: TelemetryRecord) -> Dict[str, Any]:
         elif isinstance(value, tuple):
             value = [list(row) if isinstance(row, tuple) else row for row in value]
         payload[field.name] = value
+    return payload
+
+
+#: record class -> its dataclass field names, resolved once per type
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def record_payload(record: TelemetryRecord) -> Dict[str, Any]:
+    """:func:`record_to_dict` for encoders: no copies, same bytes out.
+
+    ``json.dumps`` and ``pickle.dumps`` of the result equal those of
+    :func:`record_to_dict`'s (the byte-identity tests pin this): the
+    field list is cached per record class instead of re-resolved per
+    event, and tuples are left for the encoder, which writes them as
+    arrays anyway.  The dict *shares* the record's row tuples, so it is
+    for the store's and the ops API's hot paths, which encode it and
+    drop it; consumers that keep JSON shape in memory use
+    :func:`record_to_dict`.  Action events keep that path — their
+    outcome flattening is bespoke and they are rare.
+    """
+    if isinstance(record, ActionEvent):
+        return record_to_dict(record)
+    cls = type(record)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = tuple(field.name for field in dataclasses.fields(record))
+        _FIELD_NAMES[cls] = names
+    payload: Dict[str, Any] = {"type": cls.__name__}
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        payload[name] = value
     return payload

@@ -1,8 +1,9 @@
 """The persistent telemetry store (``autoglobe run --store``).
 
 Acceptance: a store-backed run replays identically to its JSONL trace
-(same events, same AG3xx report); a SIGKILL mid-flush loses at most the
-last uncommitted batch and leaves a gapless committed prefix; resumable
+(same events, same AG3xx report); batches commit at tick boundaries by
+wall-clock age; a SIGKILL mid-flush loses at most the last uncommitted
+batch and leaves a gapless committed prefix; resumable
 cursors let a crash-resumed run truncate the abandoned timeline and
 append seamlessly; ``tail_store`` follows commits live.
 """
@@ -18,6 +19,7 @@ import time
 import pytest
 
 import repro
+import repro.ops.store as store_module
 from repro.ops.store import (
     STORE_SCHEMA_VERSION,
     TelemetryStore,
@@ -88,33 +90,106 @@ class TestRoundTrip:
         store.close()
 
 
-class TestBatching:
-    def test_interval_flush_never_splits_a_tick(self, tmp_path):
+class FakeClock:
+    """``time.monotonic`` for the store under test; the test moves it."""
+
+    def __init__(self, monkeypatch):
+        self.now = 1000.0
+        monkeypatch.setattr(store_module._time, "monotonic", lambda: self.now)
+
+
+def _run_ticks(bus, store, clock, ticks, seconds_per_tick, per_tick=3):
+    """Publish ``per_tick`` alerts a tick; the committed seq after each tick."""
+    committed = []
+    for t in range(ticks):
+        for i in range(per_tick):
+            bus.publish(AlertEvent(time=t, severity="info", message=f"{t}/{i}"))
+        clock.now += seconds_per_tick
+        store.end_tick()
+        committed.append(store.last_seq())
+    return committed
+
+
+class TestCommitPolicy:
+    """One policy, served or not: commit at the first tick boundary that
+    finds the batch ``MAX_AGE_S`` old or ``MAX_BATCH`` rows long.
+
+    Replaces ``TestBatching`` (``test_interval_flush_never_splits_a_tick``,
+    ``test_size_cap_forces_flush``, ``test_flush_ticks_must_be_positive``),
+    whose subject — the ``flush_ticks`` parameter — is gone.
+    """
+
+    @pytest.fixture
+    def wired(self, tmp_path, monkeypatch):
+        clock = FakeClock(monkeypatch)
         bus = EventBus()
-        store = TelemetryStore(tmp_path / "store.db", flush_ticks=4)
+        store = TelemetryStore(tmp_path / "store.db")
         store.attach(bus)
-        # three events per tick: a flush boundary must land between
-        # ticks, so the committed prefix always ends on a tick edge
-        for t in range(10):
-            for i in range(3):
-                bus.publish(AlertEvent(time=t, severity="info", message=f"{t}/{i}"))
-        committed = store.last_seq()
-        assert committed > 0
-        assert committed % 3 == 0  # whole ticks only
+        yield bus, store, clock
         store.close()
 
-    def test_size_cap_forces_flush(self, tmp_path):
-        bus = EventBus()
-        store = TelemetryStore(tmp_path / "store.db", flush_ticks=10_000)
-        store.attach(bus)
-        for i in range(store.MAX_BATCH + 1):
+    def test_fast_ticks_commit_once_per_max_age(self, wired):
+        bus, store, clock = wired
+        committed = _run_ticks(bus, store, clock, ticks=1000, seconds_per_tick=0.001)
+        commits = sorted(set(committed) - {0})
+        # one second of 1 ms ticks: a commit every MAX_AGE_S, give or
+        # take the float sum landing a tick late
+        assert 3 <= len(commits) <= 4
+        gaps = [b - a for a, b in zip(commits, commits[1:])]
+        assert all(abs(gap - 3 * 250) <= 3 for gap in gaps)
+
+    def test_slow_ticks_commit_every_tick(self, wired):
+        bus, store, clock = wired
+        committed = _run_ticks(bus, store, clock, ticks=10, seconds_per_tick=1.0)
+        assert committed == [3 * (t + 1) for t in range(10)]
+
+    def test_a_tick_at_exactly_max_age_commits(self, wired):
+        bus, store, clock = wired
+        committed = _run_ticks(
+            bus, store, clock, ticks=4, seconds_per_tick=store.MAX_AGE_S
+        )
+        assert committed == [3, 6, 9, 12]
+
+    def test_max_batch_forces_a_commit_whatever_the_age(self, wired):
+        bus, store, clock = wired
+        per_tick = store.MAX_BATCH // 4 + 1
+        committed = _run_ticks(
+            bus, store, clock, ticks=8, seconds_per_tick=0.0, per_tick=per_tick
+        )
+        # frozen clock: only the row count can commit, at the boundary
+        # that finds MAX_BATCH rows buffered
+        assert committed == [0, 0, 0, 4 * per_tick, 4 * per_tick,
+                             4 * per_tick, 4 * per_tick, 8 * per_tick]
+
+    def test_a_batch_never_holds_part_of_a_tick(self, wired):
+        bus, store, clock = wired
+        # far more rows than MAX_BATCH inside one tick, on an old batch:
+        # nothing commits until the tick is over, then all of it does
+        clock.now += 10.0
+        for i in range(store.MAX_BATCH + 7):
             bus.publish(AlertEvent(time=0, severity="info", message=str(i)))
-        assert store.last_seq() >= store.MAX_BATCH
-        store.close()
+            assert store.last_seq() == 0
+        store.end_tick()
+        assert store.last_seq() == store.MAX_BATCH + 7
+        committed = _run_ticks(bus, store, clock, ticks=40, seconds_per_tick=0.1)
+        assert all((seq - (store.MAX_BATCH + 7)) % 3 == 0 for seq in committed)
 
-    def test_flush_ticks_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="flush_ticks"):
-            TelemetryStore(tmp_path / "store.db", flush_ticks=0)
+    def test_an_idle_boundary_commits_nothing(self, wired):
+        _, store, clock = wired
+        clock.now += 60.0
+        assert store.end_tick() == 0
+        assert store.flush() == 0
+
+    def test_flush_is_commit_now_and_restarts_the_age(self, wired):
+        bus, store, clock = wired
+        _publish_alerts(bus, 2)
+        clock.now += 0.2
+        assert store.flush() == 2  # what snapshots and close() rely on
+        _publish_alerts(bus, 1, start=2)
+        clock.now += 0.2  # 0.4 s since the store opened, 0.2 since the commit
+        assert store.end_tick() == 0
+        clock.now += 0.05
+        assert store.end_tick() == 1
 
 
 class TestCrashSafety:
@@ -133,13 +208,17 @@ class TestCrashSafety:
             import os, signal, sys
             from repro.telemetry.bus import EventBus
             from repro.telemetry.records import AlertEvent
-            from repro.ops.store import TelemetryStore
+            import repro.ops.store as store_module
 
+            now = [0.0]
+            store_module._time.monotonic = lambda: now[0]
             bus = EventBus()
-            store = TelemetryStore(sys.argv[1], flush_ticks=4)
+            store = store_module.TelemetryStore(sys.argv[1])
             store.attach(bus)
             for t in range(100):
                 bus.publish(AlertEvent(time=t, severity="info", message=f"m{t}"))
+                now[0] += 0.1  # three ticks age a batch past MAX_AGE_S
+                store.end_tick()
             with open(sys.argv[2], "w") as handle:
                 handle.write(str(store.last_seq()))
             os.kill(os.getpid(), signal.SIGKILL)
@@ -158,9 +237,74 @@ class TestCrashSafety:
         header, events = read_store(store_path)
         seqs = [event.seq for event in events]
         assert seqs == list(range(1, committed + 1))  # gapless prefix
-        # at most one uncommitted batch lost (flush_ticks=4, one event
-        # per tick: the tail batch is at most 4 events)
-        assert 100 - committed <= 4
+        # at most one uncommitted batch lost (0.1 s ticks, one event
+        # per tick: the tail batch is under three events)
+        assert 100 - committed < 3
+
+    def test_served_unpaced_run_survives_sigkill_and_resumes(self, tmp_path):
+        """The age policy under a real kill: a served run at full speed
+        (commits by age and before each run snapshot, never per tick)
+        SIGKILLs itself mid-horizon between two snapshots.  What the
+        store holds is a gapless prefix reaching at least the last
+        snapshot, and a resume ends with the uninterrupted run's
+        summary and a complete store."""
+        from repro.sim.export import summary_json_payload
+        from repro.sim.runner import SimulationRunner
+        from repro.sim.scenarios import Scenario, default_chaos
+
+        store_path, state_dir = tmp_path / "store.db", tmp_path / "state"
+        settings = dict(user_factor=1.15, horizon=120, seed=7)
+        child = textwrap.dedent(
+            """
+            import sys
+            from repro.sim.runner import SimulationRunner
+            from repro.sim.scenarios import Scenario, default_chaos
+
+            SimulationRunner(
+                Scenario.FULL_MOBILITY, chaos=default_chaos(seed=115),
+                store_path=sys.argv[1], state_dir=sys.argv[2],
+                serve=("127.0.0.1", 0), kill_at=12 * 60 + 75, **%r
+            ).run()
+            """
+            % settings
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", child, str(store_path), str(state_dir)],
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert result.returncode == -signal.SIGKILL
+        header, events = read_store(store_path)
+        assert header.complete is True  # i.e. gapless from seq 1
+        assert [event.seq for event in events] == list(range(1, len(events) + 1))
+        committed_through = max(event.record["time"] for event in events)
+        assert 12 * 60 + 69 <= committed_through <= 12 * 60 + 75  # snapshot at :69
+
+        resumed = SimulationRunner(
+            Scenario.FULL_MOBILITY, chaos=default_chaos(seed=115),
+            store_path=store_path, state_dir=state_dir, resume=True, **settings
+        ).run()
+        reference = SimulationRunner(
+            Scenario.FULL_MOBILITY, chaos=default_chaos(seed=115),
+            store_path=tmp_path / "reference.db",
+            state_dir=tmp_path / "reference-state", **settings
+        ).run()
+        assert summary_json_payload(resumed) == summary_json_payload(reference)
+        header, events = read_store(store_path)
+        _, expected = read_store(tmp_path / "reference.db")
+        assert header.complete is True
+        assert [event.seq for event in events] == list(range(1, len(events) + 1))
+        # the resumed process announces its own leadership epoch and
+        # samples its restored instance monitors in another order; the
+        # landscape's history is the uninterrupted run's
+        def history(stream):
+            return [
+                dict(e.record, rows=sorted(e.record.get("rows", ())))
+                for e in stream if e.topic != "supervision"
+            ]
+
+        assert history(events) == history(expected)
 
     def test_torn_store_resumes_gaplessly(self, tmp_path):
         """truncate_after + attach_resumed continue the sequence."""
