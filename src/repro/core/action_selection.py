@@ -71,6 +71,8 @@ class ActionSelector:
         )
         for rulebase in self._rulebases.values():
             self._controller.engine.validate(rulebase)
+        #: the fuzzy controller's batched-path counters (ops ``/stats``)
+        self.fuzzy_stats = self._controller.stats
         #: service name -> trigger -> override rule base
         self._service_rulebases: Dict[str, Dict[SituationKind, RuleBase]] = {}
         #: memoized merged rule bases: (kind, service) -> merged base, so
@@ -129,54 +131,52 @@ class ActionSelector:
     ) -> List[RankedAction]:
         """Applicability of every action for one service context, sorted
         descending (ties broken by action name for determinism)."""
-        rulebase = self.rulebase_for(kind, context.service_name)
-        result = self._controller.evaluate(dict(context.measurements), rulebase)
-        return self._ranked_from_outputs(context, result.outputs)
+        return self._ranked_from_outputs(
+            context, self._outputs_for([(kind, context)])[0]
+        )
 
     def _outputs_for(
-        self, kind: SituationKind, contexts: Sequence[ActionContext]
+        self, pairs: Sequence[Tuple[SituationKind, ActionContext]]
     ) -> List[Dict[str, float]]:
-        """Crisp outputs aligned with ``contexts``.
+        """Crisp outputs aligned with ``pairs``, whatever their number.
 
         Contexts are grouped by their (memoized) merged rule base and each
-        group is evaluated in one vectorized batch; results come back in
-        the original context order so callers assemble rankings exactly as
-        the per-context path would.
+        group is one batch of the controller's compiled program; results
+        come back in the original order.
         """
-        if len(contexts) == 1:
-            context = contexts[0]
-            rulebase = self.rulebase_for(kind, context.service_name)
-            result = self._controller.evaluate(dict(context.measurements), rulebase)
-            return [result.outputs]
         groups: Dict[int, Tuple[RuleBase, List[int]]] = {}
-        for idx, context in enumerate(contexts):
+        for idx, (kind, context) in enumerate(pairs):
             rulebase = self.rulebase_for(kind, context.service_name)
-            entry = groups.get(id(rulebase))
-            if entry is None:
-                groups[id(rulebase)] = (rulebase, [idx])
-            else:
-                entry[1].append(idx)
-        outputs_list: List[Dict[str, float]] = [{} for _ in contexts]
+            groups.setdefault(id(rulebase), (rulebase, []))[1].append(idx)
+        outputs_list: List[Dict[str, float]] = [{} for _ in pairs]
         for rulebase, indices in groups.values():
-            batch = [contexts[i].measurements for i in indices]
+            batch = [pairs[i][1].measurements for i in indices]
             for i, outputs in zip(
                 indices, self._controller.evaluate_many(batch, rulebase)
             ):
                 outputs_list[i] = outputs
         return outputs_list
 
+    def _collected(
+        self, contexts: Sequence[ActionContext], outputs: Sequence[Dict[str, float]]
+    ) -> List[RankedAction]:
+        """One merged ranking across a host's service contexts (Figure 7)."""
+        collected: List[RankedAction] = []
+        for context, context_outputs in zip(contexts, outputs):
+            collected.extend(self._ranked_from_outputs(context, context_outputs))
+        collected.sort(
+            key=lambda r: (-r.applicability, r.action.value, r.service_name)
+        )
+        return collected
+
     def rank_many(
         self, kind: SituationKind, contexts: List[ActionContext]
     ) -> List[RankedAction]:
         """Server-triggered evaluation: run the controller for each service
         on the host and collect all actions into one ranking (Figure 7)."""
-        collected: List[RankedAction] = []
-        for context, outputs in zip(contexts, self._outputs_for(kind, contexts)):
-            collected.extend(self._ranked_from_outputs(context, outputs))
-        collected.sort(
-            key=lambda r: (-r.applicability, r.action.value, r.service_name)
+        return self._collected(
+            contexts, self._outputs_for([(kind, context) for context in contexts])
         )
-        return collected
 
     def rank_situations(
         self,
@@ -188,39 +188,22 @@ class ActionSelector:
         selects :meth:`rank_many` assembly (one merged ranking across the
         entry's contexts) versus :meth:`rank` assembly (single context).
         Contexts from *all* entries are pooled and grouped by merged rule
-        base, so one tick's open situations cost one vectorized inference
-        per distinct rule base instead of one scalar inference per
-        context.  Entry ``i`` of the result is bit-identical to calling
-        ``rank_many(kind, contexts)`` / ``rank(kind, contexts[0])``.
+        base, so one tick's open situations cost one program batch per
+        distinct rule base.  Entry ``i`` of the result is bit-identical to
+        calling ``rank_many(kind, contexts)`` / ``rank(kind, contexts[0])``.
         """
-        pooled: Dict[int, Tuple[RuleBase, List[Tuple[int, int]]]] = {}
-        for entry_idx, (kind, contexts, _server_style) in enumerate(entries):
-            for context_idx, context in enumerate(contexts):
-                rulebase = self.rulebase_for(kind, context.service_name)
-                slot = pooled.get(id(rulebase))
-                if slot is None:
-                    pooled[id(rulebase)] = (rulebase, [(entry_idx, context_idx)])
-                else:
-                    slot[1].append((entry_idx, context_idx))
-        outputs: Dict[Tuple[int, int], Dict[str, float]] = {}
-        for rulebase, slots in pooled.values():
-            batch = [entries[e][1][c].measurements for e, c in slots]
-            for slot, out in zip(
-                slots, self._controller.evaluate_many(batch, rulebase)
-            ):
-                outputs[slot] = out
+        outputs = self._outputs_for(
+            [(kind, context) for kind, contexts, __ in entries for context in contexts]
+        )
         results: List[List[RankedAction]] = []
-        for entry_idx, (kind, contexts, server_style) in enumerate(entries):
-            per_context = [
-                self._ranked_from_outputs(context, outputs[(entry_idx, context_idx)])
-                for context_idx, context in enumerate(contexts)
-            ]
+        start = 0
+        for __, contexts, server_style in entries:
+            mine = outputs[start:start + len(contexts)]
+            start += len(contexts)
             if server_style:
-                collected = [r for ranked in per_context for r in ranked]
-                collected.sort(
-                    key=lambda r: (-r.applicability, r.action.value, r.service_name)
-                )
-                results.append(collected)
+                results.append(self._collected(contexts, mine))
+            elif contexts:
+                results.append(self._ranked_from_outputs(contexts[0], mine[0]))
             else:
-                results.append(per_context[0] if per_context else [])
+                results.append([])
         return results

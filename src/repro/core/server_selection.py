@@ -16,6 +16,8 @@ so rankings are deterministic.
 On the columnar substrate the per-server evaluation is incremental: a
 :class:`_ScoreTable` keeps the suitability of every host and re-scores
 only hosts whose inputs changed since it last looked (DESIGN §14).
+Either way the scores come from the rule base's compiled program
+(:mod:`repro.fuzzy.compiled`); the paths differ in how inputs are gathered.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ import numpy as np
 from repro.config.model import Action
 from repro.core import variables
 from repro.core.rulebases import default_server_rulebases
+from repro.fuzzy.compiled import Program
 from repro.fuzzy.controller import FuzzyController
-from repro.fuzzy.defuzzify import _GRADE_TOLERANCE, LeftmostMax
 from repro.fuzzy.rules import RuleBase
-from repro.fuzzy.sets import ClippedSet, MembershipFunction, UnionSet
 from repro.serviceglobe.host import ServiceHost
 from repro.serviceglobe.landscape_state import LandscapeState
 from repro.serviceglobe.platform import Platform
@@ -122,43 +123,41 @@ class _Ranking(Sequence[RankedHost]):
 class _ScoreColumn:
     """``scores`` and ``cpuLoad`` of every host under one rule base."""
 
-    __slots__ = ("scores", "cpu", "seen", "rules", "consequents", "ramp")
+    __slots__ = ("scores", "cpu", "seen", "program")
 
-    def __init__(self, size: int, rules: list, consequents: list, ramp) -> None:
+    def __init__(self, size: int, program: Program) -> None:
         self.scores = np.empty(size, dtype=np.float64)
         self.cpu = np.empty(size, dtype=np.float64)
         #: ``state.refresh_seq`` up to which the columns are current
         self.seen = -1
-        self.rules = rules
-        self.consequents = consequents
-        self.ramp = ramp
+        #: the compiled rule base the scores came from; a recompiled one
+        #: (its rules changed) re-scores the whole column
+        self.program = program
 
 
 class _ScoreTable:
     """Incremental host-suitability table of one landscape state.
 
-    Holds what is fixed per state — the membership grades of the six
-    spec-derived inputs and each host's rank in name order (the last
-    tie-break, as an integer column) — plus one :class:`_ScoreColumn`
+    Holds what is fixed per state — the six spec-derived inputs as
+    columns and each host's rank in name order (the last tie-break, as
+    an integer column) — plus one :class:`_ScoreColumn`
     per action, refreshed only for hosts whose ``host_stamp`` moved past
     the column's ``seen``.  Dropped when the state is replaced or
     :meth:`LandscapeState.rebuild` ran (``restore_state``).
     """
 
-    __slots__ = ("state", "rebuilds", "static_grades", "name_rank", "columns")
+    __slots__ = ("state", "rebuilds", "static_inputs", "name_rank", "columns")
 
-    def __init__(self, state: LandscapeState, static_fields, engine) -> None:
+    def __init__(self, state: LandscapeState, static_fields) -> None:
         self.state = state
         self.rebuilds = state.rebuilds
         specs = [host.spec for host in state.host_objs]
-        self.static_grades = engine.fuzzify_columns(
-            {
-                input_name: np.array(
-                    [float(getattr(spec, attr)) for spec in specs], dtype=np.float64
-                )
-                for input_name, attr in static_fields
-            }
-        )
+        self.static_inputs = {
+            input_name: np.array(
+                [float(getattr(spec, attr)) for spec in specs], dtype=np.float64
+            )
+            for input_name, attr in static_fields
+        }
         names = state.host_index.names
         self.name_rank = np.empty(len(names), dtype=np.int64)
         self.name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
@@ -202,7 +201,9 @@ class ServerSelector:
         #: the score table of the landscape state last ranked on; one
         #: slot, holding its state alive, so nothing is keyed by ``id()``
         self._table: Optional[_ScoreTable] = None
-        #: plain counters (ops ``/stats``); nothing reads them in a run
+        #: the fuzzy controller's batched-path counters, and the selector's
+        #: own: plain integers (ops ``/stats``), nothing reads them in a run
+        self.fuzzy_stats = self._controller.stats
         self.stats: Dict[str, int] = dict.fromkeys(
             (
                 "table_rebuilds",
@@ -275,10 +276,10 @@ class ServerSelector:
         """Score all candidates, most suitable first.
 
         Thirty-two or more candidates bound to the platform's landscape
-        state are ranked off the incremental score table; its scores are
-        bit-identical to scoring each host individually, which is what
-        the per-host path below does for short lists, reservations and
-        unbound hosts.
+        state are ranked off the incremental score table; short lists,
+        reservations and unbound hosts gather their measurements per
+        host.  Both score with the same compiled program, bit-identical
+        to :meth:`score` per host.
         """
         rulebase = self._rulebases.get(action)
         if rulebase is None:
@@ -327,16 +328,16 @@ class ServerSelector:
         ):
             if state.host_ids(state.host_objs) is None:
                 return None  # a host object was re-bound to another state
-            table = self._table = _ScoreTable(
-                state, self._STATIC_FIELDS, self._controller.engine
-            )
+            table = self._table = _ScoreTable(state, self._STATIC_FIELDS)
             self.stats["table_rebuilds"] += 1
+        program = self._controller.engine.program(rulebase)
         column = table.columns.get(action)
-        if column is None:
-            column = self._new_column(table, rulebase)
-            if column is None:
+        if column is None or column.program is not program:
+            if not program.outputs:  # suitability is the engine's one output
                 return None
-            table.columns[action] = column
+            column = table.columns[action] = _ScoreColumn(
+                len(table.name_rank), program
+            )
         state.flush()
         stale = np.flatnonzero(state.host_stamp > column.seen)
         if len(stale):
@@ -346,91 +347,22 @@ class ServerSelector:
         order = np.lexsort((table.name_rank[ids], column.cpu[ids], -scores))
         return _Ranking(state.host_index.names, ids[order], scores[order], self.stats)
 
-    def _new_column(
-        self, table: _ScoreTable, rulebase: RuleBase
-    ) -> Optional[_ScoreColumn]:
-        """An empty score column, with the rule base's closed form if any.
-
-        Every server rule asserts the same ramp-shaped ``applicable``
-        term, so the union of clipped consequents collapses pointwise:
-        ``max_r min(mu(x), h_r) == min(mu(x), max_r h_r)`` — both sides
-        select among the same floats, so the aggregated set's grid is
-        bitwise equal to clipping at the row-maximum strength.  With a
-        monotone consequent grid, the leftmost maximum is then one
-        ``searchsorted`` instead of a per-host grid sweep.  ``ramp`` stays
-        ``None`` (sets are built per distinct strength row) when the
-        defuzzifier is not :class:`LeftmostMax`, the consequents differ,
-        or the grid is not monotone.
-        """
-        engine = self._controller.engine
-        rules = [
-            rule for rule in rulebase if rule.output_variable == OUTPUT_VARIABLE
-        ]
-        if not rules:
-            return None
-        consequents = [engine._resolve_consequent(rule) for rule in rules]
-        defuzzifier = self._controller.defuzzifier
-        ramp = None
-        if type(defuzzifier) is LeftmostMax and all(
-            other is consequents[0] for other in consequents
-        ):
-            lo, hi = self._output_domain()
-            xs = np.linspace(lo, hi, defuzzifier.resolution)
-            grid = np.asarray(consequents[0].evaluate(xs), dtype=np.float64)
-            if np.all(np.diff(grid) >= 0.0):
-                ramp = (xs, grid, float(grid.max()))
-        return _ScoreColumn(len(table.name_rank), rules, consequents, ramp)
-
-    def _output_domain(self) -> tuple:
-        domain = self._controller.engine.output_domain(OUTPUT_VARIABLE)
-        assert domain is not None  # validated at construction
-        return domain
-
     def _rescore(
         self, table: _ScoreTable, column: _ScoreColumn, ids: "np.ndarray"
     ) -> None:
-        """Re-evaluate the controller for hosts ``ids``, column at a time.
+        """Re-evaluate the controller for hosts ``ids``.
 
-        Fuzzification, rule strengths and defuzzification are all
-        element-wise, so scoring a subset yields the same floats as
-        scoring the whole landscape — or each host on its own.
+        No stage of the compiled program reduces across contexts, so
+        scoring a subset yields the same floats as scoring the whole
+        landscape — or each host on its own.
         """
         cpu, mem, running, free = table.state.host_server_inputs(ids)
-        grades = self._controller.engine.fuzzify_columns(
-            {
-                "cpuLoad": cpu,
-                "memLoad": mem,
-                "instancesOnServer": running,
-                "memory": free,
-            }
-        )
-        for input_name, terms in table.static_grades.items():
-            grades[input_name] = {term: values[ids] for term, values in terms.items()}
-        strengths = np.stack(
-            [rule.antecedent.truth_many(grades) * rule.weight for rule in column.rules],
-            axis=1,
-        )
-        if column.ramp is not None:
-            xs, grid, grid_max = column.ramp
-            # the scalar defuzzifier computes peak = mus.max() = min(grid_max,
-            # height) and takes the first grid point with mus >= peak - tol;
-            # for a monotone grid that is exactly this searchsorted
-            thresholds = np.minimum(grid_max, strengths.max(axis=1)) - _GRADE_TOLERANCE
-            scores = xs[np.searchsorted(grid, thresholds, side="left")]
-        else:
-            domain = self._output_domain()
-            unique_rows, inverse = np.unique(strengths, axis=0, return_inverse=True)
-            unique_scores = np.empty(len(unique_rows), dtype=np.float64)
-            for j, row in enumerate(unique_rows):
-                clipped = [
-                    ClippedSet(consequent, height)
-                    for consequent, height in zip(column.consequents, row.tolist())
-                ]
-                fuzzy_set: MembershipFunction = (
-                    clipped[0] if len(clipped) == 1 else UnionSet(tuple(clipped))
-                )
-                unique_scores[j] = self._controller.defuzzifier(fuzzy_set, domain)
-            scores = unique_scores[inverse]
-        column.scores[ids] = scores
+        columns = {name: values[ids] for name, values in table.static_inputs.items()}
+        columns.update(cpuLoad=cpu, memLoad=mem, instancesOnServer=running, memory=free)
+        program = column.program
+        # the server controller has one output variable: row 0
+        column.scores[ids] = program.evaluate(
+            program.inputs(columns, len(ids)), self._controller.defuzzifier
+        )[0]
         column.cpu[ids] = cpu
         self.stats["hosts_rescored"] += len(ids)

@@ -10,7 +10,8 @@ Section 3 of the paper:
 * rules and rule bases (:mod:`repro.fuzzy.rules`) with a textual DSL
   (:mod:`repro.fuzzy.parser`),
 * max-min inference with fuzzy-union aggregation
-  (:mod:`repro.fuzzy.inference`),
+  (:mod:`repro.fuzzy.inference`) and, for batches, one flat numeric
+  program compiled per rule base (:mod:`repro.fuzzy.compiled`),
 * defuzzification, primarily the paper's leftmost-maximum method
   (:mod:`repro.fuzzy.defuzzify`), and
 * a generic controller that chains fuzzification, inference and

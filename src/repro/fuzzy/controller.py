@@ -5,6 +5,8 @@ twice, once for action selection and once for server selection
 (Section 4).  The controller takes crisp measurements, runs max-min
 inference over its rule base and defuzzifies every output variable with
 the configured defuzzifier (leftmost maximum by default, as in the paper).
+``evaluate`` walks the objects and keeps the audit trail; ``evaluate_many``
+runs the rule base's compiled program and returns the same floats.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.fuzzy.defuzzify import Defuzzifier, LeftmostMax
 from repro.fuzzy.inference import FiredRule, InferenceEngine
 from repro.fuzzy.rules import RuleBase
-from repro.fuzzy.sets import ClippedSet, MembershipFunction, UnionSet
 from repro.fuzzy.variables import LinguisticVariable
 
 __all__ = ["ControllerResult", "FuzzyController"]
@@ -76,6 +77,8 @@ class FuzzyController:
         self.engine.validate(rule_base)
         self.rule_base = rule_base
         self.defuzzifier = defuzzifier if defuzzifier is not None else LeftmostMax()
+        #: the engine's counters of the batched path (which path ran)
+        self.stats = self.engine.stats
 
     def evaluate(
         self,
@@ -108,60 +111,15 @@ class FuzzyController:
         """Batched :meth:`evaluate`: crisp outputs for many measurement sets.
 
         All measurement mappings must share the same variable names (the
-        Table 1 contexts do).  The rule base is validated once for the
-        whole batch instead of once per context, fuzzification and rule
-        firing are vectorized across contexts, and defuzzification leans
-        on the defuzzifier's memoization — contexts produce identical
-        clipped sets far more often than not.  Element ``i`` of the
+        Table 1 contexts do).  Runs the rule base's compiled program,
+        which validates it once, when compiled.  Element ``i`` of the
         result is bit-identical to ``evaluate(measurements_list[i],
         rule_base).outputs``.
         """
         active = rule_base if rule_base is not None else self.rule_base
-        if rule_base is not None:
-            self.engine.validate(rule_base)
+        program = self.engine.program(active)
         if not measurements_list:
             return []
-        engine = self.engine
-        grades = engine.fuzzify_many(measurements_list)
-        rules = list(active)
-        strengths: List[List[float]] = []
-        consequents = []
-        for rule in rules:
-            strength = rule.antecedent.truth_many(grades) * rule.weight
-            strengths.append(strength.tolist())
-            consequents.append(engine._resolve_consequent(rule))
-        by_output: Dict[str, List[int]] = {}
-        for index, rule in enumerate(rules):
-            by_output.setdefault(rule.output_variable, []).append(index)
-        domains = {}
-        for output_name in by_output:
-            domain = engine.output_domain(output_name)
-            assert domain is not None  # validate() guarantees it
-            domains[output_name] = domain
-        # within one batch the rule base (and thus each output variable's
-        # consequent sets) is fixed, so the crisp value is a pure function
-        # of the firing-strength tuple: memoize on it and only build the
-        # clipped/union sets — exactly as :meth:`evaluate` would — on a
-        # miss.  Landscapes with repeated host shapes hit this hard.
-        memo: Dict[tuple, float] = {}
-        all_outputs: List[Dict[str, float]] = []
-        for i in range(len(measurements_list)):
-            outputs: Dict[str, float] = {}
-            for output_name, rule_indices in by_output.items():
-                key = (output_name,) + tuple(
-                    strengths[index][i] for index in rule_indices
-                )
-                value = memo.get(key)
-                if value is None:
-                    clipped = [
-                        ClippedSet(consequents[index], strengths[index][i])
-                        for index in rule_indices
-                    ]
-                    fuzzy_set: MembershipFunction = (
-                        clipped[0] if len(clipped) == 1 else UnionSet(tuple(clipped))
-                    )
-                    value = self.defuzzifier(fuzzy_set, domains[output_name])
-                    memo[key] = value
-                outputs[output_name] = value
-            all_outputs.append(outputs)
-        return all_outputs
+        crisp = program.evaluate(program.inputs_of(measurements_list), self.defuzzifier)
+        names = [output.name for output in program.outputs]
+        return [dict(zip(names, row)) for row in crisp.T.tolist()]

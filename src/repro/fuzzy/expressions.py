@@ -9,6 +9,8 @@ Rule antecedents combine atomic propositions of the form
 
 exactly as described in Section 3 of the paper.  Expressions are immutable
 trees evaluated against a mapping from variable name to fuzzified grades.
+``truth`` is the only evaluator a node implements; batches run the
+program :mod:`repro.fuzzy.compiled` builds from the same tree.
 """
 
 from __future__ import annotations
@@ -16,17 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Mapping, Tuple
 
-import numpy as np
-
-__all__ = ["Expression", "Is", "And", "Or", "Not", "Very", "Somewhat", "GradeMap",
-           "GradeArrayMap"]
+__all__ = ["Expression", "Is", "And", "Or", "Not", "Very", "Somewhat", "GradeMap"]
 
 #: Fuzzified measurements: variable name -> (term name -> membership grade).
 GradeMap = Mapping[str, Mapping[str, float]]
-
-#: Batched fuzzified measurements: variable name -> (term name -> grade
-#: array over a batch of contexts).  Every array has the same length.
-GradeArrayMap = Mapping[str, Mapping[str, np.ndarray]]
 
 
 class Expression:
@@ -34,17 +29,6 @@ class Expression:
 
     def truth(self, grades: GradeMap) -> float:
         """Degree of truth of the expression under fuzzified measurements."""
-        raise NotImplementedError
-
-    def truth_many(self, grades: GradeArrayMap) -> np.ndarray:
-        """Vectorized :meth:`truth` over a batch of fuzzified contexts.
-
-        Every element of the returned array is bit-identical to what
-        :meth:`truth` computes for the corresponding context: ``min`` /
-        ``max`` / ``1 - x`` are exact element-wise, and the hedges apply
-        Python's scalar power per element because numpy's array ``**``
-        rounds differently in the last ulp.
-        """
         raise NotImplementedError
 
     def variables(self) -> FrozenSet[str]:
@@ -69,20 +53,6 @@ class Is(Expression):
     term: str
 
     def truth(self, grades: GradeMap) -> float:
-        try:
-            variable_grades = grades[self.variable]
-        except KeyError:
-            raise KeyError(
-                f"no fuzzified value for variable {self.variable!r}"
-            ) from None
-        try:
-            return variable_grades[self.term]
-        except KeyError:
-            raise KeyError(
-                f"variable {self.variable!r} has no term {self.term!r}"
-            ) from None
-
-    def truth_many(self, grades: GradeArrayMap) -> np.ndarray:
         try:
             variable_grades = grades[self.variable]
         except KeyError:
@@ -141,9 +111,6 @@ class And(_Nary):
     def truth(self, grades: GradeMap) -> float:
         return min(op.truth(grades) for op in self.operands)
 
-    def truth_many(self, grades: GradeArrayMap) -> np.ndarray:
-        return np.minimum.reduce([op.truth_many(grades) for op in self.operands])
-
     def __str__(self) -> str:
         return " AND ".join(_parenthesize(op) for op in self.operands)
 
@@ -153,9 +120,6 @@ class Or(_Nary):
 
     def truth(self, grades: GradeMap) -> float:
         return max(op.truth(grades) for op in self.operands)
-
-    def truth_many(self, grades: GradeArrayMap) -> np.ndarray:
-        return np.maximum.reduce([op.truth_many(grades) for op in self.operands])
 
     def __str__(self) -> str:
         return " OR ".join(_parenthesize(op) for op in self.operands)
@@ -169,9 +133,6 @@ class Not(Expression):
 
     def truth(self, grades: GradeMap) -> float:
         return 1.0 - self.operand.truth(grades)
-
-    def truth_many(self, grades: GradeArrayMap) -> np.ndarray:
-        return 1.0 - self.operand.truth_many(grades)
 
     def variables(self) -> FrozenSet[str]:
         return self.operand.variables()
@@ -193,12 +154,6 @@ class Very(Expression):
     def truth(self, grades: GradeMap) -> float:
         return self.operand.truth(grades) ** 2
 
-    def truth_many(self, grades: GradeArrayMap) -> np.ndarray:
-        # scalar pow per element: numpy's array ``**`` is not bit-identical
-        # to Python's float ``**`` in the last ulp
-        inner = self.operand.truth_many(grades)
-        return np.array([v ** 2 for v in inner.tolist()], dtype=np.float64)
-
     def variables(self) -> FrozenSet[str]:
         return self.operand.variables()
 
@@ -218,10 +173,6 @@ class Somewhat(Expression):
 
     def truth(self, grades: GradeMap) -> float:
         return self.operand.truth(grades) ** 0.5
-
-    def truth_many(self, grades: GradeArrayMap) -> np.ndarray:
-        inner = self.operand.truth_many(grades)
-        return np.array([v ** 0.5 for v in inner.tolist()], dtype=np.float64)
 
     def variables(self) -> FrozenSet[str]:
         return self.operand.variables()

@@ -13,6 +13,8 @@ cycle of Figure 4:
    the fuzzy union ``mu(x) = max(mu_A(x), mu_B(x))``.
 
 Defuzzification (step 4 of Figure 4) lives in :mod:`repro.fuzzy.defuzzify`.
+:meth:`InferenceEngine.infer` is the scalar walk with its audit trail;
+batches run the engine's compiled programs (:mod:`repro.fuzzy.compiled`).
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.fuzzy.compiled import Program, TermTable
 from repro.fuzzy.rules import Rule, RuleBase
 from repro.fuzzy.sets import ClippedSet, MembershipFunction, UnionSet
 from repro.fuzzy.variables import LinguisticVariable
@@ -88,6 +89,14 @@ class InferenceEngine:
         self.output_variables: Dict[str, LinguisticVariable] = {
             v.name: v for v in output_variables
         }
+        #: the input terms as one corner table, shared by every program
+        self.terms = TermTable(self.input_variables.values())
+        self._programs: Dict[int, Program] = {}
+        #: plain counters (ops ``/stats``); nothing reads them in a run
+        self.stats: Dict[str, int] = dict.fromkeys(
+            ("programs_compiled", "batches", "contexts", "generic_terms",
+             "grid_defuzzifications"), 0
+        )
 
     # -- validation -----------------------------------------------------------
 
@@ -160,58 +169,17 @@ class InferenceEngine:
 
     # -- batched inference -------------------------------------------------------
 
-    def fuzzify_many(
-        self, measurements_list: Sequence[Mapping[str, float]]
-    ) -> Dict[str, Dict[str, np.ndarray]]:
-        """Fuzzify a batch of crisp measurement sets in one pass.
-
-        All measurement mappings must use the same variable names.  For
-        each variable the crisp values are clamped and evaluated against
-        every term's membership function vectorized; element ``i`` of each
-        grade array is bit-identical to ``fuzzify(measurements_list[i])``.
-        """
-        grades: Dict[str, Dict[str, np.ndarray]] = {}
-        if not measurements_list:
-            return grades
-        count = len(measurements_list)
-        for name in measurements_list[0]:
-            variable = self.input_variables.get(name)
-            if variable is None:
-                raise KeyError(f"measurement for unknown input variable {name!r}")
-            xs = np.fromiter(
-                (m[name] for m in measurements_list), dtype=np.float64, count=count
-            )
-            lo, hi = variable.domain
-            xs = np.minimum(np.maximum(xs, lo), hi)
-            grades[name] = {
-                term.name: np.asarray(term.membership.evaluate(xs), dtype=np.float64)
-                for term in variable.terms
-            }
-        return grades
-
-    def fuzzify_columns(
-        self, columns: Mapping[str, np.ndarray]
-    ) -> Dict[str, Dict[str, np.ndarray]]:
-        """:meth:`fuzzify_many` for measurements already in column form.
-
-        ``columns`` maps each input variable to one float array holding
-        that measurement for every context.  Skips the per-context dict
-        plumbing of :meth:`fuzzify_many`; the grade arrays are
-        bit-identical because the same values flow through the same clamp
-        and membership evaluations.
-        """
-        grades: Dict[str, Dict[str, np.ndarray]] = {}
-        for name, xs in columns.items():
-            variable = self.input_variables.get(name)
-            if variable is None:
-                raise KeyError(f"measurement for unknown input variable {name!r}")
-            lo, hi = variable.domain
-            xs = np.minimum(np.maximum(xs, lo), hi)
-            grades[name] = {
-                term.name: np.asarray(term.membership.evaluate(xs), dtype=np.float64)
-                for term in variable.terms
-            }
-        return grades
+    def program(self, rule_base: RuleBase) -> Program:
+        """The compiled program of ``rule_base``: built, and the rule base
+        validated, by the first evaluation and again once its (public)
+        ``rules`` list no longer equals the one compiled — identical rules
+        compare by pointer.  A compile that raises stores nothing."""
+        program = self._programs.get(id(rule_base))
+        if program is None or program.rules != rule_base.rules:
+            # the program keeps its rule base alive, so the id stays its own
+            program = self._programs[id(rule_base)] = Program(self, rule_base)
+            self.stats["programs_compiled"] += 1
+        return program
 
     def infer_outputs_many(
         self,
@@ -220,37 +188,22 @@ class InferenceEngine:
     ) -> List[Dict[str, MembershipFunction]]:
         """Aggregated output sets for a batch of measurement sets.
 
-        The batched counterpart of :meth:`infer` restricted to what the
-        decision path consumes: every rule's firing strengths are computed
-        for all contexts in one vectorized sweep, then the per-context
-        output sets are assembled in rule-base order exactly as
-        :meth:`infer` would.  No :class:`FiredRule` audit records are
-        produced — batch callers only rank the defuzzified outputs.
+        The batched counterpart of :meth:`infer` restricted to its
+        ``output_sets``: the program's firing strengths, assembled per
+        context into the same clipped and united sets.  No
+        :class:`FiredRule` audit records are produced.
         """
-        grades = self.fuzzify_many(measurements_list)
-        count = len(measurements_list)
-        rules = list(rule_base)
-        strengths: List[List[float]] = []
-        consequents: List[MembershipFunction] = []
-        for rule in rules:
-            strength = rule.antecedent.truth_many(grades) * rule.weight
-            strengths.append(strength.tolist())
-            consequents.append(self._resolve_consequent(rule))
-        results: List[Dict[str, MembershipFunction]] = []
-        for i in range(count):
-            clipped_by_output: Dict[str, List[MembershipFunction]] = {}
-            for r, rule in enumerate(rules):
-                clipped_by_output.setdefault(rule.output_variable, []).append(
-                    ClippedSet(consequents[r], strengths[r][i])
-                )
-            output_sets: Dict[str, MembershipFunction] = {}
-            for output_variable, clipped_sets in clipped_by_output.items():
-                if len(clipped_sets) == 1:
-                    output_sets[output_variable] = clipped_sets[0]
-                else:
-                    output_sets[output_variable] = UnionSet(tuple(clipped_sets))
-            results.append(output_sets)
-        return results
+        program = self.program(rule_base)
+        if not measurements_list:
+            return []
+        strengths = program.strengths(program.inputs_of(measurements_list))
+        return [
+            {
+                output.name: output.fuzzy_set(heights[output.start:output.stop])
+                for output in program.outputs
+            }
+            for heights in strengths.T.tolist()
+        ]
 
     def output_domain(self, output_variable: str) -> Optional[Tuple[float, float]]:
         variable = self.output_variables.get(output_variable)

@@ -130,15 +130,9 @@ class Trapezoid(MembershipFunction):
         with np.errstate(divide="ignore", invalid="ignore"):
             rising = (xs - self.a) / (self.b - self.a)
             falling = (self.d - xs) / (self.d - self.c)
-        return np.select(
-            [
-                (xs < self.a) | (xs > self.d),
-                xs < self.b,
-                (xs <= self.c) | (self.c == self.d),
-            ],
-            [0.0, rising, 1.0],
-            default=falling,
-        )
+        plateau = np.where((xs <= self.c) | (self.c == self.d), 1.0, falling)
+        inside = np.where(xs < self.b, rising, plateau)
+        return np.where((xs < self.a) | (xs > self.d), 0.0, inside)
 
 
 def Triangle(a: float, b: float, c: float) -> Trapezoid:
@@ -173,11 +167,8 @@ class RampUp(MembershipFunction):
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float).ravel()
-        return np.select(
-            [xs <= self.a, xs >= self.b],
-            [0.0, 1.0],
-            default=(xs - self.a) / (self.b - self.a),
-        )
+        rising = (xs - self.a) / (self.b - self.a)
+        return np.where(xs <= self.a, 0.0, np.where(xs >= self.b, 1.0, rising))
 
 
 @dataclass(frozen=True)
@@ -201,11 +192,8 @@ class RampDown(MembershipFunction):
 
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float).ravel()
-        return np.select(
-            [xs <= self.a, xs >= self.b],
-            [1.0, 0.0],
-            default=(self.b - xs) / (self.b - self.a),
-        )
+        falling = (self.b - xs) / (self.b - self.a)
+        return np.where(xs <= self.a, 1.0, np.where(xs >= self.b, 0.0, falling))
 
 
 @dataclass(frozen=True)

@@ -191,18 +191,29 @@ class OpsBridge:
                 leaves.append(candidate)
         return leaves
 
-    def server_selection_stats(self) -> Dict[str, int]:
-        """``ServerSelector.stats`` summed over the run's controllers."""
+    def _selector_stats(self, attribute: str, stats: str) -> Dict[str, int]:
+        """One counter dict of one selector, summed over the run's controllers."""
         selectors = []
         for owner in [self.control_plane, *self._leaf_controllers()]:
-            selector = getattr(owner, "server_selector", None)
+            selector = getattr(owner, attribute, None)
             if selector is not None and selector not in selectors:
                 selectors.append(selector)
         totals: Dict[str, int] = {}
         for selector in selectors:
-            for name, count in selector.stats.items():
+            for name, count in getattr(selector, stats).items():
                 totals[name] = totals.get(name, 0) + count
         return totals
+
+    def server_selection_stats(self) -> Dict[str, int]:
+        """``ServerSelector.stats`` summed over the run's controllers."""
+        return self._selector_stats("server_selector", "stats")
+
+    def fuzzy_stats(self) -> Dict[str, Dict[str, int]]:
+        """The compiled-program counters of both fuzzy controllers."""
+        return {
+            role: self._selector_stats(f"{role}_selector", "fuzzy_stats")
+            for role in ("action", "server")
+        }
 
     def _capture_landscape(self, now: int) -> Tuple[Any, ...]:
         """Copies of the columns ``/state`` shows (fancy indexing copies)."""
@@ -488,6 +499,7 @@ class OpsServer:
         return {
             "events_forwarded": self.events_forwarded,
             "server_selection": self.bridge.server_selection_stats(),
+            "fuzzy": self.bridge.fuzzy_stats(),
             "clients": [
                 {
                     "id": client.id,

@@ -124,10 +124,12 @@ class Dispatcher:
         for instance, leaving in zip(running, departures):
             instance.users -= leaving
             moved += leaving
-        for __ in range(moved):
+        if moved:
+            # host load follows ``users`` only once the workload model recomputes
+            # demands, later in the tick: every user finds the same instance
             target = self.least_loaded(running)
             assert target is not None
-            target.users += 1
+            target.users += moved
         return moved
 
     # -- full-mobility redistribution --------------------------------------------------

@@ -162,3 +162,151 @@ class TestServiceSpecificRules:
                 SituationKind.SERVICE_OVERLOADED,
                 "IF diskLoad IS high THEN scaleOut IS applicable",
             )
+
+
+# -- the one ranking path against the scalar controller ----------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+OVERRIDE = """
+    IF cpuLoad IS high AND NOT (memLoad IS high) THEN increasePriority IS applicable
+    IF VERY cpuLoad IS low THEN scaleIn IS applicable WITH 0.6
+"""
+
+
+def overridden_selector():
+    selector = ActionSelector()
+    for kind in (SituationKind.SERVICE_OVERLOADED, SituationKind.SERVER_OVERLOADED):
+        selector.register_service_rules("CRITICAL", kind, OVERRIDE)
+    return selector
+
+
+def scalar_ranking(selector, kind, contexts, server_style):
+    """The paper's loop: one scalar controller run per context, then sort."""
+    collected = []
+    for ctx in contexts:
+        rulebase = selector.rulebase_for(kind, ctx.service_name)
+        outputs = selector._controller.evaluate(dict(ctx.measurements), rulebase).outputs
+        ranked = sorted(
+            (-value, Action.from_name(name).value, ctx.service_name, ctx.instance_id)
+            for name, value in outputs.items()
+        )
+        if not server_style:
+            return [(a, (-v).hex(), s, i) for v, a, s, i in ranked]
+        collected.extend(ranked)
+    return [(a, (-v).hex(), s, i) for v, a, s, i in sorted(collected)]
+
+
+def as_tuples(ranking):
+    return [
+        (r.action.value, r.applicability.hex(), r.service_name, r.instance_id)
+        for r in ranking
+    ]
+
+
+LOADS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.35, 0.4, 0.5, 0.65, 0.7, 0.9, 1.0, 1.2])
+COUNTS = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0, 12.0])
+contexts_st = st.builds(
+    lambda service, cpu, mem, pi, inst, svc, on_server, of_service: context(
+        service=service, instance=f"{service}#1", cpuLoad=cpu, memLoad=mem,
+        performanceIndex=pi, instanceLoad=inst, serviceLoad=svc,
+        instancesOnServer=on_server, instancesOfService=of_service,
+    ),
+    st.sampled_from(["FI", "LES", "CRITICAL"]),
+    LOADS, LOADS, st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0, 7.0, 9.0]),
+    LOADS, LOADS, COUNTS, COUNTS,
+)
+entries_st = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from([SituationKind.SERVER_OVERLOADED, SituationKind.SERVER_IDLE]),
+            st.lists(contexts_st, min_size=0, max_size=4),
+            st.just(True),
+        ),
+        st.tuples(
+            st.sampled_from([SituationKind.SERVICE_OVERLOADED, SituationKind.SERVICE_IDLE]),
+            st.lists(contexts_st, min_size=1, max_size=1),
+            st.just(False),
+        ),
+    ),
+    min_size=0,
+    max_size=6,
+)
+
+
+class TestOneRankingPath:
+    @settings(max_examples=60, deadline=None)
+    @given(entries=entries_st)
+    def test_every_entry_point_equals_the_scalar_controller(self, entries):
+        selector = overridden_selector()
+        expected = [
+            scalar_ranking(selector, kind, contexts, server_style)
+            for kind, contexts, server_style in entries
+        ]
+        pooled = selector.rank_situations(entries)
+        assert [as_tuples(ranking) for ranking in pooled] == expected
+        for (kind, contexts, server_style), ranking in zip(entries, expected):
+            if server_style:
+                assert as_tuples(selector.rank_many(kind, contexts)) == ranking
+            else:
+                assert as_tuples(selector.rank(kind, contexts[0])) == ranking
+
+    def test_by_hand_overloaded_service_on_a_medium_host(self):
+        """cpuLoad 0.9 is ``high`` to 0.8; a performanceIndex-4 host is
+        ``medium`` to 1 and neither ``low`` nor ``high``: the paper's first
+        rule fires at 0.8, no scale-out rule fires at all."""
+        ranked = ActionSelector().rank(
+            SituationKind.SERVICE_OVERLOADED,
+            context(cpuLoad=0.9, performanceIndex=4.0, memLoad=0.1, serviceLoad=0.1,
+                    instanceLoad=0.5, instancesOnServer=1.0, instancesOfService=2.0),
+        )
+        by_action = {r.action: r.applicability for r in ranked}
+        assert by_action[Action.SCALE_UP] == 0.8
+        assert by_action[Action.SCALE_OUT] == 0.0
+        assert ranked[0].action is Action.SCALE_UP
+
+    def test_rules_registered_for_a_ranked_service_change_its_next_ranking(self):
+        selector = ActionSelector()
+        overloaded = context(service="FI", cpuLoad=0.95, instancesOfService=2.0)
+        kind = SituationKind.SERVICE_OVERLOADED
+
+        def priority():
+            ranked = selector.rank(kind, overloaded)
+            return {r.action: r.applicability for r in ranked}[Action.INCREASE_PRIORITY]
+
+        assert priority() == 0.0
+        selector.register_service_rules(
+            "FI", kind, "IF cpuLoad IS high THEN increasePriority IS applicable"
+        )
+        assert priority() == 0.9
+        selector.register_service_rules(
+            "FI", kind, "IF cpuLoad IS high THEN increasePriority IS applicable WITH 0.5"
+        )
+        assert priority() == 0.45
+        # the default rule base itself is a public, mutable list
+        base = selector.rulebase_for(kind, "LES")
+        busy = context(service="LES", cpuLoad=0.95, instancesOfService=2.0)
+
+        def les_priority():
+            ranked = selector.rank(kind, busy)
+            return {r.action: r.applicability for r in ranked}[Action.INCREASE_PRIORITY]
+
+        assert les_priority() == 0.0
+        base.extend(selector._service_rulebases["FI"][kind].rules)
+        assert les_priority() == 0.45
+        assert priority() == 0.45  # FI's merged base is another object, unchanged
+
+    def test_counters_say_which_path_ran(self):
+        selector = ActionSelector()
+        selector.rank(SituationKind.SERVICE_OVERLOADED, context(cpuLoad=0.9))
+        selector.rank_many(
+            SituationKind.SERVER_IDLE, [context(service=s) for s in ("A", "B", "C")]
+        )
+        assert selector.fuzzy_stats == {
+            "programs_compiled": 2,
+            "batches": 2,
+            "contexts": 4,
+            "generic_terms": 0,
+            "grid_defuzzifications": 0,
+        }

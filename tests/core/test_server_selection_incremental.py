@@ -220,6 +220,49 @@ def test_restore_state_rebuilds_the_table():
     assert selector.stats["table_rebuilds"] == 2
 
 
+def test_a_rule_added_after_a_ranking_rescores_the_whole_column():
+    platform = Platform(build_landscape())
+    rulebases = default_server_rulebases()
+    selector = ServerSelector(rulebases=rulebases)
+    assert_table_equals_scalar(selector, platform)
+    rescored = selector.stats["hosts_rescored"]
+    rulebases[Action.MOVE].extend(
+        parse_rules("IF numberOfCpus IS many THEN suitability IS applicable WITH 0.99")
+    )
+    assert_table_equals_scalar(selector, platform)
+    assert selector.stats["hosts_rescored"] - rescored == HOSTS  # MOVE's, no other
+    assert selector.fuzzy_stats["programs_compiled"] == len(rulebases) + 1
+
+
+def test_one_idle_bl40p_is_fully_suitable_for_a_scale_out():
+    """cpuLoad 0 is ``low`` to 1 and performanceIndex 9 ``high`` to 1, so
+    the first scale-out rule (weight 1) fires at 1.0 — off the table for
+    thirty-three such hosts and per host for a short list alike."""
+    landscape = LandscapeSpec(
+        name="bl40p",
+        servers=[
+            ServerSpec(
+                f"DBServer{i}", performance_index=9.0, num_cpus=4,
+                cpu_clock_mhz=2800.0, cpu_cache_kb=2048.0, memory_mb=12288,
+                swap_space_mb=24576, temp_space_mb=102400,
+            )
+            for i in range(33)
+        ],
+        services=[],
+        initial_allocation=[],
+        controller=ControllerSettings(),
+    )
+    platform = Platform(landscape)
+    selector = ServerSelector()
+    hosts = list(platform.hosts.values())
+    for candidates in (hosts, hosts[:1]):
+        ranked = selector.rank(platform, Action.SCALE_OUT, candidates)
+        assert [r.score for r in ranked] == [1.0] * len(candidates)
+    assert selector.stats["scalar_fallbacks"] == 1
+    assert selector.fuzzy_stats["generic_terms"] == 0
+    assert selector.fuzzy_stats["grid_defuzzifications"] == 0
+
+
 # -- incremental cost --------------------------------------------------------------
 
 

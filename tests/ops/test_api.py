@@ -113,6 +113,15 @@ class TestHttpEndpoints:
             "table_rebuilds", "hosts_rescored", "rank_calls",
             "scalar_fallbacks", "ranked_materialised",
         }
+        controller = runner.controller
+        assert stats["fuzzy"] == {
+            "action": controller.action_selector.fuzzy_stats,
+            "server": controller.server_selector.fuzzy_stats,
+        }
+        assert set(stats["fuzzy"]["server"]) == {
+            "programs_compiled", "batches", "contexts", "generic_terms",
+            "grid_defuzzifications",
+        }
 
 
 class TestVerdicts:

@@ -110,6 +110,25 @@ class TestFluctuation:
         assert instances[1].users > 100
         assert instances[0].users + instances[1].users == 300
 
+    def test_every_user_reconnects_to_the_one_least_loaded_instance(self):
+        """Host load does not move with ``users`` inside a tick, so the
+        least-loaded instance is chosen once, not once per moved user."""
+        loads = {"H0": 0.2, "H1": 0.5, "H2": 0.9}
+        probes = []
+
+        def probe(instance):
+            probes.append(instance.host_name)
+            return loads[instance.host_name]
+
+        __, instances = make_instances([1.0, 1.0, 1.0])
+        for instance, users in zip(instances, (10, 20, 30)):
+            instance.users = users
+        dispatcher = Dispatcher(host_load=probe, host_capacity=lambda i: 1.0)
+        moved = dispatcher.fluctuate(instances, 1.0, np.random.default_rng(1))
+        assert moved == 60
+        assert [i.users for i in instances] == [60, 0, 0]
+        assert len(probes) <= len(instances)
+
     def test_zero_rate_moves_nobody(self):
         dispatcher, instances = make_instances([1.0, 1.0])
         instances[0].users = 100

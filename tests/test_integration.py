@@ -101,6 +101,24 @@ class TestActionPolicyEndToEnd:
         assert result.actions == runner.platform.audit_log
 
 
+class TestFuzzyPathCounters:
+    def test_paper_landscape_runs_on_the_stacked_table_and_the_closed_form(self):
+        """Tables 1 and 3 are all trapezoids and every rule asserts the one
+        ramp: in a run, no term row leaves the stacked table, no output
+        takes the defuzzifier grid, and a rule base is compiled once."""
+        runner, __ = run(Scenario.FULL_MOBILITY, 1.15, horizon=60)
+        controller = runner.controller
+        action = controller.action_selector.fuzzy_stats
+        server = controller.server_selector.fuzzy_stats
+        for stats in (action, server):
+            assert stats["batches"] > 0 and stats["contexts"] >= stats["batches"]
+            assert stats["generic_terms"] == 0
+            assert stats["grid_defuzzifications"] == 0
+        # the built-in landscape declares no service overrides
+        assert 1 <= action["programs_compiled"] <= 4  # triggers
+        assert 1 <= server["programs_compiled"] <= 5  # actions needing a host
+
+
 class TestMonitoringEndToEnd:
     def test_archive_has_full_series_for_every_host(self):
         runner, result = run(Scenario.STATIC, 1.0, horizon=120)
