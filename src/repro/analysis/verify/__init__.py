@@ -21,6 +21,7 @@ from repro.analysis.verify.checkers import (
 from repro.analysis.verify.engine import (
     TraceVerifier,
     load_summary,
+    read_trace_or_store,
     verify_trace,
     verify_traces,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "analyze_oscillation",
     "default_checkers",
     "load_summary",
+    "read_trace_or_store",
     "vc_format",
     "vc_join",
     "vc_leq",

@@ -33,7 +33,7 @@ from repro.telemetry.bus import Envelope, EventBus, WILDCARD
 from repro.telemetry.records import TOPIC_REPORTS, record_to_dict
 from repro.telemetry.trace import TraceEvent, merge_traces, read_trace
 
-__all__ = ["TraceVerifier", "verify_trace", "verify_traces", "load_summary"]
+__all__ = ["TraceVerifier", "read_trace_or_store", "verify_trace", "verify_traces", "load_summary"]
 
 PathLike = Union[str, Path]
 
@@ -135,12 +135,15 @@ def load_summary(path: PathLike) -> Dict[str, Any]:
     return payload
 
 
-def _read_trace_or_store(trace_file: Path):
+def read_trace_or_store(trace_file: PathLike):
     """Dispatch on file format: SQLite event store or JSONL trace.
 
-    Both yield the same ``(TraceHeader, [TraceEvent])`` shape, so the
-    checkers downstream cannot tell which surface the run was captured
-    on — the ISSUE's "same report from either format" guarantee.
+    The one reader of a run's events, whoever asks (``autoglobe
+    verify``, the federation merge).  Both formats yield the same
+    ``(TraceHeader, [TraceEvent])`` shape, so the checkers downstream
+    cannot tell which the run was captured in.  A damaged store raises
+    :class:`~repro.core.state.StateCorruptError`; a file either reader
+    cannot make sense of, :class:`~repro.telemetry.trace.TraceSchemaError`.
     """
     from repro.ops.store import is_store_file, read_store
 
@@ -166,7 +169,7 @@ def verify_trace(
     written by a newer schema version.
     """
     trace_file = Path(trace_path)
-    header, events = _read_trace_or_store(trace_file)
+    header, events = read_trace_or_store(trace_file)
     verifier = TraceVerifier(ignore=ignore)
     for event in events:
         verifier.feed(event)
@@ -192,8 +195,8 @@ def verify_traces(
 ) -> AnalysisReport:
     """Verify several per-agent trace exports as one merged run.
 
-    Each file is a multi-process agent's Lamport-stamped trace (see
-    :class:`~repro.telemetry.trace.ClockedTraceWriter`); the streams are
+    Each file is a multi-process agent's Lamport-stamped event log (its
+    ``state.db``, or a JSONL export of it); the streams are
     merged with :func:`~repro.telemetry.trace.merge_traces` into the
     same causally ordered sequence the federation server verifies live,
     so offline replay of the per-agent exports reproduces the server's
@@ -208,7 +211,7 @@ def verify_traces(
     complete = True
     for path in trace_paths:
         trace_file = Path(path)
-        header, events = _read_trace_or_store(trace_file)
+        header, events = read_trace_or_store(trace_file)
         complete = complete and header.complete
         sources.append((trace_file.parent.name or trace_file.stem, events))
     sources.sort(key=lambda pair: pair[0])

@@ -41,11 +41,12 @@ Subcommands::
         compensation completeness, accounting consistency) and the
         findings fold into the exit code like lint findings.
 
-    autoglobe verify TRACE.jsonl [--summary summary.json] [--strict]
-        Replay an exported telemetry trace through the same invariant
+    autoglobe verify TRACE [--summary summary.json] [--strict]
+        Replay a run's events — a SQLite event store (--store, the
+        store.db of an --export directory, a domain agent's state.db)
+        or a JSONL trace rendered from one — through the same invariant
         checkers offline.  For the same run, the offline report is
-        byte-identical to the live sanitizer's.  A SQLite event store
-        written with --store is accepted in place of the JSONL trace.
+        byte-identical to the live sanitizer's.
 
     autoglobe run ... --store store.db --serve 127.0.0.1:8642
         Additionally persist every telemetry event to a crash-tolerant
@@ -155,7 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--actions", action="store_true",
                      help="print the controller action log")
     run.add_argument("--export", default=None, metavar="DIR",
-                     help="export summary/series/action CSVs to a directory")
+                     help="export summary/series/action CSVs to a "
+                          "directory, with the run's event store "
+                          "(store.db, unless --store names another "
+                          "place) and telemetry.jsonl rendered from it")
     run.add_argument("--explain", action="store_true",
                      help="explain the controller's most recent decisions")
     run.add_argument("--chaos", action="store_true",
@@ -301,15 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser(
         "verify",
-        help="check an exported telemetry trace against the AG3xx "
+        help="check a run's events (trace or store) against the AG3xx "
              "temporal invariants",
     )
     verify.add_argument(
-        "trace", metavar="TRACE.jsonl", nargs="+",
-        help="telemetry trace exported by 'autoglobe run --export', or "
-             "a SQLite event store written with --store; several "
-             "per-agent traces from a --multiproc run are merged by "
-             "Lamport clock before verification",
+        "trace", metavar="TRACE", nargs="+",
+        help="trace or store: a SQLite event store (--store, an "
+             "--export directory's store.db, a domain agent's "
+             "state.db) or the telemetry.jsonl rendered from one; "
+             "several per-agent files from a --multiproc run are "
+             "merged by Lamport clock before verification",
     )
     verify.add_argument(
         "--summary", default=None, metavar="SUMMARY.json",
@@ -353,6 +358,15 @@ def _cmd_run(args) -> int:
     from repro.sim.clock import SimClock
 
     SimClock(start_minute, horizon=start_minute + horizon)
+    store_path = args.store
+    if args.export and store_path is None:
+        # the exported trace is rendered from the run's store: complete
+        # for any run length, and across a --kill-at and a --resume
+        from repro.sim.export import export_directory
+
+        base = export_directory(args.export, args.scenario.value, args.users)
+        base.mkdir(parents=True, exist_ok=True)
+        store_path = base / "store.db"
     runner = SimulationRunner(
         args.scenario,
         user_factor=args.users,
@@ -368,7 +382,7 @@ def _cmd_run(args) -> int:
         standby=args.standby,
         kill_at=args.kill_at,
         verify=args.verify,
-        store_path=args.store,
+        store_path=store_path,
         serve=args.serve,
         pace=args.pace,
         semi_automatic=args.semi_automatic,
@@ -376,24 +390,7 @@ def _cmd_run(args) -> int:
     if runner.ops_server is not None:
         print(f"ops API listening on http://{runner.ops_server.host}:"
               f"{runner.ops_server.port}", file=sys.stderr)
-    trace_writer = None
-    if args.verify and args.export:
-        # stream the trace instead of dumping the bounded ring afterwards,
-        # so the exported file is complete and offline verification of it
-        # reproduces the live sanitizer's report
-        from pathlib import Path
-
-        from repro.telemetry.trace import TraceWriter
-
-        base = Path(args.export) / (
-            f"{args.scenario.value}_{round(args.users * 100)}"
-        )
-        base.mkdir(parents=True, exist_ok=True)
-        trace_writer = TraceWriter(base / "telemetry.jsonl")
-        trace_writer.attach(runner.platform.bus)
     result = runner.run()
-    if trace_writer is not None:
-        trace_writer.close()
     print(result.summary())
     requests = getattr(runner.controller, "relocation_requests", None)
     if requests is not None:
@@ -422,15 +419,10 @@ def _cmd_run(args) -> int:
         for action in result.actions:
             print(f"  {format_minute(action.time)}  {action}")
     if args.export:
-        from repro.sim.export import export_all, export_telemetry_jsonl
+        from repro.sim.export import export_all, export_store_jsonl
 
         target = export_all(result, args.export)
-        if trace_writer is not None:
-            exported = trace_writer.count
-        else:
-            exported = export_telemetry_jsonl(
-                runner.platform.bus, target / "telemetry.jsonl"
-            )
+        exported = export_store_jsonl(store_path, target / "telemetry.jsonl")
         print(f"  exported to {target} ({exported} telemetry records)")
     if args.explain:
         from repro.core.explain import explain_last_decisions
@@ -652,8 +644,23 @@ def _cmd_lint(args) -> int:
     return report.exit_code(strict=args.strict)
 
 
+def _unreadable(command: str, target, exc: Exception) -> int:
+    """A run file the command cannot read: one line on stderr, exit 2."""
+    from repro.analysis import EXIT_ERRORS
+    from repro.core.state import StateCorruptError
+
+    reason = str(exc)
+    if isinstance(exc, StateCorruptError):
+        reason = f"{exc.path}: corrupt ({exc.detail})"
+    if not reason.startswith(f"{target}: "):  # store errors name their file
+        reason = f"{target}: {reason}"
+    print(f"autoglobe {command}: {reason}", file=sys.stderr)
+    return EXIT_ERRORS
+
+
 def _cmd_tail(args) -> int:
     from repro.analysis import EXIT_ERRORS
+    from repro.core.state import StateCorruptError
     from repro.ops.store import is_store_file, tail_store
 
     from pathlib import Path
@@ -684,6 +691,8 @@ def _cmd_tail(args) -> int:
             printed += 1
             if args.max_events is not None and printed >= args.max_events:
                 break
+    except (StateCorruptError, ValueError) as exc:
+        return _unreadable("tail", store, exc)
     except KeyboardInterrupt:
         pass
     except BrokenPipeError:
@@ -707,17 +716,16 @@ def _tail_detail(record: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
-    from repro.analysis import EXIT_ERRORS, verify_traces
-    from repro.telemetry.trace import TraceSchemaError
+    from repro.analysis import verify_traces
+    from repro.core.state import StateCorruptError
 
     try:
         report = verify_traces(
             args.trace, summary_path=args.summary, ignore=args.ignore
         )
-    except (OSError, TraceSchemaError, ValueError) as exc:
+    except (OSError, StateCorruptError, ValueError) as exc:
         target = args.trace[0] if len(args.trace) == 1 else args.trace
-        print(f"autoglobe verify: {target}: {exc}", file=sys.stderr)
-        return EXIT_ERRORS
+        return _unreadable("verify", target, exc)
     print(report.render(args.format_))
     return report.exit_code(strict=args.strict)
 

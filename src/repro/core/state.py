@@ -25,9 +25,15 @@ once by :class:`StateDb`:
 * ``load_samples`` / ``admin_events`` — the load archive
   (:class:`~repro.monitoring.archive.SqliteLoadArchive`), one
   all-or-nothing batch per tick.
+* ``events`` / ``meta`` — the telemetry event log
+  (:class:`~repro.ops.store.TelemetryStore`): a domain agent's stream in
+  its own ``state.db``, a runner's or the federation server's merged
+  stream in a ``store.db`` that is a state file like any other.
 
-A file that fails its integrity check on open raises
-:class:`StateCorruptError`; nothing is skipped, dropped or rebuilt.
+Every file a run leaves is opened here and nowhere else — read-write by
+:class:`StateDb`, read-only by :func:`open_readonly` — and one that
+fails its integrity check on open raises :class:`StateCorruptError`;
+nothing is skipped, dropped or rebuilt.
 :func:`replay_journal` is the idempotent fold from (snapshot, journal
 suffix) back to controller state: whatever action intent it leaves
 unresolved was in flight when the controller died and must be
@@ -53,6 +59,7 @@ __all__ = [
     "STATE_FILE",
     "StateCorruptError",
     "StateDb",
+    "open_readonly",
     "JournalRecord",
     "StateJournal",
     "SnapshotStore",
@@ -108,7 +115,7 @@ STATE_FILE = "state.db"
 
 class StateCorruptError(Exception):
     """A state file failed its integrity check on open; nothing in it
-    (journal, snapshots, lease) is trusted, repaired or skipped."""
+    (journal, snapshots, lease, events) is trusted, repaired or skipped."""
 
     def __init__(self, path: str, detail: str) -> None:
         super().__init__(
@@ -119,8 +126,46 @@ class StateCorruptError(Exception):
         self.detail = detail
 
 
+#: How long a connection waits for a competing process's transaction
+#: before giving up; transactions here are tiny, so contention clears in
+#: microseconds and this is pure safety margin.
+BUSY_TIMEOUT_MS = 5_000
+
+
+def _checked(
+    connection: sqlite3.Connection, path: str, setup: str = ""
+) -> sqlite3.Connection:
+    """Finish an open: the setup script, then the integrity check.  A
+    damaged file closes the connection and is a :class:`StateCorruptError`."""
+    try:
+        connection.executescript(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS};" + setup)
+        # surface torn pages now, not on some later query
+        try:
+            status = connection.execute("PRAGMA quick_check").fetchone()
+        except UnicodeDecodeError as error:  # a complaint quoting torn bytes
+            status = (str(error),)
+        if status is None or status[0] != "ok":
+            raise sqlite3.DatabaseError(f"integrity check failed: {status}")
+    except sqlite3.DatabaseError as error:
+        connection.close()
+        if isinstance(error, sqlite3.OperationalError):
+            raise  # locked or unwritable, not damaged
+        raise StateCorruptError(path, str(error)) from error
+    return connection
+
+
+def open_readonly(path: Union[str, Path]) -> sqlite3.Connection:
+    """A checked read-only connection to a state file, one a run may
+    still be writing (``autoglobe verify`` / ``tail``, the federation
+    merge)."""
+    return _checked(
+        sqlite3.connect(f"file:{Path(path)}?mode=ro", uri=True), str(path)
+    )
+
+
 class StateDb:
-    """The one SQLite connection to a state file (or ``":memory:"``).
+    """The one read-write SQLite connection to a state file (or
+    ``":memory:"``).
 
     WAL mode lets the federation server renew a domain's lease while the
     domain's agent journals into the same file.  The connection is in
@@ -128,11 +173,6 @@ class StateDb:
     ``synchronous=NORMAL``, which survives ``kill -9``) when ``execute``
     returns; anything spanning statements runs in :meth:`transaction`.
     """
-
-    #: How long a writer waits for a competing process's transaction
-    #: before giving up; transactions here are tiny, so contention
-    #: clears in microseconds and this is pure safety margin.
-    BUSY_TIMEOUT_MS = 5_000
 
     _SCHEMA = """
     CREATE TABLE IF NOT EXISTS journal (
@@ -167,6 +207,20 @@ class StateDb:
         details  TEXT NOT NULL
     );
     CREATE INDEX IF NOT EXISTS idx_events_time ON admin_events (time);
+    CREATE TABLE IF NOT EXISTS meta (
+        key   TEXT PRIMARY KEY,
+        value TEXT NOT NULL
+    );
+    CREATE TABLE IF NOT EXISTS events (
+        source TEXT NOT NULL DEFAULT '',
+        seq    INTEGER NOT NULL,
+        topic  TEXT NOT NULL,
+        time   INTEGER,
+        clock  INTEGER,
+        record BLOB NOT NULL,
+        PRIMARY KEY (source, seq)
+    );
+    CREATE INDEX IF NOT EXISTS events_topic ON events (topic, source, seq);
     """
 
     def __init__(
@@ -177,24 +231,14 @@ class StateDb:
         # that serialize access themselves (the federation server touches
         # each domain's lease from reader, sweep and shutdown threads,
         # all under one lock)
-        self.connection = sqlite3.connect(
-            self.path, isolation_level=None, check_same_thread=not cross_thread
+        self.connection = _checked(
+            sqlite3.connect(
+                self.path, isolation_level=None, check_same_thread=not cross_thread
+            ),
+            self.path,
+            "PRAGMA journal_mode = WAL; PRAGMA synchronous = NORMAL;" + self._SCHEMA,
         )
         self._closed = False
-        try:
-            self.connection.execute(f"PRAGMA busy_timeout = {self.BUSY_TIMEOUT_MS}")
-            self.connection.execute("PRAGMA journal_mode = WAL")
-            self.connection.execute("PRAGMA synchronous = NORMAL")
-            # surface torn pages now, not on some later query
-            status = self.connection.execute("PRAGMA quick_check").fetchone()
-            if status is None or status[0] != "ok":
-                raise sqlite3.DatabaseError(f"integrity check failed: {status}")
-            self.connection.executescript(self._SCHEMA)
-        except sqlite3.DatabaseError as error:
-            self.connection.close()
-            if isinstance(error, sqlite3.OperationalError):
-                raise  # locked or unwritable, not damaged
-            raise StateCorruptError(self.path, str(error)) from error
 
     @contextmanager
     def transaction(self, fsync: bool = False) -> Iterator[sqlite3.Connection]:

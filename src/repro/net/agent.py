@@ -13,9 +13,9 @@ and speaks the :mod:`repro.net.protocol` schema to the coordinating
   minimum simulated minute, the pacing floor that keeps loosely coupled
   agents within ``sim_lead_minutes`` of the slowest peer;
 * **telemetry** — every envelope published on the agent's bus is
-  Lamport-stamped into the local trace file *and* forwarded in acked,
-  deduplicated batches, so the server can merge per-domain streams into
-  one causally consistent trace;
+  Lamport-stamped into the ``events`` table of the domain's ``state.db``
+  *and* forwarded in acked, deduplicated batches, so the server can
+  merge per-domain streams into one causally consistent trace;
 * **escrow** — overloads no local action can remedy go through the
   server-brokered two-phase relocation (prepare / commit / attach),
   with every phase published as an :class:`~repro.telemetry.records.EscrowEvent`
@@ -29,13 +29,17 @@ events around the outage.  Reconnection uses capped exponential
 backoff; a deposed session (the server expired us while we were silent)
 re-handshakes immediately and adopts the bumped token.
 
-Durability mirrors the single-process runner: periodic full-run
-snapshots into the domain's :class:`~repro.core.state.DurableStateStore`,
-plus a ``net`` section (Lamport clock, telemetry ack watermark, escrow
-reservations and reply caches) so a SIGKILLed agent resumes with its
-trace, outbox and escrow target state intact.  SIGTERM is graceful:
-finish the current minute, snapshot, flush the trace, drain telemetry
-and deregister with the final run summary.
+Durability mirrors the single-process runner: events are state — rows
+of the same ``state.db`` as journal, snapshots and load archive,
+committed by the store's one group-commit policy and before every
+snapshot — and periodic full-run snapshots carry a ``net`` section
+(Lamport clock, bus sequence, telemetry ack watermark, escrow
+reservations and reply caches).  A SIGKILLed agent resumes by dropping
+the event rows past the snapshot's bus sequence and reading its outbox
+back from the table: the rows past the ack watermark.  SIGTERM is
+graceful: finish the current minute, snapshot, drain telemetry and
+deregister with the final run summary.  A domain directory holds
+``state.db`` and ``summary.json``.
 """
 
 from __future__ import annotations
@@ -73,17 +77,17 @@ from repro.net.protocol import (
     validate_message,
 )
 from repro.net.transport import EndpointClosed, connect_tcp
+from repro.ops.store import TelemetryStore
 from repro.serviceglobe.actions import ActionError, ActionOutcome
-from repro.serviceglobe.executor import ActionExecutor, ExecutionFaults
 from repro.serviceglobe.platform import DomainView, Platform
 from repro.sim.clock import PAPER_HORIZON_MINUTES
 from repro.sim.export import summary_json_payload
-from repro.sim.faults import FaultInjector, FaultRecord
-from repro.sim.results import (
-    ResultCollector,
-    SimulationResult,
-    SlaPolicy,
-    expired_approvals_by_service,
+from repro.sim.faults import FaultInjector
+from repro.sim.results import ResultCollector, SimulationResult, SlaPolicy
+from repro.sim.runner import (
+    approval_counts,
+    make_executor_factory,
+    merged_fault_records,
 )
 from repro.sim.scenarios import (
     ChaosProfile,
@@ -94,6 +98,7 @@ from repro.sim.scenarios import (
     user_distribution_for,
 )
 from repro.sim.workload import WorkloadModel
+from repro.telemetry.bus import WILDCARD, Envelope
 from repro.telemetry.records import (
     TOPIC_SUPERVISION,
     EscrowEvent,
@@ -101,13 +106,9 @@ from repro.telemetry.records import (
     SituationKind,
     SupervisionEvent,
     SupervisionEventKind,
+    record_payload,
 )
-from repro.telemetry.trace import (
-    ClockedTraceWriter,
-    LamportClock,
-    read_trace,
-    write_trace,
-)
+from repro.telemetry.trace import LamportClock
 
 __all__ = ["SessionSupervisor", "DomainAgent", "main"]
 
@@ -247,23 +248,22 @@ class DomainAgent:
         self.store = DurableStateStore(self.dir)
         if not resume:
             try:
-                # before the trace writer truncates the earlier run's trace
+                # before anything below writes to the earlier run's file
                 self.store.require_unused()
             except ValueError:
                 self.store.close()
                 raise
-        self.trace_path = self.dir / "telemetry.jsonl"
 
         self.clock = LamportClock()
         platform = Platform(
             scenario_landscape, user_distribution=user_distribution_for(scenario)
         )
-        self.writer = ClockedTraceWriter(
-            self.trace_path, self.clock, on_event=self._on_trace_event
-        )
+        #: the domain's event log: rows of the same state.db
+        self.events = TelemetryStore(self.store.db, source=domain)
         if not resume:
-            # attach before anything publishes so the trace is complete
-            self.writer.attach(platform.bus)
+            # subscribed below before anything publishes, on an unused file
+            self.events.mark_complete(True)
+        platform.bus.subscribe(WILDCARD, self._on_envelope)
         self.view = DomainView(
             platform, domain, list(platform.hosts), list(platform.services)
         )
@@ -279,7 +279,7 @@ class DomainAgent:
             enabled=enabled,
             store=self.store,
             standby=False,
-            executor_factory=self._make_executor_factory(chaos),
+            executor_factory=make_executor_factory(self.view, chaos),
             relocation_handler=self._relocation_handler,
         )
         self.workload = WorkloadModel(platform, seed=seed + domain_index)
@@ -347,33 +347,20 @@ class DomainAgent:
         self._escrow_in_count = 0
         self.result: Optional[SimulationResult] = None
 
-    # -- construction helpers -------------------------------------------------------
+    def _on_envelope(self, envelope: Envelope) -> None:
+        """One stamp per envelope: the same number and the same payload
+        go into the event row and the outbox entry (the merge sorts by it)."""
+        stamp = self.clock.tick()
+        record = record_payload(envelope.record)
+        self.events.add(envelope.seq, envelope.topic, record, stamp)
+        self._owe(envelope.seq, envelope.topic, record, stamp)
 
-    def _make_executor_factory(self, chaos: Optional[ChaosProfile]):
-        def build(name: str, replica_number: int) -> ActionExecutor:
-            # self.view is bound by the time any replica is constructed
-            view = self.view
-            if chaos is None:
-                return ActionExecutor(view, name=name)
-            return ActionExecutor(
-                view,
-                faults=ExecutionFaults(
-                    failure_probability=chaos.action_failure_probability,
-                    commit_failure_probability=chaos.commit_failure_probability,
-                    latency_means=dict(chaos.action_latency_means),
-                    latency_jitter=chaos.action_latency_jitter,
-                ),
-                seed=chaos.seed + 1000 + replica_number,
-                name=name,
-            )
-
-        return build
-
-    def _on_trace_event(
-        self, seq: int, topic: str, record: Dict[str, Any], stamp: int
+    def _owe(
+        self, seq: int, topic: str, record: Dict[str, Any], clock: Optional[int]
     ) -> None:
+        """Queue one event for forwarding, in its wire form."""
         self._outbox.append(
-            {"seq": seq, "topic": topic, "record": record, "clock": stamp}
+            {"seq": seq, "topic": topic, "record": record, "clock": clock}
         )
 
     def request_stop(self) -> None:
@@ -409,6 +396,7 @@ class DomainAgent:
             self._service_network(now)
             self._maybe_heartbeat(now)
             self._flush_telemetry(now)
+            self.events.end_tick()
             last = now
             if (now - self.start_minute + 1) % self.snapshot_interval == 0 or (
                 now == end - 1
@@ -1130,9 +1118,9 @@ class DomainAgent:
     # -- durability (kill -9 and resume) ------------------------------------------------
 
     def _save_snapshot(self, now: int) -> None:
-        # the trace tail must be durable before the snapshot that points
-        # into it: resume truncates the trace to the snapshot's sequence
-        self.writer.flush()
+        # the event rows must be committed before the snapshot that
+        # points into them: resume keeps the rows up to its bus_seq
+        self.events.flush()
         payload: Dict[str, Any] = {
             "platform": self.view.platform.snapshot_state(),
             "workload": self.workload.snapshot_state(),
@@ -1188,24 +1176,13 @@ class DomainAgent:
         net = payload["net"]
         self.clock.time = int(net["clock"])
         bus_seq = int(net["bus_seq"])
-        # cut the trace back to the snapshot: everything after belongs to
-        # the abandoned timeline between snapshot and kill
-        header, events = read_trace(self.trace_path)
-        kept = [event for event in events if event.seq <= bus_seq]
-        write_trace(self.trace_path, kept, header.complete)
+        # cut the event log back to the snapshot: everything after belongs
+        # to the abandoned timeline between snapshot and kill
+        self.events.truncate_after(bus_seq)
         self.view.bus.fast_forward(bus_seq)
-        self.writer.attach_resumed(self.view.bus)
         self._acked_seq = int(net["acked_seq"])
-        self._outbox = [
-            {
-                "seq": event.seq,
-                "topic": event.topic,
-                "record": event.record,
-                "clock": event.clock,
-            }
-            for event in kept
-            if event.seq > self._acked_seq
-        ]
+        for event in self.events.since(self._acked_seq):
+            self._owe(event.seq, event.topic, event.record, event.clock)
         self._batch = int(net["batch"])
         self._escrow_seq = int(net["escrow_seq"])
         # a resumed process is a new incarnation: the handshake must
@@ -1220,27 +1197,6 @@ class DomainAgent:
 
     # -- finishing ----------------------------------------------------------------------
 
-    def _merged_fault_records(self):
-        records = list(self.injector.faults) if self.injector is not None else []
-        for event in self._supervision_events:
-            if event.kind.creates_fault_record:
-                records.append(
-                    FaultRecord(
-                        event.time, "", "", "", event.kind.value,
-                        getattr(event, "domain", ""),
-                    )
-                )
-        records.sort(key=lambda record: record.time)
-        return records or None
-
-    def _approval_counts(self):
-        queue = self.supervisor.alerts.approvals
-        return {
-            "expired_approval_count": len(queue.expired()),
-            "pending_approval_count": len(queue.pending()),
-            "expired_approvals_by_service": expired_approvals_by_service(queue),
-        }
-
     def _finish(self, last: int, end: int) -> SimulationResult:
         partial = last < end - 1
         if partial and last >= self.start_minute:
@@ -1250,9 +1206,11 @@ class DomainAgent:
         result = self.collector.finalize(
             final_minute=final_minute,
             escalation_count=len(self.supervisor.alerts.escalations()),
-            fault_records=self._merged_fault_records(),
+            fault_records=merged_fault_records(
+                self.injector, self._supervision_events
+            ),
             controller_down_minutes=self.supervisor.downtime_minutes,
-            **self._approval_counts(),
+            **approval_counts(self.supervisor.alerts),
         )
         self.result = result
         summary = summary_json_payload(result)
@@ -1268,14 +1226,14 @@ class DomainAgent:
             "escrow_out": self._escrow_out_count,
             "escrow_in": self._escrow_in_count,
         }
-        self.writer.flush()
+        self.events.flush()
         self._drain_and_deregister(final_minute, summary)
         # disk is authoritative: the orchestrator reads these even when
         # the deregister never got through a partition
         (self.dir / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
         )
-        self.writer.close()
+        self.events.close()  # what the drain itself published
         self.store.close()
         if self._endpoint is not None:
             try:

@@ -10,12 +10,14 @@ per-domain artifacts into a single verified run:
 * a crashed agent (``--kill-agent`` chaos, or any abnormal exit) is
   respawned with ``--resume``: it restores from its durable snapshot,
   re-handshakes under a new incarnation (bumping the fencing token) and
-  appends to its own trace;
+  continues its own event log;
 * at the end the orchestrator reads each domain's ``summary.json`` and
-  ``telemetry.jsonl`` *from disk* — authoritative even when a partition
-  swallowed the agent's final deregister — and hands them to
-  :meth:`FederationServer.finalize` for the merged summary, merged
-  trace and AG3xx verification report.
+  hands it, with the path of the domain's ``state.db`` (whose ``events``
+  table is the agent's own log), to :meth:`FederationServer.finalize`
+  — disk is authoritative even when a partition swallowed the agent's
+  final deregister — for the merged summary, the merged trace
+  (``telemetry.jsonl`` and ``store.db`` under ``out_dir``) and the
+  AG3xx verification report.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import repro
+from repro.core.state import STATE_FILE
 from repro.net.chaos import NetChaosProfile
 from repro.net.server import FederationServer
 from repro.sim.clock import PAPER_HORIZON_MINUTES
@@ -210,7 +213,7 @@ def run_multiproc(
                     f"agent {name} finished without writing {summary_path}"
                 )
             summaries[name] = json.loads(summary_path.read_text(encoding="utf-8"))
-            trace_paths[name] = state_dir / name / "telemetry.jsonl"
+            trace_paths[name] = state_dir / name / STATE_FILE
         report, merged_summary, trace_path = server.finalize(
             Path(out_dir),
             summaries=summaries,

@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.verify.engine import TraceVerifier
+from repro.analysis.verify.engine import TraceVerifier, read_trace_or_store
 from repro.net.chaos import NetChaosProfile, NetFaultInjector
 from repro.net.protocol import (
     FrameError,
@@ -54,7 +54,6 @@ from repro.telemetry.trace import (
     LamportClock,
     TraceEvent,
     merge_traces,
-    read_trace,
     write_trace,
 )
 
@@ -804,16 +803,17 @@ class FederationServer:
     ):
         """Merge, verify and export the federation's run artifacts.
 
-        ``trace_paths`` (domain -> per-agent trace file) makes the
-        on-disk exports authoritative — the right choice under wire
-        chaos, where the server's live telemetry copy may be missing a
-        partitioned tail.  Without it the wire-collected events are
-        used, which is what "the live server-side verifier" means.
-        ``store_path`` additionally writes every per-source stream into
-        one SQLite event store (:class:`repro.ops.store.TelemetryStore`,
-        first write per ``(source, seq)`` wins); reading the store back
-        merges the sources by Lamport clock into the same stream
-        verified here.  Returns ``(report, merged_summary,
+        ``trace_paths`` (domain -> that agent's ``state.db``, or a JSONL
+        export of it) makes the agents' own event logs authoritative —
+        the right choice under wire chaos, where the server's live
+        telemetry copy may be missing a partitioned tail.  Without it
+        the wire-collected events are used, which is what "the live
+        server-side verifier" means.  ``store_path`` additionally writes
+        every per-source stream into one SQLite event store
+        (:class:`repro.ops.store.TelemetryStore`); reading the store
+        back merges the sources by Lamport clock into the same stream
+        verified here.  Both outputs replace what an earlier run left
+        at their paths.  Returns ``(report, merged_summary,
         merged_trace_path)``.
         """
         out_dir = Path(out_dir)
@@ -822,7 +822,7 @@ class FederationServer:
         if trace_paths is not None:
             sources = []
             for domain in sorted(trace_paths):
-                header, events = read_trace(trace_paths[domain])
+                header, events = read_trace_or_store(trace_paths[domain])
                 complete = complete and header.complete
                 sources.append((domain, events))
         else:
@@ -835,20 +835,13 @@ class FederationServer:
             from repro.ops.store import TelemetryStore
 
             with TelemetryStore(store_path) as event_store:
-                for domain, events in sources:
+                event_store.clear()
+                for domain, events in [*sources, ("server", synthesized)]:
                     event_store.insert_events(
                         domain,
                         [
                             (e.seq, e.topic, e.record, e.clock)
                             for e in events
-                        ],
-                    )
-                if synthesized:
-                    event_store.insert_events(
-                        "server",
-                        [
-                            (e.seq, e.topic, e.record, e.clock)
-                            for e in synthesized
                         ],
                     )
                 event_store.mark_complete(complete)

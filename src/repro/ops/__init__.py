@@ -2,28 +2,19 @@
 
 ``repro.ops`` is the layer every external surface plugs into:
 
-* :mod:`repro.ops.store` — a batched, crash-tolerant SQLite event store
-  subscribed wildcard on the telemetry bus; ``autoglobe verify``,
-  ``autoglobe tail`` and multi-run comparison replay straight from it.
+* :mod:`repro.ops.store` — the event log: the ``events`` table of a
+  state file, committed in batches at tick boundaries; ``autoglobe
+  verify``, ``autoglobe tail``, the JSONL export and the federation
+  merge all read it.
 * :mod:`repro.ops.api` — a stdlib-only asyncio HTTP/WebSocket API
   serving landscape snapshots, open situations, pending approvals and a
   live ``/events`` stream; approve/reject verdicts are routed back into
   the controller through its thread-safe command queue.
 * :mod:`repro.ops.console` — the terminal client tailing the WebSocket.
 
-The package depends on :mod:`repro.telemetry` and :mod:`repro.core`
-types only; nothing in :mod:`repro.analysis` or :mod:`repro.sim` is
-imported here, so the verifier can read stores without a cycle.
+Import the submodule you need: the package root imports none of them,
+so a domain agent that keeps its events in :mod:`repro.ops.store` does
+not load asyncio and the API server with it.  Nothing in
+:mod:`repro.analysis` or :mod:`repro.sim` is imported by the store, so
+the verifier can read stores without a cycle.
 """
-
-from repro.ops.store import STORE_MAGIC, TelemetryStore, is_store_file, read_store
-from repro.ops.api import OpsBridge, OpsServer
-
-__all__ = [
-    "TelemetryStore",
-    "read_store",
-    "is_store_file",
-    "STORE_MAGIC",
-    "OpsBridge",
-    "OpsServer",
-]

@@ -1,9 +1,12 @@
-"""Persistent telemetry: a batched, crash-tolerant SQLite event store.
+"""Persistent telemetry: the ``events`` table of a state file.
 
-The store subscribes wildcard on the run's :class:`~repro.telemetry.bus.
-EventBus` and persists every envelope with its global sequence number.
-Durability follows the discipline of the state directory's ``state.db``
-(:mod:`repro.core.state`), with batches where that commits row by row:
+:class:`TelemetryStore` is a table accessor over a
+:class:`~repro.core.state.StateDb`, the way the journal, the snapshots
+and the load archive are: a domain agent's events are rows of its own
+``state.db``; a runner's ``store_path`` and the federation server's
+merged store are state files of their own.  Opening, WAL, the integrity
+check, transactions and :class:`~repro.core.state.StateCorruptError`
+are the database's; what this module adds is the stream's:
 
 * **Group commit by wall-clock age.**  Envelopes buffer in memory and
   commit in one transaction at a tick boundary: the runner calls
@@ -13,20 +16,25 @@ Durability follows the discipline of the state directory's ``state.db``
   times a second of an unpaced one, and never in the middle of a tick.
   :meth:`flush` is "commit now" (before every run snapshot, at close).
   A SIGKILL loses at most the uncommitted tail batch — SQLite's WAL
-  guarantees every committed batch survives intact, never torn.
-* **Torn-batch-tolerant reopen.**  Reopening a killed store needs no
-  repair step: whatever committed is there, gapless and in order;
-  :func:`read_store` verifies gaplessness before calling a stream
-  complete.
-* **Resumable cursors.**  ``last_seq``/``truncate_after`` let a resumed
-  run (snapshot + journal replay) drop the abandoned timeline past the
-  snapshot and append seamlessly, exactly like the trace writer's
-  resume path.
+  guarantees every committed batch survives intact, never torn — and a
+  reopened store needs no repair.
+* **One attach.**  :meth:`TelemetryStore.attach` lines the rows up with
+  the bus they continue: a resumed run drops the abandoned timeline
+  past its snapshot and appends gaplessly; any other run replaces what
+  an earlier one left (a store is an output).
+* **Typed errors for readers.**  :func:`read_store` and
+  :func:`tail_store` raise :class:`~repro.core.state.StateCorruptError`
+  for a damaged file and :class:`~repro.telemetry.trace.TraceSchemaError`
+  (a ``ValueError`` naming the file) for one that holds no event log
+  they can read; :func:`read_store` verifies gaplessness before calling
+  a stream complete.
 
-One store file can hold several *sources* (multi-process federation:
-the server forwards every agent's clocked events into the same store);
+One file can hold several *sources* (the merged store of a
+multi-process federation, written by ``FederationServer.finalize``);
 :func:`read_store` merges multi-source stores with the same Lamport
-ordering as :func:`repro.telemetry.trace.merge_traces`.
+ordering as :func:`repro.telemetry.trace.merge_traces`.  JSONL is a
+rendering of these rows (:func:`repro.sim.export.export_store_jsonl`),
+never written alongside them.
 """
 
 from __future__ import annotations
@@ -37,12 +45,19 @@ import pickle
 import sqlite3
 import threading
 import time as _time
+from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.core.state import StateCorruptError, StateDb, open_readonly
 from repro.telemetry.bus import Envelope, EventBus, WILDCARD
 from repro.telemetry.records import record_payload
-from repro.telemetry.trace import TraceEvent, TraceHeader, merge_traces
+from repro.telemetry.trace import (
+    TraceEvent,
+    TraceHeader,
+    TraceSchemaError,
+    merge_traces,
+)
 
 __all__ = [
     "STORE_MAGIC",
@@ -62,25 +77,9 @@ _Row = Tuple[str, int, str, Optional[int], Optional[int], bytes]
 #: JSONL trace reader.
 STORE_MAGIC = b"SQLite format 3\x00"
 
-#: Bump on any incompatible change to the tables below.
+#: Bump on any incompatible change to the ``events`` / ``meta`` tables
+#: (defined with the rest of the schema in :class:`~repro.core.state.StateDb`).
 STORE_SCHEMA_VERSION = 1
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS events (
-    source TEXT NOT NULL DEFAULT '',
-    seq    INTEGER NOT NULL,
-    topic  TEXT NOT NULL,
-    time   INTEGER,
-    clock  INTEGER,
-    record BLOB NOT NULL,
-    PRIMARY KEY (source, seq)
-);
-CREATE INDEX IF NOT EXISTS events_topic ON events (topic, source, seq);
-"""
 
 
 def is_store_file(path: PathLike) -> bool:
@@ -113,7 +112,7 @@ class _DataUnpickler(pickle.Unpickler):
     smuggle in a constructor.
     """
 
-    def find_class(self, module: str, name: str) -> Any:  # pragma: no cover
+    def find_class(self, module: str, name: str) -> Any:
         raise pickle.UnpicklingError(
             f"store record blobs hold plain data only "
             f"(refusing {module}.{name})"
@@ -133,28 +132,45 @@ def _json_shape(value: Any) -> Any:
     return value
 
 
-def _decode_record(blob: Any) -> Dict[str, Any]:
-    record: Dict[str, Any] = (
-        _json_shape(_DataUnpickler(io.BytesIO(blob)).load())
-        if isinstance(blob, bytes)
-        else json.loads(blob)
-    )
-    return record
+def _event(
+    path: str, source: Any, seq: Any, topic: Any, clock: Any, blob: Any
+) -> TraceEvent:
+    """One ``events`` row as the trace reader's event; a row that does
+    not decode (a damaged or crafted ``record`` blob, a column of the
+    wrong type) is a :class:`TraceSchemaError` naming file, source, seq."""
+    try:
+        record = (
+            _json_shape(_DataUnpickler(io.BytesIO(blob)).load())
+            if isinstance(blob, bytes)
+            else json.loads(blob)
+        )
+        if not isinstance(record, dict):
+            raise TypeError(f"a {type(record).__name__}, not a record object")
+        return TraceEvent(
+            seq=int(seq),
+            topic=str(topic),
+            record=record,
+            clock=int(clock) if clock is not None else None,
+        )
+    # unpickling damaged bytes raises whatever the bytes happen to spell
+    # (UnpicklingError, EOFError, IndexError, MemoryError, ...)
+    except Exception as error:
+        raise TraceSchemaError(
+            f"{path}: event {seq!r} of source {source!r} does not decode: {error}"
+        ) from error
 
 
 class TelemetryStore:
-    """Wildcard bus subscriber persisting every envelope to SQLite.
+    """The ``events`` table of a state file.
 
-    Single-process runs attach the store to the platform bus (exactly
-    like :class:`~repro.telemetry.trace.TraceWriter`); the federation
-    server instead calls :meth:`insert_events` with each agent's
-    forwarded, Lamport-stamped rows (first write per ``(source, seq)``
-    wins, mirroring the wire dedup).
-
-    ``cross_thread`` relaxes SQLite's same-thread check for callers that
-    serialize access themselves; all mutating paths here additionally
-    hold one lock, so the federation server's reader threads can share a
-    store.
+    ``db`` is an open :class:`~repro.core.state.StateDb` shared with the
+    file's other accessors (a domain agent's ``state.db``; the owner
+    closes it) or a path the store opens one on and closes (a runner's
+    ``store_path``, the server's merged store).  ``source`` labels the
+    store's own stream: ``""`` for a single-process run, whose bus the
+    store subscribes to (:meth:`attach`); the domain name for an agent,
+    which stamps each envelope itself and hands it to :meth:`add`.
+    :meth:`insert_events` takes any source's finished rows.
     """
 
     #: rows after which a tick boundary commits whatever the batch's age
@@ -163,89 +179,73 @@ class TelemetryStore:
     #: of ``tail_store``'s poll, so a follower of a running store never
     #: polls twice without fresh rows
     MAX_AGE_S = 0.25
-    BUSY_TIMEOUT_MS = 5_000
 
-    def __init__(self, path: PathLike, cross_thread: bool = False) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._connection = sqlite3.connect(
-            str(self.path), check_same_thread=not cross_thread
+    def __init__(self, db: Union[StateDb, PathLike], source: str = "") -> None:
+        self._db = db if isinstance(db, StateDb) else StateDb(db)
+        self._owns_db = self._db is not db
+        self.source = source
+        # once per file, not an upsert: opening must not write, so that
+        # a refused run leaves an earlier run's bytes alone
+        self._db.connection.execute(
+            "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema_version', ?)",
+            (str(STORE_SCHEMA_VERSION),),
         )
-        self._connection.execute(f"PRAGMA busy_timeout = {self.BUSY_TIMEOUT_MS}")
-        self._connection.execute("PRAGMA journal_mode = WAL")
-        self._connection.execute("PRAGMA synchronous = NORMAL")
-        # no mid-run checkpoints: they stall a flush to copy the WAL
-        # back into the main file while readers may hold it open; the
-        # WAL stays valid for read-only consumers and close() truncates
-        self._connection.execute("PRAGMA wal_autocheckpoint = 0")
-        # autocommit mode; batch transactions are opened explicitly
-        self._connection.isolation_level = None
-        self._connection.executescript(_SCHEMA)
-        self._set_meta("schema_version", str(STORE_SCHEMA_VERSION))
         self._bus: Optional[EventBus] = None
         self._buffer: List[_Row] = []  # awaiting commit
         self._committed_at = _time.monotonic()
         self.inserted = 0
         self._closed = False
 
-    # -- meta -------------------------------------------------------------------------
-
-    def _set_meta(self, key: str, value: str) -> None:
-        self._connection.execute(
-            "INSERT INTO meta (key, value) VALUES (?, ?) "
-            "ON CONFLICT (key) DO UPDATE SET value = excluded.value",
-            (key, value),
-        )
-
-    def _get_meta(self, key: str) -> Optional[str]:
-        row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return None if row is None else str(row[0])
-
     # -- bus attachment ---------------------------------------------------------------
 
     def attach(self, bus: EventBus) -> None:
-        """Subscribe wildcard; record whether the stream is complete.
+        """Subscribe wildcard, continuing the bus's stream where it is.
 
-        Completeness mirrors the trace writer: attached before the first
-        publish means the store will hold *every* envelope the bus ever
-        publishes.
+        Rows past ``bus.last_seq`` cannot belong to this bus's stream
+        and are dropped: whatever an earlier run left (a store is an
+        output), or, on a bus fast-forwarded to a snapshot, the tail of
+        the abandoned timeline.  The stream is claimed complete when the
+        bus has published nothing yet and incomplete when the bus is
+        ahead of the rows; otherwise the first attach's claim stands.
         """
         if self._bus is not None:
             raise RuntimeError("telemetry store is already attached")
-        with self._lock:
-            self._set_meta("complete", "1" if bus.last_seq == 0 else "0")
-        bus.subscribe(WILDCARD, self._on_envelope)
-        self._bus = bus
-
-    def attach_resumed(self, bus: EventBus) -> None:
-        """Re-attach after a crash-resume without touching completeness.
-
-        The resume path truncates the store past the snapshot's sequence
-        and fast-forwards the bus to it first, so appended rows continue
-        the sequence gaplessly.
-        """
-        if self._bus is not None:
-            raise RuntimeError("telemetry store is already attached")
+        self.truncate_after(bus.last_seq)
+        if bus.last_seq == 0:
+            self.mark_complete(True)
+        elif bus.last_seq > self.last_seq():
+            self.mark_complete(False)
         bus.subscribe(WILDCARD, self._on_envelope)
         self._bus = bus
 
     def _on_envelope(self, envelope: Envelope) -> None:
-        record = record_payload(envelope.record)
-        tick = record.get("time")
-        self._buffer.append(
-            (
-                "",
-                envelope.seq,
-                envelope.topic,
-                int(tick) if isinstance(tick, int) else None,
-                None,
-                _encode_record(record),
-            )
-        )
+        self.add(envelope.seq, envelope.topic, record_payload(envelope.record))
 
     # -- writes -----------------------------------------------------------------------
+
+    def add(
+        self,
+        seq: int,
+        topic: str,
+        record: Dict[str, Any],
+        clock: Optional[int] = None,
+    ) -> None:
+        """Buffer one event of this store's own stream for the next commit."""
+        self._buffer.append(self._row(self.source, seq, topic, record, clock))
+
+    @staticmethod
+    def _row(
+        source: str, seq: int, topic: str, record: Dict[str, Any], clock: Optional[int]
+    ) -> _Row:
+        tick = record.get("time")
+        return (
+            source,
+            int(seq),
+            str(topic),
+            int(tick) if isinstance(tick, int) else None,
+            int(clock) if clock is not None else None,
+            _encode_record(record),
+        )
 
     def end_tick(self) -> int:
         """A tick is over: commit the batch if it is old or long enough.
@@ -272,22 +272,15 @@ class TelemetryStore:
         return inserted
 
     def _commit_rows(self, rows: List[_Row]) -> int:
-        with self._lock:
-            connection = self._connection
-            connection.execute("BEGIN IMMEDIATE")
-            try:
-                before = connection.total_changes
-                connection.executemany(
-                    "INSERT OR IGNORE INTO events "
-                    "(source, seq, topic, time, clock, record) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    rows,
-                )
-                inserted = connection.total_changes - before
-                connection.execute("COMMIT")
-            except BaseException:
-                connection.execute("ROLLBACK")
-                raise
+        with self._db.transaction() as connection:
+            before = connection.total_changes
+            connection.executemany(
+                "INSERT OR IGNORE INTO events "
+                "(source, seq, topic, time, clock, record) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                rows,
+            )
+            inserted = connection.total_changes - before
         self.inserted += inserted
         return inserted
 
@@ -296,78 +289,73 @@ class TelemetryStore:
         source: str,
         rows: List[Tuple[int, str, Dict[str, Any], Optional[int]]],
     ) -> int:
-        """Persist forwarded ``(seq, topic, record, clock)`` rows.
+        """Commit another stream's ``(seq, topic, record, clock)`` rows now.
 
         First write per ``(source, seq)`` wins — retransmitted wire
         batches deduplicate exactly as the federation server's in-memory
         collector does.
         """
-        encoded: List[_Row] = []
-        for seq, topic, record, clock in rows:
-            tick = record.get("time")
-            encoded.append(
-                (
-                    source,
-                    int(seq),
-                    str(topic),
-                    int(tick) if isinstance(tick, int) else None,
-                    int(clock) if clock is not None else None,
-                    _encode_record(record),
-                )
-            )
-        if not encoded:
+        if not rows:
             return 0
-        return self._commit_rows(encoded)
+        return self._commit_rows([self._row(source, *row) for row in rows])
 
     # -- cursors ----------------------------------------------------------------------
 
-    def last_seq(self, source: str = "") -> int:
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT MAX(seq) FROM events WHERE source = ?", (source,)
-            ).fetchone()
+    def last_seq(self) -> int:
+        """The highest committed sequence number of this store's stream."""
+        row = self._db.connection.execute(
+            "SELECT MAX(seq) FROM events WHERE source = ?", (self.source,)
+        ).fetchone()
         return int(row[0]) if row and row[0] is not None else 0
 
-    def truncate_after(self, seq: int, source: str = "") -> int:
-        """Drop rows past ``seq`` (a resumed run abandons that timeline)."""
-        with self._lock:
-            connection = self._connection
-            connection.execute("BEGIN IMMEDIATE")
-            try:
-                cursor = connection.execute(
-                    "DELETE FROM events WHERE source = ? AND seq > ?",
-                    (source, seq),
-                )
-                connection.execute("COMMIT")
-            except BaseException:
-                connection.execute("ROLLBACK")
-                raise
+    def since(self, seq: int) -> List[TraceEvent]:
+        """This stream's committed events past ``seq``, in order and in
+        JSON shape (what a resumed agent still owes the server)."""
+        rows = self._db.connection.execute(
+            "SELECT seq, topic, clock, record FROM events "
+            "WHERE source = ? AND seq > ? ORDER BY seq",
+            (self.source, seq),
+        )
+        return [_event(self._db.path, self.source, *row) for row in rows]
+
+    def truncate_after(self, seq: int) -> int:
+        """Drop this stream's rows past ``seq`` (a resumed run abandons
+        that timeline); rows dropped."""
+        cursor = self._db.connection.execute(
+            "DELETE FROM events WHERE source = ? AND seq > ?", (self.source, seq)
+        )
         return cursor.rowcount
 
+    def clear(self) -> None:
+        """Drop every source's rows: the writer of a whole file (the
+        federation merge) replaces what an earlier run left there."""
+        self._db.connection.execute("DELETE FROM events")
+
     def mark_complete(self, complete: bool) -> None:
-        with self._lock:
-            self._set_meta("complete", "1" if complete else "0")
+        """Claim that the file holds (or does not hold) every envelope
+        its buses published; :func:`read_store` also wants it gapless."""
+        self._db.connection.execute(
+            "INSERT INTO meta (key, value) VALUES ('complete', ?) "
+            "ON CONFLICT (key) DO UPDATE SET value = excluded.value",
+            ("1" if complete else "0",),
+        )
 
     # -- lifecycle --------------------------------------------------------------------
 
     def close(self) -> None:
-        """Flush the tail batch, detach from the bus and close the file."""
+        """Detach from the bus, commit the tail batch and, where the
+        store opened the database itself, close it (idempotent)."""
         if self._closed:
             return
+        self._closed = True
         if self._bus is not None:
             self._bus.unsubscribe(WILDCARD, self._on_envelope)
             self._bus = None
-        self.flush()
-        with self._lock:
-            self._closed = True
-            try:
-                # fold the run's whole WAL back into the main file so a
-                # closed store is one self-contained .db; best-effort —
-                # a concurrent reader just leaves the WAL for later
-                self._connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-            except sqlite3.Error:
-                pass
-            self._connection.close()
+        try:
+            self.flush()
+        finally:
+            if self._owns_db:
+                self._db.close()
 
     def __enter__(self) -> "TelemetryStore":
         return self
@@ -379,12 +367,34 @@ class TelemetryStore:
 # -- reading ------------------------------------------------------------------------
 
 
-def _open_readonly(path: PathLike) -> sqlite3.Connection:
-    connection = sqlite3.connect(
-        f"file:{Path(path)}?mode=ro", uri=True
-    )
-    connection.execute(f"PRAGMA busy_timeout = {TelemetryStore.BUSY_TIMEOUT_MS}")
-    return connection
+@contextmanager
+def _reading(path: PathLike) -> Iterator[Tuple[sqlite3.Connection, bool]]:
+    """A checked read-only connection to a store, and its writer's
+    completeness claim; closed on the way out.  A file SQLite calls
+    damaged, on open or at any later read, is a ``StateCorruptError``;
+    one that holds no event log this version reads, a
+    ``TraceSchemaError``."""
+    try:
+        with closing(open_readonly(path)) as connection:
+            meta = dict(connection.execute("SELECT key, value FROM meta"))
+            version = str(meta.get("schema_version", ""))
+            if not version.isdecimal():
+                raise TraceSchemaError(
+                    f"{path}: no event log in this file (its meta table "
+                    "carries no schema_version)"
+                )
+            if int(version) > STORE_SCHEMA_VERSION:
+                raise TraceSchemaError(
+                    f"{path}: store schema version {version} is newer than "
+                    f"the supported version {STORE_SCHEMA_VERSION}"
+                )
+            yield connection, meta.get("complete") == "1"
+    except (sqlite3.OperationalError, UnicodeDecodeError) as error:
+        # no such table or column, text that is not UTF-8, a file format
+        # this SQLite does not open
+        raise TraceSchemaError(f"{path}: no readable event log ({error})") from error
+    except sqlite3.DatabaseError as error:
+        raise StateCorruptError(str(path), str(error)) from error
 
 
 def _gapless(seqs: List[int]) -> bool:
@@ -400,35 +410,18 @@ def read_store(path: PathLike) -> Tuple[TraceHeader, List[TraceEvent]]:
     trace files.  The header's ``complete`` flag requires both the
     writer's attach-time claim and per-source gapless sequences — a
     truncated or torn store can pass for partial, never for complete.
+    Raises the two typed errors of :func:`_reading`.
     """
-    connection = _open_readonly(path)
-    try:
-        meta = {
-            str(key): str(value)
-            for key, value in connection.execute("SELECT key, value FROM meta")
-        }
-        version = int(meta.get("schema_version", "0"))
-        if version > STORE_SCHEMA_VERSION:
-            raise ValueError(
-                f"store schema version {version} is newer than the "
-                f"supported version {STORE_SCHEMA_VERSION}"
-            )
-        by_source: Dict[str, List[TraceEvent]] = {}
-        for source, seq, topic, clock, record in connection.execute(
+    by_source: Dict[str, List[TraceEvent]] = {}
+    with _reading(path) as (connection, claimed):
+        for source, *row in connection.execute(
             "SELECT source, seq, topic, clock, record FROM events "
             "ORDER BY source, seq"
         ):
             by_source.setdefault(str(source), []).append(
-                TraceEvent(
-                    seq=int(seq),
-                    topic=str(topic),
-                    record=_decode_record(record),
-                    clock=int(clock) if clock is not None else None,
-                )
+                _event(str(path), source, *row)
             )
-    finally:
-        connection.close()
-    complete = meta.get("complete") == "1" and all(
+    complete = claimed and all(
         _gapless([event.seq for event in events])
         for events in by_source.values()
     )
@@ -456,11 +449,12 @@ def tail_store(
     ``follow`` the cursor polls for freshly committed batches until
     ``stop`` is set (or forever — the CLI wires SIGINT to it).  The
     cursor is per source, so interleaved multi-source stores tail in
-    commit order per source without missing rows.
+    commit order per source without missing rows.  Raises the two typed
+    errors of :func:`read_store`.
     """
     cursors: Dict[str, int] = {}
     query = (
-        "SELECT source, seq, topic, clock, record FROM events "
+        "SELECT seq, topic, clock, record FROM events "
         "WHERE source = ? AND seq > ? "
     )
     args_extra: Tuple[Any, ...] = ()
@@ -468,9 +462,9 @@ def tail_store(
         query += "AND topic = ? "
         args_extra = (topic,)
     query += "ORDER BY seq"
-    while True:
-        connection = _open_readonly(path)
-        try:
+    # one connection, checked once, for as long as the caller follows
+    with _reading(path) as (connection, _):
+        while True:
             sources = [
                 str(row[0])
                 for row in connection.execute(
@@ -482,13 +476,7 @@ def tail_store(
                 for row in connection.execute(
                     query, (source, cursor) + args_extra
                 ):
-                    event = TraceEvent(
-                        seq=int(row[1]),
-                        topic=str(row[2]),
-                        record=_decode_record(row[4]),
-                        clock=int(row[3]) if row[3] is not None else None,
-                    )
-                    yield str(row[0]), event
+                    yield source, _event(str(path), source, *row)
                 # advance past everything seen for this source, filtered
                 # or not, so a topic filter does not re-scan old rows
                 tail_row = connection.execute(
@@ -496,8 +484,6 @@ def tail_store(
                 ).fetchone()
                 if tail_row and tail_row[0] is not None:
                     cursors[source] = max(cursor, int(tail_row[0]))
-        finally:
-            connection.close()
-        if not follow or (stop is not None and stop.is_set()):
-            return
-        _time.sleep(poll_interval)
+            if not follow or (stop is not None and stop.is_set()):
+                return
+            _time.sleep(poll_interval)

@@ -9,8 +9,8 @@ Three formats cover what the paper's figures need:
 * a CSV of the controller action log — the annotations of Figures 16/17;
 * a CSV of per-service availability (down-minutes, episode count, MTTR)
   — the chaos scenario's robustness comparison;
-* a JSONL dump of the telemetry bus's retained history (one envelope per
-  line) — the run's observable event stream, greppable and ``jq``-able.
+* a JSONL rendering of the run's event store (one envelope per line) —
+  the run's whole observable event stream, greppable and ``jq``-able.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import json
 from pathlib import Path
 from typing import Union
 
+from repro.core.state import StateDb
+from repro.ops.store import read_store
 from repro.sim.clock import format_minute
 from repro.sim.results import SimulationResult
-from repro.telemetry.bus import EventBus
-from repro.telemetry.records import record_to_dict
-from repro.telemetry.trace import trace_event_line, trace_header_line
+from repro.telemetry.trace import write_trace
 
 __all__ = [
     "summary_json_payload",
@@ -32,7 +32,8 @@ __all__ = [
     "export_host_series_csv",
     "export_actions_csv",
     "export_availability_csv",
-    "export_telemetry_jsonl",
+    "export_store_jsonl",
+    "export_directory",
     "export_all",
 ]
 
@@ -189,31 +190,25 @@ def export_availability_csv(result: SimulationResult, path: PathLike) -> None:
             )
 
 
-def export_telemetry_jsonl(bus: EventBus, path: PathLike, limit: int = 0) -> int:
-    """Dump the bus's retained envelopes as JSON lines; returns the count.
+def export_store_jsonl(store: PathLike, path: PathLike) -> int:
+    """Render a closed event store as a JSONL trace; returns the count.
 
     The first line is a schema header (``schema_version``, ``complete``);
     each following line is ``{"seq": ..., "topic": ..., "record": {...}}``
-    in global sequence order.  Only what the bounded per-topic rings
-    still hold is exported (the full action history additionally lives
-    in the audit log / actions CSV); the header's ``complete`` flag is
-    set only when the rings still held every envelope ever published.
-    ``limit`` caps the number of newest envelopes; 0 means everything
-    retained.
+    in global sequence order — every envelope the run published, however
+    long it ran and however often it was killed and resumed.
     """
-    envelopes = bus.tail(limit=limit if limit > 0 else bus.last_seq or 1)
-    complete = len(envelopes) == bus.last_seq
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(trace_header_line(complete))
-        handle.write("\n")
-        for envelope in envelopes:
-            handle.write(
-                trace_event_line(
-                    envelope.seq, envelope.topic, record_to_dict(envelope.record)
-                )
-            )
-            handle.write("\n")
-    return len(envelopes)
+    header, events = read_store(store)
+    # a read-only reader leaves -wal/-shm files beside a closed store;
+    # the last read-write connection to close removes them
+    StateDb(store).close()
+    write_trace(path, events, header.complete)
+    return len(events)
+
+
+def export_directory(directory: PathLike, scenario_name: str, user_factor: float) -> Path:
+    """Where a run's exports go, e.g. ``DIR/full-mobility_115``."""
+    return Path(directory) / f"{scenario_name}_{round(user_factor * 100)}"
 
 
 def export_all(result: SimulationResult, directory: PathLike) -> Path:
@@ -222,9 +217,7 @@ def export_all(result: SimulationResult, directory: PathLike) -> Path:
     Returns the directory path.  File names are derived from the scenario
     and user factor, e.g. ``full-mobility_115/summary.json``.
     """
-    base = Path(directory) / (
-        f"{result.scenario_name}_{round(result.user_factor * 100)}"
-    )
+    base = export_directory(directory, result.scenario_name, result.user_factor)
     base.mkdir(parents=True, exist_ok=True)
     export_summary_json(result, base / "summary.json")
     export_actions_csv(result, base / "actions.csv")

@@ -42,7 +42,75 @@ from repro.telemetry.records import (
     SupervisionEventKind,
 )
 
-__all__ = ["SimulationRunner"]
+__all__ = [
+    "SimulationRunner",
+    "execution_faults",
+    "make_executor_factory",
+    "merged_fault_records",
+    "approval_counts",
+]
+
+
+def execution_faults(chaos: ChaosProfile) -> ExecutionFaults:
+    """The executor's fault mix of a chaos profile."""
+    return ExecutionFaults(
+        failure_probability=chaos.action_failure_probability,
+        commit_failure_probability=chaos.commit_failure_probability,
+        latency_means=dict(chaos.action_latency_means),
+        latency_jitter=chaos.action_latency_jitter,
+    )
+
+
+def make_executor_factory(platform, chaos: Optional[ChaosProfile]):
+    """Per-replica executor builder for a supervised controller.
+
+    Each controller replica gets its own executor — a shared one would
+    carry the new leader's fencing token on behalf of a deposed leader,
+    defeating fencing — with a seed derived from the replica number so
+    fault draws stay deterministic across failovers.  ``platform`` is
+    the runner's platform or a domain agent's view of its own.
+    """
+
+    def build(name: str, replica_number: int) -> ActionExecutor:
+        if chaos is None:
+            return ActionExecutor(platform, name=name)
+        return ActionExecutor(
+            platform,
+            faults=execution_faults(chaos),
+            seed=chaos.seed + 1000 + replica_number,
+            name=name,
+        )
+
+    return build
+
+
+def merged_fault_records(injector: Optional[FaultInjector], supervision_events):
+    """The injector's fault records plus the supervision events that
+    count as faults (crash/partition records come from the injector
+    itself; the kind's own verdict decides what the merge adds)."""
+    records = list(injector.faults) if injector is not None else []
+    for event in supervision_events:
+        if event.kind.creates_fault_record:
+            records.append(
+                FaultRecord(
+                    event.time, "", "", "", event.kind.value,
+                    getattr(event, "domain", ""),
+                )
+            )
+    records.sort(key=lambda record: record.time)
+    return records or None
+
+
+def approval_counts(alerts):
+    """The approval-queue counters of a run result."""
+    queue = getattr(alerts, "approvals", None)
+    if queue is None:
+        return {"expired_approval_count": 0, "pending_approval_count": 0}
+    return {
+        "expired_approval_count": len(queue.expired()),
+        "pending_approval_count": len(queue.pending()),
+        "expired_approvals_by_service": expired_approvals_by_service(queue),
+    }
 
 
 class SimulationRunner:
@@ -132,8 +200,10 @@ class SimulationRunner:
         commit at the first tick boundary 0.25 s of wall time after the
         last one (every tick of a paced run), served or not.
         ``autoglobe verify`` and ``autoglobe tail`` read the store
-        directly, and a resumed run (``resume=True``) truncates it back
-        to the snapshot's sequence and continues it gaplessly.
+        directly.  The store is an output: a run replaces what an
+        earlier run left at the path, and only a resumed run
+        (``resume=True``) continues it, gaplessly, from the snapshot's
+        sequence.
     serve:
         ``(host, port)`` to expose the live ops API
         (:class:`repro.ops.api.OpsServer`) for the duration of the run:
@@ -312,7 +382,7 @@ class SimulationRunner:
                 state_dir=self.state_dir,
                 standby=standby,
                 execution_faults=(
-                    self._execution_faults(chaos) if chaos is not None else None
+                    execution_faults(chaos) if chaos is not None else None
                 ),
                 chaos_seed=chaos.seed if chaos is not None else None,
             )
@@ -330,7 +400,7 @@ class SimulationRunner:
                 enabled=enabled,
                 store=self._store,
                 standby=standby,
-                executor_factory=self._make_executor_factory(chaos),
+                executor_factory=make_executor_factory(self.platform, chaos),
             )
         elif controller_factory is not None:
             self.controller = controller_factory(
@@ -340,7 +410,7 @@ class SimulationRunner:
             if chaos is not None:
                 executor = ActionExecutor(
                     self.platform,
-                    faults=self._execution_faults(chaos),
+                    faults=execution_faults(chaos),
                     seed=chaos.seed,
                 )
             self.controller = AutoGlobeController(
@@ -391,8 +461,8 @@ class SimulationRunner:
 
             self.telemetry_store = TelemetryStore(store_path)
             if not resume:
-                # a resumed run re-attaches in _resume_from_snapshot,
-                # after truncating to the snapshot's bus sequence
+                # a resumed run attaches in _resume_from_snapshot, once
+                # the bus stands at the snapshot's sequence
                 self.telemetry_store.attach(self.platform.bus)
         #: the live ops API (bridge + asyncio server), when serving
         self.ops_bridge = None
@@ -415,38 +485,6 @@ class SimulationRunner:
             self.ops_bridge.attach(self.platform.bus)
             self.ops_server = OpsServer(self.ops_bridge, host=host, port=port)
             self.ops_server.start()
-
-    @staticmethod
-    def _execution_faults(chaos: ChaosProfile) -> ExecutionFaults:
-        return ExecutionFaults(
-            failure_probability=chaos.action_failure_probability,
-            commit_failure_probability=chaos.commit_failure_probability,
-            latency_means=dict(chaos.action_latency_means),
-            latency_jitter=chaos.action_latency_jitter,
-        )
-
-    def _make_executor_factory(self, chaos: Optional[ChaosProfile]):
-        """Per-replica executor builder for the supervised controller.
-
-        Each controller replica gets its own executor — a shared one
-        would carry the new leader's fencing token on behalf of a
-        deposed leader, defeating fencing — with a seed derived from the
-        replica number so fault draws stay deterministic across
-        failovers.
-        """
-        platform = self.platform
-
-        def build(name: str, replica_number: int) -> ActionExecutor:
-            if chaos is None:
-                return ActionExecutor(platform, name=name)
-            return ActionExecutor(
-                platform,
-                faults=self._execution_faults(chaos),
-                seed=chaos.seed + 1000 + replica_number,
-                name=name,
-            )
-
-        return build
 
     # -- durability -------------------------------------------------------------------
 
@@ -496,14 +534,13 @@ class SimulationRunner:
                 SupervisionEvent(time_, SupervisionEventKind(kind), detail)
                 for time_, kind, detail in events
             ]
-        # continue the telemetry sequence where the snapshot left it:
-        # rows past bus_seq belong to the abandoned timeline
+        # continue the telemetry sequence where the snapshot left it;
+        # attach drops the rows past it (the abandoned timeline)
         bus_seq = int(payload.get("bus_seq", 0))
         if bus_seq:
             self.platform.bus.fast_forward(bus_seq)
         if self.telemetry_store is not None:
-            self.telemetry_store.truncate_after(bus_seq)
-            self.telemetry_store.attach_resumed(self.platform.bus)
+            self.telemetry_store.attach(self.platform.bus)
         return tick
 
     def run(self) -> SimulationResult:
@@ -540,11 +577,13 @@ class SimulationRunner:
         return self.collector.finalize(
             final_minute=end - 1,
             escalation_count=len(self.controller.alerts.escalations()),
-            fault_records=self._merged_fault_records(),
+            fault_records=merged_fault_records(
+                self.injector, self._supervision_events
+            ),
             controller_down_minutes=getattr(
                 self.controller, "downtime_minutes", 0
             ),
-            **self._approval_counts(),
+            **approval_counts(self.controller.alerts),
         )
 
     def _close_state(self) -> None:
@@ -583,29 +622,3 @@ class SimulationRunner:
             f"{self._landscape_name} ({self.scenario.value} run)",
             summary=summary,
         )
-
-    def _merged_fault_records(self):
-        records = list(self.injector.faults) if self.injector is not None else []
-        if self._supervision_events:
-            for event in self._supervision_events:
-                # crash/partition records come from the injector itself;
-                # the kind's own verdict decides what the merge adds
-                if event.kind.creates_fault_record:
-                    records.append(
-                        FaultRecord(
-                            event.time, "", "", "", event.kind.value,
-                            getattr(event, "domain", ""),
-                        )
-                    )
-            records.sort(key=lambda record: record.time)
-        return records or None
-
-    def _approval_counts(self):
-        queue = getattr(self.controller.alerts, "approvals", None)
-        if queue is None:
-            return {"expired_approval_count": 0, "pending_approval_count": 0}
-        return {
-            "expired_approval_count": len(queue.expired()),
-            "pending_approval_count": len(queue.pending()),
-            "expired_approvals_by_service": expired_approvals_by_service(queue),
-        }

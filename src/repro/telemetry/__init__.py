@@ -45,7 +45,6 @@ from repro.telemetry.trace import (
     TraceEvent,
     TraceHeader,
     TraceSchemaError,
-    TraceWriter,
     read_trace,
 )
 from repro.telemetry.windows import RollingWindow, window_bounds
@@ -78,7 +77,6 @@ __all__ = [
     "TraceEvent",
     "TraceHeader",
     "TraceSchemaError",
-    "TraceWriter",
     "read_trace",
     "record_payload",
     "record_to_dict",

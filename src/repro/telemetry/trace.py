@@ -3,18 +3,15 @@
 A trace is a JSON-lines file: one header line followed by one line per
 bus envelope, in global sequence order.  The header carries the schema
 version (so readers can reject traces written by a future format) and a
-``complete`` flag — whether the file holds *every* envelope the bus ever
-published, or only what the bounded per-topic history rings still held
-at export time.  The distinction matters to the verifier: accounting
+``complete`` flag — whether the file holds *every* envelope the run
+published.  The distinction matters to the verifier: accounting
 reconciliation (AG305) is only sound on complete traces.
 
-Two producers exist:
-
-* :func:`repro.sim.export.export_telemetry_jsonl` dumps the rings after
-  a run (complete only for short runs that fit in the rings);
-* :class:`TraceWriter` streams every envelope as it is published
-  (always complete when attached before the first publish), used by
-  ``autoglobe run --verify``.
+A trace is an export, never a run's own log: events are rows of an
+event store (:mod:`repro.ops.store`) and :func:`write_trace` — the one
+JSONL writer — renders them (``autoglobe run --export`` through
+:func:`repro.sim.export.export_store_jsonl`, the merged trace of a
+``--multiproc`` run in ``FederationServer.finalize``).
 
 Traces written before schema versioning existed (no header line) are
 still readable; :func:`read_trace` flags them as ``legacy`` so callers
@@ -26,10 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Tuple, Union
-
-from repro.telemetry.bus import Envelope, EventBus, WILDCARD
-from repro.telemetry.records import record_to_dict
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
@@ -42,9 +36,7 @@ __all__ = [
     "read_trace",
     "merge_traces",
     "write_trace",
-    "TraceWriter",
     "LamportClock",
-    "ClockedTraceWriter",
 ]
 
 #: Current trace format version.  Bump on any incompatible change to the
@@ -66,8 +58,7 @@ class TraceHeader:
     """The trace file's leading metadata line."""
 
     schema_version: int
-    #: whether the file holds the run's full event stream (vs. only what
-    #: the bounded history rings retained at export time)
+    #: whether the file holds the run's full event stream
     complete: bool
     #: True for pre-versioning files without a header line
     legacy: bool = False
@@ -78,7 +69,7 @@ class TraceEvent:
     """One replayed envelope: the JSON payload of one trace line.
 
     ``clock`` is the optional Lamport timestamp multi-process agents
-    stamp on their lines (see :class:`ClockedTraceWriter`); single
+    stamp on their events (see :class:`LamportClock`); single
     process traces omit it and parse with ``clock=None``, keeping the
     default trace format byte-identical.
     """
@@ -138,21 +129,21 @@ def read_trace(path: PathLike) -> Tuple[TraceHeader, List[TraceEvent]]:
     """Read a telemetry trace; returns its header and events in order.
 
     Raises :class:`TraceSchemaError` for traces written by a newer
-    schema version, for malformed JSON, and for event lines missing the
-    ``seq``/``topic``/``record`` keys.  Pre-versioning traces (no header
+    schema version, for lines that are not UTF-8 JSON, and for event
+    lines missing the ``seq``/``topic``/``record`` keys.  Pre-versioning traces (no header
     line) parse fine and come back with ``header.legacy`` set; callers
     should warn that completeness is unknown.
     """
     events: List[TraceEvent] = []
     header: Optional[TraceHeader] = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line_number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
+            if not raw.strip():
                 continue
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+                payload = json.loads(raw.decode("utf-8"))
+            # not UTF-8, not JSON, or nested past the parser's depth
+            except (ValueError, RecursionError) as exc:
                 raise TraceSchemaError(
                     f"line {line_number}: not valid JSON: {exc}"
                 ) from exc
@@ -237,65 +228,6 @@ def write_trace(
             handle.write("\n")
 
 
-class TraceWriter:
-    """Streams every published envelope to a trace file.
-
-    Attach before the run starts (``attach`` subscribes to the wildcard
-    topic) and ``close`` afterwards.  Unlike the ring-based export, the
-    resulting trace is complete even for runs whose event volume exceeds
-    the bus history — provided the writer was attached before the first
-    publish (the header records which case applies).
-    """
-
-    def __init__(self, path: PathLike) -> None:
-        self._path = Path(path)
-        self._handle: Optional[IO[str]] = None
-        self._bus: Optional[EventBus] = None
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Envelopes written so far."""
-        return self._count
-
-    def attach(self, bus: EventBus) -> None:
-        """Open the file, write the header and start streaming."""
-        if self._bus is not None:
-            raise RuntimeError("trace writer is already attached")
-        complete = bus.last_seq == 0
-        self._handle = open(self._path, "w", encoding="utf-8")
-        self._handle.write(trace_header_line(complete))
-        self._handle.write("\n")
-        bus.subscribe(WILDCARD, self._on_envelope)
-        self._bus = bus
-
-    def _on_envelope(self, envelope: Envelope) -> None:
-        if self._handle is None:
-            return
-        self._handle.write(
-            trace_event_line(
-                envelope.seq, envelope.topic, record_to_dict(envelope.record)
-            )
-        )
-        self._handle.write("\n")
-        self._count += 1
-
-    def close(self) -> None:
-        """Stop streaming and flush the file; safe to call twice."""
-        if self._bus is not None:
-            self._bus.unsubscribe(WILDCARD, self._on_envelope)
-            self._bus = None
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class LamportClock:
     """A scalar logical clock shared by a process's bus and its links.
 
@@ -317,53 +249,3 @@ class LamportClock:
     def witness(self, remote: int) -> int:
         self.time = max(self.time, int(remote))
         return self.time
-
-
-class ClockedTraceWriter(TraceWriter):
-    """A :class:`TraceWriter` that Lamport-stamps every event line.
-
-    Used by multi-process agents: the shared ``clock`` ticks once per
-    published envelope, the stamp lands on the trace line (a ``clock``
-    key single-process readers ignore), and an optional ``on_event``
-    callback lets the telemetry forwarder observe the exact stamped
-    tuple that was written.  ``flush`` makes the tail durable before a
-    snapshot, so a killed-and-resumed agent finds its trace consistent
-    with its journal.
-    """
-
-    def __init__(self, path: PathLike, clock: LamportClock, on_event=None) -> None:
-        super().__init__(path)
-        self.clock = clock
-        self._on_event = on_event
-
-    def attach_resumed(self, bus: EventBus) -> None:
-        """Append to an existing trace after a crash-resume.
-
-        The file already has its header and the pre-crash events (the
-        resume path truncates it to the snapshot's sequence first), so
-        this opens in append mode, writes no header, and starts
-        streaming.  The bus should be fast-forwarded to the snapshot's
-        last sequence before the first publish.
-        """
-        if self._bus is not None:
-            raise RuntimeError("trace writer is already attached")
-        self._handle = open(self._path, "a", encoding="utf-8")
-        bus.subscribe(WILDCARD, self._on_envelope)
-        self._bus = bus
-
-    def _on_envelope(self, envelope: Envelope) -> None:
-        if self._handle is None:
-            return
-        stamp = self.clock.tick()
-        record = record_to_dict(envelope.record)
-        self._handle.write(
-            trace_event_line(envelope.seq, envelope.topic, record, stamp)
-        )
-        self._handle.write("\n")
-        self._count += 1
-        if self._on_event is not None:
-            self._on_event(envelope.seq, envelope.topic, record, stamp)
-
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()

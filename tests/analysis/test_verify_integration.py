@@ -15,7 +15,7 @@ from repro.config.builtin import paper_landscape, partition_landscape
 from repro.sim.results import accounting_summary
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario, default_chaos
-from repro.telemetry.trace import TraceWriter
+from tests.conftest import JsonlRecorder
 
 HORIZON = 6 * 60
 
@@ -35,12 +35,9 @@ def chaos_verified_run(tmp_path_factory):
         chaos=default_chaos(seed=115),
         verify=True,
     )
-    writer = TraceWriter(base / "telemetry.jsonl")
-    writer.attach(runner.platform.bus)
-    try:
-        result = runner.run()
-    finally:
-        writer.close()
+    recorder = JsonlRecorder(runner.platform.bus)
+    result = runner.run()
+    recorder.write(base / "telemetry.jsonl")
     (base / "summary.json").write_text(
         json.dumps(accounting_summary(result)), encoding="utf-8"
     )

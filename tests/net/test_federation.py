@@ -1,8 +1,9 @@
 """In-process federation: agents over loopback endpoints.
 
 Acceptance: a two-domain federated run over the wire protocol produces
-AG3xx-clean merged traces; offline replay of the per-agent trace
-exports reproduces the live server-side verifier's report verbatim
+AG3xx-clean merged traces; offline replay of the per-agent event logs
+(each domain's ``state.db``) reproduces the live server-side verifier's
+report verbatim
 (satellite: trace-replay equivalence); and a sustained one-way
 partition drives the victim agent through degraded mode — it keeps
 administering its own domain autonomously and resyncs on heal.
@@ -19,6 +20,7 @@ from repro.net.agent import DomainAgent
 from repro.net.chaos import LinkFaults, NetChaosProfile, PartitionWindow
 from repro.net.server import FederationServer
 from repro.net.transport import loopback_pair
+from repro.ops.store import read_store
 from repro.sim.scenarios import Scenario
 from repro.telemetry.trace import read_trace
 
@@ -74,9 +76,7 @@ def _run_agents(server, state_dir, join_timeout=240.0, **agent_kwargs):
         )
         for domain in DOMAINS
     }
-    trace_paths = {
-        domain: state_dir / domain / "telemetry.jsonl" for domain in DOMAINS
-    }
+    trace_paths = {domain: state_dir / domain / "state.db" for domain in DOMAINS}
     return summaries, trace_paths
 
 
@@ -84,7 +84,7 @@ def _run_agents(server, state_dir, join_timeout=240.0, **agent_kwargs):
 def clean_run(tmp_path_factory):
     """One clean (fault-free) two-domain loopback run, finalized twice:
     from the server's live wire-collected telemetry, and from the
-    per-agent on-disk exports."""
+    agents' own event logs on disk."""
     base = tmp_path_factory.mktemp("federation")
     state_dir = base / "state"
     server = FederationServer(DOMAINS, state_dir, START, HORIZON)
@@ -98,6 +98,11 @@ def clean_run(tmp_path_factory):
     finally:
         server.stop()
     return SimpleNamespace(
+        # taken now: a later read-only reader leaves -wal/-shm behind
+        listing={
+            domain: sorted(p.name for p in (state_dir / domain).iterdir())
+            for domain in DOMAINS
+        },
         state_dir=state_dir,
         base=base,
         summaries=summaries,
@@ -121,21 +126,34 @@ class TestCleanFederatedRun:
             assert summary["horizon_minutes"] == HORIZON
 
     def test_each_domain_directory_holds_one_state_file(self, clean_run):
-        # agent (journal, snapshots, archive) and server (lease) shared
-        # the file; both closed it, so SQLite's -wal/-shm are gone too
+        # agent (journal, snapshots, archive, events) and server (lease)
+        # shared the file; both closed it, so SQLite's -wal/-shm are
+        # gone too, and the finalize that read it left nothing behind
         for domain in DOMAINS:
-            names = sorted(p.name for p in (clean_run.state_dir / domain).iterdir())
-            assert names == ["state.db", "summary.json", "telemetry.jsonl"]
+            assert clean_run.listing[domain] == ["state.db", "summary.json"]
 
     def test_a_used_state_directory_needs_resume(self, clean_run):
-        trace = clean_run.trace_paths["domain-1"]
-        before = trace.read_bytes()
+        directory = clean_run.state_dir / "domain-1"
+        before = {
+            name: (directory / name).read_bytes()
+            for name in clean_run.listing["domain-1"]
+        }
         with pytest.raises(ValueError, match="domain-1 holds an earlier run"):
             DomainAgent(
                 "domain-1", len(DOMAINS), lambda: None, clean_run.state_dir,
                 horizon=HORIZON, start_minute=START,
             )
-        assert trace.read_bytes() == before
+        assert {
+            name: (directory / name).read_bytes() for name in before
+        } == before
+
+    def test_each_agents_event_log_is_complete_and_stamped(self, clean_run):
+        for domain in DOMAINS:
+            header, events = read_store(clean_run.trace_paths[domain])
+            assert header.complete is True
+            assert [event.seq for event in events] == list(range(1, len(events) + 1))
+            clocks = [event.clock for event in events]
+            assert clocks == sorted(clocks) and None not in clocks
 
     def test_merged_summary_sums_the_domains(self, clean_run):
         total = sum(
@@ -163,6 +181,35 @@ class TestCleanFederatedRun:
             name="multiproc",
         )
         assert offline.render("json") == clean_run.live_report.render("json")
+
+    def test_the_merged_store_replaces_what_an_earlier_run_left(
+        self, clean_run, tmp_path
+    ):
+        """A store is an output: ``finalize`` clears the merged store it
+        writes, as it opens the JSONL beside it with ``"w"``."""
+        from repro.ops.store import TelemetryStore
+
+        store_path = tmp_path / "store.db"
+        with TelemetryStore(store_path) as earlier:
+            earlier.insert_events(
+                "domain-9", [(1, "alerts", {"type": "AlertEvent", "time": 1}, 1)]
+            )
+            earlier.insert_events(
+                "domain-1", [(1, "alerts", {"type": "AlertEvent", "time": 1}, 1)]
+            )
+            earlier.mark_complete(True)
+        server = FederationServer(DOMAINS, tmp_path / "state", START, HORIZON)
+        try:
+            _, _, merged_path = server.finalize(
+                tmp_path / "out", summaries=clean_run.summaries,
+                trace_paths=clean_run.trace_paths, store_path=store_path,
+            )
+        finally:
+            server.stop()
+        header, from_store = read_store(store_path)
+        _, from_trace = read_trace(merged_path)
+        assert header.complete is True
+        assert from_store == from_trace
 
     def test_disk_and_wire_finalization_agree_when_nothing_was_lost(
         self, clean_run
@@ -213,7 +260,7 @@ class TestDegradedMode:
         # the outage and the heal are on the record (the resync may land
         # mid-run or during the final drain, but it always lands: the
         # partition is over by the time the agent deregisters)
-        _, events = read_trace(trace_paths[victim])
+        _, events = read_store(trace_paths[victim])
         kind_values = [
             event.record.get("kind")
             for event in events

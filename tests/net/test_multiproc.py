@@ -1,7 +1,7 @@
 """Real OS-process federation: graceful shutdown, crash respawn, chaos.
 
-Acceptance: SIGTERM is graceful — the agent flushes its journal and
-trace, writes a resumable partial summary and deregisters with a final
+Acceptance: SIGTERM is graceful — the agent commits its journal and
+event log, writes a resumable partial summary and deregisters with a final
 heartbeat (satellite: graceful shutdown); and a seeded multi-process
 chaos run (agent SIGKILL + wire faults + one-way partition) completes
 with the merged trace AG3xx-clean.
@@ -20,6 +20,7 @@ from repro.net.orchestrator import (
     run_multiproc,
 )
 from repro.net.server import FederationServer
+from repro.ops.store import read_store
 from repro.sim.scenarios import Scenario
 from repro.telemetry.trace import read_trace
 
@@ -86,9 +87,9 @@ class TestGracefulShutdown:
             assert summary["net"]["partial"] is True
             # the final deregister (with the summary) got through
             assert server.sessions.sessions["domain-1"].completed
-            # the trace was flushed and properly closed
-            header, events = read_trace(state_dir / "domain-1" / "telemetry.jsonl")
-            assert events, "trace was not flushed"
+            # the event log was committed and properly closed
+            header, events = read_store(state_dir / "domain-1" / "state.db")
+            assert events, "event log was not committed"
             # the run is resumable: finish it, with domain-2 alongside
             resumed = _spawn("domain-1", port, state_dir, resume=True)
             other = _spawn("domain-2", port, state_dir)
@@ -109,7 +110,7 @@ class TestGracefulShutdown:
                 tmp_path / "out",
                 summaries=summaries,
                 trace_paths={
-                    domain: state_dir / domain / "telemetry.jsonl"
+                    domain: state_dir / domain / "state.db"
                     for domain in DOMAINS
                 },
             )

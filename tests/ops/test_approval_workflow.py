@@ -23,7 +23,7 @@ from repro.ops.store import read_store
 from repro.sim.export import summary_json_payload
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario, default_chaos
-from repro.telemetry.trace import TraceWriter
+from tests.conftest import JsonlRecorder
 
 
 def _executed_events(store_path, request_id):
@@ -156,10 +156,9 @@ class TestByteIdentity:
                 store_path=(out / "store.db") if serve else None,
                 serve=("127.0.0.1", 0) if serve else None,
             )
-            writer = TraceWriter(out / "telemetry.jsonl")
-            writer.attach(runner.platform.bus)
+            recorder = JsonlRecorder(runner.platform.bus)
             result = runner.run()
-            writer.close()
+            recorder.write(out / "telemetry.jsonl")
             return out, summary_json_payload(result)
 
         plain_dir, plain_summary = run(serve=False)

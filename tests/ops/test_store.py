@@ -3,23 +3,34 @@
 Acceptance: a store-backed run replays identically to its JSONL trace
 (same events, same AG3xx report); batches commit at tick boundaries by
 wall-clock age; a SIGKILL mid-flush loses at most the last uncommitted
-batch and leaves a gapless committed prefix; resumable
-cursors let a crash-resumed run truncate the abandoned timeline and
-append seamlessly; ``tail_store`` follows commits live.
+batch and leaves a gapless committed prefix; the one ``attach`` lets a
+crash-resumed run drop the abandoned timeline and append seamlessly and
+a new run replace what an earlier one left; damaged or foreign files
+are typed errors; ``tail_store`` follows commits live.  The commit and
+crash guarantees hold in both layouts: a store file of its own (the
+runner's) and the ``events`` table of a ``StateDb`` that also journals
+(a domain agent's ``state.db``).
 """
 
 import os
+import pickle
 import signal
+import sqlite3
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.ops.store as store_module
+from repro.cli import main
+from repro.core.state import StateCorruptError, StateDb, StateJournal
 from repro.ops.store import (
     STORE_SCHEMA_VERSION,
     TelemetryStore,
@@ -27,9 +38,11 @@ from repro.ops.store import (
     read_store,
     tail_store,
 )
-from repro.telemetry.bus import EventBus
+from repro.sim.export import export_store_jsonl
+from repro.telemetry.bus import WILDCARD, EventBus
 from repro.telemetry.records import AlertEvent
-from repro.telemetry.trace import TraceWriter, read_trace
+from repro.telemetry.trace import TraceSchemaError, read_trace
+from tests.conftest import JsonlRecorder
 
 
 def _publish_alerts(bus, count, start=0):
@@ -37,16 +50,36 @@ def _publish_alerts(bus, count, start=0):
         bus.publish(AlertEvent(time=t, severity="info", message=f"m{t}"))
 
 
+@contextmanager
+def _own_file(path, bus):
+    """The runner's layout: the store opens a file of its own."""
+    with TelemetryStore(path) as store:
+        yield store
+
+
+@contextmanager
+def _shared_state_db(path, bus):
+    """A domain agent's layout: the ``events`` table of a ``StateDb``
+    whose journal autocommits a row before every event is buffered."""
+    db = StateDb(path)
+    journal = StateJournal(db)
+    bus.subscribe(WILDCARD, lambda envelope: journal.append("seen", seq=envelope.seq))
+    try:
+        with TelemetryStore(db, source="domain-1") as store:
+            yield store
+    finally:
+        db.close()
+
+
 class TestRoundTrip:
     def test_store_replays_identically_to_trace(self, tmp_path):
         bus = EventBus()
         store = TelemetryStore(tmp_path / "store.db")
-        writer = TraceWriter(tmp_path / "trace.jsonl")
+        recorder = JsonlRecorder(bus)
         store.attach(bus)
-        writer.attach(bus)
         _publish_alerts(bus, 25)
         store.close()
-        writer.close()
+        recorder.write(tmp_path / "trace.jsonl")
         trace_header, trace_events = read_trace(tmp_path / "trace.jsonl")
         store_header, store_events = read_store(tmp_path / "store.db")
         assert store_header.complete is trace_header.complete is True
@@ -78,16 +111,94 @@ class TestRoundTrip:
         assert is_store_file(tmp_path / "missing.db") is False
 
     def test_newer_schema_version_rejected(self, tmp_path):
-        store = TelemetryStore(tmp_path / "store.db")
-        store._set_meta("schema_version", str(STORE_SCHEMA_VERSION + 1))
-        store.close()
+        TelemetryStore(tmp_path / "store.db").close()
+        with sqlite3.connect(tmp_path / "store.db") as newer_writer:
+            newer_writer.execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                (str(STORE_SCHEMA_VERSION + 1),),
+            )
         with pytest.raises(ValueError, match="newer"):
             read_store(tmp_path / "store.db")
 
+    def test_double_attach_rejected(self, tmp_path):
+        bus = EventBus()
+        with TelemetryStore(tmp_path / "store.db") as store:
+            store.attach(bus)
+            with pytest.raises(RuntimeError, match="already attached"):
+                store.attach(bus)
+
+    def test_export_is_byte_identical_to_a_streamed_trace(self, tmp_path):
+        """JSONL is a rendering of the rows: the bytes a streaming
+        writer on the same bus would have written."""
+        bus = EventBus()
+        recorder = JsonlRecorder(bus)
+        with TelemetryStore(tmp_path / "store.db") as store:
+            store.attach(bus)
+            _publish_alerts(bus, 25)
+        streamed = recorder.write(tmp_path / "streamed.jsonl")
+        count = export_store_jsonl(tmp_path / "store.db", tmp_path / "export.jsonl")
+        assert count == 25
+        assert (tmp_path / "export.jsonl").read_bytes() == streamed.read_bytes()
+        # and the read-only reader's -wal/-shm are not left in the export
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "export.jsonl", "store.db", "streamed.jsonl",
+        ]
+
+    def test_a_store_written_by_the_parent_commit_still_reads(self, tmp_path):
+        """The two table definitions are the ones ``store.db`` always
+        had: the literal schema of the commit before events moved into
+        ``StateDb``, one JSON-text record (older still) and one pickled."""
+        path = tmp_path / "store.db"
+        with sqlite3.connect(path) as old_writer:
+            old_writer.executescript(_PARENT_SCHEMA)
+            old_writer.executemany(
+                "INSERT INTO meta (key, value) VALUES (?, ?)",
+                [("schema_version", "1"), ("complete", "1")],
+            )
+            old_writer.executemany(
+                "INSERT INTO events (source, seq, topic, time, clock, record) "
+                "VALUES ('', ?, 'alerts', ?, NULL, ?)",
+                [
+                    (1, 5, '{"type": "AlertEvent", "time": 5, "rows": [[1, 2]]}'),
+                    (2, 6, pickle.dumps({"type": "AlertEvent", "time": 6, "rows": ((1, 2),)}, 5)),
+                ],
+            )
+        header, events = read_store(path)
+        assert header.complete is True
+        assert [(e.seq, e.record["time"], e.record["rows"]) for e in events] == [
+            (1, 5, [[1, 2]]), (2, 6, [[1, 2]]),
+        ]
+        assert [event.seq for _, event in tail_store(path)] == [1, 2]
+
     def test_double_close_is_idempotent(self, tmp_path):
+        bus = EventBus()
         store = TelemetryStore(tmp_path / "store.db")
+        store.attach(bus)
+        _publish_alerts(bus, 1)
         store.close()
         store.close()
+        _publish_alerts(bus, 1, start=1)  # close stopped the streaming
+        _, events = read_store(tmp_path / "store.db")
+        assert [event.seq for event in events] == [1]
+
+
+#: ``repro.ops.store._SCHEMA`` as of the parent commit, verbatim
+_PARENT_SCHEMA = """
+CREATE TABLE IF NOT EXISTS meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS events (
+    source TEXT NOT NULL DEFAULT '',
+    seq    INTEGER NOT NULL,
+    topic  TEXT NOT NULL,
+    time   INTEGER,
+    clock  INTEGER,
+    record BLOB NOT NULL,
+    PRIMARY KEY (source, seq)
+);
+CREATE INDEX IF NOT EXISTS events_topic ON events (topic, source, seq);
+"""
 
 
 class FakeClock:
@@ -119,14 +230,15 @@ class TestCommitPolicy:
     whose subject — the ``flush_ticks`` parameter — is gone.
     """
 
+    layout = staticmethod(_own_file)
+
     @pytest.fixture
     def wired(self, tmp_path, monkeypatch):
         clock = FakeClock(monkeypatch)
         bus = EventBus()
-        store = TelemetryStore(tmp_path / "store.db")
-        store.attach(bus)
-        yield bus, store, clock
-        store.close()
+        with self.layout(tmp_path / "store.db", bus) as store:
+            store.attach(bus)
+            yield bus, store, clock
 
     def test_fast_ticks_commit_once_per_max_age(self, wired):
         bus, store, clock = wired
@@ -192,7 +304,19 @@ class TestCommitPolicy:
         assert store.end_tick() == 1
 
 
+class TestCommitPolicyOnASharedStateDb(TestCommitPolicy):
+    """The same policy where the store is one accessor of an agent's
+    ``state.db``: the journal's autocommits between the store's rows
+    neither commit a batch early nor split one."""
+
+    layout = staticmethod(_shared_state_db)
+
+
 class TestCrashSafety:
+    layout = staticmethod(_own_file)
+    #: how the SIGKILLed child opens ``store`` on ``sys.argv[1]`` and ``bus``
+    child_open = "store = store_module.TelemetryStore(sys.argv[1])"
+
     def test_sigkill_mid_flush_loses_at_most_one_batch(self, tmp_path):
         """SIGKILL a writer process; the store must reopen unrepaired.
 
@@ -213,7 +337,7 @@ class TestCrashSafety:
             now = [0.0]
             store_module._time.monotonic = lambda: now[0]
             bus = EventBus()
-            store = store_module.TelemetryStore(sys.argv[1])
+            %s
             store.attach(bus)
             for t in range(100):
                 bus.publish(AlertEvent(time=t, severity="info", message=f"m{t}"))
@@ -223,7 +347,7 @@ class TestCrashSafety:
                 handle.write(str(store.last_seq()))
             os.kill(os.getpid(), signal.SIGKILL)
             """
-        )
+        ) % self.child_open
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run(
@@ -307,24 +431,101 @@ class TestCrashSafety:
         assert history(events) == history(expected)
 
     def test_torn_store_resumes_gaplessly(self, tmp_path):
-        """truncate_after + attach_resumed continue the sequence."""
+        """truncate_after + attach continue the sequence."""
         bus = EventBus()
-        store = TelemetryStore(tmp_path / "store.db")
-        store.attach(bus)
-        _publish_alerts(bus, 10)
-        store.close()
+        with self.layout(tmp_path / "store.db", bus) as store:
+            store.attach(bus)
+            _publish_alerts(bus, 10)
         # resume from a snapshot taken at seq 6: drop 7..10, continue
-        resumed = TelemetryStore(tmp_path / "store.db")
-        assert resumed.truncate_after(6) == 4
-        assert resumed.last_seq() == 6
         fresh_bus = EventBus()
         fresh_bus.fast_forward(6)
-        resumed.attach_resumed(fresh_bus)
-        _publish_alerts(fresh_bus, 3, start=6)
-        resumed.close()
+        with self.layout(tmp_path / "store.db", fresh_bus) as resumed:
+            assert resumed.truncate_after(6) == 4
+            assert resumed.last_seq() == 6
+            resumed.attach(fresh_bus)
+            _publish_alerts(fresh_bus, 3, start=6)
         header, events = read_store(tmp_path / "store.db")
         assert header.complete is True
         assert [event.seq for event in events] == list(range(1, 10))
+
+    def test_attach_alone_drops_the_abandoned_tail(self, tmp_path):
+        """The runner's resume path: fast_forward + attach, no
+        truncate_after call of its own."""
+        bus = EventBus()
+        with self.layout(tmp_path / "store.db", bus) as store:
+            store.attach(bus)
+            _publish_alerts(bus, 10)
+        fresh_bus = EventBus()
+        fresh_bus.fast_forward(6)
+        with self.layout(tmp_path / "store.db", fresh_bus) as resumed:
+            resumed.attach(fresh_bus)
+            assert resumed.last_seq() == 6
+            _publish_alerts(fresh_bus, 3, start=6)
+        header, events = read_store(tmp_path / "store.db")
+        assert header.complete is True
+        assert [event.record["time"] for event in events] == list(range(9))
+
+    def test_a_resume_past_the_rows_is_incomplete(self, tmp_path):
+        """A bus ahead of what the store holds (a resume onto a store
+        whose run committed nothing) cannot be called complete, by the
+        reader's gap check and by the writer's own claim."""
+        def claim():
+            with sqlite3.connect(tmp_path / "store.db") as connection:
+                return connection.execute(
+                    "SELECT value FROM meta WHERE key = 'complete'"
+                ).fetchone()
+
+        virgin = EventBus()
+        with self.layout(tmp_path / "store.db", virgin) as store:
+            store.attach(virgin)
+        assert claim() == ("1",)
+        bus = EventBus()
+        bus.fast_forward(6)
+        with self.layout(tmp_path / "store.db", bus) as store:
+            store.attach(bus)
+            _publish_alerts(bus, 2)
+        assert claim() == ("0",)
+        header, events = read_store(tmp_path / "store.db")
+        assert header.complete is False
+        assert [event.seq for event in events] == [7, 8]
+
+
+class TestCrashSafetyOnASharedStateDb(TestCrashSafety):
+    """A batch is all-or-nothing in an agent's ``state.db`` too, with
+    the journal committing row by row around it."""
+
+    layout = staticmethod(_shared_state_db)
+    child_open = (
+        "from repro.core.state import StateDb, StateJournal; "
+        "db = StateDb(sys.argv[1]); journal = StateJournal(db); "
+        "bus.subscribe('*', lambda e: journal.append('seen', seq=e.seq)); "
+        "store = store_module.TelemetryStore(db, source='domain-1')"
+    )
+    # the runner only ever opens a store file of its own
+    test_served_unpaced_run_survives_sigkill_and_resumes = None
+
+
+class TestAStoreIsAnOutput:
+    def test_a_second_run_replaces_what_the_first_left(self, tmp_path):
+        """Seed 7 for 120 min, then seed 8 for 60 min on the same path:
+        the store holds the second run, event for event, and says so."""
+        from repro.sim.runner import SimulationRunner
+        from repro.sim.scenarios import Scenario, default_chaos
+
+        def run(seed, horizon, path):
+            SimulationRunner(
+                Scenario.FULL_MOBILITY, user_factor=1.15, horizon=horizon,
+                seed=seed, chaos=default_chaos(seed=115), store_path=path,
+            ).run()
+            return read_store(path)
+
+        _, first = run(7, 120, tmp_path / "store.db")
+        header, second = run(8, 60, tmp_path / "store.db")
+        _, expected = run(8, 60, tmp_path / "fresh.db")
+        assert len(first) > len(second)
+        assert header.complete is True
+        assert second == expected
+        assert max(event.record["time"] for event in second) < 12 * 60 + 60
 
 
 class TestMultiSource:
@@ -447,10 +648,9 @@ class TestVerifyFromStore:
             chaos=default_chaos(seed=115),
             store_path=tmp_path / "store.db",
         )
-        writer = TraceWriter(tmp_path / "telemetry.jsonl")
-        writer.attach(runner.platform.bus)
+        recorder = JsonlRecorder(runner.platform.bus)
         runner.run()
-        writer.close()
+        recorder.write(tmp_path / "telemetry.jsonl")
         from_trace = verify_trace(tmp_path / "telemetry.jsonl", name="run")
         from_store = verify_trace(tmp_path / "store.db", name="run")
         assert from_store.render("text") == from_trace.render("text")
@@ -464,3 +664,92 @@ class TestVerifyFromStore:
             == (theirs.seq, theirs.topic, theirs.record)
             for ours, theirs in zip(store_events, trace_events)
         )
+
+
+def _small_store(path, events=40):
+    bus = EventBus()
+    with TelemetryStore(path) as store:
+        store.attach(bus)
+        _publish_alerts(bus, events)
+    return path
+
+
+class TestDamagedFiles:
+    """Damaged, foreign or empty files are a typed error — never a bare
+    ``sqlite3`` or ``pickle`` traceback, and never "clean"."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path):
+        """name -> (path, expected error) for every kind of damage."""
+        good = _small_store(tmp_path / "good.db", events=600).read_bytes()
+        page = 4096
+        assert len(good) > 8 * page
+        files = {}
+
+        def add(name, data, error):
+            (tmp_path / name).write_bytes(data)
+            files[name] = (tmp_path / name, error)
+
+        header = bytes(byte ^ 0xFF for byte in good[2 * page : 2 * page + 64])
+        add("flipped.db", good[: 2 * page] + header + good[2 * page + 64 :],
+            StateCorruptError)  # the b-tree header of page 3
+        add("half.db", good[: len(good) // 2], StateCorruptError)
+        add("garbage.db", good[:16] + b"garbage" * 500, StateCorruptError)
+        with sqlite3.connect(tmp_path / "old-state.db") as parent_layout:
+            # a state.db of the commit before events were state
+            parent_layout.execute(
+                "CREATE TABLE journal (seq INTEGER PRIMARY KEY, kind TEXT, data TEXT)"
+            )
+        files["old-state.db"] = (tmp_path / "old-state.db", TraceSchemaError)
+        StateDb(tmp_path / "no-log.db").close()  # the tables, but no store ever
+        files["no-log.db"] = (tmp_path / "no-log.db", TraceSchemaError)
+        add("blob.db", good, TraceSchemaError)
+        with sqlite3.connect(tmp_path / "blob.db") as vandal:
+            vandal.execute(
+                "UPDATE events SET record = ? WHERE seq = 3", (pickle.dumps(object),)
+            )
+        return files
+
+    def test_readers_raise_the_typed_error(self, damaged):
+        for name, (path, error) in damaged.items():
+            with pytest.raises(error) as caught:
+                read_store(path)
+            assert str(path) in str(caught.value), name
+            with pytest.raises(error):
+                list(tail_store(path))
+        message = str(pytest.raises(TraceSchemaError, read_store,
+                                    damaged["blob.db"][0]).value)
+        assert "event 3 of source ''" in message and "builtins.object" in message
+
+    def test_verify_and_tail_exit_2_without_a_traceback(self, damaged, capsys):
+        for name, (path, _) in damaged.items():
+            for command in ("verify", "tail"):
+                assert main([command, str(path)]) == 2, (command, name)
+                captured = capsys.readouterr()
+                assert captured.err.startswith(f"autoglobe {command}: {path}: ")
+                assert captured.err.count("\n") == 1
+                assert "Traceback" not in captured.err
+                assert "clean" not in captured.out
+
+    @settings(max_examples=60, deadline=1000)
+    @given(data=st.data())
+    def test_random_damage_is_a_result_or_a_typed_error(
+        self, data, tmp_path_factory
+    ):
+        directory = tmp_path_factory.mktemp("damage")  # no stale -wal/-shm
+        good = bytearray(_small_store(directory / "good.db").read_bytes())
+        flips = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(good) - 1), st.integers(0, 255)),
+                max_size=64,
+            )
+        )
+        for position, value in flips:
+            good[position] = value
+        keep = data.draw(st.one_of(st.just(len(good)), st.integers(0, len(good))))
+        (directory / "damaged.db").write_bytes(good[:keep])
+        try:
+            header, events = read_store(directory / "damaged.db")
+        except (StateCorruptError, TraceSchemaError):
+            return
+        assert all(isinstance(event.record, dict) for event in events)

@@ -147,22 +147,6 @@ class TestTelemetryPipeline:
             if event.kind.creates_fault_record:
                 assert event.kind.value in merged_kinds
 
-    def test_telemetry_export_covers_the_retained_history(
-        self, recovery_runs, tmp_path
-    ):
-        from repro.sim.export import export_telemetry_jsonl
-
-        (runner, __), __ = recovery_runs
-        path = tmp_path / "telemetry.jsonl"
-        exported = export_telemetry_jsonl(runner.platform.bus, path)
-        header, *lines = path.read_text().splitlines()
-        assert json.loads(header)["kind"] == "autoglobe-trace"
-        assert exported == len(lines) > 0
-        first, last = json.loads(lines[0]), json.loads(lines[-1])
-        assert first["seq"] < last["seq"] == runner.platform.bus.last_seq
-        topics = {json.loads(line)["topic"] for line in lines}
-        assert "reports" in topics and "actions" in topics
-
 
 _HARNESS = """\
 import sys
@@ -224,6 +208,71 @@ class TestKillAndResume:
         assert resumed.returncode == 0, resumed.stderr
         assert resumed.stdout == uninterrupted.stdout
         assert [path.name for path in state.iterdir()] == ["state.db"]
+
+    def test_the_export_of_a_killed_and_resumed_run_is_the_whole_run(
+        self, tmp_path
+    ):
+        """``--export`` renders ``telemetry.jsonl`` from the run's store,
+        which the resume continues: complete, gapless, strictly clean,
+        and — the resumed leader's own ``leader-epoch`` aside — the
+        uninterrupted run's export."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+        def cli(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.cli", *args],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+
+        def run(state, out, *extra):
+            return cli(
+                "run", "--hours", "3", "--chaos", "--state-dir", str(tmp_path / state),
+                "--export", str(tmp_path / out), *extra,
+            )
+
+        def exported(out):
+            path = tmp_path / out / "full-mobility_115" / "telemetry.jsonl"
+            header, *lines = map(json.loads, path.read_text().splitlines())
+            return path, header, lines
+
+        assert run("full-state", "full").returncode == 0
+        assert run("state", "out", "--kill-at", "815").returncode == -signal.SIGKILL
+        resumed = run("state", "out", "--resume")
+        assert resumed.returncode == 0, resumed.stderr
+
+        path, header, lines = exported("out")
+        assert header["complete"] is True
+        assert [line["seq"] for line in lines] == list(range(1, len(lines) + 1))
+        assert f"({len(lines)} telemetry records)" in resumed.stdout
+        verified = cli("verify", str(path), "--strict")  # sibling summary.json
+        assert verified.returncode == 0, verified.stdout + verified.stderr
+        assert sorted(p.name for p in path.parent.iterdir()) == [
+            "actions.csv", "availability.csv", "host_loads.csv", "store.db",
+            "summary.json", "telemetry.jsonl",
+        ]
+
+        def history(stream):
+            # a resumed process samples its restored instance monitors
+            # in another order, and sums a host's load in that order:
+            # the last digit of a double may differ
+            return [
+                dict(
+                    line["record"],
+                    rows=sorted(
+                        (subject, metric, minute, round(value, 9))
+                        for subject, metric, minute, value
+                        in line["record"].get("rows", ())
+                    ),
+                )
+                for line in stream if line["topic"] != "supervision"
+            ]
+
+        _, full_header, full_lines = exported("full")
+        assert full_header["complete"] is True
+        assert history(lines) == history(full_lines)
+        assert len(lines) == len(full_lines) + 1  # the leader-epoch
 
 
 def _durable(state_dir, horizon, **kwargs):

@@ -3,14 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.telemetry.bus import EventBus
-from repro.telemetry.records import AlertEvent
 from repro.telemetry.trace import (
     TRACE_KIND,
     TRACE_SCHEMA_VERSION,
     TraceSchemaError,
-    TraceWriter,
     read_trace,
     trace_event_line,
     trace_header_line,
@@ -106,48 +105,44 @@ class TestLegacyTraces:
         assert events == []
 
 
-class TestTraceWriter:
-    def test_virgin_bus_yields_complete_trace(self, tmp_path):
-        bus = EventBus()
-        path = tmp_path / "stream.jsonl"
-        with TraceWriter(path) as writer:
-            writer.attach(bus)
-            bus.publish(AlertEvent(1, "info", "hello"))
-            bus.publish(AlertEvent(2, "warning", "world"))
-        header, events = read_trace(path)
-        assert header.complete is True
-        assert writer.count == 2
-        assert [e.seq for e in events] == [1, 2]
+class TestHostileInput:
+    """Whatever the bytes, ``read_trace`` answers with a result or a
+    ``TraceSchemaError`` that names the line — no other exception."""
 
-    def test_late_attachment_is_marked_incomplete(self, tmp_path):
-        bus = EventBus()
-        bus.publish(AlertEvent(1, "info", "missed"))
-        path = tmp_path / "late.jsonl"
-        with TraceWriter(path) as writer:
-            writer.attach(bus)
-            bus.publish(AlertEvent(2, "info", "seen"))
-        header, events = read_trace(path)
-        assert header.complete is False
-        assert [e.seq for e in events] == [2]
-
-    def test_double_attach_rejected(self, tmp_path):
-        bus = EventBus()
-        writer = TraceWriter(tmp_path / "t.jsonl")
-        writer.attach(bus)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=400))
+    def test_arbitrary_bytes(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bytes") / "trace.jsonl"
+        path.write_bytes(data)
         try:
-            with pytest.raises(RuntimeError, match="already attached"):
-                writer.attach(bus)
-        finally:
-            writer.close()
+            read_trace(path)
+        except TraceSchemaError as error:
+            assert "line " in str(error)
 
-    def test_close_stops_streaming_and_is_idempotent(self, tmp_path):
-        bus = EventBus()
-        path = tmp_path / "closed.jsonl"
-        writer = TraceWriter(path)
-        writer.attach(bus)
-        bus.publish(AlertEvent(1, "info", "in"))
-        writer.close()
-        writer.close()
-        bus.publish(AlertEvent(2, "info", "out"))
-        _, events = read_trace(path)
-        assert [e.seq for e in events] == [1]
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.dictionaries(
+                    st.sampled_from(
+                        ["seq", "topic", "record", "clock", "schema_version", "kind"]
+                    ),
+                    inner,
+                    max_size=4,
+                ),
+                max_leaves=8,
+            ),
+            max_size=5,
+        )
+    )
+    def test_arbitrary_json_lines(self, lines, tmp_path_factory):
+        path = tmp_path_factory.mktemp("json") / "trace.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        try:
+            header, events = read_trace(path)
+        except TraceSchemaError as error:
+            assert "line " in str(error) or "schema version" in str(error)
+        else:
+            assert all(isinstance(event.record, dict) for event in events)
