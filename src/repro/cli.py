@@ -468,25 +468,32 @@ def _cmd_run_multiproc(args) -> int:
                   "--multiproc (use --kill-agent for crash chaos)",
                   file=sys.stderr)
             return EXIT_ERRORS
+    from repro.core.state import StateCorruptError
     from repro.net.orchestrator import run_multiproc
+    from repro.telemetry.trace import TraceSchemaError
 
     state_dir = Path(args.state_dir)
     out_dir = Path(args.export) if args.export else state_dir / "merged"
     start_minute = args.start if args.start is not None else 12 * 60
-    result = run_multiproc(
-        args.domains,
-        state_dir,
-        out_dir,
-        scenario=args.scenario,
-        user_factor=args.users,
-        horizon=int(args.hours * 60),
-        seed=args.seed,
-        start_minute=start_minute,
-        chaos_seed=args.chaos_seed if args.chaos else None,
-        net_chaos_seed=args.net_chaos_seed if args.net_chaos else None,
-        kill_agent=args.kill_agent,
-        ignore=tuple(args.ignore),
-    )
+    try:
+        result = run_multiproc(
+            args.domains,
+            state_dir,
+            out_dir,
+            scenario=args.scenario,
+            user_factor=args.users,
+            horizon=int(args.hours * 60),
+            seed=args.seed,
+            start_minute=start_minute,
+            chaos_seed=args.chaos_seed if args.chaos else None,
+            net_chaos_seed=args.net_chaos_seed if args.net_chaos else None,
+            kill_agent=args.kill_agent,
+            ignore=tuple(args.ignore),
+        )
+    except (RuntimeError, StateCorruptError, TraceSchemaError) as exc:
+        # an agent out of respawns or without a summary; a damaged state.db
+        print(f"autoglobe run: {exc}", file=sys.stderr)
+        return EXIT_ERRORS
     summary = result.summary
     print(f"{args.scenario.value} x{args.users:.2f}: "
           f"{args.domains} agent processes, "

@@ -3,13 +3,15 @@
 The package splits :class:`repro.core.federation.FederatedControlPlane`
 across real OS processes: one coordinating :class:`FederationServer` and
 one :class:`DomainAgent` process per control domain, speaking a small
-versioned length-prefixed JSON RPC protocol.
+versioned length-prefixed JSON RPC protocol.  The wire carries control
+(sessions, heartbeats, escrow); an agent's events and run summary stay
+in its domain directory, which the server reads at finalization.
 
 Modules
 -------
 ``protocol``
     Wire framing (4-byte big-endian length prefix + UTF-8 JSON) and the
-    versioned message schema.
+    versioned, typed message schema.
 ``transport``
     Blocking :class:`Endpoint` abstraction with a TCP implementation and
     an in-process loopback pair for deterministic tests.
@@ -21,7 +23,7 @@ Modules
     :class:`repro.core.state.LeaseStore` fencing semantics.
 ``server``
     The coordinating server: handshake, heartbeats, idempotent escrow
-    brokering, telemetry collection and merged-trace verification.
+    brokering, and the merge and verification of the agents' event logs.
 ``agent``
     The per-domain agent process: a full controller stack over a
     sub-landscape, with degraded-mode autonomy and crash recovery.

@@ -12,10 +12,12 @@ and speaks the :mod:`repro.net.protocol` schema to the coordinating
 * **heartbeats** — renew the server-side session and return the global
   minimum simulated minute, the pacing floor that keeps loosely coupled
   agents within ``sim_lead_minutes`` of the slowest peer;
-* **telemetry** — every envelope published on the agent's bus is
+* **events** — every envelope published on the agent's bus is
   Lamport-stamped into the ``events`` table of the domain's ``state.db``
-  *and* forwarded in acked, deduplicated batches, so the server can
-  merge per-domain streams into one causally consistent trace;
+  and nowhere else: the server reads the table at finalization and
+  merges the per-domain streams into one causally consistent trace
+  (every message carries the sender's clock, so the stamps order
+  across domains without the events crossing the wire);
 * **escrow** — overloads no local action can remedy go through the
   server-brokered two-phase relocation (prepare / commit / attach),
   with every phase published as an :class:`~repro.telemetry.records.EscrowEvent`
@@ -33,13 +35,12 @@ Durability mirrors the single-process runner: events are state — rows
 of the same ``state.db`` as journal, snapshots and load archive,
 committed by the store's one group-commit policy and before every
 snapshot — and periodic full-run snapshots carry a ``net`` section
-(Lamport clock, bus sequence, telemetry ack watermark, escrow
-reservations and reply caches).  A SIGKILLed agent resumes by dropping
-the event rows past the snapshot's bus sequence and reading its outbox
-back from the table: the rows past the ack watermark.  SIGTERM is
-graceful: finish the current minute, snapshot, drain telemetry and
-deregister with the final run summary.  A domain directory holds
-``state.db`` and ``summary.json``.
+(Lamport clock, bus sequence, escrow reservations and reply caches).
+A SIGKILLed agent resumes by dropping the event rows past the
+snapshot's bus sequence.  SIGTERM is graceful: finish the current
+minute, snapshot, deregister, then write the run summary — last, so it
+counts everything the agent did.  A domain directory holds ``state.db``
+and ``summary.json``; it is the one hand-off to the server.
 """
 
 from __future__ import annotations
@@ -120,16 +121,12 @@ __all__ = ["SessionSupervisor", "DomainAgent", "main"]
 _ACK_KINDS = frozenset(
     {
         "heartbeat_ack",
-        "telemetry_ack",
         "deregister_ack",
         "escrow_prepared",
         "escrow_committed",
         "escrow_aborted",
     }
 )
-
-#: events per telemetry batch; one in-flight batch at a time
-_BATCH_LIMIT = 256
 
 
 class SessionSupervisor(ControllerSupervisor):
@@ -322,11 +319,6 @@ class DomainAgent:
         self._awaiting_ack_since: Optional[float] = None
         self._last_hb_minute = start_minute - 10
         self._last_hb_wall = 0.0
-        # -- telemetry forwarding ----------------------------------------------
-        self._outbox: List[Dict[str, Any]] = []
-        self._batch = 0
-        self._acked_seq = 0
-        self._inflight: Optional[Dict[str, Any]] = None
         # -- escrow (source side) ----------------------------------------------
         self._escrow_seq = 0
         self._reply_box: Dict[tuple, Dict[str, Any]] = {}
@@ -348,19 +340,12 @@ class DomainAgent:
         self.result: Optional[SimulationResult] = None
 
     def _on_envelope(self, envelope: Envelope) -> None:
-        """One stamp per envelope: the same number and the same payload
-        go into the event row and the outbox entry (the merge sorts by it)."""
-        stamp = self.clock.tick()
-        record = record_payload(envelope.record)
-        self.events.add(envelope.seq, envelope.topic, record, stamp)
-        self._owe(envelope.seq, envelope.topic, record, stamp)
-
-    def _owe(
-        self, seq: int, topic: str, record: Dict[str, Any], clock: Optional[int]
-    ) -> None:
-        """Queue one event for forwarding, in its wire form."""
-        self._outbox.append(
-            {"seq": seq, "topic": topic, "record": record, "clock": clock}
+        """One Lamport stamp per envelope (the merge sorts by it)."""
+        self.events.add(
+            envelope.seq,
+            envelope.topic,
+            record_payload(envelope.record),
+            self.clock.tick(),
         )
 
     def request_stop(self) -> None:
@@ -395,7 +380,6 @@ class DomainAgent:
             self.collector.observe(now)
             self._service_network(now)
             self._maybe_heartbeat(now)
-            self._flush_telemetry(now)
             self.events.end_tick()
             last = now
             if (now - self.start_minute + 1) % self.snapshot_interval == 0 or (
@@ -429,7 +413,6 @@ class DomainAgent:
         ):
             self._maybe_heartbeat(now)
             self._service_network(now)
-            self._flush_telemetry(now)
             time.sleep(0.01)
 
     # -- connection management --------------------------------------------------------
@@ -516,9 +499,6 @@ class DomainAgent:
                 now, "net-resynced", str(welcome.get("session", ""))
             )
         self._awaiting_ack_since = None
-        # unacked telemetry is resent from the outbox; the server dedups
-        # by (domain, seq), first delivery wins
-        self._inflight = None
 
     def _enter_degraded(self, now: int, reason: str) -> None:
         if self._endpoint is not None:
@@ -528,7 +508,6 @@ class DomainAgent:
                 pass
         self._endpoint = None
         self._connected = False
-        self._inflight = None
         self._awaiting_ack_since = None
         if not self._degraded:
             self._degraded = True
@@ -552,7 +531,6 @@ class DomainAgent:
                 pass
         self._endpoint = None
         self._connected = False
-        self._inflight = None
         self._awaiting_ack_since = None
         self._next_connect = 0.0
         self._ensure_connected(now)
@@ -574,16 +552,15 @@ class DomainAgent:
         """Drain inbound messages, pump retries, detect silence."""
         while self._deferred_attaches and self._connected:
             self._handle_attach(now, self._deferred_attaches.pop(0))
-        if self._connected:
-            while True:
-                try:
-                    message = self._endpoint.recv(timeout=0.001)
-                except (EndpointClosed, FrameError, OSError):
-                    self._connection_lost(now, "connection lost")
-                    break
-                if message is None:
-                    break
-                self._handle_inbound(now, message)
+        while self._connected:  # a handled message may drop the link
+            try:
+                message = self._endpoint.recv(timeout=0.001)
+            except (EndpointClosed, FrameError, OSError):
+                self._connection_lost(now, "connection lost")
+                break
+            if message is None:
+                break
+            self._handle_inbound(now, message)
         self._pump_commits(now)
         if (
             self._connected
@@ -595,7 +572,12 @@ class DomainAgent:
     def _handle_inbound(
         self, now: int, message: Dict[str, Any], defer_attach: bool = False
     ) -> None:
-        validate_message(message)
+        try:
+            validate_message(message)
+        except ProtocolError as exc:
+            # a peer that sends this cannot be followed: drop the link
+            self._connection_lost(now, f"malformed message: {exc}")
+            return
         self.clock.witness(int(message["clock"]))
         kind = message["kind"]
         if kind in _ACK_KINDS:
@@ -604,8 +586,6 @@ class DomainAgent:
             self._global_min = int(message["global_min"])
             if message["status"] == "deposed":
                 self._deposed_reconnect(now)
-        elif kind == "telemetry_ack":
-            self._handle_telemetry_ack(message)
         elif kind == "deregister_ack":
             self._deregistered = True
         elif kind == "escrow_reserve":
@@ -640,49 +620,6 @@ class DomainAgent:
             self._last_hb_wall = wall
             if self._awaiting_ack_since is None:
                 self._awaiting_ack_since = wall
-
-    def _flush_telemetry(self, now: int) -> None:
-        if not self._connected:
-            return
-        if self._inflight is not None:
-            if (
-                time.monotonic() - self._inflight["sent_wall"]
-                <= self.ack_timeout
-            ):
-                return
-            self._inflight = None  # lost batch: fall through and resend
-        if not self._outbox:
-            return
-        events = self._outbox[:_BATCH_LIMIT]
-        self._batch += 1
-        sent = self._send(
-            make_message(
-                "telemetry",
-                self.clock.tick(),
-                domain=self.domain,
-                batch=self._batch,
-                events=events,
-            )
-        )
-        if not sent:
-            return
-        self._inflight = {
-            "batch": self._batch,
-            "count": len(events),
-            "last_seq": events[-1]["seq"],
-            "sent_wall": time.monotonic(),
-        }
-        if self._awaiting_ack_since is None:
-            self._awaiting_ack_since = self._inflight["sent_wall"]
-
-    def _handle_telemetry_ack(self, message: Dict[str, Any]) -> None:
-        if self._inflight is None:
-            return
-        if int(message["batch"]) != self._inflight["batch"]:
-            return
-        del self._outbox[: self._inflight["count"]]
-        self._acked_seq = self._inflight["last_seq"]
-        self._inflight = None
 
     def _await_reply(
         self, now: int, kind: str, escrow_id: str, timeout: float
@@ -1129,8 +1066,6 @@ class DomainAgent:
             "net": {
                 "clock": self.clock.time,
                 "bus_seq": self.view.bus.last_seq,
-                "batch": self._batch,
-                "acked_seq": self._acked_seq,
                 "escrow_seq": self._escrow_seq,
                 "incarnation": self._incarnation,
                 "reservations": self._reservations,
@@ -1180,10 +1115,6 @@ class DomainAgent:
         # to the abandoned timeline between snapshot and kill
         self.events.truncate_after(bus_seq)
         self.view.bus.fast_forward(bus_seq)
-        self._acked_seq = int(net["acked_seq"])
-        for event in self.events.since(self._acked_seq):
-            self._owe(event.seq, event.topic, event.record, event.clock)
-        self._batch = int(net["batch"])
         self._escrow_seq = int(net["escrow_seq"])
         # a resumed process is a new incarnation: the handshake must
         # re-grant (and fence) rather than silently renew
@@ -1203,6 +1134,11 @@ class DomainAgent:
             # graceful SIGTERM: make the truncated run resumable
             self._save_snapshot(last)
         final_minute = max(last, self.start_minute)
+        self.events.flush()
+        # deregister first: an escrow attach (or a commit refusal's
+        # compensation) that still lands while the network is serviced
+        # is an action the summary below has to count
+        self._deregister(final_minute)
         result = self.collector.finalize(
             final_minute=final_minute,
             escalation_count=len(self.supervisor.alerts.escalations()),
@@ -1226,14 +1162,12 @@ class DomainAgent:
             "escrow_out": self._escrow_out_count,
             "escrow_in": self._escrow_in_count,
         }
-        self.events.flush()
-        self._drain_and_deregister(final_minute, summary)
-        # disk is authoritative: the orchestrator reads these even when
-        # the deregister never got through a partition
+        # the server reads this file, not a message: it is there even
+        # when the deregister never got through a partition
         (self.dir / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
         )
-        self.events.close()  # what the drain itself published
+        self.events.close()  # what deregistering itself published
         self.store.close()
         if self._endpoint is not None:
             try:
@@ -1243,10 +1177,8 @@ class DomainAgent:
         self._connected = False
         return result
 
-    def _drain_and_deregister(
-        self, now: int, summary: Dict[str, Any], timeout: float = 5.0
-    ) -> None:
-        """Flush remaining telemetry and deregister; bounded best-effort."""
+    def _deregister(self, now: int, timeout: float = 5.0) -> None:
+        """Tell the server this agent is done; bounded best-effort."""
         deadline = time.monotonic() + timeout
         last_deregister = 0.0
         while not self._deregistered and time.monotonic() < deadline:
@@ -1257,10 +1189,6 @@ class DomainAgent:
                     time.sleep(0.02)
                     continue
             self._service_network(now)
-            self._flush_telemetry(now)
-            if self._outbox or self._inflight is not None:
-                time.sleep(0.005)
-                continue
             if time.monotonic() - last_deregister > 0.5:
                 self._send(
                     make_message(
@@ -1268,7 +1196,6 @@ class DomainAgent:
                         self.clock.tick(),
                         domain=self.domain,
                         minute=now,
-                        summary=summary,
                     )
                 )
                 last_deregister = time.monotonic()

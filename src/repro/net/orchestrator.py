@@ -11,10 +11,10 @@ per-domain artifacts into a single verified run:
   respawned with ``--resume``: it restores from its durable snapshot,
   re-handshakes under a new incarnation (bumping the fencing token) and
   continues its own event log;
-* at the end the orchestrator reads each domain's ``summary.json`` and
-  hands it, with the path of the domain's ``state.db`` (whose ``events``
-  table is the agent's own log), to :meth:`FederationServer.finalize`
-  — disk is authoritative even when a partition swallowed the agent's
+* at the end :meth:`FederationServer.finalize` reads each domain's
+  directory under the state directory the server was built on —
+  ``summary.json`` and the ``events`` table of ``state.db``, the
+  agent's own log, whole even when a partition swallowed the agent's
   final deregister — for the merged summary, the merged trace
   (``telemetry.jsonl`` and ``store.db`` under ``out_dir``) and the
   AG3xx verification report.
@@ -22,7 +22,6 @@ per-domain artifacts into a single verified run:
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -32,7 +31,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import repro
-from repro.core.state import STATE_FILE
 from repro.net.chaos import NetChaosProfile
 from repro.net.server import FederationServer
 from repro.sim.clock import PAPER_HORIZON_MINUTES
@@ -141,8 +139,8 @@ def run_multiproc(
     right after the given simulated minute and is respawned with
     ``--resume``.  ``net_chaos_seed`` enables the standard wire-chaos
     mix (drop/duplicate/delay everywhere plus one seeded one-way
-    partition).  Raises ``RuntimeError`` when an agent fails terminally
-    or the wall timeout expires.
+    partition).  Raises ``RuntimeError`` when an agent fails terminally,
+    finishes without a summary, or the wall timeout expires.
     """
     if domains < 2:
         raise ValueError("a multi-process federation needs at least 2 domains")
@@ -204,28 +202,14 @@ def run_multiproc(
                     )
                 respawns[name] += 1
                 spawn(name, resume=True)
-        summaries: Dict[str, Dict[str, object]] = {}
-        trace_paths: Dict[str, Path] = {}
-        for name in domain_names:
-            summary_path = state_dir / name / "summary.json"
-            if not summary_path.exists():
-                raise RuntimeError(
-                    f"agent {name} finished without writing {summary_path}"
-                )
-            summaries[name] = json.loads(summary_path.read_text(encoding="utf-8"))
-            trace_paths[name] = state_dir / name / STATE_FILE
         report, merged_summary, trace_path = server.finalize(
-            Path(out_dir),
-            summaries=summaries,
-            trace_paths=trace_paths,
-            ignore=ignore,
-            store_path=Path(out_dir) / "store.db",
+            Path(out_dir), ignore=ignore, store_path=Path(out_dir) / "store.db"
         )
         return MultiprocResult(
             report=report,
             summary=merged_summary,
             trace_path=trace_path,
-            domain_summaries=summaries,
+            domain_summaries=server.domain_summaries,
             respawns=respawns,
             net_stats=dict(server.injector.stats) if server.injector else {},
             deposed_count=server.sessions.deposed_count,

@@ -5,20 +5,24 @@ payload length followed by that many bytes of UTF-8 JSON encoding one
 message object.  Messages are dictionaries with three universal keys —
 ``schema_version`` (the protocol revision that produced the message),
 ``kind`` (one of :data:`MESSAGE_KINDS`) and ``clock`` (the sender's
-Lamport clock, used to merge per-agent telemetry into one causally
-consistent trace) — plus kind-specific fields.
+Lamport clock: the happens-before edges by which the agents' event
+logs merge into one causally consistent trace) — plus kind-specific,
+typed fields.  The wire carries control only — sessions, heartbeats,
+escrow; an agent's events and run summary stay in its domain directory,
+where the server reads them.
 
 Version negotiation mirrors the trace format: a peer accepts messages
 whose ``schema_version`` is at or below its own :data:`PROTOCOL_VERSION`
 and rejects newer ones with :class:`ProtocolError` instead of guessing
-at unknown semantics.
+at unknown semantics; the server refuses a ``hello`` from an older
+revision at the handshake.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -33,11 +37,15 @@ __all__ = [
 ]
 
 #: Current protocol revision.  Bump on any incompatible schema change.
-PROTOCOL_VERSION = 1
+#: 2: the wire carries control only — ``telemetry``/``telemetry_ack``
+#: and ``deregister.summary`` are gone (the server reads the agent's
+#: domain directory); a version-1 ``hello`` is refused at the handshake.
+PROTOCOL_VERSION = 2
 
-#: Upper bound on a single frame; a telemetry batch for one simulated
-#: minute of a large landscape stays well below this.
-MAX_FRAME_BYTES = 32 * 1024 * 1024
+#: Upper bound on a single frame.  Every message is a small control
+#: message; the largest, an ``escrow_attach`` carrying a service
+#: specification, is well under a kilobyte.
+MAX_FRAME_BYTES = 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
@@ -50,42 +58,44 @@ class ProtocolError(ValueError):
     """A structurally invalid or incompatibly versioned message."""
 
 
-#: Message kinds and their required kind-specific fields.  ``clock`` and
+#: Message kinds and the type of each required kind-specific field
+#: (exact JSON types: a ``bool`` is not an ``int``).  ``clock`` and
 #: ``schema_version`` are required on every message and checked
 #: separately.
-MESSAGE_KINDS: Dict[str, tuple] = {
+MESSAGE_KINDS: Dict[str, Dict[str, type]] = {
     # session lifecycle
-    "hello": ("domain", "incarnation", "minute"),
-    "welcome": ("token", "session", "max_clock", "resumed"),
-    "reject": ("reason",),
-    "heartbeat": ("domain", "minute"),
-    "heartbeat_ack": ("status", "global_min"),
-    "deregister": ("domain", "minute", "summary"),
-    "deregister_ack": (),
-    # telemetry forwarding
-    "telemetry": ("domain", "batch", "events"),
-    "telemetry_ack": ("batch",),
+    "hello": {"domain": str, "incarnation": int, "minute": int},
+    "welcome": {"token": int, "session": str, "max_clock": int, "resumed": bool},
+    "reject": {"reason": str},
+    "heartbeat": {"domain": str, "minute": int},
+    "heartbeat_ack": {"status": str, "global_min": int},
+    "deregister": {"domain": str, "minute": int},
+    "deregister_ack": {},
     # cross-domain escrow (two-phase, server-brokered)
-    "escrow_request": ("escrow_id", "domain", "service", "users", "minute", "token"),
-    "escrow_reserve": ("escrow_id", "source_domain", "service", "users", "minute"),
-    "escrow_reserved": ("escrow_id", "ok", "host", "note"),
-    "escrow_prepared": ("escrow_id", "ok", "target_domain", "target_host", "note"),
-    "escrow_commit": ("escrow_id", "domain", "instance_id", "source_host", "minute", "token"),
-    "escrow_committed": ("escrow_id", "ok", "note"),
-    "escrow_attach": (
-        "escrow_id",
-        "service",
-        "users",
-        "host",
-        "source_domain",
-        "source_host",
-        "token",
-        "minute",
-    ),
-    "escrow_attached": ("escrow_id", "ok", "note"),
-    "escrow_abort": ("escrow_id", "domain", "minute", "note"),
-    "escrow_aborted": ("escrow_id",),
-    "escrow_release": ("escrow_id", "note"),
+    "escrow_request": {
+        "escrow_id": str, "domain": str, "service": dict, "users": int, "minute": int,
+        "token": int,
+    },
+    "escrow_reserve": {
+        "escrow_id": str, "source_domain": str, "service": dict, "users": int, "minute": int,
+    },
+    "escrow_reserved": {"escrow_id": str, "ok": bool, "host": str, "note": str},
+    "escrow_prepared": {
+        "escrow_id": str, "ok": bool, "target_domain": str, "target_host": str, "note": str,
+    },
+    "escrow_commit": {
+        "escrow_id": str, "domain": str, "instance_id": str, "source_host": str, "minute": int,
+        "token": int,
+    },
+    "escrow_committed": {"escrow_id": str, "ok": bool, "note": str},
+    "escrow_attach": {
+        "escrow_id": str, "service": dict, "users": int, "host": str, "source_domain": str,
+        "source_host": str, "token": int, "minute": int,
+    },
+    "escrow_attached": {"escrow_id": str, "ok": bool, "note": str},
+    "escrow_abort": {"escrow_id": str, "domain": str, "minute": int, "note": str},
+    "escrow_aborted": {"escrow_id": str},
+    "escrow_release": {"escrow_id": str, "note": str},
 }
 
 
@@ -129,7 +139,7 @@ class FrameDecoder:
             del self._buffer[: _LENGTH.size + length]
             try:
                 decoded = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise FrameError(f"undecodable frame: {exc}") from exc
             if not isinstance(decoded, dict):
                 raise FrameError("frame payload is not a JSON object")
@@ -158,14 +168,14 @@ def make_message(kind: str, clock: int, **fields: Any) -> Dict[str, Any]:
 def validate_message(message: Any) -> Dict[str, Any]:
     """Check a decoded object against the schema; return it unchanged.
 
-    Raises :class:`ProtocolError` on a missing/unknown kind, missing
-    required fields, or a ``schema_version`` newer than this build
-    understands.
+    Raises :class:`ProtocolError` on a missing/unknown kind, a required
+    field that is missing or not of its declared type, or a
+    ``schema_version`` newer than this build understands.
     """
     if not isinstance(message, dict):
         raise ProtocolError("message is not an object")
     version = message.get("schema_version")
-    if not isinstance(version, int):
+    if type(version) is not int:
         raise ProtocolError("message lacks an integer schema_version")
     if version > PROTOCOL_VERSION:
         raise ProtocolError(
@@ -176,26 +186,18 @@ def validate_message(message: Any) -> Dict[str, Any]:
     if not isinstance(kind, str) or kind not in MESSAGE_KINDS:
         raise ProtocolError(f"unknown message kind {kind!r}")
     clock = message.get("clock")
-    if not isinstance(clock, int) or clock < 0:
+    if type(clock) is not int or clock < 0:
         raise ProtocolError(f"message kind {kind!r}: missing or negative clock")
-    missing = [f for f in MESSAGE_KINDS[kind] if f not in message]
+    fields = MESSAGE_KINDS[kind]
+    missing = [f for f in fields if f not in message]
     if missing:
         raise ProtocolError(
             f"message kind {kind!r}: missing required fields {missing}"
         )
+    for field, expected in fields.items():
+        if type(message[field]) is not expected:
+            raise ProtocolError(
+                f"message kind {kind!r}: field {field!r} must be "
+                f"{expected.__name__}, not {type(message[field]).__name__}"
+            )
     return message
-
-
-def reply_kind_for(kind: str) -> Optional[str]:
-    """The expected direct reply kind for a request kind, if any."""
-    return {
-        "hello": "welcome",
-        "heartbeat": "heartbeat_ack",
-        "telemetry": "telemetry_ack",
-        "deregister": "deregister_ack",
-        "escrow_request": "escrow_prepared",
-        "escrow_reserve": "escrow_reserved",
-        "escrow_commit": "escrow_committed",
-        "escrow_attach": "escrow_attached",
-        "escrow_abort": "escrow_aborted",
-    }.get(kind)

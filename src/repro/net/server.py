@@ -14,12 +14,13 @@ orchestrator) coordinates N per-domain agent processes:
   original answer instead of double-applying.  Request and commit are
   *token-revalidated* against the source's live session, so a deposed
   agent's escrow is refused exactly like a fenced action.
-* **telemetry** — agents forward their Lamport-stamped event stream in
-  acknowledged batches; the server dedups by ``(domain, seq)``
-  first-wins, merges all streams into one causally ordered trace at
-  finalization and feeds it through the same
-  :class:`~repro.analysis.verify.engine.TraceVerifier` the offline
-  ``autoglobe verify`` front end uses.
+* **finalization** — the wire carries control, the domain directory
+  carries data: :meth:`FederationServer.finalize` reads each domain's
+  ``summary.json`` and the Lamport-stamped ``events`` rows of its
+  ``state.db`` (the file the server already holds open for the lease),
+  merges the streams into one causally ordered trace and feeds it
+  through the same :class:`~repro.analysis.verify.engine.TraceVerifier`
+  the offline ``autoglobe verify`` front end uses.
 * **wire chaos** — an optional :class:`~repro.net.chaos.NetFaultInjector`
   filters every message on both directions of every agent link.
 
@@ -33,15 +34,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import socket
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.verify.engine import TraceVerifier, read_trace_or_store
+from repro.analysis.verify.engine import TraceVerifier, load_summary
+from repro.core.state import STATE_FILE
 from repro.net.chaos import NetChaosProfile, NetFaultInjector
 from repro.net.protocol import (
+    PROTOCOL_VERSION,
     FrameError,
     ProtocolError,
     make_message,
@@ -49,7 +53,13 @@ from repro.net.protocol import (
 )
 from repro.net.session import AgentSession, SessionManager
 from repro.net.transport import EndpointClosed, TcpEndpoint
-from repro.telemetry.records import EscrowEvent, EscrowPhase, record_to_dict, topic_of
+from repro.ops.store import TelemetryStore, read_store
+from repro.telemetry.records import (
+    TOPIC_ESCROW,
+    EscrowEvent,
+    EscrowPhase,
+    record_to_dict,
+)
 from repro.telemetry.trace import (
     LamportClock,
     TraceEvent,
@@ -100,8 +110,6 @@ class FederationServer:
         self._running = False
         self._threads: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
-        #: (domain, seq) -> (topic, record, clock), first delivery wins
-        self._events: Dict[str, Dict[int, Tuple[str, Dict[str, Any], int]]] = {}
         #: escrow_id -> ledger entry (state + fields for attach/abort)
         self._escrows: Dict[str, Dict[str, Any]] = {}
         #: (escrow_id, reply_kind) -> cached reply message (idempotency)
@@ -113,8 +121,8 @@ class FederationServer:
         #: delayed chaos deliveries: (due, tiebreak, kind, payload)
         self._delayed: List[Tuple[float, int, str, Any]] = []
         self._delayed_counter = itertools.count()
-        self._summaries: Dict[str, Dict[str, Any]] = {}
-        self.escrow_stats = {"requested": 0, "refused": 0, "attached": 0, "aborted": 0}
+        #: domain -> its ``summary.json``, as :meth:`finalize` read it
+        self.domain_summaries: Dict[str, Dict[str, Any]] = {}
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -152,6 +160,12 @@ class FederationServer:
     def stop(self) -> None:
         self._running = False
         if self._listener is not None:
+            try:
+                # close() alone does not wake a thread blocked in accept();
+                # where shutdown does not either, the accept timeout bounds it
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -223,11 +237,7 @@ class FederationServer:
             try:
                 validate_message(message)
             except ProtocolError as exc:
-                try:
-                    endpoint.send(
-                        make_message("reject", self._tick(), reason=str(exc))
-                    )
-                except (EndpointClosed, FrameError):
+                if not self._reject(endpoint, str(exc)):
                     return
                 continue
             self.clock.witness(int(message["clock"]))
@@ -274,21 +284,12 @@ class FederationServer:
         domain = str(message.get("domain", ""))
         session = self.sessions.sessions.get(domain)
         if session is None:
-            try:
-                endpoint.send(
-                    make_message(
-                        "reject",
-                        self._tick(),
-                        reason=f"no session for domain {domain!r}; handshake first",
-                    )
-                )
-            except (EndpointClosed, FrameError):
-                pass
+            self._reject(
+                endpoint, f"no session for domain {domain!r}; handshake first"
+            )
             return None
-        session.max_clock = max(session.max_clock, int(message["clock"]))
         handler = {
             "heartbeat": self._handle_heartbeat,
-            "telemetry": self._handle_telemetry,
             "deregister": self._handle_deregister,
             "escrow_request": self._handle_escrow_request,
             "escrow_commit": self._handle_escrow_commit,
@@ -302,12 +303,34 @@ class FederationServer:
         with self._lock:
             return self.clock.tick()
 
+    def _reject(self, endpoint: Any, reason: str) -> bool:
+        """Refuse a message on its own connection; ``False``: it is gone."""
+        try:
+            endpoint.send(make_message("reject", self._tick(), reason=reason))
+        except (EndpointClosed, FrameError):
+            return False
+        return True
+
     # -- handlers ----------------------------------------------------------------------
 
     def _handle_hello(
         self, endpoint: Any, message: Dict[str, Any]
-    ) -> AgentSession:
+    ) -> Optional[AgentSession]:
         domain = str(message["domain"])
+        if message["schema_version"] < PROTOCOL_VERSION:
+            # validate_message only knows a maximum: an older agent would
+            # go on to send kinds this revision no longer has
+            self._reject(
+                endpoint,
+                f"hello schema_version {message['schema_version']} is older "
+                f"than this server's protocol version {PROTOCOL_VERSION}; "
+                "upgrade the agent",
+            )
+            return None
+        if domain not in self.domains:
+            # the name becomes a directory under state_dir
+            self._reject(endpoint, f"unknown domain {domain!r}")
+            return None
         previous_token = self.sessions.current_token(domain)
         session = self.sessions.handshake(
             domain,
@@ -355,7 +378,6 @@ class FederationServer:
                     continue
                 target_domain, __, __ = self._pending_attaches.pop(escrow_id)
                 entry["state"] = "aborted"
-                self.escrow_stats["aborted"] += 1
                 releases.append((escrow_id, target_domain))
         for escrow_id, target_domain in releases:
             target = self.sessions.sessions.get(target_domain)
@@ -384,35 +406,9 @@ class FederationServer:
             ),
         )
 
-    def _handle_telemetry(
-        self, session: AgentSession, message: Dict[str, Any]
-    ) -> None:
-        with self._lock:
-            store = self._events.setdefault(session.domain, {})
-            for event in message["events"]:
-                seq = int(event["seq"])
-                if seq not in store:  # first delivery wins
-                    store[seq] = (
-                        str(event["topic"]),
-                        dict(event["record"]),
-                        int(event["clock"]),
-                    )
-                self.clock.witness(int(event["clock"]))
-            session.acked_batches.add(int(message["batch"]))
-        self._send(
-            session,
-            make_message(
-                "telemetry_ack", self._tick(), batch=int(message["batch"])
-            ),
-        )
-
     def _handle_deregister(
         self, session: AgentSession, message: Dict[str, Any]
     ) -> None:
-        summary = message.get("summary")
-        if isinstance(summary, dict):
-            with self._lock:
-                self._summaries[session.domain] = summary
         self.sessions.complete(session.domain)
         self._send_now(
             session, make_message("deregister_ack", self._tick())
@@ -446,11 +442,9 @@ class FederationServer:
         escrow_id = str(message["escrow_id"])
         if self._cached_reply(session, escrow_id, "escrow_prepared"):
             return
-        self.escrow_stats["requested"] += 1
         token = int(message["token"])
         live_token = self.sessions.current_token(session.domain)
         if live_token is None or token != live_token:
-            self.escrow_stats["refused"] += 1
             self._reply_cached(
                 session,
                 escrow_id,
@@ -469,8 +463,6 @@ class FederationServer:
             session.domain, escrow_id, message
         )
         ok = target_host != ""
-        if not ok:
-            self.escrow_stats["refused"] += 1
         with self._lock:
             self._escrows[escrow_id] = {
                 "state": "prepared" if ok else "refused",
@@ -622,7 +614,6 @@ class FederationServer:
                 entry = self._escrows.get(escrow_id)
                 if entry is not None and entry["state"] in ("prepared", "refused"):
                     entry["state"] = "aborted"
-                    self.escrow_stats["aborted"] += 1
                     target_session = self.sessions.sessions.get(
                         entry["target_domain"]
                     )
@@ -653,12 +644,7 @@ class FederationServer:
                 self._pending_attaches.pop(escrow_id, None)
                 entry = self._escrows.get(escrow_id)
                 if entry is not None:
-                    if message.get("ok"):
-                        entry["state"] = "attached"
-                        self.escrow_stats["attached"] += 1
-                    else:
-                        entry["state"] = "aborted"
-                        self.escrow_stats["aborted"] += 1
+                    entry["state"] = "attached" if message["ok"] else "aborted"
         self._resolve_waiter(message["kind"], message)
 
     # -- request/response correlation ---------------------------------------------------
@@ -717,19 +703,6 @@ class FederationServer:
 
     # -- finalization ------------------------------------------------------------------
 
-    def collected_sources(self) -> List[Tuple[str, List[TraceEvent]]]:
-        """Per-domain event lists from the wire, in local sequence order."""
-        sources = []
-        with self._lock:
-            for domain in sorted(self._events):
-                store = self._events[domain]
-                events = [
-                    TraceEvent(seq=seq, topic=store[seq][0], record=store[seq][1], clock=store[seq][2])
-                    for seq in sorted(store)
-                ]
-                sources.append((domain, events))
-        return sources
-
     def _synthesize_aborts(
         self, merged: List[TraceEvent]
     ) -> List[TraceEvent]:
@@ -782,34 +755,31 @@ class FederationServer:
                 synthesized.append(
                     TraceEvent(
                         seq=len(synthesized) + 1,
-                        topic=topic_of_escrow(),
+                        topic=TOPIC_ESCROW,
                         record=record,
                         clock=max_clock,
                     )
                 )
                 if entry:
                     entry["state"] = "aborted"
-                    self.escrow_stats["aborted"] += 1
         return synthesized
 
     def finalize(
         self,
         out_dir: Path,
-        summaries: Optional[Dict[str, Dict[str, Any]]] = None,
-        trace_paths: Optional[Dict[str, Path]] = None,
         ignore: Tuple[str, ...] = (),
         name: str = "multiproc",
         store_path: Optional[Path] = None,
     ):
         """Merge, verify and export the federation's run artifacts.
 
-        ``trace_paths`` (domain -> that agent's ``state.db``, or a JSONL
-        export of it) makes the agents' own event logs authoritative —
-        the right choice under wire chaos, where the server's live
-        telemetry copy may be missing a partitioned tail.  Without it
-        the wire-collected events are used, which is what "the live
-        server-side verifier" means.  ``store_path`` additionally writes
-        every per-source stream into one SQLite event store
+        Reads what each agent left in its domain directory —
+        ``summary.json`` (kept as :attr:`domain_summaries`) and the
+        ``events`` rows of ``state.db``, complete under any wire chaos
+        because they never crossed the wire — and raises
+        ``RuntimeError`` for a domain that wrote no summary.
+        ``store_path`` additionally writes every per-source stream into
+        one SQLite event store
         (:class:`repro.ops.store.TelemetryStore`); reading the store
         back merges the sources by Lamport clock into the same stream
         verified here.  Both outputs replace what an earlier run left
@@ -819,21 +789,22 @@ class FederationServer:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         complete = True
-        if trace_paths is not None:
-            sources = []
-            for domain in sorted(trace_paths):
-                header, events = read_trace_or_store(trace_paths[domain])
-                complete = complete and header.complete
-                sources.append((domain, events))
-        else:
-            sources = self.collected_sources()
+        sources = []
+        for domain in self.domains:
+            summary_path = self.state_dir / domain / "summary.json"
+            if not summary_path.exists():
+                raise RuntimeError(
+                    f"agent {domain} finished without writing {summary_path}"
+                )
+            self.domain_summaries[domain] = load_summary(summary_path)
+            header, events = read_store(self.state_dir / domain / STATE_FILE)
+            complete = complete and header.complete
+            sources.append((domain, events))
         merged = merge_traces(sources)
         synthesized = self._synthesize_aborts(merged)
         if synthesized:
             merged = merge_traces([("", merged), ("server", synthesized)])
         if store_path is not None:
-            from repro.ops.store import TelemetryStore
-
             with TelemetryStore(store_path) as event_store:
                 event_store.clear()
                 for domain, events in [*sources, ("server", synthesized)]:
@@ -845,8 +816,7 @@ class FederationServer:
                         ],
                     )
                 event_store.mark_complete(complete)
-        summaries = summaries if summaries is not None else dict(self._summaries)
-        merged_summary = merge_summaries(summaries, self.horizon)
+        merged_summary = merge_summaries(self.domain_summaries, self.horizon)
         verifier = TraceVerifier(ignore=ignore)
         for event in merged:
             verifier.feed(event)
@@ -855,29 +825,10 @@ class FederationServer:
         )
         trace_path = out_dir / "telemetry.jsonl"
         write_trace(trace_path, merged, complete=complete)
-        summary_path = out_dir / "summary.json"
-        import json
-
-        summary_path.write_text(
+        (out_dir / "summary.json").write_text(
             json.dumps(merged_summary, indent=2), encoding="utf-8"
         )
         return report, merged_summary, trace_path
-
-
-def topic_of_escrow() -> str:
-    """The bus topic escrow events are published on."""
-    probe = EscrowEvent(
-        time=0,
-        phase=EscrowPhase.ABORT,
-        escrow_id="",
-        service_name="",
-        instance_id="",
-        source_domain="",
-        target_domain="",
-        source_host="",
-        target_host="",
-    )
-    return topic_of(probe)
 
 
 #: Summary keys that add up across domains.

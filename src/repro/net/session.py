@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -50,12 +50,8 @@ class AgentSession:
     last_heartbeat_wall: float
     deposed: bool = False
     completed: bool = False
-    #: highest Lamport clock seen from this agent (handshake resume hint)
-    max_clock: int = 0
     #: transport handle the server uses to push messages; opaque here
     endpoint: object = None
-    #: events delivered per batch dedup (batch sequences acknowledged)
-    acked_batches: set = field(default_factory=set)
 
 
 class SessionManager:
@@ -167,11 +163,7 @@ class SessionManager:
                 holder=holder,
                 minute=minute,
                 last_heartbeat_wall=self._wall(),
-                max_clock=existing.max_clock if existing is not None else 0,
                 endpoint=endpoint,
-                acked_batches=(
-                    existing.acked_batches if existing is not None else set()
-                ),
             )
             self.sessions[domain] = session
             return session

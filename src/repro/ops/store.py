@@ -291,9 +291,8 @@ class TelemetryStore:
     ) -> int:
         """Commit another stream's ``(seq, topic, record, clock)`` rows now.
 
-        First write per ``(source, seq)`` wins — retransmitted wire
-        batches deduplicate exactly as the federation server's in-memory
-        collector does.
+        First write per ``(source, seq)`` wins (the table's primary
+        key): inserting a stream twice changes nothing.
         """
         if not rows:
             return 0
@@ -307,16 +306,6 @@ class TelemetryStore:
             "SELECT MAX(seq) FROM events WHERE source = ?", (self.source,)
         ).fetchone()
         return int(row[0]) if row and row[0] is not None else 0
-
-    def since(self, seq: int) -> List[TraceEvent]:
-        """This stream's committed events past ``seq``, in order and in
-        JSON shape (what a resumed agent still owes the server)."""
-        rows = self._db.connection.execute(
-            "SELECT seq, topic, clock, record FROM events "
-            "WHERE source = ? AND seq > ? ORDER BY seq",
-            (self.source, seq),
-        )
-        return [_event(self._db.path, self.source, *row) for row in rows]
 
     def truncate_after(self, seq: int) -> int:
         """Drop this stream's rows past ``seq`` (a resumed run abandons

@@ -3,9 +3,15 @@
 A lone agent nobody answers (its endpoint factory raises ``OSError``)
 runs degraded from the first minute and is therefore deterministic.
 Run to the end, and SIGKILLed mid-horizon and resumed, it leaves the
-same event log — complete, gapless, Lamport-stamped — and a resumed
-agent's outbox is exactly the rows the server has not acknowledged.
-Every finish waits out the 5 s deregister drain, hence the short horizon.
+same event log — complete, gapless, Lamport-stamped; a resume is
+``truncate_after(bus_seq)`` and nothing else, also from a snapshot the
+previous revision wrote.
+Every finish waits out the 5 s deregistration bound, hence the short horizon.
+
+An agent facing a *scripted* server (a loopback peer that answers from a
+function) shows the two things only a peer can provoke: the summary is
+written after deregistration and counts an action that lands in it, and
+a malformed message degrades the agent instead of ending its process.
 """
 
 import json
@@ -18,7 +24,16 @@ import textwrap
 import threading
 
 import repro
+from repro.analysis import verify_traces
+from repro.config.builtin import (
+    domain_sublandscape,
+    paper_landscape,
+    partition_landscape,
+)
+from repro.config.model import ServiceKind, service_spec_to_dict
 from repro.net.agent import DomainAgent
+from repro.net.protocol import make_message
+from repro.net.transport import EndpointClosed, loopback_pair
 from repro.ops.store import read_store
 
 START = 12 * 60
@@ -30,11 +45,62 @@ def _nobody_answers():
     raise OSError("no federation server")
 
 
-def _agent(state_dir, **kwargs):
+def _agent(state_dir, endpoint_factory=_nobody_answers, horizon=HORIZON, **kwargs):
     return DomainAgent(
-        "domain-1", 2, _nobody_answers, state_dir, user_factor=1.15,
-        horizon=HORIZON, seed=7, start_minute=START, connect_grace=0.0, **kwargs,
+        "domain-1", 2, endpoint_factory, state_dir, user_factor=1.15,
+        horizon=horizon, seed=7, start_minute=START, connect_grace=0.0, **kwargs,
     )
+
+
+def _scripted_server(respond):
+    """An endpoint factory whose peer answers each message of the agent
+    with ``respond(message, reply)``'s list of messages, where
+    ``reply(kind, **fields)`` stamps one after the message it answers."""
+
+    def factory():
+        client, server_side = loopback_pair()
+
+        def serve():
+            while True:
+                try:
+                    message = server_side.recv(timeout=0.5)
+                    if message is None:
+                        continue
+
+                    def reply(kind, **fields):
+                        return make_message(kind, message["clock"] + 1, **fields)
+
+                    for answer in respond(message, reply):
+                        server_side.send(answer)
+                except EndpointClosed:
+                    return
+
+        threading.Thread(target=serve, daemon=True).start()
+        return client
+
+    return factory
+
+
+def _session(message, reply):
+    """The script every scripted server shares: welcome, heartbeat ack,
+    and no peer domain to relocate to."""
+    if message["kind"] == "hello":
+        return [
+            reply(
+                "welcome", token=1, session="script",
+                max_clock=message["clock"], resumed=False,
+            )
+        ]
+    if message["kind"] == "heartbeat":
+        return [reply("heartbeat_ack", status="ok", global_min=message["minute"])]
+    if message["kind"] == "escrow_request":
+        return [
+            reply(
+                "escrow_prepared", escrow_id=message["escrow_id"], ok=False,
+                target_domain="", target_host="", note="no live peer domains",
+            )
+        ]
+    return []
 
 
 def _in_thread(function):
@@ -110,16 +176,17 @@ def test_a_killed_and_resumed_agent_leaves_the_uninterrupted_log(tmp_path):
     # every tick committed: rows of the abandoned timeline survive
     assert snapshot_minute < max(e.record["time"] for e in survived) <= KILL_AT
 
-    # the server had acknowledged everything up to seq 7 (say) when the
-    # snapshot was taken: exactly the rows past it are still owed
+    # the snapshot as the previous revision wrote it: its ``net`` section
+    # also carried the telemetry outbox cursors, which resume ignores
     with sqlite3.connect(state_db) as patch:
         (text,) = patch.execute(
             "SELECT payload FROM snapshots WHERE kind = 'run'"
         ).fetchone()
         payload = json.loads(text)
         bus_seq = payload["net"]["bus_seq"]
-        assert 7 < bus_seq < len(survived)  # rows past the snapshot exist
-        payload["net"]["acked_seq"] = 7
+        assert bus_seq < len(survived)  # rows past the snapshot exist
+        assert "batch" not in payload["net"] and "acked_seq" not in payload["net"]
+        payload["net"].update(batch=3, acked_seq=7)
         patch.execute(
             "UPDATE snapshots SET payload = ? WHERE kind = 'run'",
             (json.dumps(payload),),
@@ -127,20 +194,14 @@ def test_a_killed_and_resumed_agent_leaves_the_uninterrupted_log(tmp_path):
 
     def resume():
         agent = _agent(tmp_path / "killed", resume=True)
-        result = agent._resume_from_snapshot()
-        outbox = [dict(entry) for entry in agent._outbox]
+        tick = agent._resume_from_snapshot()
+        kept = agent.events.last_seq()
         agent.events.close()
         agent.store.close()
-        return result, outbox
+        return tick, kept
 
-    tick, outbox = _in_thread(resume)
-    assert tick == snapshot_minute  # the last snapshot before the kill
-    assert [entry["seq"] for entry in outbox] == list(range(8, bus_seq + 1))
-    assert [
-        (entry["seq"], entry["topic"], entry["record"], entry["clock"])
-        for entry in outbox
-    ] == [(e.seq, e.topic, e.record, e.clock) for e in survived[7:bus_seq]]
-    assert json.loads(json.dumps(outbox)) == outbox  # JSON shape: lists
+    # the last snapshot before the kill, and the rows up to its cursor
+    assert _in_thread(resume) == (snapshot_minute, bus_seq)
 
     _in_thread(lambda: _agent(tmp_path / "killed", resume=True).run())
     resumed = _assert_a_whole_log(state_db)
@@ -199,3 +260,92 @@ def test_a_snapshot_never_points_past_the_committed_rows(tmp_path):
     assert [event.seq for event in survived] == list(
         range(1, json.loads(text)["net"]["bus_seq"] + 1)
     )
+
+
+def test_the_summary_counts_an_action_that_lands_in_the_deregistration(tmp_path):
+    """The server answers the agent's first ``deregister`` with an escrow
+    (reserve, then attach onto the host the agent offered) and
+    acknowledges only once the instance is attached: the attach is an
+    action of this run, and the summary — written after deregistration,
+    not carried by it — counts it."""
+    foreign = next(
+        spec
+        for spec in domain_sublandscape(
+            partition_landscape(paper_landscape(), 2), "domain-2"
+        ).services
+        if spec.kind is ServiceKind.APPLICATION_SERVER
+    )
+    escrow = dict(
+        escrow_id="domain-2-esc-00001", service=service_spec_to_dict(foreign),
+        users=5, source_domain="domain-2",
+    )
+    started = []
+
+    def respond(message, reply):
+        kind = message["kind"]
+        if kind == "deregister":
+            if started:
+                return []  # the agent repeats itself; the escrow is under way
+            started.append(message["minute"])
+            return [reply("escrow_reserve", minute=started[0], **escrow)]
+        if kind == "escrow_reserved":
+            assert message["ok"], message
+            return [
+                reply(
+                    "escrow_attach", host=message["host"], source_host="Blade11",
+                    token=1, minute=started[0], **escrow,
+                )
+            ]
+        if kind == "escrow_attached":
+            assert message["ok"], message
+            return [reply("deregister_ack")]
+        return _session(message, reply)
+
+    _in_thread(
+        lambda: _agent(tmp_path, _scripted_server(respond), horizon=20).run()
+    )
+    directory = tmp_path / "domain-1"
+    summary = json.loads((directory / "summary.json").read_text(encoding="utf-8"))
+    _, events = read_store(directory / "state.db")
+    actions = [event for event in events if event.topic == "actions"]
+    assert "escrow domain-2-esc-00001 attach" in actions[-1].record["note"]
+    assert summary["action_count"] == len(actions)
+    assert summary["net"]["escrow_in"] == 1
+    # the lone script has no source side: no commit precedes the attach
+    report = verify_traces(
+        [directory / "state.db"], summary_path=directory / "summary.json",
+        ignore=("AG302",),
+    )
+    assert report.errors == ()
+
+
+def test_a_malformed_message_degrades_the_agent_and_it_runs_on(tmp_path):
+    """A well-framed ``heartbeat_ack`` whose ``global_min`` is not a
+    number: the agent drops the link like a lost connection, says so on
+    the record, reconnects and finishes its horizon."""
+    bad = []
+
+    def respond(message, reply):
+        if message["kind"] == "heartbeat" and not bad:
+            ack = reply("heartbeat_ack", status="ok", global_min=message["minute"])
+            bad.append(dict(ack, global_min="x"))
+            return bad
+        if message["kind"] == "deregister":
+            return [reply("deregister_ack")]
+        return _session(message, reply)
+
+    _in_thread(
+        lambda: _agent(tmp_path, _scripted_server(respond), horizon=20).run()
+    )
+    directory = tmp_path / "domain-1"
+    summary = json.loads((directory / "summary.json").read_text(encoding="utf-8"))
+    assert summary["net"]["partial"] is False
+    assert summary["net"]["degraded_count"] == 1
+    assert summary["net"]["resync_count"] == 1
+    _, events = read_store(directory / "state.db")
+    (degraded,) = [
+        event.record for event in events
+        if event.record.get("kind") == "net-degraded"
+    ]
+    assert "'heartbeat_ack'" in degraded["detail"]
+    assert "'global_min' must be int" in degraded["detail"]

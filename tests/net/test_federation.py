@@ -1,23 +1,28 @@
 """In-process federation: agents over loopback endpoints.
 
 Acceptance: a two-domain federated run over the wire protocol produces
-AG3xx-clean merged traces; offline replay of the per-agent event logs
-(each domain's ``state.db``) reproduces the live server-side verifier's
-report verbatim
-(satellite: trace-replay equivalence); and a sustained one-way
-partition drives the victim agent through degraded mode — it keeps
-administering its own domain autonomously and resyncs on heal.
+AG3xx-clean merged traces; the wire carries control only (the census)
+and ``finalize`` reads the agents' domain directories; offline replay
+of the per-agent event logs (each domain's ``state.db``) reproduces the
+server-side verifier's report verbatim (satellite: trace-replay
+equivalence); and a sustained one-way partition drives the victim agent
+through degraded mode — it keeps administering its own domain
+autonomously and resyncs on heal.
 """
 
 import json
+import shutil
+import sqlite3
 import threading
 from types import SimpleNamespace
 
 import pytest
 
+import repro.net.transport
 from repro.analysis import verify_traces
 from repro.net.agent import DomainAgent
 from repro.net.chaos import LinkFaults, NetChaosProfile, PartitionWindow
+from repro.net.protocol import encode_frame
 from repro.net.server import FederationServer
 from repro.net.transport import loopback_pair
 from repro.ops.store import read_store
@@ -27,6 +32,10 @@ from repro.telemetry.trace import read_trace
 START = 12 * 60
 HORIZON = 120
 DOMAINS = ["domain-1", "domain-2"]
+SESSION_KINDS = {
+    "hello", "welcome", "reject", "heartbeat", "heartbeat_ack",
+    "deregister", "deregister_ack",
+}
 
 
 def _run_agents(server, state_dir, join_timeout=240.0, **agent_kwargs):
@@ -82,19 +91,29 @@ def _run_agents(server, state_dir, join_timeout=240.0, **agent_kwargs):
 
 @pytest.fixture(scope="module")
 def clean_run(tmp_path_factory):
-    """One clean (fault-free) two-domain loopback run, finalized twice:
-    from the server's live wire-collected telemetry, and from the
-    agents' own event logs on disk."""
+    """One clean (fault-free) two-domain loopback run, finalized from
+    the agents' domain directories, with every frame either side
+    encoded counted from outside: kind -> [messages, bytes]."""
     base = tmp_path_factory.mktemp("federation")
     state_dir = base / "state"
+    census = {}
+    counting = threading.Lock()
+
+    def counting_encode(message):
+        frame = encode_frame(message)
+        with counting:
+            entry = census.setdefault(message["kind"], [0, 0])
+            entry[0] += 1
+            entry[1] += len(frame)
+        return frame
+
     server = FederationServer(DOMAINS, state_dir, START, HORIZON)
     server.start()
     try:
-        summaries, trace_paths = _run_agents(server, state_dir)
-        live_report, live_summary, _ = server.finalize(base / "live")
-        disk_report, disk_summary, merged_path = server.finalize(
-            base / "disk", summaries=summaries, trace_paths=trace_paths
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.net.transport, "encode_frame", counting_encode)
+            summaries, trace_paths = _run_agents(server, state_dir)
+        report, summary, merged_path = server.finalize(base / "out")
     finally:
         server.stop()
     return SimpleNamespace(
@@ -107,18 +126,18 @@ def clean_run(tmp_path_factory):
         base=base,
         summaries=summaries,
         trace_paths=trace_paths,
-        live_report=live_report,
-        live_summary=live_summary,
-        disk_report=disk_report,
-        disk_summary=disk_summary,
+        census=census,
+        server_summaries=server.domain_summaries,
+        report=report,
+        summary=summary,
         merged_path=merged_path,
     )
 
 
 class TestCleanFederatedRun:
     def test_merged_trace_is_invariant_clean(self, clean_run):
-        assert clean_run.disk_report.errors == ()
-        assert clean_run.disk_report.warnings == ()
+        assert clean_run.report.errors == ()
+        assert clean_run.report.warnings == ()
 
     def test_every_agent_completed_its_horizon(self, clean_run):
         for domain, summary in clean_run.summaries.items():
@@ -159,9 +178,11 @@ class TestCleanFederatedRun:
         total = sum(
             s["action_count"] for s in clean_run.summaries.values()
         )
-        assert clean_run.disk_summary["action_count"] == total
-        assert clean_run.disk_summary["schema"] == "multiproc-merged"
-        assert clean_run.disk_summary["domains"] == DOMAINS
+        assert clean_run.summary["action_count"] == total
+        assert clean_run.summary["schema"] == "multiproc-merged"
+        assert clean_run.summary["domains"] == DOMAINS
+        # what finalize merged is what the agents wrote to their directories
+        assert clean_run.server_summaries == clean_run.summaries
 
     def test_merged_trace_is_causally_ordered(self, clean_run):
         header, events = read_trace(clean_run.merged_path)
@@ -173,14 +194,14 @@ class TestCleanFederatedRun:
         )
 
     def test_offline_replay_matches_the_live_verifier(self, clean_run):
-        """Satellite: per-agent exports replayed through `autoglobe
-        verify` reproduce the live server-side verifier's report."""
+        """Satellite: the per-agent logs replayed through `autoglobe
+        verify` reproduce the report ``finalize`` returned."""
         offline = verify_traces(
             [clean_run.trace_paths[d] for d in DOMAINS],
-            summary_path=clean_run.base / "live" / "summary.json",
+            summary_path=clean_run.base / "out" / "summary.json",
             name="multiproc",
         )
-        assert offline.render("json") == clean_run.live_report.render("json")
+        assert offline.render("json") == clean_run.report.render("json")
 
     def test_the_merged_store_replaces_what_an_earlier_run_left(
         self, clean_run, tmp_path
@@ -198,11 +219,10 @@ class TestCleanFederatedRun:
                 "domain-1", [(1, "alerts", {"type": "AlertEvent", "time": 1}, 1)]
             )
             earlier.mark_complete(True)
-        server = FederationServer(DOMAINS, tmp_path / "state", START, HORIZON)
+        server = FederationServer(DOMAINS, clean_run.state_dir, START, HORIZON)
         try:
             _, _, merged_path = server.finalize(
-                tmp_path / "out", summaries=clean_run.summaries,
-                trace_paths=clean_run.trace_paths, store_path=store_path,
+                tmp_path / "out", store_path=store_path
             )
         finally:
             server.stop()
@@ -211,13 +231,63 @@ class TestCleanFederatedRun:
         assert header.complete is True
         assert from_store == from_trace
 
-    def test_disk_and_wire_finalization_agree_when_nothing_was_lost(
-        self, clean_run
+    def test_the_wire_carries_control_messages_only(self, clean_run):
+        """The census: sessions and escrow, a few kilobytes — an event
+        or a summary on the wire would be megabytes (at the parent
+        515,842 B in 598 messages, 93 % of the bytes ``telemetry``)."""
+        census = clean_run.census
+        assert all(
+            kind in SESSION_KINDS or kind.startswith("escrow_") for kind in census
+        ), census
+        assert {"hello", "welcome", "heartbeat", "deregister"} <= set(census)
+        assert sum(size for _, size in census.values()) < 50_000, census
+        assert census["deregister"][1] / census["deregister"][0] < 200, census
+
+    def test_finalize_wants_every_domains_summary(self, clean_run, tmp_path):
+        state_dir = tmp_path / "state"
+        shutil.copytree(clean_run.state_dir, state_dir)
+        missing = state_dir / "domain-2" / "summary.json"
+        missing.unlink()
+        server = FederationServer(DOMAINS, state_dir, START, HORIZON)
+        try:
+            with pytest.raises(RuntimeError) as refusal:
+                server.finalize(tmp_path / "out")
+        finally:
+            server.stop()
+        assert "domain-2" in str(refusal.value)
+        assert str(missing) in str(refusal.value)
+
+    def test_finalize_reads_summary_and_completeness_from_the_directories(
+        self, clean_run, tmp_path
     ):
-        assert (
-            clean_run.disk_report.render("json")
-            == clean_run.live_report.render("json")
-        )
+        state_dir = tmp_path / "state"
+        shutil.copytree(clean_run.state_dir, state_dir)
+        summary_path = state_dir / "domain-1" / "summary.json"
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        summary["action_count"] += 1
+        summary_path.write_text(json.dumps(summary), encoding="utf-8")
+
+        def finalize(out):
+            server = FederationServer(DOMAINS, state_dir, START, HORIZON)
+            try:
+                report, merged, merged_path = server.finalize(
+                    out, store_path=out / "store.db"
+                )
+            finally:
+                server.stop()
+            assert merged["action_count"] == clean_run.summary["action_count"] + 1
+            return (
+                [d.code for d in report.errors],
+                read_trace(merged_path)[0].complete,
+                read_store(out / "store.db")[0].complete,
+            )
+
+        # a complete trace is reconciled with the summary on disk ...
+        assert finalize(tmp_path / "complete") == (["AG305"], True, True)
+        with sqlite3.connect(state_dir / "domain-2" / "state.db") as connection:
+            connection.execute("UPDATE meta SET value = '0' WHERE key = 'complete'")
+        # ... one agent's incomplete log makes the whole merge incomplete
+        assert finalize(tmp_path / "partial") == ([], False, False)
 
 
 class TestDegradedMode:
@@ -246,9 +316,7 @@ class TestDegradedMode:
             summaries, trace_paths = _run_agents(
                 server, state_dir, ack_timeout=0.25
             )
-            report, merged_summary, _ = server.finalize(
-                tmp_path / "out", summaries=summaries, trace_paths=trace_paths
-            )
+            report, merged_summary, _ = server.finalize(tmp_path / "out")
         finally:
             server.stop()
         net = summaries[victim]["net"]
@@ -258,7 +326,7 @@ class TestDegradedMode:
         assert summaries[victim]["action_count"] >= 1
         assert server.injector.stats["partition_blocked"] > 0
         # the outage and the heal are on the record (the resync may land
-        # mid-run or during the final drain, but it always lands: the
+        # mid-run or during deregistration, but it always lands: the
         # partition is over by the time the agent deregisters)
         _, events = read_store(trace_paths[victim])
         kind_values = [

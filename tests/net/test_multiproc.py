@@ -1,4 +1,5 @@
-"""Real OS-process federation: graceful shutdown, crash respawn, chaos.
+"""Real OS-process federation: graceful shutdown, crash respawn, chaos,
+and a failed run that ends in one line instead of a traceback.
 
 Acceptance: SIGTERM is graceful — the agent commits its journal and
 event log, writes a resumable partial summary and deregisters with a final
@@ -14,6 +15,9 @@ import time
 
 import pytest
 
+from repro.analysis import EXIT_ERRORS
+from repro.cli import main
+from repro.core.state import StateCorruptError
 from repro.net.orchestrator import (
     _agent_command,
     _agent_environment,
@@ -22,7 +26,7 @@ from repro.net.orchestrator import (
 from repro.net.server import FederationServer
 from repro.ops.store import read_store
 from repro.sim.scenarios import Scenario
-from repro.telemetry.trace import read_trace
+from repro.telemetry.trace import TraceSchemaError, read_trace
 
 START = 12 * 60
 HORIZON = 120
@@ -85,7 +89,7 @@ class TestGracefulShutdown:
             summary_path = state_dir / "domain-1" / "summary.json"
             summary = json.loads(summary_path.read_text(encoding="utf-8"))
             assert summary["net"]["partial"] is True
-            # the final deregister (with the summary) got through
+            # the final deregister got through
             assert server.sessions.sessions["domain-1"].completed
             # the event log was committed and properly closed
             header, events = read_store(state_dir / "domain-1" / "state.db")
@@ -106,17 +110,35 @@ class TestGracefulShutdown:
             assert all(
                 not s["net"]["partial"] for s in summaries.values()
             )
-            report, merged, _ = server.finalize(
-                tmp_path / "out",
-                summaries=summaries,
-                trace_paths={
-                    domain: state_dir / domain / "state.db"
-                    for domain in DOMAINS
-                },
-            )
+            report, merged, _ = server.finalize(tmp_path / "out")
             assert report.errors == ()
+            assert server.domain_summaries == summaries
         finally:
             server.stop()
+
+
+class TestFailedRun:
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            RuntimeError("agent domain-2 exited with 1 after 3 respawns"),
+            StateCorruptError("mp/domain-1/state.db", "malformed page"),
+            TraceSchemaError("mp/domain-1/state.db: no event log"),
+        ],
+        ids=lambda failure: type(failure).__name__,
+    )
+    def test_the_cli_says_why_in_one_line_and_exits_2(
+        self, failure, tmp_path, monkeypatch, capsys
+    ):
+        def failing_run(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr("repro.net.orchestrator.run_multiproc", failing_run)
+        code = main(
+            ["run", "--multiproc", "--domains", "2", "--state-dir", str(tmp_path)]
+        )
+        assert code == EXIT_ERRORS
+        assert capsys.readouterr().err == f"autoglobe run: {failure}\n"
 
 
 class TestChaosRun:
