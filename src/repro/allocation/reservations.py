@@ -67,9 +67,6 @@ class ReservationBook:
                     return True
         return False
 
-    def reservations_on(self, host_name: str) -> List[Reservation]:
-        return list(self._by_host.get(host_name, []))
-
     def reserved_demand(self, host_name: str, minute: int) -> float:
         """Total demand reserved on a host at one minute."""
         return sum(

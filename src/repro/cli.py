@@ -470,7 +470,6 @@ def _cmd_run_multiproc(args) -> int:
             return EXIT_ERRORS
     from repro.core.state import StateCorruptError
     from repro.net.orchestrator import run_multiproc
-    from repro.telemetry.trace import TraceSchemaError
 
     state_dir = Path(args.state_dir)
     out_dir = Path(args.export) if args.export else state_dir / "merged"
@@ -490,8 +489,10 @@ def _cmd_run_multiproc(args) -> int:
             kill_agent=args.kill_agent,
             ignore=tuple(args.ignore),
         )
-    except (RuntimeError, StateCorruptError, TraceSchemaError) as exc:
-        # an agent out of respawns or without a summary; a damaged state.db
+    except (RuntimeError, ValueError, StateCorruptError) as exc:
+        # an agent out of respawns or without a summary; a --kill-agent
+        # that cannot be honoured; a damaged state.db or one without an
+        # event log (TraceSchemaError, a ValueError)
         print(f"autoglobe run: {exc}", file=sys.stderr)
         return EXIT_ERRORS
     summary = result.summary

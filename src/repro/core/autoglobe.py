@@ -1006,12 +1006,6 @@ class AutoGlobeController:
 
     # -- introspection -------------------------------------------------------------------
 
-    def host_monitor(self, host_name: str, metric: str = "cpu") -> LoadMonitor:
-        monitors = (
-            self._host_cpu_monitors if metric == "cpu" else self._host_mem_monitors
-        )
-        return monitors[host_name]
-
     @property
     def decision_records(self):
         return self.decision_loop.records

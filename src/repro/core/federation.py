@@ -590,9 +590,9 @@ class FederatedControlPlane:
 
     @property
     def events(self):
-        """Merged (time, kind, detail) supervision events of every shard."""
+        """Merged (time, kind, detail, domain) supervision events of every shard."""
         merged = [
-            tuple(event)
+            (*event, shard.name)
             for shard in self._supervised_shards
             for event in shard.controller.events
         ]

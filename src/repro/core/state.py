@@ -476,7 +476,8 @@ class DurableStateStore:
         would replay the old journal and wait on the dead leader's lease.
 
         A successor taking over wants exactly that replay, so only the
-        runner and the agent call this, for a run that is not a resume.
+        runner calls this (an agent's run is a runner's), for a run that
+        is not a resume.
         """
         snapshot = self.snapshots.load("run")
         if snapshot is not None or self.journal.last_seq:

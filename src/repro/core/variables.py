@@ -19,7 +19,7 @@ mechanics of Figure 5.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import List
 
 from repro.fuzzy.sets import RampUp, Trapezoid
 from repro.fuzzy.variables import LinguisticTerm, LinguisticVariable
@@ -146,7 +146,3 @@ def server_selection_inputs() -> List[LinguisticVariable]:
         magnitude_variable("swapSpace", maximum=32768.0),     # MB
         magnitude_variable("tempSpace", maximum=131072.0),    # MB
     ]
-
-
-def applicability_variables(names: Iterable[str]) -> Dict[str, LinguisticVariable]:
-    return {name: applicability_variable(name) for name in names}

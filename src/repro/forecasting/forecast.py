@@ -51,9 +51,6 @@ class LoadForecaster:
         self._fitted_at[subject] = now
         return pattern
 
-    def pattern_of(self, subject: str) -> Optional[DailyPattern]:
-        return self._patterns.get(subject)
-
     def predict(self, subject: str, minute: int) -> Optional[float]:
         """Forecast load of ``subject`` at ``minute``; ``None`` if the
         subject has no trustworthy pattern yet."""

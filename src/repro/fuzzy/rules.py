@@ -109,9 +109,6 @@ class RuleBase:
             seen.setdefault(rule.output_variable, None)
         return tuple(seen)
 
-    def rules_for_output(self, output_variable: str) -> Tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.output_variable == output_variable)
-
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)
 

@@ -1,9 +1,14 @@
 """The per-domain controller agent process.
 
-A :class:`DomainAgent` administers exactly one control domain with a
-standalone platform built from :func:`~repro.config.builtin.domain_sublandscape`,
-and speaks the :mod:`repro.net.protocol` schema to the coordinating
-:class:`~repro.net.server.FederationServer`:
+A :class:`DomainAgent` administers exactly one control domain: it runs
+one :class:`~repro.sim.runner.SimulationRunner` over the domain's shard
+(:func:`~repro.config.builtin.domain_sublandscape`) and is that run's
+control plane.  The runner owns the run — platform, workload, fault
+injector, collector, the tick loop, the ``"run"`` snapshot, resume and
+the result; the agent owns the wire — :class:`SessionSupervisor` is the
+plane the runner ticks, snapshots, restores and closes, and around the
+supervisor's own work it speaks the :mod:`repro.net.protocol` schema to
+the coordinating :class:`~repro.net.server.FederationServer`:
 
 * **session** — a handshake carries the domain name and an incarnation
   number; the welcome carries the lease-backed fencing token the agent
@@ -31,23 +36,24 @@ events around the outage.  Reconnection uses capped exponential
 backoff; a deposed session (the server expired us while we were silent)
 re-handshakes immediately and adopts the bumped token.
 
-Durability mirrors the single-process runner: events are state — rows
-of the same ``state.db`` as journal, snapshots and load archive,
-committed by the store's one group-commit policy and before every
-snapshot — and periodic full-run snapshots carry a ``net`` section
-(Lamport clock, bus sequence, escrow reservations and reply caches).
-A SIGKILLed agent resumes by dropping the event rows past the
-snapshot's bus sequence.  SIGTERM is graceful: finish the current
-minute, snapshot, deregister, then write the run summary — last, so it
-counts everything the agent did.  A domain directory holds ``state.db``
-and ``summary.json``; it is the one hand-off to the server.
+Durability is the runner's: events are state — rows of the same
+``state.db`` as journal, snapshots and load archive, committed by the
+store's one group-commit policy and before every snapshot — and the
+plane's part of the run snapshot carries a ``net`` section (Lamport
+clock, escrow reservations and reply caches).  A SIGKILLed agent
+resumes by dropping the event rows past the snapshot's bus sequence.
+SIGTERM is graceful (:meth:`SimulationRunner.request_stop`): finish the
+current minute, snapshot, deregister (the plane's ``close()``), finalize,
+then write the run summary — last, so it counts everything the agent
+did.  A domain directory holds ``state.db`` and ``summary.json``; it is
+the one hand-off to the server.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import signal
 import sys
 import threading
@@ -69,7 +75,6 @@ from repro.config.model import (
     service_spec_to_dict,
 )
 from repro.core.failover import ControllerSupervisor
-from repro.core.state import DurableStateStore
 from repro.monitoring.lms import Situation
 from repro.net.protocol import (
     FrameError,
@@ -80,28 +85,14 @@ from repro.net.protocol import (
 from repro.net.transport import EndpointClosed, connect_tcp
 from repro.ops.store import TelemetryStore
 from repro.serviceglobe.actions import ActionError, ActionOutcome
-from repro.serviceglobe.platform import DomainView, Platform
+from repro.serviceglobe.platform import DomainView
 from repro.sim.clock import PAPER_HORIZON_MINUTES
 from repro.sim.export import summary_json_payload
-from repro.sim.faults import FaultInjector
-from repro.sim.results import ResultCollector, SimulationResult, SlaPolicy
-from repro.sim.runner import (
-    approval_counts,
-    make_executor_factory,
-    merged_fault_records,
-)
-from repro.sim.scenarios import (
-    ChaosProfile,
-    Scenario,
-    apply_scenario,
-    controller_enabled_for,
-    default_chaos,
-    user_distribution_for,
-)
-from repro.sim.workload import WorkloadModel
+from repro.sim.results import SimulationResult
+from repro.sim.runner import SimulationRunner, make_executor_factory
+from repro.sim.scenarios import ChaosProfile, Scenario, default_chaos
 from repro.telemetry.bus import WILDCARD, Envelope
 from repro.telemetry.records import (
-    TOPIC_SUPERVISION,
     EscrowEvent,
     EscrowPhase,
     SituationKind,
@@ -130,14 +121,21 @@ _ACK_KINDS = frozenset(
 
 
 class SessionSupervisor(ControllerSupervisor):
-    """A :class:`ControllerSupervisor` whose lease lives on the server.
+    """The control plane of an agent's runner.
 
-    The federation server's :class:`~repro.net.session.SessionManager`
-    owns the domain's :class:`~repro.core.state.LeaseStore` (the lease
-    table of the very same ``state.db``, so tokens stay monotonic across
-    both sides' restarts); this subclass therefore never acquires the lease itself —
-    the fencing token arrives over the wire and is adopted explicitly.
+    A :class:`ControllerSupervisor` whose lease lives on the server: the
+    federation server's :class:`~repro.net.session.SessionManager` owns
+    the domain's :class:`~repro.core.state.LeaseStore` (the lease table
+    of the very same ``state.db``, so tokens stay monotonic across both
+    sides' restarts); this subclass therefore never acquires the lease
+    itself — the fencing token arrives over the wire and is adopted
+    explicitly.  What the runner asks of its plane — tick, snapshot,
+    restore, close — wraps the supervisor's own with the agent's wire.
     """
+
+    def __init__(self, agent: "DomainAgent", *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._agent = agent
 
     def _acquire_lease(self, now: int) -> None:
         # leadership is granted by the server's heartbeat session, not
@@ -171,14 +169,49 @@ class SessionSupervisor(ControllerSupervisor):
         """Record a connectivity transition (degraded / resynced)."""
         self._record_event(now, kind, detail)
 
+    def tick(self, now: int) -> List[ActionOutcome]:
+        """Connect and pace, the supervisor's own minute, then the wire."""
+        agent = self._agent
+        agent._minute = now
+        if agent._ticks == 0:
+            agent._connect_initial(now)
+        agent._ensure_connected(now)
+        agent._sync_pause(now)
+        # the controller's tick time is the supervisor's work alone,
+        # not the waiting on the wire around it
+        began = time.perf_counter()
+        outcomes = super().tick(now)
+        agent._tick_seconds += time.perf_counter() - began
+        agent._ticks += 1
+        agent._service_network(now)
+        agent._maybe_heartbeat(now)
+        agent.events.end_tick()
+        return outcomes
+
+    def snapshot_state(self) -> Dict[str, Any]:
+        payload = super().snapshot_state()
+        payload["net"] = self._agent._snapshot_net()
+        return payload
+
+    def restore_state(self, payload: Dict[str, Any], now: int) -> None:
+        # rewinds the journal and the load archive to the snapshot too
+        super().restore_state(payload, now)
+        self._agent._restore_net(payload["net"], now)
+
+    def close(self) -> None:
+        """Deregister, bounded; the runner finalizes after this."""
+        self._agent._close_session()
+
 
 class DomainAgent:
     """One control domain's controller process.
 
-    Parameters mirror the :class:`~repro.sim.runner.SimulationRunner`
-    where they overlap; the networking knobs are new.  ``endpoint_factory``
-    returns a fresh connected endpoint (or raises ``OSError``) — tests
-    inject loopback endpoints here, ``main`` wires TCP.
+    The run's parameters are handed to the agent's
+    :class:`~repro.sim.runner.SimulationRunner` (``self.runner``, over
+    ``state_dir/<domain>``); the networking knobs are the agent's own.
+    ``endpoint_factory`` returns a fresh connected endpoint (or raises
+    ``OSError``) — tests inject loopback endpoints here, ``main`` wires
+    TCP.
     """
 
     def __init__(
@@ -216,95 +249,14 @@ class DomainAgent:
             except ValueError:
                 domain_index = 0
         self.domain = domain
-        self.scenario = scenario
-        self.user_factor = user_factor
-        self.horizon = horizon
-        self.start_minute = start_minute
-        self.resume = resume
-        self.snapshot_interval = snapshot_interval
-        self.kill_at = kill_at
         self.sim_lead_minutes = sim_lead_minutes
         self.ack_timeout = ack_timeout
         self.connect_grace = connect_grace
         self.chaos = chaos
+        self.resume = resume
         self._endpoint_factory = endpoint_factory
-
-        if landscape_kind == "replicated":
-            full = replicated_landscape(domains)
-        elif landscape_kind == "paper":
-            full = paper_landscape()
-        else:
-            raise ValueError(f"unknown landscape kind {landscape_kind!r}")
-        partitioned = partition_landscape(full, domains)
-        sub = domain_sublandscape(partitioned, domain)
-        scenario_landscape = apply_scenario(sub, scenario).scaled_users(
-            user_factor
-        )
-
         self.dir = Path(state_dir) / domain
-        self.store = DurableStateStore(self.dir)
-        if not resume:
-            try:
-                # before anything below writes to the earlier run's file
-                self.store.require_unused()
-            except ValueError:
-                self.store.close()
-                raise
-
         self.clock = LamportClock()
-        platform = Platform(
-            scenario_landscape, user_distribution=user_distribution_for(scenario)
-        )
-        #: the domain's event log: rows of the same state.db
-        self.events = TelemetryStore(self.store.db, source=domain)
-        if not resume:
-            # subscribed below before anything publishes, on an unused file
-            self.events.mark_complete(True)
-        platform.bus.subscribe(WILDCARD, self._on_envelope)
-        self.view = DomainView(
-            platform, domain, list(platform.hosts), list(platform.services)
-        )
-        enabled = (
-            controller_enabled
-            if controller_enabled is not None
-            else controller_enabled_for(scenario)
-        )
-        self.supervisor = SessionSupervisor(
-            self.view,
-            settings=scenario_landscape.controller,
-            archive=self.store.archive,
-            enabled=enabled,
-            store=self.store,
-            standby=False,
-            executor_factory=make_executor_factory(self.view, chaos),
-            relocation_handler=self._relocation_handler,
-        )
-        self.workload = WorkloadModel(platform, seed=seed + domain_index)
-        self.injector: Optional[FaultInjector] = None
-        if chaos is not None:
-            self.injector = FaultInjector(
-                self.supervisor,
-                crash_probability=chaos.crash_probability,
-                hang_probability=chaos.hang_probability,
-                host_crash_probability=chaos.host_crash_probability,
-                host_reboot_minutes=chaos.host_reboot_minutes,
-                monitor_outage_probability=chaos.monitor_outage_probability,
-                monitor_outage_minutes=chaos.monitor_outage_minutes,
-                seed=chaos.seed + 1 + domain_index,
-            )
-        self.collector = ResultCollector(
-            platform,
-            scenario_name=scenario.value,
-            user_factor=user_factor,
-            sla=SlaPolicy(),
-            collect_host_series=False,
-            start_minute=start_minute,
-        )
-        self._supervision_events: List[SupervisionEvent] = []
-        platform.bus.subscribe(
-            TOPIC_SUPERVISION,
-            lambda envelope: self._supervision_events.append(envelope.record),
-        )
 
         # -- connection state ---------------------------------------------------
         self._endpoint: Any = None
@@ -330,14 +282,73 @@ class DomainAgent:
         self._attach_replies: Dict[str, Dict[str, Any]] = {}
         self._deferred_attaches: List[Dict[str, Any]] = []
         # -- lifecycle / accounting --------------------------------------------
-        self._stop = False
+        #: the last minute the plane was ticked at (or restored to)
+        self._minute = start_minute
         self._tick_seconds = 0.0
         self._ticks = 0
         self._degraded_count = 0
         self._resync_count = 0
         self._escrow_out_count = 0
         self._escrow_in_count = 0
-        self.result: Optional[SimulationResult] = None
+
+        if landscape_kind == "replicated":
+            full = replicated_landscape(domains)
+        elif landscape_kind == "paper":
+            full = paper_landscape()
+        else:
+            raise ValueError(f"unknown landscape kind {landscape_kind!r}")
+        shard = domain_sublandscape(partition_landscape(full, domains), domain)
+        # lint off: a shard is not a deployable landscape (domain-1 of 2
+        # reads AG203, its capacity being the federation's to balance)
+        self.runner = SimulationRunner(
+            scenario,
+            user_factor=user_factor,
+            horizon=horizon,
+            seed=seed + domain_index,
+            landscape=shard,
+            collect_host_series=False,
+            controller_enabled=controller_enabled,
+            start_minute=start_minute,
+            controller_factory=self._build_plane,
+            lint="off",
+            # one injector stream per domain (the runner draws it from
+            # seed + 1); executors keep the profile's own seed
+            chaos=(
+                dataclasses.replace(chaos, seed=chaos.seed + domain_index)
+                if chaos is not None
+                else None
+            ),
+            state_dir=self.dir,
+            resume=resume,
+            snapshot_interval=snapshot_interval,
+            kill_at=kill_at,
+        )
+
+    def _build_plane(self, platform, settings, enabled, store) -> SessionSupervisor:
+        """The runner's ``controller_factory``: the domain's event log and
+        its supervisor, on the run's platform and (already checked) store."""
+        self.store = store
+        #: the domain's event log: rows of the same state.db
+        self.events = TelemetryStore(store.db, source=self.domain)
+        if not self.resume:
+            # subscribed below before anything publishes, on an unused file
+            self.events.mark_complete(True)
+        platform.bus.subscribe(WILDCARD, self._on_envelope)
+        self.view = DomainView(
+            platform, self.domain, list(platform.hosts), list(platform.services)
+        )
+        self.supervisor = SessionSupervisor(
+            self,
+            self.view,
+            settings=settings,
+            archive=store.archive,
+            enabled=enabled,
+            store=store,
+            standby=False,
+            executor_factory=make_executor_factory(self.view, self.chaos),
+            relocation_handler=self._relocation_handler,
+        )
+        return self.supervisor
 
     def _on_envelope(self, envelope: Envelope) -> None:
         """One Lamport stamp per envelope (the merge sorts by it)."""
@@ -350,52 +361,45 @@ class DomainAgent:
 
     def request_stop(self) -> None:
         """Ask the agent to shut down gracefully after the current minute."""
-        self._stop = True
+        self.runner.request_stop()
 
-    # -- the run loop ---------------------------------------------------------------
+    # -- the run ----------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Execute the horizon (or resume it); returns the domain result."""
+        """Execute the horizon (or resume it); returns the domain result.
+
+        The runner runs it — ticking, snapshotting and finally closing
+        this agent's plane, which deregisters — and the summary is
+        written from its result, after everything the agent did.
+        """
         self._install_signal_handler()
-        start = self.start_minute
-        if self.resume:
-            start = self._resume_from_snapshot() + 1
-        else:
-            self.workload.initialize()
-        end = self.start_minute + self.horizon
-        self._connect_initial(start)
-        last = start - 1
-        for now in range(start, end):
-            if self._stop:
-                break
-            self._ensure_connected(now)
-            self._sync_pause(now)
-            self.workload.tick(now)
-            if self.injector is not None:
-                self.injector.tick(now)
-            began = time.perf_counter()
-            self.supervisor.tick(now)
-            self._tick_seconds += time.perf_counter() - began
-            self._ticks += 1
-            self.collector.observe(now)
-            self._service_network(now)
-            self._maybe_heartbeat(now)
-            self.events.end_tick()
-            last = now
-            if (now - self.start_minute + 1) % self.snapshot_interval == 0 or (
-                now == end - 1
-            ):
-                self._save_snapshot(now)
-            if self.kill_at is not None and now == self.kill_at:
-                os.kill(os.getpid(), signal.SIGKILL)
-        return self._finish(last, end)
+        result = self.runner.run()
+        summary = summary_json_payload(result)
+        summary["domain"] = self.domain
+        summary["perf"] = {
+            "controller_tick_seconds": self._tick_seconds,
+            "ticks": self._ticks,
+        }
+        summary["net"] = {
+            "partial": result.horizon < self.runner.horizon,
+            "degraded_count": self._degraded_count,
+            "resync_count": self._resync_count,
+            "escrow_out": self._escrow_out_count,
+            "escrow_in": self._escrow_in_count,
+        }
+        # the server reads this file, not a message: it is there even
+        # when the deregister never got through a partition
+        (self.dir / "summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
+        )
+        return result
 
     def _install_signal_handler(self) -> None:
         if threading.current_thread() is not threading.main_thread():
             return  # in-process test harness drives request_stop directly
 
         def handler(signum, frame):  # pragma: no cover - exercised cross-process
-            self._stop = True
+            self.request_stop()
 
         signal.signal(signal.SIGTERM, handler)
 
@@ -408,7 +412,7 @@ class DomainAgent:
         """
         while (
             self._connected
-            and not self._stop
+            and not self.runner.stop_requested
             and now - self._global_min > self.sim_lead_minutes
         ):
             self._maybe_heartbeat(now)
@@ -420,13 +424,13 @@ class DomainAgent:
     def _connect_initial(self, now: int) -> None:
         """Best-effort blocking first connect; degrade if it never lands."""
         deadline = time.monotonic() + self.connect_grace
-        while not self._connected and not self._stop:
+        while not self._connected and not self.runner.stop_requested:
             self._next_connect = 0.0
             self._ensure_connected(now)
             if self._connected or time.monotonic() >= deadline:
                 break
             time.sleep(0.05)
-        if not self._connected and not self._stop:
+        if not self._connected and not self.runner.stop_requested:
             self._enter_degraded(now, "server unreachable at start")
 
     def _ensure_connected(self, now: int) -> None:
@@ -995,8 +999,8 @@ class DomainAgent:
         escrow_id = str(message["escrow_id"])
         spec = service_spec_from_dict(message["service"])
         definition = self.view.platform.adopt_service(spec)
-        self.workload.adopt(spec)
-        self.collector.track_service(spec.name)
+        self.runner.workload.adopt(spec)
+        self.runner.collector.track_service(spec.name)
         action = Action.START if not definition.running_instances else Action.SCALE_OUT
         outcome = None
         failure = ""
@@ -1052,37 +1056,25 @@ class DomainAgent:
         self._escrow_in_count += 1
         return {"ok": True, "note": ""}
 
-    # -- durability (kill -9 and resume) ------------------------------------------------
+    # -- the plane's part of the run snapshot, and of the run's end -----------------------
 
-    def _save_snapshot(self, now: int) -> None:
+    def _snapshot_net(self) -> Dict[str, Any]:
         # the event rows must be committed before the snapshot that
         # points into them: resume keeps the rows up to its bus_seq
         self.events.flush()
-        payload: Dict[str, Any] = {
-            "platform": self.view.platform.snapshot_state(),
-            "workload": self.workload.snapshot_state(),
-            "collector": self.collector.snapshot_state(),
-            "supervisor": self.supervisor.snapshot_state(),
-            "net": {
-                "clock": self.clock.time,
-                "bus_seq": self.view.bus.last_seq,
-                "escrow_seq": self._escrow_seq,
-                "incarnation": self._incarnation,
-                "reservations": self._reservations,
-                "released": sorted(self._released),
-                "reserve_replies": self._reserve_replies,
-                "attach_replies": self._attach_replies,
-                "global_min": self._global_min,
-            },
+        return {
+            "clock": self.clock.time,
+            "escrow_seq": self._escrow_seq,
+            "incarnation": self._incarnation,
+            "reservations": self._reservations,
+            "released": sorted(self._released),
+            "reserve_replies": self._reserve_replies,
+            "attach_replies": self._attach_replies,
+            "global_min": self._global_min,
         }
-        if self.injector is not None:
-            payload["injector"] = self.injector.snapshot_state()
-        self.store.snapshots.save(
-            "run", now, self.store.journal.last_seq, payload
-        )
 
-    def _resume_from_snapshot(self) -> int:
-        """Restore everything from the last run snapshot; returns its tick.
+    def _restore_net(self, net: Dict[str, Any], now: int) -> None:
+        """The ``net`` section of the snapshot the runner resumes from.
 
         Escrows that were mid-commit at the kill are deliberately *not*
         restored: the server's finalize synthesizes a coordinator abort
@@ -1090,31 +1082,12 @@ class DomainAgent:
         trace AG302-clean (at the cost of the moved users, a documented
         double-fault loss).
         """
-        snapshot = self.store.snapshots.load("run")
-        if snapshot is None:
-            raise ValueError(f"cannot resume: no run snapshot in {self.dir}")
-        tick = int(snapshot["tick"])
-        payload = snapshot["payload"]
-        self.view.platform.restore_state(payload["platform"])
-        self.workload.restore_state(payload["workload"])
-        self.collector.restore_state(payload["collector"])
-        if self.injector is not None and "injector" in payload:
-            self.injector.restore_state(payload["injector"])
-        # rewinds the journal and the load archive to the snapshot too
-        self.supervisor.restore_state(payload["supervisor"], tick)
-        self._supervision_events = [
-            SupervisionEvent(
-                time_, SupervisionEventKind(kind), detail, self.domain
-            )
-            for time_, kind, detail in self.supervisor.events
-        ]
-        net = payload["net"]
+        self._minute = now
         self.clock.time = int(net["clock"])
-        bus_seq = int(net["bus_seq"])
-        # cut the event log back to the snapshot: everything after belongs
-        # to the abandoned timeline between snapshot and kill
-        self.events.truncate_after(bus_seq)
-        self.view.bus.fast_forward(bus_seq)
+        # cut the event log back to the snapshot, where the runner has
+        # put the bus: everything after belongs to the abandoned
+        # timeline between snapshot and kill
+        self.events.truncate_after(self.view.bus.last_seq)
         self._escrow_seq = int(net["escrow_seq"])
         # a resumed process is a new incarnation: the handshake must
         # re-grant (and fence) rather than silently renew
@@ -1123,59 +1096,26 @@ class DomainAgent:
         self._released = set(net.get("released", []))
         self._reserve_replies = dict(net.get("reserve_replies", {}))
         self._attach_replies = dict(net.get("attach_replies", {}))
-        self._global_min = int(net.get("global_min", self.start_minute))
-        return tick
+        self._global_min = int(net.get("global_min", self._global_min))
 
-    # -- finishing ----------------------------------------------------------------------
+    def _close_session(self) -> None:
+        """Deregister and hang up; the runner finalizes afterwards.
 
-    def _finish(self, last: int, end: int) -> SimulationResult:
-        partial = last < end - 1
-        if partial and last >= self.start_minute:
-            # graceful SIGTERM: make the truncated run resumable
-            self._save_snapshot(last)
-        final_minute = max(last, self.start_minute)
+        In that order: an escrow attach (or a commit refusal's
+        compensation) that still lands while the network is serviced is
+        an action the result has to count.
+        """
         self.events.flush()
-        # deregister first: an escrow attach (or a commit refusal's
-        # compensation) that still lands while the network is serviced
-        # is an action the summary below has to count
-        self._deregister(final_minute)
-        result = self.collector.finalize(
-            final_minute=final_minute,
-            escalation_count=len(self.supervisor.alerts.escalations()),
-            fault_records=merged_fault_records(
-                self.injector, self._supervision_events
-            ),
-            controller_down_minutes=self.supervisor.downtime_minutes,
-            **approval_counts(self.supervisor.alerts),
-        )
-        self.result = result
-        summary = summary_json_payload(result)
-        summary["domain"] = self.domain
-        summary["perf"] = {
-            "controller_tick_seconds": self._tick_seconds,
-            "ticks": self._ticks,
-        }
-        summary["net"] = {
-            "partial": partial,
-            "degraded_count": self._degraded_count,
-            "resync_count": self._resync_count,
-            "escrow_out": self._escrow_out_count,
-            "escrow_in": self._escrow_in_count,
-        }
-        # the server reads this file, not a message: it is there even
-        # when the deregister never got through a partition
-        (self.dir / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        self._deregister(self._minute)
         self.events.close()  # what deregistering itself published
-        self.store.close()
         if self._endpoint is not None:
             try:
                 self._endpoint.close()
             except Exception:
                 pass
+        self._endpoint = None
         self._connected = False
-        return result
+        self._deregistered = True  # closed: a second close talks to nobody
 
     def _deregister(self, now: int, timeout: float = 5.0) -> None:
         """Tell the server this agent is done; bounded best-effort."""
@@ -1250,23 +1190,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     host, port = args.server_host, args.server_port
-    agent = DomainAgent(
-        domain=args.domain,
-        domains=args.domains,
-        endpoint_factory=lambda: connect_tcp(host, port, timeout=2.0),
-        state_dir=Path(args.state_dir),
-        scenario=Scenario(args.scenario),
-        user_factor=args.users,
-        horizon=args.minutes,
-        seed=args.seed,
-        start_minute=args.start,
-        landscape_kind=args.landscape,
-        chaos=default_chaos(args.chaos_seed) if args.chaos else None,
-        resume=args.resume,
-        snapshot_interval=args.snapshot_interval,
-        kill_at=args.kill_at,
-    )
-    agent.run()
+    try:
+        DomainAgent(
+            domain=args.domain,
+            domains=args.domains,
+            endpoint_factory=lambda: connect_tcp(host, port, timeout=2.0),
+            state_dir=Path(args.state_dir),
+            scenario=Scenario(args.scenario),
+            user_factor=args.users,
+            horizon=args.minutes,
+            seed=args.seed,
+            start_minute=args.start,
+            landscape_kind=args.landscape,
+            chaos=default_chaos(args.chaos_seed) if args.chaos else None,
+            resume=args.resume,
+            snapshot_interval=args.snapshot_interval,
+            kill_at=args.kill_at,
+        ).run()
+    except ValueError as exc:
+        # nothing to resume, a used directory, a parameter the runner
+        # refuses: a respawn would fail the same way (exit 2 is terminal)
+        print(f"autoglobe-agent: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -139,18 +139,30 @@ def run_multiproc(
     right after the given simulated minute and is respawned with
     ``--resume``.  ``net_chaos_seed`` enables the standard wire-chaos
     mix (drop/duplicate/delay everywhere plus one seeded one-way
-    partition).  Raises ``RuntimeError`` when an agent fails terminally,
-    finishes without a summary, or the wall timeout expires.
+    partition).  Raises ``ValueError`` for a ``kill_agent`` that names
+    no domain or a minute before the first snapshot, and ``RuntimeError``
+    when an agent fails terminally (out of respawns, or exit code 2: it
+    refused to start), finishes without a summary, or the wall timeout
+    expires.
     """
     if domains < 2:
         raise ValueError("a multi-process federation needs at least 2 domains")
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     domain_names = [f"domain-{index + 1}" for index in range(domains)]
-    if kill_agent is not None and kill_agent[0] not in domain_names:
-        raise ValueError(
-            f"--kill-agent domain {kill_agent[0]!r} is not one of {domain_names}"
-        )
+    if kill_agent is not None:
+        first_snapshot = start_minute + snapshot_interval - 1
+        if kill_agent[0] not in domain_names:
+            raise ValueError(
+                f"--kill-agent domain {kill_agent[0]!r} is not one of "
+                f"{domain_names}"
+            )
+        if kill_agent[1] < first_snapshot:
+            raise ValueError(
+                f"--kill-agent minute {kill_agent[1]} is before the first "
+                f"snapshot (minute {first_snapshot}): there would be nothing "
+                "to resume"
+            )
     profile = None
     if net_chaos_seed is not None:
         profile = NetChaosProfile.seeded(
@@ -194,12 +206,14 @@ def run_multiproc(
                 if code == 0:
                     pending.discard(name)
                     continue
-                # crashed (kill_at SIGKILL lands here as -9): resume it
-                if respawns[name] >= max_respawns:
+                # exit 2 is the agent refusing to start (its one stderr
+                # line says why); a respawn would be refused the same way
+                if code == 2 or respawns[name] >= max_respawns:
                     raise RuntimeError(
                         f"agent {name} exited with {code} after "
                         f"{respawns[name]} respawns"
                     )
+                # crashed (kill_at SIGKILL lands here as -9): resume it
                 respawns[name] += 1
                 spawn(name, resume=True)
         report, merged_summary, trace_path = server.finalize(

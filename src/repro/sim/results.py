@@ -245,10 +245,6 @@ class SimulationResult:
         return self.total_down_minutes / episodes
 
     @property
-    def total_host_down_minutes(self) -> int:
-        return sum(self.host_down_minutes.values())
-
-    @property
     def failed_action_count(self) -> int:
         return sum(1 for a in self.actions if a.status == "failed")
 

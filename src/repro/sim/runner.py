@@ -141,9 +141,17 @@ class SimulationRunner:
         Override the landscape's controller parameters (used by the
         watch-time and protection ablation benchmarks).
     controller_factory:
-        Alternative controller constructor ``(platform, settings,
+        Alternative control-plane constructor ``(platform, settings,
         enabled) -> controller`` with a ``tick(now)`` method and an
-        ``alerts`` channel; used to swap in the crisp baseline.
+        ``alerts`` channel; used to swap in the crisp baseline.  With
+        ``state_dir`` it also receives the run's
+        :class:`~repro.core.state.DurableStateStore` and must return a
+        plane that snapshots and restores like a
+        :class:`~repro.core.failover.ControllerSupervisor`; a ``close()``
+        the plane has is called when the run ends, before the stores
+        close and the result is finalized (a domain agent deregisters
+        there).  Refused with ``standby``, controller-fault chaos and
+        control domains.
     archive:
         Load archive for the controller's monitors; pass a
         :class:`repro.monitoring.archive.SqliteLoadArchive` to persist
@@ -166,13 +174,15 @@ class SimulationRunner:
         additionally requires the supervised controller (see below).
     state_dir:
         Directory for durable run state.  Enables the supervised
-        controller with an on-disk
-        :class:`~repro.core.state.DurableStateStore`: journal,
-        snapshots, lease and load archive are tables of
+        controller (or hands the store to ``controller_factory``) with
+        an on-disk :class:`~repro.core.state.DurableStateStore`:
+        journal, snapshots, lease and load archive are tables of
         ``state_dir/state.db`` (so ``archive`` cannot be passed as
         well).  Periodic full-run snapshots are written every
-        ``snapshot_interval`` minutes so a killed run can be resumed.
-        Without ``resume`` the directory must not hold an earlier run.
+        ``snapshot_interval`` minutes, and where :meth:`request_stop`
+        ends the run, so a killed or stopped run can be resumed.
+        Without ``resume`` the directory must not hold an earlier run;
+        that is checked before anything is built on the file.
     resume:
         Continue a previous run from the last full-run snapshot in
         ``state_dir`` instead of starting fresh.  The re-simulation is
@@ -334,6 +344,8 @@ class SimulationRunner:
             else controller_enabled_for(scenario)
         )
         self.chaos = chaos
+        #: set by :meth:`request_stop`; the loop reads it once per tick
+        self.stop_requested = False
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.resume = resume
         self.snapshot_interval = snapshot_interval
@@ -344,11 +356,13 @@ class SimulationRunner:
             or (chaos is not None and chaos.has_controller_faults)
         )
         federated = scenario_landscape.is_federated
-        if supervised and controller_factory is not None:
+        if controller_factory is not None and (
+            standby or (chaos is not None and chaos.has_controller_faults)
+        ):
             raise ValueError(
                 "a custom controller_factory cannot be combined with "
-                "state_dir/standby/controller-fault chaos (those require "
-                "the supervised AutoGlobe controller)"
+                "standby/controller-fault chaos (those require the "
+                "supervised AutoGlobe controller)"
             )
         if federated and controller_factory is not None:
             raise ValueError(
@@ -362,18 +376,26 @@ class SimulationRunner:
                 "domains; each domain keeps its own archive (pass "
                 "state_dir for per-domain SQLite archives)"
             )
-        #: the state store that takes the full-run snapshots
+        #: the state store that takes the full-run snapshots (with control
+        #: domains the root store: each domain keeps its own state.db)
         self._store = None
+        self.controller = None
+        #: the persistent SQLite event store, when the run keeps one
+        self.telemetry_store = None
+        #: the live ops API (bridge + asyncio server), when serving
+        self.ops_bridge = None
+        self.ops_server = None
+        if self.state_dir is not None or (supervised and not federated):
+            from repro.core.state import DurableStateStore
+
+            self._store = DurableStateStore(self.state_dir)
+            if self.state_dir is not None and not resume:
+                # before a plane is built on the file: its factory may write
+                self._require_unused([self._store])
         executor = None
         if federated:
             from repro.core.federation import FederatedControlPlane
 
-            if self.state_dir is not None:
-                from repro.core.state import DurableStateStore
-
-                # the root store holds the runner's full-run snapshots;
-                # each domain keeps its own state.db under its subdir
-                self._store = DurableStateStore(self.state_dir)
             self.controller = FederatedControlPlane(
                 self.platform,
                 settings=scenario_landscape.controller,
@@ -386,11 +408,18 @@ class SimulationRunner:
                 ),
                 chaos_seed=chaos.seed if chaos is not None else None,
             )
+            if self.state_dir is not None and not resume:
+                self._require_unused(self.controller.stores)
+        elif controller_factory is not None:
+            self.controller = controller_factory(
+                self.platform,
+                scenario_landscape.controller,
+                enabled,
+                *(() if self._store is None else (self._store,)),
+            )
         elif supervised:
             from repro.core.failover import ControllerSupervisor
-            from repro.core.state import DurableStateStore
 
-            self._store = DurableStateStore(self.state_dir)
             if self.state_dir is not None:
                 archive = self._store.archive
             self.controller = ControllerSupervisor(
@@ -401,10 +430,6 @@ class SimulationRunner:
                 store=self._store,
                 standby=standby,
                 executor_factory=make_executor_factory(self.platform, chaos),
-            )
-        elif controller_factory is not None:
-            self.controller = controller_factory(
-                self.platform, scenario_landscape.controller, enabled
             )
         else:
             if chaos is not None:
@@ -418,15 +443,6 @@ class SimulationRunner:
             )
         self.archive = archive
         self.executor = executor
-        if self.state_dir is not None and not resume:
-            try:
-                self._store.require_unused()
-                if federated:
-                    for store in self.controller.stores:
-                        store.require_unused()
-            except ValueError:
-                self._close_state()
-                raise
         self.injector: Optional[FaultInjector] = None
         if chaos is not None:
             self.injector = FaultInjector(
@@ -454,8 +470,6 @@ class SimulationRunner:
             collect_services=collect_services,
             start_minute=start_minute,
         )
-        #: the persistent SQLite event store, when the run keeps one
-        self.telemetry_store = None
         if store_path is not None:
             from repro.ops.store import TelemetryStore
 
@@ -464,9 +478,6 @@ class SimulationRunner:
                 # a resumed run attaches in _resume_from_snapshot, once
                 # the bus stands at the snapshot's sequence
                 self.telemetry_store.attach(self.platform.bus)
-        #: the live ops API (bridge + asyncio server), when serving
-        self.ops_bridge = None
-        self.ops_server = None
         if serve is not None:
             from repro.ops.api import OpsBridge, OpsServer
 
@@ -487,6 +498,16 @@ class SimulationRunner:
             self.ops_server.start()
 
     # -- durability -------------------------------------------------------------------
+
+    def _require_unused(self, stores) -> None:
+        """A run that is not a resume refuses an earlier run's files,
+        leaving nothing open and their bytes alone."""
+        try:
+            for store in stores:
+                store.require_unused()
+        except ValueError:
+            self.close()
+            raise
 
     def _save_run_snapshot(self, now: int) -> None:
         if self.telemetry_store is not None:
@@ -518,6 +539,12 @@ class SimulationRunner:
             )
         tick = int(snapshot["tick"])
         payload = snapshot["payload"]
+        # continue the telemetry sequence where the snapshot left it,
+        # before the plane restores: one that keeps the event rows cuts
+        # them back to where the bus stands
+        bus_seq = int(payload.get("bus_seq", 0))
+        if bus_seq:
+            self.platform.bus.fast_forward(bus_seq)
         self.platform.restore_state(payload["platform"])
         self.workload.restore_state(payload["workload"])
         self.collector.restore_state(payload["collector"])
@@ -526,22 +553,31 @@ class SimulationRunner:
         # rewinds every domain's journal and archive to the snapshot too
         self.controller.restore_state(payload["supervisor"], tick)
         # bus subscriptions only observe live publishes: reseed the typed
-        # event list from the supervisor's restored history, then let the
-        # subscription pick up everything after the resume point
+        # event list from the plane's restored history (a federated plane
+        # names each event's domain, a single supervisor's are its own),
+        # then let the subscription pick up everything after the resume
         events = getattr(self.controller, "events", None)
         if events is not None:
+            own = getattr(self.controller, "domain", "")
             self._supervision_events = [
-                SupervisionEvent(time_, SupervisionEventKind(kind), detail)
-                for time_, kind, detail in events
+                SupervisionEvent(
+                    time_, SupervisionEventKind(kind), detail, *(shard or [own])
+                )
+                for time_, kind, detail, *shard in events
             ]
-        # continue the telemetry sequence where the snapshot left it;
-        # attach drops the rows past it (the abandoned timeline)
-        bus_seq = int(payload.get("bus_seq", 0))
-        if bus_seq:
-            self.platform.bus.fast_forward(bus_seq)
+        # attach drops the rows past the bus (the abandoned timeline)
         if self.telemetry_store is not None:
             self.telemetry_store.attach(self.platform.bus)
         return tick
+
+    def request_stop(self) -> None:
+        """End the run at the next tick boundary (signal-handler safe).
+
+        A durable run snapshots there, so the directory resumes;
+        :meth:`run` returns the result finalized at that minute, its
+        ``horizon`` the minutes actually run.
+        """
+        self.stop_requested = True
 
     def run(self) -> SimulationResult:
         """Execute the full horizon and return the collected result."""
@@ -552,6 +588,7 @@ class SimulationRunner:
             self.workload.initialize()
         end = self.start_minute + self.horizon
         persistent = self.state_dir is not None
+        last = start - 1
         try:
             for now in range(start, end):
                 self.workload.tick(now)
@@ -563,19 +600,24 @@ class SimulationRunner:
                     self.telemetry_store.end_tick()
                 if self.ops_bridge is not None:
                     self.ops_bridge.refresh(now)
+                last = now
+                stop = self.stop_requested  # once: a signal sets it any time
                 if persistent and (
                     (now - self.start_minute + 1) % self.snapshot_interval == 0
                     or now == end - 1
+                    or stop
                 ):
                     self._save_run_snapshot(now)
                 if self.kill_at is not None and now == self.kill_at:
                     os.kill(os.getpid(), signal.SIGKILL)
+                if stop:
+                    break
                 if self.pace:
                     time.sleep(self.pace)
         finally:
             self.close()
         return self.collector.finalize(
-            final_minute=end - 1,
+            final_minute=last,
             escalation_count=len(self.controller.alerts.escalations()),
             fault_records=merged_fault_records(
                 self.injector, self._supervision_events
@@ -586,23 +628,24 @@ class SimulationRunner:
             **approval_counts(self.controller.alerts),
         )
 
-    def _close_state(self) -> None:
-        if self._store is not None:
-            self._store.close()
-        if self.platform.landscape.is_federated:
-            self.controller.close()
-
     def close(self) -> None:
-        """Stop the ops API, close the event and state stores (idempotent)."""
+        """Stop the ops API, then close plane, event store and state
+        store (idempotent) — in that order: a plane's ``close()`` may
+        still act and publish (an agent's deregistration can execute an
+        escrow attach), and both stores must take that."""
         if self.ops_server is not None:
             self.ops_server.stop()
             self.ops_server = None
         if self.ops_bridge is not None:
             self.ops_bridge.detach()
             self.ops_bridge = None
+        close_plane = getattr(self.controller, "close", None)
+        if close_plane is not None:
+            close_plane()
         if self.telemetry_store is not None:
             self.telemetry_store.close()
-        self._close_state()
+        if self._store is not None:
+            self._store.close()
 
     def verification_report(self, result: Optional[SimulationResult] = None):
         """Finalize the live sanitizer and return its findings.

@@ -14,6 +14,7 @@ written after deregistration and counts an action that lands in it, and
 a malformed message degrades the agent instead of ending its process.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -23,6 +24,8 @@ import sys
 import textwrap
 import threading
 
+import pytest
+
 import repro
 from repro.analysis import verify_traces
 from repro.config.builtin import (
@@ -31,10 +34,13 @@ from repro.config.builtin import (
     partition_landscape,
 )
 from repro.config.model import ServiceKind, service_spec_to_dict
+from repro.core.failover import ControllerSupervisor
 from repro.net.agent import DomainAgent
 from repro.net.protocol import make_message
 from repro.net.transport import EndpointClosed, loopback_pair
 from repro.ops.store import read_store
+from repro.sim.runner import SimulationRunner, make_executor_factory
+from repro.sim.scenarios import Scenario, default_chaos
 
 START = 12 * 60
 HORIZON = 45
@@ -183,10 +189,11 @@ def test_a_killed_and_resumed_agent_leaves_the_uninterrupted_log(tmp_path):
             "SELECT payload FROM snapshots WHERE kind = 'run'"
         ).fetchone()
         payload = json.loads(text)
-        bus_seq = payload["net"]["bus_seq"]
+        bus_seq = payload["bus_seq"]
         assert bus_seq < len(survived)  # rows past the snapshot exist
-        assert "batch" not in payload["net"] and "acked_seq" not in payload["net"]
-        payload["net"].update(batch=3, acked_seq=7)
+        net = payload["supervisor"]["net"]
+        assert "batch" not in net and "acked_seq" not in net
+        net.update(batch=3, acked_seq=7)
         patch.execute(
             "UPDATE snapshots SET payload = ? WHERE kind = 'run'",
             (json.dumps(payload),),
@@ -194,7 +201,7 @@ def test_a_killed_and_resumed_agent_leaves_the_uninterrupted_log(tmp_path):
 
     def resume():
         agent = _agent(tmp_path / "killed", resume=True)
-        tick = agent._resume_from_snapshot()
+        tick = agent.runner._resume_from_snapshot()
         kept = agent.events.last_seq()
         agent.events.close()
         agent.store.close()
@@ -258,7 +265,7 @@ def test_a_snapshot_never_points_past_the_committed_rows(tmp_path):
     assert tick == START + 19
     assert header.complete is True
     assert [event.seq for event in survived] == list(
-        range(1, json.loads(text)["net"]["bus_seq"] + 1)
+        range(1, json.loads(text)["bus_seq"] + 1)
     )
 
 
@@ -349,3 +356,88 @@ def test_a_malformed_message_degrades_the_agent_and_it_runs_on(tmp_path):
     ]
     assert "'heartbeat_ack'" in degraded["detail"]
     assert "'global_min' must be int" in degraded["detail"]
+
+
+# -- the licence of "one run loop": an agent is a runner plus a wire -----------------
+
+LICENCE_HORIZON = 360
+#: (domain, chaos) -> actions of the run; 35 / 1 / 55 / 7 since PR 19
+LICENCE_CASES = {
+    ("domain-1", False): 35,
+    ("domain-2", False): 1,
+    ("domain-1", True): 55,
+    ("domain-2", True): 7,
+}
+
+
+def _essence(result):
+    from repro.sim.export import summary_json_payload
+
+    return summary_json_payload(result), [
+        (
+            a.time, a.action.value, a.service_name, a.instance_id,
+            a.source_host, a.target_host, a.status,
+        )
+        for a in result.actions
+    ]
+
+
+@pytest.fixture(scope="module")
+def lone_agents(tmp_path_factory):
+    """The four agents nobody answers, side by side: each waits out its
+    deregistration bound, so they wait together."""
+    state_dir = tmp_path_factory.mktemp("licence")
+    runs = {}
+
+    def run(domain, chaos):
+        agent = DomainAgent(
+            domain, 2, _nobody_answers, state_dir / f"chaos-{chaos}",
+            user_factor=1.15, horizon=LICENCE_HORIZON, seed=7,
+            start_minute=START, connect_grace=0.0,
+            chaos=default_chaos(115) if chaos else None,
+        )
+        runs[domain, chaos] = _essence(agent.run())
+
+    threads = [
+        threading.Thread(target=run, args=case, daemon=True)
+        for case in LICENCE_CASES
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=240)
+    assert not any(thread.is_alive() for thread in threads), "agent hung"
+    return runs
+
+
+@pytest.mark.parametrize("domain, chaos", LICENCE_CASES)
+def test_a_lone_agent_is_the_runner_of_its_shard(lone_agents, domain, chaos):
+    """A degraded agent's wire does nothing, so what it leaves is the
+    single-process run of the same shard under the agent's seeds:
+    workload ``seed + index``, injector ``chaos.seed + 1 + index``,
+    executors ``chaos.seed + 1000 + replica`` (not shifted per domain —
+    shift them and domain-2 under chaos acts 8 times, not 7)."""
+    index = int(domain[-1]) - 1
+    profile = default_chaos(115) if chaos else None
+
+    def supervisor(platform, settings, enabled):
+        return ControllerSupervisor(
+            platform, settings=settings, enabled=enabled,
+            executor_factory=make_executor_factory(platform, profile),
+        )
+
+    runner = SimulationRunner(
+        Scenario.FULL_MOBILITY, user_factor=1.15, horizon=LICENCE_HORIZON,
+        seed=7 + index, start_minute=START, lint="off",
+        collect_host_series=False, controller_factory=supervisor,
+        landscape=domain_sublandscape(
+            partition_landscape(paper_landscape(), 2), domain
+        ),
+        chaos=(
+            dataclasses.replace(profile, seed=profile.seed + index)
+            if chaos else None
+        ),
+    )
+    summary, actions = _essence(runner.run())
+    assert len(actions) == LICENCE_CASES[domain, chaos]
+    assert (summary, actions) == lone_agents[domain, chaos]

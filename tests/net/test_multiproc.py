@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis import EXIT_ERRORS
 from repro.cli import main
-from repro.core.state import StateCorruptError
+from repro.core.state import DurableStateStore, StateCorruptError
 from repro.net.orchestrator import (
     _agent_command,
     _agent_environment,
@@ -122,6 +122,7 @@ class TestFailedRun:
         "failure",
         [
             RuntimeError("agent domain-2 exited with 1 after 3 respawns"),
+            ValueError("--kill-agent domain 'domain-9' is not one of [...]"),
             StateCorruptError("mp/domain-1/state.db", "malformed page"),
             TraceSchemaError("mp/domain-1/state.db: no event log"),
         ],
@@ -139,6 +140,54 @@ class TestFailedRun:
         )
         assert code == EXIT_ERRORS
         assert capsys.readouterr().err == f"autoglobe run: {failure}\n"
+
+
+    @staticmethod
+    def _use(directory):
+        """Leave an earlier run's trace in a domain directory."""
+        store = DurableStateStore(directory)
+        store.journal.append("tick", now=START)
+        store.close()
+
+    @pytest.mark.parametrize("resume", [True, False], ids=["resume", "fresh"])
+    def test_an_agent_that_cannot_start_says_so_in_one_line_and_exits_2(
+        self, resume, tmp_path
+    ):
+        """Nothing to resume, or (not resuming) a used directory."""
+        if not resume:
+            self._use(tmp_path / "domain-1")
+        command = _agent_command(
+            "domain-1", 2, 1, "127.0.0.1", tmp_path, Scenario.FULL_MOBILITY,
+            1.15, HORIZON, 7, START, "paper", None, 10, None, resume,
+        )
+        agent = subprocess.run(
+            command, env=_agent_environment(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert agent.returncode == 2
+        (line,) = agent.stderr.splitlines()
+        assert line.startswith("autoglobe-agent: ")
+        assert ("cannot resume" if resume else "holds an earlier run") in line
+
+    def test_a_refusing_agent_ends_the_run_without_respawns(self, tmp_path):
+        self._use(tmp_path / "state" / "domain-2")
+        with pytest.raises(
+            RuntimeError, match="agent domain-2 exited with 2 after 0 respawns"
+        ):
+            run_multiproc(
+                2, tmp_path / "state", tmp_path / "out", user_factor=1.15,
+                horizon=HORIZON, start_minute=START,
+            )
+
+    def test_a_kill_before_the_first_snapshot_is_refused(self, tmp_path):
+        """The first snapshot is minute ``START + 9``: an agent killed
+        earlier has nothing to resume, so nothing is spawned at all."""
+        with pytest.raises(ValueError, match="before the first snapshot"):
+            run_multiproc(
+                2, tmp_path / "state", tmp_path / "out", horizon=HORIZON,
+                start_minute=START, kill_agent=("domain-2", START + 5),
+            )
+        assert not (tmp_path / "state" / "domain-2").exists()
 
 
 class TestChaosRun:

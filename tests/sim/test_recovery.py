@@ -172,6 +172,23 @@ print([
 """
 
 
+def _federated(state_dir, **kwargs):
+    """Two control domains of the paper landscape under controller faults."""
+    from repro.config.builtin import paper_landscape, partition_landscape
+
+    return SimulationRunner(
+        Scenario.FULL_MOBILITY,
+        user_factor=1.15,
+        horizon=HORIZON,
+        seed=7,
+        collect_host_series=False,
+        landscape=partition_landscape(paper_landscape(), 2),
+        chaos=controller_chaos(115),
+        state_dir=state_dir,
+        **kwargs,
+    )
+
+
 class TestKillAndResume:
     def _harness(self, tmp_path):
         script = tmp_path / "harness.py"
@@ -208,6 +225,38 @@ class TestKillAndResume:
         assert resumed.returncode == 0, resumed.stderr
         assert resumed.stdout == uninterrupted.stdout
         assert [path.name for path in state.iterdir()] == ["state.db"]
+
+    def test_a_resumed_federated_run_is_the_uninterrupted_one(self, tmp_path):
+        """Two control domains under controller faults: the supervision
+        history a resume rebuilds keeps each event's domain, so the
+        recovery of minute 1400 is still ``domain-1``'s in the fault
+        records of a run killed at 1425 and resumed."""
+        from repro.sim.export import summary_json_payload
+
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+        )
+        child = (
+            "import sys; from tests.sim.test_recovery import _federated; "
+            "_federated(sys.argv[1], kill_at=1425).run()"
+        )
+        killed = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "state")],
+            env=env, timeout=300,
+        )
+        assert killed.returncode == -signal.SIGKILL
+
+        expected = _federated(tmp_path / "full").run()
+        resumed = _federated(tmp_path / "state", resume=True).run()
+        assert (1400, "controller-recovery", "domain-1") in [
+            (record.time, record.kind, record.domain)
+            for record in expected.fault_records
+        ]
+        assert resumed.fault_records == expected.fault_records
+        assert resumed.actions == expected.actions
+        assert summary_json_payload(resumed) == summary_json_payload(expected)
 
     def test_the_export_of_a_killed_and_resumed_run_is_the_whole_run(
         self, tmp_path
@@ -305,6 +354,48 @@ class TestResumeOfAFinishedRun:
             assert restored == uninterrupted
             assert [path.name for path in state.iterdir()] == ["state.db"]
             assert (state / "state.db").stat().st_size == size
+
+
+class TestRequestStop:
+    """``request_stop()`` ends a run at the next tick boundary; a durable
+    one snapshots there and resumes into the uninterrupted run."""
+
+    @staticmethod
+    def _stop_at(runner, minute):
+        from repro.telemetry.bus import WILDCARD
+
+        def on_envelope(envelope):
+            if getattr(envelope.record, "time", None) == minute:
+                runner.request_stop()
+
+        runner.platform.bus.subscribe(WILDCARD, on_envelope)
+
+    def test_a_stopped_durable_run_resumes_into_the_uninterrupted_one(
+        self, tmp_path
+    ):
+        from repro.sim.export import summary_json_payload
+
+        expected = _durable(tmp_path / "full", 240).run()
+        runner = _durable(tmp_path / "state", 240)
+        self._stop_at(runner, 823)  # not a snapshot minute (those end in 9)
+        assert runner.run().horizon == 104  # 720..823, the tick in progress included
+        assert [p.name for p in (tmp_path / "state").iterdir()] == ["state.db"]
+
+        resumed = _durable(tmp_path / "state", 240, resume=True).run()
+        assert resumed.horizon == expected.horizon == 240
+        assert summary_json_payload(resumed) == summary_json_payload(expected)
+        assert resumed.actions == expected.actions
+        assert resumed.fault_records == expected.fault_records
+
+    def test_without_a_state_directory_the_run_just_ends_early(self):
+        runner = SimulationRunner(
+            Scenario.FULL_MOBILITY, user_factor=1.15, horizon=240, seed=7,
+            collect_host_series=False, chaos=default_chaos(115),
+        )
+        self._stop_at(runner, 823)
+        result = runner.run()
+        assert result.horizon == 104
+        assert max(action.time for action in result.actions) <= 823
 
 
 class TestStateIsClosed:
