@@ -223,18 +223,10 @@ class StateDb:
     CREATE INDEX IF NOT EXISTS events_topic ON events (topic, source, seq);
     """
 
-    def __init__(
-        self, path: Union[str, Path] = ":memory:", cross_thread: bool = False
-    ) -> None:
+    def __init__(self, path: Union[str, Path] = ":memory:") -> None:
         self.path = str(path)
-        # cross_thread relaxes SQLite's same-thread check for callers
-        # that serialize access themselves (the federation server touches
-        # each domain's lease from reader, sweep and shutdown threads,
-        # all under one lock)
         self.connection = _checked(
-            sqlite3.connect(
-                self.path, isolation_level=None, check_same_thread=not cross_thread
-            ),
+            sqlite3.connect(self.path, isolation_level=None),
             self.path,
             "PRAGMA journal_mode = WAL; PRAGMA synchronous = NORMAL;" + self._SCHEMA,
         )
@@ -279,10 +271,8 @@ class _Table:
     """An accessor over a :class:`StateDb`: shares an open one, or opens
     its own on a path (closing the accessor closes the database)."""
 
-    def __init__(
-        self, db: Union[StateDb, str, Path] = ":memory:", cross_thread: bool = False
-    ) -> None:
-        self._db = db if isinstance(db, StateDb) else StateDb(db, cross_thread)
+    def __init__(self, db: Union[StateDb, str, Path] = ":memory:") -> None:
+        self._db = db if isinstance(db, StateDb) else StateDb(db)
 
     def close(self) -> None:
         self._db.close()

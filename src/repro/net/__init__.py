@@ -13,20 +13,26 @@ Modules
     Wire framing (4-byte big-endian length prefix + UTF-8 JSON) and the
     versioned, typed message schema.
 ``transport``
-    Blocking :class:`Endpoint` abstraction with a TCP implementation and
-    an in-process loopback pair for deterministic tests.
+    :class:`TcpEndpoint` over a stream socket: TCP across processes, a
+    socketpair in tests.
 ``chaos``
     :class:`NetFaultInjector` — deterministic per-link wire faults
     (drop / duplicate / reorder / delay / one-way partition).
 ``session``
     Server-side heartbeat sessions backed by the per-domain
     :class:`repro.core.state.LeaseStore` fencing semantics.
+``coordinator``
+    Everything the server decides, without I/O: sessions, the escrow
+    ledger and its reserve fan-out, reply caches, attach retries, chaos.
+``agent_session``
+    Everything an agent decides about the wire, without I/O: handshake,
+    heartbeats, pacing, degraded mode, backoff, both sides' escrow.
 ``server``
-    The coordinating server: handshake, heartbeats, idempotent escrow
-    brokering, and the merge and verification of the agents' event logs.
+    The coordinator's one-thread selector loop, and the merge and
+    verification of the agents' event logs.
 ``agent``
-    The per-domain agent process: a full controller stack over a
-    sub-landscape, with degraded-mode autonomy and crash recovery.
+    The per-domain agent process: a runner over a sub-landscape whose
+    control plane drives its session through one wait.
 ``orchestrator``
     Process supervision for ``autoglobe run --multiproc``.
 """

@@ -16,7 +16,7 @@ the coordinating :class:`~repro.net.server.FederationServer`:
   changes, so the AG301 fencing watermark follows leadership);
 * **heartbeats** — renew the server-side session and return the global
   minimum simulated minute, the pacing floor that keeps loosely coupled
-  agents within ``sim_lead_minutes`` of the slowest peer;
+  agents within ``SIM_LEAD_MINUTES`` of the slowest peer;
 * **events** — every envelope published on the agent's bus is
   Lamport-stamped into the ``events`` table of the domain's ``state.db``
   and nowhere else: the server reads the table at finalization and
@@ -27,6 +27,17 @@ the coordinating :class:`~repro.net.server.FederationServer`:
   server-brokered two-phase relocation (prepare / commit / attach),
   with every phase published as an :class:`~repro.telemetry.records.EscrowEvent`
   so the AG302 escrow-order invariant is checkable on the merged trace.
+
+What the agent *decides* about the wire is the
+:class:`~repro.net.agent_session.AgentSession`, a state machine without
+I/O; the agent drives it through one wait, :meth:`DomainAgent._pump`,
+which blocks on the endpoint only while something is awaited (the
+welcome, the pacing floor, an escrow reply, the deregistration) and at
+a tick boundary takes what has arrived without waiting.  The agent is
+also the session's *plane*: finding capacity, detach, attach,
+compensation and publishing ``EscrowEvent`` records touch the domain
+and stay here.
+Everything runs on the thread that runs the agent.
 
 Partition tolerance is the point: an agent that loses the server (or
 stops seeing acknowledgements) enters **degraded mode** — it keeps
@@ -59,7 +70,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config.builtin import (
     domain_sublandscape,
@@ -70,18 +81,13 @@ from repro.config.builtin import (
 from repro.config.model import (
     Action,
     ServiceKind,
-    ServiceSpec,
     service_spec_from_dict,
     service_spec_to_dict,
 )
 from repro.core.failover import ControllerSupervisor
 from repro.monitoring.lms import Situation
-from repro.net.protocol import (
-    FrameError,
-    ProtocolError,
-    make_message,
-    validate_message,
-)
+from repro.net.agent_session import DOWN, HELLO, UP, AgentSession
+from repro.net.protocol import FrameError
 from repro.net.transport import EndpointClosed, connect_tcp
 from repro.ops.store import TelemetryStore
 from repro.serviceglobe.actions import ActionError, ActionOutcome
@@ -100,24 +106,17 @@ from repro.telemetry.records import (
     SupervisionEventKind,
     record_payload,
 )
-from repro.telemetry.trace import LamportClock
 
 __all__ = ["SessionSupervisor", "DomainAgent", "main"]
 
-#: message kinds that count as the server acknowledging us; used by the
-#: degraded-mode detector.  ``escrow_reserve`` / ``escrow_attach`` are
-#: *not* in here — during a one-way (inbound-open) partition the server
-#: can still reach us while our requests vanish, and those pushes must
-#: not mask the silence.
-_ACK_KINDS = frozenset(
-    {
-        "heartbeat_ack",
-        "deregister_ack",
-        "escrow_prepared",
-        "escrow_committed",
-        "escrow_aborted",
-    }
-)
+#: the first tick keeps dialling this long before the agent degrades
+CONNECT_GRACE_SECONDS = 5.0
+#: an escrow's wait for its prepare (the server decides sooner) ...
+PREPARE_SECONDS = 2.5
+#: ... and for its commit (re-sent and resolved later if it takes longer)
+COMMIT_SECONDS = 0.75
+#: the bound on the deregistration at the end of the run
+DEREGISTER_SECONDS = 5.0
 
 
 class SessionSupervisor(ControllerSupervisor):
@@ -172,19 +171,24 @@ class SessionSupervisor(ControllerSupervisor):
     def tick(self, now: int) -> List[ActionOutcome]:
         """Connect and pace, the supervisor's own minute, then the wire."""
         agent = self._agent
-        agent._minute = now
+        session = agent.session
+        session.minute = now
         if agent._ticks == 0:
-            agent._connect_initial(now)
-        agent._ensure_connected(now)
-        agent._sync_pause(now)
-        # the controller's tick time is the supervisor's work alone,
-        # not the waiting on the wire around it
+            agent._connect_initial()
+        if session.ahead():
+            agent._pump(lambda: agent.runner.stop_requested or not session.ahead())
+        # the controller's tick time is the supervisor's work alone, not
+        # the waiting on the wire around it; an attach waits for the end
+        # of the minute
+        session.hold_attaches = True
         began = time.perf_counter()
-        outcomes = super().tick(now)
-        agent._tick_seconds += time.perf_counter() - began
+        try:
+            outcomes = super().tick(now)
+        finally:
+            agent._tick_seconds += time.perf_counter() - began
+            session.hold_attaches = False
         agent._ticks += 1
-        agent._service_network(now)
-        agent._maybe_heartbeat(now)
+        agent._pump()
         agent.events.end_tick()
         return outcomes
 
@@ -208,10 +212,10 @@ class DomainAgent:
 
     The run's parameters are handed to the agent's
     :class:`~repro.sim.runner.SimulationRunner` (``self.runner``, over
-    ``state_dir/<domain>``); the networking knobs are the agent's own.
-    ``endpoint_factory`` returns a fresh connected endpoint (or raises
-    ``OSError``) — tests inject loopback endpoints here, ``main`` wires
-    TCP.
+    ``state_dir/<domain>``).  ``endpoint_factory`` returns a fresh
+    connected endpoint (or raises ``OSError``) — tests inject loopback
+    endpoints here, ``main`` wires TCP.  Timing is module constants:
+    this module's waits, :mod:`repro.net.agent_session`'s timers.
     """
 
     def __init__(
@@ -232,9 +236,6 @@ class DomainAgent:
         resume: bool = False,
         snapshot_interval: int = 10,
         kill_at: Optional[int] = None,
-        sim_lead_minutes: int = 30,
-        ack_timeout: float = 1.5,
-        connect_grace: float = 5.0,
     ) -> None:
         if chaos is not None and chaos.has_controller_faults:
             raise ValueError(
@@ -249,47 +250,16 @@ class DomainAgent:
             except ValueError:
                 domain_index = 0
         self.domain = domain
-        self.sim_lead_minutes = sim_lead_minutes
-        self.ack_timeout = ack_timeout
-        self.connect_grace = connect_grace
         self.chaos = chaos
         self.resume = resume
         self._endpoint_factory = endpoint_factory
-        self.dir = Path(state_dir) / domain
-        self.clock = LamportClock()
-
-        # -- connection state ---------------------------------------------------
         self._endpoint: Any = None
-        self._connected = False
-        self._degraded = False
-        self._deregistered = False
-        self._token: Optional[int] = None
-        self._incarnation = 1
-        self._backoff = 0.05
-        self._next_connect = 0.0
-        self._global_min = start_minute
-        self._awaiting_ack_since: Optional[float] = None
-        self._last_hb_minute = start_minute - 10
-        self._last_hb_wall = 0.0
-        # -- escrow (source side) ----------------------------------------------
-        self._escrow_seq = 0
-        self._reply_box: Dict[tuple, Dict[str, Any]] = {}
-        self._pending_commits: Dict[str, Dict[str, Any]] = {}
-        # -- escrow (target side) ----------------------------------------------
-        self._reservations: Dict[str, Dict[str, Any]] = {}
-        self._released: set = set()
-        self._reserve_replies: Dict[str, Dict[str, Any]] = {}
-        self._attach_replies: Dict[str, Dict[str, Any]] = {}
-        self._deferred_attaches: List[Dict[str, Any]] = []
-        # -- lifecycle / accounting --------------------------------------------
-        #: the last minute the plane was ticked at (or restored to)
-        self._minute = start_minute
+        self.dir = Path(state_dir) / domain
+        #: the wire's state; its ``minute`` is the last minute the plane
+        #: was ticked at (or restored to)
+        self.session = AgentSession(domain, self, start_minute)
         self._tick_seconds = 0.0
         self._ticks = 0
-        self._degraded_count = 0
-        self._resync_count = 0
-        self._escrow_out_count = 0
-        self._escrow_in_count = 0
 
         if landscape_kind == "replicated":
             full = replicated_landscape(domains)
@@ -356,7 +326,7 @@ class DomainAgent:
             envelope.seq,
             envelope.topic,
             record_payload(envelope.record),
-            self.clock.tick(),
+            self.session.clock.tick(),
         )
 
     def request_stop(self) -> None:
@@ -382,10 +352,7 @@ class DomainAgent:
         }
         summary["net"] = {
             "partial": result.horizon < self.runner.horizon,
-            "degraded_count": self._degraded_count,
-            "resync_count": self._resync_count,
-            "escrow_out": self._escrow_out_count,
-            "escrow_in": self._escrow_in_count,
+            **self.session.counts,
         }
         # the server reads this file, not a message: it is there even
         # when the deregister never got through a partition
@@ -403,253 +370,90 @@ class DomainAgent:
 
         signal.signal(signal.SIGTERM, handler)
 
-    def _sync_pause(self, now: int) -> None:
-        """Hold this agent near the slowest live peer's minute.
+    # -- the one wait ------------------------------------------------------------------
 
-        Only a *connected* agent paces itself: a partitioned one cannot
-        learn the floor and must keep administering its domain — that is
-        the degraded-mode contract.
-        """
-        while (
-            self._connected
-            and not self.runner.stop_requested
-            and now - self._global_min > self.sim_lead_minutes
-        ):
-            self._maybe_heartbeat(now)
-            self._service_network(now)
-            time.sleep(0.01)
-
-    # -- connection management --------------------------------------------------------
-
-    def _connect_initial(self, now: int) -> None:
-        """Best-effort blocking first connect; degrade if it never lands."""
-        deadline = time.monotonic() + self.connect_grace
-        while not self._connected and not self.runner.stop_requested:
-            self._next_connect = 0.0
-            self._ensure_connected(now)
-            if self._connected or time.monotonic() >= deadline:
-                break
-            time.sleep(0.05)
-        if not self._connected and not self.runner.stop_requested:
-            self._enter_degraded(now, "server unreachable at start")
-
-    def _ensure_connected(self, now: int) -> None:
-        if self._connected or self._deregistered:
-            return
-        if time.monotonic() < self._next_connect:
-            return
-        try:
-            endpoint = self._endpoint_factory()
-        except OSError:
-            self._connect_failed()
-            return
-        try:
-            self._handshake(endpoint, now)
-        except (EndpointClosed, FrameError, ProtocolError, OSError):
-            try:
-                endpoint.close()
-            except Exception:
-                pass
-            self._connect_failed()
-
-    def _connect_failed(self) -> None:
-        self._next_connect = time.monotonic() + self._backoff
-        self._backoff = min(self._backoff * 2, 2.0)
-
-    def _handshake(self, endpoint: Any, now: int) -> None:
-        endpoint.send(
-            make_message(
-                "hello",
-                self.clock.tick(),
-                domain=self.domain,
-                incarnation=self._incarnation,
-                minute=now,
-            )
-        )
-        deadline = time.monotonic() + 2.0
-        backlog: List[Dict[str, Any]] = []
-        while time.monotonic() < deadline:
-            message = endpoint.recv(timeout=0.05)
-            if message is None:
-                continue
-            validate_message(message)
-            kind = message["kind"]
-            if kind == "welcome":
-                self._endpoint = endpoint
-                self._connected = True
-                self._backoff = 0.05
-                self._resync(now, message)
-                for queued in backlog:
-                    self._handle_inbound(now, queued)
-                return
-            if kind == "reject":
-                raise ProtocolError(str(message.get("reason", "rejected")))
-            backlog.append(message)
-        raise EndpointClosed("handshake timed out")
-
-    def _resync(self, now: int, welcome: Dict[str, Any]) -> None:
-        """Adopt the session: token, clock rebase, degraded-mode exit."""
-        # rebase past everything the server (and through it, every peer)
-        # has seen, so post-resync events — the new LEADER_EPOCH first —
-        # sort after all in-flight cross-domain chains in the merge
-        self.clock.witness(int(welcome["max_clock"]))
-        token = int(welcome["token"])
-        self._token = token
-        self.supervisor.adopt_token(now, token)
-        if self._degraded:
-            self._degraded = False
-            self._resync_count += 1
-            self.supervisor.record_net_event(
-                now, "net-resynced", str(welcome.get("session", ""))
-            )
-        self._awaiting_ack_since = None
-
-    def _enter_degraded(self, now: int, reason: str) -> None:
-        if self._endpoint is not None:
-            try:
-                self._endpoint.close()
-            except Exception:
-                pass
-        self._endpoint = None
-        self._connected = False
-        self._awaiting_ack_since = None
-        if not self._degraded:
-            self._degraded = True
-            self._degraded_count += 1
-            self.supervisor.record_net_event(now, "net-degraded", reason)
-
-    def _connection_lost(self, now: int, reason: str) -> None:
-        self._enter_degraded(now, reason)
-
-    def _deposed_reconnect(self, now: int) -> None:
-        """The server expired our session: re-handshake immediately.
-
-        Not a degraded transition — the wire works, only the session is
-        stale.  The fresh handshake bumps the fencing token and
-        :meth:`SessionSupervisor.adopt_token` announces the new epoch.
-        """
-        if self._endpoint is not None:
-            try:
-                self._endpoint.close()
-            except Exception:
-                pass
-        self._endpoint = None
-        self._connected = False
-        self._awaiting_ack_since = None
-        self._next_connect = 0.0
-        self._ensure_connected(now)
-
-    # -- wire plumbing ---------------------------------------------------------------
-
-    def _send(self, message: Dict[str, Any]) -> bool:
-        if not self._connected or self._endpoint is None:
-            return False
-        try:
-            self._endpoint.send(message)
-            return True
-        except (EndpointClosed, OSError):
-            self._connection_lost(int(message.get("minute", self._global_min)),
-                                  "send failed")
-            return False
-
-    def _service_network(self, now: int) -> None:
-        """Drain inbound messages, pump retries, detect silence."""
-        while self._deferred_attaches and self._connected:
-            self._handle_attach(now, self._deferred_attaches.pop(0))
-        while self._connected:  # a handled message may drop the link
-            try:
-                message = self._endpoint.recv(timeout=0.001)
-            except (EndpointClosed, FrameError, OSError):
-                self._connection_lost(now, "connection lost")
-                break
-            if message is None:
-                break
-            self._handle_inbound(now, message)
-        self._pump_commits(now)
-        if (
-            self._connected
-            and self._awaiting_ack_since is not None
-            and time.monotonic() - self._awaiting_ack_since > self.ack_timeout
-        ):
-            self._enter_degraded(now, "no acknowledgements from server")
-
-    def _handle_inbound(
-        self, now: int, message: Dict[str, Any], defer_attach: bool = False
+    def _pump(
+        self,
+        until: Optional[Callable[[], bool]] = None,
+        deadline: Optional[float] = None,
     ) -> None:
-        try:
-            validate_message(message)
-        except ProtocolError as exc:
-            # a peer that sends this cannot be followed: drop the link
-            self._connection_lost(now, f"malformed message: {exc}")
-            return
-        self.clock.witness(int(message["clock"]))
-        kind = message["kind"]
-        if kind in _ACK_KINDS:
-            self._awaiting_ack_since = None
-        if kind == "heartbeat_ack":
-            self._global_min = int(message["global_min"])
-            if message["status"] == "deposed":
-                self._deposed_reconnect(now)
-        elif kind == "deregister_ack":
-            self._deregistered = True
-        elif kind == "escrow_reserve":
-            self._handle_reserve(now, message)
-        elif kind == "escrow_release":
-            self._handle_release(now, message)
-        elif kind == "escrow_attach":
-            if defer_attach:
-                self._deferred_attaches.append(message)
-            else:
-                self._handle_attach(now, message)
-        elif kind == "escrow_committed":
-            self._reply_box[(kind, message["escrow_id"])] = message
-            self._finish_commit(now, message)
-        elif kind in ("escrow_prepared", "escrow_aborted"):
-            self._reply_box[(kind, message["escrow_id"])] = message
-        elif kind == "reject":
-            self._deposed_reconnect(now)
+        """Step the session until ``until()`` holds or ``deadline`` passes.
 
-    def _maybe_heartbeat(self, now: int) -> None:
-        if not self._connected:
-            return
-        wall = time.monotonic()
-        if now - self._last_hb_minute < 5 and wall - self._last_hb_wall < 0.25:
-            return
-        if self._send(
-            make_message(
-                "heartbeat", self.clock.tick(), domain=self.domain, minute=now
-            )
-        ):
-            self._last_hb_minute = now
-            self._last_hb_wall = wall
-            if self._awaiting_ack_since is None:
-                self._awaiting_ack_since = wall
-
-    def _await_reply(
-        self, now: int, kind: str, escrow_id: str, timeout: float
-    ) -> Optional[Dict[str, Any]]:
-        """Wait for one escrow reply, servicing other inbound traffic.
-
-        Inbound ``escrow_attach`` pushes are deferred (not executed
-        mid-escrow) so the source-side escrow stays a straight-line
-        critical section.
+        A step takes what has arrived, runs the session's timers, dials
+        when a dial is due and sends what the session queued.  Without
+        ``until`` it is one step that waits for nothing: the drain at a
+        tick boundary.  Between steps it blocks on the endpoint — or,
+        unconnected, sleeps — until the earlier of ``deadline`` and the
+        session's own next deadline.
         """
-        deadline = time.monotonic() + timeout
-        key = (kind, escrow_id)
-        while time.monotonic() < deadline:
-            if key in self._reply_box:
-                return self._reply_box.pop(key)
-            if not self._connected:
-                return None
+        wait = 0.0
+        while True:
+            self._step(wait)
+            now = time.monotonic()
+            if until is None or until() or (deadline is not None and now >= deadline):
+                return
+            due = [t for t in (deadline, self.session.deadline()) if t is not None]
+            if not due:
+                return  # closed: nothing can arrive
+            wait = max(0.0, min(due) - now)
+
+    def _step(self, wait: float) -> None:
+        session = self.session
+        self._flush()
+        if self._endpoint is None:
+            if wait > 0.0:
+                time.sleep(wait)
+        while self._endpoint is not None:
             try:
-                message = self._endpoint.recv(timeout=0.01)
+                message = self._endpoint.recv(timeout=wait)
             except (EndpointClosed, FrameError, OSError):
-                self._connection_lost(now, "connection lost")
-                return None
+                session.lost(time.monotonic(), "connection lost")
+                message = None
+            if message is not None:
+                session.receive(message, time.monotonic())
+            self._flush()
             if message is None:
-                continue
-            self._handle_inbound(now, message, defer_attach=True)
-        return self._reply_box.pop(key, None)
+                break
+            wait = 0.0
+        now = time.monotonic()
+        session.poll(now)
+        self._flush()  # hangs up what the timers dropped, before a redial
+        if session.dial_due(now):
+            try:
+                self._endpoint = self._endpoint_factory()
+            except OSError:
+                session.dial_failed(now)
+            else:
+                session.dialled(now)
+            self._flush()
+
+    def _flush(self) -> None:
+        """Send what the session queued; hang up when its link is down."""
+        session = self.session
+        outbox, session.outbox = session.outbox, []
+        for message in outbox:
+            if self._endpoint is None:
+                break
+            try:
+                self._endpoint.send(message)
+            except (EndpointClosed, OSError):
+                session.lost(time.monotonic(), "send failed")
+                break
+        if session.link == DOWN and self._endpoint is not None:
+            self._endpoint.close()
+            self._endpoint = None
+
+    def _connect_initial(self) -> None:
+        """Best-effort first connect; degrade if it never lands."""
+        session, runner = self.session, self.runner
+        self._pump(
+            lambda: session.link != DOWN or runner.stop_requested,
+            time.monotonic() + CONNECT_GRACE_SECONDS,
+        )
+        # a hello in flight gets its welcome, or its own timeout
+        self._pump(lambda: session.link != HELLO)
+        if session.link != UP and not runner.stop_requested:
+            session.degrade("server unreachable at start")
 
     # -- escrow: source side -----------------------------------------------------------
 
@@ -665,7 +469,7 @@ class DomainAgent:
         """
         if situation.kind is not SituationKind.SERVER_OVERLOADED:
             return None
-        if not self._connected or self._degraded or self._token is None:
+        if self.session.link != UP:
             return None
         host = self.view.hosts.get(situation.subject)
         if host is None or not host.up:
@@ -691,45 +495,38 @@ class DomainAgent:
         return None
 
     def _escrow_out(self, now: int, instance) -> Optional[ActionOutcome]:
-        self._escrow_seq += 1
-        escrow_id = f"{self.domain}-esc-{self._escrow_seq:05d}"
+        session = self.session
         spec = self.view.service(instance.service_name).spec
-        token = self._token
-        sent = self._send(
-            make_message(
-                "escrow_request",
-                self.clock.tick(),
-                escrow_id=escrow_id,
-                domain=self.domain,
-                service=service_spec_to_dict(spec),
-                users=instance.users,
-                minute=now,
-                token=token,
-            )
-        )
-        if not sent:
+        token = session.token
+        escrow_id = session.request_escrow(service_spec_to_dict(spec), instance.users)
+        if escrow_id is None:
             return None
-        prepared = self._await_reply(now, "escrow_prepared", escrow_id, 2.0)
+        self._pump(
+            lambda: session.link != UP or session.prepared[escrow_id] is not None,
+            time.monotonic() + PREPARE_SECONDS,
+        )
+        prepared = session.prepared.pop(escrow_id, None)
         if prepared is None:
-            self._abort_escrow(now, escrow_id, "prepare timed out")
+            session.abort_escrow(escrow_id, "prepare timed out")
             return None
         if not prepared["ok"]:
             return None  # refused before any state changed; no events owed
-        target_domain = str(prepared["target_domain"])
-        target_host = str(prepared["target_host"])
-        source_host = instance.host_name
-        users = instance.users
+        # the escrow as the commit, its compensation and its events see it
+        commit = {
+            "escrow_id": escrow_id,
+            "instance_id": instance.instance_id,
+            "service": spec.name,
+            "users": instance.users,
+            "source_host": instance.host_name,
+            "target_domain": prepared["target_domain"],
+            "target_host": prepared["target_host"],
+            "token": token,
+            "minute": now,
+        }
         self._publish_escrow(
-            now,
             EscrowPhase.PREPARE,
-            escrow_id,
-            spec.name,
-            instance.instance_id,
-            target_domain,
-            source_host,
-            target_host,
-            token,
-            note=f"reserved {target_domain}/{target_host}",
+            commit,
+            f"reserved {commit['target_domain']}/{commit['target_host']}",
         )
         # detach: zero the users first so SCALE_IN displaces nobody —
         # the sessions travel with the escrow and land on the target
@@ -743,194 +540,88 @@ class DomainAgent:
                 note=f"escrow {escrow_id} detach",
             )
         except ActionError as exc:
-            instance.users = users
-            self._publish_escrow(
-                now,
-                EscrowPhase.ABORT,
-                escrow_id,
-                spec.name,
-                instance.instance_id,
-                target_domain,
-                source_host,
-                target_host,
-                token,
-                note=f"detach failed: {exc}",
-            )
-            self._abort_escrow(now, escrow_id, f"detach failed: {exc}")
+            instance.users = commit["users"]
+            self._publish_escrow(EscrowPhase.ABORT, commit, f"detach failed: {exc}")
+            session.abort_escrow(escrow_id, f"detach failed: {exc}")
             return None
-        self._publish_escrow(
-            now,
-            EscrowPhase.COMMIT,
-            escrow_id,
-            spec.name,
-            instance.instance_id,
-            target_domain,
-            source_host,
-            target_host,
-            token,
+        self._publish_escrow(EscrowPhase.COMMIT, commit)
+        session.commit_escrow(commit, time.monotonic())
+        # the commit reply may take longer: the session re-sends the
+        # commit (idempotently — the server caches its reply) and
+        # resolves it whenever it lands
+        self._pump(
+            lambda: session.link != UP or escrow_id not in session.commits,
+            time.monotonic() + COMMIT_SECONDS,
         )
-        self._pending_commits[escrow_id] = {
-            "escrow_id": escrow_id,
-            "instance_id": instance.instance_id,
-            "service": spec.name,
-            "users": users,
-            "source_host": source_host,
-            "target_domain": target_domain,
-            "target_host": target_host,
-            "token": token,
-            "minute": now,
-            "next_wall": time.monotonic() + 0.5,
-        }
-        self._send_commit(now, self._pending_commits[escrow_id])
-        committed = self._await_reply(now, "escrow_committed", escrow_id, 0.75)
-        if committed is not None:
-            self._finish_commit(now, committed)
-        # the commit reply may still be in flight; _pump_commits retries
-        # (idempotently — the server caches its reply) until it resolves
         return outcome
 
-    def _send_commit(self, now: int, pending: Dict[str, Any]) -> None:
-        self._send(
-            make_message(
-                "escrow_commit",
-                self.clock.tick(),
-                escrow_id=pending["escrow_id"],
-                domain=self.domain,
-                instance_id=pending["instance_id"],
-                source_host=pending["source_host"],
-                minute=pending["minute"],
-                token=pending["token"],
-            )
-        )
-
-    def _pump_commits(self, now: int) -> None:
-        if not self._pending_commits or not self._connected:
-            return
-        wall = time.monotonic()
-        for pending in list(self._pending_commits.values()):
-            if wall >= pending["next_wall"]:
-                pending["next_wall"] = wall + 0.5
-                self._send_commit(now, pending)
-
-    def _finish_commit(self, now: int, reply: Dict[str, Any]) -> None:
-        pending = self._pending_commits.pop(str(reply["escrow_id"]), None)
-        if pending is None:
-            return  # duplicate reply; already resolved
-        if reply["ok"]:
-            self._escrow_out_count += 1
-            return
-        self._compensate(now, pending, str(reply.get("note", "")))
-
-    def _compensate(
-        self, now: int, pending: Dict[str, Any], note: str
-    ) -> None:
+    def compensate(self, commit: Dict[str, Any], note: str, minute: int) -> None:
         """Commit was refused after detach: restart the instance here."""
         outcome = None
         try:
             outcome = self.supervisor.executor.execute(
                 Action.SCALE_OUT,
-                pending["service"],
-                target_host=pending["source_host"],
+                commit["service"],
+                target_host=commit["source_host"],
                 enforce_allowed=False,
-                note=f"escrow {pending['escrow_id']} compensation",
+                note=f"escrow {commit['escrow_id']} compensation",
             )
         except ActionError:
             outcome = None
         if outcome is not None and outcome.instance_id:
             try:
-                self.view.instance(outcome.instance_id).users = pending["users"]
+                self.view.instance(outcome.instance_id).users = commit["users"]
             except Exception:
                 pass
         self._publish_escrow(
-            now,
             EscrowPhase.ABORT,
-            pending["escrow_id"],
-            pending["service"],
-            pending["instance_id"],
-            pending["target_domain"],
-            pending["source_host"],
-            pending["target_host"],
-            pending["token"],
-            note=f"commit refused: {note}" if note else "commit refused",
-        )
-
-    def _abort_escrow(self, now: int, escrow_id: str, note: str) -> None:
-        self._send(
-            make_message(
-                "escrow_abort",
-                self.clock.tick(),
-                escrow_id=escrow_id,
-                domain=self.domain,
-                minute=now,
-                note=note,
-            )
+            commit,
+            f"commit refused: {note}" if note else "commit refused",
+            minute,
         )
 
     def _publish_escrow(
         self,
-        now: int,
         phase: EscrowPhase,
-        escrow_id: str,
-        service_name: str,
-        instance_id: str,
-        target_domain: str,
-        source_host: str,
-        target_host: str,
-        token: Optional[int],
+        commit: Dict[str, Any],
         note: str = "",
+        minute: Optional[int] = None,
     ) -> None:
+        """One source-side escrow phase, at the escrow's minute by default."""
         self.view.bus.publish(
             EscrowEvent(
-                time=now,
+                time=commit["minute"] if minute is None else minute,
                 phase=phase,
-                escrow_id=escrow_id,
-                service_name=service_name,
-                instance_id=instance_id,
+                escrow_id=commit["escrow_id"],
+                service_name=commit["service"],
+                instance_id=commit["instance_id"],
                 source_domain=self.domain,
-                target_domain=target_domain,
-                source_host=source_host,
-                target_host=target_host,
-                fencing_token=token,
+                target_domain=commit["target_domain"],
+                source_host=commit["source_host"],
+                target_host=commit["target_host"],
+                fencing_token=commit["token"],
                 note=note,
             )
         )
 
-    # -- escrow: target side -----------------------------------------------------------
+    # -- the plane: what the session asks of the domain --------------------------------
 
-    def _handle_reserve(self, now: int, message: Dict[str, Any]) -> None:
-        escrow_id = str(message["escrow_id"])
-        cached = self._reserve_replies.get(escrow_id)
-        if cached is None:
-            if escrow_id in self._released:
-                cached = {"ok": False, "host": "", "note": "escrow released"}
-            else:
-                spec = service_spec_from_dict(message["service"])
-                host_name, note = self._find_capacity(spec, escrow_id)
-                if host_name is None:
-                    cached = {"ok": False, "host": "", "note": note}
-                else:
-                    self._reservations[escrow_id] = {
-                        "host": host_name,
-                        "memory": spec.workload.memory_per_instance_mb,
-                        "service": spec.name,
-                    }
-                    cached = {"ok": True, "host": host_name, "note": note}
-            self._reserve_replies[escrow_id] = cached
-        self._send(
-            make_message(
-                "escrow_reserved",
-                self.clock.tick(),
-                escrow_id=escrow_id,
-                **cached,
-            )
-        )
+    def adopt_token(self, minute: int, token: int) -> None:
+        self.supervisor.adopt_token(minute, token)
 
-    def _find_capacity(self, spec: ServiceSpec, escrow_id: str):
+    def record_net_event(self, minute: int, kind: str, detail: str) -> None:
+        self.supervisor.record_net_event(minute, kind, detail)
+
+    def find_capacity(
+        self, service: Dict[str, Any], held: Dict[str, int]
+    ) -> Tuple[Optional[str], int, str]:
         """Pick the domain host with the most free memory that fits.
 
-        Other unconsumed reservations' memory is held back, so two
-        concurrent escrows cannot both be promised the same headroom.
+        ``held`` is the memory other unconsumed reservations keep per
+        host, so two concurrent escrows cannot both be promised the same
+        headroom.
         """
+        spec = service_spec_from_dict(service)
         needed = spec.workload.memory_per_instance_mb
         best_name = None
         best_free = -1
@@ -947,56 +638,19 @@ class DomainAgent:
                 for i in host.running_instances
             ):
                 continue
-            reserved = sum(
-                r["memory"]
-                for other, r in self._reservations.items()
-                if other != escrow_id and r["host"] == name
-            )
-            free = host.memory_free_mb(self.view.memory_of) - reserved
+            free = host.memory_free_mb(self.view.memory_of) - held.get(name, 0)
             if free < needed:
                 continue
             if free > best_free:
                 best_free = free
                 best_name = name
         if best_name is None:
-            return None, f"no host with {needed}MB free"
-        return best_name, f"{best_free}MB free"
+            return None, needed, f"no host with {needed}MB free"
+        return best_name, needed, f"{best_free}MB free"
 
-    def _handle_release(self, now: int, message: Dict[str, Any]) -> None:
-        escrow_id = str(message["escrow_id"])
-        self._reservations.pop(escrow_id, None)
-        self._released.add(escrow_id)
-
-    def _handle_attach(self, now: int, message: Dict[str, Any]) -> None:
-        escrow_id = str(message["escrow_id"])
-        cached = self._attach_replies.get(escrow_id)
-        if cached is not None:
-            self._send(
-                make_message(
-                    "escrow_attached",
-                    self.clock.tick(),
-                    escrow_id=escrow_id,
-                    **cached,
-                )
-            )
-            return
-        if escrow_id in self._released:
-            reply = {"ok": False, "note": "escrow released"}
-        else:
-            reply = self._attach(now, message)
-        self._attach_replies[escrow_id] = reply
-        self._reservations.pop(escrow_id, None)
-        self._send(
-            make_message(
-                "escrow_attached",
-                self.clock.tick(),
-                escrow_id=escrow_id,
-                **reply,
-            )
-        )
-
-    def _attach(self, now: int, message: Dict[str, Any]) -> Dict[str, Any]:
-        escrow_id = str(message["escrow_id"])
+    def attach(self, message: Dict[str, Any], now: int) -> Tuple[bool, str]:
+        """Adopt the escrowed service and start it on the reserved host."""
+        escrow_id = message["escrow_id"]
         spec = service_spec_from_dict(message["service"])
         definition = self.view.platform.adopt_service(spec)
         self.runner.workload.adopt(spec)
@@ -1008,53 +662,38 @@ class DomainAgent:
             outcome = self.supervisor.executor.execute(
                 action,
                 spec.name,
-                target_host=str(message["host"]),
+                target_host=message["host"],
                 enforce_allowed=False,
                 note=f"escrow {escrow_id} attach from {message['source_domain']}",
             )
         except ActionError as exc:
             failure = str(exc)
-        if outcome is None or not outcome.instance_id:
-            self.view.bus.publish(
-                EscrowEvent(
-                    time=now,
-                    phase=EscrowPhase.ABORT,
-                    escrow_id=escrow_id,
-                    service_name=spec.name,
-                    instance_id="",
-                    source_domain=str(message["source_domain"]),
-                    target_domain=self.domain,
-                    source_host=str(message["source_host"]),
-                    target_host=str(message["host"]),
-                    fencing_token=None,
-                    note=f"attach failed: {failure}" if failure else "attach failed",
-                )
-            )
-            return {"ok": False, "note": failure or "attach failed"}
-        try:
-            self.view.instance(outcome.instance_id).users = int(message["users"])
-        except Exception:
-            pass
+        ok = outcome is not None and bool(outcome.instance_id)
+        if ok:
+            try:
+                self.view.instance(outcome.instance_id).users = message["users"]
+            except Exception:
+                pass
         # the ATTACH event carries the *source domain's* fencing token:
         # AG301 scopes escrow phases to the source, and the token rode
         # along in the escrow_attach message for exactly this stamp
+        note = "" if ok else failure or "attach failed"
         self.view.bus.publish(
             EscrowEvent(
                 time=now,
-                phase=EscrowPhase.ATTACH,
+                phase=EscrowPhase.ATTACH if ok else EscrowPhase.ABORT,
                 escrow_id=escrow_id,
                 service_name=spec.name,
-                instance_id=outcome.instance_id,
-                source_domain=str(message["source_domain"]),
+                instance_id=outcome.instance_id if ok else "",
+                source_domain=message["source_domain"],
                 target_domain=self.domain,
-                source_host=str(message["source_host"]),
-                target_host=str(message["host"]),
-                fencing_token=int(message["token"]),
-                note="",
+                source_host=message["source_host"],
+                target_host=message["host"],
+                fencing_token=message["token"] if ok else None,
+                note=f"attach failed: {failure}" if failure else note,
             )
         )
-        self._escrow_in_count += 1
-        return {"ok": True, "note": ""}
+        return ok, note
 
     # -- the plane's part of the run snapshot, and of the run's end -----------------------
 
@@ -1062,84 +701,34 @@ class DomainAgent:
         # the event rows must be committed before the snapshot that
         # points into them: resume keeps the rows up to its bus_seq
         self.events.flush()
-        return {
-            "clock": self.clock.time,
-            "escrow_seq": self._escrow_seq,
-            "incarnation": self._incarnation,
-            "reservations": self._reservations,
-            "released": sorted(self._released),
-            "reserve_replies": self._reserve_replies,
-            "attach_replies": self._attach_replies,
-            "global_min": self._global_min,
-        }
+        return self.session.snapshot()
 
     def _restore_net(self, net: Dict[str, Any], now: int) -> None:
-        """The ``net`` section of the snapshot the runner resumes from.
-
-        Escrows that were mid-commit at the kill are deliberately *not*
-        restored: the server's finalize synthesizes a coordinator abort
-        for any escrow left without attach/abort, which keeps the merged
-        trace AG302-clean (at the cost of the moved users, a documented
-        double-fault loss).
-        """
-        self._minute = now
-        self.clock.time = int(net["clock"])
+        """The ``net`` section of the snapshot the runner resumes from."""
+        self.session.minute = now
+        self.session.restore(net)
         # cut the event log back to the snapshot, where the runner has
         # put the bus: everything after belongs to the abandoned
         # timeline between snapshot and kill
         self.events.truncate_after(self.view.bus.last_seq)
-        self._escrow_seq = int(net["escrow_seq"])
-        # a resumed process is a new incarnation: the handshake must
-        # re-grant (and fence) rather than silently renew
-        self._incarnation = int(net["incarnation"]) + 1
-        self._reservations = dict(net.get("reservations", {}))
-        self._released = set(net.get("released", []))
-        self._reserve_replies = dict(net.get("reserve_replies", {}))
-        self._attach_replies = dict(net.get("attach_replies", {}))
-        self._global_min = int(net.get("global_min", self._global_min))
 
     def _close_session(self) -> None:
-        """Deregister and hang up; the runner finalizes afterwards.
+        """Deregister (bounded) and hang up; the runner finalizes afterwards.
 
         In that order: an escrow attach (or a commit refusal's
-        compensation) that still lands while the network is serviced is
-        an action the result has to count.
+        compensation) that still lands while the deregistration waits
+        is an action the result has to count.
         """
         self.events.flush()
-        self._deregister(self._minute)
+        session = self.session
+        if not session.deregistered:  # closed: a second close talks to nobody
+            session.deregister()
+            self._pump(
+                lambda: session.deregistered, time.monotonic() + DEREGISTER_SECONDS
+            )
         self.events.close()  # what deregistering itself published
-        if self._endpoint is not None:
-            try:
-                self._endpoint.close()
-            except Exception:
-                pass
-        self._endpoint = None
-        self._connected = False
-        self._deregistered = True  # closed: a second close talks to nobody
-
-    def _deregister(self, now: int, timeout: float = 5.0) -> None:
-        """Tell the server this agent is done; bounded best-effort."""
-        deadline = time.monotonic() + timeout
-        last_deregister = 0.0
-        while not self._deregistered and time.monotonic() < deadline:
-            if not self._connected:
-                self._next_connect = min(self._next_connect, deadline - 0.5)
-                self._ensure_connected(now)
-                if not self._connected:
-                    time.sleep(0.02)
-                    continue
-            self._service_network(now)
-            if time.monotonic() - last_deregister > 0.5:
-                self._send(
-                    make_message(
-                        "deregister",
-                        self.clock.tick(),
-                        domain=self.domain,
-                        minute=now,
-                    )
-                )
-                last_deregister = time.monotonic()
-            time.sleep(0.005)
+        session.close()
+        self._flush()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,28 +1,24 @@
-"""Blocking message endpoints over TCP or an in-process loopback.
+"""Framed message endpoints over a stream socket.
 
-Both implementations present the same tiny surface — :meth:`send`,
-:meth:`recv` with a timeout, :meth:`close` — so the server and agent
-logic is transport-agnostic: unit tests wire agents to the server
-through :func:`loopback_pair` (deterministic, no sockets), while
-``--multiproc`` runs use :class:`TcpEndpoint` across real processes.
+One class, :class:`TcpEndpoint`, carries the federation protocol both
+across processes (a TCP connection: :func:`connect_tcp`, the server's
+listener) and inside one process (an AF_UNIX :func:`socket.socketpair`:
+:func:`loopback_pair`, the tests), so the server's selector loop and
+the agent's pump wait on a file descriptor either way.
+:meth:`TcpEndpoint.recv` blocks for up to ``timeout`` seconds, or with
+``timeout=0`` only takes what has already arrived.  An endpoint is used
+by one thread at a time: the one that drives its protocol machine.
 """
 
 from __future__ import annotations
 
 import socket
-import threading
 from collections import deque
 from typing import Any, Dict, Optional, Tuple
 
-from repro.net.protocol import FrameDecoder, FrameError, encode_frame
+from repro.net.protocol import FrameDecoder, encode_frame
 
-__all__ = [
-    "EndpointClosed",
-    "TcpEndpoint",
-    "LoopbackEndpoint",
-    "loopback_pair",
-    "connect_tcp",
-]
+__all__ = ["EndpointClosed", "TcpEndpoint", "loopback_pair", "connect_tcp"]
 
 
 class EndpointClosed(ConnectionError):
@@ -30,45 +26,48 @@ class EndpointClosed(ConnectionError):
 
 
 class TcpEndpoint:
-    """One framed-message connection over a TCP socket."""
+    """One framed-message connection over a stream socket."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._decoder = FrameDecoder()
         self._inbox: deque = deque()
-        self._send_lock = threading.Lock()
         self._closed = False
-        # keep small control messages from waiting on Nagle
+        # keep small control messages from waiting on Nagle (an AF_UNIX
+        # socketpair has no such option)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def send(self, message: Dict[str, Any]) -> None:
+        if self._closed:
+            raise EndpointClosed("endpoint is closed")
         frame = encode_frame(message)
-        with self._send_lock:
-            if self._closed:
-                raise EndpointClosed("endpoint is closed")
-            try:
-                self._sock.sendall(frame)
-            except OSError as exc:
-                raise EndpointClosed(str(exc)) from exc
+        try:
+            self._sock.settimeout(None)
+            self._sock.sendall(frame)
+        except OSError as exc:
+            raise EndpointClosed(str(exc)) from exc
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
         """Next decoded message, or ``None`` if ``timeout`` elapses.
 
         Raises :class:`EndpointClosed` when the peer disconnects and
-        :class:`FrameError` on a corrupt stream.
+        :class:`~repro.net.protocol.FrameError` on a corrupt stream.
         """
         if self._inbox:
             return self._inbox.popleft()
         if self._closed:
             raise EndpointClosed("endpoint is closed")
-        self._sock.settimeout(timeout)
         while True:
             try:
+                self._sock.settimeout(timeout)
                 data = self._sock.recv(65536)
-            except socket.timeout:
+            except (socket.timeout, BlockingIOError):
                 return None
             except OSError as exc:
                 raise EndpointClosed(str(exc)) from exc
@@ -87,78 +86,14 @@ class TcpEndpoint:
             pass
         self._sock.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
-
-class LoopbackEndpoint:
-    """In-process endpoint: a pair of condition-guarded message queues.
-
-    No sockets, no partial frames, no OS scheduling in the data path —
-    the deterministic default for tests.  Messages still round-trip
-    through :func:`~repro.net.protocol.encode_frame` so framing and JSON
-    encodability are exercised on every send.
-    """
-
-    def __init__(self) -> None:
-        self._queue: deque = deque()
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._closed = False
-        self.peer: Optional["LoopbackEndpoint"] = None
-
-    def send(self, message: Dict[str, Any]) -> None:
-        peer = self.peer
-        if peer is None or self._closed:
-            raise EndpointClosed("endpoint is closed")
-        frame = encode_frame(message)  # validate encodability + size
-        decoded = FrameDecoder().feed(frame)
-        peer._deliver(decoded[0])
-
-    def _deliver(self, message: Dict[str, Any]) -> None:
-        with self._ready:
-            if self._closed:
-                raise EndpointClosed("peer endpoint is closed")
-            self._queue.append(message)
-            self._ready.notify_all()
-
-    def recv(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        with self._ready:
-            if not self._queue and not self._closed:
-                self._ready.wait(timeout)
-            if self._queue:
-                return self._queue.popleft()
-            if self._closed:
-                raise EndpointClosed("endpoint is closed")
-            return None
-
-    def close(self) -> None:
-        with self._ready:
-            self._closed = True
-            self._ready.notify_all()
-        peer = self.peer
-        if peer is not None and not peer._closed:
-            with peer._ready:
-                peer._closed = True
-                peer._ready.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-
-def loopback_pair() -> Tuple[LoopbackEndpoint, LoopbackEndpoint]:
+def loopback_pair() -> Tuple[TcpEndpoint, TcpEndpoint]:
     """A connected (client, server) endpoint pair in this process."""
-    a, b = LoopbackEndpoint(), LoopbackEndpoint()
-    a.peer, b.peer = b, a
-    return a, b
+    a, b = socket.socketpair()
+    return TcpEndpoint(a), TcpEndpoint(b)
 
 
-def connect_tcp(
-    host: str, port: int, timeout: float = 5.0
-) -> TcpEndpoint:
+def connect_tcp(host: str, port: int, timeout: float = 5.0) -> TcpEndpoint:
     """Dial a federation server; raises ``OSError`` on failure."""
     sock = socket.create_connection((host, port), timeout=timeout)
-    sock.settimeout(None)
     return TcpEndpoint(sock)

@@ -468,7 +468,7 @@ from repro.core.state import LeaseStore
 
 # what SessionManager does to a domain's state.db: grants under changing
 # holders, renewals, releases
-lease = LeaseStore(sys.argv[1], cross_thread=True)
+lease = LeaseStore(sys.argv[1])
 for k in range(int(sys.argv[2])):
     holder = f"domain-1/session-{k // 3}"
     token = lease.acquire(holder, now=k, ttl=60)

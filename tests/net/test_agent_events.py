@@ -27,6 +27,7 @@ import threading
 import pytest
 
 import repro
+import repro.net.agent
 from repro.analysis import verify_traces
 from repro.config.builtin import (
     domain_sublandscape,
@@ -51,10 +52,15 @@ def _nobody_answers():
     raise OSError("no federation server")
 
 
+@pytest.fixture(autouse=True)
+def _no_connect_grace(monkeypatch):
+    monkeypatch.setattr(repro.net.agent, "CONNECT_GRACE_SECONDS", 0.0)
+
+
 def _agent(state_dir, endpoint_factory=_nobody_answers, horizon=HORIZON, **kwargs):
     return DomainAgent(
         "domain-1", 2, endpoint_factory, state_dir, user_factor=1.15,
-        horizon=horizon, seed=7, start_minute=START, connect_grace=0.0, **kwargs,
+        horizon=horizon, seed=7, start_minute=START, **kwargs,
     )
 
 
@@ -135,7 +141,10 @@ def _kill_mid_horizon(state_dir, seconds_per_call):
     child = textwrap.dedent(
         """
         import sys, time
+        import repro.net.agent
         from repro.net.agent import DomainAgent
+
+        repro.net.agent.CONNECT_GRACE_SECONDS = 0.0
 
         def nobody_answers():
             raise OSError("no federation server")
@@ -148,7 +157,7 @@ def _kill_mid_horizon(state_dir, seconds_per_call):
 
         DomainAgent(
             "domain-1", 2, nobody_answers, sys.argv[1], user_factor=1.15,
-            horizon=%d, seed=7, start_minute=%d, connect_grace=0.0, kill_at=%d,
+            horizon=%d, seed=7, start_minute=%d, kill_at=%d,
         ).run()
         """
         % (seconds_per_call, HORIZON, START, KILL_AT)
@@ -388,12 +397,14 @@ def lone_agents(tmp_path_factory):
     deregistration bound, so they wait together."""
     state_dir = tmp_path_factory.mktemp("licence")
     runs = {}
+    grace = pytest.MonkeyPatch()
+    grace.setattr(repro.net.agent, "CONNECT_GRACE_SECONDS", 0.0)
 
     def run(domain, chaos):
         agent = DomainAgent(
             domain, 2, _nobody_answers, state_dir / f"chaos-{chaos}",
             user_factor=1.15, horizon=LICENCE_HORIZON, seed=7,
-            start_minute=START, connect_grace=0.0,
+            start_minute=START,
             chaos=default_chaos(115) if chaos else None,
         )
         runs[domain, chaos] = _essence(agent.run())
@@ -406,6 +417,7 @@ def lone_agents(tmp_path_factory):
         thread.start()
     for thread in threads:
         thread.join(timeout=240)
+    grace.undo()
     assert not any(thread.is_alive() for thread in threads), "agent hung"
     return runs
 

@@ -18,6 +18,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.net.agent_session
+import repro.net.session
 import repro.net.transport
 from repro.analysis import verify_traces
 from repro.net.agent import DomainAgent
@@ -291,7 +293,7 @@ class TestCleanFederatedRun:
 
 
 class TestDegradedMode:
-    def test_partitioned_agent_degrades_then_resyncs(self, tmp_path):
+    def test_partitioned_agent_degrades_then_resyncs(self, tmp_path, monkeypatch):
         """A sustained one-way (agent->server) partition: the victim
         keeps administering autonomously, the server deposes it for
         silence, and on heal it re-handshakes under a bumped fencing
@@ -302,20 +304,15 @@ class TestDegradedMode:
             seed=3, links={victim: LinkFaults(partitions=(window,))}
         )
         state_dir = tmp_path / "state"
+        monkeypatch.setattr(repro.net.session, "WALL_TTL_SECONDS", 2.0)
+        monkeypatch.setattr(repro.net.session, "WALL_GRACE_SECONDS", 0.5)
+        monkeypatch.setattr(repro.net.agent_session, "ACK_TIMEOUT_SECONDS", 0.25)
         server = FederationServer(
-            DOMAINS,
-            state_dir,
-            START,
-            HORIZON,
-            net_chaos=profile,
-            wall_ttl_seconds=2.0,
-            wall_grace_seconds=0.5,
+            DOMAINS, state_dir, START, HORIZON, net_chaos=profile
         )
         server.start()
         try:
-            summaries, trace_paths = _run_agents(
-                server, state_dir, ack_timeout=0.25
-            )
+            summaries, trace_paths = _run_agents(server, state_dir)
             report, merged_summary, _ = server.finalize(tmp_path / "out")
         finally:
             server.stop()

@@ -2,11 +2,11 @@
 
 Acceptance: a well-framed message with a wrong-typed field gets a
 ``reject`` and the connection keeps being read; whatever passes
-``validate_message`` goes through the dispatcher without an exception
-escaping a reader thread; a ``hello`` from the previous protocol
+``validate_message`` goes through the coordinator without an exception
+escaping the server's loop; a ``hello`` from the previous protocol
 revision, or for a domain the run does not have, is refused at the
-handshake; and ``stop()`` wakes its own acceptor instead of waiting out
-the accept timeout.
+handshake; and ``stop()`` wakes its own loop instead of waiting out
+a timeout.
 """
 
 import time
@@ -14,6 +14,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.net.coordinator
 from repro.net.protocol import PROTOCOL_VERSION, ProtocolError, make_message, validate_message
 from repro.net.server import FederationServer
 from repro.net.transport import loopback_pair
@@ -24,14 +25,14 @@ DOMAINS = ["domain-1", "domain-2"]
 
 
 @pytest.fixture
-def server(tmp_path):
+def server(tmp_path, monkeypatch):
     # no peer ever answers an escrow_reserve here: do not wait for one
-    server = FederationServer(
-        DOMAINS, tmp_path / "state", START, 60, reserve_timeout=0.0
-    )
+    monkeypatch.setattr(repro.net.coordinator, "RESERVE_SECONDS", 0.0)
+    server = FederationServer(DOMAINS, tmp_path / "state", START, 60)
     server.start()
     yield server
     server.stop()
+    server.coordinator.close()  # leases a test reopened on its own thread
 
 
 def _connect(server):
@@ -89,23 +90,25 @@ def test_whatever_validates_is_dispatched_without_an_exception(server, message):
         validate_message(message)
     except ProtocolError:
         return
-    client, server_side = loopback_pair()
+    # the loop owns the coordinator: take it over for the example
+    server.stop()
+    coordinator = server.coordinator
+    now = time.monotonic()
     for domain in DOMAINS:  # no session is the least interesting state
         if domain not in server.sessions.sessions:
-            server._dispatch(server_side, _hello(domain))
-    server._dispatch(server_side, message)
-    client.close()
+            coordinator.receive(0, _hello(domain), now)
+    coordinator.receive(0, message, now)
+    coordinator.poll(now)
 
 
 def test_stop_wakes_the_acceptor(tmp_path):
-    """``close()`` does not return a thread from ``accept()``; before
-    ``stop()`` also shut the listener down, a stop right after
-    ``listen()`` slept out the 0.5 s accept timeout."""
+    """A stop right after ``listen()`` returns at once: the loop waits on
+    the listener and a wakeup socket, never on a timeout."""
     server = FederationServer(DOMAINS, tmp_path / "state", START, 60)
     server.start()
     server.listen()
-    (acceptor,) = [t for t in server._threads if t.name == "federation-acceptor"]
+    loop = server._thread
     began = time.monotonic()
     server.stop()
     assert time.monotonic() - began < 0.2
-    assert not acceptor.is_alive()
+    assert not loop.is_alive()
