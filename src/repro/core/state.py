@@ -12,14 +12,15 @@ once by :class:`StateDb`:
   controller's soft state: protection-registry entries, LMS watch-time
   observation progress, pending semi-automatic approvals and the
   executor's two-phase action log (intent before the platform mutates,
-  commit after).  A record is committed before ``append`` returns.
+  commit after).  An ``action-intent`` is committed before ``append``
+  returns.
 * ``snapshots`` (:class:`SnapshotStore`) — the latest full-state
   snapshot of each kind, saved all-or-nothing, so recovery replays only
   the journal suffix past the snapshot.
 * ``lease`` (:class:`LeaseStore`) — the leader lease with monotonically
-  increasing *fencing tokens*, fsynced before ``acquire`` returns.  A
-  new leadership grant bumps the token; the platform rejects actions
-  carrying an older one
+  increasing *fencing tokens*; a grant is fsynced before ``acquire``
+  returns.  A new leadership grant bumps the token; the platform
+  rejects actions carrying an older one
   (:class:`~repro.serviceglobe.actions.FencedActionError`), so a deposed
   or partitioned leader cannot double-apply actions.
 * ``load_samples`` / ``admin_events`` — the load archive
@@ -29,6 +30,15 @@ once by :class:`StateDb`:
   (:class:`~repro.ops.store.TelemetryStore`): a domain agent's stream in
   its own ``state.db``, a runner's or the federation server's merged
   stream in a ``store.db`` that is a state file like any other.
+
+When a row commits: outside a write group, when the statement (or the
+:meth:`StateDb.transaction`) that wrote it returns.  A run loop whose
+file no other process writes groups its writes (:meth:`StateDb.group`),
+and then a row commits at the next *commit point* — the next run
+snapshot, ``action-intent``, lease grant or the end of the run —
+together with everything the group wrote before it.  A crash loses
+what the group wrote since the last commit point: rows a resume, which
+rewinds to the last run snapshot, would drop anyway.
 
 Every file a run leaves is opened here and nowhere else — read-write by
 :class:`StateDb`, read-only by :func:`open_readonly` — and one that
@@ -49,7 +59,7 @@ import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.config.model import Action
 from repro.monitoring.archive import SqliteLoadArchive
@@ -172,6 +182,12 @@ class StateDb:
     autocommit mode: a single statement is committed (handed to the OS at
     ``synchronous=NORMAL``, which survives ``kill -9``) when ``execute``
     returns; anything spanning statements runs in :meth:`transaction`.
+
+    Inside :meth:`group` the writes of every accessor join one open
+    transaction instead, begun by the first of them and committed only at
+    a *commit point* (:meth:`commit_group`): a run snapshot, an
+    ``action-intent``, a lease grant, the end of the group.  Only a run
+    loop whose file no other process writes opens one.
     """
 
     _SCHEMA = """
@@ -231,16 +247,48 @@ class StateDb:
             "PRAGMA journal_mode = WAL; PRAGMA synchronous = NORMAL;" + self._SCHEMA,
         )
         self._closed = False
+        #: inside :meth:`group`: writes join one open transaction
+        self.grouped = False
+
+    def execute(
+        self, sql: str, parameters: Sequence[Any] = ()
+    ) -> sqlite3.Cursor:
+        """One write statement: it joins the open group, or outside one
+        commits on its own."""
+        self._join()
+        return self.connection.execute(sql, parameters)
+
+    def _join(self) -> None:
+        if self.grouped and not self.connection.in_transaction:
+            self.connection.execute("BEGIN IMMEDIATE")
 
     @contextmanager
     def transaction(self, fsync: bool = False) -> Iterator[sqlite3.Connection]:
         """``BEGIN IMMEDIATE`` … ``COMMIT``; any exception rolls back.
 
+        Inside a group it is a ``SAVEPOINT`` of the group's transaction
+        instead: all-or-nothing within it, committed with it.
+
         ``fsync`` commits at ``synchronous=FULL`` (the WAL is synced
         before ``COMMIT`` returns: power loss, not just a killed
-        process); the pragma only takes effect between transactions.
+        process); the pragma only takes effect between transactions, so
+        an fsynced transaction never joins a group: the group commits
+        first, and the transaction runs on its own.
         """
         connection = self.connection
+        if self.grouped and not fsync:
+            self._join()
+            connection.execute("SAVEPOINT grouped")
+            try:
+                yield connection
+            except BaseException:
+                if connection.in_transaction:
+                    connection.execute("ROLLBACK TO grouped")
+                    connection.execute("RELEASE grouped")
+                raise
+            connection.execute("RELEASE grouped")
+            return
+        self.commit_group()
         if fsync:
             connection.execute("PRAGMA synchronous = FULL")
         try:
@@ -255,11 +303,42 @@ class StateDb:
             if fsync:
                 connection.execute("PRAGMA synchronous = NORMAL")
 
+    @contextmanager
+    def group(self) -> Iterator[None]:
+        """Group every write until the block ends (a run loop's writes
+        between two commit points).
+
+        The block's end is a commit point; an exception rolls back what
+        the group wrote since the last one, so a torn tick never reaches
+        the file.  Nothing else may write the file meanwhile: the open
+        transaction holds its write lock, and another connection sees
+        only what was committed.
+        """
+        self.grouped = True
+        try:
+            yield
+            self.commit_group()
+        except BaseException:
+            if not self._closed and self.connection.in_transaction:
+                self.connection.execute("ROLLBACK")
+            raise
+        finally:
+            self.grouped = False
+
+    def commit_group(self) -> None:
+        """A commit point: commit what the open group wrote so far (the
+        group stays open; the next write begins its next transaction).
+        Outside a group every write has committed already."""
+        if self.grouped and not self._closed and self.connection.in_transaction:
+            self.connection.execute("COMMIT")
+
     def close(self) -> None:
-        """Fold the WAL into the file and close (idempotent); SQLite
-        deletes ``-wal``/``-shm`` when the file's last connection closes."""
+        """Commit an open group, fold the WAL into the file and close
+        (idempotent); SQLite deletes ``-wal``/``-shm`` when the file's
+        last connection closes."""
         if self._closed:
             return
+        self.commit_group()
         self._closed = True
         try:
             self.connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
@@ -294,9 +373,12 @@ class JournalRecord:
 class StateJournal(_Table):
     """Append-only write-ahead journal: the ``journal`` table.
 
-    Every ``append`` is one autocommitted row, so a killed process
-    (SIGKILL, crash) loses at most the record being written and a
-    reopened journal is a gapless prefix of what was appended.
+    Every ``append`` is one row, so a reopened journal is a gapless
+    prefix of what was appended.  Outside a write group the row commits
+    on its own; inside one it commits with the group, except that an
+    ``action-intent`` is a commit point: the intent (and whatever the
+    group wrote before it) is committed before ``append`` returns, so an
+    action never mutates the platform ahead of its durable intent.
     """
 
     @property
@@ -306,10 +388,12 @@ class StateJournal(_Table):
 
     def append(self, kind: str, /, **data: Any) -> JournalRecord:
         # seq is the rowid: SQLite assigns max + 1, gapless across rewinds
-        cursor = self._db.connection.execute(
+        cursor = self._db.execute(
             "INSERT INTO journal (kind, data) VALUES (?, ?)",
             (kind, json.dumps(data)),
         )
+        if kind == "action-intent":
+            self._db.commit_group()
         return JournalRecord(seq=int(cursor.lastrowid or 0), kind=kind, data=data)
 
     def since(self, seq: int) -> List[JournalRecord]:
@@ -329,12 +413,13 @@ class StateJournal(_Table):
 class SnapshotStore(_Table):
     """The latest snapshot of each kind: one row of the ``snapshots``
     table, replaced in a single statement, so a crash mid-write leaves
-    the previous snapshot intact."""
+    the previous snapshot intact (inside a write group: the snapshot the
+    group's last commit point left)."""
 
     def save(
         self, kind: str, tick: int, journal_seq: int, payload: Dict[str, Any]
     ) -> None:
-        self._db.connection.execute(
+        self._db.execute(
             "INSERT OR REPLACE INTO snapshots (kind, tick, journal_seq, payload) "
             "VALUES (?, ?, ?, ?)",
             (kind, tick, journal_seq, json.dumps(payload)),
@@ -369,7 +454,7 @@ class LeaseStore(_Table):
     lease afterwards (granted fresh, taken over after expiry, or
     renewed), else ``None`` — somebody else holds an unexpired lease.
     A change of holder always increments the token; a renewal never
-    does.
+    does, and never changes the holder.
 
     Every mutation runs inside a ``BEGIN IMMEDIATE`` transaction that
     re-reads the lease row *after* taking SQLite's write lock.  Without
@@ -378,8 +463,15 @@ class LeaseStore(_Table):
     same bumped token — overlapping leadership, exactly what fencing
     exists to prevent.  With the write lock held from the first read,
     the loser of the race observes the winner's fresh lease and backs
-    off with ``None``.  The commit is fsynced: a grant the caller acts
-    on must not be lost where the actions it fenced survive.
+    off with ``None``.
+
+    A grant or takeover is fsynced (``synchronous=FULL``) before
+    ``acquire`` returns, also inside a write group, which commits first:
+    a grant the caller acts on must not be lost where the actions it
+    fenced survive.  A renewal is fsynced outside a group and joins the
+    group unsynced inside one: it never changes the token, so losing it
+    to power failure can only make the lease expire earlier, and a
+    takeover after that early expiry is fenced by its higher token.
     """
 
     def current(self) -> Optional[Tuple[str, int, int]]:
@@ -394,6 +486,10 @@ class LeaseStore(_Table):
     def acquire(self, holder: str, now: int, ttl: int) -> Optional[int]:
         if ttl < 1:
             raise ValueError("lease ttl must be at least one minute")
+        if self._db.grouped:
+            token = self.renew(holder, now, ttl)
+            if token is not None:
+                return token
         with self._db.transaction(fsync=True) as connection:
             row = self.current()
             if row is None:
@@ -422,17 +518,25 @@ class LeaseStore(_Table):
             return None
 
     def renew(self, holder: str, now: int, ttl: int) -> Optional[int]:
-        """Extend the lease if (and only if) ``holder`` still owns it."""
-        row = self.current()
-        if row is None or row[0] != holder:
-            return None
-        return self.acquire(holder, now, ttl)
+        """Extend the lease if (and only if) ``holder`` still owns it;
+        the holder is checked under the write lock, and the token
+        returned is the one it already held."""
+        if ttl < 1:
+            raise ValueError("lease ttl must be at least one minute")
+        with self._db.transaction(fsync=not self._db.grouped) as connection:
+            row = self.current()
+            if row is None or row[0] != holder:
+                return None
+            connection.execute(
+                "UPDATE lease SET expires_at = ? WHERE id = 1", (now + ttl,)
+            )
+            return row[1]
 
     def release(self, holder: str) -> None:
         """Voluntarily give up the lease (the token stays monotonic)."""
         # the WHERE clause makes check-then-release a single atomic
         # statement: releasing a lease someone else took over is a no-op
-        self._db.connection.execute(
+        self._db.execute(
             "UPDATE lease SET expires_at = 0 WHERE id = 1 AND holder = ?",
             (holder,),
         )

@@ -218,7 +218,7 @@ class SqliteLoadArchive(LoadArchive):
         self.close()
 
     def store(self, subject: str, metric: str, time: int, value: float) -> None:
-        self._connection.execute(
+        self._db.execute(
             "INSERT OR REPLACE INTO load_samples (subject, metric, time, value) "
             "VALUES (?, ?, ?, ?)",
             (subject, metric, time, float(value)),
@@ -249,12 +249,14 @@ class SqliteLoadArchive(LoadArchive):
         """Drop samples and events newer than ``time``: what a timeline
         abandoned at a resume recorded past the snapshot (atomic inside
         :meth:`DurableStateStore.rewind <repro.core.state.DurableStateStore.rewind>`)."""
-        self._connection.execute("DELETE FROM load_samples WHERE time > ?", (time,))
-        self._connection.execute("DELETE FROM admin_events WHERE time > ?", (time,))
+        self._db.execute("DELETE FROM load_samples WHERE time > ?", (time,))
+        self._db.execute("DELETE FROM admin_events WHERE time > ?", (time,))
 
     def commit(self) -> None:
-        """Nothing is pending: every write above commits on its own."""
-        self._connection.commit()
+        """A commit point of the file's open write group
+        (:meth:`StateDb.commit_group <repro.core.state.StateDb.commit_group>`);
+        outside a group every write above has committed on its own."""
+        self._db.commit_group()
 
     def average(
         self, subject: str, metric: str, start: int, end: int
@@ -293,7 +295,7 @@ class SqliteLoadArchive(LoadArchive):
     def store_event(
         self, time: int, category: str, subject: str, details: str
     ) -> None:
-        self._connection.execute(
+        self._db.execute(
             "INSERT INTO admin_events (time, category, subject, details) "
             "VALUES (?, ?, ?, ?)",
             (time, category, subject, details),

@@ -51,7 +51,13 @@ Durability is the runner's: events are state — rows of the same
 ``state.db`` as journal, snapshots and load archive, committed by the
 store's one group-commit policy and before every snapshot — and the
 plane's part of the run snapshot carries a ``net`` section (Lamport
-clock, escrow reservations and reply caches).  A SIGKILLed agent
+clock, escrow reservations and reply caches).  Unlike a runner's own
+plane, an agent's opens no write group
+(:meth:`~repro.core.state.StateDb.group`): the federation server writes
+the domain's lease into the same ``state.db`` from its process, so
+journal, archive and snapshot rows keep committing statement by
+statement and no transaction is open while the agent waits on the
+wire.  A SIGKILLed agent
 resumes by dropping the event rows past the snapshot's bus sequence.
 SIGTERM is graceful (:meth:`SimulationRunner.request_stop`): finish the
 current minute, snapshot, deregister (the plane's ``close()``), finalize,

@@ -186,7 +186,7 @@ class TelemetryStore:
         self.source = source
         # once per file, not an upsert: opening must not write, so that
         # a refused run leaves an earlier run's bytes alone
-        self._db.connection.execute(
+        self._db.execute(
             "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema_version', ?)",
             (str(STORE_SCHEMA_VERSION),),
         )
@@ -310,7 +310,7 @@ class TelemetryStore:
     def truncate_after(self, seq: int) -> int:
         """Drop this stream's rows past ``seq`` (a resumed run abandons
         that timeline); rows dropped."""
-        cursor = self._db.connection.execute(
+        cursor = self._db.execute(
             "DELETE FROM events WHERE source = ? AND seq > ?", (self.source, seq)
         )
         return cursor.rowcount
@@ -318,12 +318,12 @@ class TelemetryStore:
     def clear(self) -> None:
         """Drop every source's rows: the writer of a whole file (the
         federation merge) replaces what an earlier run left there."""
-        self._db.connection.execute("DELETE FROM events")
+        self._db.execute("DELETE FROM events")
 
     def mark_complete(self, complete: bool) -> None:
         """Claim that the file holds (or does not hold) every envelope
         its buses published; :func:`read_store` also wants it gapless."""
-        self._db.connection.execute(
+        self._db.execute(
             "INSERT INTO meta (key, value) VALUES ('complete', ?) "
             "ON CONFLICT (key) DO UPDATE SET value = excluded.value",
             ("1" if complete else "0",),

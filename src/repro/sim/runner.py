@@ -13,6 +13,7 @@ import dataclasses
 import os
 import signal
 import time
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Optional, Set, Tuple, Union
 
@@ -441,6 +442,16 @@ class SimulationRunner:
             self.controller = AutoGlobeController(
                 self.platform, enabled=enabled, archive=archive, executor=executor
             )
+        #: the state files whose writes the loop groups between commit
+        #: points (:meth:`~repro.core.state.StateDb.group`): those of a
+        #: plane the runner built, which holds its own lease — a
+        #: ``controller_factory`` plane (a domain agent's) shares its file
+        #: with the federation server's lease writes — the run snapshot's
+        #: file last, so a domain commits before the snapshot covering it
+        self._groups = []
+        if self.state_dir is not None and controller_factory is None:
+            domains = self.controller.stores if federated else []
+            self._groups = [store.db for store in domains] + [self._store.db]
         self.archive = archive
         self.executor = executor
         self.injector: Optional[FaultInjector] = None
@@ -526,6 +537,9 @@ class SimulationRunner:
         self._store.snapshots.save(
             "run", now, self._store.journal.last_seq, payload
         )
+        # the snapshot commits with the rows it covers
+        for db in self._groups:
+            db.commit_group()
 
     def _resume_from_snapshot(self) -> int:
         """Restore every component from the last run snapshot.
@@ -590,30 +604,33 @@ class SimulationRunner:
         persistent = self.state_dir is not None
         last = start - 1
         try:
-            for now in range(start, end):
-                self.workload.tick(now)
-                if self.injector is not None:
-                    self.injector.tick(now)
-                self.controller.tick(now)
-                self.collector.observe(now)
-                if self.telemetry_store is not None:
-                    self.telemetry_store.end_tick()
-                if self.ops_bridge is not None:
-                    self.ops_bridge.refresh(now)
-                last = now
-                stop = self.stop_requested  # once: a signal sets it any time
-                if persistent and (
-                    (now - self.start_minute + 1) % self.snapshot_interval == 0
-                    or now == end - 1
-                    or stop
-                ):
-                    self._save_run_snapshot(now)
-                if self.kill_at is not None and now == self.kill_at:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if stop:
-                    break
-                if self.pace:
-                    time.sleep(self.pace)
+            with ExitStack() as groups:
+                for db in self._groups:
+                    groups.enter_context(db.group())
+                for now in range(start, end):
+                    self.workload.tick(now)
+                    if self.injector is not None:
+                        self.injector.tick(now)
+                    self.controller.tick(now)
+                    self.collector.observe(now)
+                    if self.telemetry_store is not None:
+                        self.telemetry_store.end_tick()
+                    if self.ops_bridge is not None:
+                        self.ops_bridge.refresh(now)
+                    last = now
+                    stop = self.stop_requested  # once: a signal sets it any time
+                    if persistent and (
+                        (now - self.start_minute + 1) % self.snapshot_interval == 0
+                        or now == end - 1
+                        or stop
+                    ):
+                        self._save_run_snapshot(now)
+                    if self.kill_at is not None and now == self.kill_at:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    if stop:
+                        break
+                    if self.pace:
+                        time.sleep(self.pace)
         finally:
             self.close()
         return self.collector.finalize(

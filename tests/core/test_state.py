@@ -28,6 +28,7 @@ from repro.core.state import (
     StateCorruptError,
     StateDb,
     StateJournal,
+    open_readonly,
     replay_journal,
 )
 
@@ -159,6 +160,32 @@ class TestLeaseStore:
     def test_rejects_nonpositive_ttl(self):
         with pytest.raises(ValueError):
             LeaseStore().acquire("x", now=0, ttl=0)
+
+    def test_renew_never_grants_a_fresh_token(self, tmp_path, monkeypatch):
+        """A takeover and release landing between renew's holder check
+        and its write must not turn the renewal into a grant: the check
+        runs under the write lock, and a renewal keeps holder and token."""
+        a, b = LeaseStore(tmp_path / "state.db"), LeaseStore(tmp_path / "state.db")
+        assert a.acquire("A", now=0, ttl=5) == 1
+        read = LeaseStore.current
+        raced = []
+
+        def current(self):
+            row = read(self)
+            if self is a and not raced and not a._db.connection.in_transaction:
+                # A read the row without the write lock: B slips in, takes
+                # the expired lease over and gives it back
+                raced.append(row)
+                assert b.acquire("B", now=10, ttl=5) == 2
+                b.release("B")
+            return row
+
+        monkeypatch.setattr(LeaseStore, "current", current)
+        token = a.renew("A", now=11, ttl=5)
+        monkeypatch.undo()
+        assert (token, a.current()) in [(1, ("A", 1, 16)), (None, ("B", 2, 0))]
+        a.close()
+        b.close()
 
 
 class TestDurableStateStore:
@@ -462,6 +489,120 @@ class TestCrashSafety:
         assert StateJournal(db).last_seq == 0
 
 
+_KILLED_MID_GROUP = """
+import os, signal, sys
+from repro.core.state import DurableStateStore
+
+store = DurableStateStore(sys.argv[1])
+store.db.grouped = True  # what StateDb.group() does around a run loop
+store.journal.append("tick", now=1)
+store.archive.record_reports([(f"Blade{i}", "cpu", 1, 0.5) for i in range(65)])
+store.journal.append("action-intent", intent_id="controller-1:000001", action="move")
+store.journal.append("tick", now=2)
+store.archive.record_reports([(f"Blade{i}", "cpu", 2, 0.5) for i in range(65)])
+store.snapshots.save("controller", 2, store.journal.last_seq, {"tick": 2})
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestWriteGroups:
+    """A run loop's writes between two commit points are one transaction."""
+
+    def test_a_kill_mid_group_leaves_the_last_commit_point(self, tmp_path):
+        child = _python(_KILLED_MID_GROUP, tmp_path)
+        assert child.wait(timeout=60) == -signal.SIGKILL, child.stderr.read()
+        store = DurableStateStore(tmp_path)
+        # the intent committed everything the group wrote before it ...
+        assert [r.kind for r in store.journal.since(0)] == ["tick", "action-intent"]
+        assert store.archive.history("Blade64", "cpu") == [(1, 0.5)]
+        # ... and nothing after it reached the file
+        assert store.snapshots.load("controller") is None
+        store.close()
+
+    def test_another_connection_sees_only_commit_points(self, tmp_path):
+        store = DurableStateStore(tmp_path)
+        reader = open_readonly(tmp_path / "state.db")
+
+        def committed():
+            return reader.execute("SELECT COUNT(*) FROM journal").fetchone()[0]
+
+        with store.db.group():
+            store.journal.append("tick", now=1)
+            store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
+            assert (store.journal.last_seq, committed()) == (1, 0)
+            store.journal.append("action-intent", intent_id="c:1")
+            assert committed() == 2
+            store.journal.append("tick", now=2)
+            store.snapshots.save("run", 2, 3, {})
+            assert committed() == 2
+            store.db.commit_group()  # the run snapshot's commit point
+            assert committed() == 3
+            store.journal.append("tick", now=3)
+        assert committed() == 4  # the end of the group is one too
+        reader.close()
+        store.close()
+
+    def test_a_grant_is_fsynced_alone_and_a_renewal_joins_unsynced(self, tmp_path):
+        store = DurableStateStore(tmp_path)
+        real = store.db.connection
+        seen = []
+
+        class Spy:
+            def execute(self, sql, *args):
+                if sql == "COMMIT":
+                    seen.append(real.execute("PRAGMA synchronous").fetchone()[0])
+                return real.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+        store.db.connection = Spy()
+        with store.db.group():
+            store.journal.append("tick", now=0)
+            # the group commits at NORMAL (1), then the grant at FULL (2)
+            assert store.lease.acquire("controller-1", now=0, ttl=5) == 1
+            assert seen == [1, 2]
+            assert store.lease.acquire("controller-1", now=1, ttl=5) == 1
+            assert store.lease.renew("controller-1", now=2, ttl=5) == 1
+            assert seen == [1, 2]  # renewals joined the group
+            assert store.lease.acquire("controller-2", now=9, ttl=5) == 2
+            assert seen == [1, 2, 1, 2]  # a takeover is a grant
+        assert seen == [1, 2, 1, 2]
+        assert real.execute("PRAGMA synchronous").fetchone()[0] == 1
+        store.db.connection = real
+        assert store.lease.current() == ("controller-2", 2, 14)
+        store.close()
+
+    def test_an_exception_rolls_the_group_back(self, tmp_path):
+        store = DurableStateStore(tmp_path)
+        with pytest.raises(RuntimeError, match="torn tick"):
+            with store.db.group():
+                store.journal.append("action-intent", intent_id="c:1")
+                store.journal.append("tick", now=1)
+                store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
+                raise RuntimeError("torn tick")
+        assert not store.db.grouped
+        assert [r.kind for r in store.journal.since(0)] == ["action-intent"]
+        assert store.archive.subjects() == []
+        store.close()
+
+    def test_a_failed_transaction_in_a_group_is_a_savepoint(self):
+        db = StateDb()
+        journal = StateJournal(db)
+        with db.group():
+            journal.append("tick", now=1)
+            with pytest.raises(sqlite3.IntegrityError):
+                with db.transaction() as connection:
+                    for _ in range(2):
+                        connection.execute(
+                            "INSERT INTO journal (seq, kind, data) "
+                            "VALUES (5, 'tick', '{}')"
+                        )
+            assert journal.last_seq == 1
+        assert [r.data for r in journal.since(0)] == [{"now": 1}]
+        db.close()
+
+
 _LEASE_SIDE = """
 import sys
 from repro.core.state import LeaseStore
@@ -532,6 +673,12 @@ _OPERATIONS = st.lists(
         st.tuples(st.just("event"), st.integers(0, 50)),
         st.tuples(st.just("rewind"), st.integers(0, 8), st.integers(0, 50)),
         st.tuples(st.just("reopen")),
+        # write groups: an intent and a commit are commit points, a crash
+        # (the connection dies, nothing commits) falls back to the last one
+        st.tuples(st.just("intent"), st.integers(0, 50)),
+        st.tuples(st.just("group")),
+        st.tuples(st.just("commit")),
+        st.tuples(st.just("crash")),
     ),
     max_size=30,
 )
@@ -542,15 +689,19 @@ _OPERATIONS = st.lists(
 @given(operations=_OPERATIONS)
 def test_store_equals_a_plain_dict_model(tmp_path_factory, on_disk, operations):
     """One code path: the file and ``:memory:`` run the same body; the
-    only difference is what a reopen finds."""
+    only difference is what a reopen (or a crash) finds."""
     directory = tmp_path_factory.mktemp("state") if on_disk else None
     store = DurableStateStore(directory)
     journal, snapshots, samples, events = [], {}, {}, []
+    committed = ([], {}, {}, [])
     for operation in operations:
         if operation[0] == "append":
             record = store.journal.append("tick", now=operation[1])
             journal.append({"now": operation[1]})
             assert record.seq == len(journal)
+        elif operation[0] == "intent":
+            store.journal.append("action-intent", intent_id=str(operation[1]))
+            journal.append({"intent_id": str(operation[1])})
         elif operation[0] == "save":
             __, kind, tick = operation
             store.snapshots.save(kind, tick, len(journal), {"tick": tick})
@@ -568,11 +719,25 @@ def test_store_equals_a_plain_dict_model(tmp_path_factory, on_disk, operations):
             del journal[seq:]
             samples = {key: v for key, v in samples.items() if key[1] <= tick}
             events = [time for time in events if time <= tick]
+        elif operation[0] == "group":
+            store.db.grouped = True  # what StateDb.group() does around a run loop
+        elif operation[0] == "commit":
+            store.db.commit_group()
+        elif operation[0] == "crash":
+            store.db.connection.close()  # the process dies: nothing commits
+            store = DurableStateStore(directory)
+            journal, snapshots, samples, events = (
+                (list(committed[0]), dict(committed[1]), dict(committed[2]),
+                 list(committed[3]))
+                if on_disk else ([], {}, {}, [])
+            )
         else:
-            store.close()
+            store.close()  # a commit point
             store = DurableStateStore(directory)
             if not on_disk:
                 journal, snapshots, samples, events = [], {}, {}, []
+        if not store.db.grouped or operation[0] in ("intent", "commit"):
+            committed = (list(journal), dict(snapshots), dict(samples), list(events))
         assert store.journal.last_seq == len(journal)
         assert [r.data for r in store.journal.since(0)] == journal
         for kind in ("controller", "run"):

@@ -453,3 +453,26 @@ def test_a_lone_agent_is_the_runner_of_its_shard(lone_agents, domain, chaos):
     summary, actions = _essence(runner.run())
     assert len(actions) == LICENCE_CASES[domain, chaos]
     assert (summary, actions) == lone_agents[domain, chaos]
+
+
+def test_an_agent_never_holds_a_transaction_at_a_wire_step(tmp_path, monkeypatch):
+    """A domain agent opens no write group: the federation server writes
+    the lease into the same ``state.db`` from another process, and its
+    one loop would wait out ``busy_timeout`` behind an open transaction."""
+    open_at_step = []
+    step = DomainAgent._step
+
+    def spy(self, wait):
+        open_at_step.append(self.store.db.connection.in_transaction)
+        return step(self, wait)
+
+    def respond(message, reply):
+        if message["kind"] == "deregister":
+            return [reply("deregister_ack")]
+        return _session(message, reply)
+
+    monkeypatch.setattr(DomainAgent, "_step", spy)
+    _in_thread(
+        lambda: _agent(tmp_path, _scripted_server(respond), horizon=20).run()
+    )
+    assert open_at_step and not any(open_at_step)

@@ -15,6 +15,7 @@ Acceptance (the durable-controller PR):
 import dataclasses
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.state import DurableStateStore
 from repro.sim.export import export_summary_json
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario, controller_chaos, default_chaos
@@ -156,7 +158,8 @@ from repro.sim.scenarios import Scenario, default_chaos
 state_dir, mode = sys.argv[1], sys.argv[2]
 kwargs = {"state_dir": state_dir}
 if mode == "kill":
-    kwargs["kill_at"] = 720 + 95  # mid-run, past several snapshots
+    # mid-run, past several snapshots, unless the caller names the minute
+    kwargs["kill_at"] = int(sys.argv[3]) if len(sys.argv) > 3 else 720 + 95
 if mode == "resume":
     kwargs["resume"] = True
 runner = SimulationRunner(
@@ -225,6 +228,36 @@ class TestKillAndResume:
         assert resumed.returncode == 0, resumed.stderr
         assert resumed.stdout == uninterrupted.stdout
         assert [path.name for path in state.iterdir()] == ["state.db"]
+
+    def test_sigkill_at_seeded_random_ticks_then_resume(self, tmp_path):
+        """Kill anywhere between two commit points: three minutes drawn
+        from a seeded RNG — one that is no snapshot minute, one right
+        after an ``action-intent`` (its commit ended the write group
+        mid-interval), one anywhere — each resumes into the
+        uninterrupted run."""
+        run = self._harness(tmp_path)
+        uninterrupted = run(str(tmp_path / "full"), "full")
+        assert uninterrupted.returncode == 0, uninterrupted.stderr
+        full = DurableStateStore(tmp_path / "full")
+        intents = sorted(
+            {r.data["time"] for r in full.journal.since(0) if r.kind == "action-intent"}
+        )
+        full.close()
+        # resumable: past the first snapshot (minute 729), before the last
+        minutes = range(730, 720 + 179)
+        rng = random.Random(2026)
+        kills = [
+            rng.choice([m for m in minutes if (m - 720 + 1) % 10]),
+            rng.choice([m + 1 for m in intents if m + 1 in minutes]),
+            rng.choice(minutes),
+        ]
+        for index, minute in enumerate(kills):
+            state = str(tmp_path / f"state-{index}")
+            killed = run(state, "kill", str(minute))
+            assert killed.returncode == -signal.SIGKILL, (minute, killed.stderr)
+            resumed = run(state, "resume")
+            assert resumed.returncode == 0, (minute, resumed.stderr)
+            assert resumed.stdout == uninterrupted.stdout, minute
 
     def test_a_resumed_federated_run_is_the_uninterrupted_one(self, tmp_path):
         """Two control domains under controller faults: the supervision
@@ -354,6 +387,33 @@ class TestResumeOfAFinishedRun:
             assert restored == uninterrupted
             assert [path.name for path in state.iterdir()] == ["state.db"]
             assert (state / "state.db").stat().st_size == size
+
+
+class TestCommitPoints:
+    def test_a_durable_run_commits_only_where_a_guarantee_needs_it(self, tmp_path):
+        """``state.db`` commits at run snapshots, action intents, lease
+        grants and the end of the run — not per statement."""
+        runner = _durable(tmp_path / "state", HORIZON)
+        connection = runner.controller.store.db.connection
+        commits = []
+
+        def trace(sql):
+            verb = sql.split(None, 1)[0].upper()
+            autocommitted = verb in ("INSERT", "UPDATE", "DELETE", "REPLACE") and (
+                not connection.in_transaction
+            )
+            if verb == "COMMIT" or autocommitted:
+                commits.append(sql)
+
+        connection.set_trace_callback(trace)
+        runner.run()
+        store = DurableStateStore(tmp_path / "state")
+        intents = sum(r.kind == "action-intent" for r in store.journal.since(0))
+        grants = store.lease.current()[1]  # one token per grant
+        store.close()
+        snapshots = HORIZON // runner.snapshot_interval
+        assert intents > 0
+        assert len(commits) <= snapshots + intents + grants + 2
 
 
 class TestRequestStop:
