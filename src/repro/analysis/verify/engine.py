@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, sorted_diagnostics
 from repro.analysis.engine import AnalysisReport
@@ -31,7 +31,7 @@ from repro.analysis.verify.checkers import (
 )
 from repro.telemetry.bus import Envelope, EventBus, WILDCARD
 from repro.telemetry.records import TOPIC_REPORTS, record_to_dict
-from repro.telemetry.trace import TraceEvent, merge_traces, read_trace
+from repro.telemetry.trace import TraceEvent, TraceHeader, merge_traces, read_trace
 
 __all__ = ["TraceVerifier", "read_trace_or_store", "verify_trace", "verify_traces", "load_summary"]
 
@@ -135,7 +135,7 @@ def load_summary(path: PathLike) -> Dict[str, Any]:
     return payload
 
 
-def read_trace_or_store(trace_file: PathLike):
+def read_trace_or_store(trace_file: PathLike) -> Tuple[TraceHeader, List[TraceEvent]]:
     """Dispatch on file format: SQLite event store or JSONL trace.
 
     The one reader of a run's events, whoever asks (``autoglobe

@@ -139,6 +139,9 @@ class AutoGlobeController:
         #: (instance id, host name) -> advisor; recreated when the instance moves
         self._instance_advisors: Dict[Tuple[str, str], Advisor] = {}
         self._instance_monitors: Dict[str, LoadMonitor] = {}
+        #: a restored snapshot's advisor keys in the live order, recreated
+        #: first so a resumed run samples and reports in that order
+        self._restored_advisor_keys: List[Tuple[str, str]] = []
         #: landscape-state version cursors: the monitor-set scans run only
         #: when the corresponding counter moved since the last sync
         self._registry_cursor = -1
@@ -248,10 +251,16 @@ class AutoGlobeController:
                 self._instance_advisors.pop(key).detach()
                 if instance is None:
                     self._instance_monitors.pop(instance_id, None)
-        for instance in running.values():
-            key = (instance.instance_id, instance.host_name)
+        keys = self._restored_advisor_keys + [
+            (instance.instance_id, instance.host_name) for instance in running.values()
+        ]
+        self._restored_advisor_keys = []
+        for key in keys:
             if key in self._instance_advisors:
                 continue
+            instance = running.get(key[0])
+            if instance is None or instance.host_name != key[1]:
+                continue  # gone or moved since the snapshot
             monitor = self._instance_monitors.get(instance.instance_id)
             if monitor is None:
                 monitor = LoadMonitor(
@@ -436,7 +445,7 @@ class AutoGlobeController:
         """One tick's monitor sweep off the columnar state.
 
         Each monitor family's values come from one vectorized column read
-        (the state flushes its dirty ids once, up front) and are pushed
+        (the columns are current: every write re-summed them) and are pushed
         through :meth:`LoadMonitor.push`.  The loop order — cpu monitors,
         mem monitors, service monitors, instance monitors, each in dict
         insertion order — fixes the order of the report buffer and of the
@@ -876,6 +885,7 @@ class AutoGlobeController:
             "monitor_outages": dict(self._monitor_outages),
             "heartbeat": self.failure_detector.snapshot_state(),
             "seen_running": sorted(self._seen_running),
+            "instance_advisors": [list(key) for key in self._instance_advisors],
         }
         payload.update(self.alerts.approvals.snapshot_state())
         return payload
@@ -904,6 +914,10 @@ class AutoGlobeController:
             self._monitor_outages[host_name] = max(current, int(until))
         self.failure_detector.restore_state(payload.get("heartbeat", {}))
         self._seen_running.update(payload.get("seen_running", []))
+        self._restored_advisor_keys = [
+            (str(instance_id), str(host_name))
+            for instance_id, host_name in payload.get("instance_advisors", [])
+        ]
         self._pending_observation_restores.extend(
             payload.get("observations", [])
         )

@@ -234,6 +234,9 @@ class ControllerSupervisor:
                 pass
         controller = self._new_controller()
         payload: Dict[str, Any] = dict(base or {})
+        # a new replica builds its own advisors in landscape order; only
+        # a resumed run continues the live replica's order
+        payload.pop("instance_advisors", None)
         payload.update(
             {
                 "protection": state["protection"],
@@ -254,12 +257,6 @@ class ControllerSupervisor:
     @property
     def active_name(self) -> Optional[str]:
         return self.active.executor.name if self.active is not None else None
-
-    @property
-    def _active_replica_number(self) -> Optional[int]:
-        if self.active is None:
-            return None
-        return int(self.active.executor.name.rsplit("-", 1)[-1])
 
     # -- fault hooks (called by the fault injector) -----------------------------------
 
@@ -338,6 +335,9 @@ class ControllerSupervisor:
             "leader-failover",
             f"{deposed.executor.name}->{self.active.executor.name}",
         )
+
+    def _rewind_lease(self, row: Optional[List[Any]]) -> None:
+        self.store.lease.rewind(row)
 
     def _acquire_lease(self, now: int) -> None:
         if self._partitioned_until is not None and now < self._partitioned_until:
@@ -487,17 +487,27 @@ class ControllerSupervisor:
     # -- run-level durability (kill -9 and resume) -------------------------------------
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """JSON-able supervision state for a full-run snapshot."""
+        """JSON-able supervision state for a full-run snapshot.
+
+        The newest replica is snapshotted also while it is down: the
+        fault injector keeps reading its failure detector.  A down
+        leader no longer refreshes the store's controller snapshot its
+        successor recovers from, so that one rides along as it stands.
+        """
+        latest = self._latest if self.replicas else None
         return {
             "replica_sequence": self._replica_sequence,
-            "active_replica": self._active_replica_number,
+            "latest_name": latest.executor.name if latest is not None else None,
+            "latest_active": self.active is not None,
             "journal_seq": self.store.journal.last_seq,
-            "controller": (
-                self.active.snapshot_state() if self.active is not None else None
-            ),
+            "lease": self.store.lease.current(),
+            "controller": latest.snapshot_state() if latest is not None else None,
             "executor": (
-                self.active.executor.snapshot_state()
-                if self.active is not None
+                latest.executor.snapshot_state() if latest is not None else None
+            ),
+            "stored_controller": (
+                self.store.snapshots.load("controller")
+                if self.active is None
                 else None
             ),
             "monitor_outages": dict(self._monitor_outages),
@@ -513,10 +523,10 @@ class ControllerSupervisor:
     def restore_state(self, payload: Dict[str, Any], now: int) -> None:
         """Rebuild supervision state from a full-run snapshot.
 
-        The store is rewound to the snapshot (journal sequence number
-        and minute ``now``) — everything after it belongs to the
-        abandoned timeline between the snapshot and the kill — and the
-        active replica is rebuilt under its pre-kill identity, so the
+        The store is rewound to the snapshot (journal sequence number,
+        minute ``now`` and lease row) — everything after it belongs to
+        the abandoned timeline between the snapshot and the kill — and the
+        newest replica is rebuilt under its pre-kill identity, so the
         lease renews under the same holder and intent ids stay
         unambiguous.
         """
@@ -533,28 +543,32 @@ class ControllerSupervisor:
             self._monitor_outages[host_name] = max(current, int(until))
         journal_seq = int(payload.get("journal_seq", 0))
         self.store.rewind(journal_seq, now)
+        self._rewind_lease(payload["lease"])
         self.replicas = []
         self._pending_intents = {}
-        active_replica = payload.get("active_replica")
-        controller_payload = payload.get("controller")
-        if active_replica is None or controller_payload is None:
-            self.active = None
+        self.active = None
+        controller_payload = payload["controller"]
+        if payload["latest_name"] is None:
             self._replica_sequence = int(payload.get("replica_sequence", 0))
             return
-        self._replica_sequence = int(active_replica) - 1
-        self.active = self._new_controller()
-        self.active.restore_state(controller_payload)
-        executor_payload = payload.get("executor")
-        if executor_payload is not None:
-            self.active.executor.restore_state(executor_payload)
+        self._replica_sequence = int(payload["latest_name"].rsplit("-", 1)[-1]) - 1
+        latest = self._new_controller()
+        latest.restore_state(controller_payload)
+        latest.executor.restore_state(payload["executor"])
         for host_name, until in self._monitor_outages.items():
-            self.active.degrade_monitoring(host_name, until)
+            latest.degrade_monitoring(host_name, until)
         self._replica_sequence = max(
             self._replica_sequence, int(payload.get("replica_sequence", 0))
         )
-        self.store.snapshots.save(
-            "controller",
-            int(controller_payload.get("tick") or 0),
-            journal_seq,
-            controller_payload,
-        )
+        stored = payload["stored_controller"]
+        if payload["latest_active"]:
+            self.active = latest
+            stored = {
+                "tick": int(controller_payload.get("tick") or 0),
+                "journal_seq": journal_seq,
+                "payload": controller_payload,
+            }
+        if stored is not None:
+            self.store.snapshots.save(
+                "controller", stored["tick"], stored["journal_seq"], stored["payload"]
+            )

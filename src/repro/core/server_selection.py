@@ -143,7 +143,7 @@ class _ScoreTable:
     an integer column) — plus one :class:`_ScoreColumn`
     per action, refreshed only for hosts whose ``host_stamp`` moved past
     the column's ``seen``.  Dropped when the state is replaced or
-    :meth:`LandscapeState.rebuild` ran (``restore_state``).
+    :meth:`LandscapeState.restore_columns` ran (``restore_state``).
     """
 
     __slots__ = ("state", "rebuilds", "static_inputs", "name_rank", "columns")
@@ -326,8 +326,6 @@ class ServerSelector:
             or table.state is not state
             or table.rebuilds != state.rebuilds
         ):
-            if state.host_ids(state.host_objs) is None:
-                return None  # a host object was re-bound to another state
             table = self._table = _ScoreTable(state, self._STATIC_FIELDS)
             self.stats["table_rebuilds"] += 1
         program = self._controller.engine.program(rulebase)
@@ -338,7 +336,6 @@ class ServerSelector:
             column = table.columns[action] = _ScoreColumn(
                 len(table.name_rank), program
             )
-        state.flush()
         stale = np.flatnonzero(state.host_stamp > column.seen)
         if len(stale):
             self._rescore(table, column, stale)

@@ -532,6 +532,18 @@ class LeaseStore(_Table):
             )
             return row[1]
 
+    def rewind(self, row: Optional[Sequence[Any]]) -> None:
+        """Put back the row a run snapshot saw (``current()``): a grant
+        after the snapshot belongs to the abandoned timeline."""
+        with self._db.transaction() as connection:
+            connection.execute("DELETE FROM lease WHERE id = 1")
+            if row is not None:
+                connection.execute(
+                    "INSERT INTO lease (id, holder, token, expires_at) "
+                    "VALUES (1, ?, ?, ?)",
+                    tuple(row),
+                )
+
     def release(self, holder: str) -> None:
         """Voluntarily give up the lease (the token stays monotonic)."""
         # the WHERE clause makes check-then-release a single atomic

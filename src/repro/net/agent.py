@@ -147,6 +147,11 @@ class SessionSupervisor(ControllerSupervisor):
         # by a local lease acquisition
         return
 
+    def _rewind_lease(self, row: Optional[List[Any]]) -> None:
+        # the server's session manager owns the lease row, and its
+        # tokens only grow: a resume leaves it alone
+        return
+
     def adopt_token(self, now: int, token: int) -> None:
         """Adopt the session's fencing token; announce epoch changes.
 

@@ -219,7 +219,6 @@ class OpsBridge:
         """Copies of the columns ``/state`` shows (fancy indexing copies)."""
         platform = self.platform
         state = platform.landscape_state
-        state.flush()
         if self._names[0] != state.registry_version:
             hosts, services = list(platform.hosts), sorted(platform.services)
             host_ids, service_ids = state.host_index.ids, state.service_index.ids
@@ -236,7 +235,7 @@ class OpsBridge:
         _, hosts, services, hids, sids = self._names
         return (
             now, hosts, self._instances[1], state.host_up[hids],
-            np.minimum(state.host_demand[hids] / state.host_cpu_capacity[hids], 1.0),
+            np.minimum(state.host_demand[hids] / state.host_perf_index[hids], 1.0),
             np.minimum(state.host_mem_used[hids] / state.host_memory_mb[hids], 1.0),
             services, state.service_running[sids],
             state.service_demand_sum[sids], state.service_load_sum[sids],

@@ -1,14 +1,18 @@
-"""Service hosts: runtime capacity bookkeeping for one server."""
+"""Service hosts: the server's spec plus a row id.
+
+Its ``up`` flag and its instances (in attach order) are columns of a
+:class:`~repro.serviceglobe.service.Rows` table: a platform's
+:class:`~repro.serviceglobe.landscape_state.LandscapeState`, whose
+aggregate columns serve demand and CPU load, or — for a host built on
+its own — a private one-row table whose loads sum the instance list.
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.config.model import ServerSpec
-from repro.serviceglobe.service import ServiceInstance
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serviceglobe.landscape_state import LandscapeState
+from repro.serviceglobe.service import Rows, ServiceInstance
 
 __all__ = ["ServiceHost"]
 
@@ -18,17 +22,9 @@ class ServiceHost:
 
     CPU capacity equals the server's performance index: a host with
     index ``p`` saturates at a total instance demand of ``p`` units.
-
-    A host of a platform is bound to the platform's
-    :class:`~repro.serviceglobe.landscape_state.LandscapeState`: its
-    demand and CPU load are served from the state's columns (recomputed
-    lazily as exact left-to-right sums), and every mutation — attach,
-    detach, ``up`` flips — writes through to the state.  A host built on
-    its own (a unit test, the allocation designer) is unbound and sums
-    its instance list.
     """
 
-    __slots__ = ("spec", "instances", "_up", "_landscape_state", "state_id")
+    __slots__ = ("spec", "_rows", "state_id")
 
     def __init__(
         self,
@@ -37,17 +33,18 @@ class ServiceHost:
         up: bool = True,
     ) -> None:
         self.spec = spec
-        self.instances: List[ServiceInstance] = (
-            instances if instances is not None else []
-        )
-        self._up = up
-        self._landscape_state: Optional["LandscapeState"] = None
-        #: dense id of this host in the bound landscape state's columns
-        self.state_id = -1
+        self._rows = Rows()
+        self._rows.host_up.append(up)
+        self._rows.host_members.append(instances if instances is not None else [])
+        #: dense id of this host in its table's columns
+        self.state_id = 0
 
-    def bind_state(self, landscape_state: "LandscapeState", state_id: int) -> None:
-        self._landscape_state = landscape_state
-        self.state_id = state_id
+    @classmethod
+    def of_row(cls, spec: ServerSpec, rows: Rows, row: int) -> ServiceHost:
+        """The handle of host row ``row`` of ``rows``."""
+        host = cls.__new__(cls)
+        host.spec, host._rows, host.state_id = spec, rows, row
+        return host
 
     @property
     def name(self) -> str:
@@ -67,30 +64,27 @@ class ServiceHost:
     def up(self) -> bool:
         """A crashed host takes its capacity out of the landscape until it
         reboots; while down it runs nothing and accepts nothing."""
-        return self._up
+        return bool(self._rows.host_up[self.state_id])
 
     @up.setter
     def up(self, value: bool) -> None:
-        self._up = value
-        if self._landscape_state is not None:
-            self._landscape_state.host_up_changed(self, value)
+        self._rows.set_up(self.state_id, value)
 
     # -- instance bookkeeping ------------------------------------------------
+
+    @property
+    def instances(self) -> List[ServiceInstance]:
+        return self._rows.host_members[self.state_id]
 
     def attach(self, instance: ServiceInstance) -> None:
         if instance in self.instances:
             raise ValueError(f"{instance} is already attached to {self.name}")
-        self.instances.append(instance)
-        if self._landscape_state is not None:
-            self._landscape_state.host_membership_changed(self, instance)
+        self._rows.attach(self.state_id, instance)
 
     def detach(self, instance: ServiceInstance) -> None:
-        try:
-            self.instances.remove(instance)
-        except ValueError:
-            raise ValueError(f"{instance} is not attached to {self.name}") from None
-        if self._landscape_state is not None:
-            self._landscape_state.host_membership_changed(self, instance)
+        if instance not in self.instances:
+            raise ValueError(f"{instance} is not attached to {self.name}")
+        self._rows.detach(self.state_id, instance)
 
     @property
     def running_instances(self) -> List[ServiceInstance]:
@@ -111,17 +105,11 @@ class ServiceHost:
     @property
     def total_demand(self) -> float:
         """Aggregate CPU demand of all running instances (may exceed capacity)."""
-        state = self._landscape_state
-        if state is not None:
-            return state.host_total_demand(self.state_id)
-        return sum(i.demand for i in self.running_instances)
+        return self._rows.host_total_demand(self.state_id)
 
     @property
     def cpu_load(self) -> float:
         """Observable CPU load in [0, 1]; a saturated CPU reads 100%."""
-        state = self._landscape_state
-        if state is not None:
-            return state.host_cpu_load(self.state_id)
         return min(self.total_demand / self.cpu_capacity, 1.0)
 
     @property
@@ -147,14 +135,14 @@ class ServiceHost:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ServiceHost):
             return NotImplemented
-        return (self.spec, self.instances, self._up) == (
+        return (self.spec, self.instances, self.up) == (
             other.spec,
             other.instances,
-            other._up,
+            other.up,
         )
 
     def __repr__(self) -> str:
         return (
             f"ServiceHost(spec={self.spec!r}, instances={self.instances!r}, "
-            f"up={self._up!r})"
+            f"up={self.up!r})"
         )

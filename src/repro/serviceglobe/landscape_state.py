@@ -1,57 +1,41 @@
-"""Columnar landscape state: the one place measurements are read from.
+"""Columnar landscape state: the one store of a platform's landscape.
 
-The object graph (:class:`~repro.serviceglobe.host.ServiceHost`,
-:class:`~repro.serviceglobe.service.ServiceInstance`) stays the source
-of truth for *structure*; this module keeps the derived quantities the
-control loop reads tens of thousands of times per tick — per-host demand
-and memory sums, per-service instance counts and load sums, up/blind
-flags, placement-eligibility inputs — in numpy structure-of-arrays
-columns with stable integer ids mapped from names.  Controller,
-platform, monitors and the ops API all read these columns; nothing
-re-derives them by walking the objects.
+Every mutable fact of a platform lives here once, as a column: per
+instance its host, running state, demand and users; per host its ``up``
+flag and its instances in attach order; per service its instances in
+creation order.  :class:`~repro.serviceglobe.host.ServiceHost` and
+:class:`~repro.serviceglobe.service.ServiceInstance` are handles — a row
+id plus immutable identity — created here, one per row, so ``is``,
+``in`` and the registry's virtual-IP map keep working; a
+:class:`~repro.serviceglobe.service.ServiceDefinition` refers to its
+row of ``service_members``.  Beside the facts sit the numpy aggregates
+the control loop reads tens of thousands of times per tick: per-host
+demand and memory sums, per-service counts and load sums,
+placement-eligibility inputs.
 
-Two properties keep seeded runs byte-identical on top of it:
-
-* **Exact sums.**  Aggregates are recomputed as left-to-right Python
-  float additions over the host's / service's instance list in list
-  order (never ``np.sum``, whose pairwise reduction associates
-  differently), so a read equals the plain loop
-  ``sum(i.demand for i in running)`` bit for bit — which is what
+* **Every write leaves the columns current.**  A structural change
+  (start, stop, move, compensation, crash, recovery, restore) re-sums
+  the hosts and services it touches, a single ``instance.demand = x``
+  its host and service; the workload's per-tick pass writes the whole
+  demand column through :meth:`write_demands` and re-sums everything
+  once.  A reader never refreshes anything.
+* **Exact sums.**  A re-sum adds the members left to right in member
+  order with Python floats (never ``np.sum``, whose pairwise reduction
+  associates differently), so a read equals the plain loop
+  ``sum(i.demand for i in running)`` bit for bit — which
   ``tests/serviceglobe/test_landscape_state.py`` checks against a naive
   evaluator after every mutation.  Vectorized consumers
   (``np.minimum(demand / capacity, 1.0)``) only apply IEEE operations
   element-wise, which match the scalar ``min(d / c, 1.0)`` exactly.
 
-* **Write-through invalidation.**  Every mutation path — instance
-  ``demand``/``state`` writes, host ``up`` flips, attach/detach, service
-  adoption, wholesale restore — notifies the state, which marks the
-  affected host/service dirty and bumps the relevant version counter.
-  Aggregates are recomputed lazily, per dirty id, on the next read; a
-  tick that touches three hosts re-sums three hosts, not the landscape.
-
-Version counters let consumers react to deltas instead of re-deriving
-the world:
-
-``registry_version``
-    bumped when the host/service *sets* change (service adoption);
-    guards monitor-set synchronization.
-``topology_version``
-    bumped when instance placement, the running set, or host health
-    changes; guards instance-advisor synchronization and the down-host
-    scan.
-``mutation_version``
-    bumped on every write; lets speculative batch computations (the
-    batched fuzzy ranking) detect that the world moved underneath them.
-
-``refresh_seq`` / ``host_stamp``
-    ``host_stamp[hid]`` is the value of ``refresh_seq`` at which the
-    host's aggregate columns were last recomputed.  Stamps are written
-    where the lazy recomputation already visits the host (never on the
-    per-write path), so a consumer that remembers the ``refresh_seq`` it
-    last saw finds the hosts to re-derive with one column comparison.
-``rebuilds``
-    bumped by :meth:`rebuild`; consumers holding derived per-host
-    tables drop them wholesale.
+Cursors for consumers that react to deltas: ``registry_version`` (the
+service set changed: monitor-set sync), ``topology_version``
+(placement, running set or host health: advisor sync, down-host scan),
+``mutation_version`` (any write: the batched fuzzy ranking's cache);
+``host_stamp[hid]`` is the ``refresh_seq`` of the host's last re-sum,
+so a consumer remembering the ``refresh_seq`` it saw finds the hosts to
+re-derive with one comparison; ``rebuilds`` counts restores, after
+which consumers drop derived per-host tables.
 """
 
 from __future__ import annotations
@@ -59,8 +43,8 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -73,10 +57,12 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.config.model import ServiceSpec
-    from repro.serviceglobe.host import ServiceHost
-    from repro.serviceglobe.service import ServiceDefinition, ServiceInstance
+from repro.serviceglobe.host import ServiceHost
+from repro.serviceglobe.network import VirtualIP
+from repro.serviceglobe.service import Rows, ServiceDefinition, ServiceInstance
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.config.model import ServerSpec, ServiceSpec
 
 __all__ = ["HostIds", "IdMap", "LandscapeState"]
 
@@ -95,19 +81,9 @@ class IdMap:
         self.names: List[str] = []
 
     def add(self, name: str) -> int:
-        existing = self.ids.get(name)
-        if existing is not None:
-            return existing
-        next_id = len(self.names)
-        self.ids[name] = next_id
+        self.ids[name] = len(self.names)
         self.names.append(name)
-        return next_id
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.ids
+        return self.ids[name]
 
 
 def _grow(array: npt.NDArray[Any], size: int, fill: object) -> npt.NDArray[Any]:
@@ -120,7 +96,7 @@ def _grow(array: npt.NDArray[Any], size: int, fill: object) -> npt.NDArray[Any]:
     return grown
 
 
-class HostIds(Sequence["ServiceHost"]):
+class HostIds(Sequence[ServiceHost]):
     """The hosts of a state-id array; host objects are looked up on access.
 
     Placement filters produce id arrays of thousands of hosts whose
@@ -143,33 +119,33 @@ class HostIds(Sequence["ServiceHost"]):
             return [host_objs[i] for i in self.ids[index]]
         return host_objs[self.ids[index]]
 
-    def __iter__(self) -> Iterator["ServiceHost"]:
+    def __iter__(self) -> Iterator[ServiceHost]:
         host_objs = self.state.host_objs
         return (host_objs[i] for i in self.ids.tolist())
 
 
-class LandscapeState:
-    """Columnar cache of one platform's hot-path quantities."""
+class LandscapeState(Rows):
+    """The columns of one platform: its facts and their aggregates."""
 
-    def __init__(
-        self,
-        hosts: Dict[str, "ServiceHost"],
-        services: Dict[str, "ServiceDefinition"],
-        memory_of: Callable[[str], int],
-    ) -> None:
-        self.memory_of = memory_of
+    def __init__(self, servers: Sequence["ServerSpec"]) -> None:
+        super().__init__()
         self.host_index = IdMap()
         self.service_index = IdMap()
-        self.host_objs: List["ServiceHost"] = []
-        self.service_objs: List["ServiceDefinition"] = []
+        self.host_objs: List[ServiceHost] = []
+        self.service_objs: List[ServiceDefinition] = []
+        self.instance_objs: List[ServiceInstance] = []
+        #: per service id: its instances (stopped ones too) in creation order
+        self.service_members: List[List[ServiceInstance]] = []
+        #: per-instance memory footprint of each service (static)
+        self._memory: Dict[str, int] = {}
         #: names of services declared exclusive (static constraint data)
         self._exclusive_services: Set[str] = set()
 
-        n = len(hosts)
-        self.host_cpu_capacity = np.zeros(n, dtype=np.float64)
-        self.host_perf_index = np.zeros(n, dtype=np.float64)
-        self.host_memory_mb = np.zeros(n, dtype=np.int64)
+        n = len(servers)
+        self.host_perf_index = np.array([s.performance_index for s in servers], np.float64)
+        self.host_memory_mb = np.array([s.memory_mb for s in servers], np.int64)
         self.host_up = np.ones(n, dtype=np.bool_)
+        self.host_members = [[] for __ in range(n)]
         #: exact left-to-right sum of running instance demands per host
         self.host_demand = np.zeros(n, dtype=np.float64)
         #: exact integer sum of per-instance memory footprints per host
@@ -181,14 +157,11 @@ class LandscapeState:
         #: number of distinct running *exclusive* services per host
         self.host_exclusive_services = np.zeros(n, dtype=np.int64)
 
-        m = len(services)
-        self.service_running = np.zeros(m, dtype=np.int64)
-        self.service_demand_sum = np.zeros(m, dtype=np.float64)
-        self.service_load_sum = np.zeros(m, dtype=np.float64)
-        self.service_capacity_sum = np.zeros(m, dtype=np.float64)
+        self.service_running = np.zeros(0, dtype=np.int64)
+        self.service_demand_sum = np.zeros(0, dtype=np.float64)
+        self.service_load_sum = np.zeros(0, dtype=np.float64)
+        self.service_capacity_sum = np.zeros(0, dtype=np.float64)
 
-        self._dirty_hosts: Set[int] = set()
-        self._dirty_services: Set[int] = set()
         self.registry_version = 0
         self.topology_version = 0
         self.mutation_version = 0
@@ -197,99 +170,108 @@ class LandscapeState:
         self.rebuilds = 0
         self._down_cache: Tuple[int, Tuple[int, ...]] = (-1, ())
 
-        for host in hosts.values():
-            hid = self.host_index.add(host.name)
-            self.host_objs.append(host)
-            self.host_cpu_capacity[hid] = host.spec.performance_index
-            self.host_perf_index[hid] = host.spec.performance_index
-            self.host_memory_mb[hid] = host.spec.memory_mb
-            self.host_up[hid] = host.up
-            self._dirty_hosts.add(hid)
-            host.bind_state(self, hid)
-        for definition in services.values():
-            self.register_service(definition)
+        for spec in servers:
+            hid = self.host_index.add(spec.name)
+            self.host_objs.append(ServiceHost.of_row(spec, self, hid))
 
-    # -- registration ---------------------------------------------------------------
+    # -- rows -------------------------------------------------------------------------
 
-    def register_service(self, definition: "ServiceDefinition") -> int:
-        """Add one service's columns; idempotent per name."""
-        name = definition.name
-        if name in self.service_index:
-            return self.service_index.ids[name]
-        sid = self.service_index.add(name)
+    def add_service(self, spec: "ServiceSpec") -> ServiceDefinition:
+        """Add one service row (no instances yet); its definition refers
+        to the row's member list."""
+        size = self.service_index.add(spec.name) + 1
+        self.service_members.append([])
+        definition = ServiceDefinition(spec, instances=self.service_members[-1])
         self.service_objs.append(definition)
-        size = sid + 1
         self.service_running = _grow(self.service_running, size, 0)
         self.service_demand_sum = _grow(self.service_demand_sum, size, 0.0)
         self.service_load_sum = _grow(self.service_load_sum, size, 0.0)
         self.service_capacity_sum = _grow(self.service_capacity_sum, size, 0.0)
-        if definition.spec.constraints.exclusive:
-            self._exclusive_services.add(name)
-        self._dirty_services.add(sid)
+        self._memory[spec.name] = spec.workload.memory_per_instance_mb
+        if spec.constraints.exclusive:
+            self._exclusive_services.add(spec.name)
         self.registry_version += 1
-        self.topology_version += 1
-        self.mutation_version += 1
-        for instance in definition.instances:
-            instance.bind_state(self)
-        return sid
+        self._moved()
+        return definition
 
-    # -- write-through notifications --------------------------------------------------
+    def add_instance(
+        self, service_name: str, host_name: str, ip: VirtualIP, instance_id: str, now: int
+    ) -> ServiceInstance:
+        """Add a running instance row (not yet attached to its host)."""
+        row = len(self.instance_objs)
+        instance = ServiceInstance.of_row(self, row, service_name, ip, instance_id, now)
+        self.instance_objs.append(instance)
+        self.add_instance_row(host_name, True, 0, 0.0)
+        sid = self.service_index.ids[service_name]
+        self.service_members[sid].append(instance)
+        self._resum_service(sid)
+        self._moved()
+        return instance
 
-    def touch_instance(self, instance: "ServiceInstance") -> None:
-        """An instance's demand changed; its host and service sums are stale."""
-        hid = self.host_index.ids.get(instance.host_name)
-        if hid is not None:
-            self._dirty_hosts.add(hid)
-        sid = self.service_index.ids.get(instance.service_name)
-        if sid is not None:
-            self._dirty_services.add(sid)
-        self.mutation_version += 1
+    # -- writes: each leaves the aggregate columns current -------------------------------
 
-    def touch_instance_topology(self, instance: "ServiceInstance") -> None:
-        """An instance's running state or placement changed."""
-        self.touch_instance(instance)
-        self.topology_version += 1
-
-    def host_membership_changed(
-        self, host: "ServiceHost", instance: "ServiceInstance"
-    ) -> None:
-        """An instance was attached to or detached from ``host``."""
-        self._dirty_hosts.add(host.state_id)
-        sid = self.service_index.ids.get(instance.service_name)
-        if sid is not None:
-            self._dirty_services.add(sid)
+    def _moved(self) -> None:
         self.topology_version += 1
         self.mutation_version += 1
 
-    def host_up_changed(self, host: "ServiceHost", up: bool) -> None:
-        self.host_up[host.state_id] = up
-        self.topology_version += 1
+    def _resum_instance(self, row: int) -> None:
+        self._resum_host(self.host_index.ids[self.inst_host[row]])
+        self._resum_service(self.service_index.ids[self.instance_objs[row].service_name])
+
+    def set_demand(self, row: int, value: float) -> None:
+        self.inst_demand[row] = value
+        self._resum_instance(row)
         self.mutation_version += 1
 
-    def rebuild(self) -> None:
-        """Mark the entire landscape stale (wholesale ``restore_state``)."""
-        for hid, host in enumerate(self.host_objs):
-            self.host_up[hid] = host.up
-            self._dirty_hosts.add(hid)
-        self._dirty_services.update(range(len(self.service_index)))
-        self.topology_version += 1
+    def set_running(self, row: int, running: bool) -> None:
+        self.inst_running[row] = running
+        self._resum_instance(row)
+        self._moved()
+
+    def set_host(self, row: int, host_name: str) -> None:
+        self.inst_host[row] = host_name
+        self._resum_instance(row)  # the service's capacity moved with it
+        self._moved()
+
+    def set_up(self, hid: int, up: bool) -> None:
+        self.host_up[hid] = up
+        self._moved()
+
+    def attach(self, hid: int, instance: ServiceInstance) -> None:
+        super().attach(hid, instance)
+        self._resum_host(hid)
+        self._moved()
+
+    def detach(self, hid: int, instance: ServiceInstance) -> None:
+        super().detach(hid, instance)
+        self._resum_host(hid)
+        self._moved()
+
+    def write_demands(self, demands: Iterable[Tuple[int, float]]) -> None:
+        """Write ``(row, demand)`` pairs, then re-sum every host and service."""
+        for row, value in demands:
+            self.inst_demand[row] = value
         self.mutation_version += 1
-        self.rebuilds += 1
+        self._resum_all()
 
-    # -- lazy recomputation -----------------------------------------------------------
+    # -- re-summing ------------------------------------------------------------------------
 
-    def _refresh_host(self, hid: int) -> None:
+    def _resum_host(self, hid: int) -> None:
         demand = 0.0
         mem_used = 0
         running = 0
         seen: Dict[str, None] = {}
-        memory_of = self.memory_of
-        for instance in self.host_objs[hid].instances:
-            if instance.running:
-                demand += instance.demand
-                mem_used += memory_of(instance.service_name)
+        memory = self._memory
+        inst_running = self.inst_running
+        inst_demand = self.inst_demand
+        for instance in self.host_members[hid]:
+            row = instance.state_id
+            if inst_running[row]:
+                name = instance.service_name
+                demand += inst_demand[row]
+                mem_used += memory[name]
                 running += 1
-                seen.setdefault(instance.service_name, None)
+                seen[name] = None
         self.host_demand[hid] = demand
         self.host_mem_used[hid] = mem_used
         self.host_running_instances[hid] = running
@@ -298,65 +280,93 @@ class LandscapeState:
         self.host_exclusive_services[hid] = (
             sum(1 for name in seen if name in exclusive) if exclusive else 0
         )
+        self.refresh_seq += 1
+        self.host_stamp[hid] = self.refresh_seq
 
-    def _refresh_service(self, sid: int) -> None:
+    def _resum_service(self, sid: int) -> None:
         count = 0
         demand_sum = 0.0
         load_sum = 0.0
         capacity_sum = 0.0
         ids = self.host_index.ids
-        capacity = self.host_cpu_capacity
-        for instance in self.service_objs[sid].instances:
-            if instance.running:
+        capacity = self.host_perf_index
+        inst_running = self.inst_running
+        inst_demand = self.inst_demand
+        inst_host = self.inst_host
+        for instance in self.service_members[sid]:
+            row = instance.state_id
+            if inst_running[row]:
+                demand = inst_demand[row]
+                cap = capacity[ids[inst_host[row]]]
                 count += 1
-                demand_sum += instance.demand
-                cap = capacity[ids[instance.host_name]]
-                load_sum += min(instance.demand / cap, 1.0)
+                demand_sum += demand
+                load_sum += min(demand / cap, 1.0)
                 capacity_sum += cap
         self.service_running[sid] = count
         self.service_demand_sum[sid] = demand_sum
         self.service_load_sum[sid] = load_sum
         self.service_capacity_sum[sid] = capacity_sum
 
-    def flush(self) -> None:
-        """Recompute every stale host/service column."""
-        if self._dirty_hosts:
-            for hid in self._dirty_hosts:
-                self._refresh_host(hid)
-            self.refresh_seq += 1
-            self.host_stamp[list(self._dirty_hosts)] = self.refresh_seq
-            self._dirty_hosts.clear()
-        if self._dirty_services:
-            for sid in self._dirty_services:
-                self._refresh_service(sid)
-            self._dirty_services.clear()
+    def _resum_all(self) -> None:
+        for hid in range(len(self.host_members)):
+            self._resum_host(hid)
+        for sid in range(len(self.service_members)):
+            self._resum_service(sid)
 
-    def _ensure_host(self, hid: int) -> None:
-        if hid in self._dirty_hosts:
-            self._refresh_host(hid)
-            self._dirty_hosts.discard(hid)
-            self.refresh_seq += 1
-            self.host_stamp[hid] = self.refresh_seq
+    # -- snapshot ---------------------------------------------------------------------------
 
-    def _ensure_service(self, sid: int) -> None:
-        if sid in self._dirty_services:
-            self._refresh_service(sid)
-            self._dirty_services.discard(sid)
+    def snapshot_columns(self) -> Dict[str, Any]:
+        """The facts as JSON-able columns: instance identities and rows,
+        host rows with their members in attach order (a service's
+        members are its rows in row order, which is creation order)."""
+        return {
+            "identity": [
+                [i.service_name, i.virtual_ip.address, i.instance_id, i.started_at]
+                for i in self.instance_objs
+            ],
+            "host": list(self.inst_host),
+            "running": list(self.inst_running),
+            "demand": list(self.inst_demand),
+            "users": list(self.inst_users),
+            "host_up": self.host_up.tolist(),
+            "host_members": [[i.state_id for i in m] for m in self.host_members],
+        }
+
+    def restore_columns(self, columns: Dict[str, Any]) -> None:
+        """Replace every fact with a :meth:`snapshot_columns` payload
+        (fresh instance handles), then re-sum everything."""
+        self.instance_objs = [
+            ServiceInstance.of_row(self, row, service, VirtualIP(address), iid, started)
+            for row, (service, address, iid, started) in enumerate(columns["identity"])
+        ]
+        for members in self.service_members:
+            members.clear()  # in place: definitions refer to these lists
+        for instance in self.instance_objs:
+            self.service_members[self.service_index.ids[instance.service_name]].append(
+                instance
+            )
+        self.inst_host = list(columns["host"])
+        self.inst_running = list(columns["running"])
+        self.inst_demand = list(columns["demand"])
+        self.inst_users = list(columns["users"])
+        self.host_up = np.array(columns["host_up"], dtype=np.bool_)
+        self.host_members = [
+            [self.instance_objs[row] for row in members]
+            for members in columns["host_members"]
+        ]
+        self._resum_all()
+        self._moved()
+        self.rebuilds += 1
 
     # -- scalar reads ------------------------------------------------------------------
 
     def host_total_demand(self, hid: int) -> float:
-        self._ensure_host(hid)
         return float(self.host_demand[hid])
 
     def host_cpu_load(self, hid: int) -> float:
-        self._ensure_host(hid)
-        return min(
-            float(self.host_demand[hid]) / float(self.host_cpu_capacity[hid]), 1.0
-        )
+        return min(float(self.host_demand[hid]) / float(self.host_perf_index[hid]), 1.0)
 
     def host_memory_used(self, hid: int) -> int:
-        self._ensure_host(hid)
         return int(self.host_mem_used[hid])
 
     def host_memory_free(self, hid: int) -> int:
@@ -366,35 +376,29 @@ class LandscapeState:
         return min(self.host_memory_used(hid) / int(self.host_memory_mb[hid]), 1.0)
 
     def service_running_count(self, sid: int) -> int:
-        self._ensure_service(sid)
         return int(self.service_running[sid])
 
     def service_demand(self, sid: int) -> float:
-        self._ensure_service(sid)
         return float(self.service_demand_sum[sid])
 
     def service_load(self, sid: int) -> float:
-        self._ensure_service(sid)
         count = int(self.service_running[sid])
         if count == 0:
             return 0.0
         return float(self.service_load_sum[sid]) / count
 
     def service_capacity(self, sid: int) -> float:
-        self._ensure_service(sid)
         return float(self.service_capacity_sum[sid])
 
     # -- vectorized reads ---------------------------------------------------------------
 
     def host_cpu_values(self, ids: npt.NDArray[np.int64]) -> List[float]:
         """``cpu_load`` of every host in ``ids``, in order, as Python floats."""
-        self.flush()
-        loads = np.minimum(self.host_demand[ids] / self.host_cpu_capacity[ids], 1.0)
+        loads = np.minimum(self.host_demand[ids] / self.host_perf_index[ids], 1.0)
         return cast(List[float], loads.tolist())
 
     def host_mem_values(self, ids: npt.NDArray[np.int64]) -> List[float]:
         """``mem_load`` of every host in ``ids``, in order, as Python floats."""
-        self.flush()
         loads = np.minimum(self.host_mem_used[ids] / self.host_memory_mb[ids], 1.0)
         return cast(List[float], loads.tolist())
 
@@ -414,8 +418,7 @@ class LandscapeState:
         the same capacities, and the instance count and free memory are
         exact integers converted to float.
         """
-        self.flush()
-        cpu = np.minimum(self.host_demand[ids] / self.host_cpu_capacity[ids], 1.0)
+        cpu = np.minimum(self.host_demand[ids] / self.host_perf_index[ids], 1.0)
         mem = np.minimum(self.host_mem_used[ids] / self.host_memory_mb[ids], 1.0)
         running = self.host_running_instances[ids].astype(np.float64)
         free = (self.host_memory_mb[ids] - self.host_mem_used[ids]).astype(
@@ -424,9 +427,9 @@ class LandscapeState:
         return cpu, mem, running, free
 
     def host_ids(
-        self, hosts: Sequence["ServiceHost"]
+        self, hosts: Sequence[ServiceHost]
     ) -> Optional[npt.NDArray[np.int64]]:
-        """State ids of ``hosts`` in order; ``None`` if one is not bound here."""
+        """State ids of ``hosts`` in order; ``None`` if one is not a row here."""
         if isinstance(hosts, HostIds):
             return hosts.ids if hosts.state is self else None
         host_objs = self.host_objs
@@ -438,7 +441,6 @@ class LandscapeState:
         return np.asarray(ids, dtype=np.int64)
 
     def service_demand_values(self, ids: npt.NDArray[np.int64]) -> List[float]:
-        self.flush()
         return cast(List[float], self.service_demand_sum[ids].tolist())
 
     def down_host_ids(self) -> Tuple[int, ...]:
@@ -450,12 +452,11 @@ class LandscapeState:
         version, cached = self._down_cache
         if version == self.topology_version:
             return cached
-        n = len(self.host_index)
-        ids = tuple(int(i) for i in np.flatnonzero(~self.host_up[:n]))
+        ids = tuple(int(i) for i in np.flatnonzero(~self.host_up))
         self._down_cache = (self.topology_version, ids)
         return ids
 
-    def eligible_mask(self, definition: "ServiceDefinition") -> npt.NDArray[np.bool_]:
+    def eligible_mask(self, definition: ServiceDefinition) -> npt.NDArray[np.bool_]:
         """Boolean mask over host ids: which hosts pass ``can_host``.
 
         Reproduces exactly the conjunction checked by
@@ -463,27 +464,23 @@ class LandscapeState:
         exclusivity in both directions, free memory — as one vectorized
         expression.
         """
-        self.flush()
-        n = len(self.host_index)
         constraints = definition.spec.constraints
         needed = definition.spec.workload.memory_per_instance_mb
         mask = (
-            self.host_up[:n]
-            & (self.host_perf_index[:n] >= constraints.min_performance_index)
-            & (self.host_memory_mb[:n] - self.host_mem_used[:n] >= needed)
+            self.host_up
+            & (self.host_perf_index >= constraints.min_performance_index)
+            & (self.host_memory_mb - self.host_mem_used >= needed)
         )
-        runs_target = np.zeros(n, dtype=np.bool_)
+        runs_target = np.zeros(len(mask), dtype=np.bool_)
         ids = self.host_index.ids
         for instance in definition.instances:
             if instance.running:
-                hid = ids.get(instance.host_name)
-                if hid is not None:
-                    runs_target[hid] = True
+                runs_target[ids[instance.host_name]] = True
         if constraints.exclusive:
             # an exclusive service tolerates no other service on the host
-            mask &= (self.host_distinct_services[:n] - runs_target) == 0
+            mask &= (self.host_distinct_services - runs_target) == 0
         else:
             # a non-exclusive service may not join a host reserved by an
             # exclusive one (the target itself is not exclusive here)
-            mask &= self.host_exclusive_services[:n] == 0
+            mask &= self.host_exclusive_services == 0
         return mask

@@ -90,20 +90,17 @@ class Platform:
         self._clock = clock if clock is not None else (lambda: self.current_time)
         self.fabric = NetworkFabric()
         self.registry = ServiceRegistry()
+        #: the one store of the landscape's facts and their aggregates;
+        #: hosts, services and instances are handles over its rows
+        self.landscape_state = LandscapeState(landscape.servers)
         self.hosts: Dict[str, ServiceHost] = {
-            spec.name: ServiceHost(spec) for spec in landscape.servers
+            host.name: host for host in self.landscape_state.host_objs
         }
         self.services: Dict[str, ServiceDefinition] = {}
         for spec in landscape.services:
-            definition = ServiceDefinition(spec)
+            definition = self.landscape_state.add_service(spec)
             self.services[spec.name] = definition
             self.registry.register(definition)
-        #: columnar cache of the hot-path aggregates (exact sums, lazily
-        #: recomputed per dirty host/service); every instance/host
-        #: mutation writes through to it
-        self.landscape_state = LandscapeState(
-            self.hosts, self.services, self.memory_of
-        )
         self.dispatcher = Dispatcher(
             host_load=lambda i: self.hosts[i.host_name].cpu_load,
             host_capacity=lambda i: self.hosts[i.host_name].cpu_capacity,
@@ -154,11 +151,10 @@ class Platform:
         existing = self.services.get(spec.name)
         if existing is not None:
             return existing
-        definition = ServiceDefinition(spec)
+        definition = self.landscape_state.add_service(spec)
         self.services[spec.name] = definition
         self.registry.register(definition)
         self.code_repository.publish(CodeBundle(spec.name, version=1))
-        self.landscape_state.register_service(definition)
         return definition
 
     def _adopted_specs(self):
@@ -266,28 +262,26 @@ class Platform:
     def _materialize_instance(
         self, service_name: str, host_name: str
     ) -> ServiceInstance:
-        """Create, bind and publish a new instance (no constraint checks).
+        """Create, attach and publish a new instance (no constraint checks).
 
         The host fetches the service's code bundle first (mobile code):
         on a cache miss the code travels, otherwise the cached bundle is
         reused.
         """
-        service = self.service(service_name)
+        self.service(service_name)  # NoSuchTarget for an unknown service
         host = self.host(host_name)
         self.code_repository.ensure_deployed(service_name, host_name, self._clock())
         ip = self.fabric.allocate()
         self._instance_sequence += 1
-        instance = ServiceInstance(
-            service_name=service_name,
-            host_name=host_name,
-            virtual_ip=ip,
-            instance_id=f"{service_name}#{self._instance_sequence:03d}",
-            started_at=self._clock(),
+        instance = self.landscape_state.add_instance(
+            service_name,
+            host_name,
+            ip,
+            f"{service_name}#{self._instance_sequence:03d}",
+            self._clock(),
         )
-        instance.bind_state(self.landscape_state)
         self.fabric.bind(ip, host_name)
         host.attach(instance)
-        service.instances.append(instance)
         self.registry.publish_instance(instance)
         return instance
 
@@ -663,33 +657,6 @@ class Platform:
 
     # -- durability ----------------------------------------------------------------------
 
-    def _instance_to_dict(self, instance: ServiceInstance) -> Dict[str, Any]:
-        return {
-            "service_name": instance.service_name,
-            "host_name": instance.host_name,
-            "virtual_ip": instance.virtual_ip.address,
-            "instance_id": instance.instance_id,
-            "state": instance.state.value,
-            "users": instance.users,
-            "demand": instance.demand,
-            "started_at": instance.started_at,
-        }
-
-    @staticmethod
-    def _instance_from_dict(raw: Dict[str, Any]) -> ServiceInstance:
-        from repro.serviceglobe.network import VirtualIP
-
-        return ServiceInstance(
-            service_name=raw["service_name"],
-            host_name=raw["host_name"],
-            virtual_ip=VirtualIP(raw["virtual_ip"]),
-            instance_id=raw["instance_id"],
-            state=InstanceState(raw["state"]),
-            users=int(raw["users"]),
-            demand=float(raw["demand"]),
-            started_at=int(raw["started_at"]),
-        )
-
     def snapshot_state(self) -> Dict[str, Any]:
         """JSON-able snapshot of the full runtime state.
 
@@ -705,18 +672,13 @@ class Platform:
             "instance_sequence": self._instance_sequence,
             "fabric_next_suffix": self.fabric.next_suffix,
             "fence_token": self.fence.token,
-            "hosts": {name: host.up for name, host in self.hosts.items()},
             "priorities": {
                 name: definition.priority
                 for name, definition in self.services.items()
             },
             "stopped_services": sorted(self.stopped_services),
-            "instances": [
-                self._instance_to_dict(instance)
-                for definition in self.services.values()
-                for instance in definition.instances
-            ],
-            "orphans": [self._instance_to_dict(i) for i in self.orphans],
+            "landscape": self.landscape_state.snapshot_columns(),
+            "orphans": [orphan.state_id for orphan in self.orphans],
             "audit_log": [outcome_to_dict(o) for o in self.audit_log],
             "code": self.code_repository.snapshot_state(),
             "adopted_services": [
@@ -729,8 +691,9 @@ class Platform:
 
         The landscape (specs, constraints, published code bundles) is
         construction-time state and stays as built; everything mutable —
-        instances, bindings, registrations, host health, priorities,
-        orphans, audit log, fencing watermark — is replaced wholesale.
+        the landscape state's columns (instances, host health, members in
+        attach order), bindings, registrations, priorities, orphans, audit
+        log, fencing watermark — is replaced wholesale.
         """
         from repro.core.state import outcome_from_dict
 
@@ -740,36 +703,21 @@ class Platform:
         self._instance_sequence = int(payload["instance_sequence"])
         self.fence.token = int(payload.get("fence_token", 0))
         self.stopped_services = set(payload.get("stopped_services", []))
-        for name, up in payload["hosts"].items():
-            host = self.host(name)
-            host.up = bool(up)
-            host.instances = []
+        self.landscape_state.restore_columns(payload["landscape"])
         self.fabric = NetworkFabric()
         self.fabric.reserve_through(int(payload["fabric_next_suffix"]))
         self.registry = ServiceRegistry()
         for name, definition in self.services.items():
-            definition.instances = []
             definition.priority = int(payload["priorities"][name])
             self.registry.register(definition)
-        for raw in payload["instances"]:
-            instance = self._instance_from_dict(raw)
-            instance.bind_state(self.landscape_state)
-            self.services[instance.service_name].instances.append(instance)
-            if instance.running:
+            for instance in definition.running_instances:
                 self.fabric.bind(instance.virtual_ip, instance.host_name)
-                self.host(instance.host_name).attach(instance)
                 self.registry.publish_instance(instance)
-        self.orphans = []
-        for raw in payload.get("orphans", []):
-            orphan = self._instance_from_dict(raw)
-            orphan.bind_state(self.landscape_state)
-            self.orphans.append(orphan)
+        self.orphans = [self.landscape_state.instance_objs[row] for row in payload["orphans"]]
         self.audit_log = [
             outcome_from_dict(raw) for raw in payload.get("audit_log", [])
         ]
         self.code_repository.restore_state(payload.get("code", {}))
-        # the wholesale rebuild above bypassed the write-through hooks
-        self.landscape_state.rebuild()
 
     # -- measurements (read by the monitoring framework) ---------------------------------
 
@@ -898,45 +846,11 @@ class DomainView:
 
     # -- shared substrate (objects the Platform may replace wholesale) ------------
 
-    @property
-    def landscape_state(self) -> "LandscapeState":
-        return self.platform.landscape_state
-
-    @property
-    def landscape(self) -> LandscapeSpec:
-        return self.platform.landscape
-
-    @property
-    def bus(self) -> EventBus:
-        return self.platform.bus
-
-    @property
-    def audit_log(self) -> List[ActionOutcome]:
-        return self.platform.audit_log
-
-    @property
-    def fabric(self) -> NetworkFabric:
-        return self.platform.fabric
-
-    @property
-    def registry(self) -> ServiceRegistry:
-        return self.platform.registry
-
-    @property
-    def dispatcher(self) -> Dispatcher:
-        return self.platform.dispatcher
-
-    @property
-    def code_repository(self) -> CodeRepository:
-        return self.platform.code_repository
-
-    @property
-    def stopped_services(self) -> Set[str]:
-        return self.platform.stopped_services
-
-    @property
-    def user_distribution(self) -> UserDistribution:
-        return self.platform.user_distribution
+    def __getattr__(self, name: str) -> Any:
+        # landscape state, landscape, bus, audit log, fabric, registry,
+        # dispatcher, code repository, stopped services, user
+        # distribution: the platform's, read at every access
+        return getattr(self.platform, name)
 
     @property
     def current_time(self) -> int:

@@ -11,7 +11,10 @@ Per tick the model:
    ("unpredictable load bursts" that the watch-time filtering exists
    for), and
 3. derives central-instance and database demand from the served user
-   activity via :class:`repro.sim.requests.RequestFlows`.
+   activity via :class:`repro.sim.requests.RequestFlows`,
+
+all into the landscape state's demand column in one pass, which then
+re-sums every host and service once.
 
 Batch services (BW) are driven identically, with jobs taking the role of
 users; capacity sweeps scale the per-job load instead of the job count.
@@ -20,7 +23,7 @@ users; capacity sweeps scale the per-job load instead of the job count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -141,8 +144,9 @@ class WorkloadModel:
 
     def tick(self, now: int) -> None:
         self._fluctuate()
-        self._update_application_demands(now)
-        self._update_derived_demands(now)
+        self.platform.landscape_state.write_demands(
+            [*self._application_demands(now), *self._derived_demands(now)]
+        )
 
     def _fluctuate(self) -> None:
         for spec in self._app_specs.values():
@@ -152,16 +156,18 @@ class WorkloadModel:
             instances = self.platform.service(spec.name).running_instances
             self.platform.dispatcher.fluctuate(instances, rate, self._rng)
 
-    def _update_application_demands(self, now: int) -> None:
+    def _application_demands(self, now: int) -> Iterator[Tuple[int, float]]:
         for spec in self._app_specs.values():
             workload = spec.workload
             activity = profile_value(workload.profile, now)
             for instance in self.platform.service(spec.name).running_instances:
                 base = workload.basic_load
                 user_demand = instance.users * workload.load_per_user * activity
-                instance.demand = base + user_demand * self._noise_factor(instance)
+                yield instance.state_id, base + user_demand * self._noise_factor(instance)
 
-    def _update_derived_demands(self, now: int) -> None:
+    def _derived_demands(self, now: int) -> Iterator[Tuple[int, float]]:
+        # follows served users, not application demand: nothing the
+        # application pass wrote is read here
         derived = self._flows.derived_demands(now)
         for service_name, demand in derived.items():
             spec = self._derived_specs[service_name]
@@ -170,9 +176,7 @@ class WorkloadModel:
                 continue
             share = demand / len(instances)
             for instance in instances:
-                instance.demand = (
-                    spec.workload.basic_load + share * self._derived_noise()
-                )
+                yield instance.state_id, spec.workload.basic_load + share * self._derived_noise()
 
     # -- durability (kill -9 and resume) -----------------------------------------------
 

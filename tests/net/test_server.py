@@ -35,10 +35,21 @@ def server(tmp_path, monkeypatch):
     server.coordinator.close()  # leases a test reopened on its own thread
 
 
-def _connect(server):
-    client, server_side = loopback_pair()
-    server.serve_endpoint(server_side)
-    return client
+@pytest.fixture
+def connect(server):
+    """Hand the server one end of a loopback pair; the test gets the
+    other, closed after the test (the server closes its own on stop)."""
+    clients = []
+
+    def connect():
+        client, server_side = loopback_pair()
+        server.serve_endpoint(server_side)
+        clients.append(client)
+        return client
+
+    yield connect
+    for client in clients:
+        client.close()
 
 
 def _hello(domain="domain-1", **overrides):
@@ -46,8 +57,8 @@ def _hello(domain="domain-1", **overrides):
     return dict(message, **overrides)
 
 
-def test_a_wrong_typed_field_is_rejected_and_the_connection_lives(server):
-    client = _connect(server)
+def test_a_wrong_typed_field_is_rejected_and_the_connection_lives(connect):
+    client = connect()
     client.send(_hello())
     assert client.recv(timeout=5.0)["kind"] == "welcome"
     heartbeat = make_message("heartbeat", 2, domain="domain-1", minute=START + 1)
@@ -59,8 +70,8 @@ def test_a_wrong_typed_field_is_rejected_and_the_connection_lives(server):
     assert client.recv(timeout=5.0)["kind"] == "heartbeat_ack"
 
 
-def test_a_hello_from_the_previous_revision_is_refused_by_version(server):
-    client = _connect(server)
+def test_a_hello_from_the_previous_revision_is_refused_by_version(server, connect):
+    client = connect()
     client.send(_hello(schema_version=PROTOCOL_VERSION - 1))
     refusal = client.recv(timeout=5.0)
     assert refusal["kind"] == "reject"
@@ -69,8 +80,10 @@ def test_a_hello_from_the_previous_revision_is_refused_by_version(server):
     assert server.sessions.sessions == {}
 
 
-def test_a_hello_for_a_domain_the_run_does_not_have_is_refused(server, tmp_path):
-    client = _connect(server)
+def test_a_hello_for_a_domain_the_run_does_not_have_is_refused(
+    server, connect, tmp_path
+):
+    client = connect()
     client.send(_hello(domain="../elsewhere"))
     assert client.recv(timeout=5.0)["kind"] == "reject"
     assert server.sessions.sessions == {}

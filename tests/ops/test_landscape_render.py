@@ -38,7 +38,6 @@ class EagerLandscape:
     def snapshot(self, now):
         platform = self.platform
         state = platform.landscape_state
-        state.flush()
         host_ids = state.host_index.ids
         hosts = []
         for name, host in platform.hosts.items():

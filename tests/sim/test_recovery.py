@@ -175,6 +175,31 @@ print([
 """
 
 
+_STANDBY_HARNESS = """\
+import sys
+from repro.sim.runner import SimulationRunner
+from repro.sim.scenarios import Scenario, controller_chaos
+
+state_dir, mode, seed, kill_at = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+kwargs = {"state_dir": state_dir}
+if mode == "kill":
+    kwargs["kill_at"] = kill_at
+if mode == "resume":
+    kwargs["resume"] = True
+runner = SimulationRunner(
+    Scenario.FULL_MOBILITY, user_factor=1.15, horizon=240, seed=7,
+    collect_host_series=False, chaos=controller_chaos(seed), standby=True, **kwargs,
+)
+result = runner.run()
+print(result.summary())
+print([
+    (a.time, a.action.value, a.service_name, a.status, a.attempts)
+    for a in result.actions
+])
+print(runner.controller.events)
+"""
+
+
 def _federated(state_dir, **kwargs):
     """Two control domains of the paper landscape under controller faults."""
     from repro.config.builtin import paper_landscape, partition_landscape
@@ -193,9 +218,9 @@ def _federated(state_dir, **kwargs):
 
 
 class TestKillAndResume:
-    def _harness(self, tmp_path):
+    def _harness(self, tmp_path, source=_HARNESS):
         script = tmp_path / "harness.py"
-        script.write_text(_HARNESS)
+        script.write_text(source)
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -258,6 +283,37 @@ class TestKillAndResume:
             resumed = run(state, "resume")
             assert resumed.returncode == 0, (minute, resumed.stderr)
             assert resumed.stdout == uninterrupted.stdout, minute
+
+    @pytest.mark.parametrize(
+        "seed, crash, failover",
+        [
+            # snapshot at 789 with controller-1 leading; crash at 794,
+            # the standby's grant at 798, killed before the 799 snapshot
+            (122, 794, 798),
+            # crash at 929 before the 929 snapshot: the run snapshot
+            # holds a down leader; the grant at 933, killed right after
+            (115, 929, 933),
+        ],
+    )
+    def test_a_failover_grant_before_the_kill_is_rewound(
+        self, tmp_path, seed, crash, failover
+    ):
+        """The lease row rewinds with the snapshot: a grant between the
+        last snapshot and the kill belongs to the abandoned timeline, and
+        the resumed standby is granted it again at the same minute."""
+        run = self._harness(tmp_path, _STANDBY_HARNESS)
+        uninterrupted = run(str(tmp_path / "full"), "full", str(seed), "0")
+        assert uninterrupted.returncode == 0, uninterrupted.stderr
+        assert (
+            f"[({crash}, 'controller-crash', 'controller-1'), "
+            f"({failover}, 'leader-failover', 'controller-2')"
+        ) in uninterrupted.stdout
+        state = str(tmp_path / "state")
+        killed = run(state, "kill", str(seed), str(failover))
+        assert killed.returncode == -signal.SIGKILL
+        resumed = run(state, "resume", str(seed), "0")
+        assert resumed.returncode == 0, resumed.stderr
+        assert resumed.stdout == uninterrupted.stdout
 
     def test_a_resumed_federated_run_is_the_uninterrupted_one(self, tmp_path):
         """Two control domains under controller faults: the supervision
@@ -335,25 +391,25 @@ class TestKillAndResume:
             "summary.json", "telemetry.jsonl",
         ]
 
-        def history(stream):
-            # a resumed process samples its restored instance monitors
-            # in another order, and sums a host's load in that order:
-            # the last digit of a double may differ
+        def events(out):
+            # every line but the header, without its ``seq``: the resumed
+            # stream numbers one more line (the leader-epoch) before the rest
+            path = tmp_path / out / "full-mobility_115" / "telemetry.jsonl"
             return [
-                dict(
-                    line["record"],
-                    rows=sorted(
-                        (subject, metric, minute, round(value, 9))
-                        for subject, metric, minute, value
-                        in line["record"].get("rows", ())
-                    ),
-                )
-                for line in stream if line["topic"] != "supervision"
+                line[line.index('"topic"'):]
+                for line in path.read_text().splitlines()[1:]
             ]
 
         _, full_header, full_lines = exported("full")
         assert full_header["complete"] is True
-        assert history(lines) == history(full_lines)
+        resumed_events, full_events = events("out"), events("full")
+        epoch = resumed_events.index(
+            '"topic": "supervision", "record": {"type": "SupervisionEvent", '
+            '"time": 810, "kind": "leader-epoch", "detail": "controller-1", '
+            '"domain": "", "fencing_token": 1}}'
+        )
+        del resumed_events[epoch]
+        assert resumed_events == full_events
         assert len(lines) == len(full_lines) + 1  # the leader-epoch
 
 
