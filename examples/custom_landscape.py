@@ -13,7 +13,8 @@ Run with:  python examples/custom_landscape.py
 
 from repro.config import landscape_from_xml, validate_landscape
 from repro.core.autoglobe import AutoGlobeController
-from repro.core.console import ControllerConsole
+from repro.ops.api import OpsBridge
+from repro.ops.console import render_snapshot
 from repro.serviceglobe.platform import Platform
 
 LANDSCAPE_XML = """
@@ -85,7 +86,10 @@ def main() -> None:
     print(f"checkout priority is now {platform.service('checkout').priority} "
           f"(neutral is 5)")
     print()
-    print(ControllerConsole(controller).render(now=7))
+    # the controller console (Figure 8): the frame `autoglobe console` prints
+    bridge = OpsBridge(platform, controller)
+    bridge.refresh(7)
+    print(render_snapshot(*map(bridge.snapshot, ("landscape", "situations", "approvals"))))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ Subcommands::
         Run the Table 7 capacity sweep (all scenarios by default).
 
     autoglobe console --scenario constrained-mobility --users 1.15
-        Run a short simulation and render the controller console views.
+        Run a short simulation and render the controller console: the
+        server, service and message views, open situations and pending
+        approvals (the same frame --connect renders from a live run).
 
     autoglobe landscape [--design] [--out FILE]
         Print (or write) the built-in Section 5.1 landscape as XML;
@@ -113,13 +115,22 @@ def _kill_agent(text: str) -> "tuple":
 
 def _serve_addr(text: str) -> "tuple":
     host, _, port = text.rpartition(":")
-    try:
-        return (host or "127.0.0.1", int(port))
-    except ValueError:
+    if not port.isdecimal() or int(port) > 65535:
         raise argparse.ArgumentTypeError(
-            f"invalid serve address {text!r}: expected HOST:PORT "
-            "(e.g. 127.0.0.1:8642; port 0 binds an ephemeral port)"
+            f"invalid serve address {text!r}: expected HOST:PORT with a port "
+            "in 0-65535 (e.g. 127.0.0.1:8642; port 0 binds an ephemeral port)"
         )
+    return (host or "127.0.0.1", int(port))
+
+
+def _connect_addr(text: str) -> "tuple":
+    address = _serve_addr(text)
+    if address[1] == 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid connect address {text!r}: port 0 is an ephemeral "
+            "bind, not a port to dial"
+        )
+    return address
 
 
 def _scenario(name: str) -> Scenario:
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     console.add_argument("--users", type=float, default=1.15)
     console.add_argument("--hours", type=float, default=26.0)
     console.add_argument("--seed", type=int, default=7)
-    console.add_argument("--connect", type=_serve_addr, default=None,
+    console.add_argument("--connect", type=_connect_addr, default=None,
                          metavar="HOST:PORT",
                          help="attach to a live run's ops API instead of "
                               "simulating locally")
@@ -546,7 +557,8 @@ def _cmd_console(args) -> int:
         return run_console(
             host, port, once=args.once, max_events=args.max_events
         )
-    from repro.core.console import ControllerConsole
+    from repro.ops.api import OpsBridge
+    from repro.ops.console import render_snapshot
     from repro.sim.runner import SimulationRunner
 
     runner = SimulationRunner(
@@ -557,8 +569,9 @@ def _cmd_console(args) -> int:
         collect_host_series=False,
     )
     runner.run()
-    console = ControllerConsole(runner.controller)
-    print(console.render(now=runner.start_minute + runner.horizon - 1))
+    bridge = OpsBridge(runner.platform, runner.controller)
+    bridge.refresh(runner.start_minute + runner.horizon - 1)
+    print(render_snapshot(*map(bridge.snapshot, ("landscape", "situations", "approvals"))))
     return 0
 
 

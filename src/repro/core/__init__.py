@@ -17,8 +17,8 @@ The controller module consists of two cooperating fuzzy controllers:
 and controllers together, including protection mode
 (:mod:`repro.core.protection`), constraint verification
 (:mod:`repro.core.constraints`), administrator alerting
-(:mod:`repro.core.alerts`) and the text controller console
-(:mod:`repro.core.console`).
+(:mod:`repro.core.alerts`) and manual execution from the controller
+console, whose frame :mod:`repro.ops.console` renders.
 """
 
 from repro.core.action_selection import ActionContext, ActionSelector, RankedAction

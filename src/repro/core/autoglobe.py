@@ -858,6 +858,32 @@ class AutoGlobeController:
         self.archive.store_event(now, "action", outcome.service_name, str(outcome))
         return outcome
 
+    def execute_manually(
+        self,
+        action: Action,
+        service_name: str,
+        instance_id: Optional[str] = None,
+        target_host: Optional[str] = None,
+        now: int = 0,
+    ) -> ActionOutcome:
+        """Execute by hand an action "that [is] normally triggered by the
+        fuzzy controller" (Section 4.3).  The administrator outranks the
+        allowed-actions policy, not the physical constraints; the
+        involved subjects enter protection mode like after any other
+        action.
+        """
+        outcome = self.platform.execute(
+            action,
+            service_name,
+            instance_id=instance_id,
+            target_host=target_host,
+            enforce_allowed=False,
+            note="manual execution via controller console",
+        )
+        self.decision_loop._protect_involved(outcome, now)
+        self.alerts.info(now, f"manual action: {outcome}")
+        return outcome
+
     # -- durability & crash recovery -----------------------------------------------------
 
     def attach_journal(self, journal) -> None:

@@ -10,7 +10,9 @@
   serving landscape snapshots, open situations, pending approvals and a
   live ``/events`` stream; approve/reject verdicts are routed back into
   the controller through its thread-safe command queue.
-* :mod:`repro.ops.console` — the terminal client tailing the WebSocket.
+* :mod:`repro.ops.console` — the controller console's one frame, rendered
+  from the API's snapshots, and the client that fetches them and tails
+  the WebSocket.
 
 Import the submodule you need: the package root imports none of them,
 so a domain agent that keeps its events in :mod:`repro.ops.store` does

@@ -6,13 +6,13 @@ Two halves, meeting at a thread boundary:
   :meth:`OpsBridge.refresh` at every tick boundary, which rebuilds the
   lock-protected situations, approvals and summary snapshots and
   *captures* the landscape: fresh copies of the columnar
-  :class:`~repro.serviceglobe.landscape_state.LandscapeState`'s load
-  and count columns, rendered to the ``/state`` dict by
-  :meth:`OpsBridge.snapshot` once per tick somebody asks.  While
-  anybody listens, the bridge also converts every envelope once and
-  hands it to the listeners — still on the simulation thread, so the
-  fan-out into the server's event loop is a single
-  ``call_soon_threadsafe`` per envelope.
+  :class:`~repro.serviceglobe.landscape_state.LandscapeState`'s load,
+  count and users columns and of each service's priority, rendered to
+  the ``/state`` dict by :meth:`OpsBridge.snapshot` once per tick
+  somebody asks.  While anybody listens, the bridge also converts
+  every envelope once and hands it to the listeners — still on the
+  simulation thread, so the fan-out into the server's event loop is a
+  single ``call_soon_threadsafe`` per envelope.
 * :class:`OpsServer` runs an asyncio event loop on a background thread.
   GET endpoints serve the bridge's snapshots; ``/events`` upgrades to a
   WebSocket.  The server listens on the bridge while it has a
@@ -65,6 +65,9 @@ MAX_HEADER_LINES = 100
 #: Seconds :meth:`OpsServer.stop` gives reading clients to take their queue.
 DRAIN_TIMEOUT_S = 1.0
 
+#: Administrative messages ``/situations`` carries, newest last (Figure 8).
+MESSAGE_LIMIT = 20
+
 Listener = Callable[[Dict[str, Any]], None]
 
 
@@ -84,20 +87,29 @@ def _ws_frame(text: str) -> bytes:
 def _render_landscape(capture: Tuple[Any, ...]) -> Dict[str, Any]:
     """The ``/state`` dict of one :meth:`OpsBridge.refresh` capture: Python
     floats and ``round`` (not ``np.round``), as ``LandscapeState``'s scalar reads."""
-    now, hosts, instances, up, cpu, mem, services, running, demand, loads = capture
+    (now, names, placement, up, cpu, mem,
+     running, demand, loads, priorities, users) = capture
+    _, hosts, services, _, _, categories, perf, kinds, _ = names
+    _, instances, service_placement, service_rows = placement
     return {
         "time": now,
         "hosts": [
-            {"name": name, "up": is_up, "cpu_load": round(cpu_load, 6),
+            {"name": name, "category": category, "perf_index": perf_index,
+             "up": is_up, "cpu_load": round(cpu_load, 6),
              "mem_load": round(mem_load, 6), "instances": ids}
-            for name, is_up, cpu_load, mem_load, ids in zip(
-                hosts, up.tolist(), cpu.tolist(), mem.tolist(), instances)
+            for name, category, perf_index, is_up, cpu_load, mem_load, ids in zip(
+                hosts, categories, perf, up.tolist(), cpu.tolist(), mem.tolist(),
+                instances)
         ],
         "services": [
-            {"name": name, "running_instances": count, "demand": round(total, 6),
-             "load": round(load_sum / count if count else 0.0, 6)}
-            for name, count, total, load_sum in zip(
-                services, running.tolist(), demand.tolist(), loads.tolist())
+            {"name": name, "kind": kind, "priority": priority,
+             "running_instances": count, "users": sum(users[row] for row in rows),
+             "demand": round(total, 6),
+             "load": round(load_sum / count if count else 0.0, 6),
+             "placement": where}
+            for name, kind, priority, count, rows, total, load_sum, where in zip(
+                services, kinds, priorities, running.tolist(), service_rows,
+                demand.tolist(), loads.tolist(), service_placement)
         ],
     }
 
@@ -125,12 +137,16 @@ class OpsBridge:
         #: the last boundary's capture; the one ``/state`` was rendered from
         self._landscape: Tuple[Any, ...] = ()
         self._rendered = self._landscape
-        #: names and ids by registry_version, instance ids by topology_version
+        #: names, ids and static identity by registry_version; instance
+        #: ids, placement and user rows by topology_version
         self._names: Tuple[Any, ...] = (-1,)
         self._instances: Tuple[Any, ...] = (-1,)
+        #: the message view, by each leaf controller's alert list and length
+        self._messages: Tuple[List[Tuple[int, int]], List[str]] = ([], [])
         self._snapshots: Dict[str, Any] = {
             "landscape": {"time": None, "hosts": [], "services": []},
-            "situations": {"time": None, "open": [], "handled": 0, "recent": []},
+            "situations": {"time": None, "open": [], "handled": 0, "recent": [],
+                           "protected": [], "messages": []},
             "approvals": {"time": None, "requests": []},
             "summary": dict(self.run_info, time=None),
         }
@@ -222,42 +238,69 @@ class OpsBridge:
         if self._names[0] != state.registry_version:
             hosts, services = list(platform.hosts), sorted(platform.services)
             host_ids, service_ids = state.host_index.ids, state.service_index.ids
+            definitions = [platform.services[name] for name in services]
             self._names = (
                 state.registry_version, hosts, services,
                 np.array([host_ids[name] for name in hosts], dtype=np.intp),
                 np.array([service_ids[name] for name in services], dtype=np.intp),
+                [host.spec.category for host in platform.hosts.values()],
+                [host.performance_index for host in platform.hosts.values()],
+                [definition.spec.kind.value for definition in definitions],
+                definitions,
             )
+        _, _, _, hids, sids, *_, definitions = self._names
         if self._instances[0] != state.topology_version:
+            running = [definition.running_instances for definition in definitions]
             self._instances = (state.topology_version, [
                 [instance.instance_id for instance in host.running_instances]
                 for host in platform.hosts.values()
-            ])
-        _, hosts, services, hids, sids = self._names
+            ], [
+                [f"{instance.instance_id}@{instance.host_name}" for instance in members]
+                for members in running
+            ], [[instance.state_id for instance in members] for members in running])
         return (
-            now, hosts, self._instances[1], state.host_up[hids],
+            now, self._names, self._instances, state.host_up[hids],
             np.minimum(state.host_demand[hids] / state.host_perf_index[hids], 1.0),
             np.minimum(state.host_mem_used[hids] / state.host_memory_mb[hids], 1.0),
-            services, state.service_running[sids],
-            state.service_demand_sum[sids], state.service_load_sum[sids],
+            state.service_running[sids], state.service_demand_sum[sids],
+            state.service_load_sum[sids],
+            [definition.priority for definition in definitions],
+            list(state.inst_users),
         )
 
     def _situations_snapshot(self, now: int) -> Dict[str, Any]:
         open_observations: List[Dict[str, Any]] = []
         handled = 0
         recent: List[str] = []
-        for controller in self._leaf_controllers():
+        protected: List[str] = []
+        leaves = self._leaf_controllers()
+        for controller in leaves:
             lms = getattr(controller, "lms", None)
             if lms is not None:
                 open_observations.extend(lms.snapshot_state())
             handled_list = getattr(controller, "situations_handled", [])
             handled += len(handled_list)
             recent.extend(str(situation) for situation in handled_list[-10:])
+            protected.extend(controller.protection.protected_subjects(now))
         return {
             "time": now,
             "open": open_observations,
             "handled": handled,
             "recent": recent[-20:],
+            "protected": sorted(set(protected)),
+            "messages": self._message_tail(leaves),
         }
+
+    def _message_tail(self, leaves: List[Any]) -> List[str]:
+        """The last :data:`MESSAGE_LIMIT` alerts of ``leaves``, oldest first;
+        formatted again only after an alert was raised (alert lists only grow)."""
+        lists = [controller.alerts.alerts for controller in leaves]
+        key = [(id(alerts), len(alerts)) for alerts in lists]
+        if key != self._messages[0]:
+            tail = [alert for alerts in lists for alert in alerts[-MESSAGE_LIMIT:]]
+            tail.sort(key=lambda alert: alert.time)  # stable: shards interleave
+            self._messages = (key, [str(alert) for alert in tail[-MESSAGE_LIMIT:]])
+        return self._messages[1]
 
     def _approvals_snapshot(self, now: int) -> Dict[str, Any]:
         queue = self.control_plane.alerts.approvals

@@ -1,10 +1,15 @@
-"""The live operator console: a stdlib client for the ops API.
+"""The controller console: one frame, and a stdlib client for the ops API.
 
-:class:`OpsClient` wraps the HTTP endpoints and the ``/events``
-WebSocket (client side of the RFC 6455 handshake, masked frames as the
-spec requires); :func:`run_console` renders the landscape, open
-situations and pending approvals, then tails the event stream — the
-human half of the paper's semi-automatic mode, pointed at a live run::
+:func:`render_snapshot` is the console's only frame — the server,
+service and message views of the paper's Figure 8, then open situations
+and pending approvals — rendered from the snapshot dicts an
+:class:`~repro.ops.api.OpsBridge` serves.  ``autoglobe console`` takes
+them straight from a bridge over its finished run; ``--connect``
+fetches the same dicts over HTTP with :class:`OpsClient`, which also
+wraps the ``/events`` WebSocket (client side of the RFC 6455 handshake,
+masked frames as the spec requires), so :func:`run_console` can tail
+the event stream after the frame — the human half of the paper's
+semi-automatic mode, pointed at a live run::
 
     autoglobe run scenario.json --serve 127.0.0.1:8642 &
     autoglobe console --connect 127.0.0.1:8642
@@ -18,11 +23,16 @@ import json
 import os
 import socket
 import struct
-from typing import Any, Dict, Iterator, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
-__all__ = ["OpsClient", "render_snapshot", "run_console"]
+__all__ = ["MalformedResponse", "OpsClient", "render_snapshot", "run_console"]
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+
+
+class MalformedResponse(ValueError):
+    """The peer's reply is not an ops API response (no status line, no
+    JSON body, or no reply at all)."""
 
 
 class OpsClient:
@@ -38,7 +48,10 @@ class OpsClient:
     def request(
         self, method: str, path: str
     ) -> Tuple[int, Any]:
-        """One HTTP exchange; returns (status, decoded JSON body)."""
+        """One HTTP exchange; returns (status, decoded JSON body).
+
+        Raises :class:`MalformedResponse` when the reply is not one.
+        """
         with socket.create_connection(
             (self.host, self.port), timeout=self.timeout
         ) as sock:
@@ -57,10 +70,19 @@ class OpsClient:
                 if not chunk:
                     break
                 raw += chunk
+        if not raw:
+            raise MalformedResponse(f"{method} {path}: connection closed without a reply")
         head, _, body = raw.partition(b"\r\n\r\n")
-        status_line = head.split(b"\r\n", 1)[0].decode("latin-1")
-        status = int(status_line.split(" ")[1])
-        return status, json.loads(body.decode("utf-8")) if body else None
+        fields = head.split(b"\r\n", 1)[0].split(b" ")
+        if len(fields) < 2 or not fields[0].startswith(b"HTTP/") or not fields[1].isdigit():
+            raise MalformedResponse(f"{method} {path}: reply has no HTTP status line")
+        status = int(fields[1])
+        try:
+            return status, json.loads(body) if body else None
+        except ValueError:  # JSONDecodeError or UnicodeDecodeError
+            raise MalformedResponse(
+                f"{method} {path} -> {status}: body is not JSON"
+            ) from None
 
     def get(self, path: str) -> Any:
         status, payload = self.request("GET", path)
@@ -176,30 +198,64 @@ class OpsClient:
                 pass
 
 
+def _table(headers: List[str], rows: List[List[str]]) -> str:
+    widths = [len(header) for header in headers]
+    for row in rows:
+        widths = [max(width, len(cell)) for width, cell in zip(widths, row)]
+    lines = [headers, ["-" * width for width in widths], *rows]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
+        for cells in lines
+    )
+
+
 def render_snapshot(
     state: Dict[str, Any],
     situations: Dict[str, Any],
     approvals: Dict[str, Any],
 ) -> str:
-    """One text frame of the console view."""
-    lines = [f"== landscape @ t={state.get('time')} =="]
-    for host in state.get("hosts", []):
-        status = "up" if host.get("up") else "DOWN"
-        lines.append(
-            f"  {host['name']:<12} {status:<4} "
-            f"cpu={host['cpu_load']:.2f} mem={host['mem_load']:.2f} "
-            f"instances={len(host.get('instances', []))}"
-        )
-    for service in state.get("services", []):
-        lines.append(
-            f"  service {service['name']:<12} "
-            f"running={service['running_instances']} "
-            f"load={service['load']:.2f}"
-        )
-    lines.append(
-        f"== situations: {len(situations.get('open', []))} open, "
-        f"{situations.get('handled', 0)} handled =="
+    """One text frame of the controller console: the server, service and
+    message views of Figure 8, then open situations and pending approvals."""
+    protected = set(situations.get("protected", ()))
+    hosts = sorted(
+        state.get("hosts", []), key=lambda host: (host["category"], host["name"])
     )
+    servers = _table(
+        ["category", "server", "perf", "status", "cpu", "mem", "instances",
+         "protected"],
+        [
+            [host["category"], host["name"], f"{host['perf_index']:g}",
+             "up" if host["up"] else "DOWN", f"{host['cpu_load']:.0%}",
+             f"{host['mem_load']:.0%}", ", ".join(host["instances"]) or "-",
+             "yes" if host["name"] in protected else ""]
+            for host in hosts
+        ],
+    )
+    services = _table(
+        ["service", "kind", "prio", "instances", "users", "load", "placement"],
+        [
+            [service["name"], service["kind"], str(service["priority"]),
+             str(service["running_instances"]), str(service["users"]),
+             f"{service['load']:.0%}", ", ".join(service["placement"]) or "-"]
+            for service in state.get("services", [])
+        ],
+    )
+    messages = "\n".join(situations.get("messages", ())) or "(no messages)"
+    lines = [
+        f"== landscape @ t={state.get('time')} ==",
+        "",
+        "== Servers ==",
+        servers,
+        "",
+        "== Services ==",
+        services,
+        "",
+        "== Messages ==",
+        messages,
+        "",
+        f"== situations: {len(situations.get('open', []))} open, "
+        f"{situations.get('handled', 0)} handled ==",
+    ]
     for descriptor in situations.get("open", []):
         lines.append(
             f"  watching {descriptor.get('subject')} "
@@ -234,7 +290,7 @@ def run_console(
         snapshot = render_snapshot(
             client.state(), client.situations(), client.approvals()
         )
-    except (OSError, RuntimeError) as error:
+    except (OSError, RuntimeError, MalformedResponse) as error:
         print(f"cannot reach ops API at {host}:{port}: {error}", file=out)
         return 1
     print(snapshot, file=out)

@@ -15,7 +15,6 @@ package models that platform in-process:
 """
 
 from repro.serviceglobe.code import CodeBundle, CodeRepository
-from repro.serviceglobe.security import AccessController, AccessDenied, Principal, Role
 from repro.serviceglobe.actions import (
     ActionError,
     ActionNotAllowed,
@@ -35,8 +34,6 @@ from repro.serviceglobe.service import InstanceState, ServiceDefinition, Service
 from repro.serviceglobe.transactions import PlatformTransaction
 
 __all__ = [
-    "AccessController",
-    "AccessDenied",
     "ActionError",
     "ActionExecutor",
     "ActionNotAllowed",
@@ -49,13 +46,11 @@ __all__ = [
     "InstanceState",
     "LatencyModel",
     "NetworkFabric",
-    "Principal",
     "NoSuchTarget",
     "Platform",
     "PlatformTransaction",
     "RequestOutcome",
     "RetryPolicy",
-    "Role",
     "ServiceDefinition",
     "ServiceHost",
     "ServiceInvoker",

@@ -514,7 +514,7 @@ class Platform:
 
         The single entry point for recording executed actions: the audit
         log stays the durable source of truth (it rides in snapshots)
-        while bus subscribers — the result collector, the console tail —
+        while bus subscribers — the result collector, the event store —
         observe the same record live.  ``fencing_token`` is the issuing
         leadership epoch, stamped on the published event for the
         temporal-invariant verifier.

@@ -11,9 +11,9 @@ acceptance tests):
   ``publish`` returns.  There is no queueing and no thread hop, so a
   seeded simulation stays deterministic.
 * **Bounded history.** Each topic keeps the last ``history`` envelopes
-  in a ring buffer (drop-oldest).  The rings serve the console's tail
-  view and the JSONL export; subscribers never miss records because
-  they are called at publish time, not replayed from the rings.
+  in a ring buffer (drop-oldest), an in-process tail for
+  :meth:`EventBus.tail`; subscribers never miss records because they
+  are called at publish time, not replayed from the rings.
 """
 
 from __future__ import annotations

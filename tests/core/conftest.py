@@ -80,3 +80,23 @@ def set_demand(platform, host_name, demand):
     per_instance = demand / len(host.running_instances)
     for instance in host.running_instances:
         instance.demand = per_instance
+
+
+def console_frame(controller, now=0):
+    """The controller console's frame, as ``autoglobe console`` prints it."""
+    from repro.ops.api import OpsBridge
+    from repro.ops.console import render_snapshot
+
+    bridge = OpsBridge(controller.platform, controller)
+    bridge.refresh(now)
+    return render_snapshot(
+        *map(bridge.snapshot, ("landscape", "situations", "approvals"))
+    )
+
+
+def console_view(frame, title):
+    """The lines of one ``== title ==`` section of a console frame."""
+    lines = frame.splitlines()
+    start = lines.index(f"== {title} ==") + 1
+    end = next((i for i in range(start, len(lines)) if not lines[i]), len(lines))
+    return lines[start:end]

@@ -9,10 +9,10 @@ import pytest
 
 from repro.config.model import Action, ControllerSettings
 from repro.core.autoglobe import AutoGlobeController
-from repro.core.console import ControllerConsole
+from repro.core.explain import explain_last_decisions
 from repro.monitoring.lms import SituationKind
 from repro.serviceglobe.platform import Platform
-from tests.core.conftest import build_landscape, set_demand
+from tests.core.conftest import build_landscape, console_frame, console_view, set_demand
 
 
 def make_controller(platform=None, **settings_overrides):
@@ -194,8 +194,7 @@ class TestConsole:
     def test_three_views_render(self):
         platform, controller = make_controller()
         run(controller, platform, 2, {"Weak1": 0.5})
-        console = ControllerConsole(controller)
-        text = console.render(now=1)
+        text = console_frame(controller, now=1)
         assert "== Servers ==" in text
         assert "== Services ==" in text
         assert "== Messages ==" in text
@@ -203,14 +202,12 @@ class TestConsole:
 
     def test_server_view_groups_by_category(self):
         platform, controller = make_controller()
-        console = ControllerConsole(controller)
-        lines = console.server_view().splitlines()
+        lines = console_view(console_frame(controller), "Servers")
         assert lines[0].startswith("category")
 
     def test_manual_execution_protects_and_logs(self):
         platform, controller = make_controller()
-        console = ControllerConsole(controller)
-        outcome = console.execute_manually(
+        outcome = controller.execute_manually(
             Action.SCALE_OUT, "APP", target_host="Weak2", now=3
         )
         assert outcome.note == "manual execution via controller console"
@@ -220,16 +217,14 @@ class TestConsole:
     def test_decision_view_renders_explanations(self):
         platform, controller = make_controller()
         run(controller, platform, 15, {"Weak1": 0.95, "Big1": 3.0})
-        console = ControllerConsole(controller)
-        text = console.decision_view()
+        text = explain_last_decisions(controller.decision_records, 3)
         assert "situation:" in text
         assert "executed:" in text
 
     def test_manual_execution_bypasses_allowed_actions(self):
         platform, controller = make_controller()
-        console = ControllerConsole(controller)
         # DB allows nothing, but the administrator may still act on it
-        outcome = console.execute_manually(
+        outcome = controller.execute_manually(
             Action.REDUCE_PRIORITY, "DB", now=0
         )
         assert outcome is not None

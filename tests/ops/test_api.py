@@ -26,10 +26,10 @@ from hypothesis import strategies as st
 import repro.ops.api as api
 from repro.config.model import Action
 from repro.ops.api import OpsBridge, OpsServer
-from repro.ops.console import OpsClient, render_snapshot, run_console
+from repro.ops.console import MalformedResponse, OpsClient, render_snapshot, run_console
 from repro.serviceglobe.actions import ActionOutcome
 from repro.sim.runner import SimulationRunner
-from repro.sim.scenarios import Scenario
+from repro.sim.scenarios import Scenario, default_chaos
 from repro.telemetry.records import (
     ActionEvent,
     AlertEvent,
@@ -78,15 +78,24 @@ class TestHttpEndpoints:
         names = {host["name"] for host in state["hosts"]}
         assert names == set(runner.platform.hosts)
         for host in state["hosts"]:
-            assert set(host) == {"name", "up", "cpu_load", "mem_load", "instances"}
+            assert set(host) == {
+                "name", "category", "perf_index", "up", "cpu_load", "mem_load",
+                "instances",
+            }
         services = [service["name"] for service in state["services"]]
         assert services == sorted(runner.platform.services)
+        for service in state["services"]:
+            assert set(service) == {
+                "name", "kind", "priority", "running_instances", "users", "demand",
+                "load", "placement",
+            }
 
     def test_situations_snapshot(self, harness):
         _, _, _, client = harness
         situations = client.situations()
         assert situations["handled"] == 0
         assert situations["open"] == []
+        assert situations["protected"] == [] and situations["messages"] == []
 
     def test_summary_carries_run_info_and_counters(self, harness):
         _, _, _, client = harness
@@ -850,3 +859,77 @@ class TestConsole:
         assert "== approvals: 1 pending ==" in text
         assert "apr-000001" in text
         assert "apr-000002" not in text
+
+    def test_the_frame_is_the_same_after_the_http_round_trip(self):
+        """One renderer: the offline console's frame and ``--connect``'s
+        frame of the same bridge are the same bytes."""
+        runner = SimulationRunner(
+            Scenario.FULL_MOBILITY, user_factor=1.15, horizon=120, seed=7,
+            chaos=default_chaos(), semi_automatic=True, collect_host_series=False,
+        )
+        runner.run()
+        last = runner.start_minute + runner.horizon - 1
+        runner.controller.execute_manually(
+            Action.SCALE_OUT, "FI", target_host="Blade3", now=last
+        )
+        bridge = OpsBridge(runner.platform, runner.controller)
+        bridge.refresh(last)
+        direct = render_snapshot(
+            *map(bridge.snapshot, ("landscape", "situations", "approvals"))
+        )
+        server = OpsServer(bridge, port=0).start()
+        try:
+            out = io.StringIO()
+            assert run_console("127.0.0.1", server.port, once=True, stream=out) == 0
+        finally:
+            server.stop()
+        assert out.getvalue() == direct + "\n"
+        # every view has something to show
+        blade3 = next(line for line in direct.splitlines() if " Blade3 " in line)
+        assert blade3.endswith("yes") and "FI#" in blade3
+        assert "@Blade3" in direct and "manual action: " in direct
+        assert "(no messages)" not in direct
+        assert "== approvals: 0 pending ==" not in direct
+
+
+class _ScriptedPeer(threading.Thread):
+    """A listener that answers each of ``connections`` requests with
+    ``reply`` and closes its end — a server that is not the ops API."""
+
+    def __init__(self, reply: bytes, connections: int) -> None:
+        super().__init__(daemon=True)
+        self.reply, self.connections = reply, connections
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+
+    def run(self) -> None:
+        with self.listener:
+            for _ in range(self.connections):
+                connection, _ = self.listener.accept()
+                with connection:
+                    connection.recv(65536)
+                    connection.sendall(self.reply)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n<html>hi</html>",
+            id="html-200",
+        ),
+        pytest.param(b"SSH-2.0-OpenSSH_9.6\r\n", id="no-status-line"),
+        pytest.param(b"", id="closed-without-reply"),
+    ],
+)
+def test_a_reply_that_is_not_the_ops_api_is_one_typed_error(reply):
+    peer = _ScriptedPeer(reply, connections=2)
+    peer.start()
+    with pytest.raises(MalformedResponse):
+        OpsClient("127.0.0.1", peer.port).request("GET", "/state")
+    out = io.StringIO()
+    code = run_console("127.0.0.1", peer.port, once=True, stream=out)
+    peer.join(timeout=10)
+    assert code == 1
+    assert out.getvalue().startswith(f"cannot reach ops API at 127.0.0.1:{peer.port}: ")
+    assert out.getvalue().count("\n") == 1

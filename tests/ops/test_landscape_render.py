@@ -30,7 +30,9 @@ from tests.serviceglobe.test_landscape_state import (
 
 
 class EagerLandscape:
-    """The eager ``_landscape_snapshot`` of the parent commit, verbatim."""
+    """The eager ``_landscape_snapshot`` the bridge once ran, plus the
+    console's keys (category, perf index; kind, priority, users,
+    placement) read the same scalar way."""
 
     def __init__(self, platform):
         self.platform = platform
@@ -45,6 +47,8 @@ class EagerLandscape:
             hosts.append(
                 {
                     "name": name,
+                    "category": host.spec.category,
+                    "perf_index": host.performance_index,
                     "up": bool(host.up),
                     "cpu_load": round(state.host_cpu_load(hid), 6),
                     "mem_load": round(state.host_mem_load(hid), 6),
@@ -58,12 +62,20 @@ class EagerLandscape:
         service_ids = state.service_index.ids
         for name in sorted(platform.services):
             sid = service_ids[name]
+            definition = platform.services[name]
             services.append(
                 {
                     "name": name,
+                    "kind": definition.spec.kind.value,
+                    "priority": definition.priority,
                     "running_instances": state.service_running_count(sid),
+                    "users": definition.total_users,
                     "demand": round(state.service_demand(sid), 6),
                     "load": round(state.service_load(sid), 6),
+                    "placement": [
+                        f"{instance.instance_id}@{instance.host_name}"
+                        for instance in definition.running_instances
+                    ],
                 }
             )
         return {"time": now, "hosts": hosts, "services": services}
@@ -73,9 +85,14 @@ class _NoController:
     """The eager snapshots' view of a controller that has nothing to say."""
 
     class alerts:
+        alerts = ()
+
         class approvals:
             requests = ()
             pending = expired = staticmethod(lambda: ())
+
+    class protection:
+        protected_subjects = staticmethod(lambda now: ())
 
 
 def bridge_for(platform):
@@ -114,18 +131,21 @@ def test_three_host_fixture_by_hand():
         "time": 1,
         "hosts": [
             # (1/3 + 0.25) / 2 and 2 x 512 MB of 4096, six places
-            {"name": "A", "up": True, "cpu_load": 0.291667, "mem_load": 0.25,
-             "instances": web},
+            {"name": "A", "category": "server", "perf_index": 2.0, "up": True,
+             "cpu_load": 0.291667, "mem_load": 0.25, "instances": web},
             # a saturated CPU reads 100%; 1024 MB of 8192
-            {"name": "B", "up": True, "cpu_load": 1.0, "mem_load": 0.125,
-             "instances": db},
-            {"name": "C", "up": True, "cpu_load": 0.0, "mem_load": 0.0,
-             "instances": []},
+            {"name": "B", "category": "server", "perf_index": 4.0, "up": True,
+             "cpu_load": 1.0, "mem_load": 0.125, "instances": db},
+            {"name": "C", "category": "server", "perf_index": 4.0, "up": True,
+             "cpu_load": 0.0, "mem_load": 0.0, "instances": []},
         ],
         "services": [  # by name, not by registration
-            {"name": "DB", "running_instances": 1, "demand": 5.0, "load": 1.0},
-            {"name": "WEB", "running_instances": 2, "demand": 0.583333,
-             "load": 0.145833},
+            {"name": "DB", "kind": "application-server", "priority": 5,
+             "running_instances": 1, "users": 0, "demand": 5.0, "load": 1.0,
+             "placement": [f"{db[0]}@B"]},
+            {"name": "WEB", "kind": "application-server", "priority": 5,
+             "running_instances": 2, "users": 0, "demand": 0.583333,
+             "load": 0.145833, "placement": [f"{web[0]}@A", f"{web[1]}@A"]},
         ],
     }
 
@@ -249,3 +269,17 @@ def test_rendered_state_equals_eager_after_every_mutation(sequence):
     for step, operation in enumerate(sequence, 1):
         apply(platform, snapshots, operation)
         assert_rendered_equals_eager(bridge, step)
+
+
+def test_users_and_priorities_are_read_at_every_boundary():
+    """Neither is a cursor's concern: both are captured at every boundary."""
+    platform = three_host_platform()
+    bridge = bridge_for(platform)
+    assert_rendered_equals_eager(bridge, 1)
+    names, instances = bridge._names, bridge._instances
+    platform.service("WEB").instances[1].users = 7
+    platform.service("DB").adjust_priority(+2)
+    assert_rendered_equals_eager(bridge, 2)
+    services = bridge.snapshot("landscape")["services"]
+    assert [(s["users"], s["priority"]) for s in services] == [(0, 7), (7, 5)]
+    assert bridge._names is names and bridge._instances is instances

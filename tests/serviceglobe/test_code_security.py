@@ -1,16 +1,10 @@
-"""Tests for mobile code distribution and the security system."""
+"""Tests for mobile code distribution."""
 
 import pytest
 
 from repro.config.model import Action
 from repro.serviceglobe.code import CodeBundle, CodeRepository
 from repro.serviceglobe.platform import Platform
-from repro.serviceglobe.security import (
-    AccessController,
-    AccessDenied,
-    Principal,
-    Role,
-)
 from tests.core.conftest import build_landscape
 
 
@@ -99,74 +93,3 @@ class TestPlatformIntegration:
         )
         assert "APP" in platform.code_repository.cached_on("Weak2")
 
-
-class TestAccessControl:
-    def _controller(self):
-        controller = AccessController()
-        controller.register(Principal("alice", Role.ADMINISTRATOR))
-        controller.register(Principal("oscar", Role.OPERATOR))
-        controller.register(Principal("vera", Role.VIEWER))
-        return controller
-
-    def test_administrator_may_do_everything(self):
-        controller = self._controller()
-        for action in Action:
-            assert controller.may_execute("alice", action)
-        controller.authorize_override("alice")
-
-    def test_operator_limited_to_load_management(self):
-        controller = self._controller()
-        assert controller.may_execute("oscar", Action.SCALE_OUT)
-        assert controller.may_execute("oscar", Action.MOVE)
-        assert not controller.may_execute("oscar", Action.STOP)
-        with pytest.raises(AccessDenied):
-            controller.authorize_action("oscar", Action.STOP)
-
-    def test_operator_may_not_override(self):
-        controller = self._controller()
-        with pytest.raises(AccessDenied, match="override"):
-            controller.authorize_override("oscar")
-
-    def test_viewer_may_do_nothing(self):
-        controller = self._controller()
-        for action in Action:
-            assert not controller.may_execute("vera", action)
-
-    def test_unknown_principal_rejected(self):
-        with pytest.raises(AccessDenied, match="unknown principal"):
-            self._controller().authorize_action("mallory", Action.MOVE)
-
-    def test_duplicate_registration_rejected(self):
-        controller = self._controller()
-        with pytest.raises(ValueError, match="already registered"):
-            controller.register(Principal("alice", Role.VIEWER))
-
-    def test_console_guarded_by_access_controller(self):
-        from repro.core.autoglobe import AutoGlobeController
-        from repro.core.console import ControllerConsole
-
-        platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform)
-        access = self._controller()
-        console = ControllerConsole(controller, access=access)
-        # the administrator may override manually
-        console.execute_manually(
-            Action.SCALE_OUT, "APP", target_host="Weak2", principal="alice"
-        )
-        # the operator may not (overrides are administrator-only)
-        with pytest.raises(AccessDenied):
-            console.execute_manually(
-                Action.SCALE_IN, "APP", principal="oscar"
-            )
-        # anonymous access is refused outright
-        with pytest.raises(AccessDenied, match="principal is required"):
-            console.execute_manually(Action.SCALE_IN, "APP")
-
-    def test_audit_trail_records_decisions(self):
-        controller = self._controller()
-        controller.authorize_action("alice", Action.STOP, time=3)
-        with pytest.raises(AccessDenied):
-            controller.authorize_action("vera", Action.MOVE, time=4)
-        assert len(controller.audit_trail) == 2
-        assert len(controller.denials()) == 1
-        assert "DENIED" in str(controller.denials()[0])

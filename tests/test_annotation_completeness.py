@@ -20,7 +20,7 @@ CHECKED = (
     "serviceglobe/landscape_state.py",
     "core/state.py",
     "monitoring/archive.py",
-    "ops/store.py",
+    "ops",
     "fuzzy/compiled.py",
     # the handles over the landscape's columns
     "serviceglobe/host.py",

@@ -84,6 +84,31 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--hours", "0.1", "--serve", "127.0.0.1:70000"],
+            ["run", "--hours", "0.1", "--serve", "127.0.0.1:-1"],
+            ["console", "--connect", "127.0.0.1:65536"],
+            ["console", "--connect", "127.0.0.1:0"],
+        ],
+    )
+    def test_ports_outside_the_dialable_range_are_refused_at_parse_time(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid" in err and "Traceback" not in err
+
+    def test_port_bounds_are_accepted(self):
+        parser = build_parser()
+        assert parser.parse_args(["run", "--serve", "127.0.0.1:0"]).serve[1] == 0
+        assert parser.parse_args(["run", "--serve", ":65535"]).serve == (
+            "127.0.0.1", 65535)
+        assert parser.parse_args(["console", "--connect", "h:1"]).connect == ("h", 1)
+
     def test_console_command(self, capsys):
         exit_code = main(
             ["console", "--scenario", "static", "--users", "1.0", "--hours", "1"]
