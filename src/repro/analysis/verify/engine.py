@@ -65,14 +65,16 @@ class TraceVerifier:
 
     def feed(self, event: TraceEvent) -> None:
         """Run one normalized event through every checker."""
-        self._fed += 1
-        time = event.record.get("time")
-        if isinstance(time, int) and time > self._end_time:
-            self._end_time = time
+        self._count(event.record.get("time"))
         if event.topic == TOPIC_REPORTS:
             return  # load reports carry no safety-relevant state
         for checker in self._checkers:
             checker.feed(event)
+
+    def _count(self, time: Any) -> None:
+        self._fed += 1
+        if isinstance(time, int) and time > self._end_time:
+            self._end_time = time
 
     # -- live (sanitizer) front end --------------------------------------------------
 
@@ -91,6 +93,10 @@ class TraceVerifier:
             self._bus = None
 
     def _on_envelope(self, envelope: Envelope) -> None:
+        if envelope.topic == TOPIC_REPORTS:
+            # counted, not converted: no checker reads a load report
+            self._count(envelope.record.time)
+            return
         self.feed(
             TraceEvent(
                 seq=envelope.seq,

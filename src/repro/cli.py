@@ -345,6 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from repro.analysis import EXIT_ERRORS
+    from repro.core.state import StateCorruptError
     from repro.sim.runner import SimulationRunner
 
     if args.multiproc:
@@ -378,26 +380,31 @@ def _cmd_run(args) -> int:
         base = export_directory(args.export, args.scenario.value, args.users)
         base.mkdir(parents=True, exist_ok=True)
         store_path = base / "store.db"
-    runner = SimulationRunner(
-        args.scenario,
-        user_factor=args.users,
-        horizon=horizon,
-        seed=args.seed,
-        start_minute=start_minute,
-        landscape=landscape,
-        collect_host_series=args.export is not None,
-        controller_enabled=False if args.no_controller else None,
-        chaos=chaos,
-        state_dir=args.state_dir,
-        resume=args.resume,
-        standby=args.standby,
-        kill_at=args.kill_at,
-        verify=args.verify,
-        store_path=store_path,
-        serve=args.serve,
-        pace=args.pace,
-        semi_automatic=args.semi_automatic,
-    )
+    try:
+        runner = SimulationRunner(
+            args.scenario,
+            user_factor=args.users,
+            horizon=horizon,
+            seed=args.seed,
+            start_minute=start_minute,
+            landscape=landscape,
+            collect_host_series=args.export is not None,
+            controller_enabled=False if args.no_controller else None,
+            chaos=chaos,
+            state_dir=args.state_dir,
+            resume=args.resume,
+            standby=args.standby,
+            kill_at=args.kill_at,
+            verify=args.verify,
+            store_path=store_path,
+            serve=args.serve,
+            pace=args.pace,
+            semi_automatic=args.semi_automatic,
+        )
+    except StateCorruptError as exc:
+        # a damaged state file, or one of another format: one line, exit 2
+        print(f"autoglobe run: {exc}", file=sys.stderr)
+        return EXIT_ERRORS
     if runner.ops_server is not None:
         print(f"ops API listening on http://{runner.ops_server.host}:"
               f"{runner.ops_server.port}", file=sys.stderr)

@@ -23,9 +23,10 @@ once by :class:`StateDb`:
   rejects actions carrying an older one
   (:class:`~repro.serviceglobe.actions.FencedActionError`), so a deposed
   or partitioned leader cannot double-apply actions.
-* ``load_samples`` / ``admin_events`` — the load archive
-  (:class:`~repro.monitoring.archive.SqliteLoadArchive`), one
-  all-or-nothing batch per tick.
+* ``load_series`` / ``load_layouts`` / ``load_minutes`` / ``admin_events``
+  — the load archive (:class:`~repro.monitoring.archive.SqliteLoadArchive`):
+  one row per minute, its samples packed as float64 in the order of a
+  layout of interned series ids; one all-or-nothing batch per tick.
 * ``events`` / ``meta`` — the telemetry event log
   (:class:`~repro.ops.store.TelemetryStore`): a domain agent's stream in
   its own ``state.db``, a runner's or the federation server's merged
@@ -38,12 +39,16 @@ and then a row commits at the next *commit point* — the next run
 snapshot, ``action-intent``, lease grant or the end of the run —
 together with everything the group wrote before it.  A crash loses
 what the group wrote since the last commit point: rows a resume, which
-rewinds to the last run snapshot, would drop anyway.
+rewinds to the last run snapshot, would drop anyway.  A rollback bumps
+:attr:`StateDb.rollbacks`, so a cache of rows reloads.
 
 Every file a run leaves is opened here and nowhere else — read-write by
 :class:`StateDb`, read-only by :func:`open_readonly` — and one that
 fails its integrity check on open raises :class:`StateCorruptError`;
-nothing is skipped, dropped or rebuilt.
+nothing is skipped, dropped or rebuilt.  So does a read-write open of a
+file whose ``PRAGMA user_version`` is not :data:`STATE_FORMAT` (format 0
+is one from before the load archive packed one row per minute): it is
+never read as an empty archive.
 :func:`replay_journal` is the idempotent fold from (snapshot, journal
 suffix) back to controller state: whatever action intent it leaves
 unresolved was in flight when the controller died and must be
@@ -67,6 +72,7 @@ from repro.serviceglobe.actions import ActionOutcome
 
 __all__ = [
     "STATE_FILE",
+    "STATE_FORMAT",
     "StateCorruptError",
     "StateDb",
     "open_readonly",
@@ -124,17 +130,25 @@ STATE_FILE = "state.db"
 
 
 class StateCorruptError(Exception):
-    """A state file failed its integrity check on open; nothing in it
-    (journal, snapshots, lease, events) is trusted, repaired or skipped."""
+    """A state file failed its integrity check, is of a format this
+    version does not read, or holds a row its table cannot hold; nothing
+    in it (journal, snapshots, lease, load archive, events) is trusted,
+    repaired or skipped."""
 
     def __init__(self, path: str, detail: str) -> None:
         super().__init__(
-            f"state database {path!r} is corrupt ({detail}); move the file "
-            "aside to start over from empty state"
+            f"state database {path!r} cannot be used ({detail}); move the "
+            "file aside to start over from empty state"
         )
         self.path = path
         self.detail = detail
 
+
+#: ``PRAGMA user_version`` of the state files this version writes and
+#: reads.  A file of format 0 was written before the load archive packed
+#: one row per minute; nothing here reads its per-sample table, so it is
+#: refused rather than resumed into an empty archive.
+STATE_FORMAT = 2
 
 #: How long a connection waits for a competing process's transaction
 #: before giving up; transactions here are tiny, so contention clears in
@@ -208,12 +222,20 @@ class StateDb:
         token      INTEGER NOT NULL,
         expires_at INTEGER NOT NULL
     );
-    CREATE TABLE IF NOT EXISTS load_samples (
+    CREATE TABLE IF NOT EXISTS load_series (
+        id      INTEGER PRIMARY KEY,
         subject TEXT NOT NULL,
         metric  TEXT NOT NULL,
-        time    INTEGER NOT NULL,
-        value   REAL NOT NULL,
-        PRIMARY KEY (subject, metric, time)
+        UNIQUE (subject, metric)
+    );
+    CREATE TABLE IF NOT EXISTS load_layouts (
+        id     INTEGER PRIMARY KEY,
+        series BLOB NOT NULL UNIQUE
+    );
+    CREATE TABLE IF NOT EXISTS load_minutes (
+        time   INTEGER PRIMARY KEY,
+        layout INTEGER NOT NULL,
+        vals   BLOB NOT NULL
     );
     CREATE TABLE IF NOT EXISTS admin_events (
         id       INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -244,11 +266,47 @@ class StateDb:
         self.connection = _checked(
             sqlite3.connect(self.path, isolation_level=None),
             self.path,
-            "PRAGMA journal_mode = WAL; PRAGMA synchronous = NORMAL;" + self._SCHEMA,
+            "PRAGMA journal_mode = WAL; PRAGMA synchronous = NORMAL;",
         )
+        self._adopt()
         self._closed = False
         #: inside :meth:`group`: writes join one open transaction
         self.grouped = False
+        #: transactions rolled back so far: a cache of rows (the load
+        #: archive's series and layouts) reloads when this moves
+        self.rollbacks = 0
+
+    def _adopt(self) -> None:
+        """Create the schema in a fresh file; refuse a file of another
+        format (:data:`STATE_FORMAT`) with a :class:`StateCorruptError`."""
+        connection = self.connection
+        if connection.execute("PRAGMA user_version").fetchone()[0] == STATE_FORMAT:
+            return
+        try:
+            # under the write lock: of two openers of a fresh file, one
+            # creates the schema and the other finds it
+            connection.execute("BEGIN IMMEDIATE")
+            version = connection.execute("PRAGMA user_version").fetchone()[0]
+            fresh = connection.execute("SELECT COUNT(*) FROM sqlite_master").fetchone()
+            if version == 0 and fresh[0] == 0:
+                for statement in self._SCHEMA.split(";"):
+                    connection.execute(statement)
+                connection.execute(f"PRAGMA user_version = {STATE_FORMAT}")
+                version = STATE_FORMAT
+            connection.execute("COMMIT" if version == STATE_FORMAT else "ROLLBACK")
+        except BaseException:
+            if connection.in_transaction:
+                connection.execute("ROLLBACK")
+            connection.close()
+            raise
+        if version != STATE_FORMAT:
+            connection.close()
+            raise StateCorruptError(
+                self.path,
+                f"state format {version}, this version reads format "
+                f"{STATE_FORMAT} only; format 0 is a file from before the "
+                "load archive packed one row per minute",
+            )
 
     def execute(
         self, sql: str, parameters: Sequence[Any] = ()
@@ -282,6 +340,7 @@ class StateDb:
             try:
                 yield connection
             except BaseException:
+                self.rollbacks += 1
                 if connection.in_transaction:
                     connection.execute("ROLLBACK TO grouped")
                     connection.execute("RELEASE grouped")
@@ -296,6 +355,7 @@ class StateDb:
             yield connection
             connection.execute("COMMIT")
         except BaseException:
+            self.rollbacks += 1
             if connection.in_transaction:
                 connection.execute("ROLLBACK")
             raise
@@ -319,6 +379,7 @@ class StateDb:
             yield
             self.commit_group()
         except BaseException:
+            self.rollbacks += 1
             if not self._closed and self.connection.in_transaction:
                 self.connection.execute("ROLLBACK")
             raise

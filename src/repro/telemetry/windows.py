@@ -45,8 +45,13 @@ def window_bounds(
 
 
 def sum_forward(values: Sequence[float], lo: int, hi: int) -> float:
-    """Sum ``values[lo:hi]`` in ascending-index order."""
-    return sum(values[lo:hi])
+    """Sum ``values[lo:hi]`` in ascending-index order, one rounding per
+    addition: what SQLite 3.40's ``AVG`` sums and Python before 3.12's
+    builtin ``sum`` did (3.12's is compensated, so it is not used here)."""
+    total = 0.0
+    for value in values[lo:hi]:
+        total += value
+    return total
 
 
 def sum_reversed(values: Sequence[float], lo: int, hi: int) -> float:

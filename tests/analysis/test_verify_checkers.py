@@ -20,6 +20,7 @@ from repro.analysis.verify.checkers import (
     ExactlyOnceChecker,
     FencingChecker,
 )
+from repro.telemetry.records import record_to_dict
 from repro.telemetry.trace import TraceEvent
 
 _SEQ = 0
@@ -405,3 +406,32 @@ class TestTraceVerifier:
                               instance="DB#1"))
         # trace ends 2 minutes after the loss: inside the grace window
         assert verifier.report("synthetic").clean
+
+    def test_live_reports_are_counted_not_converted(self, monkeypatch):
+        """No checker reads a load report, so the live front end never
+        converts one; it still counts it and takes its time as the end."""
+        from repro.analysis.verify import engine
+        from repro.telemetry.bus import EventBus
+        from repro.telemetry.records import AlertEvent, LoadReportBatch
+
+        converted = []
+
+        def spy(record):
+            converted.append(type(record).__name__)
+            return record_to_dict(record)
+
+        monkeypatch.setattr(engine, "record_to_dict", spy)
+        bus = EventBus()
+        verifier = TraceVerifier()
+        verifier.attach(bus)
+        bus.publish(AlertEvent(5, "info", "m"))
+        bus.publish(LoadReportBatch(10 + COMPENSATION_GRACE_MINUTES + 1,
+                                    (("Blade1", "cpu", 26, 0.5),)))
+        assert converted == ["AlertEvent"]
+        assert verifier.fed == 2
+        verifier.feed(_action(
+            10, action="move", status="compensated",
+            note="source lost during move: host crash",
+        ))
+        # the report batch's minute ended the trace past the grace window
+        assert [d.code for d in verifier.report("live").diagnostics] == ["AG304"]

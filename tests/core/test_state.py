@@ -476,6 +476,62 @@ class TestCrashSafety:
         with pytest.raises(StateCorruptError):
             LeaseStore(tmp_path / "state.db")
 
+    def test_a_torn_archive_row_is_a_typed_error(self, tmp_path):
+        """A minute's blob must be 8 bytes per series of its layout, and a
+        layout may name only stored series; SQLite's own check cannot
+        tell, so the archive's reads do."""
+        store = DurableStateStore(tmp_path)
+        for now in (1, 2):
+            store.archive.record_reports(
+                [(f"Blade{i}", "cpu", now, 0.5) for i in range(3)]
+            )
+        store.close()
+        path = tmp_path / "state.db"
+        with sqlite3.connect(path) as vandal:
+            vandal.execute(
+                "UPDATE load_minutes SET vals = substr(vals, 1, 12) WHERE time = 2"
+            )
+        store = DurableStateStore(tmp_path)  # passes quick_check
+        archive = store.archive
+        for read in (
+            lambda: archive.history("Blade1", "cpu"),
+            lambda: archive.average("Blade0", "cpu", 0, 5),
+            lambda: archive.aggregate("Blade2", "cpu", 60),
+            lambda: archive.record_reports([("Blade1", "cpu", 2, 0.25)]),
+        ):
+            with pytest.raises(StateCorruptError, match="minute 2") as caught:
+                read()
+            assert caught.value.path == str(path)
+        assert archive.history("Blade1", "cpu", 0, 1) == [(1, 0.5)]
+        store.close()
+        with sqlite3.connect(path) as vandal:
+            vandal.execute("DELETE FROM load_series WHERE subject = 'Blade1'")
+        store = DurableStateStore(tmp_path)
+        with pytest.raises(StateCorruptError, match="unknown series"):
+            store.archive.subjects()
+        store.close()
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_a_state_file_of_another_format_is_refused(self, tmp_path, version):
+        """Format 0 kept one archive row per sample: refused, never resumed
+        into an empty archive; no table is added to the file."""
+        path = tmp_path / "state.db"
+
+        def schema():
+            with sqlite3.connect(path) as reader:
+                return reader.execute(
+                    "SELECT name FROM sqlite_master"
+                ).fetchall(), reader.execute("PRAGMA user_version").fetchone()
+
+        with sqlite3.connect(path) as other:
+            other.execute("CREATE TABLE journal (seq INTEGER PRIMARY KEY)")
+            other.execute(f"PRAGMA user_version = {version}")
+        assert schema() == ([("journal",)], (version,))
+        with pytest.raises(StateCorruptError, match=f"state format {version},") as caught:
+            DurableStateStore(tmp_path)
+        assert caught.value.path == str(path)
+        assert schema() == ([("journal",)], (version,))
+
     def test_a_failed_transaction_rolls_back(self):
         db = StateDb()
         with pytest.raises(sqlite3.IntegrityError):
@@ -585,6 +641,22 @@ class TestWriteGroups:
         assert [r.kind for r in store.journal.since(0)] == ["action-intent"]
         assert store.archive.subjects() == []
         store.close()
+
+    def test_a_rollback_reloads_the_archive_caches(self, tmp_path):
+        """The series, layout and minute a rolled-back group wrote are gone
+        from the file; the archive must not reuse them."""
+        store = DurableStateStore(tmp_path)
+        with pytest.raises(RuntimeError, match="torn tick"):
+            with store.db.group():
+                store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
+                raise RuntimeError("torn tick")
+        store.archive.record_reports([("Blade2", "cpu", 1, 0.25)])
+        store.archive.record_reports([("Blade1", "cpu", 2, 0.75)])
+        for archive in (store.archive, DurableStateStore(tmp_path).archive):
+            assert archive.subjects() == ["Blade1", "Blade2"]
+            assert archive.history("Blade1", "cpu") == [(2, 0.75)]
+            assert archive.history("Blade2", "cpu") == [(1, 0.25)]
+            archive.close()
 
     def test_a_failed_transaction_in_a_group_is_a_savepoint(self):
         db = StateDb()

@@ -176,3 +176,19 @@ class TestCommands:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "Table 7" in out and "static" in out
+
+
+class TestRunRefusesAStateFileOfAnotherFormat:
+    def test_resume_is_one_line_and_exit_2(self, tmp_path, capsys):
+        """A state directory from before the load archive packed one row
+        per minute: refused, never resumed into an empty archive."""
+        import sqlite3
+
+        with sqlite3.connect(tmp_path / "state.db") as parent:
+            parent.execute("CREATE TABLE journal (seq INTEGER PRIMARY KEY)")
+        assert main(["run", "--hours", "1", "--state-dir", str(tmp_path),
+                     "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("autoglobe run: state database ")
+        assert "state format 0," in captured.err
+        assert captured.err.count("\n") == 1
