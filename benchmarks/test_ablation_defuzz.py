@@ -3,7 +3,9 @@
 The paper uses a maximum method ("the leftmost of all values at which
 the maximum truth value occurs").  This ablation evaluates the
 action-selection controller over a grid of load situations under both
-defuzzifiers and reports how the crisp applicabilities differ.
+defuzzifiers and reports how the crisp applicabilities differ.  The
+controller only defuzzifies by the leftmost maximum; the centroid below
+is computed from its compiled program's firing strengths.
 
 With the unit-ramp ``applicable`` output sets, leftmost-max returns the
 strongest firing strength exactly, giving sharp 0-applicability for
@@ -20,18 +22,35 @@ from repro.core.rulebases import default_action_rulebases
 from repro.core.variables import action_selection_inputs, applicability_variable
 from repro.config.model import Action
 from repro.fuzzy.controller import FuzzyController
-from repro.fuzzy.defuzzify import Centroid, LeftmostMax
 from repro.fuzzy.rules import RuleBase
 from repro.monitoring.lms import SituationKind
 
 
-def build(defuzzifier):
+def build():
     return FuzzyController(
         action_selection_inputs(),
         [applicability_variable(a.value) for a in Action],
         RuleBase("empty"),
-        defuzzifier,
     )
+
+
+def centroid(controller, rulebase, measurements):
+    """Centroid defuzzification: per output, its consequent clipped at its
+    rules' firing strengths and united (clipped at the largest), then its
+    centre of gravity; the domain's midpoint when the set is empty."""
+    program = controller.engine.program(rulebase)
+    values = program.inputs({name: [v] for name, v in measurements.items()}, 1)
+    strengths = program.strengths(values)[:, 0]
+    outputs = {}
+    for output in program.outputs:
+        xs = output.xs
+        grades = np.minimum(output.grid, strengths[output.start:output.stop].max())
+        area = float(np.trapezoid(grades, xs))
+        outputs[output.name] = (
+            float(np.trapezoid(grades * xs, xs) / area) if area > 0.0
+            else float((xs[0] + xs[-1]) / 2.0)
+        )
+    return outputs
 
 
 def measurement_grid():
@@ -56,15 +75,14 @@ def measurement_grid():
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_defuzzification(benchmark):
     rulebase = default_action_rulebases()[SituationKind.SERVICE_OVERLOADED]
-    leftmost = build(LeftmostMax())
-    centroid = build(Centroid())
+    controller = build()
     grid = measurement_grid()
 
     def experiment():
         rows = []
         for measurements in grid:
-            left = leftmost.evaluate(measurements, rulebase).outputs
-            center = centroid.evaluate(measurements, rulebase).outputs
+            left = controller.evaluate(measurements, rulebase).outputs
+            center = centroid(controller, rulebase, measurements)
             rows.append((measurements, left, center))
         return rows
 

@@ -13,17 +13,17 @@ decision loop; this module only scores hosts that were already deemed
 possible.  Ties are broken by lower current CPU load, then by host name,
 so rankings are deterministic.
 
-On the columnar substrate the per-server evaluation is incremental: a
-:class:`_ScoreTable` keeps the suitability of every host and re-scores
-only hosts whose inputs changed since it last looked (DESIGN §14).
-Either way the scores come from the rule base's compiled program
-(:mod:`repro.fuzzy.compiled`); the paths differ in how inputs are gathered.
+The per-server evaluation is incremental: a :class:`_ScoreTable` keeps
+the suitability of every host of the landscape state and re-scores only
+hosts whose inputs changed since it last looked (DESIGN §14), with the
+rule base's compiled program (:mod:`repro.fuzzy.compiled`).  A ranking is
+a gather from that table, however few the candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.serviceglobe.host import ServiceHost
 from repro.serviceglobe.landscape_state import LandscapeState
 from repro.serviceglobe.platform import Platform
 
-__all__ = ["RankedHost", "ServerSelector", "host_measurements"]
+__all__ = ["RankedHost", "ServerSelector"]
 
 OUTPUT_VARIABLE = "suitability"
 
@@ -56,43 +56,6 @@ class RankedHost:
 
     def __str__(self) -> str:
         return f"{self.host_name}={self.score:.0%}"
-
-
-def host_measurements(
-    platform: Platform,
-    host: ServiceHost,
-    reservations=None,
-) -> Dict[str, float]:
-    """The Table 3 input variables for one candidate host.
-
-    With a :class:`repro.allocation.reservations.ReservationBook`, the
-    CPU load includes the capacity reserved for mission-critical tasks
-    within the next :data:`RESERVATION_HORIZON_MINUTES`, so the fuzzy
-    scoring steers new instances away from hosts whose headroom is
-    already promised (Section 7 future work).
-    """
-    spec = host.spec
-    cpu_load = platform.host_cpu_load(host.name)
-    if reservations is not None:
-        cpu_load = reservations.effective_cpu_load(
-            host.name,
-            cpu_load,
-            host.cpu_capacity,
-            platform.current_time,
-            horizon=RESERVATION_HORIZON_MINUTES,
-        )
-    return {
-        "cpuLoad": cpu_load,
-        "memLoad": platform.host_mem_load(host.name),
-        "instancesOnServer": float(len(host.running_instances)),
-        "performanceIndex": float(spec.performance_index),
-        "numberOfCpus": float(spec.num_cpus),
-        "cpuClock": float(spec.cpu_clock_mhz),
-        "cpuCache": float(spec.cpu_cache_kb),
-        "memory": float(host.memory_free_mb(platform.memory_of)),
-        "swapSpace": float(spec.swap_space_mb),
-        "tempSpace": float(spec.temp_space_mb),
-    }
 
 
 class _Ranking(Sequence[RankedHost]):
@@ -135,6 +98,17 @@ class _ScoreColumn:
         self.program = program
 
 
+#: the Table 3 inputs fixed by a host's spec: input variable, spec field
+_STATIC_INPUTS = (
+    ("performanceIndex", "performance_index"),
+    ("numberOfCpus", "num_cpus"),
+    ("cpuClock", "cpu_clock_mhz"),
+    ("cpuCache", "cpu_cache_kb"),
+    ("swapSpace", "swap_space_mb"),
+    ("tempSpace", "temp_space_mb"),
+)
+
+
 class _ScoreTable:
     """Incremental host-suitability table of one landscape state.
 
@@ -148,7 +122,7 @@ class _ScoreTable:
 
     __slots__ = ("state", "rebuilds", "static_inputs", "name_rank", "columns")
 
-    def __init__(self, state: LandscapeState, static_fields) -> None:
+    def __init__(self, state: LandscapeState) -> None:
         self.state = state
         self.rebuilds = state.rebuilds
         specs = [host.spec for host in state.host_objs]
@@ -156,7 +130,7 @@ class _ScoreTable:
             input_name: np.array(
                 [float(getattr(spec, attr)) for spec in specs], dtype=np.float64
             )
-            for input_name, attr in static_fields
+            for input_name, attr in _STATIC_INPUTS
         }
         names = state.host_index.names
         self.name_rank = np.empty(len(names), dtype=np.int64)
@@ -164,6 +138,13 @@ class _ScoreTable:
             len(names)
         )
         self.columns: Dict[Action, _ScoreColumn] = {}
+
+    def inputs(self, ids: "np.ndarray") -> Dict[str, "np.ndarray"]:
+        """The Table 3 input variables of hosts ``ids``, one column each."""
+        cpu, mem, running, free = self.state.host_server_inputs(ids)
+        columns = {name: values[ids] for name, values in self.static_inputs.items()}
+        columns.update(cpuLoad=cpu, memLoad=mem, instancesOnServer=running, memory=free)
+        return columns
 
 
 class ServerSelector:
@@ -174,8 +155,12 @@ class ServerSelector:
     rulebases:
         Per-action rule bases; defaults to the built-in ones.
     reservations:
-        Optional reservation book; reserved capacity counts against
-        candidate hosts (see :func:`host_measurements`).
+        Optional :class:`repro.allocation.reservations.ReservationBook`:
+        the CPU load a candidate is scored with then includes the capacity
+        reserved for mission-critical tasks within the next
+        :data:`RESERVATION_HORIZON_MINUTES`, so new instances steer away
+        from hosts whose headroom is already promised (Section 7 future
+        work).
     """
 
     def __init__(
@@ -194,78 +179,16 @@ class ServerSelector:
         )
         for rulebase in self._rulebases.values():
             self._controller.engine.validate(rulebase)
-        #: host name -> (spec, static Table 3 fields); the spec-derived
-        #: inputs never change while the spec object does not, so the
-        #: scalar path re-derives only the four load-dependent fields
-        self._static_inputs: Dict[str, tuple] = {}
         #: the score table of the landscape state last ranked on; one
         #: slot, holding its state alive, so nothing is keyed by ``id()``
         self._table: Optional[_ScoreTable] = None
-        #: the fuzzy controller's batched-path counters, and the selector's
+        #: the fuzzy controller's program counters, and the selector's
         #: own: plain integers (ops ``/stats``), nothing reads them in a run
         self.fuzzy_stats = self._controller.stats
         self.stats: Dict[str, int] = dict.fromkeys(
-            (
-                "table_rebuilds",
-                "hosts_rescored",
-                "rank_calls",
-                "scalar_fallbacks",
-                "ranked_materialised",
-            ),
+            ("table_rebuilds", "hosts_rescored", "rank_calls", "ranked_materialised"),
             0,
         )
-
-    _STATIC_FIELDS = (
-        ("performanceIndex", "performance_index"),
-        ("numberOfCpus", "num_cpus"),
-        ("cpuClock", "cpu_clock_mhz"),
-        ("cpuCache", "cpu_cache_kb"),
-        ("swapSpace", "swap_space_mb"),
-        ("tempSpace", "temp_space_mb"),
-    )
-
-    def _measurements_for(
-        self, platform: Platform, host: ServiceHost
-    ) -> Dict[str, float]:
-        """:func:`host_measurements` with the static fields memoized.
-
-        Value-identical to the plain function — the spec-derived fields
-        are cached per host (invalidated when the spec object changes)
-        and the load-dependent ones read fresh every call.
-        """
-        spec = host.spec
-        cached = self._static_inputs.get(host.name)
-        if cached is None or cached[0] is not spec:
-            static = {
-                input_name: float(getattr(spec, attr))
-                for input_name, attr in self._STATIC_FIELDS
-            }
-            self._static_inputs[host.name] = (spec, static)
-        else:
-            static = cached[1]
-        measurements = dict(static)
-        cpu_load = platform.host_cpu_load(host.name)
-        if self.reservations is not None:
-            cpu_load = self.reservations.effective_cpu_load(
-                host.name,
-                cpu_load,
-                host.cpu_capacity,
-                platform.current_time,
-                horizon=RESERVATION_HORIZON_MINUTES,
-            )
-        measurements["cpuLoad"] = cpu_load
-        measurements["memLoad"] = platform.host_mem_load(host.name)
-        measurements["instancesOnServer"] = float(len(host.running_instances))
-        measurements["memory"] = float(host.memory_free_mb(platform.memory_of))
-        return measurements
-
-    def score(self, action: Action, measurements: Mapping[str, float]) -> float:
-        """Suitability of one host for one action, in [0, 1]."""
-        rulebase = self._rulebases.get(action)
-        if rulebase is None:
-            raise ValueError(f"no server-selection rule base for {action.value}")
-        result = self._controller.evaluate(dict(measurements), rulebase)
-        return result.outputs[OUTPUT_VARIABLE]
 
     def rank(
         self,
@@ -273,93 +196,81 @@ class ServerSelector:
         action: Action,
         candidates: Sequence[ServiceHost],
     ) -> Sequence[RankedHost]:
-        """Score all candidates, most suitable first.
+        """Score all candidates, most suitable first: a gather from the
+        score table and one lexsort.
 
-        Thirty-two or more candidates bound to the platform's landscape
-        state are ranked off the incremental score table; short lists,
-        reservations and unbound hosts gather their measurements per
-        host.  Both score with the same compiled program, bit-identical
-        to :meth:`score` per host.
+        Candidates must be hosts of the platform's landscape state.  With
+        a reservation book their rows are re-scored with the booked CPU
+        load instead of read from the table.
         """
         rulebase = self._rulebases.get(action)
         if rulebase is None:
             raise ValueError(f"no server-selection rule base for {action.value}")
         self.stats["rank_calls"] += 1
-        if self.reservations is None and len(candidates) >= 32:
-            ranked = self._rank_table(platform, action, rulebase, candidates)
-            if ranked is not None:
-                return ranked
-        self.stats["scalar_fallbacks"] += 1
-        measurements_list = [
-            self._measurements_for(platform, host) for host in candidates
-        ]
-        outputs = self._controller.evaluate_many(measurements_list, rulebase)
-        scored = [
-            (RankedHost(host.name, out[OUTPUT_VARIABLE]), measurements["cpuLoad"])
-            for host, out, measurements in zip(candidates, outputs, measurements_list)
-        ]
-        scored.sort(key=lambda pair: (-pair[0].score, pair[1], pair[0].host_name))
-        return [ranked for ranked, __ in scored]
-
-    def _rank_table(
-        self,
-        platform: Platform,
-        action: Action,
-        rulebase: RuleBase,
-        candidates: Sequence[ServiceHost],
-    ) -> Optional[Sequence[RankedHost]]:
-        """:meth:`rank` as a gather from the score table and one lexsort.
-
-        Returns ``None`` (caller takes the per-host path) when the
-        platform has no columnar state, a candidate is not bound to it,
-        or the rule base says nothing about suitability.
-        """
-        state = getattr(platform, "landscape_state", None)
-        if state is None:
-            return None
+        state = platform.landscape_state
         ids = state.host_ids(candidates)
         if ids is None:
-            return None
+            raise ValueError(
+                f"{action.value} candidates are not all hosts of this platform"
+            )
         table = self._table
         if (
             table is None
             or table.state is not state
             or table.rebuilds != state.rebuilds
         ):
-            table = self._table = _ScoreTable(state, self._STATIC_FIELDS)
+            table = self._table = _ScoreTable(state)
             self.stats["table_rebuilds"] += 1
+        if self.reservations is not None:
+            scores, cpu = self._booked(platform, table, rulebase, ids)
+        else:
+            column = self._column(table, action, rulebase)
+            scores, cpu = column.scores[ids], column.cpu[ids]
+        order = np.lexsort((table.name_rank[ids], cpu, -scores))
+        return _Ranking(state.host_index.names, ids[order], scores[order], self.stats)
+
+    def _column(
+        self, table: _ScoreTable, action: Action, rulebase: RuleBase
+    ) -> _ScoreColumn:
+        """``action``'s column of the table, re-scored where it is stale."""
         program = self._controller.engine.program(rulebase)
         column = table.columns.get(action)
         if column is None or column.program is not program:
-            if not program.outputs:  # suitability is the engine's one output
-                return None
             column = table.columns[action] = _ScoreColumn(
                 len(table.name_rank), program
             )
-        stale = np.flatnonzero(state.host_stamp > column.seen)
+        stale = np.flatnonzero(table.state.host_stamp > column.seen)
         if len(stale):
-            self._rescore(table, column, stale)
-        column.seen = state.refresh_seq
-        scores = column.scores[ids]
-        order = np.lexsort((table.name_rank[ids], column.cpu[ids], -scores))
-        return _Ranking(state.host_index.names, ids[order], scores[order], self.stats)
+            inputs = table.inputs(stale)
+            column.scores[stale] = self._suitability(rulebase, inputs, len(stale))
+            column.cpu[stale] = inputs["cpuLoad"]
+            self.stats["hosts_rescored"] += len(stale)
+        column.seen = table.state.refresh_seq
+        return column
 
-    def _rescore(
-        self, table: _ScoreTable, column: _ScoreColumn, ids: "np.ndarray"
-    ) -> None:
-        """Re-evaluate the controller for hosts ``ids``.
+    def _booked(self, platform: Platform, table: _ScoreTable, rulebase: RuleBase, ids):
+        """Scores and CPU loads of hosts ``ids``, each host's booked
+        capacity counted in its CPU load."""
+        inputs = table.inputs(ids)
+        names, now = table.state.host_index.names, platform.current_time
+        inputs["cpuLoad"] = np.array([
+            self.reservations.effective_cpu_load(
+                names[hid], load, capacity, now, horizon=RESERVATION_HORIZON_MINUTES
+            )
+            for hid, load, capacity in zip(
+                ids.tolist(), inputs["cpuLoad"].tolist(), inputs["performanceIndex"].tolist()
+            )
+        ])
+        return self._suitability(rulebase, inputs, len(ids)), inputs["cpuLoad"]
+
+    def _suitability(self, rulebase: RuleBase, inputs, count: int) -> "np.ndarray":
+        """The controller's crisp ``suitability`` of ``count`` hosts.
 
         No stage of the compiled program reduces across contexts, so
         scoring a subset yields the same floats as scoring the whole
         landscape — or each host on its own.
         """
-        cpu, mem, running, free = table.state.host_server_inputs(ids)
-        columns = {name: values[ids] for name, values in table.static_inputs.items()}
-        columns.update(cpuLoad=cpu, memLoad=mem, instancesOnServer=running, memory=free)
-        program = column.program
-        # the server controller has one output variable: row 0
-        column.scores[ids] = program.evaluate(
-            program.inputs(columns, len(ids)), self._controller.defuzzifier
-        )[0]
-        column.cpu[ids] = cpu
-        self.stats["hosts_rescored"] += len(ids)
+        crisp = self._controller.engine.infer_outputs_many(rulebase, inputs, count)
+        if not len(crisp):
+            raise ValueError(f"rule base {rulebase.name!r} asserts no {OUTPUT_VARIABLE}")
+        return crisp[0]

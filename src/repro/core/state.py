@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -162,7 +163,19 @@ def _checked(
     """Finish an open: the setup script, then the integrity check.  A
     damaged file closes the connection and is a :class:`StateCorruptError`."""
     try:
-        connection.executescript(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS};" + setup)
+        deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000
+        while True:
+            try:
+                connection.executescript(
+                    f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS};" + setup
+                )
+                break
+            except sqlite3.OperationalError as error:
+                # switching a fresh file to WAL does not wait on the busy
+                # handler while another opener holds it: retry the switch
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.001)
         # surface torn pages now, not on some later query
         try:
             status = connection.execute("PRAGMA quick_check").fetchone()

@@ -9,31 +9,21 @@ Section 3 of the paper:
   disjunction (:mod:`repro.fuzzy.expressions`),
 * rules and rule bases (:mod:`repro.fuzzy.rules`) with a textual DSL
   (:mod:`repro.fuzzy.parser`),
-* max-min inference with fuzzy-union aggregation
-  (:mod:`repro.fuzzy.inference`) and, for batches, one flat numeric
-  program compiled per rule base (:mod:`repro.fuzzy.compiled`),
-* defuzzification, primarily the paper's leftmost-maximum method
-  (:mod:`repro.fuzzy.defuzzify`), and
+* max-min inference with fuzzy-union aggregation and the paper's
+  leftmost-maximum defuzzification (:mod:`repro.fuzzy.inference`), run
+  as one flat numeric program compiled per rule base
+  (:mod:`repro.fuzzy.compiled`), and
 * a generic controller that chains fuzzification, inference and
   defuzzification (:mod:`repro.fuzzy.controller`).
 """
 
 from repro.fuzzy.controller import ControllerResult, FuzzyController
-from repro.fuzzy.defuzzify import (
-    Centroid,
-    Defuzzifier,
-    LeftmostMax,
-    MeanOfMax,
-    RightmostMax,
-)
 from repro.fuzzy.expressions import And, Expression, Is, Not, Or, Somewhat, Very
-from repro.fuzzy.inference import InferenceEngine, InferenceResult
+from repro.fuzzy.inference import InferenceEngine
 from repro.fuzzy.parser import ParseError, parse_expression, parse_rule, parse_rules
 from repro.fuzzy.rules import Rule, RuleBase
 from repro.fuzzy.sets import (
-    ClippedSet,
     Constant,
-    FuzzySet,
     MembershipFunction,
     PiecewiseLinear,
     RampDown,
@@ -42,27 +32,19 @@ from repro.fuzzy.sets import (
     Singleton,
     Trapezoid,
     Triangle,
-    UnionSet,
 )
 from repro.fuzzy.variables import LinguisticTerm, LinguisticVariable
 
 __all__ = [
     "And",
-    "Centroid",
-    "ClippedSet",
     "Constant",
     "ControllerResult",
-    "Defuzzifier",
     "Expression",
     "FuzzyController",
-    "FuzzySet",
     "InferenceEngine",
-    "InferenceResult",
     "Is",
-    "LeftmostMax",
     "LinguisticTerm",
     "LinguisticVariable",
-    "MeanOfMax",
     "MembershipFunction",
     "Not",
     "Or",
@@ -71,14 +53,12 @@ __all__ = [
     "RampDown",
     "RampUp",
     "Rectangle",
-    "RightmostMax",
     "Rule",
     "RuleBase",
     "Singleton",
     "Somewhat",
     "Trapezoid",
     "Triangle",
-    "UnionSet",
     "Very",
     "parse_expression",
     "parse_rule",

@@ -1,9 +1,10 @@
-"""The batched fuzzy path: one flat numeric program per (engine, rule base).
+"""The fuzzy controller's one evaluator: a flat numeric program per
+(engine, rule base).
 
-The scalar controller (:meth:`FuzzyController.evaluate`) walks objects and
-is the audit path and the oracle.  Every batched caller runs a
-:class:`Program` compiled once from the same objects, in three stages
-that are each bit-identical to the scalar walk (DESIGN §14):
+Every evaluation — a batch of contexts or one context with its audit
+trail (:class:`repro.fuzzy.inference.InferenceEngine`) — runs a
+:class:`Program` compiled once from the rule base's objects, in three
+stages (DESIGN §14):
 
 1. A :class:`TermTable` holds the corners of every trapezoid input term
    as ``(terms, 1)`` columns, so all grades of a batch are one expression
@@ -14,10 +15,12 @@ that are each bit-identical to the scalar walk (DESIGN §14):
    into a derived row below them.  A rule with fewer operands than the
    widest repeats its first row (``min`` is idempotent), so all firing
    strengths are ``G[index].min(axis=1) * weights``.
-3. Per output variable, one ``searchsorted`` where the defuzzifier is
-   :class:`LeftmostMax`, the rules share one consequent object and its
-   grid is monotone; otherwise the defuzzifier, once per distinct
-   strength column.
+3. Per output variable, the leftmost maximum (Figure 5) of its
+   consequent clipped at each rule's strength and united, on a grid of
+   :data:`RESOLUTION` points: one ``searchsorted`` into the consequent's
+   grid, planned at compile time.  An output whose rules assert
+   different consequents, or whose consequent is not monotone on the
+   grid, has no such closed form and is refused when compiled.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from repro.fuzzy.defuzzify import _GRADE_TOLERANCE, Defuzzifier, LeftmostMax
 from repro.fuzzy.expressions import And, Expression, Is, Not, Or, Somewhat, Very
 from repro.fuzzy.rules import Rule, RuleBase
-from repro.fuzzy.sets import ClippedSet, MembershipFunction, Trapezoid, UnionSet
+from repro.fuzzy.sets import MembershipFunction, Trapezoid
 from repro.fuzzy.variables import LinguisticVariable
 
 if TYPE_CHECKING:
@@ -45,6 +47,12 @@ FloatArray = npt.NDArray[np.float64]
 #: rows times 4,997 hosts in one expression read 123 MB peak RSS on
 #: ``landscape-5k-burst``, blocks of 1,024 read 118 (DESIGN §14).
 _BLOCK = 1024
+
+#: Points of the output grid the leftmost maximum is read off.
+RESOLUTION = 1001
+
+#: Grades closer than this are equal when locating the maximum.
+_GRADE_TOLERANCE = 1e-9
 
 #: Derived rows: expression class -> value from the ``(operands, n)``
 #: rows of its operands.  The hedges keep Python's scalar ``**`` per
@@ -107,24 +115,37 @@ class TermTable:
 
 
 class _Output(NamedTuple):
-    """The rules ``[start, stop)`` of a program asserting one output variable."""
+    """The rules ``[start, stop)`` of a program asserting one output
+    variable, and the grid of their one consequent."""
 
     name: str
     start: int
     stop: int
-    consequents: List[MembershipFunction]
-    domain: Tuple[float, float]
-
-    def fuzzy_set(self, heights: Sequence[float]) -> MembershipFunction:
-        """The aggregated output set :meth:`InferenceEngine.infer` builds."""
-        clipped = [ClippedSet(c, h) for c, h in zip(self.consequents, heights)]
-        return clipped[0] if len(clipped) == 1 else UnionSet(tuple(clipped))
+    xs: FloatArray
+    grid: FloatArray
+    grid_max: float
 
 
-#: a closed form is ``(output position, xs, grid, grid maximum)``; a plan is
-#: those, then the positions of outputs that take the defuzzifier
-_Closed = Tuple[int, FloatArray, FloatArray, float]
-_Plan = Tuple[List[_Closed], List[int]]
+def _planned(
+    name: str, start: int, stop: int, consequents: Sequence[MembershipFunction],
+    domain: Tuple[float, float],
+) -> _Output:
+    """One output's closed form, or the ``ValueError`` saying why it has none."""
+    first = consequents[0]
+    if any(consequent is not first for consequent in consequents):
+        raise ValueError(
+            f"output variable {name!r}: its rules assert different consequents; "
+            "only one consequent has a closed-form leftmost maximum"
+        )
+    xs = np.linspace(*domain, RESOLUTION)
+    grid = np.asarray(first.evaluate(xs), dtype=np.float64)
+    if bool(np.any(np.diff(grid) < 0.0)):
+        raise ValueError(
+            f"output variable {name!r}: its consequent falls somewhere on "
+            f"{domain!r}; only a non-decreasing one has a closed-form "
+            "leftmost maximum"
+        )
+    return _Output(name, start, stop, xs, grid, float(grid.max()))
 
 
 class Program:
@@ -141,35 +162,42 @@ class Program:
         self.rules: List[Rule] = list(rule_base.rules)
         self.terms = engine.terms
         self.stats = engine.stats
-        #: input variables some rule reads, in the order the scalar walk
-        #: would first miss them: rows are assigned in rule-base order
+        #: input variables some rule reads, in the order a rule-by-rule
+        #: walk would first miss them: rows are assigned in rule-base order
         self.referenced: Dict[str, None] = {}
         self.outputs: List[_Output] = []
         self._derived: List[Tuple[Callable[[FloatArray], Any], List[int]]] = []
-        self._plans: Dict[int, _Plan] = {}
-        grouped: Dict[str, List[Tuple[Rule, List[int]]]] = {}
-        for rule in self.rules:
+        grouped: Dict[str, List[Tuple[int, List[int]]]] = {}
+        for position, rule in enumerate(self.rules):
             root = rule.antecedent
             parts = root.operands if type(root) is And else (root,)
             grouped.setdefault(rule.output_variable, []).append(
-                (rule, [self._row(part) for part in parts])
+                (position, [self._row(part) for part in parts])
             )
         ordered = [member for members in grouped.values() for member in members]
         start = 0
         for name, members in grouped.items():
-            consequents = [engine._resolve_consequent(rule) for rule, __ in members]
+            consequents = [
+                engine._resolve_consequent(self.rules[position])
+                for position, __ in members
+            ]
             domain = engine.output_variables[name].domain
             self.outputs.append(
-                _Output(name, start, start + len(members), consequents, domain)
+                _planned(name, start, start + len(members), consequents, domain)
             )
             start += len(members)
+        #: row of :meth:`strengths` holding rule ``i`` of the rule base
+        self.order: List[int] = [0] * len(ordered)
+        for row, (position, __) in enumerate(ordered):
+            self.order[position] = row
         width = max((len(rows) for __, rows in ordered), default=1)
         self._index = np.array(
             [rows + rows[:1] * (width - len(rows)) for __, rows in ordered],
             dtype=np.intp,
         ).reshape(len(ordered), width)
         self._weights = np.array(
-            [rule.weight for rule, __ in ordered], dtype=np.float64
+            [self.rules[position].weight for position, __ in ordered],
+            dtype=np.float64,
         )[:, None]
         self._starts = [output.start for output in self.outputs]
 
@@ -211,15 +239,6 @@ class Program:
         clamped: FloatArray = np.minimum(np.maximum(values, self.terms.lo), self.terms.hi)
         return clamped
 
-    def inputs_of(self, measurements_list: Sequence[Mapping[str, float]]) -> FloatArray:
-        """:meth:`inputs` of a non-empty batch of measurement mappings, which
-        must all use the variable names of the first."""
-        columns = {
-            name: [measurements[name] for measurements in measurements_list]
-            for name in measurements_list[0]
-        }
-        return self.inputs(columns, len(measurements_list))
-
     def strengths(self, values: FloatArray) -> FloatArray:
         """``(rules, n)`` firing strengths, rules grouped by output."""
         grades = self.terms.grades(values)
@@ -234,54 +253,31 @@ class Program:
         strengths: FloatArray = grades[self._index].min(axis=1) * self._weights
         return strengths
 
-    def evaluate(self, values: FloatArray, defuzzifier: Defuzzifier) -> FloatArray:
+    def defuzzify(self, strengths: FloatArray) -> FloatArray:
+        """``(outputs, n)`` leftmost maxima of :meth:`strengths`.
+
+        Per output, the one consequent clipped at each rule's strength and
+        united is that consequent clipped at the largest strength; its
+        peak is ``min(grid_max, largest)``, and the first point of a
+        non-decreasing grid within the tolerance of the peak is this
+        ``searchsorted``.
+        """
+        crisp = np.empty((len(self.outputs), strengths.shape[1]))
+        if self.outputs:
+            peaks = np.maximum.reduceat(strengths, self._starts, axis=0)
+        for position, output in enumerate(self.outputs):
+            thresholds = np.minimum(output.grid_max, peaks[position]) - _GRADE_TOLERANCE
+            crisp[position] = output.xs[
+                np.searchsorted(output.grid, thresholds, side="left")
+            ]
+        return crisp
+
+    def evaluate(self, values: FloatArray) -> FloatArray:
         """``(outputs, n)`` crisp values of :meth:`inputs`, in :attr:`outputs` order."""
         count = values.shape[1]
         crisp = np.empty((len(self.outputs), count))
-        closed, gridded = self._plan(defuzzifier)
         for start in range(0, count, _BLOCK):
-            strengths = self.strengths(values[:, start:start + _BLOCK])
-            out = crisp[:, start:start + _BLOCK]
-            if closed:
-                peaks = np.maximum.reduceat(strengths, self._starts, axis=0)
-            for position, xs, grid, grid_max in closed:
-                # the defuzzifier's scan: one consequent clipped at each h_r
-                # and united is that consequent clipped at max_r h_r, its peak
-                # is min(grid_max, height), and the first point of a monotone
-                # grid with mu >= peak - tol is this searchsorted
-                thresholds = np.minimum(grid_max, peaks[position]) - _GRADE_TOLERANCE
-                out[position] = xs[np.searchsorted(grid, thresholds, side="left")]
-            for position in gridded:
-                output = self.outputs[position]
-                columns = [
-                    tuple(c) for c in strengths[output.start:output.stop].T.tolist()
-                ]
-                scores = {
-                    heights: defuzzifier(output.fuzzy_set(heights), output.domain)
-                    for heights in dict.fromkeys(columns)
-                }
-                out[position] = [scores[heights] for heights in columns]
-                self.stats["grid_defuzzifications"] += len(columns)
+            crisp[:, start:start + _BLOCK] = self.defuzzify(
+                self.strengths(values[:, start:start + _BLOCK])
+            )
         return crisp
-
-    def _plan(self, defuzzifier: Defuzzifier) -> _Plan:
-        """Which outputs have a closed form under ``defuzzifier`` — decided
-        per evaluation, the controller's defuzzifier is assignable."""
-        if type(defuzzifier) is not LeftmostMax:
-            return [], list(range(len(self.outputs)))
-        plan = self._plans.get(defuzzifier.resolution)
-        if plan is None:
-            closed: List[_Closed] = []
-            gridded: List[int] = []
-            for position, output in enumerate(self.outputs):
-                first = output.consequents[0]
-                xs = np.linspace(*output.domain, defuzzifier.resolution)
-                grid = np.asarray(first.evaluate(xs), dtype=np.float64)
-                if any(c is not first for c in output.consequents) or bool(
-                    np.any(np.diff(grid) < 0.0)
-                ):
-                    gridded.append(position)
-                else:
-                    closed.append((position, xs, grid, float(grid.max())))
-            plan = self._plans[defuzzifier.resolution] = (closed, gridded)
-        return plan

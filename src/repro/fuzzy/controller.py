@@ -3,10 +3,10 @@
 :class:`FuzzyController` is domain-agnostic; AutoGlobe instantiates it
 twice, once for action selection and once for server selection
 (Section 4).  The controller takes crisp measurements, runs max-min
-inference over its rule base and defuzzifies every output variable with
-the configured defuzzifier (leftmost maximum by default, as in the paper).
-``evaluate`` walks the objects and keeps the audit trail; ``evaluate_many``
-runs the rule base's compiled program and returns the same floats.
+inference over its rule base and defuzzifies every output variable by
+the paper's leftmost maximum.  Both ``evaluate`` (one context with its
+audit trail) and ``evaluate_many`` (a batch) run the rule base's
+compiled program, so they return the same floats.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.fuzzy.defuzzify import Defuzzifier, LeftmostMax
 from repro.fuzzy.inference import FiredRule, InferenceEngine
 from repro.fuzzy.rules import RuleBase
 from repro.fuzzy.variables import LinguisticVariable
@@ -61,9 +60,6 @@ class FuzzyController:
     rule_base:
         The rules evaluated on every invocation.  The rule base is
         validated against the variables at construction time.
-    defuzzifier:
-        Strategy converting aggregated output sets to crisp values;
-        defaults to the paper's leftmost-maximum method.
     """
 
     def __init__(
@@ -71,13 +67,11 @@ class FuzzyController:
         input_variables: Iterable[LinguisticVariable],
         output_variables: Iterable[LinguisticVariable],
         rule_base: RuleBase,
-        defuzzifier: Optional[Defuzzifier] = None,
     ) -> None:
         self.engine = InferenceEngine(input_variables, output_variables)
         self.engine.validate(rule_base)
         self.rule_base = rule_base
-        self.defuzzifier = defuzzifier if defuzzifier is not None else LeftmostMax()
-        #: the engine's counters of the batched path (which path ran)
+        #: the engine's counters of its compiled programs
         self.stats = self.engine.stats
 
     def evaluate(
@@ -91,17 +85,8 @@ class FuzzyController:
         service-specific rule bases; it must use the same variables.
         """
         active = rule_base if rule_base is not None else self.rule_base
-        if rule_base is not None:
-            self.engine.validate(rule_base)
-        inference = self.engine.infer(active, measurements)
-        outputs: Dict[str, float] = {}
-        for output_name, fuzzy_set in inference.output_sets.items():
-            domain = self.engine.output_domain(output_name)
-            assert domain is not None  # validate() guarantees it
-            outputs[output_name] = self.defuzzifier(fuzzy_set, domain)
-        return ControllerResult(
-            outputs=outputs, grades=inference.grades, fired=inference.fired
-        )
+        outputs, grades, fired = self.engine.infer(active, measurements)
+        return ControllerResult(outputs=outputs, grades=grades, fired=fired)
 
     def evaluate_many(
         self,
@@ -111,15 +96,14 @@ class FuzzyController:
         """Batched :meth:`evaluate`: crisp outputs for many measurement sets.
 
         All measurement mappings must share the same variable names (the
-        Table 1 contexts do).  Runs the rule base's compiled program,
-        which validates it once, when compiled.  Element ``i`` of the
-        result is bit-identical to ``evaluate(measurements_list[i],
-        rule_base).outputs``.
+        Table 1 contexts do).  Element ``i`` of the result is bit-identical
+        to ``evaluate(measurements_list[i], rule_base).outputs``.
         """
         active = rule_base if rule_base is not None else self.rule_base
-        program = self.engine.program(active)
-        if not measurements_list:
-            return []
-        crisp = program.evaluate(program.inputs_of(measurements_list), self.defuzzifier)
-        names = [output.name for output in program.outputs]
+        columns = {
+            name: [measurements[name] for measurements in measurements_list]
+            for name in (measurements_list[0] if measurements_list else ())
+        }
+        crisp = self.engine.infer_outputs_many(active, columns, len(measurements_list))
+        names = [output.name for output in self.engine.program(active).outputs]
         return [dict(zip(names, row)) for row in crisp.T.tolist()]

@@ -1,33 +1,38 @@
 """Fuzzification and max-min inference.
 
-The inference engine implements steps (2) and (3) of the fuzzy-controller
-cycle of Figure 4:
+The inference engine implements steps (1) to (3) of the fuzzy-controller
+cycle of Figure 4, and the leftmost-maximum defuzzification of step (4):
 
 1. crisp measurements are *fuzzified* against the input linguistic
    variables,
 2. every rule's antecedent degree of truth is computed (``min`` for AND,
    ``max`` for OR),
 3. the consequent fuzzy set of each rule is *clipped* at the antecedent's
-   degree of truth (max-min inference),
-4. clipped sets referring to the same output variable are combined with
-   the fuzzy union ``mu(x) = max(mu_A(x), mu_B(x))``.
+   degree of truth (max-min inference), and clipped sets referring to
+   the same output variable are combined with the fuzzy union
+   ``mu(x) = max(mu_A(x), mu_B(x))``,
+4. the crisp value is "the leftmost of all values at which the maximum
+   truth value occurs".
 
-Defuzzification (step 4 of Figure 4) lives in :mod:`repro.fuzzy.defuzzify`.
-:meth:`InferenceEngine.infer` is the scalar walk with its audit trail;
-batches run the engine's compiled programs (:mod:`repro.fuzzy.compiled`).
+Both entry points run the rule base's compiled program
+(:mod:`repro.fuzzy.compiled`): :meth:`InferenceEngine.infer_outputs_many`
+scores a batch of contexts, :meth:`InferenceEngine.infer` one context
+with its audit trail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
-from repro.fuzzy.compiled import Program, TermTable
+import numpy as np
+
+from repro.fuzzy.compiled import FloatArray, Program, TermTable
 from repro.fuzzy.rules import Rule, RuleBase
-from repro.fuzzy.sets import ClippedSet, MembershipFunction, UnionSet
+from repro.fuzzy.sets import MembershipFunction
 from repro.fuzzy.variables import LinguisticVariable
 
-__all__ = ["FiredRule", "InferenceResult", "InferenceEngine"]
+__all__ = ["FiredRule", "InferenceEngine"]
 
 
 @dataclass(frozen=True)
@@ -36,34 +41,6 @@ class FiredRule:
 
     rule: Rule
     strength: float
-
-
-@dataclass
-class InferenceResult:
-    """Outcome of evaluating a rule base against fuzzified measurements.
-
-    Attributes
-    ----------
-    grades:
-        The fuzzified measurements (variable -> term -> grade).
-    output_sets:
-        Aggregated output fuzzy set per output variable.  Variables whose
-        rules all fired with strength 0 map to a clipped-at-zero set, so a
-        defuzzifier can still produce a (zero-applicability) value.
-    fired:
-        Per-rule audit records in rule-base order.
-    """
-
-    grades: Mapping[str, Mapping[str, float]]
-    output_sets: Dict[str, MembershipFunction]
-    fired: List[FiredRule] = field(default_factory=list)
-
-    def strength_of(self, output_variable: str) -> float:
-        """Maximum firing strength among rules asserting ``output_variable``."""
-        strengths = [
-            f.strength for f in self.fired if f.rule.output_variable == output_variable
-        ]
-        return max(strengths, default=0.0)
 
 
 class InferenceEngine:
@@ -94,8 +71,7 @@ class InferenceEngine:
         self._programs: Dict[int, Program] = {}
         #: plain counters (ops ``/stats``); nothing reads them in a run
         self.stats: Dict[str, int] = dict.fromkeys(
-            ("programs_compiled", "batches", "contexts", "generic_terms",
-             "grid_defuzzifications"), 0
+            ("programs_compiled", "batches", "contexts", "generic_terms"), 0
         )
 
     # -- validation -----------------------------------------------------------
@@ -125,49 +101,7 @@ class InferenceEngine:
             )
         return output.term(rule.output_term).membership
 
-    # -- inference --------------------------------------------------------------
-
-    def fuzzify(self, measurements: Mapping[str, float]) -> Dict[str, Dict[str, float]]:
-        """Fuzzify crisp measurements against the input variables.
-
-        Unknown measurement names raise; missing measurements are allowed
-        and simply leave the corresponding variable unavailable (a rule
-        touching it will raise at evaluation time, surfacing the wiring
-        bug instead of silently assuming a value).
-        """
-        grades: Dict[str, Dict[str, float]] = {}
-        for name, value in measurements.items():
-            variable = self.input_variables.get(name)
-            if variable is None:
-                raise KeyError(f"measurement for unknown input variable {name!r}")
-            grades[name] = dict(variable.fuzzify(value))
-        return grades
-
-    def infer(
-        self,
-        rule_base: RuleBase,
-        measurements: Mapping[str, float],
-    ) -> InferenceResult:
-        """Run fuzzification + max-min inference for a rule base."""
-        grades = self.fuzzify(measurements)
-        clipped_by_output: Dict[str, List[MembershipFunction]] = {}
-        fired: List[FiredRule] = []
-        for rule in rule_base:
-            strength = rule.firing_strength(grades)
-            fired.append(FiredRule(rule, strength))
-            consequent = self._resolve_consequent(rule)
-            clipped_by_output.setdefault(rule.output_variable, []).append(
-                ClippedSet(consequent, strength)
-            )
-        output_sets: Dict[str, MembershipFunction] = {}
-        for output_variable, clipped_sets in clipped_by_output.items():
-            if len(clipped_sets) == 1:
-                output_sets[output_variable] = clipped_sets[0]
-            else:
-                output_sets[output_variable] = UnionSet(tuple(clipped_sets))
-        return InferenceResult(grades=grades, output_sets=output_sets, fired=fired)
-
-    # -- batched inference -------------------------------------------------------
+    # -- inference -----------------------------------------------------------------
 
     def program(self, rule_base: RuleBase) -> Program:
         """The compiled program of ``rule_base``: built, and the rule base
@@ -182,29 +116,38 @@ class InferenceEngine:
         return program
 
     def infer_outputs_many(
-        self,
-        rule_base: RuleBase,
-        measurements_list: Sequence[Mapping[str, float]],
-    ) -> List[Dict[str, MembershipFunction]]:
-        """Aggregated output sets for a batch of measurement sets.
-
-        The batched counterpart of :meth:`infer` restricted to its
-        ``output_sets``: the program's firing strengths, assembled per
-        context into the same clipped and united sets.  No
-        :class:`FiredRule` audit records are produced.
-        """
+        self, rule_base: RuleBase, columns: Mapping[str, Any], count: int
+    ) -> FloatArray:
+        """``(outputs, count)`` crisp values, outputs in the order of
+        ``program(rule_base).outputs``, of ``count`` contexts given as one
+        column of measurements per input variable."""
         program = self.program(rule_base)
-        if not measurements_list:
-            return []
-        strengths = program.strengths(program.inputs_of(measurements_list))
-        return [
-            {
-                output.name: output.fuzzy_set(heights[output.start:output.stop])
-                for output in program.outputs
-            }
-            for heights in strengths.T.tolist()
-        ]
+        if not count:
+            return np.empty((len(program.outputs), 0))
+        return program.evaluate(program.inputs(columns, count))
 
-    def output_domain(self, output_variable: str) -> Optional[Tuple[float, float]]:
-        variable = self.output_variables.get(output_variable)
-        return variable.domain if variable is not None else None
+    def infer(
+        self, rule_base: RuleBase, measurements: Mapping[str, float]
+    ) -> Tuple[Dict[str, float], Dict[str, Dict[str, float]], List[FiredRule]]:
+        """One context with its audit trail: the crisp value per output
+        variable, the grades of every measured variable's terms and the
+        firing strength of every rule, in rule-base order."""
+        program = self.program(rule_base)
+        values = program.inputs({name: [v] for name, v in measurements.items()}, 1)
+        strengths = program.strengths(values)
+        crisp = program.defuzzify(strengths)[:, 0].tolist()
+        column = self.terms.grades(values)[:, 0].tolist()
+        rows = self.terms.rows
+        grades = {
+            name: {
+                term: column[rows[name, term]]
+                for term in self.input_variables[name].term_names
+            }
+            for name in measurements
+        }
+        fired = strengths[program.order, 0].tolist()
+        return (
+            {output.name: value for output, value in zip(program.outputs, crisp)},
+            grades,
+            [FiredRule(rule, strength) for rule, strength in zip(program.rules, fired)],
+        )

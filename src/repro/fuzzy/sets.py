@@ -7,14 +7,16 @@ paper) and ramp-shaped output sets for action applicability (Figure 5).
 
 The classes in this module are immutable value objects.  They can be
 evaluated point-wise via :meth:`MembershipFunction.__call__` and vectorized
-over numpy arrays via :meth:`MembershipFunction.evaluate`.
+over numpy arrays via :meth:`MembershipFunction.evaluate`; clipping and
+union (max-min inference) happen inside the compiled program
+(:mod:`repro.fuzzy.compiled`), not on these objects.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -28,11 +30,6 @@ __all__ = [
     "Singleton",
     "Constant",
     "PiecewiseLinear",
-    "FuzzySet",
-    "ClippedSet",
-    "UnionSet",
-    "IntersectionSet",
-    "ComplementSet",
 ]
 
 _EPSILON = 1e-12
@@ -43,7 +40,8 @@ class MembershipFunction:
 
     Subclasses implement :meth:`__call__`.  All membership functions expose
     a :attr:`support` interval outside of which the membership grade is
-    zero (or constant), used to choose sampling grids for defuzzification.
+    zero (or constant); a linguistic variable's domain defaults to the
+    hull of its terms' supports.
     """
 
     #: Interval ``(lo, hi)`` outside of which the function is constant.
@@ -55,33 +53,6 @@ class MembershipFunction:
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over a numpy array of crisp values."""
         return np.array([self(float(x)) for x in np.asarray(xs).ravel()])
-
-    # -- fuzzy-set algebra -------------------------------------------------
-
-    def clip(self, height: float) -> "ClippedSet":
-        """Clip the set at ``height`` (max-min inference, Figure 5)."""
-        return ClippedSet(self, height)
-
-    def union(self, other: "MembershipFunction") -> "UnionSet":
-        """Fuzzy union: ``mu(x) = max(mu_A(x), mu_B(x))``."""
-        return UnionSet((self, other))
-
-    def intersection(self, other: "MembershipFunction") -> "IntersectionSet":
-        """Fuzzy intersection: ``mu(x) = min(mu_A(x), mu_B(x))``."""
-        return IntersectionSet((self, other))
-
-    def complement(self) -> "ComplementSet":
-        """Fuzzy complement: ``mu(x) = 1 - mu_A(x)``."""
-        return ComplementSet(self)
-
-    def __or__(self, other: "MembershipFunction") -> "UnionSet":
-        return self.union(other)
-
-    def __and__(self, other: "MembershipFunction") -> "IntersectionSet":
-        return self.intersection(other)
-
-    def __invert__(self) -> "ComplementSet":
-        return self.complement()
 
 
 def _validate_grade(value: float, name: str) -> float:
@@ -281,107 +252,3 @@ class PiecewiseLinear(MembershipFunction):
                 t = (x - x1) / (x2 - x1)
                 return g1 + t * (g2 - g1)
         raise AssertionError("unreachable: x inside knot range")
-
-
-@dataclass(frozen=True)
-class FuzzySet:
-    """A named fuzzy set pairing a label with a membership function.
-
-    This is the ``A = {(x, mu_A(x)) | x in X}`` of the paper, with the
-    universe left implicit (a real interval).
-    """
-
-    name: str
-    membership: MembershipFunction
-
-    def __call__(self, x: float) -> float:
-        return self.membership(x)
-
-    @property
-    def support(self) -> Tuple[float, float]:
-        return self.membership.support
-
-
-@dataclass(frozen=True)
-class ClippedSet(MembershipFunction):
-    """A membership function clipped at ``height`` (alpha-level truncation).
-
-    Used by max-min inference: the consequent's fuzzy set is "clipped off at
-    a height corresponding to the rule's antecedent degree of truth".
-    """
-
-    base: MembershipFunction
-    height: float
-
-    def __post_init__(self) -> None:
-        _validate_grade(self.height, "height")
-        object.__setattr__(self, "support", self.base.support)
-
-    def __call__(self, x: float) -> float:
-        return min(self.base(x), self.height)
-
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        return np.minimum(self.base.evaluate(xs), self.height)
-
-
-class _CombinedSet(MembershipFunction):
-    """Shared plumbing for union / intersection of several sets."""
-
-    def __init__(self, members: Sequence[MembershipFunction]) -> None:
-        members = tuple(members)
-        if not members:
-            raise ValueError("combination of zero fuzzy sets is undefined")
-        flattened = []
-        for member in members:
-            if type(member) is type(self):
-                flattened.extend(member.members)  # type: ignore[attr-defined]
-            else:
-                flattened.append(member)
-        self.members: Tuple[MembershipFunction, ...] = tuple(flattened)
-        lows, highs = zip(*(m.support for m in self.members))
-        self.support = (min(lows), max(highs))
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and other.members == self.members  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.members))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.members)!r})"
-
-
-class UnionSet(_CombinedSet):
-    """Fuzzy union: ``mu(x) = max_i mu_i(x)``."""
-
-    def __call__(self, x: float) -> float:
-        return max(m(x) for m in self.members)
-
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        return np.maximum.reduce([m.evaluate(xs) for m in self.members])
-
-
-class IntersectionSet(_CombinedSet):
-    """Fuzzy intersection: ``mu(x) = min_i mu_i(x)``."""
-
-    def __call__(self, x: float) -> float:
-        return min(m(x) for m in self.members)
-
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        return np.minimum.reduce([m.evaluate(xs) for m in self.members])
-
-
-@dataclass(frozen=True)
-class ComplementSet(MembershipFunction):
-    """Standard fuzzy complement: ``mu(x) = 1 - mu_A(x)``."""
-
-    base: MembershipFunction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", self.base.support)
-
-    def __call__(self, x: float) -> float:
-        return 1.0 - self.base(x)
-
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        return 1.0 - self.base.evaluate(xs)

@@ -1,13 +1,27 @@
 """Integration: reservations steer the server-selection controller."""
 
-import pytest
-
 from repro.allocation.reservations import Reservation, ReservationBook
 from repro.config.model import Action
 from repro.core.autoglobe import AutoGlobeController
-from repro.core.server_selection import ServerSelector, host_measurements
+from repro.core.server_selection import ServerSelector
 from repro.serviceglobe.platform import Platform
 from tests.core.conftest import build_landscape, set_demand
+from tests.fuzzy.oracle import host_measurements, server_score
+
+
+def booked_score(platform, book):
+    """Big1's scale-out suitability as a selector with ``book`` ranks it."""
+    ranked = ServerSelector(reservations=book).rank(
+        platform, Action.SCALE_OUT, [platform.host("Big1")]
+    )
+    return ranked[0].score
+
+
+def score_at_cpu_load(platform, cpu_load):
+    """Big1's scale-out suitability, its CPU load read as ``cpu_load``."""
+    measurements = host_measurements(platform, platform.host("Big1"))
+    measurements["cpuLoad"] = cpu_load
+    return server_score(ServerSelector(), Action.SCALE_OUT, measurements)
 
 
 class TestMeasurementAdjustment:
@@ -15,10 +29,9 @@ class TestMeasurementAdjustment:
         platform = Platform(build_landscape())
         book = ReservationBook()
         book.register(Reservation("Big1", demand=4.5, start=0, end=100))
-        host = platform.host("Big1")
-        plain = host_measurements(platform, host)
-        adjusted = host_measurements(platform, host, book)
-        assert adjusted["cpuLoad"] == pytest.approx(plain["cpuLoad"] + 0.5)
+        plain = platform.host_cpu_load("Big1")
+        assert booked_score(platform, book) == score_at_cpu_load(platform, plain + 0.5)
+        assert booked_score(platform, book) < score_at_cpu_load(platform, plain)
 
     def test_lookahead_covers_imminent_reservations(self):
         """A reservation starting within the horizon already counts."""
@@ -26,16 +39,15 @@ class TestMeasurementAdjustment:
         platform.current_time = 100
         book = ReservationBook()
         book.register(Reservation("Big1", demand=4.5, start=120, end=200))
-        adjusted = host_measurements(platform, platform.host("Big1"), book)
-        assert adjusted["cpuLoad"] >= 0.5
+        plain = platform.host_cpu_load("Big1")
+        assert booked_score(platform, book) == score_at_cpu_load(platform, plain + 0.5)
 
     def test_far_future_reservations_ignored(self):
         platform = Platform(build_landscape())
         platform.current_time = 0
         book = ReservationBook()
         book.register(Reservation("Big1", demand=4.5, start=500, end=600))
-        adjusted = host_measurements(platform, platform.host("Big1"), book)
-        assert adjusted["cpuLoad"] < 0.1
+        assert booked_score(platform, book) == booked_score(platform, ReservationBook())
 
 
 class TestSelectionSteering:

@@ -308,5 +308,4 @@ class TestOneRankingPath:
             "batches": 2,
             "contexts": 4,
             "generic_terms": 0,
-            "grid_defuzzifications": 0,
         }

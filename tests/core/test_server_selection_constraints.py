@@ -4,7 +4,7 @@ import pytest
 
 from repro.config.model import Action
 from repro.core.constraints import candidate_hosts, verify_action
-from repro.core.server_selection import ServerSelector, host_measurements
+from repro.core.server_selection import ServerSelector
 from tests.core.conftest import build_landscape, set_demand
 from repro.serviceglobe.platform import Platform
 
@@ -54,10 +54,13 @@ class TestServerSelection:
 
     def test_unknown_action_rejected(self, platform, selector):
         with pytest.raises(ValueError, match="rule base"):
-            selector.score(Action.STOP, {})
+            selector.rank(platform, Action.STOP, [platform.host("Big1")])
 
-    def test_host_measurements_cover_table3(self, platform):
-        measurements = host_measurements(platform, platform.host("Big1"))
+    def test_host_measurements_cover_table3(self, platform, selector):
+        big1 = platform.host("Big1")
+        selector.rank(platform, Action.SCALE_OUT, [big1])
+        columns = selector._table.inputs(platform.landscape_state.host_ids([big1]))
+        measurements = {name: float(column[0]) for name, column in columns.items()}
         assert set(measurements) == {
             "cpuLoad",
             "memLoad",

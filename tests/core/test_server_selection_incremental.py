@@ -1,15 +1,17 @@
-"""The incremental host-suitability table against the scalar controller.
+"""The incremental host-suitability table against the scalar oracle.
 
-``ServerSelector.rank`` on the columnar substrate gathers from a score
-table that is refreshed only for hosts whose columns changed.  Three
+``ServerSelector.rank`` gathers from a score table that is refreshed
+only for hosts whose columns changed, however few the candidates.  Three
 layers of evidence that this is the paper's "for each server the fuzzy
 controller is executed" and nothing else:
 
 * Hypothesis drives random mutation sequences — demand writes, executed
   actions, host crashes and recoveries, ``restore_state`` — and after
-  every step the table-backed ranking must equal the per-host
-  ``host_measurements`` + ``score`` ranking element for element (names
-  and ``float.hex()`` scores), for every rule base.
+  every step the ranking of 1, 5, 31, 32 and all 40 hosts must equal
+  the oracle's per-host ranking (``tests/fuzzy/oracle.py``: measurements
+  read one by one, the scalar controller walk, a sort) element for
+  element (names and ``float.hex()`` scores), for every rule base, with
+  and without a reservation book.
 * Counter assertions: one executed action re-scores at most the hosts it
   touched.  Removing the table, or a silent full rescan, fails here.
 * The lazy ranking behaves like the list it replaced.
@@ -30,14 +32,15 @@ from repro.config.model import (
 )
 from repro.core.constraints import candidate_hosts
 from repro.core.rulebases import default_server_rulebases
-from repro.core.server_selection import RankedHost, ServerSelector, host_measurements
-from repro.fuzzy.defuzzify import Centroid
+from repro.allocation.reservations import Reservation, ReservationBook
+from repro.core.server_selection import RankedHost, ServerSelector
 from repro.fuzzy.parser import parse_rules
 from repro.fuzzy.rules import RuleBase
 from repro.serviceglobe.actions import ActionError
 from repro.serviceglobe.landscape_state import HostIds
 from repro.serviceglobe.platform import Platform
 from tests.core.conftest import MOBILE_ACTIONS
+from tests.fuzzy.oracle import server_ranking
 
 HOSTS = 40
 SERVICES = ("S1", "S2", "S3")
@@ -99,36 +102,43 @@ def hedged_rulebases():
     }
 
 
+def booked() -> ReservationBook:
+    """Reservations now, within the look-ahead, beyond it and on a host
+    the burst of scale-outs below may also pick."""
+    book = ReservationBook()
+    for host, demand, start, end in (
+        ("H3", 0.5, 0, 100), ("H7", 2.0, 10, 50), ("H20", 0.2, 200, 300),
+        ("H12", 9.0, 0, 600),
+    ):
+        book.register(Reservation(host, demand=demand, start=start, end=end))
+    return book
+
+
 def make_selector(variant: str) -> ServerSelector:
     if variant == "hedged":
         return ServerSelector(rulebases=hedged_rulebases())
-    selector = ServerSelector()
-    if variant == "centroid":
-        # no closed form: the table defuzzifies per distinct strength row
-        selector._controller.defuzzifier = Centroid()
-    return selector
+    if variant == "reserved":
+        return ServerSelector(reservations=booked())
+    return ServerSelector()
 
 
-def reference_ranking(selector, platform, action, hosts):
-    """The paper's loop: run the controller once per server, then sort."""
-    scored = []
-    for host in hosts:
-        measurements = host_measurements(platform, host)
-        score = selector.score(action, measurements)
-        scored.append((-score, measurements["cpuLoad"], host.name))
-    scored.sort()
-    return [(name, (-negated).hex()) for negated, __, name in scored]
+#: candidate counts on both sides of the 32 a per-host path once began at
+CANDIDATE_COUNTS = (1, 5, 31, 32, HOSTS)
 
 
 def assert_table_equals_scalar(selector, platform):
     hosts = list(platform.hosts.values())
     for action in selector._rulebases:
-        before = selector.stats["scalar_fallbacks"]
-        ranked = selector.rank(platform, action, hosts)
-        assert selector.stats["scalar_fallbacks"] == before, "table path not taken"
-        assert [(r.host_name, r.score.hex()) for r in ranked] == reference_ranking(
-            selector, platform, action, hosts
-        )
+        # the oracle's sort key is per host: a subset's ranking is the
+        # whole ranking filtered
+        reference = server_ranking(selector, platform, action, hosts)
+        for count in CANDIDATE_COUNTS:
+            candidates = hosts[-count:] if count % 2 else hosts[:count]
+            names = {host.name for host in candidates}
+            ranked = selector.rank(platform, action, candidates)
+            assert [(r.host_name, r.score.hex()) for r in ranked] == [
+                pair for pair in reference if pair[0] in names
+            ]
 
 
 # -- mutation sequences ------------------------------------------------------------
@@ -194,18 +204,21 @@ def apply(platform, snapshots, operation):
         pass  # infeasible draws are part of the sequence
 
 
-@pytest.mark.parametrize("variant", ["default", "hedged", "centroid"])
+@pytest.mark.parametrize("variant", ["default", "hedged", "reserved"])
 @settings(max_examples=40, deadline=None)
-@given(sequence=st.lists(operations, min_size=1, max_size=15))
-def test_table_ranking_equals_scalar_after_every_mutation(variant, sequence):
+@given(
+    sequence=st.lists(operations, min_size=1, max_size=15),
+    minutes=st.lists(st.integers(0, 240), min_size=1, max_size=15),
+)
+def test_table_ranking_equals_scalar_after_every_mutation(variant, sequence, minutes):
     platform = Platform(build_landscape())
     selector = make_selector(variant)
     snapshots = []
     assert_table_equals_scalar(selector, platform)
-    for operation in sequence:
+    for operation, minute in zip(sequence, minutes * len(sequence)):
         apply(platform, snapshots, operation)
+        platform.current_time = minute  # where the reservation look-ahead lands
         assert_table_equals_scalar(selector, platform)
-    assert selector.stats["scalar_fallbacks"] == 0
 
 
 def test_restore_state_rebuilds_the_table():
@@ -236,8 +249,8 @@ def test_a_rule_added_after_a_ranking_rescores_the_whole_column():
 
 def test_one_idle_bl40p_is_fully_suitable_for_a_scale_out():
     """cpuLoad 0 is ``low`` to 1 and performanceIndex 9 ``high`` to 1, so
-    the first scale-out rule (weight 1) fires at 1.0 — off the table for
-    thirty-three such hosts and per host for a short list alike."""
+    the first scale-out rule (weight 1) fires at 1.0 — for thirty-three
+    such hosts and for a short list of one alike, off one table."""
     landscape = LandscapeSpec(
         name="bl40p",
         servers=[
@@ -258,9 +271,9 @@ def test_one_idle_bl40p_is_fully_suitable_for_a_scale_out():
     for candidates in (hosts, hosts[:1]):
         ranked = selector.rank(platform, Action.SCALE_OUT, candidates)
         assert [r.score for r in ranked] == [1.0] * len(candidates)
-    assert selector.stats["scalar_fallbacks"] == 1
+    assert selector.stats["table_rebuilds"] == 1
+    assert selector.stats["hosts_rescored"] == 33
     assert selector.fuzzy_stats["generic_terms"] == 0
-    assert selector.fuzzy_stats["grid_defuzzifications"] == 0
 
 
 # -- incremental cost --------------------------------------------------------------
@@ -325,7 +338,6 @@ class TestRescoringIsIncremental:
         )
         assert 1 <= rescored <= touched
         assert selector.stats["table_rebuilds"] == 1
-        assert selector.stats["scalar_fallbacks"] == 0
 
     def test_each_rule_base_catches_up_on_its_own(self, warm):
         platform, selector = warm
@@ -348,15 +360,29 @@ class TestRescoringIsIncremental:
             assert isinstance(candidates, HostIds)
             assert [host.state_id for host in candidates] == candidates.ids.tolist()
 
-    def test_short_lists_reservations_and_strangers_stay_scalar(self, warm):
+    def test_short_lists_reservations_and_strangers_take_one_path(self, warm):
+        """A short list reads the table; a reservation book re-scores the
+        candidates' rows and leaves the table as it is; hosts of another
+        platform are refused."""
         platform, selector = warm
         hosts = list(platform.hosts.values())
-        selector.rank(platform, Action.MOVE, hosts[:31])
-        assert selector.stats["scalar_fallbacks"] == 1
+        short = selector.rank(platform, Action.SCALE_OUT, hosts[:3])
+        assert selector.stats["hosts_rescored"] == HOSTS
+        assert [r.host_name for r in short] == [
+            r.host_name for r in selector.rank(platform, Action.SCALE_OUT, hosts)
+            if r.host_name in {"H1", "H2", "H3"}
+        ]
+        book = ReservationBook()
+        book.register(Reservation(short[0].host_name, demand=50.0, start=0, end=60))
+        reserving = ServerSelector(reservations=book)
+        booked_ranking = reserving.rank(platform, Action.SCALE_OUT, hosts[:3])
+        assert booked_ranking[-1].host_name == short[0].host_name
+        assert reserving.stats["hosts_rescored"] == 0
+        assert reserving._table.columns == {}
         strangers = list(Platform(build_landscape()).hosts.values())
-        selector.rank(platform, Action.MOVE, strangers)
-        assert selector.stats["scalar_fallbacks"] == 2
-        assert selector.stats["rank_calls"] == 3
+        with pytest.raises(ValueError, match="not all hosts of this platform"):
+            selector.rank(platform, Action.MOVE, strangers)
+        assert selector.stats["rank_calls"] == 4
 
 
 # -- the lazy ranking --------------------------------------------------------------

@@ -709,7 +709,45 @@ store.close()
 """
 
 
+_FRESH_OPENER = """
+import os, sqlite3, sys
+from repro.core.state import StateDb
+
+# a two-party barrier per round, then both open the same fresh file: the
+# WAL switch of one opener meets the other's lock every few rounds
+directory, me, peer, rounds = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+failures = 0
+for k in range(rounds):
+    open(os.path.join(directory, f"ready-{k}-{me}"), "w").close()
+    while not os.path.exists(os.path.join(directory, f"ready-{k}-{peer}")):
+        pass
+    try:
+        StateDb(os.path.join(directory, f"state-{k}.db")).close()
+    except sqlite3.OperationalError as error:
+        failures += 1
+        print(k, error, file=sys.stderr)
+print(failures)
+"""
+
+
 class TestTwoProcessesOneFile:
+    def test_two_openers_of_a_fresh_file_both_get_it(self, tmp_path):
+        """Switching a fresh file to WAL waits out the other opener within
+        ``BUSY_TIMEOUT_MS``; no ``database is locked`` escapes the open."""
+        rounds = 200
+        openers = [
+            _python(_FRESH_OPENER, tmp_path, me, peer, rounds)
+            for me, peer in (("a", "b"), ("b", "a"))
+        ]
+        for opener in openers:
+            failures, errors = opener.communicate(timeout=120)
+            assert opener.returncode == 0, errors
+            assert failures.strip() == "0", errors
+        for k in range(rounds):
+            db = StateDb(tmp_path / f"state-{k}.db")
+            assert db.connection.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            db.close()
+
     def test_server_leases_and_agent_writes_share_state_db(self, tmp_path):
         """No ``database is locked`` escapes busy_timeout, tokens never
         repeat across holders, the journal stays gapless."""

@@ -1,13 +1,14 @@
-"""The compiled program against the scalar controller.
+"""The compiled program against the scalar oracle.
 
-Every batched entry point — ``FuzzyController.evaluate_many`` /
-``evaluate_columns`` and ``InferenceEngine.infer_outputs_many`` — runs
-one :class:`repro.fuzzy.compiled.Program`.  The scalar
-``evaluate``/``infer`` walk is the deliberately naive evaluator (the
-idiom of ``tests/serviceglobe/test_landscape_state.py``): hypothesis
-draws variables, rule trees and batches, and every batched output must
-equal the scalar one bit for bit (``float.hex()``).  The remaining tests
-pin when a program is rebuilt, what it raises and what it counts.
+Every entry point — ``FuzzyController.evaluate`` / ``evaluate_many`` and
+``InferenceEngine.infer`` / ``infer_outputs_many`` — runs one
+:class:`repro.fuzzy.compiled.Program`.  ``tests/fuzzy/oracle.py`` is the
+deliberately naive evaluator (the idiom of
+``tests/serviceglobe/test_landscape_state.py``): hypothesis draws
+variables, rule trees and batches, and every output, grade and firing
+strength must equal the oracle's bit for bit (``float.hex()``).  The
+remaining tests pin when a program is rebuilt, what it refuses, raises
+and counts.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.fuzzy import compiled
 from repro.fuzzy.controller import FuzzyController
-from repro.fuzzy.defuzzify import Centroid, LeftmostMax, MeanOfMax, RightmostMax
 from repro.fuzzy.expressions import And, Is, Not, Or, Somewhat, Very
 from repro.fuzzy.parser import parse_rules
 from repro.fuzzy.rules import Rule, RuleBase
@@ -30,13 +30,7 @@ from repro.fuzzy.sets import (
     Trapezoid,
 )
 from repro.fuzzy.variables import LinguisticTerm, LinguisticVariable
-
-DEFUZZIFIERS = {
-    "leftmost": LeftmostMax,
-    "rightmost": RightmostMax,
-    "mean-of-max": MeanOfMax,
-    "centroid": Centroid,
-}
+from tests.fuzzy import oracle
 
 # -- strategies --------------------------------------------------------------------
 
@@ -108,10 +102,12 @@ def antecedents(atoms):
     )
 
 
-OUTPUT_TERMS = [
-    ("applicable", RampUp(0.0, 1.0)),
-    ("inapplicable", RampDown(0.0, 1.0)),
-    ("middling", Trapezoid(0.2, 0.4, 0.6, 0.8)),
+#: consequents non-decreasing on [0, 1]: the ones with a closed form
+CONSEQUENTS = [
+    RampUp(0.0, 1.0),
+    RampUp(0.25, 0.75),
+    Trapezoid(0.2, 0.6, 1.0, 1.0),
+    Rectangle(0.5, 1.0),
 ]
 
 
@@ -121,10 +117,7 @@ def cases(draw):
     outputs = [
         LinguisticVariable(
             f"o{i}",
-            [
-                LinguisticTerm(name, membership)
-                for name, membership in OUTPUT_TERMS[: draw(st.integers(1, 3))]
-            ],
+            [LinguisticTerm("applicable", draw(st.sampled_from(CONSEQUENTS)))],
             domain=(0.0, 1.0),
         )
         for i in range(draw(st.integers(1, 3)))
@@ -156,10 +149,10 @@ def columns_of(batch):
 
 def evaluate_columns(controller, columns, rule_base=None):
     """The program on per-variable arrays, as a list of output dicts."""
-    program = controller.engine.program(rule_base or controller.rule_base)
+    rule_base = rule_base or controller.rule_base
     count = len(next(iter(columns.values())))
-    crisp = program.evaluate(program.inputs(columns, count), controller.defuzzifier)
-    names = [output.name for output in program.outputs]
+    crisp = controller.engine.infer_outputs_many(rule_base, columns, count)
+    names = [output.name for output in controller.engine.program(rule_base).outputs]
     return [dict(zip(names, row)) for row in crisp.T.tolist()]
 
 
@@ -167,48 +160,62 @@ def hexed(outputs):
     return [(name, value.hex()) for name, value in outputs.items()]
 
 
-def set_signature(fuzzy_set):
-    members = getattr(fuzzy_set, "members", (fuzzy_set,))
-    return [(type(fuzzy_set).__name__, m.base, m.height.hex()) for m in members]
+def hexed_grades(grades):
+    return [(name, hexed(terms)) for name, terms in grades.items()]
 
 
 # -- the oracle ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("defuzzifier", sorted(DEFUZZIFIERS))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=cases())
-def test_batched_outputs_equal_the_scalar_controller(defuzzifier, case):
+def test_batched_outputs_equal_the_scalar_controller(case):
     inputs, outputs, rule_base, batch = case
-    controller = FuzzyController(
-        inputs, outputs, RuleBase("empty"), DEFUZZIFIERS[defuzzifier](resolution=101)
-    )
-    expected = [hexed(controller.evaluate(m, rule_base).outputs) for m in batch]
-    assert [hexed(o) for o in controller.evaluate_many(batch, rule_base)] == expected
+    controller = FuzzyController(inputs, outputs, RuleBase("empty"))
+    expected = [oracle.infer(controller.engine, rule_base, m) for m in batch]
+    for measurements, (crisp, grades, strengths, __) in zip(batch, expected):
+        result = controller.evaluate(measurements, rule_base)
+        assert hexed(result.outputs) == hexed(crisp)
+        assert hexed_grades(result.grades) == hexed_grades(grades)
+        assert [f.rule for f in result.fired] == list(rule_base)
+        assert [f.strength.hex() for f in result.fired] == [s.hex() for s in strengths]
+    expected_outputs = [hexed(crisp) for crisp, *__ in expected]
+    assert [hexed(o) for o in controller.evaluate_many(batch, rule_base)] == expected_outputs
     if batch:  # the column form ``ServerSelector`` hands over
         assert [
             hexed(o) for o in evaluate_columns(controller, columns_of(batch), rule_base)
-        ] == expected
+        ] == expected_outputs
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=cases())
 def test_batched_output_sets_equal_scalar_inference(case):
+    """Per output, the program's strength rows are the heights of the
+    oracle's clipped sets, and its crisp row their leftmost maximum."""
     inputs, outputs, rule_base, batch = case
     engine = FuzzyController(inputs, outputs, RuleBase("empty")).engine
-    batched = engine.infer_outputs_many(rule_base, batch)
-    assert len(batched) == len(batch)
-    for measurements, output_sets in zip(batch, batched):
-        scalar = engine.infer(rule_base, measurements).output_sets
-        assert list(output_sets) == list(scalar)
-        for name in scalar:
-            assert set_signature(output_sets[name]) == set_signature(scalar[name])
+    if not batch:
+        return
+    program = engine.program(rule_base)
+    strengths = program.strengths(program.inputs(columns_of(batch), len(batch)))
+    crisp = engine.infer_outputs_many(rule_base, columns_of(batch), len(batch))
+    for i, measurements in enumerate(batch):
+        output_sets = oracle.infer(engine, rule_base, measurements)[3]
+        assert [output.name for output in program.outputs] == list(output_sets)
+        for position, output in enumerate(program.outputs):
+            scalar = output_sets[output.name]
+            members = getattr(scalar, "members", (scalar,))
+            heights = strengths[output.start:output.stop, i].tolist()
+            assert [m.height.hex() for m in members] == [h.hex() for h in heights]
+            assert crisp[position, i].hex() == oracle.leftmost_max(
+                scalar, engine.output_variables[output.name].domain
+            ).hex()
 
 
 # -- by-hand fixtures ---------------------------------------------------------------
 
 
-def load_controller(rules_text, defuzzifier=None, outputs=("x", "y"), inputs=("a", "b")):
+def load_controller(rules_text, outputs=("x", "y"), inputs=("a", "b")):
     inputs = [
         LinguisticVariable(
             name,
@@ -230,7 +237,6 @@ def load_controller(rules_text, defuzzifier=None, outputs=("x", "y"), inputs=("a
             for name in outputs
         ],
         RuleBase("hand", list(parse_rules(rules_text))),
-        defuzzifier,
     )
 
 
@@ -268,7 +274,8 @@ def test_exactly_on_every_corner():
     batch = [{"a": value} for value in corners]
     batched = controller.evaluate_many(batch)
     assert [hexed(o) for o in batched] == [
-        hexed(controller.evaluate(m).outputs) for m in batch
+        hexed(oracle.infer(controller.engine, controller.rule_base, m)[0])
+        for m in batch
     ]
     assert [o["x"] for o in batched] == pytest.approx([1, 1, 0.25, 0, 0, 0, 0])
     assert [o["y"] for o in batched] == [0, 0, 1, 1, 1, 0, 0]
@@ -289,21 +296,24 @@ def test_blocks_tile_a_batch_larger_than_one_block():
     a = np.linspace(0.0, 1.0, count)
     b = np.linspace(1.0, 0.0, count)
     batched = evaluate_columns(controller, {"a": a, "b": b})
-    batches = controller.stats["batches"]
+    assert controller.stats["batches"] == 1  # blocks are not batches
+    assert controller.stats["contexts"] == count
     for i in (0, 1, compiled._BLOCK - 1, compiled._BLOCK, compiled._BLOCK + 1,
               2 * compiled._BLOCK - 1, 2 * compiled._BLOCK, count - 1):
-        scalar = controller.evaluate({"a": a[i], "b": b[i]}).outputs
+        scalar = oracle.infer(controller.engine, controller.rule_base,
+                              {"a": a[i], "b": b[i]})[0]
         assert hexed(batched[i]) == hexed(scalar)
     assert controller.evaluate_many([{"a": x, "b": y} for x, y in zip(a, b)]) == batched
-    assert controller.stats["batches"] == batches + 1  # blocks are not batches
-    assert controller.stats["contexts"] == 2 * count
 
 
 def test_empty_rule_base_and_empty_batch():
     controller = load_controller("")
     assert controller.evaluate_many([{"a": 0.5, "b": 0.5}] * 2) == [{}, {}]
     assert controller.evaluate_many([]) == []
-    assert controller.engine.infer_outputs_many(controller.rule_base, []) == []
+    assert controller.engine.infer_outputs_many(controller.rule_base, {}, 0).shape == (0, 0)
+    assert load_controller(RULES).engine.infer_outputs_many(
+        RuleBase("x", list(parse_rules(RULES))), {}, 0
+    ).shape == (2, 0)
     # an empty per-call rule base is a rule base, not "use the default"
     assert load_controller(RULES).evaluate_many([{"a": 0.5, "b": 0.5}], RuleBase("e")) == [{}]
 
@@ -362,32 +372,34 @@ def test_one_rule_base_under_two_engines_compiles_twice():
     assert narrow.engine.program(rule_base) is not wide.engine.program(rule_base)
 
 
-def test_a_defuzzifier_assigned_later_takes_effect_on_the_next_batch():
-    controller = load_controller(RULES)
-    batch = [{"a": 0.9, "b": 1.0}]
-    assert controller.evaluate_many(batch)[0]["x"] == 0.8
-    assert controller.stats["grid_defuzzifications"] == 0
-    controller.defuzzifier = RightmostMax()
-    assert controller.evaluate_many(batch)[0]["x"] == 1.0
-    controller.defuzzifier = Centroid()
-    assert hexed(controller.evaluate_many(batch)[0]) == hexed(
-        controller.evaluate(batch[0]).outputs
-    )
-    assert controller.stats["grid_defuzzifications"] == 4  # 2 outputs, 2 batches
-    assert controller.stats["programs_compiled"] == 1
-
-
-def test_a_finer_leftmost_grid_is_honoured():
-    controller = load_controller(RULES)
-    batch = [{"a": 0.8017, "b": 0.0}]
-    coarse = controller.evaluate_many(batch)[0]["x"]
-    controller.defuzzifier = LeftmostMax(resolution=100_001)
-    fine = controller.evaluate_many(batch)[0]["x"]
-    assert coarse != fine
-    assert fine.hex() == controller.evaluate(batch[0]).outputs["x"].hex()
-
-
 # -- errors -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "terms, rules",
+    [
+        (
+            [("applicable", RampUp(0.0, 1.0)), ("inapplicable", RampDown(0.0, 1.0))],
+            "IF a IS high THEN x IS applicable\nIF a IS low THEN x IS inapplicable",
+        ),
+        ([("middling", Trapezoid(0.2, 0.4, 0.6, 0.8))], "IF a IS high THEN x IS middling"),
+    ],
+    ids=["two-consequents", "falling-consequent"],
+)
+def test_an_output_without_a_closed_form_is_refused_when_compiled(terms, rules):
+    controller = FuzzyController(
+        load_controller("").engine.input_variables.values(),
+        [LinguisticVariable("x", [LinguisticTerm(n, m) for n, m in terms], (0.0, 1.0))],
+        RuleBase("empty"),
+    )
+    rule_base = RuleBase("refused", list(parse_rules(rules)))
+    for call in (
+        lambda: controller.evaluate({"a": 0.5, "b": 0.5}, rule_base),
+        lambda: controller.evaluate_many([{"a": 0.5, "b": 0.5}], rule_base),
+    ):
+        with pytest.raises(ValueError, match="output variable 'x'"):
+            call()
+    assert controller.stats["programs_compiled"] == 0
 
 
 def test_an_invalid_rule_base_raises_on_every_call():
@@ -420,7 +432,9 @@ def test_missing_and_unknown_measurements():
     for call in (
         lambda m: controller.evaluate(m),
         lambda m: controller.evaluate_many([m, m]),
-        lambda m: controller.engine.infer_outputs_many(controller.rule_base, [m]),
+        lambda m: controller.engine.infer_outputs_many(
+            controller.rule_base, {k: [v] for k, v in m.items()}, 1
+        ),
         lambda m: evaluate_columns(controller, {k: np.array([v]) for k, v in m.items()}),
     ):
         with pytest.raises(KeyError, match="no fuzzified value for variable 'b'"):
@@ -442,7 +456,9 @@ def test_missing_and_unknown_measurements():
     for call in (
         lambda m: interleaved.evaluate(m),
         lambda m: interleaved.evaluate_many([m]),
-        lambda m: interleaved.engine.infer_outputs_many(interleaved.rule_base, [m]),
+        lambda m: interleaved.engine.infer_outputs_many(
+            interleaved.rule_base, {k: [v] for k, v in m.items()}, 1
+        ),
     ):
         with pytest.raises(KeyError, match="no fuzzified value for variable 'b'"):
             call({"a": 0.9})
@@ -480,5 +496,4 @@ def test_generic_terms_are_counted():
         "batches": 1,
         "contexts": 2,
         "generic_terms": 1,
-        "grid_defuzzifications": 0,
     }

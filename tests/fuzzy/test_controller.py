@@ -5,14 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fuzzy.controller import FuzzyController
-from repro.fuzzy.defuzzify import Centroid
 from repro.fuzzy.parser import parse_rules
 from repro.fuzzy.rules import RuleBase
 from repro.fuzzy.sets import RampUp, Trapezoid
 from repro.fuzzy.variables import LinguisticTerm, LinguisticVariable
 
 
-def build_controller(defuzzifier=None):
+def build_controller():
     cpu = LinguisticVariable(
         "cpuLoad",
         [
@@ -53,7 +52,7 @@ def build_controller(defuzzifier=None):
             )
         ),
     )
-    return FuzzyController([cpu, pi], outputs, rules, defuzzifier)
+    return FuzzyController([cpu, pi], outputs, rules)
 
 
 class TestPaperExample:
@@ -116,13 +115,6 @@ class TestControllerMechanics:
         assert len(result.fired) == 2
         assert result.fired[0].rule.output_variable == "scaleUp"
         assert result.fired[0].strength == pytest.approx(0.6)
-
-    def test_alternative_defuzzifier(self):
-        controller = build_controller(defuzzifier=Centroid())
-        result = controller.evaluate({"cpuLoad": 0.9, "performanceIndex": 7.0})
-        # the centroid of the clipped ramp (0.6286) differs from leftmost-max
-        assert result.outputs["scaleUp"] == pytest.approx(0.6286, abs=1e-2)
-        assert result.outputs["scaleUp"] != pytest.approx(0.6, abs=1e-3)
 
     def test_no_load_means_no_action(self):
         controller = build_controller()

@@ -1,4 +1,10 @@
-"""Tests for max-min inference: the paper's Section 3 worked example end to end."""
+"""Tests for max-min inference: the paper's Section 3 worked example end to end.
+
+``InferenceEngine.infer`` returns ``(outputs, grades, fired)``; the
+clipped and united output sets of Figure 5 are the scalar oracle's
+(``tests/fuzzy/oracle.py``), whose leftmost maximum the engine's crisp
+values must be.
+"""
 
 import pytest
 from hypothesis import given
@@ -7,8 +13,10 @@ from hypothesis import strategies as st
 from repro.fuzzy.inference import InferenceEngine
 from repro.fuzzy.parser import parse_rules
 from repro.fuzzy.rules import Rule, RuleBase
-from repro.fuzzy.sets import ClippedSet, RampUp, Trapezoid, UnionSet
+from repro.fuzzy.sets import RampUp, Trapezoid
 from repro.fuzzy.variables import LinguisticTerm, LinguisticVariable
+from tests.fuzzy import oracle
+from tests.fuzzy.oracle import ClippedSet, UnionSet
 
 
 def cpu_load():
@@ -68,18 +76,18 @@ def rule_base():
 
 
 class TestFuzzify:
-    def test_paper_measurements(self, engine):
-        grades = engine.fuzzify(
-            {"cpuLoad": 0.9, "performanceIndex": PI_MEASUREMENT}
+    def test_paper_measurements(self, engine, rule_base):
+        __, grades, __ = engine.infer(
+            rule_base, {"cpuLoad": 0.9, "performanceIndex": PI_MEASUREMENT}
         )
         assert grades["cpuLoad"]["high"] == pytest.approx(0.8)
         assert grades["performanceIndex"]["low"] == pytest.approx(0.0)
         assert grades["performanceIndex"]["medium"] == pytest.approx(0.6)
         assert grades["performanceIndex"]["high"] == pytest.approx(0.3)
 
-    def test_unknown_measurement_rejected(self, engine):
+    def test_unknown_measurement_rejected(self, engine, rule_base):
         with pytest.raises(KeyError, match="unknown input variable"):
-            engine.fuzzify({"diskLoad": 0.5})
+            engine.infer(rule_base, {"cpuLoad": 0.9, "diskLoad": 0.5})
 
 
 class TestValidate:
@@ -111,17 +119,18 @@ class TestValidate:
 class TestInfer:
     def test_paper_firing_strengths(self, engine, rule_base):
         """Rule 1 fires at min(0.8, max(0, 0.6)) = 0.6; rule 2 at min(0.8, 0.3) = 0.3."""
-        result = engine.infer(
+        outputs, __, fired = engine.infer(
             rule_base, {"cpuLoad": 0.9, "performanceIndex": PI_MEASUREMENT}
         )
-        assert result.fired[0].strength == pytest.approx(0.6)
-        assert result.fired[1].strength == pytest.approx(0.3)
+        assert fired[0].strength == pytest.approx(0.6)
+        assert fired[1].strength == pytest.approx(0.3)
+        assert outputs == {"scaleUp": fired[0].strength, "scaleOut": fired[1].strength}
 
     def test_output_sets_are_clipped(self, engine, rule_base):
-        result = engine.infer(
-            rule_base, {"cpuLoad": 0.9, "performanceIndex": PI_MEASUREMENT}
-        )
-        scale_up = result.output_sets["scaleUp"]
+        measurements = {"cpuLoad": 0.9, "performanceIndex": PI_MEASUREMENT}
+        outputs, __, __, output_sets = oracle.infer(engine, rule_base, measurements)
+        assert engine.infer(rule_base, measurements)[0] == outputs
+        scale_up = output_sets["scaleUp"]
         assert isinstance(scale_up, ClippedSet)
         assert scale_up.height == pytest.approx(0.6)
         # figure 5: the clipped set plateaus at the firing strength
@@ -135,34 +144,38 @@ class TestInfer:
             IF performanceIndex IS medium THEN scaleUp IS applicable
             """
         )
-        result = engine.infer(
-            RuleBase("two", list(rules)),
-            {"cpuLoad": 0.9, "performanceIndex": PI_MEASUREMENT},
-        )
-        union = result.output_sets["scaleUp"]
+        rule_base = RuleBase("two", list(rules))
+        measurements = {"cpuLoad": 0.9, "performanceIndex": PI_MEASUREMENT}
+        outputs, __, __, output_sets = oracle.infer(engine, rule_base, measurements)
+        union = output_sets["scaleUp"]
         assert isinstance(union, UnionSet)
         # strengths 0.8 and 0.6 -> union plateaus at 0.8
         assert union(1.0) == pytest.approx(0.8)
+        assert engine.infer(rule_base, measurements)[0] == outputs
 
     def test_strength_of_reports_max(self, engine):
+        """On the unit ramp the crisp value is the strongest rule's strength."""
         rules = parse_rules(
             """
             IF cpuLoad IS high THEN scaleUp IS applicable
             IF performanceIndex IS medium THEN scaleUp IS applicable
             """
         )
-        result = engine.infer(
+        outputs, __, fired = engine.infer(
             RuleBase("two", list(rules)),
             {"cpuLoad": 0.9, "performanceIndex": PI_MEASUREMENT},
         )
-        assert result.strength_of("scaleUp") == pytest.approx(0.8)
-        assert result.strength_of("unknown") == 0.0
+        assert outputs["scaleUp"] == pytest.approx(0.8)
+        assert outputs["scaleUp"] == max(f.strength for f in fired)
+        assert "unknown" not in outputs
 
     def test_zero_strength_rules_still_produce_output_set(self, engine, rule_base):
-        result = engine.infer(
-            rule_base, {"cpuLoad": 0.0, "performanceIndex": PI_MEASUREMENT}
-        )
-        assert result.output_sets["scaleUp"](1.0) == 0.0
+        measurements = {"cpuLoad": 0.0, "performanceIndex": PI_MEASUREMENT}
+        assert oracle.infer(engine, rule_base, measurements)[3]["scaleUp"](1.0) == 0.0
+        # the clipped-at-zero set's leftmost maximum is the domain's origin
+        assert engine.infer(rule_base, measurements)[0] == {
+            "scaleUp": 0.0, "scaleOut": 0.0
+        }
 
     def test_rule_weight_scales_strength(self, engine):
         weighted = RuleBase(
@@ -178,8 +191,8 @@ class TestInfer:
                 )
             ],
         )
-        result = engine.infer(weighted, {"cpuLoad": 0.9})
-        assert result.fired[0].strength == pytest.approx(0.4)
+        __, __, fired = engine.infer(weighted, {"cpuLoad": 0.9})
+        assert fired[0].strength == pytest.approx(0.4)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -191,6 +204,6 @@ class TestInfer:
             [applicability_variable("scaleUp"), applicability_variable("scaleOut")],
         )
         base = RuleBase("paper", list(parse_rules(PAPER_RULES)))
-        result = engine.infer(base, {"cpuLoad": load, "performanceIndex": pi})
-        for fired in result.fired:
-            assert 0.0 <= fired.strength <= 1.0
+        __, __, fired = engine.infer(base, {"cpuLoad": load, "performanceIndex": pi})
+        for record in fired:
+            assert 0.0 <= record.strength <= 1.0

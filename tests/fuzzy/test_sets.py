@@ -1,4 +1,9 @@
-"""Unit and property tests for membership functions and fuzzy-set algebra."""
+"""Unit and property tests for membership functions and fuzzy-set algebra.
+
+Clipping and union are the scalar oracle's (``tests/fuzzy/oracle.py``);
+intersection and complement are the antecedent operators ``AND`` and
+``NOT`` on grades.
+"""
 
 import math
 
@@ -7,12 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.fuzzy.expressions import And, Is, Not, Or
 from repro.fuzzy.sets import (
-    ClippedSet,
-    ComplementSet,
     Constant,
-    FuzzySet,
-    IntersectionSet,
     PiecewiseLinear,
     RampDown,
     RampUp,
@@ -20,8 +22,9 @@ from repro.fuzzy.sets import (
     Singleton,
     Trapezoid,
     Triangle,
-    UnionSet,
 )
+from repro.fuzzy.variables import LinguisticTerm
+from tests.fuzzy.oracle import ClippedSet, UnionSet
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 REALS = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -173,6 +176,11 @@ class TestPiecewiseLinear:
             PiecewiseLinear([(0.0, 0.0), (1.0, 1.5)])
 
 
+def truth(expression, **grades):
+    """An antecedent's truth where variable ``v`` has term grades ``grades``."""
+    return expression.truth({"v": grades})
+
+
 class TestAlgebra:
     def test_clip_truncates(self):
         clipped = ClippedSet(RampUp(0.0, 1.0), 0.6)
@@ -185,47 +193,35 @@ class TestAlgebra:
 
     def test_union_is_pointwise_max(self):
         a, b = Trapezoid(0.0, 0.0, 0.2, 0.4), Trapezoid(0.3, 0.5, 1.0, 1.0)
-        union = a | b
+        union = UnionSet((a, b))
         for x in np.linspace(0.0, 1.0, 21):
             assert union(float(x)) == pytest.approx(max(a(float(x)), b(float(x))))
 
     def test_intersection_is_pointwise_min(self):
         a, b = RampUp(0.0, 1.0), RampDown(0.0, 1.0)
-        inter = a & b
+        inter = And((Is("v", "a"), Is("v", "b")))
         for x in np.linspace(0.0, 1.0, 21):
-            assert inter(float(x)) == pytest.approx(min(a(float(x)), b(float(x))))
+            ga, gb = a(float(x)), b(float(x))
+            assert truth(inter, a=ga, b=gb) == min(ga, gb)
 
     def test_complement(self):
-        mf = ~Constant(0.3)
-        assert mf(0.0) == pytest.approx(0.7)
-
-    def test_union_flattens_nested_unions(self):
-        a, b, c = Constant(0.1), Constant(0.2), Constant(0.3)
-        union = (a | b) | c
-        assert len(union.members) == 3
-
-    def test_union_support_covers_members(self):
-        a, b = Trapezoid(0.0, 0.1, 0.2, 0.3), Trapezoid(0.5, 0.6, 0.7, 0.8)
-        assert (a | b).support == (0.0, 0.8)
+        assert truth(Not(Is("v", "c")), c=0.3) == pytest.approx(0.7)
 
     def test_empty_combination_rejected(self):
         with pytest.raises(ValueError):
             UnionSet(())
-        with pytest.raises(ValueError):
-            IntersectionSet(())
 
     @given(UNIT, UNIT)
     def test_de_morgan_on_constants(self, ga, gb):
-        a, b = Constant(ga), Constant(gb)
-        lhs = ~(a | b)
-        rhs = (~a) & (~b)
-        for x in (0.0, 0.5, 1.0):
-            assert lhs(x) == pytest.approx(rhs(x))
+        a, b = Is("v", "a"), Is("v", "b")
+        lhs = Not(Or((a, b)))
+        rhs = And((Not(a), Not(b)))
+        assert truth(lhs, a=ga, b=gb) == pytest.approx(truth(rhs, a=ga, b=gb))
 
     @given(UNIT)
     def test_union_idempotent(self, g):
         a = Constant(g)
-        assert (a | a)(0.5) == pytest.approx(a(0.5))
+        assert UnionSet((a, a))(0.5) == pytest.approx(a(0.5))
 
     @given(st.floats(min_value=0.0, max_value=1.0), UNIT)
     def test_clip_below_height_is_identity(self, x, height):
@@ -241,13 +237,14 @@ class TestAlgebra:
 
 class TestFuzzySet:
     def test_named_set_delegates(self):
-        fs = FuzzySet("high", Trapezoid(0.5, 1.0, 1.0, 1.0))
+        """A linguistic term is the paper's named set ``A = {(x, mu_A(x))}``."""
+        fs = LinguisticTerm("high", Trapezoid(0.5, 1.0, 1.0, 1.0))
         assert fs.name == "high"
-        assert fs(0.9) == pytest.approx(0.8)
-        assert fs.support == (0.5, 1.0)
+        assert fs.grade(0.9) == pytest.approx(0.8)
+        assert fs.membership.support == (0.5, 1.0)
 
     def test_complement_involution_on_plateau(self):
         mf = Trapezoid(0.0, 0.2, 0.8, 1.0)
-        double = ComplementSet(ComplementSet(mf))
+        double = Not(Not(Is("v", "t")))
         for x in np.linspace(0.0, 1.0, 11):
-            assert double(float(x)) == pytest.approx(mf(float(x)))
+            assert truth(double, t=mf(float(x))) == pytest.approx(mf(float(x)))

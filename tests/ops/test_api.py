@@ -119,8 +119,7 @@ class TestHttpEndpoints:
         assert isinstance(stats["clients"], list)
         assert stats["server_selection"] == runner.controller.server_selector.stats
         assert set(stats["server_selection"]) == {
-            "table_rebuilds", "hosts_rescored", "rank_calls",
-            "scalar_fallbacks", "ranked_materialised",
+            "table_rebuilds", "hosts_rescored", "rank_calls", "ranked_materialised",
         }
         controller = runner.controller
         assert stats["fuzzy"] == {
@@ -129,7 +128,6 @@ class TestHttpEndpoints:
         }
         assert set(stats["fuzzy"]["server"]) == {
             "programs_compiled", "batches", "contexts", "generic_terms",
-            "grid_defuzzifications",
         }
 
 
