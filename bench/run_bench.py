@@ -37,8 +37,6 @@ PRE_REFACTOR_BASELINE = {
     "runner_chaos_80h_seconds": 29.99,
     "runner_chaos_80h_ticks_per_second": 160.1,
     "archive_average_trailing10_us": 101.0,
-    "series_mean_between_trailing10_us": 1.30,
-    "series_views_4800_samples_us": 375.4,
     "controller_tick_ms": 2.406,
 }
 
@@ -84,30 +82,6 @@ def _microbench_archive() -> float:
     return round(
         _time_us(lambda: archive.average("host01", "cpu", end - 9, end), 20000), 3
     )
-
-
-def _microbench_series() -> dict:
-    from repro.monitoring.timeseries import LoadSeries
-
-    series = LoadSeries()
-    for minute in range(4800):
-        series.record(minute, 0.25 + (minute % 97) / 200.0)
-    end = 4799
-
-    def views() -> None:
-        series.values()
-        series.times()
-        series.items()
-
-    return {
-        "series_mean_between_trailing10_us": round(
-            _time_us(lambda: series.mean_between(end - 9, end), 50000), 3
-        ),
-        "series_mean_over_last_window10_us": round(
-            _time_us(lambda: series.mean_over_last(10), 50000), 3
-        ),
-        "series_views_4800_samples_us": round(_time_us(views, 50000), 3),
-    }
 
 
 def _microbench_controller_tick(horizon: int, landscape=None) -> float:
@@ -373,7 +347,6 @@ def run(quick: bool) -> dict:
         results["runner_chaos_80h_telemetry_records"] = eighty["telemetry_records"]
     print("monitoring microbenchmarks ...", flush=True)
     results["archive_average_trailing10_us"] = _microbench_archive()
-    results.update(_microbench_series())
     print("controller tick microbenchmark ...", flush=True)
     results["controller_tick_ms"] = _microbench_controller_tick(
         720 if quick else 4800

@@ -78,6 +78,7 @@ class AutoGlobeController:
         self.domain = getattr(platform, "domain_name", "")
         self.lms = LoadMonitoringSystem()
         self.lms.bus = platform.bus
+        self.lms.archive = self.archive
         self.lms.domain = self.domain
         self.protection = ProtectionRegistry(self.settings.protection_time)
         self.alerts = AlertChannel(
@@ -127,6 +128,8 @@ class AutoGlobeController:
         #: one tick's load reports, flushed to the bus (and from there to
         #: the archive) in one batch after the sampling pass
         self._report_buffer: List[Tuple[str, str, int, float]] = []
+        #: set by :meth:`depose`: this replica's reports are dropped
+        self._deposed = False
         #: the bus->archive bridge; shared across replicas of the same
         #: archive so a standby taking over does not double-store batches
         self.archive_flusher = self._ensure_archive_flusher()
@@ -188,9 +191,9 @@ class AutoGlobeController:
         for host in self.platform.hosts.values():
             if host.name in self._host_cpu_monitors:
                 continue
-            cpu_monitor = LoadMonitor(host.name, "cpu", archive=self.archive)
+            cpu_monitor = LoadMonitor(host.name, "cpu")
             cpu_monitor.report_sink = self._report_buffer
-            mem_monitor = LoadMonitor(host.name, "mem", archive=self.archive)
+            mem_monitor = LoadMonitor(host.name, "mem")
             mem_monitor.report_sink = self._report_buffer
             self._host_cpu_monitors[host.name] = cpu_monitor
             self._host_mem_monitors[host.name] = mem_monitor
@@ -208,9 +211,7 @@ class AutoGlobeController:
                 continue
             # total demand, not average load: invariant under the
             # controller's own scale-outs, so daily patterns stay clean
-            monitor = LoadMonitor(
-                f"service:{service_name}", "demand", archive=self.archive
-            )
+            monitor = LoadMonitor(f"service:{service_name}", "demand")
             monitor.report_sink = self._report_buffer
             self._service_monitors[service_name] = monitor
         self._registry_cursor = state.registry_version
@@ -248,7 +249,7 @@ class AutoGlobeController:
             instance_id, host_name = key
             instance = running.get(instance_id)
             if instance is None or instance.host_name != host_name:
-                self._instance_advisors.pop(key).detach()
+                del self._instance_advisors[key]
                 if instance is None:
                     self._instance_monitors.pop(instance_id, None)
         keys = self._restored_advisor_keys + [
@@ -263,9 +264,7 @@ class AutoGlobeController:
                 continue  # gone or moved since the snapshot
             monitor = self._instance_monitors.get(instance.instance_id)
             if monitor is None:
-                monitor = LoadMonitor(
-                    instance.instance_id, "cpu", archive=self.archive
-                )
+                monitor = LoadMonitor(instance.instance_id, "cpu")
                 monitor.report_sink = self._report_buffer
                 self._instance_monitors[instance.instance_id] = monitor
             host = self.platform.host(instance.host_name)
@@ -502,15 +501,16 @@ class AutoGlobeController:
         self._sync_host_monitors()
         self._sync_instance_monitors()
         if self._pending_observation_restores:
-            self._restore_observations(now)
+            self._restore_observations()
         blind = self._blind_hosts(now)
         self._sample(now, blind)
         # one batched flush per tick: the archive consumes this minute's
         # reports off the bus before any decision queries watch-time means
         if self._report_buffer:
-            self.platform.bus.publish(
-                LoadReportBatch(now, tuple(self._report_buffer), self.domain)
-            )
+            if not self._deposed:
+                self.platform.bus.publish(
+                    LoadReportBatch(now, tuple(self._report_buffer), self.domain)
+                )
             self._report_buffer.clear()
         for name, advisor in self._host_advisors.items():
             if name not in blind:
@@ -901,6 +901,15 @@ class AutoGlobeController:
         self.alerts.approvals.journal = journal
         self.executor.journal = journal
 
+    def depose(self) -> None:
+        """Cut a replica that lost leadership under a partition off the
+        durable side: it keeps ticking blind until the partition heals,
+        but reaches neither the journal nor the load archive, a table of
+        the same file.  Its report batches are dropped, so the archive
+        holds one leader's samples; its own LMS watches those."""
+        self.attach_journal(None)
+        self._deposed = True
+
     def snapshot_state(self) -> Dict[str, Any]:
         """JSON-able controller soft state (one snapshot payload)."""
         payload: Dict[str, Any] = {
@@ -923,8 +932,8 @@ class AutoGlobeController:
         restoring the same payload twice — or a payload overlapping what
         this controller already knows — cannot change the result.
         Observations are revived lazily on the next tick, once their
-        monitors exist again; their watch windows are backfilled from
-        the load archive.
+        monitors exist again; their watch windows are still in the load
+        archive.
         """
         self.protection.restore_state(payload.get("protection", {}))
         self.alerts.approvals.restore_state(
@@ -948,18 +957,7 @@ class AutoGlobeController:
             payload.get("observations", [])
         )
 
-    def _backfill_monitor(self, monitor: LoadMonitor, start: int, end: int) -> None:
-        """Refill a fresh monitor's series from the archive's history."""
-        latest = monitor.series.latest_time
-        for time, value in self.archive.history(
-            monitor.subject, monitor.metric, start, end
-        ):
-            if latest is not None and time <= latest:
-                continue
-            monitor.series.record(time, value)
-            latest = time
-
-    def _restore_observations(self, now: int) -> None:
+    def _restore_observations(self) -> None:
         """Revive recovered watch-time observations around live monitors."""
         descriptors = self._pending_observation_restores
         self._pending_observation_restores = []
@@ -972,9 +970,6 @@ class AutoGlobeController:
                 monitor = self._instance_monitors.get(subject)
             if monitor is None:
                 continue  # the watched host/instance died with the crash
-            self._backfill_monitor(
-                monitor, int(descriptor["started_at"]), now - 1
-            )
             self.lms.restore_observation(descriptor, monitor)
 
     def reconcile(

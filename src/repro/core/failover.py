@@ -324,9 +324,7 @@ class ControllerSupervisor:
         if row is not None and row[2] > now:
             return  # the partitioned leader's lease has not expired yet
         deposed = self.active
-        # the partitioned side can reach neither the lease store nor the
-        # journal; it keeps running blind until the partition heals
-        deposed.attach_journal(None)
+        deposed.depose()
         self._stale = (deposed, self._partitioned_until)
         self._partitioned_until = None
         self.active = self._recover_from_store()
@@ -493,8 +491,20 @@ class ControllerSupervisor:
         fault injector keeps reading its failure detector.  A down
         leader no longer refreshes the store's controller snapshot its
         successor recovers from, so that one rides along as it stands.
+        A deposed replica still ticking under its partition rides along
+        too, with the fencing token its actions are rejected by.
         """
         latest = self._latest if self.replicas else None
+        stale = None
+        if self._stale is not None:
+            deposed, heal_at = self._stale
+            stale = {
+                "name": deposed.executor.name,
+                "heal_at": heal_at,
+                "controller": deposed.snapshot_state(),
+                "executor": deposed.executor.snapshot_state(),
+                "fencing_token": deposed.executor.fencing_token,
+            }
         return {
             "replica_sequence": self._replica_sequence,
             "latest_name": latest.executor.name if latest is not None else None,
@@ -518,6 +528,7 @@ class ControllerSupervisor:
             "downtime_minutes": self.downtime_minutes,
             "restart_at": self._restart_at,
             "partitioned_until": self._partitioned_until,
+            "stale": stale,
         }
 
     def restore_state(self, payload: Dict[str, Any], now: int) -> None:
@@ -528,7 +539,8 @@ class ControllerSupervisor:
         the abandoned timeline between the snapshot and the kill — and the
         newest replica is rebuilt under its pre-kill identity, so the
         lease renews under the same holder and intent ids stay
-        unambiguous.
+        unambiguous.  A deposed replica is rebuilt the same way, before
+        it as in the live run, with the journal detached.
         """
         self.events = [tuple(event) for event in payload.get("events", [])]
         self._restored_escalations = [
@@ -547,6 +559,16 @@ class ControllerSupervisor:
         self.replicas = []
         self._pending_intents = {}
         self.active = None
+        self._stale = None
+        stale = payload.get("stale")
+        if stale is not None:
+            self._replica_sequence = int(stale["name"].rsplit("-", 1)[-1]) - 1
+            deposed = self._new_controller()
+            deposed.depose()
+            deposed.restore_state(stale["controller"])
+            deposed.executor.restore_state(stale["executor"])
+            deposed.executor.fencing_token = stale["fencing_token"]
+            self._stale = (deposed, int(stale["heal_at"]))
         controller_payload = payload["controller"]
         if payload["latest_name"] is None:
             self._replica_sequence = int(payload.get("replica_sequence", 0))

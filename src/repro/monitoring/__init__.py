@@ -1,12 +1,13 @@
 """Monitoring framework (Figure 2 of the paper).
 
-Load monitors run for every server and every service instance and report
-their measurements to advisors, which maintain an up-to-date local view
-of the load situation.  Imminent overload (or idle) situations are
-reported to the load monitoring system, which observes the load for a
-tunable ``watchTime`` and triggers the fuzzy controller only for *real*
+Load monitors run for every server and every service instance; advisors
+read their newest measurements and maintain an up-to-date local view of
+the load situation.  Imminent overload (or idle) situations are reported
+to the load monitoring system, which observes the load for a tunable
+``watchTime`` and triggers the fuzzy controller only for *real*
 situations, filtering out the short load peaks that are common in real
-systems.  A load archive stores aggregated historic load data.
+systems.  A load archive stores aggregated historic load data: the only
+store of samples, from which the LMS reads its watch windows.
 """
 
 from repro.monitoring.advisor import Advisor, SubjectKind
@@ -19,7 +20,6 @@ from repro.monitoring.lms import (
     SituationKind,
 )
 from repro.monitoring.monitor import LoadMonitor
-from repro.monitoring.timeseries import LoadSeries
 
 __all__ = [
     "Advisor",
@@ -28,7 +28,6 @@ __all__ = [
     "LoadArchive",
     "LoadMonitor",
     "LoadMonitoringSystem",
-    "LoadSeries",
     "Observation",
     "Situation",
     "SituationKind",

@@ -1,20 +1,14 @@
 """Advisors.
 
-Advisors receive the measurements of their load monitors, maintain the
+Advisors read the newest sample of their load monitors, maintain the
 local view of the load situation, and pass suspected overload or idle
 situations to the load monitoring system for watch-time observation.
-
-Measurements are *pushed*: an advisor subscribes to its monitor at
-construction and caches the latest ``(time, value)`` report, so
-``inspect`` is O(1) and never re-reads the series.  ``detach()``
-unsubscribes when the advisor is retired (e.g. its instance moved
-hosts).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.monitoring.lms import LoadMonitoringSystem, SituationKind
 from repro.monitoring.monitor import LoadMonitor
@@ -85,20 +79,6 @@ class Advisor:
         self.max_staleness = max_staleness
         if subject_kind is SubjectKind.SERVICE_INSTANCE and service_name is None:
             raise ValueError("service-instance advisors need a service name")
-        # seed from history so an advisor created mid-run (instance moved
-        # hosts, monitor persisted) sees the monitor's current state
-        self._last_report: Optional[Tuple[int, float]] = None
-        latest_time = monitor.series.latest_time
-        if latest_time is not None:
-            self._last_report = (latest_time, monitor.series.latest)
-        monitor.subscribe(self._on_report)
-
-    def _on_report(self, time: int, value: float) -> None:
-        self._last_report = (time, value)
-
-    def detach(self) -> None:
-        """Stop receiving reports (the advisor is being retired)."""
-        self.monitor.unsubscribe(self._on_report)
 
     @property
     def _overload_kind(self) -> SituationKind:
@@ -120,11 +100,10 @@ class Advisor:
         overload from idle, so it escalates nothing rather than treating
         the gap as zero load.
         """
-        if self._last_report is None:
+        time = self.monitor.latest_time
+        if time is None or now - time > self.max_staleness:
             return
-        time, value = self._last_report
-        if now - time > self.max_staleness:
-            return
+        value = self.monitor.latest
         if value > self.overload_threshold:
             self._lms.open_observation(
                 kind=self._overload_kind,

@@ -11,6 +11,10 @@ triggered."  (Section 2)
 
 Idle situations are handled symmetrically (average below the idle
 threshold for the idle watch time confirms the situation).
+
+The load data of a watch window is read from the controller's load
+archive ("This data is used to calculate the average load of services
+during their watchTime", Section 2), the only store of samples.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.monitoring.archive import LoadArchive
 from repro.monitoring.monitor import LoadMonitor
 
 # SituationKind historically lived here; it is now defined in
@@ -28,7 +33,7 @@ from repro.telemetry.records import (
     SituationKind,
     SituationPhase,
 )
-from repro.telemetry.windows import coverage_fraction
+from repro.telemetry.windows import sum_reversed
 
 __all__ = ["SituationKind", "Situation", "Observation", "LoadMonitoringSystem"]
 
@@ -80,19 +85,22 @@ class Observation:
     def due(self, now: int) -> bool:
         return now >= self.started_at + self.watch_time - 1
 
-    def coverage(self, now: int) -> float:
-        """Fraction of the watch window backed by real samples."""
-        return coverage_fraction(
-            self.monitor.series.times(), self.started_at, now
-        )
+    def confirmed(self, archive: LoadArchive, now: int) -> Optional[float]:
+        """The observed mean if the situation is real, else ``None``.
 
-    def confirmed(self, now: int) -> Optional[float]:
-        """The observed mean if the situation is real, else ``None``."""
-        if self.coverage(now) < self.min_coverage:
+        The window ``[started_at, now]`` is read from ``archive`` and
+        summed newest first, the order the seeded digests pin; not with
+        ``archive.average``, which sums oldest first.
+        """
+        samples = archive.history(
+            self.subject, self.monitor.metric, self.started_at, now
+        )
+        count = len(samples)
+        if count / max(now - self.started_at + 1, 1) < self.min_coverage:
             return None  # too many reports lost to judge the situation
-        mean = self.monitor.series.mean_between(self.started_at, now)
-        if mean is None:
+        if not count:
             return None
+        mean = sum_reversed([value for __, value in samples], 0, count) / count
         if self.kind.is_overload:
             return mean if mean > self.threshold else None
         return mean if mean < self.threshold else None
@@ -121,6 +129,10 @@ class LoadMonitoringSystem:
         #: control domain this LMS belongs to, stamped into published
         #: situation events; empty in single-domain deployments
         self.domain = ""
+        #: the :class:`~repro.monitoring.archive.LoadArchive` watch windows
+        #: are read from: the controller's, which its monitors' reports
+        #: reach each tick before the LMS confirms anything
+        self.archive: Optional[LoadArchive] = None
 
     def _index_add(self, key: Tuple[str, SituationKind]) -> None:
         self._by_subject.setdefault(key[0], {})[key[1]] = None
@@ -229,7 +241,7 @@ class LoadMonitoringSystem:
             del self._observations[key]
             self._index_discard(key)
             self._journal_close(key)
-            mean = observation.confirmed(now)
+            mean = observation.confirmed(self.archive, now)
             if mean is None:
                 # a short peak, not a real situation
                 self._publish(now, SituationPhase.CANCELLED, observation)
@@ -274,10 +286,11 @@ class LoadMonitoringSystem:
     ) -> bool:
         """Revive one observation around a freshly built monitor.
 
-        The monitor's archive-backed series supplies the watch window
-        samples recorded before the crash, so the observation resumes
-        mid-watch instead of starting over.  Idempotent: an observation
-        already watched (same subject and kind) is left untouched.
+        The archive still holds the watch window's samples recorded
+        before the crash (a resume rewinds it with the journal), so the
+        observation resumes mid-watch instead of starting over.
+        Idempotent: an observation already watched (same subject and
+        kind) is left untouched.
         """
         kind = SituationKind(str(descriptor["kind"]))
         key = (monitor.subject, kind)

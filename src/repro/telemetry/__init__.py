@@ -6,8 +6,7 @@ the per-tick load reports — flows through one typed
 :class:`~repro.telemetry.bus.EventBus` instead of five bespoke private
 lists.  Producers publish typed records (:mod:`repro.telemetry.records`);
 consumers subscribe by topic.  :mod:`repro.telemetry.windows` holds the
-incremental window statistics shared by the time series, the archive and
-the watch-time coverage math.
+window statistics of the load archive and the LMS's watch windows.
 
 This package is a leaf: it imports nothing from the rest of
 :mod:`repro`, so any layer (platform, monitoring, core, sim) can publish
@@ -47,7 +46,7 @@ from repro.telemetry.trace import (
     TraceSchemaError,
     read_trace,
 )
-from repro.telemetry.windows import RollingWindow, window_bounds
+from repro.telemetry.windows import window_bounds
 
 __all__ = [
     "ActionEvent",
@@ -58,7 +57,6 @@ __all__ = [
     "EventBus",
     "FaultRecord",
     "LoadReportBatch",
-    "RollingWindow",
     "SituationEvent",
     "SituationKind",
     "SituationPhase",

@@ -1,33 +1,22 @@
-"""Incremental window statistics over monotone time series.
+"""Window statistics over monotone time series.
 
-One home for the windowed-mean math that used to be reimplemented three
-times (the load time series, the in-memory archive's window scans, the
-LMS's watch-time coverage fraction):
+The windowed-mean math of the load archive and the LMS's watch windows:
 
 * :func:`window_bounds` locates an inclusive ``[start, end]`` window in
   a sorted timestamp list with bisection instead of a linear scan;
 * :func:`sum_forward` / :func:`sum_reversed` reproduce the two historic
   summation orders **bit for bit** (floating-point addition is not
-  associative, and the byte-identity acceptance test compares run
-  summaries exactly: the archive always summed windows oldest-first,
-  the load series newest-first);
-* :class:`RollingWindow` keeps a running sum/count for one trailing
-  window so ``mean()`` is O(1) per query and O(1) amortized per append.
+  associative, and the seeded digests compare run summaries exactly:
+  the archive's means — the fuzzy controller's ``cpuLoad`` — sum a
+  window oldest first, the LMS's watch-time means newest first).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-__all__ = [
-    "window_bounds",
-    "sum_forward",
-    "sum_reversed",
-    "coverage_fraction",
-    "RollingWindow",
-]
+__all__ = ["window_bounds", "sum_forward", "sum_reversed"]
 
 
 def window_bounds(
@@ -55,78 +44,9 @@ def sum_forward(values: Sequence[float], lo: int, hi: int) -> float:
 
 
 def sum_reversed(values: Sequence[float], lo: int, hi: int) -> float:
-    """Sum ``values[lo:hi]`` in descending-index order.
-
-    Matches the historic :class:`~repro.monitoring.timeseries.LoadSeries`
-    right-to-left window scan exactly, keeping refactored means
-    bit-identical to the pre-bus pipeline.
-    """
+    """Sum ``values[lo:hi]`` in descending-index order: the LMS's
+    watch-time mean, whose bits the seeded digests pin."""
     total = 0.0
     for index in range(hi - 1, lo - 1, -1):
         total += values[index]
     return total
-
-
-def coverage_fraction(times: Sequence[int], start: int, end: int) -> float:
-    """Fraction of the minutes in ``[start, end]`` backed by real samples.
-
-    The LMS's monitoring-degradation guard: dropped load reports leave
-    gaps, and a watch window with too little coverage must not confirm a
-    situation.
-    """
-    lo, hi = window_bounds(times, start, end)
-    window = max(end - start + 1, 1)
-    return (hi - lo) / window
-
-
-class RollingWindow:
-    """Running sum/count over one trailing window of a monotone series.
-
-    ``push(time, value)`` appends a sample and evicts everything older
-    than ``time - duration + 1`` (the inclusive trailing window the load
-    series uses).  Gaps are natural: eviction is by timestamp, so a
-    window spanning dropped reports simply holds fewer samples.
-
-    The running sum accumulates float rounding that an exact re-sum
-    would not; callers needing bit-exact window sums (the controller's
-    decision path) use :func:`window_bounds` + the ordered sums instead.
-    """
-
-    __slots__ = ("duration", "_samples", "_sum")
-
-    def __init__(self, duration: int) -> None:
-        if duration < 1:
-            raise ValueError("window duration must be at least one minute")
-        self.duration = duration
-        self._samples: Deque[Tuple[int, float]] = deque()
-        self._sum = 0.0
-
-    def push(self, time: int, value: float) -> None:
-        """Append one sample; timestamps must be non-decreasing."""
-        self._samples.append((time, value))
-        self._sum += value
-        floor = time - self.duration + 1
-        while self._samples and self._samples[0][0] < floor:
-            __, evicted = self._samples.popleft()
-            self._sum -= evicted
-
-    def seed(self, times: Sequence[int], values: Sequence[float]) -> None:
-        """Replay an existing series into the window (used on lazy creation)."""
-        if not times:
-            return
-        floor = times[-1] - self.duration + 1
-        lo = bisect_left(times, floor)
-        self._samples = deque(zip(times[lo:], values[lo:]))
-        self._sum = sum_reversed(values, lo, len(values))
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def mean(self) -> Optional[float]:
-        """O(1) mean of the samples in the window, or ``None`` if empty."""
-        if not self._samples:
-            return None
-        return self._sum / len(self._samples)
-
-    def values(self) -> List[float]:
-        return [value for __, value in self._samples]

@@ -95,11 +95,11 @@ def _drive(landscape: LandscapeSpec, load_seed: int, minutes: int):
         trace.append(
             {
                 "cpu": {
-                    name: monitor.series.values()[-1]
+                    name: monitor.latest
                     for name, monitor in controller._host_cpu_monitors.items()
                 },
                 "mem": {
-                    name: monitor.series.values()[-1]
+                    name: monitor.latest
                     for name, monitor in controller._host_mem_monitors.items()
                 },
                 "open": sorted(

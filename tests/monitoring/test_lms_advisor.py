@@ -2,13 +2,17 @@
 
 These pin the paper's watch-time semantics: a threshold crossing only
 becomes a real situation if the *average* load during the watch time
-stays beyond the threshold, so short load peaks are filtered out.
+stays beyond the threshold, so short load peaks are filtered out.  The
+watch windows are read from the load archive, which a monitor's report
+sink reaches once a minute, as the controller flushes it.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.monitoring.advisor import Advisor, SubjectKind
-from repro.monitoring.archive import InMemoryLoadArchive
+from repro.monitoring.archive import InMemoryLoadArchive, SqliteLoadArchive
 from repro.monitoring.lms import LoadMonitoringSystem, SituationKind
 from repro.monitoring.monitor import LoadMonitor
 
@@ -30,8 +34,10 @@ def make_stack(
 ):
     dial = Dial()
     lms = LoadMonitoringSystem()
+    lms.archive = InMemoryLoadArchive()
     monitor = LoadMonitor("Blade1" if service_name is None else f"{service_name}#1",
                           "cpu")
+    monitor.report_sink = []
     advisor = Advisor(
         monitor,
         subject_kind,
@@ -45,13 +51,26 @@ def make_stack(
     return dial, monitor, advisor, lms
 
 
+def flush(monitor, archive):
+    """The controller's per-tick flush: the sink's rows into the archive."""
+    archive.record_reports(monitor.report_sink)
+    monitor.report_sink.clear()
+
+
 def run_minutes(dial, monitor, advisor, lms, loads, start=0):
-    """Feed a load sequence through the stack; return all confirmed situations."""
+    """Feed a load sequence through the stack; return all confirmed situations.
+
+    A load of ``None`` is a minute whose report was lost.
+    """
     situations = []
     for offset, load in enumerate(loads):
         now = start + offset
-        dial.value = load
-        monitor.push(now, dial.value)
+        if load is None:
+            monitor.mark_dropped(now)
+        else:
+            dial.value = load
+            monitor.push(now, dial.value)
+        flush(monitor, lms.archive)
         advisor.inspect(now)
         situations.extend(lms.tick(now))
     return situations
@@ -150,14 +169,42 @@ class TestAdvisorValidation:
             )
 
 
+class TestLoadMonitor:
+    def test_record_and_latest(self):
+        monitor = LoadMonitor("Blade1", "cpu")
+        monitor.push(0, 0.5)
+        monitor.push(1, 0.7)
+        assert (monitor.latest_time, monitor.latest) == (1, 0.7)
+
+    def test_empty_series(self):
+        monitor = LoadMonitor("Blade1", "cpu")
+        assert monitor.latest is None
+        assert monitor.latest_time is None
+
+    def test_non_monotone_time_rejected(self):
+        monitor = LoadMonitor("Blade1", "cpu")
+        monitor.push(5, 0.5)
+        with pytest.raises(ValueError, match="not after"):
+            monitor.push(5, 0.6)
+        with pytest.raises(ValueError, match="not after"):
+            monitor.push(4, 0.6)
+        assert (monitor.latest_time, monitor.latest) == (5, 0.5)
+
+    def test_a_dropped_report_keeps_the_last_sample(self):
+        monitor = LoadMonitor("Blade1", "cpu")
+        monitor.report_sink = []
+        monitor.push(0, 0.2)
+        monitor.mark_dropped(1)
+        assert (monitor.latest_time, monitor.latest) == (0, 0.2)
+        assert monitor.dropped_reports == 1
+        assert monitor.report_sink == [("Blade1", "cpu", 0, 0.2)]
+
+
 class TestMonitorArchiveIntegration:
     def test_samples_flow_into_archive(self):
-        archive = InMemoryLoadArchive()
-        dial = Dial(0.42)
-        monitor = LoadMonitor("Blade1", "cpu", archive=archive)
-        for t in range(5):
-            monitor.push(t, dial.value)
-        assert archive.average("Blade1", "cpu", 0, 4) == pytest.approx(0.42)
+        dial, monitor, advisor, lms = make_stack()
+        run_minutes(dial, monitor, advisor, lms, [0.42] * 5)
+        assert lms.archive.average("Blade1", "cpu", 0, 4) == pytest.approx(0.42)
 
     def test_lms_cancel(self):
         dial, monitor, advisor, lms = make_stack()
@@ -173,3 +220,141 @@ class TestMonitorArchiveIntegration:
         situations = run_minutes(dial, monitor, advisor, lms, [0.9] * 10)
         text = str(situations[0])
         assert "serverOverloaded" in text and "Blade1" in text
+
+
+def observe(archive, loads, started_at, watch_time):
+    """Feed ``loads`` (``None`` = a lost report) through a monitor into
+    ``archive`` and watch it from ``started_at`` until due, under a
+    threshold every mean is above, so the coverage gate alone decides.
+
+    Returns the confirmed mean (``None`` if nothing was confirmed) and
+    the observation's journal descriptor.
+    """
+    monitor = LoadMonitor("Blade1", "cpu")
+    monitor.report_sink = []
+    lms = LoadMonitoringSystem()
+    lms.archive = archive
+    situations = []
+    for now, load in enumerate(loads[: started_at + watch_time]):
+        if load is None:
+            monitor.mark_dropped(now)
+        else:
+            monitor.push(now, load)
+        flush(monitor, archive)
+        if now == started_at:
+            lms.open_observation(
+                kind=SituationKind.SERVER_OVERLOADED,
+                monitor=monitor,
+                threshold=-1.0,
+                now=now,
+                watch_time=watch_time,
+            )
+            (descriptor,) = lms.snapshot_state()
+        situations.extend(lms.tick(now))
+    assert len(situations) <= 1 and not lms.active_observations
+    return (situations[0].observed_mean if situations else None), descriptor
+
+
+class TestWatchWindows:
+    """The LMS's watch window is the archive's ``[started_at, now]``."""
+
+    @staticmethod
+    def _confirm(loads, started_at, watch_time):
+        return observe(InMemoryLoadArchive(), loads, started_at, watch_time)[0]
+
+    def test_watchtime_semantics(self):
+        """A 10-minute watch starting at t=100 covers samples 100..109."""
+        loads = [1.0 if 100 <= t <= 109 else 0.0 for t in range(115)]
+        assert self._confirm(loads, 100, 10) == 1.0
+
+    def test_window_boundaries_are_inclusive(self):
+        loads = [(t - 10) / 10 if t >= 10 else 5.0 for t in range(20)]
+        assert self._confirm(loads, 12, 3) == pytest.approx(0.3)
+        assert self._confirm(loads, 12, 1) == pytest.approx(0.2)
+        # a sample just before the window is not in it
+        assert self._confirm(loads, 10, 2) == pytest.approx(0.05)
+
+    def test_gap_in_samples_shrinks_the_window_mean(self):
+        # minutes 2..3 lost (monitoring outage): the gap is no zero load
+        loads = [0.2, 0.4, None, None, 0.9, 0.5]
+        assert self._confirm(loads, 0, 6) == pytest.approx(
+            (0.2 + 0.4 + 0.9 + 0.5) / 4
+        )
+
+    def test_mark_dropped_accounts_for_lost_reports(self):
+        """Half the window's minutes backed by samples still confirms;
+        fewer does not."""
+        assert self._confirm([0.9, None, 0.9, None], 0, 4) == 0.9
+        assert self._confirm([0.9, None, None, 0.9, None], 0, 5) is None
+
+    def test_empty_window_means_are_none(self):
+        assert self._confirm([None] * 12, 0, 10) is None
+        assert self._confirm([0.9] * 3 + [None] * 12, 3, 10) is None
+
+    def test_mean_between(self):
+        """The mean sums newest first, the order the seeded digests pin."""
+        loads = [0.1, 0.2, 0.3]
+        assert self._confirm(loads, 0, 3) == ((0.3 + 0.2) + 0.1) / 3
+        assert self._confirm(loads, 0, 3) != ((0.1 + 0.2) + 0.3) / 3
+
+
+def reference(loads, start, end):
+    """The deleted per-monitor series' arithmetic: the samples of
+    ``[start, end]`` summed newest first, behind the >= 0.5 coverage
+    gate; the mean's ``float.hex()``, or ``None``."""
+    window = [load for load in loads[start : end + 1] if load is not None]
+    if not window or len(window) / (end - start + 1) < 0.5:
+        return None
+    total = 0.0
+    for value in reversed(window):
+        total += value
+    return (total / len(window)).hex()
+
+
+@st.composite
+def watched_streams(draw):
+    """A per-minute load stream with lost reports, an observation, and
+    the minute a resume rewinds the archive to."""
+    loads = draw(st.lists(
+        st.one_of(st.none(), st.floats(0.0, 1.5, allow_nan=False)),
+        min_size=1, max_size=40,
+    ))
+    started_at = draw(st.integers(0, len(loads) - 1))
+    watch_time = draw(st.integers(1, len(loads) - started_at))
+    rewind = draw(st.integers(-1, len(loads) - 1))
+    return loads, started_at, watch_time, rewind
+
+
+def _hex(mean):
+    return None if mean is None else mean.hex()
+
+
+class TestWatchWindowOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(watched_streams())
+    def test_the_archive_window_is_the_series_window(self, drawn):
+        """Both archives confirm the reference's mean, bit for bit, and
+        its coverage verdict; SQLite again after the resume rewind."""
+        loads, started_at, watch_time, rewind = drawn
+        due = started_at + watch_time - 1
+        expected = reference(loads, started_at, due)
+        assert _hex(observe(InMemoryLoadArchive(), *drawn[:3])[0]) == expected
+        with SqliteLoadArchive(":memory:") as archive:
+            observed, descriptor = observe(archive, *drawn[:3])
+            assert _hex(observed) == expected
+            # the resume rewind: cut back to minute ``rewind``, report the
+            # minutes after it again from a fresh monitor, and revive the
+            # observation in a fresh LMS
+            archive.truncate_after(rewind)
+            monitor = LoadMonitor("Blade1", "cpu")
+            monitor.report_sink = [
+                ("Blade1", "cpu", t, load)
+                for t, load in enumerate(loads[: due + 1])
+                if t > rewind and load is not None
+            ]
+            flush(monitor, archive)
+            lms = LoadMonitoringSystem()
+            lms.archive = archive
+            lms.restore_observation(descriptor, monitor)
+            revived = lms.tick(due)
+            assert _hex(revived[0].observed_mean if revived else None) == expected

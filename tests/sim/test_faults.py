@@ -184,13 +184,11 @@ class TestMonitoringOutages:
         for name in platform.hosts:
             monitor = controller._host_cpu_monitors[name]
             assert monitor.dropped_reports == 4
-            assert monitor.series.count_between(0, 3) == 0
+            assert controller.archive.history(name, "cpu", 0, 3) == []
         # after the outage window reports flow again
         controller.tick(4)
         for name in platform.hosts:
-            assert controller._host_cpu_monitors[name].series.count_between(
-                4, 4
-            ) == 1
+            assert len(controller.archive.history(name, "cpu", 4, 4)) == 1
 
 
 class TestChaosOnSapLandscape:

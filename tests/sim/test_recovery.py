@@ -12,6 +12,7 @@ Acceptance (the durable-controller PR):
   run of the same configuration.
 """
 
+import ast
 import dataclasses
 import json
 import os
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.state import DurableStateStore
+from repro.monitoring.archive import InMemoryLoadArchive
 from repro.sim.export import export_summary_json
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario, controller_chaos, default_chaos
@@ -200,6 +202,63 @@ print(runner.controller.events)
 """
 
 
+def _stale_windows(events):
+    """``(partitioned, promoted, healed)`` minutes of each window in which
+    a deposed leader kept ticking, from a run's supervision events; a
+    window the run ends in heals at ``None``."""
+    windows = []
+    partitioned = None
+    for time, kind, detail in events:
+        if kind == "leader-partition":
+            partitioned = time
+        elif kind == "leader-failover" and "->" in detail:
+            windows.append([partitioned, time, None])
+        elif kind == "partition-healed":
+            windows[-1][2] = time
+    return [tuple(window) for window in windows]
+
+
+class _WriteCountingArchive(InMemoryLoadArchive):
+    """Counts how often each ``(subject, metric, minute)`` is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = {}
+
+    def record_reports(self, rows):
+        rows = list(rows)
+        for subject, metric, time, __ in rows:
+            key = (subject, metric, time)
+            self.writes[key] = self.writes.get(key, 0) + 1
+        super().record_reports(rows)
+
+
+class TestDeposedLeader:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_the_archive_holds_one_leaders_samples(self, seed):
+        """A deposed leader ticking under its partition reaches neither
+        the journal nor the archive: no sample of its stale window is
+        stored twice, so the leader's LMS and ``cpuLoad`` read only the
+        leader's numbers."""
+        archive = _WriteCountingArchive()
+        runner = SimulationRunner(
+            Scenario.FULL_MOBILITY, user_factor=1.15, horizon=240, seed=7,
+            collect_host_series=False, chaos=controller_chaos(seed),
+            standby=True, archive=archive,
+        )
+        runner.run()
+        windows = _stale_windows(runner.controller.events)
+        assert windows, "no leader was deposed"
+        stale = set()
+        for __, promoted, healed in windows:
+            stale.update(range(promoted, 720 + 240 if healed is None else healed))
+        in_window = {
+            key: count for key, count in archive.writes.items() if key[2] in stale
+        }
+        assert in_window  # the leader kept archiving through the window
+        assert max(in_window.values()) == 1
+
+
 def _federated(state_dir, **kwargs):
     """Two control domains of the paper landscape under controller faults."""
     from repro.config.builtin import paper_landscape, partition_landscape
@@ -310,6 +369,48 @@ class TestKillAndResume:
         ) in uninterrupted.stdout
         state = str(tmp_path / "state")
         killed = run(state, "kill", str(seed), str(failover))
+        assert killed.returncode == -signal.SIGKILL
+        resumed = run(state, "resume", str(seed), "0")
+        assert resumed.returncode == 0, resumed.stderr
+        assert resumed.stdout == uninterrupted.stdout
+
+    @pytest.mark.parametrize(
+        "seed, offset",
+        [
+            # minutes from the promotion that deposed the partitioned
+            # leader; when written, seed 3's deposed leader ticked 797-812
+            # and seed 7's 919-932.  Killed at 805 and 811, after the 799
+            # and 809 run snapshots; at 925, after the 919 one.
+            (3, 8),
+            (3, 14),
+            (7, 6),
+            # seed 37's deposed leader (794-805) is fenced every minute:
+            # killed at 802, after the 799 snapshot
+            (37, 8),
+            # inside seed 3's partition (from 793), before the promotion
+            (3, -2),
+        ],
+    )
+    def test_a_kill_while_a_deposed_leader_runs_is_resumed(
+        self, tmp_path, seed, offset
+    ):
+        """The run snapshot carries a deposed leader still ticking under
+        its partition: a resume rebuilds it, fencing token and all, and
+        the run is the uninterrupted one."""
+        run = self._harness(tmp_path, _STANDBY_HARNESS)
+        uninterrupted = run(str(tmp_path / "full"), "full", str(seed), "0")
+        assert uninterrupted.returncode == 0, uninterrupted.stderr
+        events = ast.literal_eval(uninterrupted.stdout.splitlines()[-1])
+        partitioned, promoted, healed = _stale_windows(events)[0]
+        kill_at = promoted + offset
+        if offset > 0:
+            assert kill_at < healed
+            # a run snapshot between the promotion and the kill holds it
+            assert any(minute % 10 == 9 for minute in range(promoted, kill_at))
+        else:
+            assert partitioned < kill_at < promoted
+        state = str(tmp_path / "state")
+        killed = run(state, "kill", str(seed), str(kill_at))
         assert killed.returncode == -signal.SIGKILL
         resumed = run(state, "resume", str(seed), "0")
         assert resumed.returncode == 0, resumed.stderr
