@@ -43,6 +43,7 @@ implicit control domain spanning every server.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -76,28 +77,37 @@ def _require(element: ET.Element, attribute: str) -> str:
     return value
 
 
-def _get_float(element: ET.Element, attribute: str, default: float) -> float:
-    raw = element.get(attribute)
-    if raw is None:
-        return default
+def _float(element: ET.Element, attribute: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise LandscapeParseError(
             f"<{element.tag}> attribute {attribute!r}: {raw!r} is not a number"
         ) from None
+    if not math.isfinite(value):
+        raise LandscapeParseError(
+            f"<{element.tag}> attribute {attribute!r}: {raw!r} is not a finite number"
+        )
+    return value
 
 
-def _get_int(element: ET.Element, attribute: str, default: int) -> int:
-    raw = element.get(attribute)
-    if raw is None:
-        return default
+def _int(element: ET.Element, attribute: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
         raise LandscapeParseError(
             f"<{element.tag}> attribute {attribute!r}: {raw!r} is not an integer"
         ) from None
+
+
+def _get_float(element: ET.Element, attribute: str, default: float) -> float:
+    raw = element.get(attribute)
+    return default if raw is None else _float(element, attribute, raw)
+
+
+def _get_int(element: ET.Element, attribute: str, default: int) -> int:
+    raw = element.get(attribute)
+    return default if raw is None else _int(element, attribute, raw)
 
 
 def _get_bool(element: ET.Element, attribute: str, default: bool) -> bool:
@@ -136,7 +146,9 @@ def _parse_controller(element: Optional[ET.Element]) -> ControllerSettings:
 def _parse_server(element: ET.Element) -> ServerSpec:
     return ServerSpec(
         name=_require(element, "name"),
-        performance_index=float(_require(element, "performanceIndex")),
+        performance_index=_float(
+            element, "performanceIndex", _require(element, "performanceIndex")
+        ),
         num_cpus=_get_int(element, "cpus", 1),
         cpu_clock_mhz=_get_float(element, "cpuClockMhz", 1000.0),
         cpu_cache_kb=_get_float(element, "cpuCacheKb", 512.0),
@@ -160,7 +172,10 @@ def _parse_constraints(element: Optional[ET.Element]) -> ServiceConstraints:
         exclusive=_get_bool(element, "exclusive", False),
         min_performance_index=_get_float(element, "minPerformanceIndex", 0.0),
         min_instances=_get_int(element, "minInstances", 1),
-        max_instances=int(max_instances_raw) if max_instances_raw is not None else None,
+        max_instances=(
+            None if max_instances_raw is None
+            else _int(element, "maxInstances", max_instances_raw)
+        ),
         allowed_actions=allowed,
     )
 
@@ -244,7 +259,11 @@ def _parse_allocation(element: Optional[ET.Element]) -> List[Tuple[str, str]]:
 
 
 def landscape_from_xml(text: str) -> LandscapeSpec:
-    """Parse a landscape description from an XML string."""
+    """Parse a landscape description from an XML string.
+
+    Every refusal is a :class:`LandscapeParseError`, the model's own
+    validation (a server without CPUs, a negative instance bound) too.
+    """
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -253,6 +272,15 @@ def landscape_from_xml(text: str) -> LandscapeSpec:
         raise LandscapeParseError(
             f"expected <landscape> document root, got <{root.tag}>"
         )
+    try:
+        return _parse_landscape(root)
+    except LandscapeParseError:
+        raise
+    except ValueError as exc:
+        raise LandscapeParseError(str(exc)) from exc
+
+
+def _parse_landscape(root: ET.Element) -> LandscapeSpec:
     servers_element = root.find("servers")
     services_element = root.find("services")
     return LandscapeSpec(

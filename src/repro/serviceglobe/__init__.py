@@ -26,7 +26,6 @@ from repro.serviceglobe.actions import (
 from repro.serviceglobe.executor import ActionExecutor, ExecutionFaults, RetryPolicy
 from repro.serviceglobe.dispatcher import Dispatcher, UserDistribution
 from repro.serviceglobe.host import ServiceHost
-from repro.serviceglobe.invocation import LatencyModel, RequestOutcome, ServiceInvoker
 from repro.serviceglobe.network import NetworkFabric, VirtualIP
 from repro.serviceglobe.platform import Platform
 from repro.serviceglobe.registry import ServiceRegistry
@@ -44,16 +43,13 @@ __all__ = [
     "Dispatcher",
     "ExecutionFaults",
     "InstanceState",
-    "LatencyModel",
     "NetworkFabric",
     "NoSuchTarget",
     "Platform",
     "PlatformTransaction",
-    "RequestOutcome",
     "RetryPolicy",
     "ServiceDefinition",
     "ServiceHost",
-    "ServiceInvoker",
     "ServiceInstance",
     "ServiceRegistry",
     "TransientActionFailure",

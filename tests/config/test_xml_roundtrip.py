@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.config.builtin import paper_landscape
+from repro.config.builtin import paper_landscape, paper_landscape_xml
 from repro.config.model import (
     Action,
     ControllerMode,
@@ -22,6 +22,23 @@ from repro.config.xml_loader import (
     load_landscape,
 )
 from repro.config.xml_writer import landscape_to_xml, save_landscape
+
+#: One attribute of the paper landscape's XML edited (first occurrence),
+#: and what the refusal names.
+HOSTILE_NUMBERS = [
+    pytest.param(('maxInstances="1"', 'maxInstances="1.5"'),
+                 "'maxInstances': '1.5' is not an integer", id="maxInstances=1.5"),
+    pytest.param(('performanceIndex="1.0"', 'performanceIndex="fast"'),
+                 "'performanceIndex': 'fast' is not a number", id="performanceIndex=fast"),
+    pytest.param(('cpus="1"', 'cpus="-1"'),
+                 "server 'Blade1': needs at least one CPU", id="cpus=-1"),
+    pytest.param(('overloadThreshold="0.7"', 'overloadThreshold="nan"'),
+                 "<controller> attribute 'overloadThreshold': 'nan' is not a finite number",
+                 id="overloadThreshold=nan"),
+    pytest.param(('performanceIndex="1.0"', 'performanceIndex="nan"'),
+                 "<server> attribute 'performanceIndex': 'nan' is not a finite number",
+                 id="performanceIndex=nan"),
+]
 
 MINIMAL_XML = """
 <landscape name="tiny">
@@ -125,6 +142,14 @@ class TestLoader:
         """
         with pytest.raises(LandscapeParseError, match="not a number"):
             landscape_from_xml(xml)
+
+    @pytest.mark.parametrize("edit, message", HOSTILE_NUMBERS)
+    def test_a_hostile_number_is_a_parse_error(self, edit, message):
+        """Non-integers, non-numbers, non-finite numbers and values the
+        model refuses: each a LandscapeParseError, never a bare
+        ValueError or a failure deep in the fuzzy tables."""
+        with pytest.raises(LandscapeParseError, match=message):
+            landscape_from_xml(paper_landscape_xml().replace(*edit, 1))
 
     def test_bad_boolean_rejected(self):
         xml = """

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.config.test_xml_roundtrip import HOSTILE_NUMBERS
 
 
 class TestParser:
@@ -176,6 +177,20 @@ class TestCommands:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "Table 7" in out and "static" in out
+
+
+class TestLintRefusesAHostileNumber:
+    @pytest.mark.parametrize("edit, message", HOSTILE_NUMBERS)
+    def test_one_line_and_exit_2(self, edit, message, tmp_path, capsys):
+        from repro.config.builtin import paper_landscape_xml
+
+        path = tmp_path / "landscape.xml"
+        path.write_text(paper_landscape_xml().replace(*edit, 1))
+        assert main(["lint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"autoglobe lint: {path}: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestRunRefusesAStateFileOfAnotherFormat:

@@ -60,13 +60,6 @@ class TestExamples:
         assert "LES demand pattern" in out
         assert "forecast for tomorrow morning" in out
 
-    def test_qos_enforcement(self):
-        out = run_example("qos_enforcement.py")
-        assert "agreement in force" in out
-        assert "VIOLATED" in out
-        assert "enforcement actions:" in out
-        assert "increasePriority HR" in out
-
     def test_self_healing_and_forecasting(self):
         out = run_example("self_healing_and_forecasting.py")
         assert "self-healing: crash and restart" in out
