@@ -77,7 +77,9 @@ def _microbench_archive() -> float:
 
     archive = InMemoryLoadArchive()
     for minute in range(4800):
-        archive.store("host01", "cpu", minute, 0.25 + (minute % 97) / 200.0)
+        archive.record_reports(
+            [("host01", "cpu", minute, 0.25 + (minute % 97) / 200.0)]
+        )
     end = 4799
     return round(
         _time_us(lambda: archive.average("host01", "cpu", end - 9, end), 20000), 3

@@ -2,11 +2,12 @@
 
 "A load archive stores a persistent aggregated view of historic load
 data" (Section 2) — here backed by SQLite.  We run two simulated days of
-the constrained-mobility SAP scenario with the archive attached, then
-analyze it the way the paper's future work proposes:
+the constrained-mobility SAP scenario with the archive attached and the
+run's telemetry event log kept beside it, then analyze both the way the
+paper's future work proposes:
 
 * per-server aggregated daily views (the archive's raison d'être),
-* the administration event history (confirmed situations, actions),
+* the administration history (executed actions) from the event log,
 * periodic-pattern extraction and a next-morning load forecast for the
   LES application tier.
 
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from repro.forecasting.patterns import extract_daily_pattern
 from repro.monitoring.archive import SqliteLoadArchive
+from repro.ops.store import read_store
 from repro.sim.clock import MINUTES_PER_DAY, format_minute
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario
@@ -30,6 +32,7 @@ def main() -> None:
     parser.add_argument("--hours", type=float, default=48.0)
     args = parser.parse_args()
     path = args.db or str(Path(tempfile.mkdtemp()) / "autoglobe-archive.db")
+    store_path = Path(path).with_name(Path(path).stem + "-events.db")
 
     with SqliteLoadArchive(path) as archive:
         print(f"running {args.hours:g} h of constrained mobility @ 115% users "
@@ -41,6 +44,7 @@ def main() -> None:
             seed=7,
             collect_host_series=False,
             archive=archive,
+            store_path=store_path,
         )
         result = runner.run()
         archive.commit()
@@ -54,10 +58,13 @@ def main() -> None:
                 bar = "#" * round(mean * 40)
                 print(f"  {hour:02d}:00 |{bar:<40}| {mean:4.0%}")
 
-        actions = archive.events(category="action")
+        __, events = read_store(store_path)
+        actions = [event.record for event in events if event.topic == "actions"]
         print(f"\nadministration history: {len(actions)} actions recorded")
-        for time, __, subject, details in actions[:8]:
-            print(f"  {format_minute(time)}  {details}")
+        for action in actions[:8]:
+            print(f"  {format_minute(action['time'])}  {action['action']} "
+                  f"{action['service_name']} on {action['target_host'] or '-'} "
+                  f"({action['status']})")
 
         history = archive.history("service:LES", "demand")
         pattern = extract_daily_pattern(history)

@@ -79,10 +79,14 @@ class TraceVerifier:
     # -- live (sanitizer) front end --------------------------------------------------
 
     def attach(self, bus: EventBus) -> None:
-        """Subscribe to every topic of a bus; events feed as published."""
+        """Subscribe to every topic of a bus; events feed as published.
+
+        The live stream is complete when the events fed before (a resumed
+        run's prefix, or none) are every envelope the bus numbered so far.
+        """
         if self._bus is not None:
             raise RuntimeError("verifier is already attached to a bus")
-        self._live_complete = bus.last_seq == 0
+        self._live_complete = bus.last_seq == self._fed
         bus.subscribe(WILDCARD, self._on_envelope)
         self._bus = bus
 
@@ -116,9 +120,9 @@ class TraceVerifier:
         """Finalize every checker and fold the findings into a report.
 
         ``complete`` defaults to what the live attachment observed (the
-        bus was virgin when attached); offline callers pass the trace
-        header's flag.  ``summary`` enables accounting reconciliation
-        (AG305).
+        events fed before it covered the bus's sequence); offline callers
+        pass the trace header's flag.  ``summary`` enables accounting
+        reconciliation (AG305).
         """
         self.detach()
         context = VerificationContext(

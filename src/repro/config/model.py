@@ -161,6 +161,15 @@ class ServiceConstraints:
         return action in self.allowed_actions
 
 
+def _check_range(
+    owner: str, name: str, value: float, low: float, high: Optional[float]
+) -> None:
+    """Refuse ``value`` outside ``[low, high]`` (no upper bound for None)."""
+    if value < low or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{owner} {name} {value!r} is not {bound}")
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Simulation workload parameters of a service (Table 4 and Section 5.1).
@@ -202,6 +211,12 @@ class WorkloadSpec:
     batch: bool = False
     memory_per_instance_mb: int = 1024
     fluctuation_rate: float = 0.003
+
+    def __post_init__(self) -> None:
+        for name in ("users", "load_per_user", "basic_load", "ci_cost_per_user",
+                     "db_cost_per_user", "memory_per_instance_mb"):
+            _check_range("workload", name, getattr(self, name), 0, None)
+        _check_range("workload", "fluctuation_rate", self.fluctuation_rate, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -331,6 +346,16 @@ class ControllerSettings:
     #: before it expires (a revived controller must not act on stale
     #: approvals requested before a crash)
     approval_ttl: int = 240
+
+    def __post_init__(self) -> None:
+        for name in ("overload_threshold", "idle_threshold_base"):
+            value = getattr(self, name)
+            if not 0 < value <= 1:
+                raise ValueError(f"controller {name} {value!r} is not in (0, 1]")
+        for name in ("overload_watch_time", "idle_watch_time", "approval_ttl"):
+            _check_range("controller", name, getattr(self, name), 1, None)
+        _check_range("controller", "protection_time", self.protection_time, 0, None)
+        _check_range("controller", "min_applicability", self.min_applicability, 0, 1)
 
     def idle_threshold(self, performance_index: float) -> float:
         """Idle threshold of a server: 12.5% divided by its performance index."""

@@ -34,7 +34,7 @@ from repro.core.decision import DecisionLoop
 from repro.core.protection import ProtectionRegistry
 from repro.core.server_selection import ServerSelector
 from repro.monitoring.advisor import Advisor, SubjectKind
-from repro.monitoring.archive import ArchiveFlusher, InMemoryLoadArchive, LoadArchive
+from repro.monitoring.archive import InMemoryLoadArchive, LoadArchive
 from repro.monitoring.heartbeat import HeartbeatDetector
 from repro.monitoring.lms import LoadMonitoringSystem, Situation, SituationKind
 from repro.monitoring.monitor import LoadMonitor
@@ -125,14 +125,11 @@ class AutoGlobeController:
         #: observation descriptors recovered from a snapshot/journal,
         #: revived in the next tick once their monitors exist again
         self._pending_observation_restores: List[Dict[str, Any]] = []
-        #: one tick's load reports, flushed to the bus (and from there to
-        #: the archive) in one batch after the sampling pass
+        #: one tick's load reports, stored in the archive and published in
+        #: one batch after the sampling pass
         self._report_buffer: List[Tuple[str, str, int, float]] = []
         #: set by :meth:`depose`: this replica's reports are dropped
         self._deposed = False
-        #: the bus->archive bridge; shared across replicas of the same
-        #: archive so a standby taking over does not double-store batches
-        self.archive_flusher = self._ensure_archive_flusher()
         self._host_cpu_monitors: Dict[str, LoadMonitor] = {}
         self._host_mem_monitors: Dict[str, LoadMonitor] = {}
         self._host_advisors: Dict[str, Advisor] = {}
@@ -157,24 +154,6 @@ class AutoGlobeController:
         self._sync_host_monitors()
 
     # -- setup ---------------------------------------------------------------------
-
-    def _ensure_archive_flusher(self) -> ArchiveFlusher:
-        """One flusher per (archive, bus) pair.
-
-        Controller replicas (hot standby, post-crash recovery) share one
-        archive and one platform bus; a second flusher on the same pair
-        would store every published batch twice.
-        """
-        flusher = getattr(self.archive, "bus_flusher", None)
-        if (
-            flusher is None
-            or flusher.bus is not self.platform.bus
-            or flusher.archive is not self.archive
-            or flusher.domain != self.domain
-        ):
-            flusher = ArchiveFlusher(self.archive, self.platform.bus, domain=self.domain)
-            self.archive.bus_flusher = flusher
-        return flusher
 
     def _install_service_rule_overrides(self) -> None:
         for service in self.platform.landscape.services:
@@ -504,13 +483,13 @@ class AutoGlobeController:
             self._restore_observations()
         blind = self._blind_hosts(now)
         self._sample(now, blind)
-        # one batched flush per tick: the archive consumes this minute's
-        # reports off the bus before any decision queries watch-time means
+        # one batch per tick: the archive holds this minute's reports
+        # before any decision queries watch-time means
         if self._report_buffer:
             if not self._deposed:
-                self.platform.bus.publish(
-                    LoadReportBatch(now, tuple(self._report_buffer), self.domain)
-                )
+                rows = tuple(self._report_buffer)
+                self.archive.record_reports(rows)
+                self.platform.bus.publish(LoadReportBatch(now, rows, self.domain))
             self._report_buffer.clear()
         for name, advisor in self._host_advisors.items():
             if name not in blind:
@@ -575,9 +554,6 @@ class AutoGlobeController:
             if self._situation_protected(situation, now):
                 continue
             self.situations_handled.append(situation)
-            self.archive.store_event(
-                now, "situation", situation.subject, str(situation)
-            )
             ranked = ranked_cache.get(id(situation))
             if ranked is None or state.mutation_version != cache_version:
                 # the batch was computed against a landscape an earlier
@@ -586,9 +562,6 @@ class AutoGlobeController:
             outcome = self.decision_loop.handle(situation, ranked, now)
             if outcome is not None:
                 outcomes.append(outcome)
-                self.archive.store_event(
-                    now, "action", outcome.service_name, str(outcome)
-                )
         if now % 60 == 0:
             self.protection.prune(now)
         return outcomes
@@ -855,7 +828,6 @@ class AutoGlobeController:
         self.alerts.approvals.mark_executed(request.request_id, now)
         self.decision_loop._protect_involved(outcome, now)
         self.alerts.info(now, f"executed {outcome}")
-        self.archive.store_event(now, "action", outcome.service_name, str(outcome))
         return outcome
 
     def execute_manually(

@@ -23,8 +23,8 @@ once by :class:`StateDb`:
   rejects actions carrying an older one
   (:class:`~repro.serviceglobe.actions.FencedActionError`), so a deposed
   or partitioned leader cannot double-apply actions.
-* ``load_series`` / ``load_layouts`` / ``load_minutes`` / ``admin_events``
-  — the load archive (:class:`~repro.monitoring.archive.SqliteLoadArchive`):
+* ``load_series`` / ``load_layouts`` / ``load_minutes`` — the load
+  archive (:class:`~repro.monitoring.archive.SqliteLoadArchive`):
   one row per minute, its samples packed as float64 in the order of a
   layout of interned series ids; one all-or-nothing batch per tick.
 * ``events`` / ``meta`` — the telemetry event log
@@ -46,8 +46,7 @@ Every file a run leaves is opened here and nowhere else — read-write by
 :class:`StateDb`, read-only by :func:`open_readonly` — and one that
 fails its integrity check on open raises :class:`StateCorruptError`;
 nothing is skipped, dropped or rebuilt.  So does a read-write open of a
-file whose ``PRAGMA user_version`` is not :data:`STATE_FORMAT` (format 0
-is one from before the load archive packed one row per minute): it is
+file whose ``PRAGMA user_version`` is not :data:`STATE_FORMAT`: it is
 never read as an empty archive.
 :func:`replay_journal` is the idempotent fold from (snapshot, journal
 suffix) back to controller state: whatever action intent it leaves
@@ -147,9 +146,10 @@ class StateCorruptError(Exception):
 
 #: ``PRAGMA user_version`` of the state files this version writes and
 #: reads.  A file of format 0 was written before the load archive packed
-#: one row per minute; nothing here reads its per-sample table, so it is
-#: refused rather than resumed into an empty archive.
-STATE_FORMAT = 2
+#: one row per minute, one of format 2 while the archive still copied
+#: situations and actions into a table of its own; neither is
+#: read here, so both are refused rather than resumed.
+STATE_FORMAT = 3
 
 #: How long a connection waits for a competing process's transaction
 #: before giving up; transactions here are tiny, so contention clears in
@@ -250,14 +250,6 @@ class StateDb:
         layout INTEGER NOT NULL,
         vals   BLOB NOT NULL
     );
-    CREATE TABLE IF NOT EXISTS admin_events (
-        id       INTEGER PRIMARY KEY AUTOINCREMENT,
-        time     INTEGER NOT NULL,
-        category TEXT NOT NULL,
-        subject  TEXT NOT NULL,
-        details  TEXT NOT NULL
-    );
-    CREATE INDEX IF NOT EXISTS idx_events_time ON admin_events (time);
     CREATE TABLE IF NOT EXISTS meta (
         key   TEXT PRIMARY KEY,
         value TEXT NOT NULL
@@ -318,7 +310,8 @@ class StateDb:
                 self.path,
                 f"state format {version}, this version reads format "
                 f"{STATE_FORMAT} only; format 0 is a file from before the "
-                "load archive packed one row per minute",
+                "load archive packed one row per minute, format 2 one whose "
+                "archive also kept situations and actions",
             )
 
     def execute(
@@ -672,9 +665,9 @@ class DurableStateStore:
         """Back to a snapshot: drop what the abandoned timeline wrote.
 
         A run resumes from a snapshot older than the kill; journal
-        records past the snapshot's sequence number and load samples and
-        administration events newer than its minute belong to the
-        timeline between the two and must not leak into the resumed one.
+        records past the snapshot's sequence number and load samples
+        newer than its minute belong to the timeline between the two and
+        must not leak into the resumed one.
         """
         with self.db.transaction() as connection:
             connection.execute("DELETE FROM journal WHERE seq > ?", (journal_seq,))

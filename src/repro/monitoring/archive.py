@@ -4,7 +4,7 @@
 to calculate the average load of services during their watchTime and to
 initialize all resource variables of the fuzzy controller."  (Section 2)
 
-Two implementations share one interface:
+Two implementations, one :data:`LoadArchive`:
 
 * :class:`InMemoryLoadArchive` — fast dict-backed store, the archive of
   every run without a state directory;
@@ -13,9 +13,12 @@ Two implementations share one interface:
   state directory's ``state.db`` (rewound with its journal on resume) or
   a file of its own, for long-running deployments and load forecasting.
 
-Both keep the last write of a ``(subject, metric, time)`` and both mean
-a window with :func:`~repro.telemetry.windows.sum_forward`, so they
-return the same numbers bit for bit.
+Samples enter through ``record_reports`` only: the controller stores each
+tick's batch itself, right before it publishes it.  Both keep the last
+write of a ``(subject, metric, time)`` and both mean a window with
+:func:`~repro.telemetry.windows.sum_forward`, so they return the same
+numbers bit for bit.  Situations and actions are not load data: the
+telemetry event log is their record.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from bisect import bisect_left
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.telemetry.bus import Envelope, EventBus
-from repro.telemetry.records import TOPIC_REPORTS, LoadReportBatch
 from repro.telemetry.windows import sum_forward, window_bounds
 
 if TYPE_CHECKING:
@@ -39,7 +40,6 @@ __all__ = [
     "LoadArchive",
     "InMemoryLoadArchive",
     "SqliteLoadArchive",
-    "ArchiveFlusher",
 ]
 
 #: the widest window of minutes a read can ask for (SQLite's integer range)
@@ -49,53 +49,7 @@ _EARLIEST, _LATEST = -(2**63), 2**63 - 1
 _CACHED_ENTRIES = 1 << 16
 
 
-class LoadArchive:
-    """Interface of a load archive.
-
-    Besides numeric load samples, the archive records *administration
-    events* (confirmed situations, executed actions): the historic
-    record the paper's future-work forecasting and auditing mine.
-    """
-
-    def store(self, subject: str, metric: str, time: int, value: float) -> None:
-        raise NotImplementedError
-
-    def record_reports(self, rows: Iterable[Tuple[str, str, int, float]]) -> None:
-        """Store one tick's load reports (one bus flush); a sample stored
-        again for the same ``(subject, metric, time)`` replaces the earlier."""
-        raise NotImplementedError
-
-    def store_event(
-        self, time: int, category: str, subject: str, details: str
-    ) -> None:
-        raise NotImplementedError
-
-    def events(
-        self,
-        category: Optional[str] = None,
-        start: int = 0,
-        end: Optional[int] = None,
-    ) -> List[Tuple[int, str, str, str]]:
-        """(time, category, subject, details) rows, ordered by time."""
-        raise NotImplementedError
-
-    def average(
-        self, subject: str, metric: str, start: int, end: int
-    ) -> Optional[float]:
-        """Mean of values with ``start <= time <= end``, or ``None``."""
-        raise NotImplementedError
-
-    def history(
-        self, subject: str, metric: str, start: int = 0, end: Optional[int] = None
-    ) -> List[Tuple[int, float]]:
-        """(time, value) pairs in the window, ordered by time."""
-        raise NotImplementedError
-
-    def subjects(self) -> List[str]:
-        raise NotImplementedError
-
-
-class InMemoryLoadArchive(LoadArchive):
+class InMemoryLoadArchive:
     """Dict-backed archive; O(1) appends, bisected window queries.
 
     Samples are kept as parallel sorted time/value lists per
@@ -107,51 +61,29 @@ class InMemoryLoadArchive(LoadArchive):
     def __init__(self) -> None:
         self._times: Dict[Tuple[str, str], List[int]] = {}
         self._values: Dict[Tuple[str, str], List[float]] = {}
-        self._events: List[Tuple[int, str, str, str]] = []
-
-    def store_event(
-        self, time: int, category: str, subject: str, details: str
-    ) -> None:
-        self._events.append((time, category, subject, details))
-
-    def events(
-        self,
-        category: Optional[str] = None,
-        start: int = 0,
-        end: Optional[int] = None,
-    ) -> List[Tuple[int, str, str, str]]:
-        return [
-            row
-            for row in self._events
-            if row[0] >= start
-            and (end is None or row[0] <= end)
-            and (category is None or row[1] == category)
-        ]
-
-    def store(self, subject: str, metric: str, time: int, value: float) -> None:
-        key = (subject, metric)
-        times = self._times.get(key)
-        if times is None:
-            times = self._times[key] = []
-            self._values[key] = []
-        values = self._values[key]
-        if not times or time > times[-1]:
-            times.append(time)
-            values.append(float(value))
-            return
-        # a stored minute again, or an out-of-order backfill (rare): the
-        # last write wins and the lists stay sorted
-        index = bisect_left(times, time)
-        if times[index] == time:
-            values[index] = float(value)
-        else:
-            times.insert(index, time)
-            values.insert(index, float(value))
 
     def record_reports(self, rows: Iterable[Tuple[str, str, int, float]]) -> None:
-        """Store one tick's load reports (one bus flush)."""
+        """Store one tick's load reports; a sample stored again for the
+        same ``(subject, metric, time)`` replaces the earlier."""
         for subject, metric, time, value in rows:
-            self.store(subject, metric, time, value)
+            key = (subject, metric)
+            times = self._times.get(key)
+            if times is None:
+                times = self._times[key] = []
+                self._values[key] = []
+            values = self._values[key]
+            if not times or time > times[-1]:
+                times.append(time)
+                values.append(float(value))
+                continue
+            # a stored minute again, or an out-of-order backfill (rare):
+            # the last write wins and the lists stay sorted
+            index = bisect_left(times, time)
+            if times[index] == time:
+                values[index] = float(value)
+            else:
+                times.insert(index, time)
+                values.insert(index, float(value))
 
     def average(
         self, subject: str, metric: str, start: int, end: int
@@ -180,16 +112,15 @@ class InMemoryLoadArchive(LoadArchive):
         return sorted({subject for (subject, __), times in self._times.items() if times})
 
     def truncate_after(self, time: int) -> None:
-        """Drop samples and events newer than ``time`` (resume support)."""
+        """Drop samples newer than ``time`` (resume support)."""
         for key, times in self._times.items():
             lo, hi = window_bounds(times, 0, time)
             del times[hi:]
             del self._values[key][hi:]
-        self._events = [row for row in self._events if row[0] <= time]
 
 
-class SqliteLoadArchive(LoadArchive):
-    """Persistent archive: the load and ``admin_events`` tables of a
+class SqliteLoadArchive:
+    """Persistent archive: the load tables of a
     :class:`~repro.core.state.StateDb` — a state directory's
     ``state.db`` (``DurableStateStore.archive``), a database file of its
     own, or ``":memory:"`` (the default).
@@ -279,13 +210,6 @@ class SqliteLoadArchive(LoadArchive):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def store(self, subject: str, metric: str, time: int, value: float) -> None:
-        self.record_reports([(subject, metric, time, value)])
-
-    def store_many(self, rows: Iterable[Tuple[str, str, int, float]]) -> None:
-        """Bulk insert of (subject, metric, time, value) rows."""
-        self.record_reports(rows)
 
     def record_reports(self, rows: Iterable[Tuple[str, str, int, float]]) -> None:
         """Store a batch of samples (one tick's reports) in a single
@@ -464,12 +388,11 @@ class SqliteLoadArchive(LoadArchive):
         return times, list(struct.unpack(f"<{len(times)}d", b"".join(chunks)))
 
     def truncate_after(self, time: int) -> None:
-        """Drop samples and events newer than ``time``: what a timeline
+        """Drop samples newer than ``time``: what a timeline
         abandoned at a resume recorded past the snapshot (atomic inside
         :meth:`DurableStateStore.rewind <repro.core.state.DurableStateStore.rewind>`)."""
         self._current()
         self._db.execute("DELETE FROM load_minutes WHERE time > ?", (time,))
-        self._db.execute("DELETE FROM admin_events WHERE time > ?", (time,))
         if time < self._newest:
             self._newest = time
 
@@ -505,38 +428,6 @@ class SqliteLoadArchive(LoadArchive):
             subjects.update(self._subject_of[series] for series in self._layout(layout))
         return sorted(subjects)
 
-    def store_event(
-        self, time: int, category: str, subject: str, details: str
-    ) -> None:
-        self._db.execute(
-            "INSERT INTO admin_events (time, category, subject, details) "
-            "VALUES (?, ?, ?, ?)",
-            (time, category, subject, details),
-        )
-
-    def events(
-        self,
-        category: Optional[str] = None,
-        start: int = 0,
-        end: Optional[int] = None,
-    ) -> List[Tuple[int, str, str, str]]:
-        query = (
-            "SELECT time, category, subject, details FROM admin_events "
-            "WHERE time >= ?"
-        )
-        parameters: List[object] = [start]
-        if end is not None:
-            query += " AND time <= ?"
-            parameters.append(end)
-        if category is not None:
-            query += " AND category = ?"
-            parameters.append(category)
-        query += " ORDER BY time, id"
-        cursor = self._connection.execute(query, parameters)
-        return [
-            (int(t), str(c), str(s), str(d)) for t, c, s, d in cursor.fetchall()
-        ]
-
     def aggregate(
         self, subject: str, metric: str, bucket_minutes: int
     ) -> List[Tuple[int, float]]:
@@ -561,34 +452,5 @@ class SqliteLoadArchive(LoadArchive):
         return buckets
 
 
-class ArchiveFlusher:
-    """Bridges the telemetry bus's ``reports`` topic into an archive.
-
-    Monitors no longer write to the archive sample by sample; the
-    controller flushes each tick's reports as one
-    :class:`~repro.telemetry.records.LoadReportBatch`, and this consumer
-    stores the whole batch at once (a single transaction on the SQLite
-    archive).
-    """
-
-    def __init__(self, archive: LoadArchive, bus: EventBus, domain: str = "") -> None:
-        self.archive = archive
-        self.bus = bus
-        #: control domain whose batches this flusher stores; with per-domain
-        #: archives on one shared bus, each flusher must ignore the other
-        #: domains' batches so archive writes never cross shards
-        self.domain = domain
-        self.batches_flushed = 0
-        self.rows_flushed = 0
-        bus.subscribe(TOPIC_REPORTS, self._on_batch)
-
-    def _on_batch(self, envelope: Envelope) -> None:
-        batch: LoadReportBatch = envelope.record
-        if not batch.rows or batch.domain != self.domain:
-            return
-        self.archive.record_reports(batch.rows)
-        self.batches_flushed += 1
-        self.rows_flushed += len(batch.rows)
-
-    def detach(self) -> None:
-        self.bus.unsubscribe(TOPIC_REPORTS, self._on_batch)
+#: either archive: what the controller, the LMS and the forecasters accept
+LoadArchive = Union[InMemoryLoadArchive, SqliteLoadArchive]

@@ -156,7 +156,7 @@ class SimulationRunner:
     archive:
         Load archive for the controller's monitors; pass a
         :class:`repro.monitoring.archive.SqliteLoadArchive` to persist
-        the run's measurements and administration events.
+        the run's measurements.
     lint:
         Static-analysis gate run on the scenario landscape before the
         platform is built (see :mod:`repro.analysis`).  ``"warn"`` (the
@@ -321,14 +321,16 @@ class SimulationRunner:
             scenario_landscape, user_distribution=user_distribution_for(scenario)
         )
         #: the live AG3xx sanitizer; attached before anything publishes
-        #: so its view of the stream is complete
+        #: so its view of the stream is complete (a resumed run's attaches
+        #: in _resume_from_snapshot, after the stream's restored prefix)
         self.verifier = None
         self._landscape_name = scenario_landscape.name
         if verify:
             from repro.analysis.verify import TraceVerifier
 
             self.verifier = TraceVerifier()
-            self.verifier.attach(self.platform.bus)
+            if not resume:
+                self.verifier.attach(self.platform.bus)
         #: typed supervision events (crashes, recoveries, failovers)
         #: observed on the telemetry bus; merged into the run's fault
         #: records at finalize.  The subscription is typed end to end: an
@@ -383,6 +385,7 @@ class SimulationRunner:
         self.controller = None
         #: the persistent SQLite event store, when the run keeps one
         self.telemetry_store = None
+        self._store_path = store_path
         #: the live ops API (bridge + asyncio server), when serving
         self.ops_bridge = None
         self.ops_server = None
@@ -582,6 +585,17 @@ class SimulationRunner:
         # attach drops the rows past the bus (the abandoned timeline)
         if self.telemetry_store is not None:
             self.telemetry_store.attach(self.platform.bus)
+        if self.verifier is not None:
+            # the live verdict is the whole run's: first the store's events
+            # up to the snapshot (the rows --export renders), then the live
+            # stream; without a store the prefix is missing, and the
+            # verifier calls the stream incomplete
+            if self.telemetry_store is not None:
+                from repro.ops.store import read_store
+
+                for event in read_store(self._store_path)[1]:
+                    self.verifier.feed(event)
+            self.verifier.attach(self.platform.bus)
         return tick
 
     def request_stop(self) -> None:
@@ -670,8 +684,9 @@ class SimulationRunner:
         Pass the :class:`SimulationResult` of the finished run to enable
         the AG305 accounting reconciliation; the report reuses the lint
         framework (``render``, ``exit_code``, ``--strict`` semantics).
-        Only meaningful for single-process runs: a resumed run's result
-        counts pre-crash actions the fresh process's stream never saw.
+        Only meaningful for single-process runs.  A resumed run's verdict
+        covers the whole run when it keeps a store; without one the
+        stream before the snapshot is unknown, so AG305 is skipped.
         """
         if self.verifier is None:
             raise RuntimeError("runner was not constructed with verify=True")

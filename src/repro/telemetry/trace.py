@@ -13,9 +13,8 @@ JSONL writer — renders them (``autoglobe run --export`` through
 :func:`repro.sim.export.export_store_jsonl`, the merged trace of a
 ``--multiproc`` run in ``FederationServer.finalize``).
 
-Traces written before schema versioning existed (no header line) are
-still readable; :func:`read_trace` flags them as ``legacy`` so callers
-can warn.
+A file without a header line is not a trace this version reads:
+:func:`read_trace` refuses it.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ class TraceHeader:
     schema_version: int
     #: whether the file holds the run's full event stream
     complete: bool
-    #: True for pre-versioning files without a header line
-    legacy: bool = False
 
 
 @dataclass(frozen=True)
@@ -129,10 +126,9 @@ def read_trace(path: PathLike) -> Tuple[TraceHeader, List[TraceEvent]]:
     """Read a telemetry trace; returns its header and events in order.
 
     Raises :class:`TraceSchemaError` for traces written by a newer
-    schema version, for lines that are not UTF-8 JSON, and for event
-    lines missing the ``seq``/``topic``/``record`` keys.  Pre-versioning traces (no header
-    line) parse fine and come back with ``header.legacy`` set; callers
-    should warn that completeness is unknown.
+    schema version, for a file whose first line is not a header, for
+    lines that are not UTF-8 JSON, and for event lines missing the
+    ``seq``/``topic``/``record`` keys.
     """
     events: List[TraceEvent] = []
     header: Optional[TraceHeader] = None
@@ -173,13 +169,12 @@ def read_trace(path: PathLike) -> Tuple[TraceHeader, List[TraceEvent]]:
                 )
                 continue
             if header is None:
-                # Pre-versioning trace: the first line is already an event.
-                header = TraceHeader(
-                    schema_version=0, complete=False, legacy=True
+                raise TraceSchemaError(
+                    f"line {line_number}: no trace header line before the events"
                 )
             events.append(_parse_event(payload, line_number))
     if header is None:
-        header = TraceHeader(schema_version=0, complete=False, legacy=True)
+        raise TraceSchemaError("line 1: no trace header line (an empty file)")
     return header, events
 
 

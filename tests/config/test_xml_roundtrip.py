@@ -1,5 +1,7 @@
 """Tests for the XML loader/writer, including full round-trips."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +40,21 @@ HOSTILE_NUMBERS = [
     pytest.param(('performanceIndex="1.0"', 'performanceIndex="nan"'),
                  "<server> attribute 'performanceIndex': 'nan' is not a finite number",
                  id="performanceIndex=nan"),
+    # values in range for the parser, out of range for the model
+    pytest.param(('overloadWatchTime="10"', 'overloadWatchTime="-5"'),
+                 "controller overload_watch_time -5 is not at least 1",
+                 id="overloadWatchTime=-5"),
+    pytest.param(('overloadThreshold="0.7"', 'overloadThreshold="5"'),
+                 "controller overload_threshold 5.0 is not in (0, 1]",
+                 id="overloadThreshold=5"),
+    pytest.param(('protectionTime="30"', 'protectionTime="-1"'),
+                 "controller protection_time -1 is not at least 0",
+                 id="protectionTime=-1"),
+    pytest.param(('users="600"', 'users="-600"'),
+                 "workload users -600 is not at least 0", id="users=-600"),
+    pytest.param(('loadPerUser="0.005"', 'loadPerUser="-0.005"'),
+                 "workload load_per_user -0.005 is not at least 0",
+                 id="loadPerUser=-0.005"),
 ]
 
 MINIMAL_XML = """
@@ -148,7 +165,7 @@ class TestLoader:
         """Non-integers, non-numbers, non-finite numbers and values the
         model refuses: each a LandscapeParseError, never a bare
         ValueError or a failure deep in the fuzzy tables."""
-        with pytest.raises(LandscapeParseError, match=message):
+        with pytest.raises(LandscapeParseError, match=re.escape(message)):
             landscape_from_xml(paper_landscape_xml().replace(*edit, 1))
 
     def test_bad_boolean_rejected(self):

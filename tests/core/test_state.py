@@ -511,9 +511,10 @@ class TestCrashSafety:
             store.archive.subjects()
         store.close()
 
-    @pytest.mark.parametrize("version", [0, 3])
+    @pytest.mark.parametrize("version", [0, 2, 4])
     def test_a_state_file_of_another_format_is_refused(self, tmp_path, version):
-        """Format 0 kept one archive row per sample: refused, never resumed
+        """Format 0 kept one archive row per sample, format 2 a copy of
+        situations and actions in the archive: refused, never resumed
         into an empty archive; no table is added to the file."""
         path = tmp_path / "state.db"
 
@@ -780,7 +781,6 @@ _OPERATIONS = st.lists(
         st.tuples(st.just("reports"), st.integers(0, 50),
                   st.lists(st.sampled_from(["Blade1", "Blade2", "FI#1"]),
                            unique=True, max_size=3)),
-        st.tuples(st.just("event"), st.integers(0, 50)),
         st.tuples(st.just("rewind"), st.integers(0, 8), st.integers(0, 50)),
         st.tuples(st.just("reopen")),
         # write groups: an intent and a commit are commit points, a crash
@@ -802,8 +802,8 @@ def test_store_equals_a_plain_dict_model(tmp_path_factory, on_disk, operations):
     only difference is what a reopen (or a crash) finds."""
     directory = tmp_path_factory.mktemp("state") if on_disk else None
     store = DurableStateStore(directory)
-    journal, snapshots, samples, events = [], {}, {}, []
-    committed = ([], {}, {}, [])
+    journal, snapshots, samples = [], {}, {}
+    committed = ([], {}, {})
     for operation in operations:
         if operation[0] == "append":
             record = store.journal.append("tick", now=operation[1])
@@ -820,15 +820,11 @@ def test_store_equals_a_plain_dict_model(tmp_path_factory, on_disk, operations):
             __, time, subjects = operation
             store.archive.record_reports([(s, "cpu", time, 0.25) for s in subjects])
             samples.update({(s, time): 0.25 for s in subjects})
-        elif operation[0] == "event":
-            store.archive.store_event(operation[1], "action", "FI", "move")
-            events.append(operation[1])
         elif operation[0] == "rewind":
             __, seq, tick = operation
             store.rewind(seq, tick)
             del journal[seq:]
             samples = {key: v for key, v in samples.items() if key[1] <= tick}
-            events = [time for time in events if time <= tick]
         elif operation[0] == "group":
             store.db.grouped = True  # what StateDb.group() does around a run loop
         elif operation[0] == "commit":
@@ -836,18 +832,17 @@ def test_store_equals_a_plain_dict_model(tmp_path_factory, on_disk, operations):
         elif operation[0] == "crash":
             store.db.connection.close()  # the process dies: nothing commits
             store = DurableStateStore(directory)
-            journal, snapshots, samples, events = (
-                (list(committed[0]), dict(committed[1]), dict(committed[2]),
-                 list(committed[3]))
-                if on_disk else ([], {}, {}, [])
+            journal, snapshots, samples = (
+                (list(committed[0]), dict(committed[1]), dict(committed[2]))
+                if on_disk else ([], {}, {})
             )
         else:
             store.close()  # a commit point
             store = DurableStateStore(directory)
             if not on_disk:
-                journal, snapshots, samples, events = [], {}, {}, []
+                journal, snapshots, samples = [], {}, {}
         if not store.db.grouped or operation[0] in ("intent", "commit"):
-            committed = (list(journal), dict(snapshots), dict(samples), list(events))
+            committed = (list(journal), dict(snapshots), dict(samples))
         assert store.journal.last_seq == len(journal)
         assert [r.data for r in store.journal.since(0)] == journal
         for kind in ("controller", "run"):
@@ -857,5 +852,4 @@ def test_store_equals_a_plain_dict_model(tmp_path_factory, on_disk, operations):
             assert dict(store.archive.history(subject, "cpu")) == {
                 time: value for (s, time), value in samples.items() if s == subject
             }
-        assert sorted(row[0] for row in store.archive.events()) == sorted(events)
     store.close()

@@ -69,7 +69,7 @@ class TestForecaster:
     def _loaded_archive(self, days=2):
         archive = InMemoryLoadArchive()
         for minute, value in sinusoidal_history(days=days):
-            archive.store("Blade1", "cpu", minute, value)
+            archive.record_reports([("Blade1", "cpu", minute, value)])
         return archive
 
     def test_predict_after_refit(self):
@@ -84,14 +84,16 @@ class TestForecaster:
     def test_insufficient_history_refuses_to_fit(self):
         archive = InMemoryLoadArchive()
         for minute in range(100):
-            archive.store("Blade1", "cpu", minute, 0.5)
+            archive.record_reports([("Blade1", "cpu", minute, 0.5)])
         forecaster = LoadForecaster(archive)
         assert forecaster.refit("Blade1", 100) is None
 
     def test_unreliable_pattern_yields_no_prediction(self):
         archive = InMemoryLoadArchive()
         for minute in range(2 * MINUTES_PER_DAY):
-            archive.store("Blade1", "cpu", minute, 0.5 + 0.4 * math.sin(minute * 0.7918))
+            archive.record_reports(
+                [("Blade1", "cpu", minute, 0.5 + 0.4 * math.sin(minute * 0.7918))]
+            )
         forecaster = LoadForecaster(archive, min_periodicity=0.5)
         forecaster.refit("Blade1", 2 * MINUTES_PER_DAY)
         assert forecaster.predict("Blade1", 100) is None

@@ -23,13 +23,13 @@ def archive(request, tmp_path):
 
 class TestArchiveInterface:
     def test_store_and_history(self, archive):
-        archive.store("Blade1", "cpu", 0, 0.5)
-        archive.store("Blade1", "cpu", 1, 0.7)
+        archive.record_reports([("Blade1", "cpu", 0, 0.5)])
+        archive.record_reports([("Blade1", "cpu", 1, 0.7)])
         assert archive.history("Blade1", "cpu") == [(0, 0.5), (1, 0.7)]
 
     def test_history_window(self, archive):
         for t in range(10):
-            archive.store("Blade1", "cpu", t, t / 10)
+            archive.record_reports([("Blade1", "cpu", t, t / 10)])
         assert archive.history("Blade1", "cpu", start=3, end=5) == [
             (3, 0.3),
             (4, 0.4),
@@ -39,21 +39,21 @@ class TestArchiveInterface:
     def test_average_over_watchtime(self, archive):
         """The archive computes watch-time means for the fuzzy controller."""
         for t in range(20):
-            archive.store("FI#1", "cpu", t, 0.8 if t >= 10 else 0.2)
+            archive.record_reports([("FI#1", "cpu", t, 0.8 if t >= 10 else 0.2)])
         assert archive.average("FI#1", "cpu", 10, 19) == pytest.approx(0.8)
 
     def test_average_of_missing_subject(self, archive):
         assert archive.average("GHOST", "cpu", 0, 100) is None
 
     def test_metrics_are_independent(self, archive):
-        archive.store("Blade1", "cpu", 0, 0.9)
-        archive.store("Blade1", "mem", 0, 0.1)
+        archive.record_reports([("Blade1", "cpu", 0, 0.9)])
+        archive.record_reports([("Blade1", "mem", 0, 0.1)])
         assert archive.average("Blade1", "cpu", 0, 0) == pytest.approx(0.9)
         assert archive.average("Blade1", "mem", 0, 0) == pytest.approx(0.1)
 
     def test_subjects_listed(self, archive):
-        archive.store("Blade2", "cpu", 0, 0.5)
-        archive.store("Blade1", "cpu", 0, 0.5)
+        archive.record_reports([("Blade2", "cpu", 0, 0.5)])
+        archive.record_reports([("Blade1", "cpu", 0, 0.5)])
         assert archive.subjects() == ["Blade1", "Blade2"]
 
     @pytest.mark.parametrize("batched", [False, True], ids=["store", "batch"])
@@ -64,7 +64,7 @@ class TestArchiveInterface:
             archive.record_reports(samples)
         else:
             for sample in samples:
-                archive.store(*sample)
+                archive.record_reports([sample])
         assert archive.history("A", "cpu") == [(3, 0.3), (5, 0.4)]
         assert archive.average("A", "cpu", 0, 10) == (0.3 + 0.4) / 2
 
@@ -78,7 +78,7 @@ class TestArchiveInterface:
         for value in values:
             folded += value  # the 1.0 is lost against 1e16
         for time, value in enumerate(values):
-            archive.store("A", "cpu", time, value)
+            archive.record_reports([("A", "cpu", time, value)])
         monkeypatch.setattr(
             builtins, "sum", lambda items, start=0: math.fsum(items) + start
         )
@@ -94,27 +94,10 @@ class TestArchiveInterface:
 
 
 class TestEventLog:
-    def test_store_and_query_events(self, archive):
-        archive.store_event(10, "situation", "Blade3", "serverOverloaded ...")
-        archive.store_event(10, "action", "FI", "scaleOut FI on Blade4")
-        archive.store_event(50, "action", "FI", "scaleIn FI on Blade4")
-        assert len(archive.events()) == 3
-        assert len(archive.events(category="action")) == 2
-        assert archive.events(category="action", start=0, end=20) == [
-            (10, "action", "FI", "scaleOut FI on Blade4")
-        ]
-
-    def test_events_ordered_by_time(self, archive):
-        archive.store_event(50, "action", "B", "later")
-        archive.store_event(10, "action", "A", "earlier")
-        times = [row[0] for row in archive.events()]
-        assert times == sorted(times) or isinstance(
-            archive, InMemoryLoadArchive
-        )  # the in-memory log keeps insertion order
-
     def test_controller_records_situations_and_actions(self):
-        """The archive ends up with the administration history the
-        forecasting/auditing extensions mine."""
+        """The telemetry event log holds the administration history the
+        forecasting/auditing extensions mine; the archive holds load data
+        only."""
         from repro.core.autoglobe import AutoGlobeController
         from repro.serviceglobe.platform import Platform
         from tests.core.conftest import build_landscape, set_demand
@@ -125,40 +108,42 @@ class TestEventLog:
             set_demand(platform, "Weak1", 0.95)
             set_demand(platform, "Big1", 3.0)
             controller.tick(now)
-        situations = controller.archive.events(category="situation")
-        actions = controller.archive.events(category="action")
-        assert situations
-        assert actions
-        assert any("scale" in details for __, __, __, details in actions)
+        counts = platform.bus.counts()
+        assert counts.get("situations", 0) and counts.get("actions", 0)
+        assert any(
+            "scale" in envelope.record.outcome.action.value
+            for envelope in platform.bus.tail("actions")
+        )
+        assert not hasattr(controller.archive, "events")
 
 
 class TestSqliteSpecifics:
     def test_persistence_across_connections(self, tmp_path):
         path = tmp_path / "persistent.db"
         with SqliteLoadArchive(path) as archive:
-            archive.store("Blade1", "cpu", 0, 0.5)
+            archive.record_reports([("Blade1", "cpu", 0, 0.5)])
             archive.commit()
         with SqliteLoadArchive(path) as archive:
             assert archive.history("Blade1", "cpu") == [(0, 0.5)]
 
     def test_store_many(self, tmp_path):
         with SqliteLoadArchive(tmp_path / "bulk.db") as archive:
-            archive.store_many(
+            archive.record_reports(
                 [("Blade1", "cpu", t, t / 100) for t in range(100)]
             )
             assert len(archive.history("Blade1", "cpu")) == 100
 
     def test_duplicate_time_overwrites(self):
         with SqliteLoadArchive() as archive:
-            archive.store("Blade1", "cpu", 0, 0.5)
-            archive.store("Blade1", "cpu", 0, 0.9)
+            archive.record_reports([("Blade1", "cpu", 0, 0.5)])
+            archive.record_reports([("Blade1", "cpu", 0, 0.9)])
             assert archive.history("Blade1", "cpu") == [(0, 0.9)]
 
     def test_aggregate_buckets(self):
         """The 'persistent aggregated view' used by load forecasting."""
         with SqliteLoadArchive() as archive:
             for t in range(60):
-                archive.store("Blade1", "cpu", t, 1.0 if t < 30 else 0.0)
+                archive.record_reports([("Blade1", "cpu", t, 1.0 if t < 30 else 0.0)])
             buckets = archive.aggregate("Blade1", "cpu", bucket_minutes=30)
             assert buckets == [(0, 1.0), (30, 0.0)]
 
@@ -188,7 +173,7 @@ class TestHardening:
         with pytest.warns(RuntimeWarning, match="corrupt"):
             archive = SqliteLoadArchive(path)
         with archive:
-            archive.store("Blade1", "cpu", 0, 0.5)
+            archive.record_reports([("Blade1", "cpu", 0, 0.5)])
             assert archive.history("Blade1", "cpu") == [(0, 0.5)]
         assert (tmp_path / "loads.db.corrupt").exists()
 
@@ -198,11 +183,11 @@ class TestHardening:
         with pytest.warns(RuntimeWarning):
             archive = SqliteLoadArchive(path)
         with archive:
-            # the rebuilt archive is fully functional, events included
-            archive.store_event(1, "action", "FI", "restart FI on Blade2")
+            # the rebuilt archive is fully functional
+            archive.record_reports([("Blade1", "cpu", 1, 0.5)])
             archive.commit()
         with SqliteLoadArchive(path) as reopened:
-            assert len(reopened.events()) == 1
+            assert reopened.history("Blade1", "cpu") == [(1, 0.5)]
 
     def test_a_parent_format_file_is_moved_aside_and_rebuilt(self, tmp_path):
         """An archive file of its own from before one row per minute is
@@ -230,27 +215,22 @@ class TestHardening:
 
     def test_truncate_after_drops_the_abandoned_timeline(self, tmp_path):
         with SqliteLoadArchive(tmp_path / "resume.db") as archive:
-            archive.store_many(
+            archive.record_reports(
                 [("Blade1", "cpu", t, t / 100) for t in range(20)]
             )
-            archive.store_event(5, "action", "FI", "before the snapshot")
-            archive.store_event(15, "action", "FI", "after the snapshot")
             archive.truncate_after(9)
             assert [t for t, _ in archive.history("Blade1", "cpu")] == list(
                 range(10)
             )
-            assert [row[0] for row in archive.events()] == [5]
 
     def test_in_memory_archive_truncates_too(self):
         archive = InMemoryLoadArchive()
         for t in range(20):
-            archive.store("Blade1", "cpu", t, t / 100)
-        archive.store_event(15, "action", "FI", "late")
+            archive.record_reports([("Blade1", "cpu", t, t / 100)])
         archive.truncate_after(9)
         assert [t for t, _ in archive.history("Blade1", "cpu")] == list(
             range(10)
         )
-        assert archive.events() == []
 
 
 # -- equivalence oracle: one row per minute against one row per sample -----------------

@@ -129,12 +129,22 @@ class TestTelemetryPipeline:
         assert counts.get("reports", 0) > 0
         assert counts.get("situations", 0) > 0
 
-    def test_archive_consumes_batched_flushes_off_the_bus(self, recovery_runs):
-        (runner, __), __ = recovery_runs
-        flusher = runner.controller.archive_flusher
-        assert flusher is runner.controller.archive.bus_flusher
-        assert flusher.batches_flushed == runner.platform.bus.counts()["reports"]
-        assert flusher.rows_flushed > flusher.batches_flushed
+    @pytest.mark.parametrize("standby", [False, True], ids=["plain", "standby"])
+    def test_the_archive_stores_each_published_batch_once(self, standby):
+        """The controller writes each tick's batch to its archive itself,
+        once per ``reports`` envelope it publishes; a deposed leader
+        (seed 3 deposes one) publishes and stores nothing."""
+        archive = _WriteCountingArchive()
+        runner = SimulationRunner(
+            Scenario.FULL_MOBILITY, user_factor=1.15, horizon=240, seed=7,
+            collect_host_series=False, standby=standby, archive=archive,
+            chaos=controller_chaos(3) if standby else default_chaos(115),
+        )
+        runner.run()
+        if standby:
+            assert _stale_windows(runner.controller.events), "no leader was deposed"
+        assert archive.batches == runner.platform.bus.counts()["reports"] > 0
+        assert sum(archive.writes.values()) > archive.batches
 
     def test_supervision_events_are_typed_on_the_bus(self, recovery_runs):
         from repro.telemetry.records import SupervisionEvent, SupervisionEventKind
@@ -224,9 +234,11 @@ class _WriteCountingArchive(InMemoryLoadArchive):
     def __init__(self):
         super().__init__()
         self.writes = {}
+        self.batches = 0
 
     def record_reports(self, rows):
         rows = list(rows)
+        self.batches += 1
         for subject, metric, time, __ in rows:
             key = (subject, metric, time)
             self.writes[key] = self.writes.get(key, 0) + 1
@@ -512,6 +524,63 @@ class TestKillAndResume:
         del resumed_events[epoch]
         assert resumed_events == full_events
         assert len(lines) == len(full_lines) + 1  # the leader-epoch
+
+
+_VERIFY_HARNESS = """\
+import sys
+from repro.sim.runner import SimulationRunner
+from repro.sim.scenarios import Scenario, default_chaos
+
+SimulationRunner(
+    Scenario.FULL_MOBILITY, user_factor=1.15, horizon=180, seed=7,
+    collect_host_series=False, chaos=default_chaos(115), state_dir=sys.argv[1],
+    store_path=sys.argv[2], verify=True, kill_at=int(sys.argv[3]),
+).run()
+"""
+
+
+class TestVerifiedResume:
+    @pytest.mark.parametrize("kill_at", [800, None], ids=["killed", "finished"])
+    def test_the_live_verdict_is_the_stores(self, tmp_path, kill_at):
+        """A resumed ``verify=True`` run feeds its live verifier the
+        store's events up to the snapshot: its report is clean and is
+        the offline report of the store it leaves."""
+        from repro.analysis.verify import verify_trace
+        from repro.ops.store import read_store
+
+        state, store = tmp_path / "state", tmp_path / "out" / "store.db"
+        store.parent.mkdir()
+
+        def runner(**kwargs):
+            return SimulationRunner(
+                Scenario.FULL_MOBILITY, user_factor=1.15, horizon=180, seed=7,
+                collect_host_series=False, chaos=default_chaos(115),
+                state_dir=state, store_path=store, verify=True, **kwargs,
+            )
+
+        if kill_at is None:
+            runner().run()
+        else:
+            script = tmp_path / "harness.py"
+            script.write_text(_VERIFY_HARNESS)
+            env = dict(os.environ)
+            src = str(Path(__file__).resolve().parents[2] / "src")
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            killed = subprocess.run(
+                [sys.executable, str(script), str(state), str(store), str(kill_at)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert killed.returncode == -signal.SIGKILL, killed.stderr
+        resumed = runner(resume=True)
+        result = resumed.run()
+        live = resumed.verification_report(result)
+        export_summary_json(result, store.parent / "summary.json")
+        offline = verify_trace(store)
+        header, events = read_store(store)
+        assert header.complete
+        assert result.actions  # the summary AG305 reconciles is not empty
+        assert live.diagnostics == offline.diagnostics == ()
+        assert resumed.verifier.fed == len(events)
 
 
 def _durable(state_dir, horizon, **kwargs):

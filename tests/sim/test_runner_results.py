@@ -92,6 +92,7 @@ class TestRunner:
 class TestPersistentArchive:
     def test_runner_with_sqlite_archive(self, tmp_path):
         from repro.monitoring.archive import SqliteLoadArchive
+        from repro.ops.store import read_store
 
         path = tmp_path / "run.db"
         with SqliteLoadArchive(path) as archive:
@@ -102,6 +103,7 @@ class TestPersistentArchive:
                 seed=7,
                 collect_host_series=False,
                 archive=archive,
+                store_path=tmp_path / "store.db",
             )
             runner.run()
             archive.commit()
@@ -109,8 +111,9 @@ class TestPersistentArchive:
             # measurements and service demand series persisted
             assert len(reopened.history("Blade1", "cpu")) == 4 * 60
             assert reopened.history("service:FI", "demand")
-            # and the administration events are queryable history
-            assert reopened.events(category="situation")
+        # the administration events are the event log's queryable history
+        __, events = read_store(tmp_path / "store.db")
+        assert any(event.topic == "situations" for event in events)
 
 
 class TestResultAccounting:

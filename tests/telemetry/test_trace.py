@@ -40,7 +40,6 @@ class TestHeaderRoundTrip:
         header, events = read_trace(path)
         assert header.schema_version == TRACE_SCHEMA_VERSION
         assert header.complete is False
-        assert header.legacy is False
         [event] = events
         assert (event.seq, event.topic) == (7, "alerts")
 
@@ -88,21 +87,19 @@ class TestMalformedLines:
         assert len(events) == 1
 
 
-class TestLegacyTraces:
-    def test_headerless_trace_is_flagged_legacy(self, tmp_path):
-        path = _write(tmp_path, _event_line(seq=1), _event_line(seq=2))
-        header, events = read_trace(path)
-        assert header.legacy is True
-        assert header.schema_version == 0
-        assert header.complete is False
-        assert len(events) == 2
+class TestHeaderlessTraces:
+    """No reader for the format from before the header line is kept."""
 
-    def test_empty_file_is_legacy_and_empty(self, tmp_path):
+    def test_a_headerless_trace_is_refused(self, tmp_path):
+        path = _write(tmp_path, _event_line(seq=1), _event_line(seq=2))
+        with pytest.raises(TraceSchemaError, match="line 1: no trace header"):
+            read_trace(path)
+
+    def test_an_empty_file_is_refused(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        header, events = read_trace(path)
-        assert header.legacy is True
-        assert events == []
+        with pytest.raises(TraceSchemaError, match="no trace header line"):
+            read_trace(path)
 
 
 class TestHostileInput:
