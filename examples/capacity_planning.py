@@ -37,7 +37,7 @@ def designer_comparison() -> None:
     designer = LandscapeDesigner(landscape)
     designed = designer.design()
 
-    counts = {s.name: len(landscape.instances_of(s.name)) for s in landscape.services}
+    counts = {name: len(hosts) for name, hosts in landscape.instance_hosts().items()}
     naive_demand = {s.name: np.zeros(MINUTES_PER_DAY) for s in landscape.servers}
     for service_name, host_name in landscape.initial_allocation:
         naive_demand[host_name] = naive_demand[host_name] + designer.instance_curve(

@@ -73,6 +73,11 @@ class LandscapeDesigner:
 
     def __init__(self, landscape: LandscapeSpec) -> None:
         self.landscape = landscape
+        #: the search looks services up per host tried: one index, built once
+        self._services: Dict[str, ServiceSpec] = {s.name: s for s in landscape.services}
+        self._initial_counts: Dict[str, int] = {
+            name: len(hosts) for name, hosts in landscape.instance_hosts().items()
+        }
         self._curves: Dict[str, np.ndarray] = {}
 
     # -- demand prediction -----------------------------------------------------------
@@ -129,7 +134,7 @@ class LandscapeDesigner:
         for occupant_name in occupants:
             if occupant_name == service.name:
                 continue
-            occupant = self.landscape.service(occupant_name)
+            occupant = self._services[occupant_name]
             if occupant.constraints.exclusive:
                 return False
         needed = service.workload.memory_per_instance_mb
@@ -174,7 +179,7 @@ class LandscapeDesigner:
         budget = target_peak_load * reference_index
         suggestions: Dict[str, int] = {}
         for spec in self.landscape.services:
-            current = max(len(self.landscape.instances_of(spec.name)), 1)
+            current = max(self._initial_counts.get(spec.name, 0), 1)
             if spec.kind is not ServiceKind.APPLICATION_SERVER:
                 count = current
             else:
@@ -212,7 +217,7 @@ class LandscapeDesigner:
             Maximum improvement rounds after the greedy phase.
         """
         counts = instance_counts or {
-            spec.name: len(self.landscape.instances_of(spec.name))
+            spec.name: self._initial_counts.get(spec.name, 0)
             for spec in self.landscape.services
         }
         items: List[Tuple[ServiceSpec, np.ndarray]] = []
@@ -264,7 +269,7 @@ class LandscapeDesigner:
             for index, (service_name, host_name, curve) in enumerate(assignment):
                 if placement.peak_load(host_name) < worst - 1e-9:
                     continue  # only relocating off a worst host can help
-                spec = self.landscape.service(service_name)
+                spec = self._services[service_name]
                 self._apply(placement, spec, curve, host_name, sign=-1)
                 for server in self.landscape.servers:
                     if server.name == host_name:
@@ -282,7 +287,7 @@ class LandscapeDesigner:
                 return
             index, target = best_move
             service_name, host_name, curve = assignment[index]
-            spec = self.landscape.service(service_name)
+            spec = self._services[service_name]
             self._apply(placement, spec, curve, host_name, sign=-1)
             self._apply(placement, spec, curve, target)
             assignment[index] = (service_name, target, curve)

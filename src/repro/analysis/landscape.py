@@ -30,7 +30,7 @@ controller — at all:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.config.model import Action, LandscapeSpec, ServerSpec, ServiceSpec
@@ -46,34 +46,75 @@ _MEMORY_HEADROOM = 0.90
 _PEAK_SAMPLE_STEP = 15
 
 
-def _eligible_hosts(service: ServiceSpec, servers: Sequence[ServerSpec]) -> List[str]:
-    return [
-        server.name
-        for server in servers
-        if server.performance_index >= service.constraints.min_performance_index
-        and server.memory_mb >= service.workload.memory_per_instance_mb
-    ]
+#: What decides a service's eligible hosts: its minimum performance index
+#: and its per-instance memory.  Services of one class share one scan.
+_HostClass = Tuple[float, int]
+
+
+def _host_class(service: ServiceSpec) -> _HostClass:
+    return (
+        service.constraints.min_performance_index,
+        service.workload.memory_per_instance_mb,
+    )
+
+
+def _eligible_hosts(
+    service: ServiceSpec,
+    servers: Sequence[ServerSpec],
+    by_class: Dict[_HostClass, List[str]],
+) -> List[str]:
+    """Hosts a service may run on, scanned once per host class."""
+    key = _host_class(service)
+    hosts = by_class.get(key)
+    if hosts is None:
+        min_index, memory = key
+        hosts = by_class[key] = [
+            server.name
+            for server in servers
+            if server.performance_index >= min_index and server.memory_mb >= memory
+        ]
+    return hosts
 
 
 def _max_matching(slots: List[List[str]], hosts: List[str]) -> Dict[int, str]:
-    """Maximum bipartite matching of instance slots onto distinct hosts."""
+    """Maximum bipartite matching of instance slots onto distinct hosts.
+
+    Kuhn's augmenting paths, searched depth first with an explicit stack:
+    on a large landscape a path can hold more slots than Python's
+    recursion limit allows frames.  Slots of one host class share one
+    candidate list, and within one search a frame skips the prefix of
+    that list the search has already visited whole; the hosts tried, and
+    so the matching, are those of the plain search.
+    """
     host_of_slot: Dict[int, str] = {}
     slot_of_host: Dict[str, int] = {}
 
-    def augment(slot: int, visited: Set[str]) -> bool:
-        for host in slots[slot]:
-            if host in visited:
+    for start in range(len(slots)):
+        visited: Set[str] = set()
+        visited_prefix: Dict[int, int] = {}  # id(candidate list) -> length
+        # one frame per slot on the path: [slot, next candidate, host tried]
+        path: List[List[Any]] = [[start, 0, None]]
+        while path:
+            frame = path[-1]
+            candidates = slots[frame[0]]
+            index = max(frame[1], visited_prefix.get(id(candidates), 0))
+            while index < len(candidates) and candidates[index] in visited:
+                index += 1
+            if index == len(candidates):
+                path.pop()  # no augmenting path through this slot
                 continue
+            host = candidates[index]
             visited.add(host)
+            frame[1] = visited_prefix[id(candidates)] = index + 1
+            frame[2] = host
             holder = slot_of_host.get(host)
-            if holder is None or augment(holder, visited):
-                slot_of_host[host] = slot
-                host_of_slot[slot] = host
-                return True
-        return False
-
-    for slot in range(len(slots)):
-        augment(slot, set())
+            if holder is not None:
+                path.append([holder, 0, None])
+                continue
+            for slot, __, tried in reversed(path):
+                slot_of_host[tried] = slot
+                host_of_slot[slot] = tried
+            break
     return host_of_slot
 
 
@@ -83,8 +124,8 @@ def _profile_peak(name: str) -> float:
     )
 
 
-def _instances(landscape: LandscapeSpec, service: ServiceSpec) -> int:
-    allocated = len(landscape.instances_of(service.name))
+def _instances(service: ServiceSpec, hosts_of: Dict[str, List[str]]) -> int:
+    allocated = len(hosts_of.get(service.name, ()))
     return max(service.constraints.min_instances, allocated)
 
 
@@ -100,9 +141,12 @@ def analyze_feasibility(landscape: LandscapeSpec) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     servers = landscape.servers
     known_profiles = set(available_profiles())
+    hosts_of = landscape.instance_hosts()
+    eligible_by_class: Dict[_HostClass, List[str]] = {}
 
     # -- AG208 + per-service profile peaks ---------------------------------
     peaks: Dict[str, float] = {}
+    profile_peaks: Dict[str, float] = {}
     for service in landscape.services:
         profile = service.workload.profile
         if profile not in known_profiles:
@@ -120,13 +164,15 @@ def analyze_feasibility(landscape: LandscapeSpec) -> List[Diagnostic]:
             )
             peaks[service.name] = 1.0
         else:
-            peaks[service.name] = _profile_peak(profile)
+            if profile not in profile_peaks:
+                profile_peaks[profile] = _profile_peak(profile)
+            peaks[service.name] = profile_peaks[profile]
 
     # -- AG202: minimum performance index unsatisfiable --------------------
     for service in landscape.services:
         if service.constraints.min_instances <= 0:
             continue
-        if not _eligible_hosts(service, servers):
+        if not _eligible_hosts(service, servers, eligible_by_class):
             diagnostics.append(
                 Diagnostic(
                     code="AG202",
@@ -148,7 +194,7 @@ def analyze_feasibility(landscape: LandscapeSpec) -> List[Diagnostic]:
     for service in landscape.services:
         if not service.constraints.exclusive:
             continue
-        eligible = _eligible_hosts(service, servers)
+        eligible = _eligible_hosts(service, servers, eligible_by_class)
         for _ in range(max(service.constraints.min_instances, 0)):
             slot_services.append(service)
             slots.append(eligible)
@@ -172,11 +218,17 @@ def analyze_feasibility(landscape: LandscapeSpec) -> List[Diagnostic]:
         )
     else:
         consumed = set(matching.values())
+        crowded_out: Dict[_HostClass, bool] = {}
         for service in landscape.services:
             if service.constraints.exclusive or service.constraints.min_instances <= 0:
                 continue
-            eligible = _eligible_hosts(service, servers)
-            if eligible and all(host in consumed for host in eligible):
+            eligible = _eligible_hosts(service, servers, eligible_by_class)
+            key = _host_class(service)
+            if key not in crowded_out:
+                crowded_out[key] = bool(eligible) and all(
+                    host in consumed for host in eligible
+                )
+            if crowded_out[key]:
                 diagnostics.append(
                     Diagnostic(
                         code="AG201",
@@ -194,7 +246,7 @@ def analyze_feasibility(landscape: LandscapeSpec) -> List[Diagnostic]:
     # -- AG203: aggregate peak CPU demand vs capacity ----------------------
     supply = sum(server.performance_index for server in servers)
     basic = sum(
-        service.workload.basic_load * _instances(landscape, service)
+        service.workload.basic_load * _instances(service, hosts_of)
         for service in landscape.services
     )
     user_demand = sum(
@@ -235,7 +287,7 @@ def analyze_feasibility(landscape: LandscapeSpec) -> List[Diagnostic]:
     # -- AG204: aggregate memory demand vs total memory --------------------
     total_memory = sum(server.memory_mb for server in servers)
     memory_demand = sum(
-        service.workload.memory_per_instance_mb * _instances(landscape, service)
+        service.workload.memory_per_instance_mb * _instances(service, hosts_of)
         for service in landscape.services
     )
     if memory_demand > total_memory:
@@ -292,11 +344,15 @@ def analyze_feasibility(landscape: LandscapeSpec) -> List[Diagnostic]:
 
     # -- AG210-AG213: control-domain feasibility ---------------------------
     if landscape.domains:
-        diagnostics.extend(_analyze_domains(landscape))
+        diagnostics.extend(_analyze_domains(landscape, hosts_of, eligible_by_class))
     return diagnostics
 
 
-def _analyze_domains(landscape: LandscapeSpec) -> List[Diagnostic]:
+def _analyze_domains(
+    landscape: LandscapeSpec,
+    hosts_of: Dict[str, List[str]],
+    eligible_by_class: Dict[_HostClass, List[str]],
+) -> List[Diagnostic]:
     """Domain-specific checks, run only when domains are declared."""
     diagnostics: List[Diagnostic] = []
     server_names = {server.name for server in landscape.servers}
@@ -342,7 +398,7 @@ def _analyze_domains(landscape: LandscapeSpec) -> List[Diagnostic]:
         homes = sorted(
             {
                 domain_of[host]
-                for host in landscape.instances_of(service.name)
+                for host in hosts_of.get(service.name, ())
                 if host in domain_of
             }
         )
@@ -362,26 +418,22 @@ def _analyze_domains(landscape: LandscapeSpec) -> List[Diagnostic]:
                 )
             )
 
-    # AG213: minInstances must fit inside at least one single domain
+    # AG213: minInstances must fit inside at least one single domain; the
+    # best domain depends only on the host class and on exclusivity
+    best_slots: Dict[Tuple[_HostClass, bool], int] = {}
     for service in landscape.services:
         minimum = service.constraints.min_instances
         if minimum <= 0:
             continue
-        eligible = set(_eligible_hosts(service, landscape.servers))
+        eligible = _eligible_hosts(service, landscape.servers, eligible_by_class)
         if not eligible:
             continue  # AG202 already flags the hopeless case
-        per_instance = max(service.workload.memory_per_instance_mb, 1)
-        best = 0
-        for domain in landscape.domains:
-            slots = 0
-            for host_name in domain.servers:
-                if host_name not in eligible:
-                    continue
-                if service.constraints.exclusive:
-                    slots += 1  # exclusive instances need distinct hosts
-                else:
-                    slots += servers_by_name[host_name].memory_mb // per_instance
-            best = max(best, slots)
+        key = (_host_class(service), service.constraints.exclusive)
+        if key not in best_slots:
+            best_slots[key] = _best_domain_slots(
+                landscape, servers_by_name, set(eligible), service
+            )
+        best = best_slots[key]
         if best < minimum:
             diagnostics.append(
                 Diagnostic(
@@ -399,3 +451,25 @@ def _analyze_domains(landscape: LandscapeSpec) -> List[Diagnostic]:
                 )
             )
     return diagnostics
+
+
+def _best_domain_slots(
+    landscape: LandscapeSpec,
+    servers_by_name: Dict[str, ServerSpec],
+    eligible: Set[str],
+    service: ServiceSpec,
+) -> int:
+    """Most instances of ``service`` any single declared domain can hold."""
+    per_instance = max(service.workload.memory_per_instance_mb, 1)
+    best = 0
+    for domain in landscape.domains:
+        slots = 0
+        for host_name in domain.servers:
+            if host_name not in eligible:
+                continue
+            if service.constraints.exclusive:
+                slots += 1  # exclusive instances need distinct hosts
+            else:
+                slots += servers_by_name[host_name].memory_mb // per_instance
+        best = max(best, slots)
+    return best

@@ -402,27 +402,32 @@ class LandscapeSpec:
     #: all servers (the classic single-controller deployment).
     domains: List[ControlDomainSpec] = field(default_factory=list)
 
+    # One lookup scans once; a caller that looks up in a loop builds its
+    # own name index.  Scanning from the end keeps a name index's answer
+    # (the last declaration wins) for an unvalidated duplicate name.
+
     def server(self, name: str) -> ServerSpec:
-        match = self._servers_by_name().get(name)
-        if match is None:
-            raise KeyError(f"landscape {self.name!r} has no server {name!r}")
-        return match
+        for server in reversed(self.servers):
+            if server.name == name:
+                return server
+        raise KeyError(f"landscape {self.name!r} has no server {name!r}")
 
     def service(self, name: str) -> ServiceSpec:
-        match = self._services_by_name().get(name)
-        if match is None:
-            raise KeyError(f"landscape {self.name!r} has no service {name!r}")
-        return match
+        for service in reversed(self.services):
+            if service.name == name:
+                return service
+        raise KeyError(f"landscape {self.name!r} has no service {name!r}")
 
-    def _servers_by_name(self) -> Dict[str, ServerSpec]:
-        return {s.name: s for s in self.servers}
+    def instance_hosts(self) -> Dict[str, List[str]]:
+        """Host names of each service's initial instances, in start order.
 
-    def _services_by_name(self) -> Dict[str, ServiceSpec]:
-        return {s.name: s for s in self.services}
-
-    def instances_of(self, service_name: str) -> List[str]:
-        """Host names of the initial instances of a service, in order."""
-        return [host for svc, host in self.initial_allocation if svc == service_name]
+        One pass over the allocation; a service without initial instances
+        has no entry.
+        """
+        hosts: Dict[str, List[str]] = {}
+        for service_name, host_name in self.initial_allocation:
+            hosts.setdefault(service_name, []).append(host_name)
+        return hosts
 
     @property
     def is_federated(self) -> bool:

@@ -17,6 +17,7 @@ and feasibility before a landscape is handed to the platform:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List
 
 from repro.config.model import LandscapeSpec
@@ -46,7 +47,7 @@ def validate_landscape(landscape: LandscapeSpec) -> None:
     server_names = [s.name for s in landscape.servers]
     service_names = [s.name for s in landscape.services]
     for kind, names in (("server", server_names), ("service", service_names)):
-        duplicates = {n for n in names if names.count(n) > 1}
+        duplicates = [name for name, count in Counter(names).items() if count > 1]
         for name in sorted(duplicates):
             problems.append(f"duplicate {kind} name {name!r}")
 

@@ -19,7 +19,7 @@ from repro.sim.clock import MINUTES_PER_DAY
 def naive_worst_peak(landscape):
     """Predicted worst peak of the landscape's own initial allocation."""
     designer = LandscapeDesigner(landscape)
-    counts = {s.name: len(landscape.instances_of(s.name)) for s in landscape.services}
+    counts = {name: len(hosts) for name, hosts in landscape.instance_hosts().items()}
     demand = {s.name: np.zeros(MINUTES_PER_DAY) for s in landscape.servers}
     for service_name, host_name in landscape.initial_allocation:
         demand[host_name] = demand[host_name] + designer.instance_curve(

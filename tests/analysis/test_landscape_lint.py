@@ -1,10 +1,12 @@
 """Tests for the landscape feasibility analyzer (AG2xx codes)."""
 
 import dataclasses
+import random
+import sys
 
 from repro.analysis.diagnostics import Severity
 from repro.analysis.engine import LintError, analyze_landscape
-from repro.analysis.landscape import analyze_feasibility
+from repro.analysis.landscape import _max_matching, analyze_feasibility
 from repro.config.builtin import paper_landscape
 from repro.config.model import (
     Action,
@@ -14,6 +16,7 @@ from repro.config.model import (
     ServiceSpec,
     WorkloadSpec,
 )
+from tests.analysis import feasibility_oracle
 
 import pytest
 
@@ -374,3 +377,33 @@ class TestControlDomains:
     def test_no_domain_codes_without_declared_domains(self):
         diagnostics = analyze_feasibility(paper_landscape())
         assert not any(d.code.startswith("AG21") for d in diagnostics)
+
+
+class TestExclusiveMatching:
+    def test_an_augmenting_path_longer_than_the_recursion_limit(self):
+        """Slot i holds host i until the last slot, which fits only host 0,
+        shifts every holder one host up: one path through all slots."""
+        length = sys.getrecursionlimit() + 500
+        hosts = [f"h{i}" for i in range(length + 1)]
+        slots = [[hosts[i], hosts[i + 1]] for i in range(length)] + [[hosts[0]]]
+        matching = _max_matching(slots, hosts)
+        assert len(matching) == length + 1
+        assert matching[length] == "h0"
+        assert all(matching[i] == hosts[i + 1] for i in range(length))
+
+    def test_same_matching_as_the_recursive_search(self):
+        """Slots of one host class share their candidate list, as the
+        analyzer builds them; the matching, insertion order included, is
+        the plain recursive search's."""
+        for seed in range(500):
+            draw = random.Random(seed)
+            hosts = [f"h{i}" for i in range(draw.randint(1, 12))]
+            classes = [
+                draw.sample(hosts, draw.randint(0, len(hosts)))
+                for __ in range(draw.randint(1, 4))
+            ]
+            slots = [draw.choice(classes) for __ in range(draw.randint(0, 14))]
+            expected = feasibility_oracle.max_matching(slots)
+            assert list(_max_matching(slots, hosts).items()) == list(
+                expected.items()
+            ), seed

@@ -71,8 +71,9 @@ class TestServices:
             assert landscape.service(name).workload.users == users
 
     def test_table4_instance_counts_in_allocation(self, landscape):
+        hosts = landscape.instance_hosts()
         for name, (__, instances) in INITIAL_USERS.items():
-            assert len(landscape.instances_of(name)) == instances
+            assert len(hosts[name]) == instances
 
     def test_bw_is_batch(self, landscape):
         assert landscape.service("BW").workload.batch
@@ -103,14 +104,15 @@ class TestServices:
 class TestAllocation:
     def test_figure11_allocation(self, landscape):
         assert landscape.initial_allocation == INITIAL_ALLOCATION
-        assert landscape.instances_of("FI") == ["Blade3", "Blade5", "Blade11"]
-        assert landscape.instances_of("LES") == [
+        hosts = landscape.instance_hosts()
+        assert hosts["FI"] == ["Blade3", "Blade5", "Blade11"]
+        assert hosts["LES"] == [
             "Blade1",
             "Blade2",
             "Blade12",
             "Blade13",
         ]
-        assert landscape.instances_of("DB-BW") == ["DBServer3"]
+        assert hosts["DB-BW"] == ["DBServer3"]
 
     def test_every_server_initially_used(self, landscape):
         used = {host for __, host in landscape.initial_allocation}
@@ -134,7 +136,7 @@ class TestCalibration:
         yields exactly 75% peak load on every application blade."""
         for name in ("FI", "LES", "PP"):
             service = landscape.service(name)
-            hosts = landscape.instances_of(name)
+            hosts = landscape.instance_hosts()[name]
             total_index = sum(landscape.server(h).performance_index for h in hosts)
             load = service.workload.users * service.workload.load_per_user / total_index
             assert load == pytest.approx(0.75)

@@ -143,8 +143,8 @@ class TestLandscapeSpec:
         with pytest.raises(KeyError, match="no service"):
             landscape.service("Z")
 
-    def test_instances_of(self):
-        assert self._landscape().instances_of("A") == ["H1", "H2"]
+    def test_instance_hosts(self):
+        assert self._landscape().instance_hosts() == {"A": ["H1", "H2"], "B": ["H2"]}
 
     def test_scaled_users_scales_interactive_users(self):
         scaled = self._landscape().scaled_users(1.15)
