@@ -277,8 +277,8 @@ class StateDb:
         self._closed = False
         #: inside :meth:`group`: writes join one open transaction
         self.grouped = False
-        #: transactions rolled back so far: a cache of rows (the load
-        #: archive's series and layouts) reloads when this moves
+        #: transactions rolled back so far: a copy of rows (the load
+        #: archive's lists and caches) reloads when this moves
         self.rollbacks = 0
 
     def _adopt(self) -> None:
@@ -642,7 +642,11 @@ class DurableStateStore:
         self.journal = StateJournal(self.db)
         self.snapshots = SnapshotStore(self.db)
         self.lease = LeaseStore(self.db)
-        self.archive = SqliteLoadArchive(self.db)
+        try:
+            self.archive = SqliteLoadArchive(self.db)
+        except StateCorruptError:  # the archive's rows, loaded at open
+            self.db.close()
+            raise
 
     def require_unused(self) -> None:
         """Refuse to start a *new* run on an earlier run's state: it

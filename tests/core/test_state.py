@@ -479,7 +479,8 @@ class TestCrashSafety:
     def test_a_torn_archive_row_is_a_typed_error(self, tmp_path):
         """A minute's blob must be 8 bytes per series of its layout, and a
         layout may name only stored series; SQLite's own check cannot
-        tell, so the archive's reads do."""
+        tell, so the archive's load at open does, and the store closes
+        the file before it raises."""
         store = DurableStateStore(tmp_path)
         for now in (1, 2):
             store.archive.record_reports(
@@ -487,29 +488,28 @@ class TestCrashSafety:
             )
         store.close()
         path = tmp_path / "state.db"
-        with sqlite3.connect(path) as vandal:
-            vandal.execute(
-                "UPDATE load_minutes SET vals = substr(vals, 1, 12) WHERE time = 2"
-            )
-        store = DurableStateStore(tmp_path)  # passes quick_check
-        archive = store.archive
-        for read in (
-            lambda: archive.history("Blade1", "cpu"),
-            lambda: archive.average("Blade0", "cpu", 0, 5),
-            lambda: archive.aggregate("Blade2", "cpu", 60),
-            lambda: archive.record_reports([("Blade1", "cpu", 2, 0.25)]),
-        ):
-            with pytest.raises(StateCorruptError, match="minute 2") as caught:
-                read()
-            assert caught.value.path == str(path)
-        assert archive.history("Blade1", "cpu", 0, 1) == [(1, 0.5)]
-        store.close()
-        with sqlite3.connect(path) as vandal:
-            vandal.execute("DELETE FROM load_series WHERE subject = 'Blade1'")
-        store = DurableStateStore(tmp_path)
-        with pytest.raises(StateCorruptError, match="unknown series"):
-            store.archive.subjects()
-        store.close()
+
+        def vandalize(*statements):
+            vandal = sqlite3.connect(path)
+            with vandal:
+                for statement in statements:
+                    vandal.execute(statement)
+            vandal.close()
+
+        vandalize("UPDATE load_minutes SET vals = substr(vals, 1, 12) WHERE time = 2")
+        with pytest.raises(StateCorruptError, match="minute 2") as caught:
+            DurableStateStore(tmp_path)  # passes quick_check
+        assert caught.value.path == str(path)
+        # the last connection closed: SQLite removed the WAL
+        assert not (tmp_path / "state.db-wal").exists()
+        vandalize(
+            "UPDATE load_minutes SET vals = zeroblob(24) WHERE time = 2",
+            "DELETE FROM load_series WHERE subject = 'Blade1'",
+        )
+        with pytest.raises(StateCorruptError, match="unknown series") as caught:
+            DurableStateStore(tmp_path)
+        assert caught.value.path == str(path)
+        assert not (tmp_path / "state.db-wal").exists()
 
     @pytest.mark.parametrize("version", [0, 2, 4])
     def test_a_state_file_of_another_format_is_refused(self, tmp_path, version):

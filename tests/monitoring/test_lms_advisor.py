@@ -329,6 +329,20 @@ def _hex(mean):
     return None if mean is None else mean.hex()
 
 
+def revive(archive, descriptor, due):
+    """Revive a journaled observation in a fresh LMS over ``archive``
+    and tick it at ``due``: the confirmed mean's hex, or ``None``."""
+    lms = LoadMonitoringSystem()
+    lms.archive = archive
+    lms.restore_observation(descriptor, LoadMonitor("Blade1", "cpu"))
+    revived = lms.tick(due)
+    return _hex(revived[0].observed_mean if revived else None)
+
+
+class _Abort(Exception):
+    pass
+
+
 class TestWatchWindowOracle:
     @settings(max_examples=80, deadline=None)
     @given(watched_streams())
@@ -353,8 +367,37 @@ class TestWatchWindowOracle:
                 if t > rewind and load is not None
             ]
             flush(monitor, archive)
-            lms = LoadMonitoringSystem()
-            lms.archive = archive
-            lms.restore_observation(descriptor, monitor)
-            revived = lms.tick(due)
-            assert _hex(revived[0].observed_mean if revived else None) == expected
+            assert revive(archive, descriptor, due) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(watched_streams(), st.floats(0.0, 1.5, allow_nan=False))
+    def test_the_window_is_reloaded_after_a_rollback_and_a_reopen(
+        self, tmp_path_factory, drawn, bogus
+    ):
+        """The durable archive's lists mirror its file: a write group that
+        rolls back leaves the revived window as it was, and so does a
+        close and reopen, which loads the lists from the file."""
+        from repro.core.state import StateDb
+
+        loads, started_at, watch_time, __ = drawn
+        due = started_at + watch_time - 1
+        expected = reference(loads, started_at, due)
+        path = tmp_path_factory.mktemp("window") / "state.db"
+        db = StateDb(path)
+        try:
+            archive = SqliteLoadArchive(db)
+            observed, descriptor = observe(archive, *drawn[:3])
+            assert _hex(observed) == expected
+            with pytest.raises(_Abort), db.group():
+                archive.record_reports(
+                    [("Blade1", "cpu", t, bogus) for t in range(due + 2)]
+                )
+                assert archive.history("Blade1", "cpu", 0, due) == [
+                    (t, bogus) for t in range(due + 1)
+                ]
+                raise _Abort
+            assert revive(archive, descriptor, due) == expected
+        finally:
+            db.close()
+        with SqliteLoadArchive(path) as reopened:
+            assert revive(reopened, descriptor, due) == expected
