@@ -26,19 +26,26 @@ XML:
 The dynamic checks (AG107, AG110) are sampled heuristics — see
 :mod:`repro.analysis.sampling` — deterministic but not exhaustive; they
 catch the gross misconfigurations the paper warns about, not arbitrarily
-thin slivers of the input space.
+thin slivers of the input space.  They read firing strengths off the
+controller's compiled program (:class:`repro.fuzzy.compiled.Program`),
+block by block, and take the first sampled point where the extreme
+occurs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.sampling import GradeCache, joint_samples
+from repro.analysis.sampling import joint_samples
 from repro.config.model import Action, LandscapeSpec, ServiceSpec
 from repro.core import variables as core_variables
 from repro.core.rulebases import default_action_rulebases, default_server_rulebases
+from repro.fuzzy.compiled import FloatArray, Program
 from repro.fuzzy.expressions import And, Expression, Is, Not, Or, Somewhat, Very
+from repro.fuzzy.inference import InferenceEngine
 from repro.fuzzy.parser import ParseError, parse_rules
 from repro.fuzzy.rules import Rule, RuleBase
 from repro.fuzzy.variables import LinguisticVariable
@@ -138,7 +145,7 @@ class RuleBaseLinter:
         self.inputs = dict(inputs)
         self.outputs = dict(outputs)
         self.min_applicability = min_applicability
-        self._grades = GradeCache(self.inputs.values())
+        self._engine = InferenceEngine(self.inputs.values(), self.outputs.values())
 
     # -- static checks -----------------------------------------------------
 
@@ -267,6 +274,28 @@ class RuleBaseLinter:
         names = sorted(set().union(*(r.variables() for r in rules)) if rules else set())
         return [self.inputs[name] for name in names]
 
+    def _sampled(
+        self,
+        rules: Sequence[Rule],
+        region: Optional[Mapping[str, Tuple[float, float]]],
+    ) -> Iterator[Tuple[Dict[str, FloatArray], FloatArray]]:
+        """The points :func:`joint_samples` yields for ``rules``, as
+        per-variable columns, with the rules' ``(rules, n)`` firing
+        strengths, a block of the compiled program at a time.
+
+        Only the strength stage is compiled: a rule whose consequent does
+        not resolve (AG103, AG104) fires all the same."""
+        referenced = self._referenced(rules)
+        names = [variable.name for variable in referenced]
+        samples = joint_samples(referenced, region)
+        points = np.fromiter(
+            (value for sample in samples for value in sample.values()), np.float64
+        ).reshape(-1, len(names)).T
+        program = Program(self._engine, RuleBase("sampled", list(rules)))
+        values = program.inputs(dict(zip(names, points)), points.shape[1])
+        for columns, strengths in program.blocks(values):
+            yield dict(zip(names, points[:, columns])), strengths
+
     def find_contradictions(
         self,
         rulebase: RuleBase,
@@ -320,18 +349,34 @@ class RuleBaseLinter:
         region: Optional[Mapping[str, Tuple[float, float]]],
         threshold: float,
     ) -> Optional[Tuple[Dict[str, float], float]]:
-        """Best sampled point where both rules fire, if it clears the bar."""
-        referenced = self._referenced([first, second])
+        """First sampled point where both rules fire most, if it clears the bar."""
         best_point: Optional[Dict[str, float]] = None
         best_strength = 0.0
-        for sample in joint_samples(referenced, region):
-            grades = self._grades.grades(sample)
-            strength = min(first.firing_strength(grades), second.firing_strength(grades))
-            if strength > best_strength:
-                best_strength, best_point = strength, sample
+        for points, strengths in self._sampled([first, second], region):
+            joint = strengths.min(axis=0)
+            column = int(joint.argmax())  # the first maximum
+            if joint[column] > best_strength:
+                best_strength = float(joint[column])
+                best_point = {name: float(xs[column]) for name, xs in points.items()}
         if best_point is not None and best_strength >= threshold:
             return best_point, best_strength
         return None
+
+    def _weakest(
+        self,
+        rules: Sequence[Rule],
+        region: Optional[Mapping[str, Tuple[float, float]]],
+    ) -> Optional[Tuple[Dict[str, float], float]]:
+        """First sampled point where the strongest rule fires least."""
+        worst_point: Optional[Dict[str, float]] = None
+        worst_strength = float("inf")
+        for points, strengths in self._sampled(rules, region):
+            best = strengths.max(axis=0)
+            column = int(best.argmin())  # the first minimum
+            if best[column] < worst_strength:
+                worst_strength = float(best[column])
+                worst_point = {name: float(xs[column]) for name, xs in points.items()}
+        return None if worst_point is None else (worst_point, worst_strength)
 
     def find_coverage_gaps(
         self,
@@ -354,16 +399,10 @@ class RuleBaseLinter:
                     trigger=trigger,
                 )
             ]
-        referenced = self._referenced(rules)
-        worst_point: Optional[Dict[str, float]] = None
-        worst_strength = float("inf")
-        for sample in joint_samples(referenced, region):
-            grades = self._grades.grades(sample)
-            strength = max(rule.firing_strength(grades) for rule in rules)
-            if strength < worst_strength:
-                worst_strength, worst_point = strength, sample
-        if worst_point is None or worst_strength >= self.min_applicability:
+        weakest = self._weakest(rules, region)
+        if weakest is None or weakest[1] >= self.min_applicability:
             return []
+        worst_point, worst_strength = weakest
         return [
             Diagnostic(
                 code="AG110",

@@ -12,22 +12,22 @@ out of the question, so the analyzers sample it:
   falling back to deterministic pseudo-random sampling otherwise.
 
 Everything is deterministic: the fallback RNG is seeded from a constant,
-so lint output is stable run over run.
+so lint output is stable run over run.  The samples are only points: the
+analyzers gather them, in the order yielded, into one input matrix and
+read every rule's firing strength off the compiled program
+(:class:`repro.fuzzy.compiled.Program`), the controller's own evaluator.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.fuzzy.compiled import trapezoid
 from repro.fuzzy.variables import LinguisticVariable
 
-__all__ = [
-    "critical_points",
-    "joint_samples",
-    "GradeCache",
-]
+__all__ = ["critical_points", "joint_samples"]
 
 #: Cap on the cartesian product of critical points; beyond this the
 #: sampler switches to pseudo-random points.
@@ -37,15 +37,6 @@ _MAX_GRID = 20_000
 _RANDOM_SAMPLES = 1_024
 
 _SEED = 0xA610B  # stable across runs; "AutoGlobe" in leetspeak-ish hex
-
-
-def _trapezoid_corners(membership: object) -> List[float]:
-    corners = []
-    for attribute in ("a", "b", "c", "d", "lo", "hi", "value"):
-        value = getattr(membership, attribute, None)
-        if isinstance(value, (int, float)):
-            corners.append(float(value))
-    return corners
 
 
 def critical_points(
@@ -65,9 +56,8 @@ def critical_points(
         return []
     raw: List[float] = [lo, hi]
     for term in variable.terms:
-        support = term.membership.support
-        raw.extend((support[0], support[1]))
-        raw.extend(_trapezoid_corners(term.membership))
+        shape = trapezoid(variable, term)
+        raw.extend((shape.a, shape.b, shape.c, shape.d))
     in_range = sorted({p for p in raw if lo <= p <= hi})
     # midpoints catch term crossings, the worst-covered spots
     points = list(in_range)
@@ -122,33 +112,3 @@ def joint_samples(
             else:
                 sample[name] = rng.uniform(lo, hi)
         yield sample
-
-
-class GradeCache:
-    """Memoizes fuzzification of sampled points.
-
-    The samplers revisit the same critical points across rules and rule
-    pairs; caching the term grades keeps the linter fast enough to run
-    on every simulation start.
-    """
-
-    def __init__(self, variables: Iterable[LinguisticVariable]) -> None:
-        self._variables: Dict[str, LinguisticVariable] = {
-            v.name: v for v in variables
-        }
-        self._cache: Dict[Tuple[str, float], Mapping[str, float]] = {}
-
-    def variable(self, name: str) -> Optional[LinguisticVariable]:
-        return self._variables.get(name)
-
-    def grades(self, sample: Mapping[str, float]) -> Dict[str, Mapping[str, float]]:
-        """Fuzzified measurements for one joint sample."""
-        result: Dict[str, Mapping[str, float]] = {}
-        for name, value in sample.items():
-            key = (name, value)
-            grades = self._cache.get(key)
-            if grades is None:
-                grades = self._variables[name].fuzzify(value)
-                self._cache[key] = grades
-            result[name] = grades
-        return result

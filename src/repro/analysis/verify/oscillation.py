@@ -27,15 +27,19 @@ between the controller and a thrash loop.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.rulebase import ACTION_COUPLES, CONTRADICTION_THRESHOLD
-from repro.analysis.sampling import GradeCache
 from repro.config.model import Action, ControllerSettings, LandscapeSpec
 from repro.core import variables
 from repro.core.rulebases import default_action_rulebases
+from repro.fuzzy.compiled import FloatArray, Program
 from repro.fuzzy.controller import FuzzyController
+from repro.fuzzy.inference import InferenceEngine
 from repro.fuzzy.parser import parse_rules
 from repro.fuzzy.rules import Rule, RuleBase
 from repro.monitoring.lms import SituationKind
@@ -55,6 +59,11 @@ _MEM_SAMPLES: Tuple[float, ...] = (0.2, 0.5, 0.8)
 
 #: instancesOnServer levels sampled alongside.
 _SERVER_COUNTS: Tuple[float, ...] = (1.0, 3.0)
+
+
+#: ``(n, L, L', mem, on_server)``: instances, load, load after one
+#: scale-out, memory load and instances on the server
+_State = Tuple[int, float, float, float, float]
 
 
 def _controller() -> FuzzyController:
@@ -99,7 +108,7 @@ def _winner(outputs: Mapping[str, float], min_applicability: float) -> Optional[
 
 def _abstract_states(
     settings: ControllerSettings, idle_hi: float
-) -> Iterator[Tuple[int, float, float, float, float]]:
+) -> Iterator[_State]:
     """(n, L, L', mem, on_server) states whose scale-out lands idle.
 
     Only states where the transformed load falls strictly inside the
@@ -118,6 +127,23 @@ def _abstract_states(
                     yield instances, load, transformed, mem, on_server
 
 
+def _contexts(
+    settings: ControllerSettings, min_index: float, idle_hi: float
+) -> Tuple[List[_State], List[Dict[str, float]], List[Dict[str, float]]]:
+    """The abstract states, and per state the measurements before and
+    after its scale-out."""
+    states = list(_abstract_states(settings, idle_hi))
+    before = [
+        _measurements(load, mem, min_index, instances, on_server)
+        for instances, load, __, mem, on_server in states
+    ]
+    after = [
+        _measurements(transformed, mem, min_index, instances + 1, on_server)
+        for instances, __, transformed, mem, on_server in states
+    ]
+    return states, before, after
+
+
 def _find_thrash_witnesses(
     controller: FuzzyController,
     overload_base: RuleBase,
@@ -125,28 +151,26 @@ def _find_thrash_witnesses(
     settings: ControllerSettings,
     min_index: float,
     idle_hi: float,
-) -> List[Tuple[int, float, float, float, float]]:
-    witnesses: List[Tuple[int, float, float, float, float]] = []
-    for instances, load, transformed, mem, on_server in _abstract_states(
-        settings, idle_hi
-    ):
-        overload_result = controller.evaluate(
-            _measurements(load, mem, min_index, instances, on_server),
-            overload_base,
-        )
-        if _winner(overload_result.outputs, settings.min_applicability) != (
-            Action.SCALE_OUT.value
-        ):
-            continue
-        idle_result = controller.evaluate(
-            _measurements(transformed, mem, min_index, instances + 1, on_server),
-            idle_base,
-        )
-        if _winner(idle_result.outputs, settings.min_applicability) == (
-            Action.SCALE_IN.value
-        ):
-            witnesses.append((instances, load, transformed, mem, on_server))
-    return witnesses
+) -> List[_State]:
+    """States whose overload winner is scale-out and whose scaled-out
+    successor's idle winner is scale-in; the idle base is evaluated only
+    where scale-out wins."""
+    states, before, after = _contexts(settings, min_index, idle_hi)
+    if not states:
+        return []
+    scale_outs = [
+        position
+        for position, outputs in enumerate(controller.evaluate_many(before, overload_base))
+        if _winner(outputs, settings.min_applicability) == Action.SCALE_OUT.value
+    ]
+    if not scale_outs:
+        return []
+    idle = controller.evaluate_many([after[position] for position in scale_outs], idle_base)
+    return [
+        states[position]
+        for position, outputs in zip(scale_outs, idle)
+        if _winner(outputs, settings.min_applicability) == Action.SCALE_IN.value
+    ]
 
 
 def _couple_partners() -> Dict[str, Set[str]]:
@@ -157,48 +181,60 @@ def _couple_partners() -> Dict[str, Set[str]]:
     return partners
 
 
+def _strengths(
+    engine: InferenceEngine,
+    rules: Sequence[Rule],
+    contexts: Sequence[Mapping[str, float]],
+) -> FloatArray:
+    """``(rules, contexts)`` firing strengths, rules in the given order,
+    read off the compiled program's strength stage."""
+    program = Program(engine, RuleBase("oscillation", list(rules)))
+    columns = {name: [context[name] for context in contexts] for name in contexts[0]}
+    values = program.inputs(columns, len(contexts))
+    strengths = np.empty((len(rules), len(contexts)))
+    for block, rows in program.blocks(values):
+        strengths[:, block] = rows[program.order]
+    return strengths
+
+
 def _find_limit_cycle_pairs(
-    grades: GradeCache,
+    engine: InferenceEngine,
     overload_base: RuleBase,
     idle_base: RuleBase,
     settings: ControllerSettings,
     min_index: float,
     idle_hi: float,
-) -> List[Tuple[Rule, Rule, Tuple[int, float, float, float, float]]]:
+) -> List[Tuple[Rule, Rule, _State]]:
+    """Per coupled (overload rule, idle rule) pair, the first state where
+    both fire at the threshold.  An idle rule is compiled only once some
+    state needs its strength, so a rule that does not compile raises
+    exactly where reading its strength state by state would."""
+    states, before, after = _contexts(settings, min_index, idle_hi)
+    if not states:
+        return []
     partners = _couple_partners()
-    pairs: List[Tuple[Rule, Rule, Tuple[int, float, float, float, float]]] = []
-    for overload_rule in overload_base:
+    hot = _strengths(engine, overload_base.rules, before) >= CONTRADICTION_THRESHOLD
+    idle_hot: Dict[int, npt.NDArray[np.bool_]] = {}
+    pairs: List[Tuple[Rule, Rule, _State]] = []
+    for overload_rule, overload_hot in zip(overload_base, hot):
         coupled = partners.get(overload_rule.output_variable)
-        if not coupled:
+        if not coupled or not overload_hot.any():
             continue
-        for idle_rule in idle_base:
+        for position, idle_rule in enumerate(idle_base):
             if idle_rule.output_variable not in coupled:
                 continue
-            for state in _abstract_states(settings, idle_hi):
-                instances, load, transformed, mem, on_server = state
-                strength_out = overload_rule.firing_strength(
-                    grades.grades(
-                        _measurements(load, mem, min_index, instances, on_server)
-                    )
+            if position not in idle_hot:
+                idle_hot[position] = (
+                    _strengths(engine, [idle_rule], after)[0] >= CONTRADICTION_THRESHOLD
                 )
-                if strength_out < CONTRADICTION_THRESHOLD:
-                    continue
-                strength_in = idle_rule.firing_strength(
-                    grades.grades(
-                        _measurements(
-                            transformed, mem, min_index, instances + 1, on_server
-                        )
-                    )
-                )
-                if strength_in >= CONTRADICTION_THRESHOLD:
-                    pairs.append((overload_rule, idle_rule, state))
-                    break
+            both = overload_hot & idle_hot[position]
+            if both.any():
+                pairs.append((overload_rule, idle_rule, states[int(both.argmax())]))
     return pairs
 
 
 def _analyze_pair(
     controller: FuzzyController,
-    grades: GradeCache,
     overload_base: RuleBase,
     idle_base: RuleBase,
     settings: ControllerSettings,
@@ -242,7 +278,7 @@ def _analyze_pair(
             )
         )
     for overload_rule, idle_rule, state in _find_limit_cycle_pairs(
-        grades, overload_base, idle_base, settings, min_index, idle_hi
+        controller.engine, overload_base, idle_base, settings, min_index, idle_hi
     ):
         instances, load, transformed, mem, on_server = state
         diagnostics.append(
@@ -294,13 +330,11 @@ def analyze_oscillation(landscape: LandscapeSpec) -> List[Diagnostic]:
         min(settings.idle_threshold(min_index), 1.0) if min_index > 0 else 1.0
     )
     controller = _controller()
-    grades = GradeCache(variables.action_selection_inputs())
     defaults = default_action_rulebases()
     overload_default = defaults[SituationKind.SERVICE_OVERLOADED]
     idle_default = defaults[SituationKind.SERVICE_IDLE]
     diagnostics = _analyze_pair(
         controller,
-        grades,
         overload_default,
         idle_default,
         settings,
@@ -334,7 +368,6 @@ def analyze_oscillation(landscape: LandscapeSpec) -> List[Diagnostic]:
         try:
             found = _analyze_pair(
                 controller,
-                grades,
                 merged.get(relevant[0], overload_default),
                 merged.get(relevant[1], idle_default),
                 settings,

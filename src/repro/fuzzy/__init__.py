@@ -22,22 +22,11 @@ from repro.fuzzy.expressions import And, Expression, Is, Not, Or, Somewhat, Very
 from repro.fuzzy.inference import InferenceEngine
 from repro.fuzzy.parser import ParseError, parse_expression, parse_rule, parse_rules
 from repro.fuzzy.rules import Rule, RuleBase
-from repro.fuzzy.sets import (
-    Constant,
-    MembershipFunction,
-    PiecewiseLinear,
-    RampDown,
-    RampUp,
-    Rectangle,
-    Singleton,
-    Trapezoid,
-    Triangle,
-)
+from repro.fuzzy.sets import MembershipFunction, RampUp, Trapezoid
 from repro.fuzzy.variables import LinguisticTerm, LinguisticVariable
 
 __all__ = [
     "And",
-    "Constant",
     "ControllerResult",
     "Expression",
     "FuzzyController",
@@ -49,16 +38,11 @@ __all__ = [
     "Not",
     "Or",
     "ParseError",
-    "PiecewiseLinear",
-    "RampDown",
     "RampUp",
-    "Rectangle",
     "Rule",
     "RuleBase",
-    "Singleton",
     "Somewhat",
     "Trapezoid",
-    "Triangle",
     "Very",
     "parse_expression",
     "parse_rule",

@@ -2,14 +2,15 @@
 (engine, rule base).
 
 Every evaluation — a batch of contexts or one context with its audit
-trail (:class:`repro.fuzzy.inference.InferenceEngine`) — runs a
+trail (:class:`repro.fuzzy.inference.InferenceEngine`), and the firing
+strengths the static analyzers sample (:mod:`repro.analysis`) — runs a
 :class:`Program` compiled once from the rule base's objects, in three
 stages (DESIGN §14):
 
-1. A :class:`TermTable` holds the corners of every trapezoid input term
-   as ``(terms, 1)`` columns, so all grades of a batch are one expression
-   on a ``(terms, n)`` matrix; other membership classes fill their row
-   through their own ``evaluate``.
+1. A :class:`TermTable` holds the corners of every input term — each
+   one a :class:`~repro.fuzzy.sets.Trapezoid`, any other shape is a
+   ``TypeError`` — as ``(terms, 1)`` columns, so all grades of a batch
+   are one expression on a ``(terms, n)`` matrix.
 2. Every rule is a ``min`` over rows of that matrix: atoms are term rows,
    any ``OR``/``NOT``/``VERY``/``SOMEWHAT``/nested node is first computed
    into a derived row below them.  A rule with fewer operands than the
@@ -18,15 +19,19 @@ stages (DESIGN §14):
 3. Per output variable, the leftmost maximum (Figure 5) of its
    consequent clipped at each rule's strength and united, on a grid of
    :data:`RESOLUTION` points: one ``searchsorted`` into the consequent's
-   grid, planned at compile time.  An output whose rules assert
+   grid, planned by :meth:`Program.plan`.  An output whose rules assert
    different consequents, or whose consequent is not monotone on the
-   grid, has no such closed form and is refused when compiled.
+   grid, has no such closed form and is refused there.
+
+Stages 1 and 2 read only the input terms, so a rule whose consequent
+does not resolve still has a firing strength: the linter samples those
+too.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping
-from typing import NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List
+from typing import Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -34,12 +39,12 @@ import numpy.typing as npt
 from repro.fuzzy.expressions import And, Expression, Is, Not, Or, Somewhat, Very
 from repro.fuzzy.rules import Rule, RuleBase
 from repro.fuzzy.sets import MembershipFunction, Trapezoid
-from repro.fuzzy.variables import LinguisticVariable
+from repro.fuzzy.variables import LinguisticTerm, LinguisticVariable
 
 if TYPE_CHECKING:
     from repro.fuzzy.inference import InferenceEngine
 
-__all__ = ["TermTable", "Program"]
+__all__ = ["TermTable", "Program", "trapezoid"]
 
 FloatArray = npt.NDArray[np.float64]
 
@@ -66,6 +71,17 @@ _DERIVED: Dict[type, Callable[[FloatArray], Any]] = {
 }
 
 
+def trapezoid(variable: LinguisticVariable, term: LinguisticTerm) -> Trapezoid:
+    """``term``'s membership, which as an input term must be a trapezoid."""
+    shape = term.membership
+    if not isinstance(shape, Trapezoid):
+        raise TypeError(
+            f"input term {term.name!r} of variable {variable.name!r} is a "
+            f"{type(shape).__name__}; only Trapezoid input terms compile"
+        )
+    return shape
+
+
 class TermTable:
     """Every input term of one engine as a row of a corner table."""
 
@@ -75,19 +91,13 @@ class TermTable:
         self.inputs: Dict[str, int] = {v.name: i for i, v in enumerate(variables)}
         #: (variable, term) -> row of the grade matrix
         self.rows: Dict[Tuple[str, str], int] = {}
-        #: rows whose membership is not a plain trapezoid
-        self.generic: List[Tuple[int, MembershipFunction]] = []
         owner: List[int] = []
         corners: List[Tuple[float, float, float, float]] = []
         for position, variable in enumerate(variables):
             for term in variable.terms:
-                shape = term.membership
+                shape = trapezoid(variable, term)
                 self.rows[variable.name, term.name] = len(owner)
-                if type(shape) is Trapezoid:
-                    corners.append((shape.a, shape.b, shape.c, shape.d))
-                else:
-                    self.generic.append((len(owner), shape))
-                    corners.append((0.0, 0.0, 0.0, 0.0))
+                corners.append((shape.a, shape.b, shape.c, shape.d))
                 owner.append(position)
         self._owner = np.array(owner, dtype=np.intp)
         bounds = np.array([v.domain for v in variables], dtype=np.float64)
@@ -109,8 +119,6 @@ class TermTable:
         plateau = np.where((x <= self._c) | self._flat, 1.0, falling)
         inside = np.where(x < self._b, rising, plateau)
         grades: FloatArray = np.where((x < self._a) | (x > self._d), 0.0, inside)
-        for row, shape in self.generic:
-            grades[row] = shape.evaluate(x[row])
         return grades
 
 
@@ -149,7 +157,13 @@ def _planned(
 
 
 class Program:
-    """One rule base compiled against, and validated by, one engine.
+    """One rule base compiled against one engine's input terms.
+
+    The constructor compiles stages 1 and 2, the firing strengths;
+    :meth:`plan` adds stage 3, the leftmost maxima.
+    :meth:`InferenceEngine.program` validates the rule base and runs
+    both; the analyzers read strengths of rules whose consequent does
+    not resolve, so they run only the constructor.
 
     ``rules`` is the list that was compiled: the program is stale once
     ``rule_base.rules`` no longer equals it (identical elements compare
@@ -157,7 +171,6 @@ class Program:
     """
 
     def __init__(self, engine: "InferenceEngine", rule_base: RuleBase) -> None:
-        engine.validate(rule_base)
         self.rule_base = rule_base
         self.rules: List[Rule] = list(rule_base.rules)
         self.terms = engine.terms
@@ -174,18 +187,12 @@ class Program:
             grouped.setdefault(rule.output_variable, []).append(
                 (position, [self._row(part) for part in parts])
             )
+        #: per output variable, the positions of its rules in the rule base
+        self._groups = [
+            (name, [position for position, __ in members])
+            for name, members in grouped.items()
+        ]
         ordered = [member for members in grouped.values() for member in members]
-        start = 0
-        for name, members in grouped.items():
-            consequents = [
-                engine._resolve_consequent(self.rules[position])
-                for position, __ in members
-            ]
-            domain = engine.output_variables[name].domain
-            self.outputs.append(
-                _planned(name, start, start + len(members), consequents, domain)
-            )
-            start += len(members)
         #: row of :meth:`strengths` holding rule ``i`` of the rule base
         self.order: List[int] = [0] * len(ordered)
         for row, (position, __) in enumerate(ordered):
@@ -199,6 +206,22 @@ class Program:
             [self.rules[position].weight for position, __ in ordered],
             dtype=np.float64,
         )[:, None]
+        self._starts: List[int] = []
+
+    def plan(self, engine: "InferenceEngine") -> None:
+        """Stage 3: per output variable, the closed form of its one
+        consequent, or the ``ValueError`` saying why it has none."""
+        start = 0
+        for name, positions in self._groups:
+            consequents = [
+                engine._resolve_consequent(self.rules[position])
+                for position in positions
+            ]
+            domain = engine.output_variables[name].domain
+            self.outputs.append(
+                _planned(name, start, start + len(positions), consequents, domain)
+            )
+            start += len(positions)
         self._starts = [output.start for output in self.outputs]
 
     def _row(self, expression: Expression) -> int:
@@ -242,7 +265,6 @@ class Program:
     def strengths(self, values: FloatArray) -> FloatArray:
         """``(rules, n)`` firing strengths, rules grouped by output."""
         grades = self.terms.grades(values)
-        self.stats["generic_terms"] += len(self.terms.generic)
         if self._derived:
             base = len(grades)
             table = np.empty((base + len(self._derived), values.shape[1]))
@@ -272,12 +294,16 @@ class Program:
             ]
         return crisp
 
+    def blocks(self, values: FloatArray) -> Iterator[Tuple[slice, FloatArray]]:
+        """:meth:`strengths` of :meth:`inputs` ``_BLOCK`` columns at a time:
+        ``(columns, strengths)`` pairs."""
+        for start in range(0, values.shape[1], _BLOCK):
+            columns = slice(start, start + _BLOCK)
+            yield columns, self.strengths(values[:, columns])
+
     def evaluate(self, values: FloatArray) -> FloatArray:
         """``(outputs, n)`` crisp values of :meth:`inputs`, in :attr:`outputs` order."""
-        count = values.shape[1]
-        crisp = np.empty((len(self.outputs), count))
-        for start in range(0, count, _BLOCK):
-            crisp[:, start:start + _BLOCK] = self.defuzzify(
-                self.strengths(values[:, start:start + _BLOCK])
-            )
+        crisp = np.empty((len(self.outputs), values.shape[1]))
+        for columns, strengths in self.blocks(values):
+            crisp[:, columns] = self.defuzzify(strengths)
         return crisp

@@ -8,28 +8,22 @@ Rule antecedents combine atomic propositions of the form
 * negation (``NOT``) with the standard complement ``1 - x``,
 
 exactly as described in Section 3 of the paper.  Expressions are immutable
-trees evaluated against a mapping from variable name to fuzzified grades.
-``truth`` is the only evaluator a node implements; batches run the
-program :mod:`repro.fuzzy.compiled` builds from the same tree.
+trees that say what a rule reads; none of them evaluates itself.  The
+compiled program (:mod:`repro.fuzzy.compiled`) turns a tree into rows of
+its grade matrix: ``min`` and ``max`` over operand rows, ``1 - x``, and
+the hedges' ``x ** 2`` and ``x ** 0.5``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Mapping, Tuple
+from typing import FrozenSet, Tuple
 
-__all__ = ["Expression", "Is", "And", "Or", "Not", "Very", "Somewhat", "GradeMap"]
-
-#: Fuzzified measurements: variable name -> (term name -> membership grade).
-GradeMap = Mapping[str, Mapping[str, float]]
+__all__ = ["Expression", "Is", "And", "Or", "Not", "Very", "Somewhat"]
 
 
 class Expression:
     """Base class for antecedent expressions."""
-
-    def truth(self, grades: GradeMap) -> float:
-        """Degree of truth of the expression under fuzzified measurements."""
-        raise NotImplementedError
 
     def variables(self) -> FrozenSet[str]:
         """Names of all linguistic variables referenced by the expression."""
@@ -51,20 +45,6 @@ class Is(Expression):
 
     variable: str
     term: str
-
-    def truth(self, grades: GradeMap) -> float:
-        try:
-            variable_grades = grades[self.variable]
-        except KeyError:
-            raise KeyError(
-                f"no fuzzified value for variable {self.variable!r}"
-            ) from None
-        try:
-            return variable_grades[self.term]
-        except KeyError:
-            raise KeyError(
-                f"variable {self.variable!r} has no term {self.term!r}"
-            ) from None
 
     def variables(self) -> FrozenSet[str]:
         return frozenset({self.variable})
@@ -108,18 +88,12 @@ class _Nary(Expression):
 class And(_Nary):
     """Fuzzy conjunction, evaluated with ``min``."""
 
-    def truth(self, grades: GradeMap) -> float:
-        return min(op.truth(grades) for op in self.operands)
-
     def __str__(self) -> str:
         return " AND ".join(_parenthesize(op) for op in self.operands)
 
 
 class Or(_Nary):
     """Fuzzy disjunction, evaluated with ``max``."""
-
-    def truth(self, grades: GradeMap) -> float:
-        return max(op.truth(grades) for op in self.operands)
 
     def __str__(self) -> str:
         return " OR ".join(_parenthesize(op) for op in self.operands)
@@ -130,9 +104,6 @@ class Not(Expression):
     """Fuzzy negation, evaluated with the standard complement ``1 - x``."""
 
     operand: Expression
-
-    def truth(self, grades: GradeMap) -> float:
-        return 1.0 - self.operand.truth(grades)
 
     def variables(self) -> FrozenSet[str]:
         return self.operand.variables()
@@ -151,9 +122,6 @@ class Very(Expression):
 
     operand: Expression
 
-    def truth(self, grades: GradeMap) -> float:
-        return self.operand.truth(grades) ** 2
-
     def variables(self) -> FrozenSet[str]:
         return self.operand.variables()
 
@@ -170,9 +138,6 @@ class Somewhat(Expression):
     """
 
     operand: Expression
-
-    def truth(self, grades: GradeMap) -> float:
-        return self.operand.truth(grades) ** 0.5
 
     def variables(self) -> FrozenSet[str]:
         return self.operand.variables()

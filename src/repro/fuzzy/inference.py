@@ -71,7 +71,7 @@ class InferenceEngine:
         self._programs: Dict[int, Program] = {}
         #: plain counters (ops ``/stats``); nothing reads them in a run
         self.stats: Dict[str, int] = dict.fromkeys(
-            ("programs_compiled", "batches", "contexts", "generic_terms"), 0
+            ("programs_compiled", "batches", "contexts"), 0
         )
 
     # -- validation -----------------------------------------------------------
@@ -110,8 +110,11 @@ class InferenceEngine:
         compare by pointer.  A compile that raises stores nothing."""
         program = self._programs.get(id(rule_base))
         if program is None or program.rules != rule_base.rules:
+            self.validate(rule_base)
+            program = Program(self, rule_base)
+            program.plan(self)
             # the program keeps its rule base alive, so the id stays its own
-            program = self._programs[id(rule_base)] = Program(self, rule_base)
+            self._programs[id(rule_base)] = program
             self.stats["programs_compiled"] += 1
         return program
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from repro.fuzzy.expressions import Expression, GradeMap
+from repro.fuzzy.expressions import Expression
 
 __all__ = ["Rule", "RuleBase"]
 
@@ -54,10 +54,6 @@ class Rule:
     def __post_init__(self) -> None:
         if not 0.0 < self.weight <= 1.0:
             raise ValueError(f"rule weight must be in (0, 1], got {self.weight!r}")
-
-    def firing_strength(self, grades: GradeMap) -> float:
-        """Degree of truth of the antecedent, scaled by the rule weight."""
-        return self.antecedent.truth(grades) * self.weight
 
     def variables(self) -> FrozenSet[str]:
         """Input variables referenced by the rule's antecedent."""

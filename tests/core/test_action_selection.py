@@ -307,5 +307,4 @@ class TestOneRankingPath:
             "programs_compiled": 2,
             "batches": 2,
             "contexts": 4,
-            "generic_terms": 0,
         }

@@ -1,7 +1,8 @@
 """The scalar fuzzy walk, kept as the oracle of the compiled program.
 
 Fuzzify every measurement against its variable, take each rule's firing
-strength with ``Rule.firing_strength``, clip each rule's consequent at
+strength with :func:`firing_strength` (:func:`truth` walks the
+antecedent tree node by node), clip each rule's consequent at
 that strength, unite the clipped sets of one output variable and read
 the leftmost maximum off a grid of :data:`RESOLUTION` points (Figure 5).
 It walks objects and Python floats where
@@ -22,13 +23,59 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.core.server_selection import RESERVATION_HORIZON_MINUTES
-from repro.fuzzy.sets import MembershipFunction, _validate_grade
+from repro.fuzzy.expressions import And, Expression, Is, Not, Or, Somewhat, Very
+from repro.fuzzy.rules import Rule
+from repro.fuzzy.sets import MembershipFunction
 
 #: points of the output grid the leftmost maximum is read off
 RESOLUTION = 1001
 
 #: grades closer than this are equal when locating the maximum
 GRADE_TOLERANCE = 1e-9
+
+#: Fuzzified measurements: variable name -> (term name -> membership grade).
+GradeMap = Mapping[str, Mapping[str, float]]
+
+
+def truth(expression: Expression, grades: GradeMap) -> float:
+    """Degree of truth of an antecedent: ``min`` for AND, ``max`` for OR,
+    ``1 - x`` for NOT, ``x ** 2`` for VERY and ``x ** 0.5`` for SOMEWHAT."""
+    kind = type(expression)
+    if kind is Is:
+        try:
+            variable_grades = grades[expression.variable]
+        except KeyError:
+            raise KeyError(
+                f"no fuzzified value for variable {expression.variable!r}"
+            ) from None
+        try:
+            return variable_grades[expression.term]
+        except KeyError:
+            raise KeyError(
+                f"variable {expression.variable!r} has no term {expression.term!r}"
+            ) from None
+    if kind is And:
+        return min(truth(operand, grades) for operand in expression.operands)
+    if kind is Or:
+        return max(truth(operand, grades) for operand in expression.operands)
+    if kind is Not:
+        return 1.0 - truth(expression.operand, grades)
+    if kind is Very:
+        return truth(expression.operand, grades) ** 2
+    if kind is Somewhat:
+        return truth(expression.operand, grades) ** 0.5
+    raise TypeError(f"unknown expression node {kind.__name__}")
+
+
+def firing_strength(rule: Rule, grades: GradeMap) -> float:
+    """Degree of truth of the antecedent, scaled by the rule weight."""
+    return truth(rule.antecedent, grades) * rule.weight
+
+
+def validate_grade(value: float, name: str) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -39,7 +86,7 @@ class ClippedSet:
     height: float
 
     def __post_init__(self) -> None:
-        _validate_grade(self.height, "height")
+        validate_grade(self.height, "height")
 
     def __call__(self, x: float) -> float:
         return min(self.base(x), self.height)
@@ -88,7 +135,7 @@ def infer(engine, rule_base, measurements: Mapping[str, float]):
     strengths: List[float] = []
     clipped: Dict[str, List[ClippedSet]] = {}
     for rule in rule_base:
-        strength = rule.firing_strength(grades)
+        strength = firing_strength(rule, grades)
         strengths.append(strength)
         output = engine.output_variables[rule.output_variable]
         clipped.setdefault(rule.output_variable, []).append(

@@ -21,14 +21,7 @@ from repro.fuzzy.controller import FuzzyController
 from repro.fuzzy.expressions import And, Is, Not, Or, Somewhat, Very
 from repro.fuzzy.parser import parse_rules
 from repro.fuzzy.rules import Rule, RuleBase
-from repro.fuzzy.sets import (
-    PiecewiseLinear,
-    RampDown,
-    RampUp,
-    Rectangle,
-    Singleton,
-    Trapezoid,
-)
+from repro.fuzzy.sets import RampUp, Trapezoid
 from repro.fuzzy.variables import LinguisticTerm, LinguisticVariable
 from tests.fuzzy import oracle
 
@@ -46,23 +39,24 @@ def _pair(draw):
 
 @st.composite
 def memberships(draw):
+    """Input terms are trapezoids; ramps, crisp intervals and singletons
+    are trapezoids with collapsed corners."""
     kind = draw(
-        st.sampled_from(
-            ["trapezoid"] * 4 + ["ramp-up", "ramp-down", "rectangle", "piecewise", "singleton"]
-        )
+        st.sampled_from(["trapezoid"] * 4 + ["ramp-up", "ramp-down", "rectangle", "singleton"])
     )
     if kind == "trapezoid":
         return Trapezoid(*sorted(draw(st.lists(LATTICE, min_size=4, max_size=4))))
     if kind == "ramp-up":
-        return RampUp(*_pair(draw))
+        low, high = _pair(draw)
+        return Trapezoid(low, high, 1.0, 1.0)
     if kind == "ramp-down":
-        return RampDown(*_pair(draw))
+        low, high = _pair(draw)
+        return Trapezoid(0.0, 0.0, low, high)
     if kind == "rectangle":
-        return Rectangle(*sorted(draw(st.lists(LATTICE, min_size=2, max_size=2))))
-    if kind == "singleton":
-        return Singleton(draw(LATTICE))
-    xs = sorted(draw(st.lists(LATTICE, min_size=2, max_size=4)))
-    return PiecewiseLinear([(x, draw(LATTICE)) for x in xs])
+        low, high = sorted(draw(st.lists(LATTICE, min_size=2, max_size=2)))
+        return Trapezoid(low, low, high, high)
+    point = draw(LATTICE)
+    return Trapezoid(point, point, point, point)
 
 
 @st.composite
@@ -107,7 +101,7 @@ CONSEQUENTS = [
     RampUp(0.0, 1.0),
     RampUp(0.25, 0.75),
     Trapezoid(0.2, 0.6, 1.0, 1.0),
-    Rectangle(0.5, 1.0),
+    Trapezoid(0.5, 0.5, 1.0, 1.0),
 ]
 
 
@@ -379,7 +373,10 @@ def test_one_rule_base_under_two_engines_compiles_twice():
     "terms, rules",
     [
         (
-            [("applicable", RampUp(0.0, 1.0)), ("inapplicable", RampDown(0.0, 1.0))],
+            [
+                ("applicable", RampUp(0.0, 1.0)),
+                ("inapplicable", Trapezoid(0.0, 0.0, 0.0, 1.0)),
+            ],
             "IF a IS high THEN x IS applicable\nIF a IS low THEN x IS inapplicable",
         ),
         ([("middling", Trapezoid(0.2, 0.4, 0.6, 0.8))], "IF a IS high THEN x IS middling"),
@@ -472,28 +469,34 @@ def test_missing_and_unknown_measurements():
 # -- counters -----------------------------------------------------------------------
 
 
-def test_generic_terms_are_counted():
+def test_a_non_trapezoid_input_term_is_refused():
+    """The term table reads corners: a ramp as an input term is a typed
+    error when the engine is built, the same ramp as a trapezoid runs."""
+    outputs = [
+        LinguisticVariable("x", [LinguisticTerm("applicable", RampUp(0.0, 1.0))], (0.0, 1.0))
+    ]
+    rules = RuleBase("r", list(parse_rules("IF a IS ramp THEN x IS applicable")))
+    with pytest.raises(TypeError, match="input term 'ramp' of variable 'a' is a RampUp"):
+        FuzzyController(
+            [LinguisticVariable("a", [LinguisticTerm("ramp", RampUp(0.0, 1.0))], (0.0, 1.0))],
+            outputs,
+            rules,
+        )
     controller = FuzzyController(
         [
             LinguisticVariable(
                 "a",
                 [
-                    LinguisticTerm("ramp", RampUp(0.0, 1.0)),
+                    LinguisticTerm("ramp", Trapezoid(0.0, 1.0, 1.0, 1.0)),
                     LinguisticTerm("flat", Trapezoid(0.0, 0.0, 1.0, 1.0)),
                 ],
                 (0.0, 1.0),
             )
         ],
-        [LinguisticVariable("x", [LinguisticTerm("applicable", RampUp(0.0, 1.0))],
-                            (0.0, 1.0))],
-        RuleBase("r", list(parse_rules("IF a IS ramp THEN x IS applicable"))),
+        outputs,
+        rules,
     )
     assert controller.evaluate_many([{"a": 0.25}, {"a": 0.5}]) == [
         {"x": 0.25}, {"x": 0.5}
     ]
-    assert controller.stats == {
-        "programs_compiled": 1,
-        "batches": 1,
-        "contexts": 2,
-        "generic_terms": 1,
-    }
+    assert controller.stats == {"programs_compiled": 1, "batches": 1, "contexts": 2}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.fuzzy.inference import InferenceEngine
 from repro.fuzzy.parser import parse_rules
 from repro.fuzzy.rules import RuleBase
-from repro.fuzzy.sets import Constant, RampUp, Trapezoid
+from repro.fuzzy.sets import RampUp, Trapezoid
 from repro.fuzzy.variables import LinguisticTerm, LinguisticVariable
 from tests.fuzzy.oracle import ClippedSet, UnionSet, leftmost_max
 
@@ -24,7 +24,8 @@ def closed_form(height):
     """The compiled program's leftmost maximum of the unit ramp clipped at
     ``height``: one rule, its strength handed straight to ``defuzzify``."""
     engine = InferenceEngine(
-        [LinguisticVariable("a", [LinguisticTerm("high", RampUp(0.0, 1.0))], UNIT_DOMAIN)],
+        [LinguisticVariable("a", [LinguisticTerm("high", Trapezoid(0.0, 1.0, 1.0, 1.0))],
+                            UNIT_DOMAIN)],
         [LinguisticVariable("x", [LinguisticTerm("applicable", RampUp(0.0, 1.0))],
                             UNIT_DOMAIN)],
     )
@@ -61,7 +62,7 @@ class TestLeftmostMax:
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            leftmost_max(Constant(0.5), (1.0, 1.0))
+            leftmost_max(RampUp(0.0, 1.0), (1.0, 1.0))
 
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_unit_ramp_clip_recovers_height(self, height):

@@ -1,10 +1,12 @@
-"""Tests for the antecedent expression algebra (min/max/complement semantics)."""
+"""Tests for the antecedent expression algebra (min/max/complement semantics),
+read through the scalar oracle's walk (``tests/fuzzy/oracle.py``)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fuzzy.expressions import And, Is, Not, Or
+from tests.fuzzy.oracle import truth
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -19,15 +21,15 @@ def grades(cpu_high=0.8, pi_low=0.0, pi_medium=0.6, pi_high=0.3):
 
 class TestIs:
     def test_atomic_lookup(self):
-        assert Is("cpuLoad", "high").truth(grades()) == pytest.approx(0.8)
+        assert truth(Is("cpuLoad", "high"), grades()) == pytest.approx(0.8)
 
     def test_unknown_variable_raises(self):
         with pytest.raises(KeyError, match="no fuzzified value"):
-            Is("memLoad", "high").truth(grades())
+            truth(Is("memLoad", "high"), grades())
 
     def test_unknown_term_raises(self):
         with pytest.raises(KeyError, match="no term"):
-            Is("cpuLoad", "enormous").truth(grades())
+            truth(Is("cpuLoad", "enormous"), grades())
 
     def test_variables(self):
         assert Is("cpuLoad", "high").variables() == frozenset({"cpuLoad"})
@@ -45,24 +47,24 @@ class TestConnectives:
                 Or((Is("performanceIndex", "low"), Is("performanceIndex", "medium"))),
             )
         )
-        assert rule_one.truth(grades()) == pytest.approx(0.6)
+        assert truth(rule_one, grades()) == pytest.approx(0.6)
 
     def test_paper_rule_two_truth(self):
         """min(0.8, 0.3) = 0.3 for the scale-out rule."""
         rule_two = And((Is("cpuLoad", "high"), Is("performanceIndex", "high")))
-        assert rule_two.truth(grades()) == pytest.approx(0.3)
+        assert truth(rule_two, grades()) == pytest.approx(0.3)
 
     def test_and_is_min(self):
         expr = Is("cpuLoad", "high") & Is("performanceIndex", "medium")
-        assert expr.truth(grades(cpu_high=0.2, pi_medium=0.9)) == pytest.approx(0.2)
+        assert truth(expr, grades(cpu_high=0.2, pi_medium=0.9)) == pytest.approx(0.2)
 
     def test_or_is_max(self):
         expr = Is("cpuLoad", "high") | Is("performanceIndex", "medium")
-        assert expr.truth(grades(cpu_high=0.2, pi_medium=0.9)) == pytest.approx(0.9)
+        assert truth(expr, grades(cpu_high=0.2, pi_medium=0.9)) == pytest.approx(0.9)
 
     def test_not_is_complement(self):
         expr = ~Is("cpuLoad", "high")
-        assert expr.truth(grades(cpu_high=0.8)) == pytest.approx(0.2)
+        assert truth(expr, grades(cpu_high=0.8)) == pytest.approx(0.2)
 
     def test_nary_flattening(self):
         a, b, c = Is("x", "a"), Is("x", "b"), Is("x", "c")
@@ -72,7 +74,7 @@ class TestConnectives:
     def test_flattening_preserves_semantics(self):
         g = {"x": {"a": 0.4, "b": 0.7, "c": 0.2}}
         a, b, c = Is("x", "a"), Is("x", "b"), Is("x", "c")
-        assert ((a & b) & c).truth(g) == (a & (b & c)).truth(g) == pytest.approx(0.2)
+        assert truth((a & b) & c, g) == truth(a & (b & c), g) == pytest.approx(0.2)
 
     def test_single_operand_rejected(self):
         with pytest.raises(ValueError):
@@ -95,22 +97,22 @@ class TestConnectives:
     def test_de_morgan(self, ga, gb):
         g = {"x": {"a": ga, "b": gb}}
         a, b = Is("x", "a"), Is("x", "b")
-        assert (~(a & b)).truth(g) == pytest.approx(((~a) | (~b)).truth(g))
-        assert (~(a | b)).truth(g) == pytest.approx(((~a) & (~b)).truth(g))
+        assert truth(~(a & b), g) == pytest.approx(truth((~a) | (~b), g))
+        assert truth(~(a | b), g) == pytest.approx(truth((~a) & (~b), g))
 
     @given(UNIT, UNIT, UNIT)
     def test_truth_always_in_unit_interval(self, ga, gb, gc):
         g = {"x": {"a": ga, "b": gb, "c": gc}}
         expr = (Is("x", "a") & ~Is("x", "b")) | Is("x", "c")
-        assert 0.0 <= expr.truth(g) <= 1.0
+        assert 0.0 <= truth(expr, g) <= 1.0
 
     @given(UNIT, UNIT)
     def test_and_commutes(self, ga, gb):
         g = {"x": {"a": ga, "b": gb}}
         a, b = Is("x", "a"), Is("x", "b")
-        assert (a & b).truth(g) == pytest.approx((b & a).truth(g))
+        assert truth(a & b, g) == pytest.approx(truth(b & a, g))
 
     @given(UNIT)
     def test_double_negation(self, ga):
         g = {"x": {"a": ga}}
-        assert (~~Is("x", "a")).truth(g) == pytest.approx(ga)
+        assert truth(~~Is("x", "a"), g) == pytest.approx(ga)

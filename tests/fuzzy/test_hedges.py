@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.fuzzy.expressions import Is, Somewhat, Very
 from repro.fuzzy.parser import parse_expression, parse_rule
+from tests.fuzzy.oracle import truth
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -16,30 +17,30 @@ def grades(value):
 
 class TestSemantics:
     def test_very_squares(self):
-        assert Very(Is("cpuLoad", "high")).truth(grades(0.8)) == pytest.approx(0.64)
+        assert truth(Very(Is("cpuLoad", "high")), grades(0.8)) == pytest.approx(0.64)
 
     def test_somewhat_takes_square_root(self):
-        assert Somewhat(Is("cpuLoad", "high")).truth(grades(0.64)) == pytest.approx(0.8)
+        assert truth(Somewhat(Is("cpuLoad", "high")), grades(0.64)) == pytest.approx(0.8)
 
     def test_hedges_fix_the_extremes(self):
         for hedge in (Very, Somewhat):
-            assert hedge(Is("cpuLoad", "high")).truth(grades(0.0)) == 0.0
-            assert hedge(Is("cpuLoad", "high")).truth(grades(1.0)) == 1.0
+            assert truth(hedge(Is("cpuLoad", "high")), grades(0.0)) == 0.0
+            assert truth(hedge(Is("cpuLoad", "high")), grades(1.0)) == 1.0
 
     def test_very_is_conservative_somewhat_liberal(self):
         base = Is("cpuLoad", "high")
         for value in (0.1, 0.4, 0.7, 0.9):
-            assert Very(base).truth(grades(value)) <= base.truth(grades(value))
-            assert Somewhat(base).truth(grades(value)) >= base.truth(grades(value))
+            assert truth(Very(base), grades(value)) <= truth(base, grades(value))
+            assert truth(Somewhat(base), grades(value)) >= truth(base, grades(value))
 
     def test_hedges_compose(self):
         # VERY VERY high = mu^4
         doubled = Very(Very(Is("cpuLoad", "high")))
-        assert doubled.truth(grades(0.8)) == pytest.approx(0.8 ** 4)
+        assert truth(doubled, grades(0.8)) == pytest.approx(0.8 ** 4)
 
     def test_very_somewhat_cancel(self):
         expr = Very(Somewhat(Is("cpuLoad", "high")))
-        assert expr.truth(grades(0.6)) == pytest.approx(0.6)
+        assert truth(expr, grades(0.6)) == pytest.approx(0.6)
 
     def test_variables_propagate(self):
         assert Very(Is("cpuLoad", "high")).variables() == frozenset({"cpuLoad"})
@@ -47,15 +48,14 @@ class TestSemantics:
     @given(UNIT)
     def test_hedged_truth_in_unit_interval(self, value):
         for hedge in (Very, Somewhat):
-            truth = hedge(Is("cpuLoad", "high")).truth(grades(value))
-            assert 0.0 <= truth <= 1.0
+            assert 0.0 <= truth(hedge(Is("cpuLoad", "high")), grades(value)) <= 1.0
 
     @given(UNIT, UNIT)
     def test_hedges_preserve_order(self, a, b):
         low, high = min(a, b), max(a, b)
         base = Is("cpuLoad", "high")
         for hedge in (Very, Somewhat):
-            assert hedge(base).truth(grades(low)) <= hedge(base).truth(grades(high)) + 1e-12
+            assert truth(hedge(base), grades(low)) <= truth(hedge(base), grades(high)) + 1e-12
 
 
 class TestParsing:

@@ -2,7 +2,9 @@
 
 Clipping and union are the scalar oracle's (``tests/fuzzy/oracle.py``);
 intersection and complement are the antecedent operators ``AND`` and
-``NOT`` on grades.
+``NOT`` on grades, read through the oracle's walk.  The trapezoid and
+the ramp are the only shapes: a triangle, a falling ramp, a crisp
+interval and a singleton are trapezoids with collapsed corners.
 """
 
 import math
@@ -13,18 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fuzzy.expressions import And, Is, Not, Or
-from repro.fuzzy.sets import (
-    Constant,
-    PiecewiseLinear,
-    RampDown,
-    RampUp,
-    Rectangle,
-    Singleton,
-    Trapezoid,
-    Triangle,
-)
+from repro.fuzzy.sets import RampUp, Trapezoid
 from repro.fuzzy.variables import LinguisticTerm
-from tests.fuzzy.oracle import ClippedSet, UnionSet
+from tests.fuzzy.oracle import ClippedSet, UnionSet, truth
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 REALS = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -90,17 +83,14 @@ class TestTrapezoid:
 
 
 class TestTriangle:
+    """A triangle is a trapezoid whose plateau collapsed to ``b == c``."""
+
     def test_apex_is_one(self):
-        mf = Triangle(0.0, 0.5, 1.0)
+        mf = Trapezoid(0.0, 0.5, 0.5, 1.0)
         assert mf(0.5) == 1.0
 
-    def test_is_trapezoid_with_collapsed_plateau(self):
-        mf = Triangle(0.0, 0.5, 1.0)
-        assert isinstance(mf, Trapezoid)
-        assert mf.b == mf.c == 0.5
-
     def test_slopes(self):
-        mf = Triangle(0.0, 0.5, 1.0)
+        mf = Trapezoid(0.0, 0.5, 0.5, 1.0)
         assert mf(0.25) == pytest.approx(0.5)
         assert mf(0.75) == pytest.approx(0.5)
 
@@ -118,7 +108,7 @@ class TestRamps:
         assert mf(0.9) == 1.0
 
     def test_ramp_down_mirrors_ramp_up(self):
-        up, down = RampUp(0.0, 1.0), RampDown(0.0, 1.0)
+        up, down = RampUp(0.0, 1.0), Trapezoid(0.0, 0.0, 0.0, 1.0)
         for x in np.linspace(0.0, 1.0, 11):
             assert down(float(x)) == pytest.approx(1.0 - up(float(x)))
 
@@ -126,59 +116,26 @@ class TestRamps:
         with pytest.raises(ValueError):
             RampUp(1.0, 1.0)
         with pytest.raises(ValueError):
-            RampDown(2.0, 1.0)
+            RampUp(2.0, 1.0)
 
 
 class TestRectangleSingletonConstant:
     def test_rectangle_is_crisp(self):
-        mf = Rectangle(0.2, 0.4)
+        mf = Trapezoid(0.2, 0.2, 0.4, 0.4)
         assert mf(0.2) == 1.0
         assert mf(0.3) == 1.0
         assert mf(0.4) == 1.0
         assert mf(0.19) == 0.0
 
     def test_singleton(self):
-        mf = Singleton(0.5, height=0.7)
-        assert mf(0.5) == 0.7
+        mf = Trapezoid(0.5, 0.5, 0.5, 0.5)
+        assert mf(0.5) == 1.0
         assert mf(0.5000001) == 0.0
 
-    def test_singleton_height_validated(self):
-        with pytest.raises(ValueError):
-            Singleton(0.5, height=1.5)
 
-    def test_constant(self):
-        mf = Constant(0.3)
-        assert mf(-5.0) == 0.3
-        assert mf(42.0) == 0.3
-
-
-class TestPiecewiseLinear:
-    def test_interpolation(self):
-        mf = PiecewiseLinear([(0.0, 0.0), (0.5, 1.0), (1.0, 0.2)])
-        assert mf(0.25) == pytest.approx(0.5)
-        assert mf(0.75) == pytest.approx(0.6)
-
-    def test_extends_constant_outside_knots(self):
-        mf = PiecewiseLinear([(0.0, 0.1), (1.0, 0.9)])
-        assert mf(-1.0) == 0.1
-        assert mf(2.0) == 0.9
-
-    def test_requires_sorted_knots(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear([(1.0, 0.0), (0.0, 1.0)])
-
-    def test_requires_two_knots(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear([(0.0, 0.5)])
-
-    def test_grades_validated(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear([(0.0, 0.0), (1.0, 1.5)])
-
-
-def truth(expression, **grades):
+def grade(expression, **grades):
     """An antecedent's truth where variable ``v`` has term grades ``grades``."""
-    return expression.truth({"v": grades})
+    return truth(expression, {"v": grades})
 
 
 class TestAlgebra:
@@ -198,14 +155,14 @@ class TestAlgebra:
             assert union(float(x)) == pytest.approx(max(a(float(x)), b(float(x))))
 
     def test_intersection_is_pointwise_min(self):
-        a, b = RampUp(0.0, 1.0), RampDown(0.0, 1.0)
+        a, b = RampUp(0.0, 1.0), Trapezoid(0.0, 0.0, 0.0, 1.0)
         inter = And((Is("v", "a"), Is("v", "b")))
         for x in np.linspace(0.0, 1.0, 21):
             ga, gb = a(float(x)), b(float(x))
-            assert truth(inter, a=ga, b=gb) == min(ga, gb)
+            assert grade(inter, a=ga, b=gb) == min(ga, gb)
 
     def test_complement(self):
-        assert truth(Not(Is("v", "c")), c=0.3) == pytest.approx(0.7)
+        assert grade(Not(Is("v", "c")), c=0.3) == pytest.approx(0.7)
 
     def test_empty_combination_rejected(self):
         with pytest.raises(ValueError):
@@ -216,11 +173,11 @@ class TestAlgebra:
         a, b = Is("v", "a"), Is("v", "b")
         lhs = Not(Or((a, b)))
         rhs = And((Not(a), Not(b)))
-        assert truth(lhs, a=ga, b=gb) == pytest.approx(truth(rhs, a=ga, b=gb))
+        assert grade(lhs, a=ga, b=gb) == pytest.approx(grade(rhs, a=ga, b=gb))
 
     @given(UNIT)
     def test_union_idempotent(self, g):
-        a = Constant(g)
+        a = ClippedSet(Trapezoid(0.0, 0.0, 1.0, 1.0), g)
         assert UnionSet((a, a))(0.5) == pytest.approx(a(0.5))
 
     @given(st.floats(min_value=0.0, max_value=1.0), UNIT)
@@ -247,4 +204,4 @@ class TestFuzzySet:
         mf = Trapezoid(0.0, 0.2, 0.8, 1.0)
         double = Not(Not(Is("v", "t")))
         for x in np.linspace(0.0, 1.0, 11):
-            assert truth(double, t=mf(float(x))) == pytest.approx(mf(float(x)))
+            assert grade(double, t=mf(float(x))) == pytest.approx(mf(float(x)))

@@ -127,7 +127,7 @@ class TestHttpEndpoints:
             "server": controller.server_selector.fuzzy_stats,
         }
         assert set(stats["fuzzy"]["server"]) == {
-            "programs_compiled", "batches", "contexts", "generic_terms",
+            "programs_compiled", "batches", "contexts",
         }
 
 

@@ -21,7 +21,7 @@ CHECKED = (
     "core/state.py",
     "monitoring/archive.py",
     "ops",
-    "fuzzy/compiled.py",
+    "fuzzy",
     # the handles over the landscape's columns
     "serviceglobe/host.py",
     "serviceglobe/service.py",

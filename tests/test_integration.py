@@ -104,15 +104,14 @@ class TestActionPolicyEndToEnd:
 class TestFuzzyPathCounters:
     def test_paper_landscape_runs_on_the_stacked_table_and_the_closed_form(self):
         """Tables 1 and 3 are all trapezoids and every rule asserts the one
-        ramp: in a run, no term row leaves the stacked table, every output
-        has the closed form, and a rule base is compiled once."""
+        ramp: in a run every output has the closed form, and a rule base
+        is compiled once."""
         runner, __ = run(Scenario.FULL_MOBILITY, 1.15, horizon=60)
         controller = runner.controller
         action = controller.action_selector.fuzzy_stats
         server = controller.server_selector.fuzzy_stats
         for stats in (action, server):
             assert stats["batches"] > 0 and stats["contexts"] >= stats["batches"]
-            assert stats["generic_terms"] == 0
         # the built-in landscape declares no service overrides
         assert 1 <= action["programs_compiled"] <= 4  # triggers
         assert 1 <= server["programs_compiled"] <= 5  # actions needing a host
