@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.sampling import joint_samples
 from repro.config.model import Action, LandscapeSpec, ServiceSpec
@@ -279,7 +277,7 @@ class RuleBaseLinter:
         rules: Sequence[Rule],
         region: Optional[Mapping[str, Tuple[float, float]]],
     ) -> Iterator[Tuple[Dict[str, FloatArray], FloatArray]]:
-        """The points :func:`joint_samples` yields for ``rules``, as
+        """The points :func:`joint_samples` draws for ``rules``, as
         per-variable columns, with the rules' ``(rules, n)`` firing
         strengths, a block of the compiled program at a time.
 
@@ -287,10 +285,7 @@ class RuleBaseLinter:
         not resolve (AG103, AG104) fires all the same."""
         referenced = self._referenced(rules)
         names = [variable.name for variable in referenced]
-        samples = joint_samples(referenced, region)
-        points = np.fromiter(
-            (value for sample in samples for value in sample.values()), np.float64
-        ).reshape(-1, len(names)).T
+        points = joint_samples(referenced, region)
         program = Program(self._engine, RuleBase("sampled", list(rules)))
         values = program.inputs(dict(zip(names, points)), points.shape[1])
         for columns, strengths in program.blocks(values):

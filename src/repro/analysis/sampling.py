@@ -12,19 +12,20 @@ out of the question, so the analyzers sample it:
   falling back to deterministic pseudo-random sampling otherwise.
 
 Everything is deterministic: the fallback RNG is seeded from a constant,
-so lint output is stable run over run.  The samples are only points: the
-analyzers gather them, in the order yielded, into one input matrix and
-read every rule's firing strength off the compiled program
+so lint output is stable run over run.  The samples are one input
+matrix, a row per variable and a column per point: the analyzers read
+every rule's firing strength at those columns off the compiled program
 (:class:`repro.fuzzy.compiled.Program`), the controller's own evaluator.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.fuzzy.compiled import trapezoid
+import numpy as np
+
+from repro.fuzzy.compiled import FloatArray, trapezoid
 from repro.fuzzy.variables import LinguisticVariable
 
 __all__ = ["critical_points", "joint_samples"]
@@ -71,44 +72,45 @@ def joint_samples(
     restrictions: Optional[Mapping[str, Tuple[float, float]]] = None,
     max_grid: int = _MAX_GRID,
     random_samples: int = _RANDOM_SAMPLES,
-) -> Iterator[Dict[str, float]]:
-    """Yield joint assignments (variable name -> crisp value).
+) -> FloatArray:
+    """Joint sample points as a ``(len(variables), n)`` array: row ``k``
+    holds variable ``k``'s crisp value at each of the ``n`` points.
 
-    Uses the exact critical-point grid when its size stays below
-    ``max_grid``; otherwise yields ``random_samples`` deterministic
-    pseudo-random points (uniform per variable within its restricted
-    range, occasionally snapped to a critical point so that plateau
-    corners stay reachable in high dimensions).
+    Uses the exact critical-point grid, in :func:`itertools.product`
+    order, when its size stays below ``max_grid``; otherwise
+    ``random_samples`` deterministic pseudo-random points (uniform per
+    variable within its restricted range, occasionally snapped to a
+    critical point so that plateau corners stay reachable in high
+    dimensions).  An empty restricted region has no points.
     """
     restrictions = restrictions or {}
-    per_variable: List[Tuple[str, List[float], Tuple[float, float]]] = []
+    per_variable: List[Tuple[List[float], Tuple[float, float]]] = []
     for variable in variables:
         restriction = restrictions.get(variable.name)
         points = critical_points(variable, restriction)
         if not points:
-            return  # empty restricted region: nothing to sample
+            return np.empty((len(variables), 0))
         lo, hi = variable.domain
         if restriction is not None:
             lo, hi = max(lo, restriction[0]), min(hi, restriction[1])
-        per_variable.append((variable.name, points, (lo, hi)))
+        per_variable.append((points, (lo, hi)))
 
     grid_size = 1
-    for _, points, _ in per_variable:
+    for points, _ in per_variable:
         grid_size *= len(points)
         if grid_size > max_grid:
             break
     if grid_size <= max_grid:
-        names = [name for name, _, _ in per_variable]
-        for combo in itertools.product(*(points for _, points, _ in per_variable)):
-            yield dict(zip(names, combo))
-        return
+        # C order of an "ij" mesh is product order: the last varies fastest
+        axes = np.meshgrid(*(points for points, _ in per_variable), indexing="ij")
+        return np.array([axis.ravel() for axis in axes], dtype=np.float64)
 
     rng = random.Random(_SEED)
-    for _ in range(random_samples):
-        sample: Dict[str, float] = {}
-        for name, points, (lo, hi) in per_variable:
+    samples = np.empty((len(per_variable), random_samples))
+    for column in range(random_samples):
+        for row, (points, (lo, hi)) in enumerate(per_variable):
             if rng.random() < 0.5:
-                sample[name] = rng.choice(points)
+                samples[row, column] = rng.choice(points)
             else:
-                sample[name] = rng.uniform(lo, hi)
-        yield sample
+                samples[row, column] = rng.uniform(lo, hi)
+    return samples

@@ -7,9 +7,8 @@ supervised for crash recovery), an LMS with its advisors, and a load
 archive, all scoped through a
 :class:`~repro.serviceglobe.platform.DomainView` so situation detection,
 placement and archive writes never cross shards.  The substrate —
-network fabric, registry, dispatcher, code repository, audit log,
-telemetry bus — stays shared: there is still exactly one ServiceGlobe
-federation underneath.
+landscape state, dispatcher, audit log, telemetry bus — stays shared:
+there is still exactly one ServiceGlobe federation underneath.
 
 The federation layer itself does exactly one thing beyond ticking the
 shards round-robin: it arbitrates **cross-domain relocation**.  A domain

@@ -1,18 +1,19 @@
 """Service hosts: the server's spec plus a row id.
 
-Its ``up`` flag and its instances (in attach order) are columns of a
-:class:`~repro.serviceglobe.service.Rows` table: a platform's
-:class:`~repro.serviceglobe.landscape_state.LandscapeState`, whose
-aggregate columns serve demand and CPU load, or — for a host built on
-its own — a private one-row table whose loads sum the instance list.
+Its ``up`` flag and its instances (in attach order) are columns of the
+platform's :class:`~repro.serviceglobe.landscape_state.LandscapeState`,
+whose aggregate columns serve demand and CPU load.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List
 
 from repro.config.model import ServerSpec
-from repro.serviceglobe.service import Rows, ServiceInstance
+from repro.serviceglobe.service import ServiceInstance
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.serviceglobe.landscape_state import LandscapeState
 
 __all__ = ["ServiceHost"]
 
@@ -26,21 +27,8 @@ class ServiceHost:
 
     __slots__ = ("spec", "_rows", "state_id")
 
-    def __init__(
-        self,
-        spec: ServerSpec,
-        instances: Optional[List[ServiceInstance]] = None,
-        up: bool = True,
-    ) -> None:
-        self.spec = spec
-        self._rows = Rows()
-        self._rows.host_up.append(up)
-        self._rows.host_members.append(instances if instances is not None else [])
-        #: dense id of this host in its table's columns
-        self.state_id = 0
-
     @classmethod
-    def of_row(cls, spec: ServerSpec, rows: Rows, row: int) -> ServiceHost:
+    def of_row(cls, spec: ServerSpec, rows: LandscapeState, row: int) -> ServiceHost:
         """The handle of host row ``row`` of ``rows``."""
         host = cls.__new__(cls)
         host.spec, host._rows, host.state_id = spec, rows, row
@@ -129,20 +117,3 @@ class ServiceHost:
     def mem_load(self, memory_of: Callable[[str], int]) -> float:
         """Memory load in [0, 1]."""
         return min(self.memory_used_mb(memory_of) / self.spec.memory_mb, 1.0)
-
-    # -- equality (field-wise, matching the former dataclass semantics) ------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ServiceHost):
-            return NotImplemented
-        return (self.spec, self.instances, self.up) == (
-            other.spec,
-            other.instances,
-            other.up,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ServiceHost(spec={self.spec!r}, instances={self.instances!r}, "
-            f"up={self.up!r})"
-        )

@@ -5,10 +5,9 @@ instance its host, running state, demand and users; per host its ``up``
 flag and its instances in attach order; per service its instances in
 creation order.  :class:`~repro.serviceglobe.host.ServiceHost` and
 :class:`~repro.serviceglobe.service.ServiceInstance` are handles — a row
-id plus immutable identity — created here, one per row, so ``is``,
-``in`` and the registry's virtual-IP map keep working; a
-:class:`~repro.serviceglobe.service.ServiceDefinition` refers to its
-row of ``service_members``.  Beside the facts sit the numpy aggregates
+id plus immutable identity — created here, one per row, so ``is`` and
+``in`` keep working; a :class:`~repro.serviceglobe.service.ServiceDefinition`
+refers to its row of ``service_members``.  Beside the facts sit the numpy aggregates
 the control loop reads tens of thousands of times per tick: per-host
 demand and memory sums, per-service counts and load sums,
 placement-eligibility inputs.
@@ -58,8 +57,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.serviceglobe.host import ServiceHost
-from repro.serviceglobe.network import VirtualIP
-from repro.serviceglobe.service import Rows, ServiceDefinition, ServiceInstance
+from repro.serviceglobe.service import ServiceDefinition, ServiceInstance, VirtualIP
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.config.model import ServerSpec, ServiceSpec
@@ -124,11 +122,16 @@ class HostIds(Sequence[ServiceHost]):
         return (host_objs[i] for i in self.ids.tolist())
 
 
-class LandscapeState(Rows):
+class LandscapeState:
     """The columns of one platform: its facts and their aggregates."""
 
     def __init__(self, servers: Sequence["ServerSpec"]) -> None:
-        super().__init__()
+        #: per instance: the host it runs (or last ran) on, whether it
+        #: runs, its CPU demand in performance-index units, its users
+        self.inst_host: List[str] = []
+        self.inst_running: List[bool] = []
+        self.inst_demand: List[float] = []
+        self.inst_users: List[int] = []
         self.host_index = IdMap()
         self.service_index = IdMap()
         self.host_objs: List[ServiceHost] = []
@@ -144,8 +147,9 @@ class LandscapeState(Rows):
         n = len(servers)
         self.host_perf_index = np.array([s.performance_index for s in servers], np.float64)
         self.host_memory_mb = np.array([s.memory_mb for s in servers], np.int64)
+        #: per host: up, and its instances in attach order
         self.host_up = np.ones(n, dtype=np.bool_)
-        self.host_members = [[] for __ in range(n)]
+        self.host_members: List[List[ServiceInstance]] = [[] for __ in range(n)]
         #: exact left-to-right sum of running instance demands per host
         self.host_demand = np.zeros(n, dtype=np.float64)
         #: exact integer sum of per-instance memory footprints per host
@@ -201,7 +205,10 @@ class LandscapeState(Rows):
         row = len(self.instance_objs)
         instance = ServiceInstance.of_row(self, row, service_name, ip, instance_id, now)
         self.instance_objs.append(instance)
-        self.add_instance_row(host_name, True, 0, 0.0)
+        self.inst_host.append(host_name)
+        self.inst_running.append(True)
+        self.inst_users.append(0)
+        self.inst_demand.append(0.0)
         sid = self.service_index.ids[service_name]
         self.service_members[sid].append(instance)
         self._resum_service(sid)
@@ -238,12 +245,12 @@ class LandscapeState(Rows):
         self._moved()
 
     def attach(self, hid: int, instance: ServiceInstance) -> None:
-        super().attach(hid, instance)
+        self.host_members[hid].append(instance)
         self._resum_host(hid)
         self._moved()
 
     def detach(self, hid: int, instance: ServiceInstance) -> None:
-        super().detach(hid, instance)
+        self.host_members[hid].remove(instance)
         self._resum_host(hid)
         self._moved()
 

@@ -1,8 +1,11 @@
 """The ServiceGlobe federation: hosts + services + action execution.
 
 :class:`Platform` owns the runtime state of one landscape: service hosts,
-service definitions with their instances, the network fabric binding
-virtual IPs, the registry and the dispatcher.  It executes the nine
+service definitions with their instances — all rows of one
+:class:`~repro.serviceglobe.landscape_state.LandscapeState` — and the
+dispatcher.  An instance's virtual IP is part of its identity and follows
+it wherever it runs (Section 2), so where an address is bound is where
+its instance runs, and nothing else records it.  It executes the nine
 management actions of Table 2 while enforcing the declarative constraints
 (allowed actions, exclusivity, minimum performance index, instance
 bounds, host memory).
@@ -34,16 +37,14 @@ from repro.serviceglobe.actions import (
     NoSuchTarget,
     TransientActionFailure,
 )
-from repro.serviceglobe.code import CodeBundle, CodeRepository
 from repro.serviceglobe.dispatcher import Dispatcher, UserDistribution
 from repro.serviceglobe.host import ServiceHost
 from repro.serviceglobe.landscape_state import HostIds, LandscapeState
-from repro.serviceglobe.network import NetworkFabric
-from repro.serviceglobe.registry import ServiceRegistry
 from repro.serviceglobe.service import (
     InstanceState,
     ServiceDefinition,
     ServiceInstance,
+    VirtualIP,
 )
 from repro.telemetry.bus import EventBus
 from repro.telemetry.records import ActionEvent
@@ -88,8 +89,6 @@ class Platform:
         #: Current simulated minute; advanced by whoever drives the platform.
         self.current_time = 0
         self._clock = clock if clock is not None else (lambda: self.current_time)
-        self.fabric = NetworkFabric()
-        self.registry = ServiceRegistry()
         #: the one store of the landscape's facts and their aggregates;
         #: hosts, services and instances are handles over its rows
         self.landscape_state = LandscapeState(landscape.servers)
@@ -100,16 +99,10 @@ class Platform:
         for spec in landscape.services:
             definition = self.landscape_state.add_service(spec)
             self.services[spec.name] = definition
-            self.registry.register(definition)
         self.dispatcher = Dispatcher(
             host_load=lambda i: self.hosts[i.host_name].cpu_load,
             host_capacity=lambda i: self.hosts[i.host_name].cpu_capacity,
         )
-        # mobile code: every service's bundle is published to the
-        # federation's repository; hosts fetch it on their first start
-        self.code_repository = CodeRepository()
-        for spec in landscape.services:
-            self.code_repository.publish(CodeBundle(spec.name, version=1))
         self.audit_log: List[ActionOutcome] = []
         #: Instances lost in flight: a relocation's source host died before
         #: the move could be rolled back.  The controller's self-healing
@@ -130,7 +123,8 @@ class Platform:
         #: shut down on purpose.
         self.stopped_services: Set[str] = set()
         # per-platform instance numbering keeps runs deterministic: ids
-        # (and their tie-breaking order) never depend on other platforms
+        # (and their tie-breaking order) and virtual IPs never depend on
+        # other platforms
         self._instance_sequence = 0
         for service_name, host_name in landscape.initial_allocation:
             self._materialize_instance(service_name, host_name)
@@ -153,8 +147,6 @@ class Platform:
             return existing
         definition = self.landscape_state.add_service(spec)
         self.services[spec.name] = definition
-        self.registry.register(definition)
-        self.code_repository.publish(CodeBundle(spec.name, version=1))
         return definition
 
     def _adopted_specs(self):
@@ -181,7 +173,7 @@ class Platform:
 
     def instance(self, instance_id: str) -> ServiceInstance:
         # ids are generated as "<service>#<seq>", so the owning service is
-        # almost always derivable without scanning the whole registry; the
+        # almost always derivable without scanning every service; the
         # full scan remains as a fallback for ids of any other shape
         service_name, separator, __ = instance_id.rpartition("#")
         if separator:
@@ -262,27 +254,24 @@ class Platform:
     def _materialize_instance(
         self, service_name: str, host_name: str
     ) -> ServiceInstance:
-        """Create, attach and publish a new instance (no constraint checks).
+        """Create and attach a new instance (no constraint checks).
 
-        The host fetches the service's code bundle first (mobile code):
-        on a cache miss the code travels, otherwise the cached bundle is
-        reused.
+        The n-th instance of the platform gets id ``<service>#n`` and the
+        n-th virtual IP.
         """
         self.service(service_name)  # NoSuchTarget for an unknown service
         host = self.host(host_name)
-        self.code_repository.ensure_deployed(service_name, host_name, self._clock())
-        ip = self.fabric.allocate()
-        self._instance_sequence += 1
+        sequence = self._instance_sequence + 1
+        ip = VirtualIP.nth(sequence)
+        self._instance_sequence = sequence
         instance = self.landscape_state.add_instance(
             service_name,
             host_name,
             ip,
-            f"{service_name}#{self._instance_sequence:03d}",
+            f"{service_name}#{sequence:03d}",
             self._clock(),
         )
-        self.fabric.bind(ip, host_name)
         host.attach(instance)
-        self.registry.publish_instance(instance)
         return instance
 
     def _start_instance(self, service_name: str, host_name: str) -> ServiceInstance:
@@ -314,8 +303,6 @@ class Platform:
         instance.state = InstanceState.STOPPED
         instance.demand = 0.0
         self.host(instance.host_name).detach(instance)
-        self.registry.withdraw_instance(instance)
-        self.fabric.unbind(instance.virtual_ip)
 
     def _move_instance(self, instance: ServiceInstance, target_host: str) -> None:
         """Relocate an instance; its users and virtual IP follow.
@@ -351,11 +338,6 @@ class Platform:
                 error.target_host = target_host
                 error.instance_lost = not restored
             raise
-        # the target host needs the service's code before it can take over
-        self.code_repository.ensure_deployed(
-            instance.service_name, target_host, self._clock()
-        )
-        self.fabric.rebind(instance.virtual_ip, target_host)
         instance.host_name = target_host
         self.host(target_host).attach(instance)
 
@@ -367,9 +349,8 @@ class Platform:
         Returns ``True`` when the source instance was restored.  If the
         source host went down while the instance was in flight, the
         instance cannot go back: its users reconnect to surviving peers
-        (or are dropped), its registration and IP are released, and it is
-        queued on :attr:`orphans` so the controller can restart it on a
-        healthy host.
+        (or are dropped), and it is queued on :attr:`orphans` so the
+        controller can restart it on a healthy host.
         """
         if source.up:
             source.attach(instance)
@@ -379,8 +360,6 @@ class Platform:
         self.dispatcher.displace_users(instance, remaining)
         instance.state = InstanceState.STOPPED
         instance.demand = 0.0
-        self.registry.withdraw_instance(instance)
-        self.fabric.unbind(instance.virtual_ip)
         self.orphans.append(instance)
         return False
 
@@ -670,7 +649,6 @@ class Platform:
         return {
             "current_time": self.current_time,
             "instance_sequence": self._instance_sequence,
-            "fabric_next_suffix": self.fabric.next_suffix,
             "fence_token": self.fence.token,
             "priorities": {
                 name: definition.priority
@@ -680,7 +658,6 @@ class Platform:
             "landscape": self.landscape_state.snapshot_columns(),
             "orphans": [orphan.state_id for orphan in self.orphans],
             "audit_log": [outcome_to_dict(o) for o in self.audit_log],
-            "code": self.code_repository.snapshot_state(),
             "adopted_services": [
                 service_spec_to_dict(spec) for spec in self._adopted_specs()
             ],
@@ -689,11 +666,14 @@ class Platform:
     def restore_state(self, payload: Dict[str, Any]) -> None:
         """Rebuild the runtime state from a :meth:`snapshot_state` payload.
 
-        The landscape (specs, constraints, published code bundles) is
-        construction-time state and stays as built; everything mutable —
-        the landscape state's columns (instances, host health, members in
-        attach order), bindings, registrations, priorities, orphans, audit
-        log, fencing watermark — is replaced wholesale.
+        The landscape (specs, constraints) is construction-time state and
+        stays as built; everything mutable — the landscape state's columns
+        (instances with their ids and virtual IPs, host health, members in
+        attach order), the instance sequence, priorities, orphans, audit
+        log, fencing watermark — is replaced wholesale.  An older payload's
+        two further keys, the IP binding table's next suffix and the code
+        repository's caches, only repeated what the columns and the
+        instance sequence hold, and are ignored.
         """
         from repro.core.state import outcome_from_dict
 
@@ -704,20 +684,12 @@ class Platform:
         self.fence.token = int(payload.get("fence_token", 0))
         self.stopped_services = set(payload.get("stopped_services", []))
         self.landscape_state.restore_columns(payload["landscape"])
-        self.fabric = NetworkFabric()
-        self.fabric.reserve_through(int(payload["fabric_next_suffix"]))
-        self.registry = ServiceRegistry()
         for name, definition in self.services.items():
             definition.priority = int(payload["priorities"][name])
-            self.registry.register(definition)
-            for instance in definition.running_instances:
-                self.fabric.bind(instance.virtual_ip, instance.host_name)
-                self.registry.publish_instance(instance)
         self.orphans = [self.landscape_state.instance_objs[row] for row in payload["orphans"]]
         self.audit_log = [
             outcome_from_dict(raw) for raw in payload.get("audit_log", [])
         ]
-        self.code_repository.restore_state(payload.get("code", {}))
 
     # -- measurements (read by the monitoring framework) ---------------------------------
 
@@ -759,8 +731,8 @@ class Platform:
 class DomainView:
     """One control domain's scoped view of a shared :class:`Platform`.
 
-    The substrate (fabric, registry, dispatcher, code repository, audit
-    log, telemetry bus) stays shared — there is still exactly one
+    The substrate (landscape state, dispatcher, audit log, telemetry bus)
+    stays shared — there is still exactly one
     ServiceGlobe federation.  What the view scopes is *administration*:
 
     * :attr:`hosts` / :attr:`services` contain only the domain's servers
@@ -847,9 +819,8 @@ class DomainView:
     # -- shared substrate (objects the Platform may replace wholesale) ------------
 
     def __getattr__(self, name: str) -> Any:
-        # landscape state, landscape, bus, audit log, fabric, registry,
-        # dispatcher, code repository, stopped services, user
-        # distribution: the platform's, read at every access
+        # landscape state, landscape, bus, audit log, dispatcher, stopped
+        # services, user distribution: the platform's, read at every access
         return getattr(self.platform, name)
 
     @property

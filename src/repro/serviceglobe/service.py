@@ -1,33 +1,54 @@
-"""Service definitions and runtime service instances.
+"""Service definitions, runtime service instances and their virtual IPs.
 
 A :class:`ServiceInstance` is a handle: a row id plus immutable identity
 (service name, instance id, virtual IP, start minute).  Its host, running
-state, demand and users are columns of a :class:`Rows` table.  A
-platform's instances are rows of its
+state, demand and users are columns of the platform's
 :class:`~repro.serviceglobe.landscape_state.LandscapeState`, which
-extends every write so it also leaves the aggregate columns current; an
-instance built on its own (a unit test) keeps a private one-row table
-whose writes are just the writes.
+creates every handle and keeps the aggregate columns current on each
+write.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.config.model import ServiceSpec
-from repro.serviceglobe.network import VirtualIP
 
-__all__ = ["InstanceState", "Rows", "ServiceInstance", "ServiceDefinition"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.serviceglobe.landscape_state import LandscapeState
+
+__all__ = ["InstanceState", "ServiceInstance", "ServiceDefinition", "VirtualIP"]
 
 #: Service priorities are small integers; 5 is the neutral default.
 MIN_PRIORITY = 1
 MAX_PRIORITY = 10
 DEFAULT_PRIORITY = 5
 
-_instance_counter = itertools.count(1)
+
+@dataclass(frozen=True)
+class VirtualIP:
+    """A virtual service IP address.
+
+    "Services managed by the AutoGlobe platform are virtualized by the
+    use of service IP addresses [...].  If a service is moved from one
+    host to another, the virtual IP address is unbound from the NIC of
+    the old host [...] and afterwards bound to the NIC of the target
+    host."  (Section 2)  An instance keeps its address for its whole
+    life, wherever it runs: the NIC it is bound to is the instance's
+    host.
+    """
+
+    address: str
+
+    @classmethod
+    def nth(cls, sequence: int) -> VirtualIP:
+        """The address of a platform's ``sequence``-th instance (from 1)."""
+        third, fourth = divmod(sequence, 254)
+        if third > 254:
+            raise RuntimeError("virtual IP space exhausted")
+        return cls(f"10.83.{third}.{fourth + 1}")
 
 
 class InstanceState(enum.Enum):
@@ -37,55 +58,8 @@ class InstanceState(enum.Enum):
     STOPPED = "stopped"
 
 
-class Rows:
-    """Mutable facts of instances and hosts as columns, one row each.
-
-    Handles write through the ``set_*``/``attach``/``detach`` methods:
-    here they only store, a landscape state also re-sums.
-    """
-
-    def __init__(self) -> None:
-        #: per instance: the host it runs (or last ran) on, whether it
-        #: runs, its CPU demand in performance-index units, its users
-        self.inst_host: List[str] = []
-        self.inst_running: List[bool] = []
-        self.inst_demand: List[float] = []
-        self.inst_users: List[int] = []
-        #: per host: up (a numpy bool column in a landscape state) and
-        #: its instances in attach order
-        self.host_up: Any = []
-        self.host_members: List[List[ServiceInstance]] = []
-
-    def add_instance_row(self, host_name: str, running: bool, users: int, demand: float) -> None:
-        self.inst_host.append(host_name)
-        self.inst_running.append(running)
-        self.inst_users.append(users)
-        self.inst_demand.append(demand)
-
-    def set_demand(self, row: int, value: float) -> None:
-        self.inst_demand[row] = value
-
-    def set_running(self, row: int, running: bool) -> None:
-        self.inst_running[row] = running
-
-    def set_host(self, row: int, host_name: str) -> None:
-        self.inst_host[row] = host_name
-
-    def set_up(self, hid: int, up: bool) -> None:
-        self.host_up[hid] = up
-
-    def attach(self, hid: int, instance: ServiceInstance) -> None:
-        self.host_members[hid].append(instance)
-
-    def detach(self, hid: int, instance: ServiceInstance) -> None:
-        self.host_members[hid].remove(instance)
-
-    def host_total_demand(self, hid: int) -> float:
-        return sum(i.demand for i in self.host_members[hid] if i.running)
-
-
 class ServiceInstance:
-    """One instance of a service on a host: a row of a :class:`Rows` table.
+    """One instance of a service on a host: a row of a landscape state.
 
     ``demand`` is the CPU demand in performance index units, written by
     the workload model each tick and read by the load monitors;
@@ -94,28 +68,15 @@ class ServiceInstance:
 
     __slots__ = ("_rows", "state_id", "service_name", "virtual_ip", "instance_id", "started_at")
 
-    def __init__(
-        self,
-        service_name: str,
-        host_name: str,
-        virtual_ip: VirtualIP,
-        instance_id: str = "",
-        state: InstanceState = InstanceState.RUNNING,
-        users: int = 0,
-        demand: float = 0.0,
-        started_at: int = 0,
-    ) -> None:
-        self._rows = Rows()
-        self._rows.add_instance_row(host_name, state is InstanceState.RUNNING, users, demand)
-        self.state_id = 0
-        self.service_name = service_name
-        self.virtual_ip = virtual_ip
-        self.instance_id = instance_id or f"{service_name}#{next(_instance_counter)}"
-        self.started_at = started_at
-
     @classmethod
     def of_row(
-        cls, rows: Rows, row: int, service_name: str, ip: VirtualIP, instance_id: str, at: int
+        cls,
+        rows: LandscapeState,
+        row: int,
+        service_name: str,
+        ip: VirtualIP,
+        instance_id: str,
+        at: int,
     ) -> ServiceInstance:
         """The handle of instance row ``row`` of ``rows``."""
         instance = cls.__new__(cls)

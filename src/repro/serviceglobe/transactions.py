@@ -6,39 +6,38 @@ plane this means multi-step rearrangements — a sequence of starts,
 moves and stops — either complete entirely or leave the platform
 untouched.
 
-:class:`PlatformTransaction` snapshots the structural state (instance
-placements, users, priorities) and restores it if the block raises::
+:class:`PlatformTransaction` takes :meth:`Platform.snapshot_state` on
+entry and, if the block raises, hands it back to
+:meth:`Platform.restore_state` — the kill-and-resume path::
 
     with PlatformTransaction(platform):
         platform.execute(Action.SCALE_OUT, "FI", target_host="Blade4")
         platform.execute(Action.MOVE, "LES", instance_id=..., target_host=...)
         # any ActionError here rolls everything back
 
-Rollback is logical (tear down to the snapshot), not byte-level: new
-instances started inside the transaction are stopped, moved instances
-are moved back, stopped instances are re-materialized with their users,
-and priorities are reset.
+The undo is exact: every instance returns with its original id, virtual
+IP, host, users and demand, instances started inside the block are gone,
+the instance sequence is rewound (the next start reuses the first id the
+block drew), and priorities, orphans and the audit log are those of the
+entry.  Handles held across the block read the restored facts: rows are
+never renumbered, and the entry's rows come back in place.
+
+Everything else :meth:`Platform.restore_state` replaces comes back too:
+the clock, host health (a host crashed inside the block is up again)
+and the stopped services.  The one exception is the fencing watermark,
+which only goes up: a token seen inside the block stays seen.  Adopting
+a service inside a block is not supported (the entry's payload has no
+priority for it).  Transactions are for offline tooling such as
+rebalance planning, never for a live controller tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict
 
 from repro.serviceglobe.platform import Platform
 
-__all__ = ["PlatformTransaction", "TransactionRollbackError"]
-
-
-class TransactionRollbackError(RuntimeError):
-    """Raised when the platform cannot be restored to its snapshot."""
-
-
-@dataclass(frozen=True)
-class _InstanceSnapshot:
-    service_name: str
-    host_name: str
-    users: int
+__all__ = ["PlatformTransaction"]
 
 
 class PlatformTransaction:
@@ -46,89 +45,23 @@ class PlatformTransaction:
 
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
-        self._instances: Dict[str, _InstanceSnapshot] = {}
-        self._priorities: Dict[str, int] = {}
-        self._audit_length = 0
+        self._snapshot: Dict[str, Any] = {}
         self.active = False
 
-    # -- snapshotting ------------------------------------------------------------
-
-    def _take_snapshot(self) -> None:
-        self._instances = {
-            instance.instance_id: _InstanceSnapshot(
-                instance.service_name, instance.host_name, instance.users
-            )
-            for instance in self.platform.all_instances()
-        }
-        self._priorities = {
-            name: definition.priority
-            for name, definition in self.platform.services.items()
-        }
-        self._audit_length = len(self.platform.audit_log)
-
     def __enter__(self) -> "PlatformTransaction":
-        self._take_snapshot()
+        self._snapshot = self.platform.snapshot_state()
         self.active = True
         return self
 
     def __exit__(self, exc_type, exc, traceback) -> bool:
         self.active = False
-        if exc_type is None:
-            return False
-        self.rollback()
+        if exc_type is not None:
+            # Restoring the audit log cannot retract records already
+            # pushed to telemetry-bus subscribers; transactions only run
+            # in offline tooling (rebalance planning), never inside a
+            # controller tick, so live consumers never observe
+            # rolled-back outcomes.
+            watermark = self.platform.fence.token
+            self.platform.restore_state(self._snapshot)
+            self.platform.fence.token = max(self.platform.fence.token, watermark)
         return False  # re-raise the original exception
-
-    # -- rollback ---------------------------------------------------------------------
-
-    def rollback(self) -> None:
-        """Restore placements, users and priorities to the snapshot."""
-        platform = self.platform
-        current = {
-            instance.instance_id: instance
-            for instance in platform.all_instances()
-        }
-        # 1. stop instances that did not exist at snapshot time
-        for instance_id, instance in list(current.items()):
-            if instance_id not in self._instances:
-                platform._stop_instance(instance, enforce_min=False)
-                del current[instance_id]
-        # 2. re-materialize snapshot instances that are gone
-        recreated: Dict[str, _InstanceSnapshot] = {}
-        for instance_id, snapshot in list(self._instances.items()):
-            if instance_id not in current:
-                try:
-                    replacement = platform._materialize_instance(
-                        snapshot.service_name, snapshot.host_name
-                    )
-                except Exception as error:  # pragma: no cover - defensive
-                    raise TransactionRollbackError(
-                        f"cannot re-create {instance_id} on "
-                        f"{snapshot.host_name}: {error}"
-                    ) from error
-                replacement.users = snapshot.users
-                current[replacement.instance_id] = replacement
-                # the re-created instance stands in for the old one
-                recreated[replacement.instance_id] = snapshot
-        self._instances.update(recreated)
-        # 3. move surviving instances back and restore their users
-        for instance_id, instance in current.items():
-            snapshot = self._instances.get(instance_id)
-            if snapshot is None:
-                continue
-            if instance.host_name != snapshot.host_name:
-                try:
-                    platform._move_instance(instance, snapshot.host_name)
-                except Exception as error:  # pragma: no cover - defensive
-                    raise TransactionRollbackError(
-                        f"cannot move {instance_id} back to "
-                        f"{snapshot.host_name}: {error}"
-                    ) from error
-            instance.users = snapshot.users
-        # 4. priorities and audit log
-        for name, priority in self._priorities.items():
-            self.platform.services[name].priority = priority
-        # Truncating the audit log cannot retract records already pushed
-        # to telemetry-bus subscribers; transactions only run in offline
-        # tooling (rebalance planning), never inside a controller tick,
-        # so live consumers never observe rolled-back outcomes.
-        del platform.audit_log[self._audit_length:]

@@ -7,23 +7,65 @@ extreme with an ``argmax``/``argmin``.  This module is the code they
 replaced: fuzzify each sampled point, walk each rule's antecedent with
 the scalar walk of ``tests/fuzzy/oracle.py``, and keep the point a
 strict ``>``/``<`` prefers, state by state.  It shares with the analyzers
-the samplers, the rule filter and the diagnostic text, so a block
+the critical points, the rule filter and the diagnostic text, so a block
 boundary, a tie-break or a rule left out of the strength stage shows as
-a different diagnostic.
+a different diagnostic.  :func:`joint_sample_dicts` is the point-by-point
+sampler :func:`repro.analysis.sampling.joint_samples` replaced with one
+``(variables, n)`` array; the scalar searches walk its points.
 
 :func:`scalar_searches` swaps these searches in for the analyzers' own.
 """
 
+import itertools
+import random
 from contextlib import contextmanager
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.analysis import rulebase
 from repro.analysis.rulebase import CONTRADICTION_THRESHOLD, RuleBaseLinter
-from repro.analysis.sampling import joint_samples
+from repro.analysis import sampling
+from repro.analysis.sampling import critical_points
 from repro.analysis.verify import oscillation
 from repro.config.model import Action
 from repro.core import variables
 from tests.fuzzy import oracle
+
+
+def joint_sample_dicts(variables, restrictions=None) -> Iterator[Dict[str, float]]:
+    """Yield joint assignments (variable name -> crisp value), one dict
+    per point, in the order the columns of ``joint_samples`` hold them."""
+    restrictions = restrictions or {}
+    per_variable: List[Tuple[str, List[float], Tuple[float, float]]] = []
+    for variable in variables:
+        restriction = restrictions.get(variable.name)
+        points = critical_points(variable, restriction)
+        if not points:
+            return  # empty restricted region: nothing to sample
+        lo, hi = variable.domain
+        if restriction is not None:
+            lo, hi = max(lo, restriction[0]), min(hi, restriction[1])
+        per_variable.append((variable.name, points, (lo, hi)))
+
+    grid_size = 1
+    for _, points, _ in per_variable:
+        grid_size *= len(points)
+        if grid_size > sampling._MAX_GRID:
+            break
+    if grid_size <= sampling._MAX_GRID:
+        names = [name for name, _, _ in per_variable]
+        for combo in itertools.product(*(points for _, points, _ in per_variable)):
+            yield dict(zip(names, combo))
+        return
+
+    rng = random.Random(sampling._SEED)
+    for _ in range(sampling._RANDOM_SAMPLES):
+        sample: Dict[str, float] = {}
+        for name, points, (lo, hi) in per_variable:
+            if rng.random() < 0.5:
+                sample[name] = rng.choice(points)
+            else:
+                sample[name] = rng.uniform(lo, hi)
+        yield sample
 
 
 class GradeCache:
@@ -55,7 +97,7 @@ class ScalarLinter(RuleBaseLinter):
         referenced = self._referenced([first, second])
         best_point = None
         best_strength = 0.0
-        for sample in joint_samples(referenced, region):
+        for sample in joint_sample_dicts(referenced, region):
             grades = self._grades.grades(sample)
             strength = min(
                 oracle.firing_strength(first, grades),
@@ -70,7 +112,7 @@ class ScalarLinter(RuleBaseLinter):
     def _weakest(self, rules, region):
         worst_point = None
         worst_strength = float("inf")
-        for sample in joint_samples(self._referenced(rules), region):
+        for sample in joint_sample_dicts(self._referenced(rules), region):
             grades = self._grades.grades(sample)
             strength = max(oracle.firing_strength(rule, grades) for rule in rules)
             if strength < worst_strength:

@@ -15,12 +15,14 @@ past ``_MAX_GRID``, so the pseudo-random fallback runs too.
 """
 
 import dataclasses
+import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.analysis import sampling
+from repro.analysis import rulebase, sampling
 from repro.analysis.rulebase import action_universe, analyze_rule_bases, trigger_region
 from repro.analysis.sampling import critical_points
 from repro.analysis.verify import analyze_oscillation
@@ -31,7 +33,7 @@ from repro.core.rulebases import default_action_rulebases
 from repro.fuzzy.expressions import And, Is, Not, Or, Somewhat, Very
 from repro.fuzzy.parser import parse_rules
 from repro.monitoring.lms import SituationKind
-from tests.analysis.rulebase_oracle import scalar_searches
+from tests.analysis.rulebase_oracle import joint_sample_dicts, scalar_searches
 
 SAP_MEDIUM = (
     Path(__file__).resolve().parents[2] / "src/repro/config/data/sap-medium.xml"
@@ -191,3 +193,47 @@ def test_the_draws_cover_what_the_oracle_must_agree_on():
     assert all(keyword in joined for keyword in (" OR ", "NOT ", "VERY ", "SOMEWHAT "))
     assert 1.0 in settings
     assert past_the_grid >= DRAWS // 4
+
+
+def _past_the_grid():
+    """The first drawn landscape with a merged base past ``_MAX_GRID``."""
+    for seed in range(DRAWS):
+        landscape = drawn_landscape(seed)
+        for service in landscape.services:
+            for trigger in service.rule_overrides:
+                if _merged_grid(landscape, service, trigger) > sampling._MAX_GRID:
+                    return landscape
+    raise AssertionError("no draw is past the grid")
+
+
+@pytest.mark.parametrize(
+    "landscape",
+    [paper_landscape, lambda: load_landscape(SAP_MEDIUM), _past_the_grid],
+    ids=["builtin", "sap-medium", "past-the-grid"],
+)
+def test_sample_columns_are_the_points_one_by_one(landscape, monkeypatch):
+    """Every ``joint_samples`` array the linter reads holds the points
+    the point-by-point sampler yields, in its order."""
+    calls = []
+
+    def recorded(variables, region=None):
+        calls.append((variables, region))
+        return sampling.joint_samples(variables, region)
+
+    monkeypatch.setattr(rulebase, "joint_samples", recorded)
+    analyze_rule_bases(landscape())
+    assert calls
+    sizes = []
+    for variables, region in calls:
+        columns = sampling.joint_samples(variables, region)
+        points = list(joint_sample_dicts(variables, region))
+        expected = np.array(
+            [[point[v.name] for point in points] for v in variables], dtype=np.float64
+        ).reshape(len(variables), len(points))
+        assert columns.shape == expected.shape
+        assert np.array_equal(columns, expected)
+        sizes.append(
+            math.prod(len(critical_points(v, (region or {}).get(v.name))) for v in variables)
+        )
+    if landscape is _past_the_grid:
+        assert max(sizes) > sampling._MAX_GRID

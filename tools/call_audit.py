@@ -29,6 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 HOOK = Path(__file__).resolve().parent / "call_audit" / "sitecustomize.py"
+#: the built-in landscape with thresholds and overrides under which the
+#: controller thrashes: lint runs the AG306/AG307 search and exits 2
+OSCILLATING = Path(__file__).resolve().parent / "call_audit" / "oscillating-overrides.xml"
 BASELINE = Path(__file__).resolve().parent / "never_called.txt"
 INVOCATION_TIMEOUT_S = 600
 
@@ -56,12 +59,14 @@ INVOCATIONS: List[Tuple[List[str], int]] = [
     (["profiles"], 0),
     (["lint", str(PACKAGE / "config" / "data" / "sap-medium.xml")], 0),
     (["lint", "--format", "json"], 0),
+    (["lint", str(OSCILLATING)], 2),
     (["capacity", "--scenario", "static", "--hours", "1"], 0),
     (["tail", "ops/store.db", "--max-events", "50"], 0),
     (["verify", "ops/store.db"], 0),
     (["verify", "mp-kill/domain-1/state.db", "mp-kill/domain-2/state.db"], 0),
 ]
-# Runs first, in the background, while ``console --connect … --once`` reads it.
+# Runs first, in the background, while ``console --connect …`` reads a
+# snapshot (``--once``) and then tails the WebSocket event stream.
 SERVED = CHAOS + ["--hours", "1", "--store", "ops/store.db", "--serve", "127.0.0.1:0",
                   "--semi-automatic", "--pace", "0.1"]
 
@@ -140,7 +145,9 @@ def called() -> Set[Tuple[str, int]]:
         if port is None:
             served.kill()
             _check(SERVED, served.wait(), 0, first + served.stdout.read())
-        run(["console", "--connect", f"127.0.0.1:{port.group(1)}", "--once"], 0)
+        address = f"127.0.0.1:{port.group(1)}"
+        run(["console", "--connect", address, "--once"], 0)
+        run(["console", "--connect", address, "--max-events", "20"], 0)
         rest = served.communicate(timeout=INVOCATION_TIMEOUT_S)[0]
         _check(SERVED, served.returncode, 0, first + rest)
         for args, expected in INVOCATIONS:
