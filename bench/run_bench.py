@@ -166,7 +166,7 @@ def _bench_landscape_10k(horizon: int) -> dict:
         "landscape_10k_seconds_per_sim_minute": round(elapsed / horizon, 4),
         "landscape_10k_burst_tick_seconds": round(max(tick_seconds), 3),
         "landscape_10k_server_selection": dict(
-            runner.controller.server_selector.stats
+            runner.controller.leaders()[0].server_selector.stats
         ),
     }
 

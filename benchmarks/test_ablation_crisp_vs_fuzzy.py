@@ -12,16 +12,24 @@ applicability and no fuzzy host scoring.
 import pytest
 
 from repro.core.crisp import CrispThresholdController
+from repro.core.failover import ControllerSupervisor
 from repro.sim.clock import MINUTES_PER_DAY
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario
 
 
+class CrispSupervisor(ControllerSupervisor):
+    def _new_controller(self):
+        controller = CrispThresholdController(self.platform, self.settings, self._enabled)
+        self.replicas.append(controller)
+        return controller
+
+
 def run_controller(crisp: bool):
     factory = None
     if crisp:
-        factory = lambda platform, settings, enabled: CrispThresholdController(
-            platform, settings, enabled
+        factory = lambda platform, settings, enabled, store: CrispSupervisor(
+            platform, settings=settings, enabled=enabled, store=store
         )
     runner = SimulationRunner(
         Scenario.CONSTRAINED_MOBILITY,

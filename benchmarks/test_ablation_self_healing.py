@@ -11,7 +11,7 @@ that the self-healing path keeps the installation serviceable.
 import pytest
 
 from repro.config.builtin import paper_landscape
-from repro.core.autoglobe import AutoGlobeController
+from repro.core.federation import FederatedControlPlane
 from repro.serviceglobe.platform import Platform
 from repro.sim.clock import MINUTES_PER_DAY
 from repro.sim.faults import FaultInjector
@@ -30,7 +30,7 @@ def run_day(with_faults: bool):
         landscape,
         user_distribution=user_distribution_for(Scenario.CONSTRAINED_MOBILITY),
     )
-    controller = AutoGlobeController(platform)
+    controller = FederatedControlPlane(platform)
     workload = WorkloadModel(platform, seed=7)
     workload.initialize()
     injector = None

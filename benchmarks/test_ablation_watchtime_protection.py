@@ -35,7 +35,8 @@ def run_with_settings(scenario, **setting_overrides):
         controller_settings=settings,
     )
     result = runner.run()
-    confirmed = len(runner.controller.lms.confirmed)
+    [controller] = runner.controller.leaders()
+    confirmed = len(controller.lms.confirmed)
     return result, confirmed
 
 

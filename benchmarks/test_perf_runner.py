@@ -247,5 +247,6 @@ def test_landscape_10k_burst_tick_within_budget():
         f"landscape-10k burst tick took {max(tick_seconds):.2f}s "
         f"(budget {BURST_TICK_BUDGET_SECONDS}s)"
     )
-    stats = runner.controller.server_selector.stats
+    [controller] = runner.controller.leaders()
+    stats = controller.server_selector.stats
     assert stats["rank_calls"] > 0

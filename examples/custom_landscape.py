@@ -12,7 +12,7 @@ Run with:  python examples/custom_landscape.py
 """
 
 from repro.config import landscape_from_xml, validate_landscape
-from repro.core.autoglobe import AutoGlobeController
+from repro.core.federation import FederatedControlPlane
 from repro.ops.api import OpsBridge
 from repro.ops.console import render_snapshot
 from repro.serviceglobe.platform import Platform
@@ -73,7 +73,8 @@ def main() -> None:
           f"{len(landscape.servers)} servers, {len(landscape.services)} services")
 
     platform = Platform(landscape)
-    controller = AutoGlobeController(platform)
+    # the landscape declares no control domains: one domain, one controller
+    controller = FederatedControlPlane(platform)
 
     # saturate the checkout host; the service-specific rule base makes the
     # controller reach for a priority boost before structural actions

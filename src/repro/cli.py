@@ -367,10 +367,14 @@ def _cmd_run(args) -> int:
         landscape = partition_landscape(paper_landscape(), args.domains)
     horizon = int(args.hours * 60)
     start_minute = args.start if args.start is not None else 12 * 60
-    # fail fast on a start/horizon mismatch before building the platform
-    from repro.sim.clock import SimClock
-
-    SimClock(start_minute, horizon=start_minute + horizon)
+    # fail fast on a negative --hours before building the platform
+    if start_minute + horizon < 0:
+        raise ValueError("clock horizon cannot be negative")
+    if horizon < 0:
+        raise ValueError(
+            f"clock start minute {start_minute} lies beyond the "
+            f"{start_minute + horizon}-minute horizon"
+        )
     store_path = args.store
     if args.export and store_path is None:
         # the exported trace is rendered from the run's store: complete
@@ -410,10 +414,11 @@ def _cmd_run(args) -> int:
               f"{runner.ops_server.port}", file=sys.stderr)
     result = runner.run()
     print(result.summary())
-    requests = getattr(runner.controller, "relocation_requests", None)
-    if requests is not None:
+    plane = runner.controller
+    if len(plane.shards) > 1:
+        requests = plane.relocation_requests
         moved = sum(1 for request in requests if request.status == "moved")
-        print(f"  control domains: {len(runner.controller.shards)}; "
+        print(f"  control domains: {len(plane.shards)}; "
               f"cross-domain relocations: {moved} moved / "
               f"{len(requests)} requested")
     if runner.injector is not None:
@@ -446,7 +451,7 @@ def _cmd_run(args) -> int:
         from repro.core.explain import explain_last_decisions
 
         print("\nmost recent decisions:")
-        print(explain_last_decisions(runner.controller.decision_records))
+        print(explain_last_decisions(plane.decision_records))
     if args.verify:
         report = runner.verification_report(result)
         if args.ignore:

@@ -26,7 +26,7 @@ from repro.core.alerts import Alert, AlertChannel
 from repro.core.autoglobe import AutoGlobeController
 from repro.core.constraints import verify_action
 from repro.core.decision import DecisionLoop, DecisionRecord
-from repro.core.explain import explain_decision, explain_last_decisions, explain_selection
+from repro.core.explain import explain_decision, explain_last_decisions
 from repro.core.protection import ProtectionRegistry
 from repro.core.server_selection import RankedHost, ServerSelector
 
@@ -44,6 +44,5 @@ __all__ = [
     "ServerSelector",
     "explain_decision",
     "explain_last_decisions",
-    "explain_selection",
     "verify_action",
 ]

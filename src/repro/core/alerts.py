@@ -239,12 +239,6 @@ class ApprovalQueue:
                 self._publish(now, ApprovalPhase.EXPIRED, request)
         return expired
 
-    def pending(self) -> List[ApprovalRequest]:
-        return [r for r in self._requests.values() if r.pending]
-
-    def expired(self) -> List[ApprovalRequest]:
-        return [r for r in self._requests.values() if r.status == "expired"]
-
     @property
     def requests(self) -> List[ApprovalRequest]:
         return list(self._requests.values())

@@ -20,7 +20,7 @@ identical workloads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.config.model import Action, ControllerSettings
 from repro.core.alerts import AlertChannel
@@ -162,34 +162,3 @@ class CrispThresholdController:
                     outcomes.append(outcome)
                 self._idle_streak[host_name] = 0
         return outcomes
-
-    # -- ControlPlane conformance ---------------------------------------------------
-    #
-    # The baseline keeps only trivial soft state (threshold streaks), but
-    # it implements the full repro.core.controlplane.ControlPlane surface
-    # so benchmarks and the runner can swap it in anywhere the fuzzy
-    # controller (or the federation) goes.
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "tick": self.platform.current_time,
-            "overload_streak": dict(self._overload_streak),
-            "idle_streak": dict(self._idle_streak),
-            "protection": self.protection.snapshot_state(),
-        }
-
-    def restore_state(self, payload: Dict[str, Any]) -> None:
-        for name, streak in payload.get("overload_streak", {}).items():
-            self._overload_streak[name] = max(
-                self._overload_streak.get(name, 0), int(streak)
-            )
-        for name, streak in payload.get("idle_streak", {}).items():
-            self._idle_streak[name] = max(
-                self._idle_streak.get(name, 0), int(streak)
-            )
-        self.protection.restore_state(payload.get("protection", {}))
-
-    def reconcile(self, now: int, intents: Dict[str, Dict[str, Any]]) -> List[ActionOutcome]:
-        # crisp actions run unjournalled straight against the platform;
-        # there are never in-flight intents to resolve
-        return []

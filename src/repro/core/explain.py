@@ -3,63 +3,20 @@
 Fuzzy controllers are "capable of utilizing knowledge of an experienced
 human operator" (Section 3) — and the flip side is that their decisions
 can be explained back to that operator in the operator's own terms:
-which measurements fuzzified to which grades, which rules fired how
-strongly, why the chosen action beat the alternatives, and why rejected
-actions fell through.
+which situation was handled, why rejected actions fell through, and
+what was executed.
 
-:func:`explain_selection` renders one action-selection evaluation;
-:func:`explain_decision` renders a whole Figure-6 decision record.
+:func:`explain_decision` renders one Figure-6 decision record,
+:func:`explain_last_decisions` the most recent ones.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.core.action_selection import ActionContext, ActionSelector
 from repro.core.decision import DecisionRecord
-from repro.monitoring.lms import SituationKind
 
-__all__ = ["explain_selection", "explain_decision"]
-
-
-def explain_selection(
-    selector: ActionSelector,
-    kind: SituationKind,
-    context: ActionContext,
-    top_rules: int = 6,
-) -> str:
-    """Narrate one action-selection run: grades, fired rules, ranking."""
-    rulebase = selector.rulebase_for(kind, context.service_name)
-    result = selector._controller.evaluate(dict(context.measurements), rulebase)
-    lines: List[str] = [
-        f"action selection for {context.service_name} "
-        f"({context.instance_id or 'service level'}), trigger {kind.value}:"
-    ]
-    lines.append("  fuzzified measurements:")
-    for variable, grades in sorted(result.grades.items()):
-        rendered = ", ".join(
-            f"{term}={grade:.2f}" for term, grade in grades.items() if grade > 0
-        )
-        crisp = context.measurements[variable]
-        lines.append(f"    {variable} = {crisp:.2f}  ->  {rendered or 'nothing'}")
-    fired = sorted(result.fired, key=lambda f: -f.strength)
-    lines.append(f"  strongest rules (of {len(result.fired)}):")
-    for entry in fired[:top_rules]:
-        if entry.strength <= 0:
-            break
-        label = entry.rule.label or "unnamed"
-        lines.append(
-            f"    [{entry.strength:.2f}] {label}: "
-            f"IF {entry.rule.antecedent} THEN {entry.rule.output_variable}"
-        )
-    if not any(entry.strength > 0 for entry in fired):
-        lines.append("    (no rule fired)")
-    lines.append("  resulting applicability ranking:")
-    for name, value in result.ranked():
-        if value <= 0:
-            continue
-        lines.append(f"    {name}: {value:.0%}")
-    return "\n".join(lines)
+__all__ = ["explain_decision", "explain_last_decisions"]
 
 
 def explain_decision(record: DecisionRecord) -> str:

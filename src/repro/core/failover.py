@@ -1,13 +1,18 @@
-"""Controller crash recovery and hot-standby failover.
+"""A control domain's replica set: crash recovery and hot-standby failover.
 
 AutoGlobe heals every component of the landscape except the one doing
 the healing: the controller itself.  :class:`ControllerSupervisor`
-closes that gap.  It manages a sequence of controller *replicas* over
-one platform:
+closes that gap.  It is the one replica set of a control domain (the
+whole landscape in a flat run) and manages a sequence of controller
+*replicas* over one platform:
 
-* the **active** replica runs the ordinary Figure 2 loop; every tick its
-  soft state flows into the shared write-ahead journal and a controller
-  snapshot (:class:`~repro.core.state.DurableStateStore`);
+* **unsupervised** (no state store): exactly one replica, named
+  ``exec`` (``<domain>-exec`` in a control domain), with no lease, no
+  journal, no controller snapshot and no recovery — the paper's single
+  controller, at the cost of one call frame per tick;
+* otherwise the **active** replica runs the ordinary Figure 2 loop;
+  every tick its soft state flows into the shared write-ahead journal
+  and a controller snapshot (:class:`~repro.core.state.DurableStateStore`);
 * leadership is a **lease** with a monotonically increasing fencing
   token.  The active replica renews the lease each tick; a replica that
   cannot renew (crashed, partitioned) loses leadership when the lease
@@ -22,12 +27,9 @@ one platform:
   rejects everything the deposed leader keeps issuing (audited as
   ``"fenced"`` outcomes) until the partition heals and it demotes.
 
-The supervisor is a drop-in replacement for
-:class:`~repro.core.autoglobe.AutoGlobeController` from the simulation
-runner's and fault injector's point of view: it proxies ``platform``,
-``enabled``, ``report_failure``, ``failure_detector``,
-``degrade_monitoring`` and exposes an aggregated ``alerts`` view over
-every replica that ever led.
+The runner never ticks a supervisor directly: every run is a
+:class:`~repro.core.federation.FederatedControlPlane` of domains, each
+one supervisor, and the plane aggregates over domains × replicas.
 """
 
 from __future__ import annotations
@@ -40,121 +42,108 @@ from repro.core.autoglobe import AutoGlobeController
 from repro.core.state import DurableStateStore, replay_journal
 from repro.monitoring.archive import InMemoryLoadArchive, LoadArchive
 from repro.serviceglobe.actions import ActionOutcome
-from repro.serviceglobe.executor import ActionExecutor
+from repro.serviceglobe.executor import ActionExecutor, ExecutionFaults
 from repro.serviceglobe.platform import Platform
 from repro.telemetry.records import SupervisionEvent, SupervisionEventKind
 
-__all__ = ["ControllerSupervisor"]
+__all__ = ["ControllerSupervisor", "replica_executors"]
 
 #: minutes a leadership lease stays valid without renewal
 DEFAULT_LEASE_TTL = 5
 
 
-class _ApprovalView:
-    """Aggregated approval queue over every controller replica."""
+def replica_executors(
+    platform: Platform,
+    faults: Optional[ExecutionFaults] = None,
+    seed: int = 0,
+) -> Callable[[str, int], ActionExecutor]:
+    """The one rule for replica executors: ``(name, replica_number) ->
+    ActionExecutor`` over ``platform``.
 
-    def __init__(self, replicas: List[AutoGlobeController]) -> None:
-        self._replicas = replicas
+    Each replica gets its own executor — a shared one would carry the
+    new leader's fencing token on behalf of a deposed leader, defeating
+    fencing.  Under chaos (``faults`` given) replica ``N`` draws from
+    ``seed + N``, so fault draws stay deterministic across failovers;
+    without, every executor is pristine: seed 0, ``ExecutionFaults()``.
+    """
 
-    def pending(self):
-        return [r for c in self._replicas for r in c.alerts.approvals.pending()]
+    def build(name: str, replica_number: int) -> ActionExecutor:
+        if faults is None:
+            return ActionExecutor(platform, name=name)
+        return ActionExecutor(
+            platform, faults=faults, seed=seed + replica_number, name=name
+        )
 
-    def expired(self):
-        return [r for c in self._replicas for r in c.alerts.approvals.expired()]
-
-    @property
-    def requests(self):
-        return [r for c in self._replicas for r in c.alerts.approvals.requests]
-
-
-class _AlertsView:
-    """Aggregated alert channel over every controller replica."""
-
-    def __init__(self, supervisor: "ControllerSupervisor") -> None:
-        self._supervisor = supervisor
-
-    @property
-    def alerts(self):
-        return [
-            alert
-            for controller in self._supervisor.replicas
-            for alert in controller.alerts.alerts
-        ]
-
-    def escalations(self):
-        return self._supervisor._restored_escalations + [
-            alert
-            for controller in self._supervisor.replicas
-            for alert in controller.alerts.escalations()
-        ]
-
-    @property
-    def approvals(self) -> _ApprovalView:
-        return _ApprovalView(self._supervisor.replicas)
+    return build
 
 
 class ControllerSupervisor:
-    """Supervises controller replicas: leases, failover, recovery.
+    """One control domain's replica set: leases, failover, recovery.
 
     Parameters
     ----------
     platform:
-        The platform the controllers administer.
-    settings / archive / confirm / enabled:
+        The platform (or :class:`~repro.serviceglobe.platform.DomainView`)
+        the controllers administer.
+    settings / archive / enabled:
         Forwarded to every replica, exactly as
         :class:`~repro.core.autoglobe.AutoGlobeController` takes them.
     store:
         The :class:`~repro.core.state.DurableStateStore` holding the
-        journal, snapshots and lease.  Defaults to a fully in-memory
-        store (failover works, nothing survives the process).
+        journal, snapshots and lease (in memory or on disk).  ``None``
+        runs unsupervised: one replica, nothing journalled.
     standby:
         Keep a hot standby: on a leader crash or partition the standby
         is promoted as soon as the old lease expires, instead of
         waiting out the crashed leader's restart.
     executor_factory:
         ``(name, replica_number) -> ActionExecutor`` building each
-        replica's executor; chaos runs inject their fault profile here
-        with a per-replica seed.  Defaults to a pristine executor.
-    lease_ttl:
-        Lease validity in simulated minutes.
+        replica's executor (see :func:`replica_executors`, the default).
+    relocation_handler:
+        Forwarded to every replica's decision loop, so failover replicas
+        stay wired to the federation's relocation path.
     """
+
+    #: lease validity in simulated minutes
+    lease_ttl = DEFAULT_LEASE_TTL
+    #: the replica set acquires, renews and rewinds its own lease, so
+    #: nothing but its own process writes its state file and the runner
+    #: may group the file's writes between commit points
+    holds_lease = True
 
     def __init__(
         self,
         platform: Platform,
         settings: Optional[ControllerSettings] = None,
         archive: Optional[LoadArchive] = None,
-        confirm=None,
         enabled: bool = True,
         store: Optional[DurableStateStore] = None,
         standby: bool = False,
         executor_factory: Optional[Callable[[str, int], ActionExecutor]] = None,
-        lease_ttl: int = DEFAULT_LEASE_TTL,
         relocation_handler=None,
     ) -> None:
         self.platform = platform
         #: control domain this supervisor's replicas administer (from a
         #: DomainView's marker); empty when supervising the whole landscape
         self.domain = getattr(platform, "domain_name", "")
-        #: forwarded to every replica's decision loop so failover
-        #: replicas stay wired to the federation's relocation path
         self._relocation_handler = relocation_handler
         self.settings = (
             settings if settings is not None else platform.landscape.controller
         )
         self.archive = archive if archive is not None else InMemoryLoadArchive()
-        self._confirm = confirm
         self._enabled = enabled
-        self.store = store if store is not None else DurableStateStore(None)
+        self.store = store
         self.standby_enabled = standby
-        self._executor_factory = executor_factory
-        self.lease_ttl = lease_ttl
+        self._executors = (
+            executor_factory if executor_factory is not None
+            else replica_executors(platform)
+        )
         self._replica_sequence = 0
         #: every replica ever created, newest last (alert aggregation)
-        self.replicas: List[AutoGlobeController] = []
+        self.replicas: List[Any] = []
         #: escalations raised before the snapshot this run resumed from;
         #: their replicas are gone, the run's escalation count is not
-        self._restored_escalations: List[Alert] = []
+        self.restored_escalations: List[Alert] = []
         #: (time, kind, detail) supervision events: crashes, recoveries,
         #: failovers, partition heals — merged into the run's fault records
         self.events: List[Tuple[int, str, str]] = []
@@ -171,7 +160,9 @@ class ControllerSupervisor:
         #: operator verdicts posted while the active replica may be down
         #: or changing; forwarded to whoever leads at the next tick
         self.commands = CommandQueue()
-        self.active: Optional[AutoGlobeController] = self._recover_from_store()
+        self.active: Optional[AutoGlobeController] = (
+            self._new_controller() if store is None else self._recover_from_store()
+        )
 
     def _record_event(self, now: int, kind: str, detail: str) -> None:
         """Record one supervision event and publish it on the bus.
@@ -189,22 +180,23 @@ class ControllerSupervisor:
     # -- replica construction -------------------------------------------------------
 
     def _new_controller(self) -> AutoGlobeController:
-        self._replica_sequence += 1
-        name = f"controller-{self._replica_sequence}"
-        if self._executor_factory is not None:
-            executor = self._executor_factory(name, self._replica_sequence)
+        if self.store is None:
+            number = 0
+            name = f"{self.domain}-exec" if self.domain else "exec"
         else:
-            executor = ActionExecutor(self.platform, name=name)
+            self._replica_sequence += 1
+            number = self._replica_sequence
+            name = f"controller-{number}"
         controller = AutoGlobeController(
             self.platform,
             settings=self.settings,
             archive=self.archive,
-            confirm=self._confirm,
             enabled=self._enabled,
-            executor=executor,
+            executor=self._executors(name, number),
             relocation_handler=self._relocation_handler,
         )
-        controller.attach_journal(self.store.journal)
+        if self.store is not None:
+            controller.attach_journal(self.store.journal)
         self.replicas.append(controller)
         return controller
 
@@ -251,12 +243,6 @@ class ControllerSupervisor:
             controller.degrade_monitoring(host_name, until)
         self._pending_intents = dict(state["intents"])
         return controller
-
-    # -- identity -------------------------------------------------------------------
-
-    @property
-    def active_name(self) -> Optional[str]:
-        return self.active.executor.name if self.active is not None else None
 
     # -- fault hooks (called by the fault injector) -----------------------------------
 
@@ -334,39 +320,53 @@ class ControllerSupervisor:
             f"{deposed.executor.name}->{self.active.executor.name}",
         )
 
-    def _rewind_lease(self, row: Optional[List[Any]]) -> None:
-        self.store.lease.rewind(row)
-
     def _acquire_lease(self, now: int) -> None:
+        if not self.holds_lease:
+            return  # granted elsewhere; the token is adopted from there
         if self._partitioned_until is not None and now < self._partitioned_until:
             return  # partitioned: the lease store is unreachable
         assert self.active is not None
         token = self.store.lease.acquire(
             self.active.executor.name, now, self.lease_ttl
         )
-        if token is None:
+        if token is not None:
+            self.adopt_token(now, token)
+
+    def adopt_token(self, now: int, token: int) -> None:
+        """Lead under fencing ``token``; announce a new leadership epoch.
+
+        The ``LEADER_EPOCH`` event is published (not journaled in
+        ``events``) so the verifier's fencing watermark advances before
+        the first action of the new epoch — a stale application right
+        after a failover is flagged even if the new leader has not acted
+        yet.
+        """
+        if self.active is None or token == self.active.executor.fencing_token:
             return
-        if token != self.active.executor.fencing_token:
-            self.active.executor.fencing_token = token
-            # announce the new leadership epoch: anything older is stale
-            self.platform.fence.advance(token)
-            # published (not journaled in self.events) so the verifier's
-            # fencing watermark advances before the first action of the
-            # new epoch — a stale application right after a failover is
-            # flagged even if the new leader has not acted yet
-            self.platform.bus.publish(
-                SupervisionEvent(
-                    now,
-                    SupervisionEventKind.LEADER_EPOCH,
-                    self.active.executor.name,
-                    self.domain,
-                    fencing_token=token,
-                )
+        self.active.executor.fencing_token = token
+        self.platform.fence.advance(token)
+        self.platform.bus.publish(
+            SupervisionEvent(
+                now,
+                SupervisionEventKind.LEADER_EPOCH,
+                self.active.executor.name,
+                self.domain,
+                fencing_token=token,
             )
+        )
 
     # -- the per-minute cycle ----------------------------------------------------------
 
+    def _forward_commands(self) -> None:
+        """Operator verdicts survive the dead window between a crash and
+        the next promotion: they wait here and reach whoever leads."""
+        for command in self.commands.drain():
+            self.active.commands.post(command)
+
     def tick(self, now: int) -> List[ActionOutcome]:
+        if self.store is None:  # unsupervised: the one replica's minute
+            self._forward_commands()
+            return self.active.tick(now)
         outcomes: List[ActionOutcome] = []
         if self.active is None:
             self.downtime_minutes += 1
@@ -380,11 +380,7 @@ class ControllerSupervisor:
                     self.active.reconcile(now, self._pending_intents)
                 )
                 self._pending_intents = {}
-            # operator verdicts survive the dead window between a crash
-            # and the next promotion: they sit in the supervisor's queue
-            # and reach whichever replica leads now
-            for command in self.commands.drain():
-                self.active.commands.post(command)
+            self._forward_commands()
             outcomes.extend(self.active.tick(now))
             self.store.journal.append("tick", now=now)
             self.store.snapshots.save(
@@ -405,7 +401,7 @@ class ControllerSupervisor:
                 stale.tick(now)
         return outcomes
 
-    # -- proxies (duck-typed AutoGlobeController surface) ------------------------------
+    # -- the replica set's surface to the plane ---------------------------------------
 
     @property
     def enabled(self) -> bool:
@@ -416,46 +412,6 @@ class ControllerSupervisor:
         self._enabled = bool(value)
         for controller in self.replicas:
             controller.enabled = bool(value)
-
-    @property
-    def _latest(self) -> AutoGlobeController:
-        return self.active if self.active is not None else self.replicas[-1]
-
-    @property
-    def failure_detector(self):
-        return self._latest.failure_detector
-
-    @property
-    def protection(self):
-        return self._latest.protection
-
-    @property
-    def executor(self):
-        return self._latest.executor
-
-    @property
-    def lms(self):
-        return self._latest.lms
-
-    @property
-    def alerts(self) -> _AlertsView:
-        return _AlertsView(self)
-
-    @property
-    def decision_records(self):
-        return [
-            record
-            for controller in self.replicas
-            for record in controller.decision_records
-        ]
-
-    @property
-    def situations_handled(self):
-        return [
-            situation
-            for controller in self.replicas
-            for situation in controller.situations_handled
-        ]
 
     def report_failure(self, instance_id: str, now: int):
         if self.active is None:
@@ -468,19 +424,10 @@ class ControllerSupervisor:
         if self.active is not None:
             self.active.degrade_monitoring(host_name, until)
 
-    def reconcile(
-        self, now: int, intents: Dict[str, Dict[str, Any]]
-    ) -> List[ActionOutcome]:
-        """Resolve externally supplied intents (ControlPlane surface).
-
-        With a live leader the intents resolve immediately; otherwise
-        they queue with the store-recovered ones and resolve on the
-        first tick after recovery.
-        """
-        if self.active is None:
-            self._pending_intents.update(intents)
-            return []
-        return self.active.reconcile(now, intents)
+    def close(self) -> None:
+        """Close the state store, if any (idempotent)."""
+        if self.store is not None:
+            self.store.close()
 
     # -- run-level durability (kill -9 and resume) -------------------------------------
 
@@ -492,9 +439,15 @@ class ControllerSupervisor:
         leader no longer refreshes the store's controller snapshot its
         successor recovers from, so that one rides along as it stands.
         A deposed replica still ticking under its partition rides along
-        too, with the fencing token its actions are rejected by.
+        too, with the fencing token its actions are rejected by.  An
+        unsupervised replica set keeps just its one replica's state.
         """
-        latest = self._latest if self.replicas else None
+        if self.store is None:
+            return {
+                "controller": self.active.snapshot_state(),
+                "executor": self.active.executor.snapshot_state(),
+            }
+        latest = self.replicas[-1] if self.replicas else None
         stale = None
         if self._stale is not None:
             deposed, heal_at = self._stale
@@ -523,7 +476,12 @@ class ControllerSupervisor:
             "monitor_outages": dict(self._monitor_outages),
             "events": [list(event) for event in self.events],
             "escalations": [
-                [alert.time, alert.message] for alert in self.alerts.escalations()
+                [alert.time, alert.message]
+                for alert in self.restored_escalations + [
+                    alert
+                    for replica in self.replicas
+                    for alert in replica.alerts.escalations()
+                ]
             ],
             "downtime_minutes": self.downtime_minutes,
             "restart_at": self._restart_at,
@@ -542,8 +500,12 @@ class ControllerSupervisor:
         unambiguous.  A deposed replica is rebuilt the same way, before
         it as in the live run, with the journal detached.
         """
+        if self.store is None:
+            self.active.restore_state(payload["controller"])
+            self.active.executor.restore_state(payload["executor"])
+            return
         self.events = [tuple(event) for event in payload.get("events", [])]
-        self._restored_escalations = [
+        self.restored_escalations = [
             Alert(int(time), AlertSeverity.ESCALATION, message)
             for time, message in payload.get("escalations", [])
         ]
@@ -555,7 +517,9 @@ class ControllerSupervisor:
             self._monitor_outages[host_name] = max(current, int(until))
         journal_seq = int(payload.get("journal_seq", 0))
         self.store.rewind(journal_seq, now)
-        self._rewind_lease(payload["lease"])
+        if self.holds_lease:
+            # a lease held elsewhere only grows its tokens: left alone
+            self.store.lease.rewind(payload["lease"])
         self.replicas = []
         self._pending_intents = {}
         self.active = None

@@ -1,27 +1,32 @@
-"""Control domains: per-domain controllers federated over one landscape.
+"""The control plane: control domains × replica sets over one landscape.
 
-A large landscape is partitioned into *control domains* — named shards
-of its servers (``<controlDomains>`` in the XML language).  Each domain
-gets the full Figure 2 stack of its own: a controller (optionally
-supervised for crash recovery), an LMS with its advisors, and a load
-archive, all scoped through a
-:class:`~repro.serviceglobe.platform.DomainView` so situation detection,
-placement and archive writes never cross shards.  The substrate —
-landscape state, dispatcher, audit log, telemetry bus — stays shared:
-there is still exactly one ServiceGlobe federation underneath.
+Every run's plane is a :class:`FederatedControlPlane`: an ordered set of
+*control domains*, each one :class:`~repro.core.failover.ControllerSupervisor`
+(a single unsupervised controller, or leased replicas with crash
+recovery and failover).  A landscape with zero or one declared domain
+is one domain named ``""`` over the
+:class:`~repro.serviceglobe.platform.Platform` itself — the paper's one
+controller per landscape (Figure 2).  A larger one is partitioned into
+named shards of its servers (``<controlDomains>`` in the XML language),
+each administered through a :class:`~repro.serviceglobe.platform.DomainView`
+so situation detection, placement and archive writes never cross
+shards, over one shared substrate (landscape state, dispatcher, audit
+log, telemetry bus).  Whatever the runner, the fault injector and the
+ops API read of the controllers is aggregated here, once, over
+domains × replicas.
 
-The federation layer itself does exactly one thing beyond ticking the
-shards round-robin: it arbitrates **cross-domain relocation**.  A domain
-whose decision loop cannot resolve a confirmed ``serverOverloaded``
-situation locally publishes a relocation request instead of escalating
-straight to the administrator; the federation scores candidate hosts in
-*other* domains with the existing server-selection controller and, if
-one fits, moves an instance there through a two-phase escrow:
+Beyond ticking the domains in order, the plane arbitrates
+**cross-domain relocation**.  A domain whose decision loop cannot
+resolve a confirmed ``serverOverloaded`` situation publishes a
+relocation request instead of escalating straight to the administrator;
+the federation scores candidate hosts in *other* domains with the
+existing server-selection controller and, if one fits, moves an
+instance there through a two-phase escrow:
 
 1. **prepare** — the requesting domain's fencing token is validated
    against its own guard (a deposed leader cannot export instances) and
    the target host re-checked for feasibility;
-2. **commit** — the move runs through the requesting shard's executor,
+2. **commit** — the move runs through the requesting domain's executor,
    with an escrow barrier spliced into the platform's existing
    relocation commit barrier that re-validates the fencing token at the
    commit point (after the source instance detached, before the target
@@ -32,25 +37,20 @@ one fits, moves an instance there through a two-phase escrow:
 Ownership follows the *home domain* rule: a service belongs to the
 domain of its first initially allocated host for the whole run, even
 after one of its instances is relocated onto another domain's server.
-
-A landscape with zero or one declared domain never builds this class;
-the runner keeps constructing the classic single controller, which
-stays byte-for-byte identical to the pre-domain stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from repro.config.model import Action, ControllerSettings
-from repro.core.alerts import CommandQueue
-from repro.core.autoglobe import AutoGlobeController
-from repro.core.failover import ControllerSupervisor
+from repro.core.alerts import Alert, ApprovalRequest, CommandQueue
+from repro.core.failover import ControllerSupervisor, replica_executors
 from repro.core.server_selection import ServerSelector
 from repro.core.state import DurableStateStore
-from repro.monitoring.archive import InMemoryLoadArchive, LoadArchive
+from repro.monitoring.archive import LoadArchive
 from repro.monitoring.lms import Situation, SituationKind
 from repro.serviceglobe.actions import (
     ActionError,
@@ -58,31 +58,11 @@ from repro.serviceglobe.actions import (
     FencedActionError,
     NoSuchTarget,
 )
-from repro.serviceglobe.executor import ActionExecutor, ExecutionFaults
+from repro.serviceglobe.executor import ExecutionFaults
 from repro.serviceglobe.platform import DomainView, Platform
 from repro.telemetry.records import EscrowEvent, EscrowPhase
 
-__all__ = ["DomainShard", "RelocationRequest", "FederatedControlPlane"]
-
-DomainController = Union[AutoGlobeController, ControllerSupervisor]
-
-
-@dataclass
-class DomainShard:
-    """One control domain's runtime: scoped view, controller, archive."""
-
-    name: str
-    view: DomainView
-    controller: DomainController
-    archive: LoadArchive
-
-    @property
-    def supervised(self) -> bool:
-        return isinstance(self.controller, ControllerSupervisor)
-
-    @property
-    def executor(self) -> ActionExecutor:
-        return self.controller.executor
+__all__ = ["RelocationRequest", "FederatedControlPlane"]
 
 
 @dataclass
@@ -99,106 +79,36 @@ class RelocationRequest:
     status: str = "unresolved"
 
 
-class _FederatedFailureDetector:
-    """Routes heartbeat bookkeeping to the owning domain's detector.
-
-    Instance ids are ``"<service>#<seq>"``, so the owning shard is the
-    service's home domain.  ``forget`` fans out to every shard (it is an
-    idempotent discard) because sweeps may race relocations.
-    """
-
-    def __init__(self, plane: "FederatedControlPlane") -> None:
-        self._plane = plane
-
-    @property
-    def suppressed(self):
-        combined = set()
-        for shard in self._plane.shards.values():
-            combined.update(shard.controller.failure_detector.suppressed)
-        return combined
-
-    def suppress(self, instance_id: str) -> None:
-        shard = self._plane._shard_for_instance(instance_id)
-        shard.controller.failure_detector.suppress(instance_id)
-
-    def forget(self, instance_id: str) -> None:
-        for shard in self._plane.shards.values():
-            shard.controller.failure_detector.forget(instance_id)
-
-
-class _FederatedApprovals:
-    """Aggregated semi-automatic approval queue over every shard."""
-
-    def __init__(self, plane: "FederatedControlPlane") -> None:
-        self._plane = plane
-
-    def _queues(self):
-        return [s.controller.alerts.approvals for s in self._plane.shards.values()]
-
-    def pending(self):
-        return [request for queue in self._queues() for request in queue.pending()]
-
-    def expired(self):
-        return [request for queue in self._queues() for request in queue.expired()]
-
-    @property
-    def requests(self):
-        return [request for queue in self._queues() for request in queue.requests]
-
-
-class _FederatedAlerts:
-    """Aggregated administrator channel over every shard."""
-
-    def __init__(self, plane: "FederatedControlPlane") -> None:
-        self._plane = plane
-
-    @property
-    def alerts(self):
-        return [
-            alert
-            for shard in self._plane.shards.values()
-            for alert in shard.controller.alerts.alerts
-        ]
-
-    def escalations(self):
-        return [
-            alert
-            for shard in self._plane.shards.values()
-            for alert in shard.controller.alerts.escalations()
-        ]
-
-    @property
-    def approvals(self) -> _FederatedApprovals:
-        return _FederatedApprovals(self._plane)
-
-
 class FederatedControlPlane:
-    """Ticks N per-domain controllers and arbitrates cross-domain moves.
+    """Ticks every domain's replica set and arbitrates cross-domain moves.
 
     Parameters
     ----------
     platform:
-        The shared substrate.  Its landscape must declare at least two
-        control domains.
+        The shared substrate.  With fewer than two declared control
+        domains the plane is one domain, ``""``, over ``platform``
+        itself, with no relocation handler and no federation selector.
     settings / enabled:
-        Forwarded to every domain controller.
-    supervised:
-        Put every domain controller behind its own
-        :class:`~repro.core.failover.ControllerSupervisor` (leases and
-        fencing tokens are then per-domain).
-    state_dir:
-        Durable-state root; each domain persists in the ``state.db`` of
-        its own subdirectory (``<state_dir>/<domain>/``) so journals,
-        snapshots, lease rows and load archives never mix.  ``None``
-        keeps stores and archives in memory.
+        Forwarded to every domain's replicas.
+    stores:
+        Domain name -> :class:`~repro.core.state.DurableStateStore` of
+        the domains that run supervised (journal, snapshots, lease);
+        a domain without one runs a single unsupervised replica.
+    archives:
+        Domain name -> load archive; a domain without one keeps its
+        samples in memory.
     standby:
-        Hot-standby failover inside each domain (supervised only).
+        Hot-standby failover inside each supervised domain.
     execution_faults / chaos_seed:
-        Chaos actuation profile: every shard executor gets its own
-        deterministic RNG stream derived from ``chaos_seed`` and the
-        shard's position, so federated chaos runs are reproducible.
-    lease_ttl:
-        Per-domain lease validity in simulated minutes (supervised only).
+        Chaos actuation profile.  Every executor gets its own
+        deterministic RNG stream: a flat unsupervised run's draws from
+        ``chaos_seed`` itself, every other replica ``N`` of domain ``i``
+        from ``chaos_seed + 1000 + 100 i + N`` (domains spaced by 100
+        leave room for failover replicas in between).
+    controller_factory:
+        ``(platform, settings, enabled, store) -> ControllerSupervisor``
+        building a domain's replica set instead (a domain agent's, the
+        crisp baseline's).
     """
 
     def __init__(
@@ -206,38 +116,26 @@ class FederatedControlPlane:
         platform: Platform,
         settings: Optional[ControllerSettings] = None,
         enabled: bool = True,
-        supervised: bool = False,
-        state_dir: Optional[Path] = None,
+        stores: Optional[Dict[str, DurableStateStore]] = None,
+        archives: Optional[Dict[str, Optional[LoadArchive]]] = None,
         standby: bool = False,
         execution_faults: Optional[ExecutionFaults] = None,
         chaos_seed: Optional[int] = None,
-        lease_ttl: Optional[int] = None,
+        controller_factory: Optional[Callable[..., ControllerSupervisor]] = None,
     ) -> None:
         landscape = platform.landscape
-        if not landscape.is_federated:
-            raise ValueError(
-                "a federated control plane needs at least two control "
-                f"domains; landscape {landscape.name!r} declares "
-                f"{len(landscape.domains)}"
-            )
+        stores = stores or {}
+        archives = archives or {}
         self.platform = platform
         self.settings = settings if settings is not None else landscape.controller
-        self._enabled = enabled
-        self._supervised = supervised
-        self._standby = standby
-        self._execution_faults = execution_faults
-        self._chaos_seed = chaos_seed
-        #: host name -> owning domain
-        self.host_domains: Dict[str, str] = {
-            server: domain.name
-            for domain in landscape.effective_domains()
-            for server in domain.servers
-        }
+        self._flat = not landscape.is_federated
+        #: host name -> owning domain (control domains only)
+        self.host_domains: Dict[str, str] = {}
         #: service name -> home domain (first initial host's domain)
-        self.service_homes: Dict[str, str] = landscape.service_domains()
+        self.service_homes: Dict[str, str] = {}
         #: the federation's own server-selection controller, used to
         #: score foreign candidate hosts for relocation requests
-        self.server_selector = ServerSelector()
+        self.server_selector: Optional[ServerSelector] = None
         #: every published cross-domain relocation request, resolved or not
         self.relocation_requests: List[RelocationRequest] = []
         self._fault_cursor = 0
@@ -245,83 +143,65 @@ class FederatedControlPlane:
         # counter rides in snapshot_state alongside the fault cursor
         self._escrow_sequence = 0
         #: operator verdicts posted from outside the simulation thread;
-        #: broadcast to every shard at the next tick
+        #: broadcast to every domain at the next tick
         self.commands = CommandQueue()
-        self.shards: Dict[str, DomainShard] = {}
-        homes_by_domain: Dict[str, List[str]] = {}
-        for service_name, home in self.service_homes.items():
-            homes_by_domain.setdefault(home, []).append(service_name)
-        for index, domain in enumerate(landscape.effective_domains()):
-            view = DomainView(
-                platform,
-                domain.name,
-                host_names=domain.servers,
-                service_names=homes_by_domain.get(domain.name, []),
-            )
-            archive: LoadArchive = InMemoryLoadArchive()
-            handler = self._relocation_handler_for(domain.name)
-            controller: DomainController
-            if supervised:
-                store = DurableStateStore(state_dir / domain.name if state_dir else None)
-                if state_dir:
-                    archive = store.archive
-                controller = ControllerSupervisor(
-                    view,
-                    settings=self.settings,
-                    archive=archive,
-                    enabled=enabled,
-                    store=store,
-                    standby=standby,
-                    executor_factory=self._executor_factory_for(view, index),
-                    relocation_handler=handler,
-                    **({"lease_ttl": lease_ttl} if lease_ttl is not None else {}),
+        #: domain name -> its replica set, whose ``platform`` is the
+        #: domain's view (the Platform itself in a flat run)
+        self.shards: Dict[str, ControllerSupervisor] = {}
+        views: Dict[str, Platform] = {"": platform}
+        if not self._flat:
+            self.host_domains = {
+                server: domain.name
+                for domain in landscape.domains
+                for server in domain.servers
+            }
+            self.service_homes = landscape.service_domains()
+            self.server_selector = ServerSelector()
+            homes_by_domain: Dict[str, List[str]] = {}
+            for service_name, home in self.service_homes.items():
+                homes_by_domain.setdefault(home, []).append(service_name)
+            views = {
+                domain.name: DomainView(
+                    platform,
+                    domain.name,
+                    host_names=domain.servers,
+                    service_names=homes_by_domain.get(domain.name, []),
                 )
-            else:
-                controller = AutoGlobeController(
-                    view,
-                    settings=self.settings,
-                    archive=archive,
-                    enabled=enabled,
-                    executor=self._make_executor(view, index, f"{domain.name}-exec", 0),
-                    relocation_handler=handler,
+                for domain in landscape.domains
+            }
+        for index, (name, view) in enumerate(views.items()):
+            store = stores.get(name)
+            if controller_factory is not None:
+                self.shards[name] = controller_factory(
+                    view, self.settings, enabled, store
                 )
-            self.shards[domain.name] = DomainShard(
-                name=domain.name, view=view, controller=controller, archive=archive
+                continue
+            offset = 0 if self._flat and store is None else 1000 + 100 * index
+            self.shards[name] = ControllerSupervisor(
+                view,
+                settings=self.settings,
+                archive=archives.get(name),
+                enabled=enabled,
+                store=store,
+                standby=standby,
+                executor_factory=replica_executors(
+                    view, execution_faults, (chaos_seed or 0) + offset
+                ),
+                relocation_handler=(
+                    None if self._flat else partial(self._handle_relocation, name)
+                ),
             )
-
-    # -- construction helpers --------------------------------------------------------
-
-    def _make_executor(
-        self, view: DomainView, index: int, name: str, replica_number: int
-    ) -> ActionExecutor:
-        faults = (
-            self._execution_faults if self._execution_faults is not None
-            else ExecutionFaults()
-        )
-        # distinct deterministic stream per (domain, replica): domains
-        # spaced by 100 leave room for failover replicas in between
-        seed = (
-            self._chaos_seed + 1000 + 100 * index + replica_number
-            if self._chaos_seed is not None
-            else 0
-        )
-        return ActionExecutor(view, faults=faults, seed=seed, name=name)
-
-    def _executor_factory_for(self, view: DomainView, index: int):
-        def factory(name: str, replica_number: int) -> ActionExecutor:
-            return self._make_executor(view, index, name, replica_number)
-
-        return factory
-
-    def _relocation_handler_for(self, domain_name: str):
-        def handler(situation: Situation, now: int) -> Optional[ActionOutcome]:
-            return self._handle_relocation(domain_name, situation, now)
-
-        return handler
+        #: the supervised domains: the ones controller faults may hit
+        self._supervised = [
+            supervisor for supervisor in self.shards.values()
+            if supervisor.store is not None
+        ]
 
     # -- routing ----------------------------------------------------------------------
 
-    def _shard_for_instance(self, instance_id: str) -> DomainShard:
+    def _shard_for_instance(self, instance_id: str) -> ControllerSupervisor:
+        if self._flat:
+            return self.shards[""]
         service_name = instance_id.split("#", 1)[0]
         home = self.service_homes.get(service_name)
         if home is None:
@@ -330,15 +210,13 @@ class FederatedControlPlane:
             )
         return self.shards[home]
 
-    def _shard_for_host(self, host_name: str) -> DomainShard:
+    def _shard_for_host(self, host_name: str) -> ControllerSupervisor:
+        if self._flat:
+            return self.shards[""]
         domain = self.host_domains.get(host_name)
         if domain is None:
             raise NoSuchTarget(f"host {host_name!r} belongs to no control domain")
         return self.shards[domain]
-
-    @property
-    def _supervised_shards(self) -> List[DomainShard]:
-        return [shard for shard in self.shards.values() if shard.supervised]
 
     # -- cross-domain relocation -------------------------------------------------------
 
@@ -367,7 +245,7 @@ class FederatedControlPlane:
             (
                 instance
                 for instance in host.running_instances
-                if instance.service_name in shard.view.services
+                if instance.service_name in shard.platform.services
                 and self.platform.service(instance.service_name)
                 .spec.constraints.allows(Action.MOVE)
             ),
@@ -394,12 +272,12 @@ class FederatedControlPlane:
 
     def _offer_elsewhere(
         self,
-        shard: DomainShard,
+        shard: ControllerSupervisor,
         request: RelocationRequest,
         instance,
         now: int,
     ) -> Optional[ActionOutcome]:
-        candidates = self._foreign_candidates(shard.name, instance)
+        candidates = self._foreign_candidates(shard.domain, instance)
         if not candidates:
             return None
         request.service_name = instance.service_name
@@ -426,7 +304,7 @@ class FederatedControlPlane:
 
     def _escrowed_move(
         self,
-        shard: DomainShard,
+        shard: ControllerSupervisor,
         instance,
         target_host: str,
         target_domain: str,
@@ -439,7 +317,7 @@ class FederatedControlPlane:
         escrow id; the temporal-invariant verifier (AG302) rebuilds the
         prepare → commit → attach happens-before chain from these.
         """
-        executor = shard.executor
+        executor = shard.replicas[-1].executor
         token = executor.fencing_token
         self._escrow_sequence += 1
         escrow_id = f"escrow-{self._escrow_sequence:06d}"
@@ -455,7 +333,7 @@ class FederatedControlPlane:
                     escrow_id=escrow_id,
                     service_name=instance.service_name,
                     instance_id=instance.instance_id,
-                    source_domain=shard.name,
+                    source_domain=shard.domain,
                     target_domain=target_domain,
                     source_host=source_host,
                     target_host=target_host,
@@ -474,7 +352,7 @@ class FederatedControlPlane:
         # the controller that raised the request, and the import must be
         # physically feasible right now
         try:
-            shard.view.fence.validate(token)
+            shard.platform.fence.validate(token)
         except FencedActionError:
             abort("prepare fenced")
             raise
@@ -497,7 +375,7 @@ class FederatedControlPlane:
             if previous is not None:
                 previous(moving, barrier_target)
             try:
-                shard.view.fence.validate(token)
+                shard.platform.fence.validate(token)
             except FencedActionError:
                 abort("commit fenced")
                 raise
@@ -515,7 +393,7 @@ class FederatedControlPlane:
                 instance_id=instance.instance_id,
                 target_host=target_host,
                 note=(
-                    f"cross-domain relocation {shard.name}->{target_domain}"
+                    f"cross-domain relocation {shard.domain}->{target_domain}"
                 ),
             )
         except ActionError as exc:
@@ -533,108 +411,130 @@ class FederatedControlPlane:
     # -- the per-minute cycle ----------------------------------------------------------
 
     def tick(self, now: int) -> List[ActionOutcome]:
-        """Tick every domain controller in declaration order."""
+        """Tick every domain's replica set in declaration order."""
         # operator verdicts are broadcast: request ids are domain-prefixed,
-        # so exactly one shard owns each command and the rest skip it
+        # so exactly one domain owns each command and the rest skip it
         for command in self.commands.drain():
-            for shard in self.shards.values():
-                shard.controller.commands.post(command)
+            for supervisor in self.shards.values():
+                supervisor.commands.post(command)
         outcomes: List[ActionOutcome] = []
-        for shard in self.shards.values():
-            outcomes.extend(shard.controller.tick(now))
+        for supervisor in self.shards.values():
+            outcomes.extend(supervisor.tick(now))
         return outcomes
 
-    # -- ControlPlane surface -----------------------------------------------------------
+    # -- aggregation over domains × replicas --------------------------------------------
+
+    def _replicas(self) -> Iterator[Any]:
+        """Every replica of every domain that ever existed, domain by domain."""
+        for supervisor in self.shards.values():
+            yield from supervisor.replicas
+
+    def leaders(self) -> List[Any]:
+        """The active replica of every domain that has one right now."""
+        return [s.active for s in self.shards.values() if s.active is not None]
 
     @property
     def enabled(self) -> bool:
-        return self._enabled
+        """Whether some domain has a live leader that takes actions."""
+        return any(supervisor.enabled for supervisor in self.shards.values())
 
     @enabled.setter
     def enabled(self, value: bool) -> None:
-        self._enabled = bool(value)
-        for shard in self.shards.values():
-            shard.controller.enabled = bool(value)
+        for supervisor in self.shards.values():
+            supervisor.enabled = value
 
-    @property
-    def alerts(self) -> _FederatedAlerts:
-        return _FederatedAlerts(self)
+    def escalations(self) -> List[Alert]:
+        """Every escalation of the run, those restored from a snapshot too."""
+        return [
+            alert
+            for supervisor in self.shards.values()
+            for alert in supervisor.restored_escalations
+        ] + [
+            alert
+            for replica in self._replicas()
+            for alert in replica.alerts.escalations()
+        ]
 
-    @property
-    def failure_detector(self) -> _FederatedFailureDetector:
-        return _FederatedFailureDetector(self)
+    def approvals(self, status: Optional[str] = None) -> List[ApprovalRequest]:
+        """Every semi-automatic approval request, or those of ``status``."""
+        return [
+            request
+            for replica in self._replicas()
+            for request in replica.alerts.approvals.requests
+            if status is None or request.status == status
+        ]
 
     @property
     def decision_records(self):
-        return [
-            record
-            for shard in self.shards.values()
-            for record in shard.controller.decision_records
-        ]
-
-    @property
-    def situations_handled(self):
-        return [
-            situation
-            for shard in self.shards.values()
-            for situation in shard.controller.situations_handled
-        ]
+        return [record for replica in self._replicas() for record in replica.decision_records]
 
     @property
     def downtime_minutes(self) -> int:
-        return sum(
-            getattr(shard.controller, "downtime_minutes", 0)
-            for shard in self.shards.values()
-        )
+        return sum(supervisor.downtime_minutes for supervisor in self.shards.values())
 
     @property
     def events(self):
-        """Merged (time, kind, detail, domain) supervision events of every shard."""
+        """Merged (time, kind, detail, domain) supervision events of every domain."""
         merged = [
-            (*event, shard.name)
-            for shard in self._supervised_shards
-            for event in shard.controller.events
+            (*event, supervisor.domain)
+            for supervisor in self.shards.values()
+            for event in supervisor.events
         ]
         merged.sort(key=lambda event: event[0])
         return merged
 
+    # -- failure detection, routed to the owning domain ----------------------------------
+    #
+    # Instance ids are ``"<service>#<seq>"``, so the owning domain is the
+    # service's home domain; the newest replica's detector holds its
+    # bookkeeping, also while that replica is down.
+
+    def suppressed(self) -> Set[str]:
+        """Instances whose heartbeats are suppressed (hung), every domain's."""
+        return {
+            instance_id
+            for supervisor in self.shards.values()
+            for instance_id in supervisor.replicas[-1].failure_detector.suppressed
+        }
+
+    def suppress(self, instance_id: str) -> None:
+        supervisor = self._shard_for_instance(instance_id)
+        supervisor.replicas[-1].failure_detector.suppress(instance_id)
+
+    def forget(self, instance_id: str) -> None:
+        """Fans out to every domain (an idempotent discard): sweeps may
+        race relocations."""
+        for supervisor in self.shards.values():
+            supervisor.replicas[-1].failure_detector.forget(instance_id)
+
     def report_failure(self, instance_id: str, now: int):
-        return self._shard_for_instance(instance_id).controller.report_failure(
-            instance_id, now
-        )
+        return self._shard_for_instance(instance_id).report_failure(instance_id, now)
 
     def degrade_monitoring(self, host_name: str, until: int) -> None:
-        self._shard_for_host(host_name).controller.degrade_monitoring(
-            host_name, until
-        )
+        self._shard_for_host(host_name).degrade_monitoring(host_name, until)
 
     # -- controller-fault hooks (round-robin across supervised domains) -----------------
 
     def fault_in_progress(self, now: int) -> bool:
-        return any(
-            shard.controller.fault_in_progress(now)
-            for shard in self._supervised_shards
-        )
+        return any(supervisor.fault_in_progress(now) for supervisor in self._supervised)
+
+    def _strike(self, fault) -> Optional[str]:
+        """Apply ``fault`` to the next supervised domain, round-robin;
+        returns the domain's name."""
+        if not self._supervised:
+            return None
+        supervisor = self._supervised[self._fault_cursor % len(self._supervised)]
+        self._fault_cursor += 1
+        fault(supervisor)
+        return supervisor.domain
 
     def crash_active(self, now: int, down_minutes: int) -> Optional[str]:
         """Crash one supervised domain's leader; returns the domain name."""
-        shards = self._supervised_shards
-        if not shards:
-            return None
-        shard = shards[self._fault_cursor % len(shards)]
-        self._fault_cursor += 1
-        shard.controller.crash_active(now, down_minutes)
-        return shard.name
+        return self._strike(lambda supervisor: supervisor.crash_active(now, down_minutes))
 
     def partition_active(self, now: int, minutes: int) -> Optional[str]:
         """Partition one supervised domain's leader; returns the domain name."""
-        shards = self._supervised_shards
-        if not shards:
-            return None
-        shard = shards[self._fault_cursor % len(shards)]
-        self._fault_cursor += 1
-        shard.controller.partition_active(now, minutes)
-        return shard.name
+        return self._strike(lambda supervisor: supervisor.partition_active(now, minutes))
 
     # -- durability (kill -9 and resume) -------------------------------------------------
 
@@ -643,53 +543,24 @@ class FederatedControlPlane:
             "fault_cursor": self._fault_cursor,
             "escrow_sequence": self._escrow_sequence,
             "domains": {
-                name: shard.controller.snapshot_state()
-                for name, shard in self.shards.items()
+                name: supervisor.snapshot_state()
+                for name, supervisor in self.shards.items()
             },
         }
 
     def restore_state(self, payload: Dict[str, Any], now: int = 0) -> None:
-        self._fault_cursor = int(payload.get("fault_cursor", 0))
-        self._escrow_sequence = int(payload.get("escrow_sequence", 0))
-        for name, shard_payload in payload.get("domains", {}).items():
-            shard = self.shards.get(name)
-            if shard is None or shard_payload is None:
-                continue
-            if shard.supervised:
-                shard.controller.restore_state(shard_payload, now)
-            else:
-                shard.controller.restore_state(shard_payload)
+        """Rebuild every domain (and rewind its journal and archive)."""
+        self._fault_cursor = int(payload["fault_cursor"])
+        self._escrow_sequence = int(payload["escrow_sequence"])
+        for name, supervisor in self.shards.items():
+            supervisor.restore_state(payload["domains"][name], now)
 
     @property
     def stores(self) -> List[DurableStateStore]:
         """The supervised domains' state stores."""
-        return [shard.controller.store for shard in self._supervised_shards]
+        return [supervisor.store for supervisor in self._supervised]
 
     def close(self) -> None:
-        """Close every domain's state store (idempotent)."""
-        for store in self.stores:
-            store.close()
-
-    def reconcile(
-        self, now: int, intents: Dict[str, Dict[str, Any]]
-    ) -> List[ActionOutcome]:
-        """Route leftover intents to the shard whose executor issued them.
-
-        Intent ids are ``"<executor name>:<seq>"``; unroutable intents
-        fall to the first shard, whose reconciliation resolves them
-        against the shared platform state all shards see.
-        """
-        outcomes: List[ActionOutcome] = []
-        by_shard: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        first = next(iter(self.shards))
-        for intent_id, data in intents.items():
-            owner = first
-            executor_name = intent_id.rsplit(":", 1)[0]
-            for name, shard in self.shards.items():
-                if shard.executor.name == executor_name:
-                    owner = name
-                    break
-            by_shard.setdefault(owner, {})[intent_id] = data
-        for name, shard_intents in by_shard.items():
-            outcomes.extend(self.shards[name].controller.reconcile(now, shard_intents))
-        return outcomes
+        """Close every domain (idempotent): an agent's deregisters there."""
+        for supervisor in self.shards.values():
+            supervisor.close()

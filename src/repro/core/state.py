@@ -147,9 +147,11 @@ class StateCorruptError(Exception):
 #: ``PRAGMA user_version`` of the state files this version writes and
 #: reads.  A file of format 0 was written before the load archive packed
 #: one row per minute, one of format 2 while the archive still copied
-#: situations and actions into a table of its own; neither is
-#: read here, so both are refused rather than resumed.
-STATE_FORMAT = 3
+#: situations and actions into a table of its own, one of format 3
+#: while a flat run's snapshot held a bare supervisor instead of a
+#: plane of domains; none is read here, so all are refused rather than
+#: resumed.
+STATE_FORMAT = 4
 
 #: How long a connection waits for a competing process's transaction
 #: before giving up; transactions here are tiny, so contention clears in
@@ -311,7 +313,8 @@ class StateDb:
                 f"state format {version}, this version reads format "
                 f"{STATE_FORMAT} only; format 0 is a file from before the "
                 "load archive packed one row per minute, format 2 one whose "
-                "archive also kept situations and actions",
+                "archive also kept situations and actions, format 3 one "
+                "whose run snapshot holds no control plane of domains",
             )
 
     def execute(

@@ -6,9 +6,10 @@ one :class:`~repro.sim.runner.SimulationRunner` over the domain's shard
 control plane.  The runner owns the run — platform, workload, fault
 injector, collector, the tick loop, the ``"run"`` snapshot, resume and
 the result; the agent owns the wire — :class:`SessionSupervisor` is the
-plane the runner ticks, snapshots, restores and closes, and around the
-supervisor's own work it speaks the :mod:`repro.net.protocol` schema to
-the coordinating :class:`~repro.net.server.FederationServer`:
+one replica set of the plane the runner ticks, snapshots, restores and
+closes, and around the supervisor's own work it speaks the
+:mod:`repro.net.protocol` schema to the coordinating
+:class:`~repro.net.server.FederationServer`:
 
 * **session** — a handshake carries the domain name and an incarnation
   number; the welcome carries the lease-backed fencing token the agent
@@ -90,7 +91,7 @@ from repro.config.model import (
     service_spec_from_dict,
     service_spec_to_dict,
 )
-from repro.core.failover import ControllerSupervisor
+from repro.core.failover import ControllerSupervisor, replica_executors
 from repro.monitoring.lms import Situation
 from repro.net.agent_session import DOWN, HELLO, UP, AgentSession
 from repro.net.protocol import FrameError
@@ -101,15 +102,13 @@ from repro.serviceglobe.platform import DomainView
 from repro.sim.clock import PAPER_HORIZON_MINUTES
 from repro.sim.export import summary_json_payload
 from repro.sim.results import SimulationResult
-from repro.sim.runner import SimulationRunner, make_executor_factory
+from repro.sim.runner import SimulationRunner, execution_faults
 from repro.sim.scenarios import ChaosProfile, Scenario, default_chaos
 from repro.telemetry.bus import WILDCARD, Envelope
 from repro.telemetry.records import (
     EscrowEvent,
     EscrowPhase,
     SituationKind,
-    SupervisionEvent,
-    SupervisionEventKind,
     record_payload,
 )
 
@@ -126,7 +125,7 @@ DEREGISTER_SECONDS = 5.0
 
 
 class SessionSupervisor(ControllerSupervisor):
-    """The control plane of an agent's runner.
+    """The replica set of an agent's runner: its plane's one domain.
 
     A :class:`ControllerSupervisor` whose lease lives on the server: the
     federation server's :class:`~repro.net.session.SessionManager` owns
@@ -134,46 +133,18 @@ class SessionSupervisor(ControllerSupervisor):
     of the very same ``state.db``, so tokens stay monotonic across both
     sides' restarts); this subclass therefore never acquires the lease
     itself — the fencing token arrives over the wire and is adopted
-    explicitly.  What the runner asks of its plane — tick, snapshot,
+    explicitly.  What the plane asks of its domain — tick, snapshot,
     restore, close — wraps the supervisor's own with the agent's wire.
     """
+
+    #: the server's session grants the lease and writes it into the same
+    #: state.db from its own process: no local acquisition, a resume
+    #: leaves the row alone, and the runner holds no write group open
+    holds_lease = False
 
     def __init__(self, agent: "DomainAgent", *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._agent = agent
-
-    def _acquire_lease(self, now: int) -> None:
-        # leadership is granted by the server's heartbeat session, not
-        # by a local lease acquisition
-        return
-
-    def _rewind_lease(self, row: Optional[List[Any]]) -> None:
-        # the server's session manager owns the lease row, and its
-        # tokens only grow: a resume leaves it alone
-        return
-
-    def adopt_token(self, now: int, token: int) -> None:
-        """Adopt the session's fencing token; announce epoch changes.
-
-        Publishing the ``LEADER_EPOCH`` event advances the AG301 fencing
-        watermark for this domain *before* the first action of the new
-        epoch, exactly like the in-process supervisor's lease path.
-        """
-        if self.active is None:
-            return
-        if token == self.active.executor.fencing_token:
-            return
-        self.active.executor.fencing_token = token
-        self.platform.fence.advance(token)
-        self.platform.bus.publish(
-            SupervisionEvent(
-                now,
-                SupervisionEventKind.LEADER_EPOCH,
-                self.active.executor.name,
-                self.domain,
-                fencing_token=token,
-            )
-        )
 
     def record_net_event(self, now: int, kind: str, detail: str) -> None:
         """Record a connectivity transition (degraded / resynced)."""
@@ -216,6 +187,7 @@ class SessionSupervisor(ControllerSupervisor):
     def close(self) -> None:
         """Deregister, bounded; the runner finalizes after this."""
         self._agent._close_session()
+        super().close()
 
 
 class DomainAgent:
@@ -307,7 +279,8 @@ class DomainAgent:
 
     def _build_plane(self, platform, settings, enabled, store) -> SessionSupervisor:
         """The runner's ``controller_factory``: the domain's event log and
-        its supervisor, on the run's platform and (already checked) store."""
+        its replica set, on the run's platform and (already checked) store.
+        Executors draw from the profile's own seed, ``+ 1000 + replica``."""
         self.store = store
         #: the domain's event log: rows of the same state.db
         self.events = TelemetryStore(store.db, source=self.domain)
@@ -325,8 +298,13 @@ class DomainAgent:
             archive=store.archive,
             enabled=enabled,
             store=store,
-            standby=False,
-            executor_factory=make_executor_factory(self.view, self.chaos),
+            executor_factory=(
+                replica_executors(
+                    self.view, execution_faults(self.chaos), self.chaos.seed + 1000
+                )
+                if self.chaos is not None
+                else None
+            ),
             relocation_handler=self._relocation_handler,
         )
         return self.supervisor
@@ -543,7 +521,7 @@ class DomainAgent:
         # the sessions travel with the escrow and land on the target
         instance.users = 0
         try:
-            outcome = self.supervisor.executor.execute(
+            outcome = self.supervisor.active.executor.execute(
                 Action.SCALE_IN,
                 spec.name,
                 instance_id=instance.instance_id,
@@ -570,7 +548,7 @@ class DomainAgent:
         """Commit was refused after detach: restart the instance here."""
         outcome = None
         try:
-            outcome = self.supervisor.executor.execute(
+            outcome = self.supervisor.active.executor.execute(
                 Action.SCALE_OUT,
                 commit["service"],
                 target_host=commit["source_host"],
@@ -670,7 +648,7 @@ class DomainAgent:
         outcome = None
         failure = ""
         try:
-            outcome = self.supervisor.executor.execute(
+            outcome = self.supervisor.active.executor.execute(
                 action,
                 spec.name,
                 target_host=message["host"],

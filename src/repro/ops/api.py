@@ -22,8 +22,11 @@ Two halves, meeting at a thread boundary:
   can never block the simulation tick or starve other clients), and
   :meth:`OpsServer.stop` drains them.  The approve/reject POST
   endpoints validate against the approvals snapshot and post an
-  :class:`~repro.core.alerts.ApprovalCommand` into the controller's
-  thread-safe command queue, drained at the next tick.
+  :class:`~repro.core.alerts.ApprovalCommand` into the control plane's
+  thread-safe command queue, drained at the next tick.  The bridge
+  reads the run's :class:`~repro.core.federation.FederatedControlPlane`
+  through its accessors only: ``leaders()`` for the situation, message
+  and selector views, ``approvals()`` for the approval view.
 
 The server never touches simulation state directly: snapshots flow
 sim-thread -> bridge -> server, verdicts flow server -> command queue ->
@@ -117,11 +120,10 @@ def _render_landscape(capture: Tuple[Any, ...]) -> Dict[str, Any]:
 class OpsBridge:
     """Thread-safe snapshot mirror and command router for one run.
 
-    ``control_plane`` is anything with the controller surface the runner
-    drives: a plain :class:`~repro.core.autoglobe.AutoGlobeController`,
-    a :class:`~repro.core.failover.ControllerSupervisor` or a
-    :class:`~repro.core.federation.FederatedControlPlane` — all expose
-    ``alerts.approvals`` and a thread-safe ``commands`` queue.
+    ``control_plane`` is the run's
+    :class:`~repro.core.federation.FederatedControlPlane`: its leaders
+    give the situation and message views, its approvals the approval
+    view, and its thread-safe ``commands`` queue takes the verdicts.
     """
 
     def __init__(
@@ -191,44 +193,35 @@ class OpsBridge:
 
     # -- snapshots (rebuilt on the simulation thread) --------------------------------
 
-    def _leaf_controllers(self) -> List[Any]:
-        plane = self.control_plane
-        shards = getattr(plane, "shards", None)
-        planes = (
-            [shard.controller for shard in shards.values()] if shards else [plane]
-        )
-        leaves = []
-        for candidate in planes:
-            if hasattr(candidate, "replicas"):  # a ControllerSupervisor
-                active = candidate.active
-                if active is not None:
-                    leaves.append(active)
-            else:
-                leaves.append(candidate)
-        return leaves
-
-    def _selector_stats(self, attribute: str, stats: str) -> Dict[str, int]:
-        """One counter dict of one selector, summed over the run's controllers."""
-        selectors = []
-        for owner in [self.control_plane, *self._leaf_controllers()]:
-            selector = getattr(owner, attribute, None)
-            if selector is not None and selector not in selectors:
-                selectors.append(selector)
+    @staticmethod
+    def _summed(counters: List[Dict[str, int]]) -> Dict[str, int]:
         totals: Dict[str, int] = {}
-        for selector in selectors:
-            for name, count in getattr(selector, stats).items():
+        for counter in counters:
+            for name, count in counter.items():
                 totals[name] = totals.get(name, 0) + count
         return totals
 
+    def _server_selectors(self) -> List[Any]:
+        """The federation's own selector (control domains only), then the
+        leaders'."""
+        plane = self.control_plane
+        own = [] if plane.server_selector is None else [plane.server_selector]
+        return own + [leader.server_selector for leader in plane.leaders()]
+
     def server_selection_stats(self) -> Dict[str, int]:
         """``ServerSelector.stats`` summed over the run's controllers."""
-        return self._selector_stats("server_selector", "stats")
+        return self._summed([selector.stats for selector in self._server_selectors()])
 
     def fuzzy_stats(self) -> Dict[str, Dict[str, int]]:
         """The compiled-program counters of both fuzzy controllers."""
         return {
-            role: self._selector_stats(f"{role}_selector", "fuzzy_stats")
-            for role in ("action", "server")
+            "action": self._summed([
+                leader.action_selector.fuzzy_stats
+                for leader in self.control_plane.leaders()
+            ]),
+            "server": self._summed(
+                [selector.fuzzy_stats for selector in self._server_selectors()]
+            ),
         }
 
     def _capture_landscape(self, now: int) -> Tuple[Any, ...]:
@@ -273,12 +266,10 @@ class OpsBridge:
         handled = 0
         recent: List[str] = []
         protected: List[str] = []
-        leaves = self._leaf_controllers()
+        leaves = self.control_plane.leaders()
         for controller in leaves:
-            lms = getattr(controller, "lms", None)
-            if lms is not None:
-                open_observations.extend(lms.snapshot_state())
-            handled_list = getattr(controller, "situations_handled", [])
+            open_observations.extend(controller.lms.snapshot_state())
+            handled_list = controller.situations_handled
             handled += len(handled_list)
             recent.extend(str(situation) for situation in handled_list[-10:])
             protected.extend(controller.protection.protected_subjects(now))
@@ -303,7 +294,6 @@ class OpsBridge:
         return self._messages[1]
 
     def _approvals_snapshot(self, now: int) -> Dict[str, Any]:
-        queue = self.control_plane.alerts.approvals
         requests = [
             {
                 "request_id": request.request_id,
@@ -315,19 +305,19 @@ class OpsBridge:
                 "executed": request.executed,
                 "action": request.action,
             }
-            for request in queue.requests
+            for request in self.control_plane.approvals()
         ]
         return {"time": now, "requests": requests}
 
     def _summary_snapshot(self, now: int) -> Dict[str, Any]:
-        queue = self.control_plane.alerts.approvals
+        plane = self.control_plane
         summary = dict(self.run_info)
         summary.update(
             time=now,
             events_seen=self.events_seen,
             actions=len(self.platform.audit_log),
-            pending_approvals=len(queue.pending()),
-            expired_approvals=len(queue.expired()),
+            pending_approvals=len(plane.approvals("pending")),
+            expired_approvals=len(plane.approvals("expired")),
             commands_posted=self.commands_posted,
         )
         return summary

@@ -14,7 +14,7 @@ dynamic user redistribution) — Tables 5 and 6.
 """
 
 from repro.sim.capacity import CapacityResult, capacity_search
-from repro.sim.clock import SimClock, format_minute
+from repro.sim.clock import format_minute
 from repro.sim.export import export_all
 from repro.sim.faults import FaultInjector, FaultRecord
 from repro.sim.loadcurves import available_profiles, profile_value
@@ -38,7 +38,6 @@ __all__ = [
     "OverloadEpisode",
     "Scenario",
     "ServiceAvailability",
-    "SimClock",
     "SimulationResult",
     "SimulationRunner",
     "SlaPolicy",

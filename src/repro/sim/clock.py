@@ -8,12 +8,9 @@ acceleration is irrelevant for a discrete simulator, so we simply step
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = [
     "MINUTES_PER_DAY",
     "PAPER_HORIZON_MINUTES",
-    "SimClock",
     "format_minute",
     "parse_clock_time",
 ]
@@ -48,45 +45,3 @@ def parse_clock_time(text: str) -> int:
     if minute > 59:
         raise ValueError(f"invalid clock time {text!r}: minute must be 0-59")
     return hour * 60 + minute
-
-
-class SimClock:
-    """A simple advancing minute counter.
-
-    ``horizon`` (optional) is the run's length in minutes: the clock
-    refuses a start beyond it, which catches swapped or mis-scaled
-    arguments before a simulation silently runs zero ticks.
-    """
-
-    def __init__(self, start: int = 0, horizon: Optional[int] = None) -> None:
-        if start < 0:
-            raise ValueError("clock cannot start before minute 0")
-        if horizon is not None:
-            if horizon < 0:
-                raise ValueError("clock horizon cannot be negative")
-            if start > horizon:
-                raise ValueError(
-                    f"clock start minute {start} lies beyond the "
-                    f"{horizon}-minute horizon"
-                )
-        self.now = start
-        self.horizon = horizon
-
-    def advance(self) -> int:
-        self.now += 1
-        return self.now
-
-    @property
-    def minute_of_day(self) -> int:
-        return self.now % MINUTES_PER_DAY
-
-    @property
-    def day(self) -> int:
-        return self.now // MINUTES_PER_DAY
-
-    @property
-    def hour_of_day(self) -> float:
-        return self.minute_of_day / 60.0
-
-    def __str__(self) -> str:
-        return format_minute(self.now)

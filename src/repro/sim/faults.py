@@ -36,7 +36,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.autoglobe import AutoGlobeController
+from repro.core.federation import FederatedControlPlane
 
 # FaultRecord now lives with the other telemetry records; re-exported
 # here so historic importers (`from repro.sim.faults import FaultRecord`)
@@ -53,10 +53,11 @@ class FaultInjector:
     Parameters
     ----------
     controller:
-        The controller whose platform is attacked; its failure detector
-        is used for hangs and its self-healing path for crashes.  When
-        the controller is disabled, faults are still injected but
-        nothing heals — the measured baseline of the chaos scenario.
+        The control plane whose platform is attacked; its failure
+        detection is used for hangs and its self-healing path for
+        crashes.  When the controller is disabled, faults are still
+        injected but nothing heals — the measured baseline of the chaos
+        scenario.
     crash_probability / hang_probability:
         Per instance-minute probabilities.  The defaults correspond to a
         mean time between failures of roughly two weeks per instance —
@@ -73,7 +74,7 @@ class FaultInjector:
         RNG seed; injections are deterministic given a seed.
     """
 
-    controller: AutoGlobeController
+    controller: FederatedControlPlane
     crash_probability: float = 1.0 / (14 * 24 * 60)
     hang_probability: float = 1.0 / (14 * 24 * 60)
     host_crash_probability: float = 0.0
@@ -83,8 +84,8 @@ class FaultInjector:
     #: per-minute probability the controller process dies (restarting
     #: after a duration drawn from ``controller_restart_minutes``) or its
     #: leader gets partitioned from the lease store for a duration drawn
-    #: from ``leader_partition_minutes``; both require the controller to
-    #: be a :class:`~repro.core.failover.ControllerSupervisor`
+    #: from ``leader_partition_minutes``; both require a plane with
+    #: supervised replicas
     controller_crash_probability: float = 0.0
     controller_restart_minutes: Tuple[int, int] = (5, 15)
     leader_partition_probability: float = 0.0
@@ -116,10 +117,10 @@ class FaultInjector:
         if (
             self.controller_crash_probability > 0.0
             or self.leader_partition_probability > 0.0
-        ) and not hasattr(self.controller, "crash_active"):
+        ) and not self.controller.stores:
             raise ValueError(
-                "controller faults require a ControllerSupervisor "
-                "(plain controllers cannot crash and recover)"
+                "controller faults require supervised replicas "
+                "(an unsupervised controller cannot crash and recover)"
             )
         self._rng = np.random.default_rng(self.seed)
         #: host name -> minute its reboot completes
@@ -184,8 +185,8 @@ class FaultInjector:
         ):
             low, high = self.controller_restart_minutes
             minutes = int(self._rng.integers(low, high + 1))
-            # a federated plane routes the crash to one shard and returns
-            # its name; a plain supervisor returns None
+            # the plane routes the crash to one supervised domain and
+            # returns its name ("" in a flat run)
             domain = supervisor.crash_active(now, minutes) or ""
             self._record_fault(
                 FaultRecord(now, "", "", "", "controller-crash", domain),
@@ -239,7 +240,7 @@ class FaultInjector:
             for victim in victims:
                 # the heartbeat detector must not later report an
                 # instance the crash already swept away
-                self.controller.failure_detector.forget(victim.instance_id)
+                self.controller.forget(victim.instance_id)
                 if self.controller.enabled:
                     self.controller.report_failure(victim.instance_id, now)
 
@@ -268,8 +269,11 @@ class FaultInjector:
         instances = sorted(
             platform.all_instances(), key=lambda i: i.instance_id
         )
+        # read once: within the pass only the current instance's own
+        # hang joins the set
+        suppressed = self.controller.suppressed()
         for instance in instances:
-            if instance.instance_id in self.controller.failure_detector.suppressed:
+            if instance.instance_id in suppressed:
                 continue
             roll = float(self._rng.random())
             if roll < self.crash_probability:
@@ -294,7 +298,7 @@ class FaultInjector:
                     ),
                     injected,
                 )
-                self.controller.failure_detector.suppress(instance.instance_id)
+                self.controller.suppress(instance.instance_id)
 
     # -- accounting -------------------------------------------------------------------
 

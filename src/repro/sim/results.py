@@ -41,17 +41,12 @@ __all__ = [
 ]
 
 
-def expired_approvals_by_service(queue) -> Dict[str, int]:
-    """Group a queue's expired approvals by the requesting service.
-
-    Accepts any approvals view with an ``expired()`` method (the plain
-    :class:`~repro.core.alerts.ApprovalQueue`, the supervisor's and the
-    federation's aggregates); requests predating the service attribution
-    land under ``""``.
-    """
+def expired_approvals_by_service(expired) -> Dict[str, int]:
+    """Group expired approval requests by the requesting service;
+    requests predating the service attribution land under ``""``."""
     counts: Dict[str, int] = {}
-    for request in queue.expired():
-        name = getattr(request, "service_name", "") or ""
+    for request in expired:
+        name = request.service_name or ""
         counts[name] = counts.get(name, 0) + 1
     return counts
 

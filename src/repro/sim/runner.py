@@ -5,6 +5,12 @@ the services shown in Figure 11" and runs for 80 simulated hours with
 the Section 5.1 controller parameters (70% overload threshold, 10 minute
 watch time, 30 minute protection, idle threshold 12.5% / performance
 index, 20 minute idle watch).
+
+Whatever the run, the runner builds one control plane in one place: a
+:class:`~repro.core.federation.FederatedControlPlane` of domains ×
+replicas — one domain for a flat landscape, supervised replicas with
+a state store (``state_dir``, ``standby`` or controller-fault chaos),
+a single unsupervised controller otherwise.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from pathlib import Path
 from typing import Callable, Optional, Set, Tuple, Union
 
 from repro.config.model import ControllerSettings, LandscapeSpec
-from repro.core.autoglobe import AutoGlobeController
-from repro.serviceglobe.executor import ActionExecutor, ExecutionFaults
+from repro.core.federation import FederatedControlPlane
+from repro.core.state import DurableStateStore
+from repro.serviceglobe.executor import ExecutionFaults
 from repro.serviceglobe.platform import Platform
 from repro.sim.clock import PAPER_HORIZON_MINUTES
 from repro.sim.faults import FaultInjector, FaultRecord
@@ -46,7 +53,6 @@ from repro.telemetry.records import (
 __all__ = [
     "SimulationRunner",
     "execution_faults",
-    "make_executor_factory",
     "merged_fault_records",
     "approval_counts",
 ]
@@ -62,29 +68,6 @@ def execution_faults(chaos: ChaosProfile) -> ExecutionFaults:
     )
 
 
-def make_executor_factory(platform, chaos: Optional[ChaosProfile]):
-    """Per-replica executor builder for a supervised controller.
-
-    Each controller replica gets its own executor — a shared one would
-    carry the new leader's fencing token on behalf of a deposed leader,
-    defeating fencing — with a seed derived from the replica number so
-    fault draws stay deterministic across failovers.  ``platform`` is
-    the runner's platform or a domain agent's view of its own.
-    """
-
-    def build(name: str, replica_number: int) -> ActionExecutor:
-        if chaos is None:
-            return ActionExecutor(platform, name=name)
-        return ActionExecutor(
-            platform,
-            faults=execution_faults(chaos),
-            seed=chaos.seed + 1000 + replica_number,
-            name=name,
-        )
-
-    return build
-
-
 def merged_fault_records(injector: Optional[FaultInjector], supervision_events):
     """The injector's fault records plus the supervision events that
     count as faults (crash/partition records come from the injector
@@ -94,23 +77,20 @@ def merged_fault_records(injector: Optional[FaultInjector], supervision_events):
         if event.kind.creates_fault_record:
             records.append(
                 FaultRecord(
-                    event.time, "", "", "", event.kind.value,
-                    getattr(event, "domain", ""),
+                    event.time, "", "", "", event.kind.value, event.domain
                 )
             )
     records.sort(key=lambda record: record.time)
     return records or None
 
 
-def approval_counts(alerts):
+def approval_counts(plane):
     """The approval-queue counters of a run result."""
-    queue = getattr(alerts, "approvals", None)
-    if queue is None:
-        return {"expired_approval_count": 0, "pending_approval_count": 0}
+    expired = plane.approvals("expired")
     return {
-        "expired_approval_count": len(queue.expired()),
-        "pending_approval_count": len(queue.pending()),
-        "expired_approvals_by_service": expired_approvals_by_service(queue),
+        "expired_approval_count": len(expired),
+        "pending_approval_count": len(plane.approvals("pending")),
+        "expired_approvals_by_service": expired_approvals_by_service(expired),
     }
 
 
@@ -142,17 +122,14 @@ class SimulationRunner:
         Override the landscape's controller parameters (used by the
         watch-time and protection ablation benchmarks).
     controller_factory:
-        Alternative control-plane constructor ``(platform, settings,
-        enabled) -> controller`` with a ``tick(now)`` method and an
-        ``alerts`` channel; used to swap in the crisp baseline.  With
-        ``state_dir`` it also receives the run's
-        :class:`~repro.core.state.DurableStateStore` and must return a
-        plane that snapshots and restores like a
-        :class:`~repro.core.failover.ControllerSupervisor`; a ``close()``
-        the plane has is called when the run ends, before the stores
-        close and the result is finalized (a domain agent deregisters
-        there).  Refused with ``standby``, controller-fault chaos and
-        control domains.
+        Builds the run's one replica set instead of the plane: ``(platform,
+        settings, enabled, store) -> ControllerSupervisor``, ``store``
+        the run's :class:`~repro.core.state.DurableStateStore` (``None``
+        without ``state_dir``).  A domain agent's and the crisp
+        baseline's; the supervisor's ``close()`` runs when the run ends,
+        before the stores close and the result is finalized (an agent
+        deregisters there).  Refused with ``standby``, controller-fault
+        chaos and control domains.
     archive:
         Load archive for the controller's monitors; pass a
         :class:`repro.monitoring.archive.SqliteLoadArchive` to persist
@@ -172,14 +149,16 @@ class SimulationRunner:
         :class:`~repro.serviceglobe.executor.ActionExecutor` (flaky
         actions, latency, compensation).  The run stays deterministic
         under the profile's seed.  A profile with controller faults
-        additionally requires the supervised controller (see below).
+        supervises the replicas, like ``standby``.
     state_dir:
-        Directory for durable run state.  Enables the supervised
-        controller (or hands the store to ``controller_factory``) with
-        an on-disk :class:`~repro.core.state.DurableStateStore`:
-        journal, snapshots, lease and load archive are tables of
-        ``state_dir/state.db`` (so ``archive`` cannot be passed as
-        well).  Periodic full-run snapshots are written every
+        Directory for durable run state.  Supervises every domain's
+        replicas (or hands the store to ``controller_factory``) with an
+        on-disk :class:`~repro.core.state.DurableStateStore`: journal,
+        snapshots, lease and load archive are tables of
+        ``state_dir/state.db`` — with control domains, of
+        ``state_dir/<domain>/state.db`` each, the run snapshots in the
+        root file (so ``archive`` cannot be passed as well).  Periodic
+        full-run snapshots are written every
         ``snapshot_interval`` minutes, and where :meth:`request_stop`
         ends the run, so a killed or stopped run can be resumed.
         Without ``resume`` the directory must not hold an earlier run;
@@ -192,7 +171,7 @@ class SimulationRunner:
     standby:
         Keep a hot-standby controller: crashes and leader partitions
         fail over at lease expiry instead of waiting out a restart.
-        Implies the supervised controller (in-memory state store unless
+        Supervises the replicas (in-memory state stores unless
         ``state_dir`` is also given).
     snapshot_interval:
         Minutes between full-run snapshots when ``state_dir`` is set.
@@ -370,8 +349,7 @@ class SimulationRunner:
         if federated and controller_factory is not None:
             raise ValueError(
                 "a custom controller_factory cannot administer a landscape "
-                "with control domains (the runner builds a "
-                "FederatedControlPlane for those)"
+                "with control domains (it builds one replica set)"
             )
         if federated and archive is not None:
             raise ValueError(
@@ -379,84 +357,54 @@ class SimulationRunner:
                 "domains; each domain keeps its own archive (pass "
                 "state_dir for per-domain SQLite archives)"
             )
-        #: the state store that takes the full-run snapshots (with control
-        #: domains the root store: each domain keeps its own state.db)
-        self._store = None
-        self.controller = None
         #: the persistent SQLite event store, when the run keeps one
         self.telemetry_store = None
         self._store_path = store_path
         #: the live ops API (bridge + asyncio server), when serving
         self.ops_bridge = None
         self.ops_server = None
-        if self.state_dir is not None or (supervised and not federated):
-            from repro.core.state import DurableStateStore
-
+        # a flat run is one domain, "", whose state.db is the run's own
+        names = [domain.name for domain in scenario_landscape.domains] if federated else [""]
+        stores = {
+            name: DurableStateStore(self.state_dir / name if self.state_dir else None)
+            for name in names
+        } if supervised else {}
+        #: the state store that takes the full-run snapshots (with control
+        #: domains the root store: each domain keeps its own state.db)
+        self._store = stores.get("")
+        if federated and self.state_dir is not None:
             self._store = DurableStateStore(self.state_dir)
-            if self.state_dir is not None and not resume:
-                # before a plane is built on the file: its factory may write
-                self._require_unused([self._store])
-        executor = None
-        if federated:
-            from repro.core.federation import FederatedControlPlane
-
-            self.controller = FederatedControlPlane(
-                self.platform,
-                settings=scenario_landscape.controller,
-                enabled=enabled,
-                supervised=supervised,
-                state_dir=self.state_dir,
-                standby=standby,
-                execution_faults=(
-                    execution_faults(chaos) if chaos is not None else None
-                ),
-                chaos_seed=chaos.seed if chaos is not None else None,
-            )
-            if self.state_dir is not None and not resume:
-                self._require_unused(self.controller.stores)
-        elif controller_factory is not None:
-            self.controller = controller_factory(
-                self.platform,
-                scenario_landscape.controller,
-                enabled,
-                *(() if self._store is None else (self._store,)),
-            )
-        elif supervised:
-            from repro.core.failover import ControllerSupervisor
-
-            if self.state_dir is not None:
-                archive = self._store.archive
-            self.controller = ControllerSupervisor(
-                self.platform,
-                settings=scenario_landscape.controller,
-                archive=archive,
-                enabled=enabled,
-                store=self._store,
-                standby=standby,
-                executor_factory=make_executor_factory(self.platform, chaos),
-            )
-        else:
-            if chaos is not None:
-                executor = ActionExecutor(
-                    self.platform,
-                    faults=execution_faults(chaos),
-                    seed=chaos.seed,
-                )
-            self.controller = AutoGlobeController(
-                self.platform, enabled=enabled, archive=archive, executor=executor
-            )
+        if self.state_dir is not None and not resume:
+            # before the plane is built on the files: its factory may write
+            self._require_unused(dict.fromkeys([*stores.values(), self._store]))
+        self.controller = FederatedControlPlane(
+            self.platform,
+            settings=scenario_landscape.controller,
+            enabled=enabled,
+            stores=stores,
+            archives=(
+                {name: store.archive for name, store in stores.items()}
+                if self.state_dir is not None
+                else {"": archive}
+            ),
+            standby=standby,
+            execution_faults=execution_faults(chaos) if chaos is not None else None,
+            chaos_seed=chaos.seed if chaos is not None else None,
+            controller_factory=controller_factory,
+        )
         #: the state files whose writes the loop groups between commit
-        #: points (:meth:`~repro.core.state.StateDb.group`): those of a
-        #: plane the runner built, which holds its own lease — a
-        #: ``controller_factory`` plane (a domain agent's) shares its file
-        #: with the federation server's lease writes — the run snapshot's
-        #: file last, so a domain commits before the snapshot covering it
+        #: points (:meth:`~repro.core.state.StateDb.group`): those of
+        #: replica sets that hold their own lease — an agent's shares its
+        #: file with the federation server's lease writes — the run
+        #: snapshot's file last, so a domain commits before the snapshot
+        #: covering it
         self._groups = []
-        if self.state_dir is not None and controller_factory is None:
-            domains = self.controller.stores if federated else []
-            self._groups = [store.db for store in domains] + [self._store.db]
-        self.archive = archive
-        self.executor = executor
+        if self.state_dir is not None:
+            self._groups = [
+                supervisor.store.db
+                for supervisor in self.controller.shards.values()
+                if supervisor.holds_lease
+            ] + ([self._store.db] if federated else [])
         self.injector: Optional[FaultInjector] = None
         if chaos is not None:
             self.injector = FaultInjector(
@@ -513,14 +461,16 @@ class SimulationRunner:
 
     # -- durability -------------------------------------------------------------------
 
-    def _require_unused(self, stores) -> None:
+    @staticmethod
+    def _require_unused(stores) -> None:
         """A run that is not a resume refuses an earlier run's files,
         leaving nothing open and their bytes alone."""
         try:
             for store in stores:
                 store.require_unused()
         except ValueError:
-            self.close()
+            for store in stores:
+                store.close()
             raise
 
     def _save_run_snapshot(self, now: int) -> None:
@@ -570,18 +520,12 @@ class SimulationRunner:
         # rewinds every domain's journal and archive to the snapshot too
         self.controller.restore_state(payload["supervisor"], tick)
         # bus subscriptions only observe live publishes: reseed the typed
-        # event list from the plane's restored history (a federated plane
-        # names each event's domain, a single supervisor's are its own),
-        # then let the subscription pick up everything after the resume
-        events = getattr(self.controller, "events", None)
-        if events is not None:
-            own = getattr(self.controller, "domain", "")
-            self._supervision_events = [
-                SupervisionEvent(
-                    time_, SupervisionEventKind(kind), detail, *(shard or [own])
-                )
-                for time_, kind, detail, *shard in events
-            ]
+        # event list from the plane's restored history, then let the
+        # subscription pick up everything after the resume
+        self._supervision_events = [
+            SupervisionEvent(time_, SupervisionEventKind(kind), detail, domain)
+            for time_, kind, detail, domain in self.controller.events
+        ]
         # attach drops the rows past the bus (the abandoned timeline)
         if self.telemetry_store is not None:
             self.telemetry_store.attach(self.platform.bus)
@@ -649,14 +593,12 @@ class SimulationRunner:
             self.close()
         return self.collector.finalize(
             final_minute=last,
-            escalation_count=len(self.controller.alerts.escalations()),
+            escalation_count=len(self.controller.escalations()),
             fault_records=merged_fault_records(
                 self.injector, self._supervision_events
             ),
-            controller_down_minutes=getattr(
-                self.controller, "downtime_minutes", 0
-            ),
-            **approval_counts(self.controller.alerts),
+            controller_down_minutes=self.controller.downtime_minutes,
+            **approval_counts(self.controller),
         )
 
     def close(self) -> None:
@@ -670,9 +612,7 @@ class SimulationRunner:
         if self.ops_bridge is not None:
             self.ops_bridge.detach()
             self.ops_bridge = None
-        close_plane = getattr(self.controller, "close", None)
-        if close_plane is not None:
-            close_plane()
+        self.controller.close()
         if self.telemetry_store is not None:
             self.telemetry_store.close()
         if self._store is not None:

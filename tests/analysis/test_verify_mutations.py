@@ -144,7 +144,7 @@ class TestEscrowBarrierMutation:
         verifier.attach(platform.bus)
         plane = FederatedControlPlane(platform)
         for shard in plane.shards.values():
-            for instance in shard.view.all_instances():
+            for instance in shard.platform.all_instances():
                 spec = platform.service(instance.service_name).spec
                 if not spec.constraints.allows(Action.MOVE):
                     continue
@@ -155,7 +155,7 @@ class TestEscrowBarrierMutation:
                 }
                 candidates = [
                     host
-                    for host in plane._foreign_candidates(shard.name, instance)
+                    for host in plane._foreign_candidates(shard.domain, instance)
                     if host.name not in occupied
                 ]
                 if not candidates:

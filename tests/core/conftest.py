@@ -82,12 +82,25 @@ def set_demand(platform, host_name, demand):
         instance.demand = per_instance
 
 
+class _OnePlane:
+    """The plane surface the ops bridge reads, over one bare controller."""
+
+    server_selector = None
+
+    def __init__(self, controller):
+        self.leaders = lambda: [controller]
+        self.approvals = lambda status=None: [
+            request for request in controller.alerts.approvals.requests
+            if status in (None, request.status)
+        ]
+
+
 def console_frame(controller, now=0):
     """The controller console's frame, as ``autoglobe console`` prints it."""
     from repro.ops.api import OpsBridge
     from repro.ops.console import render_snapshot
 
-    bridge = OpsBridge(controller.platform, controller)
+    bridge = OpsBridge(controller.platform, _OnePlane(controller))
     bridge.refresh(now)
     return render_snapshot(
         *map(bridge.snapshot, ("landscape", "situations", "approvals"))

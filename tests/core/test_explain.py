@@ -1,77 +1,10 @@
 """Tests for decision explanations."""
 
-import pytest
-
-from repro.config.model import Action
-from repro.core.action_selection import ActionContext, ActionSelector
 from repro.core.autoglobe import AutoGlobeController
-from repro.core.explain import (
-    explain_decision,
-    explain_last_decisions,
-    explain_selection,
-)
+from repro.core.explain import explain_decision, explain_last_decisions
 from repro.monitoring.lms import SituationKind
 from repro.serviceglobe.platform import Platform
 from tests.core.conftest import build_landscape, set_demand
-
-
-def overload_context():
-    return ActionContext(
-        "FI",
-        "FI#1",
-        {
-            "cpuLoad": 0.92,
-            "memLoad": 0.3,
-            "performanceIndex": 1.0,
-            "instanceLoad": 0.85,
-            "serviceLoad": 0.8,
-            "instancesOnServer": 1.0,
-            "instancesOfService": 3.0,
-        },
-    )
-
-
-class TestExplainSelection:
-    def test_mentions_measurements_and_grades(self):
-        text = explain_selection(
-            ActionSelector(), SituationKind.SERVICE_OVERLOADED, overload_context()
-        )
-        assert "cpuLoad = 0.92" in text
-        assert "high=" in text
-
-    def test_lists_fired_rules_with_strengths(self):
-        text = explain_selection(
-            ActionSelector(), SituationKind.SERVICE_OVERLOADED, overload_context()
-        )
-        assert "serviceOverloaded-" in text  # rule labels
-        assert "IF " in text and "THEN " in text
-        assert "[0." in text  # a strength
-
-    def test_ranking_rendered(self):
-        text = explain_selection(
-            ActionSelector(), SituationKind.SERVICE_OVERLOADED, overload_context()
-        )
-        assert "applicability ranking" in text
-        assert "scaleUp" in text
-
-    def test_idle_context_with_no_firing_rules(self):
-        context = ActionContext(
-            "FI",
-            None,
-            {
-                "cpuLoad": 0.0,
-                "memLoad": 0.0,
-                "performanceIndex": 1.0,
-                "instanceLoad": 0.0,
-                "serviceLoad": 0.0,
-                "instancesOnServer": 0.0,
-                "instancesOfService": 1.0,
-            },
-        )
-        text = explain_selection(
-            ActionSelector(), SituationKind.SERVICE_OVERLOADED, context
-        )
-        assert "(no rule fired)" in text
 
 
 class TestExplainDecision:

@@ -19,6 +19,7 @@ START = 720  # noon, like the simulation runner
 
 def make_supervisor(platform, **kwargs):
     kwargs.setdefault("archive", InMemoryLoadArchive())
+    kwargs.setdefault("store", DurableStateStore(None))
     return ControllerSupervisor(platform, **kwargs)
 
 
@@ -41,7 +42,7 @@ class TestCrashRecovery:
             START + 1, "scaleOut APP on Weak2?"
         )
         supervisor.active._register_pending_restart("APP", "Weak2")
-        old_name = supervisor.active_name
+        old_name = supervisor.active.executor.name
         seq_at_crash = supervisor.store.journal.last_seq
 
         supervisor.crash_active(START + 1, down_minutes=5)
@@ -52,7 +53,7 @@ class TestCrashRecovery:
         replacement = supervisor.active
         assert replacement.executor.name != old_name
         assert replacement.protection.is_protected("host:Weak2", START + 8)
-        pending = {r.request_id for r in replacement.alerts.approvals.pending()}
+        pending = {r.request_id for r in replacement.alerts.approvals.requests if r.pending}
         assert request.request_id in pending
         # the replacement inherited the pending restart and, finding APP
         # healthy, resolved it — the restart-done record postdates the crash
@@ -68,7 +69,8 @@ class TestCrashRecovery:
         assert kinds.count("controller-recovery") == 1
 
     def test_recovery_waits_for_the_old_lease_to_expire(self, platform):
-        supervisor = make_supervisor(platform, lease_ttl=5)
+        supervisor = make_supervisor(platform)
+        assert supervisor.lease_ttl == 5
         supervisor.tick(START)  # lease valid through START + 5
         supervisor.crash_active(START + 1, down_minutes=1)
         # the restart timer elapses at START + 2, but the dead leader's
@@ -104,9 +106,10 @@ class TestHotStandbyFencing:
         supervisor.tick(START)
         supervisor.partition_active(START + 1, partition_minutes)
         now = START + 1
-        while supervisor._stale is None:
+        while supervisor._stale is None and now <= START + 1 + partition_minutes:
             supervisor.tick(now)
             now += 1
+        assert supervisor._stale is not None, "the standby was never promoted"
         return supervisor, now
 
     def test_partitioned_leader_is_superseded_at_lease_expiry(self, platform):
@@ -254,3 +257,46 @@ class TestDurableStoreIntegration:
         # the successor is a later replica with a later fencing token
         successor.tick(START + 10)
         assert successor.active.executor.fencing_token == 2
+
+
+class TestUnsupervised:
+    def test_an_unsupervised_replica_set_writes_no_journal_lease_or_snapshot(
+        self, platform, monkeypatch
+    ):
+        """Without a store the one replica journals nothing, takes no
+        lease and snapshots nothing, also while it acts; the same minutes
+        supervised do all three."""
+        from repro.core.state import LeaseStore, SnapshotStore, StateJournal
+        from tests.core.conftest import set_demand
+
+        def run(**kwargs):
+            writes = []
+            for owner, name in (
+                (StateJournal, "append"),
+                (LeaseStore, "acquire"),
+                (LeaseStore, "renew"),
+                (SnapshotStore, "save"),
+            ):
+                original = getattr(owner, name)
+
+                def spy(*args, _name=name, _original=original, **kw):
+                    writes.append(_name)
+                    return _original(*args, **kw)
+
+                monkeypatch.setattr(owner, name, spy)
+            supervisor = ControllerSupervisor(platform, **kwargs)
+            for now in range(START, START + 15):
+                set_demand(platform, "Weak1", 0.95)
+                supervisor.tick(now)
+            monkeypatch.undo()
+            return supervisor, writes
+
+        unsupervised, writes = run()
+        assert platform.audit_log, "the replica took no action"
+        assert writes == []
+        assert unsupervised.replicas == [unsupervised.active]
+        assert unsupervised.active.journal is None
+        assert unsupervised.active.executor.name == "exec"
+        assert unsupervised.active.executor.fencing_token is None
+        __, writes = run(store=DurableStateStore(None))
+        assert {"append", "acquire", "save"} <= set(writes)

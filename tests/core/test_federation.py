@@ -24,7 +24,6 @@ from repro.config.model import (
     ServiceSpec,
     WorkloadSpec,
 )
-from repro.core.controlplane import ControlPlane
 from repro.core.federation import FederatedControlPlane
 from repro.monitoring.lms import Situation, SituationKind
 from repro.serviceglobe.actions import ActionError, NoSuchTarget
@@ -89,26 +88,29 @@ def overload_situation(subject="A1", now=5):
 
 
 class TestConstruction:
-    def test_rejects_single_domain_landscape(self):
+    def test_a_flat_landscape_is_one_domain_over_the_platform(self):
         platform = Platform(paper_landscape())
-        with pytest.raises(ValueError, match="control domains"):
-            FederatedControlPlane(platform)
-
-    def test_satisfies_the_control_plane_protocol(self):
-        __, plane = make_plane()
-        assert isinstance(plane, ControlPlane)
+        plane = FederatedControlPlane(platform)
+        assert list(plane.shards) == [""]
+        [supervisor] = plane.shards.values()
+        assert supervisor.platform is platform
+        assert supervisor.store is None and len(supervisor.replicas) == 1
+        [leader] = plane.leaders()
+        assert leader.decision_loop.relocation_handler is None
+        assert leader.executor.name == "exec"
+        assert plane.server_selector is None
 
     def test_views_scope_hosts_and_services_to_their_shard(self):
         __, plane = make_plane()
         assert set(plane.shards) == {"d1", "d2"}
-        assert set(plane.shards["d1"].view.hosts) == {"A1"}
-        assert set(plane.shards["d2"].view.hosts) == {"B1", "B2"}
-        assert set(plane.shards["d1"].view.services) == {"SVC-A"}
-        assert set(plane.shards["d2"].view.services) == {"SVC-B"}
+        assert set(plane.shards["d1"].platform.hosts) == {"A1"}
+        assert set(plane.shards["d2"].platform.hosts) == {"B1", "B2"}
+        assert set(plane.shards["d1"].platform.services) == {"SVC-A"}
+        assert set(plane.shards["d2"].platform.services) == {"SVC-B"}
 
     def test_views_crash_and_recover_only_their_own_hosts(self):
         platform, plane = make_plane()
-        view = plane.shards["d1"].view
+        view = plane.shards["d1"].platform
         victims = view.crash_host("A1")
         assert [v.service_name for v in victims] == ["SVC-A"]
         assert view.hosts_down() == platform.hosts_down() == ["A1"]
@@ -153,7 +155,7 @@ class TestCrossDomainRelocation:
         assert request.source_domain == "d1"
         assert request.target_domain == "d2"
         # ownership sticks with the home domain even after the move
-        assert instance in plane.shards["d1"].view.all_instances()
+        assert instance in plane.shards["d1"].platform.all_instances()
 
     def test_only_server_overload_publishes_requests(self):
         __, plane = make_plane()
@@ -179,8 +181,8 @@ class TestEscrowFailures:
         platform, plane = make_plane()
         shard = plane.shards["d1"]
         platform.service("SVC-A").running_instances[0].demand = 0.95
-        shard.executor.fencing_token = 1
-        shard.view.fence.advance(5)  # a newer leader announced itself
+        shard.active.executor.fencing_token = 1
+        shard.platform.fence.advance(5)  # a newer leader announced itself
         assert plane._handle_relocation("d1", overload_situation(), now=5) is None
         assert plane.relocation_requests[-1].status == "fenced"
         instance = platform.service("SVC-A").running_instances[0]
@@ -191,14 +193,14 @@ class TestEscrowFailures:
         shard = plane.shards["d1"]
         instance = platform.service("SVC-A").running_instances[0]
         instance.demand = 0.95
-        shard.executor.fencing_token = 1
-        shard.view.fence.validate(1)
+        shard.active.executor.fencing_token = 1
+        shard.platform.fence.validate(1)
 
         # a pre-existing commit hook that deposes the leader exactly
         # between detach and attach — the escrow barrier chains it, then
         # re-validates the now-stale token at the commit point
         def depose_mid_flight(moving, target_host):
-            shard.view.fence.advance(99)
+            shard.platform.fence.advance(99)
 
         platform.move_fault_hook = depose_mid_flight
         assert plane._handle_relocation("d1", overload_situation(), now=5) is None
@@ -225,9 +227,9 @@ class TestEscrowFailures:
         # (escrow aborted): it is orphaned into its home domain's
         # self-healing path, not lost and not handed to d2
         assert not instance.running
-        orphans = shard.view.drain_orphans()
+        orphans = shard.platform.drain_orphans()
         assert [o.instance_id for o in orphans] == [instance.instance_id]
-        assert plane.shards["d2"].view.drain_orphans() == []
+        assert plane.shards["d2"].platform.drain_orphans() == []
 
 
 class TestFederatedTick:
@@ -243,7 +245,7 @@ class TestFederatedTick:
         __, plane = make_plane()
         plane.enabled = False
         assert not plane.enabled
-        assert all(not s.controller.enabled for s in plane.shards.values())
+        assert all(not s.enabled for s in plane.shards.values())
 
 
 @settings(max_examples=10, deadline=None)
@@ -262,7 +264,7 @@ def test_per_domain_instance_counts_sum_to_the_flat_count(count, minutes):
         plane.tick(now)
     flat = {i.instance_id for i in platform.all_instances()}
     per_domain = [
-        {i.instance_id for i in shard.view.all_instances()}
+        {i.instance_id for i in shard.platform.all_instances()}
         for shard in plane.shards.values()
     ]
     assert sum(len(owned) for owned in per_domain) == len(flat)
@@ -271,3 +273,69 @@ def test_per_domain_instance_counts_sum_to_the_flat_count(count, minutes):
         assert combined.isdisjoint(owned), "an instance is administered twice"
         combined.update(owned)
     assert combined == flat
+
+
+#: configuration -> (executor name, seed offset under chaos, fencing
+#: token after the first minute) of the executor the plane's domain
+#: ``domain-2`` (the flat domain ``""``) leads with
+EXECUTOR_TABLE = {
+    "flat bare": ("exec", 0, None),
+    "flat supervised": ("controller-1", 1001, 1),
+    "domain bare": ("domain-2-exec", 1100, None),
+    "domain supervised": ("controller-1", 1101, 1),
+    "agent": ("controller-1", 1001, None),
+}
+
+
+def _leading_executor(configuration, profile, tmp_path):
+    if configuration == "agent":
+        from repro.net.agent import DomainAgent
+
+        def unreachable():
+            raise OSError("no server")
+
+        agent = DomainAgent(
+            "domain-2", 2, unreachable, tmp_path, chaos=profile, horizon=1
+        )
+        agent.store.close()
+        return agent.supervisor.active.executor
+    from repro.sim.runner import SimulationRunner
+    from repro.sim.scenarios import Scenario
+
+    domains = configuration.startswith("domain")
+    runner = SimulationRunner(
+        Scenario.FULL_MOBILITY, horizon=1, lint="off", collect_host_series=False,
+        landscape=partition_landscape(paper_landscape(), 2) if domains else None,
+        chaos=profile, standby=configuration.endswith("supervised"),
+    )
+    # one minute of the plane alone: no fault is injected, nothing acts,
+    # so the executors have drawn nothing yet
+    runner.controller.tick(runner.start_minute)
+    runner.close()
+    return runner.controller.shards["domain-2" if domains else ""].active.executor
+
+
+@pytest.mark.parametrize("chaos", [True, False], ids=["chaos", "calm"])
+@pytest.mark.parametrize("configuration", list(EXECUTOR_TABLE))
+def test_every_executor_keeps_its_name_and_seed(configuration, chaos, tmp_path):
+    """One rule names and seeds every executor of every configuration;
+    without chaos every executor is pristine (seed 0, no faults)."""
+    import numpy as np
+
+    from repro.serviceglobe.executor import ExecutionFaults
+    from repro.sim.runner import execution_faults
+    from repro.sim.scenarios import default_chaos
+
+    profile = default_chaos(115) if chaos else None
+    name, offset, token = EXECUTOR_TABLE[configuration]
+    executor = _leading_executor(configuration, profile, tmp_path)
+    seed = profile.seed + offset if chaos else 0
+    assert executor.name == name
+    assert executor.fencing_token == token
+    assert (
+        executor._rng.bit_generator.state
+        == np.random.default_rng(seed).bit_generator.state
+    )
+    assert executor.faults == (
+        execution_faults(profile) if chaos else ExecutionFaults()
+    )

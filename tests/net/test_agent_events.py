@@ -35,12 +35,13 @@ from repro.config.builtin import (
     partition_landscape,
 )
 from repro.config.model import ServiceKind, service_spec_to_dict
-from repro.core.failover import ControllerSupervisor
+from repro.core.failover import ControllerSupervisor, replica_executors
+from repro.core.state import DurableStateStore
 from repro.net.agent import DomainAgent
 from repro.net.protocol import make_message
 from repro.net.transport import EndpointClosed, loopback_pair
 from repro.ops.store import read_store
-from repro.sim.runner import SimulationRunner, make_executor_factory
+from repro.sim.runner import SimulationRunner, execution_faults
 from repro.sim.scenarios import Scenario, default_chaos
 
 START = 12 * 60
@@ -202,7 +203,7 @@ def test_a_killed_and_resumed_agent_leaves_the_uninterrupted_log(tmp_path):
         payload = json.loads(text)
         bus_seq = payload["bus_seq"]
         assert bus_seq < len(survived)  # rows past the snapshot exist
-        net = payload["supervisor"]["net"]
+        net = payload["supervisor"]["domains"][""]["net"]
         assert "batch" not in net and "acked_seq" not in net
         net.update(batch=3, acked_seq=7)
         patch.execute(
@@ -427,10 +428,16 @@ def test_a_lone_agent_is_the_runner_of_its_shard(lone_agents, domain, chaos):
     index = int(domain[-1]) - 1
     profile = default_chaos(115) if chaos else None
 
-    def supervisor(platform, settings, enabled):
+    def supervisor(platform, settings, enabled, store):
         return ControllerSupervisor(
             platform, settings=settings, enabled=enabled,
-            executor_factory=make_executor_factory(platform, profile),
+            store=DurableStateStore(None),
+            executor_factory=(
+                replica_executors(
+                    platform, execution_faults(profile), profile.seed + 1000
+                )
+                if chaos else None
+            ),
         )
 
     runner = SimulationRunner(

@@ -117,11 +117,11 @@ class TestHttpEndpoints:
         stats = client.get("/stats")
         assert "events_forwarded" in stats
         assert isinstance(stats["clients"], list)
-        assert stats["server_selection"] == runner.controller.server_selector.stats
+        [controller] = runner.controller.leaders()
+        assert stats["server_selection"] == controller.server_selector.stats
         assert set(stats["server_selection"]) == {
             "table_rebuilds", "hosts_rescored", "rank_calls", "ranked_materialised",
         }
-        controller = runner.controller
         assert stats["fuzzy"] == {
             "action": controller.action_selector.fuzzy_stats,
             "server": controller.server_selector.fuzzy_stats,
@@ -134,7 +134,7 @@ class TestHttpEndpoints:
 class TestVerdicts:
     def test_approve_routes_through_command_queue(self, harness):
         runner, bridge, _, client = harness
-        queue = runner.controller.alerts.approvals
+        queue = runner.controller.leaders()[0].alerts.approvals
         request = queue.submit(T0, "start one FI instance", service_name="FI")
         bridge.refresh(T0)
         ok, message = client.approve(request.request_id)
@@ -145,7 +145,7 @@ class TestVerdicts:
 
     def test_reject_routes_through_command_queue(self, harness):
         runner, bridge, _, client = harness
-        queue = runner.controller.alerts.approvals
+        queue = runner.controller.leaders()[0].alerts.approvals
         request = queue.submit(T0, "stop one LES instance", service_name="LES")
         bridge.refresh(T0)
         ok, _ = client.reject(request.request_id)
@@ -161,7 +161,7 @@ class TestVerdicts:
 
     def test_answered_request_conflicts(self, harness):
         runner, bridge, _, client = harness
-        queue = runner.controller.alerts.approvals
+        queue = runner.controller.leaders()[0].alerts.approvals
         request = queue.submit(T0, "already handled", service_name="FI")
         queue.answer(request.request_id, True, T0 + 1)
         bridge.refresh(T0 + 1)
@@ -867,7 +867,7 @@ class TestConsole:
         )
         runner.run()
         last = runner.start_minute + runner.horizon - 1
-        runner.controller.execute_manually(
+        runner.controller.leaders()[0].execute_manually(
             Action.SCALE_OUT, "FI", target_host="Blade3", now=last
         )
         bridge = OpsBridge(runner.platform, runner.controller)

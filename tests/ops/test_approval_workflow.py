@@ -80,7 +80,7 @@ class TestLiveVerdicts:
         admin.join(timeout=10)
         assert verdicts, "no approvals became pending during the run"
 
-        queue = runner.controller.alerts.approvals
+        queue = runner.controller.leaders()[0].alerts.approvals
         approved = queue.get(verdicts["approved"])
         rejected = queue.get(verdicts["rejected"])
         assert approved.status == "approved"
@@ -110,8 +110,8 @@ class TestLiveVerdicts:
             store_path=tmp_path / "store.db",
         )
         result = runner.run()
-        queue = runner.controller.alerts.approvals
-        expired = queue.expired()
+        queue = runner.controller.leaders()[0].alerts.approvals
+        expired = [r for r in queue.requests if r.status == "expired"]
         assert expired, "the scenario raised no expiring approvals"
         by_service = result.expired_approvals_by_service
         assert sum(by_service.values()) == len(expired)

@@ -82,17 +82,11 @@ class EagerLandscape:
 
 
 class _NoController:
-    """The eager snapshots' view of a controller that has nothing to say."""
+    """The eager snapshots' view of a plane that has nothing to say."""
 
-    class alerts:
-        alerts = ()
-
-        class approvals:
-            requests = ()
-            pending = expired = staticmethod(lambda: ())
-
-    class protection:
-        protected_subjects = staticmethod(lambda now: ())
+    server_selector = None
+    leaders = staticmethod(lambda: [])
+    approvals = staticmethod(lambda status=None: [])
 
 
 def bridge_for(platform):

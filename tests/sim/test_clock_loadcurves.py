@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.sim.clock import (
     MINUTES_PER_DAY,
     PAPER_HORIZON_MINUTES,
-    SimClock,
     format_minute,
     parse_clock_time,
 )
@@ -24,34 +23,10 @@ class TestClock:
     def test_paper_horizon_is_80_hours(self):
         assert PAPER_HORIZON_MINUTES == 80 * 60
 
-    def test_minute_of_day_wraps(self):
-        clock = SimClock(start=MINUTES_PER_DAY + 90)
-        assert clock.minute_of_day == 90
-        assert clock.day == 1
-        assert clock.hour_of_day == pytest.approx(1.5)
-
-    def test_advance(self):
-        clock = SimClock()
-        assert clock.advance() == 1
-        assert clock.now == 1
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock(start=-1)
-
     def test_format_minute(self):
         assert format_minute(0) == "0 00:00"
         assert format_minute(8 * 60 + 5) == "0 08:05"
         assert format_minute(MINUTES_PER_DAY + 12 * 60) == "1 12:00"
-
-    def test_start_beyond_horizon_rejected(self):
-        with pytest.raises(ValueError, match="beyond"):
-            SimClock(start=500, horizon=499)
-        assert SimClock(start=500, horizon=500).now == 500
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            SimClock(start=0, horizon=-1)
 
 
 class TestParseClockTime:

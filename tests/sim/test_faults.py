@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.autoglobe import AutoGlobeController
+from repro.core.federation import FederatedControlPlane
 from repro.serviceglobe.platform import Platform
 from repro.sim.faults import FaultInjector
 from repro.sim.scenarios import Scenario, apply_scenario
@@ -14,7 +14,7 @@ from tests.core.conftest import build_landscape
 class TestInjector:
     def test_no_faults_with_zero_probability(self):
         platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform)
+        controller = FederatedControlPlane(platform)
         injector = FaultInjector(controller, crash_probability=0.0,
                                  hang_probability=0.0)
         for now in range(100):
@@ -24,7 +24,7 @@ class TestInjector:
 
     def test_crash_restarts_instance(self):
         platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform)
+        controller = FederatedControlPlane(platform)
         injector = FaultInjector(controller, crash_probability=1.0,
                                  hang_probability=0.0, seed=1)
         controller.tick(0)
@@ -36,7 +36,7 @@ class TestInjector:
 
     def test_hang_detected_and_healed(self):
         platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform)
+        controller = FederatedControlPlane(platform)
         injector = FaultInjector(controller, crash_probability=0.0,
                                  hang_probability=1.0, seed=1)
         controller.tick(0)
@@ -53,7 +53,7 @@ class TestInjector:
     def test_deterministic_under_seed(self):
         def run():
             platform = Platform(build_landscape())
-            controller = AutoGlobeController(platform)
+            controller = FederatedControlPlane(platform)
             injector = FaultInjector(controller, crash_probability=0.05,
                                      hang_probability=0.05, seed=42)
             for now in range(60):
@@ -66,7 +66,7 @@ class TestInjector:
     def test_deterministic_with_host_faults(self):
         def run():
             platform = Platform(build_landscape())
-            controller = AutoGlobeController(platform)
+            controller = FederatedControlPlane(platform)
             injector = FaultInjector(
                 controller,
                 crash_probability=0.02,
@@ -89,7 +89,7 @@ class TestInjector:
 
     def test_bad_probabilities_rejected(self):
         platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform)
+        controller = FederatedControlPlane(platform)
         with pytest.raises(ValueError):
             FaultInjector(controller, crash_probability=1.5)
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestInjector:
 
     def test_disabled_controller_leaves_crashes_unhealed(self):
         platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform, enabled=False)
+        controller = FederatedControlPlane(platform, enabled=False)
         injector = FaultInjector(controller, crash_probability=1.0,
                                  hang_probability=0.0, seed=1)
         controller.tick(0)
@@ -120,7 +120,7 @@ class TestInjector:
 class TestHostFaults:
     def test_host_crash_takes_capacity_and_instances(self):
         platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform, enabled=False)
+        controller = FederatedControlPlane(platform, enabled=False)
         injector = FaultInjector(
             controller, crash_probability=0.0, hang_probability=0.0,
             host_crash_probability=1.0, host_reboot_minutes=(5, 5), seed=1,
@@ -132,7 +132,7 @@ class TestHostFaults:
 
     def test_crashed_host_rejoins_after_reboot(self):
         platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform)
+        controller = FederatedControlPlane(platform)
         injector = FaultInjector(
             controller, crash_probability=0.0, hang_probability=0.0,
             host_crash_probability=1.0, host_reboot_minutes=(5, 5), seed=1,
@@ -152,7 +152,7 @@ class TestHostFaults:
 
     def test_victims_not_healed_when_controller_disabled(self):
         platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform, enabled=False)
+        controller = FederatedControlPlane(platform, enabled=False)
         injector = FaultInjector(
             controller, crash_probability=0.0, hang_probability=0.0,
             host_crash_probability=1.0, host_reboot_minutes=(2, 2), seed=1,
@@ -170,7 +170,7 @@ class TestHostFaults:
 class TestMonitoringOutages:
     def test_outage_drops_reports_instead_of_sampling_zero(self):
         platform = Platform(build_landscape())
-        controller = AutoGlobeController(platform)
+        controller = FederatedControlPlane(platform)
         injector = FaultInjector(
             controller, crash_probability=0.0, hang_probability=0.0,
             monitor_outage_probability=1.0, monitor_outage_minutes=(4, 4),
@@ -181,14 +181,15 @@ class TestMonitoringOutages:
         assert injector.monitor_outage_count == len(platform.hosts)
         for now in range(0, 4):
             controller.tick(now)
+        [leader] = controller.leaders()
         for name in platform.hosts:
-            monitor = controller._host_cpu_monitors[name]
+            monitor = leader._host_cpu_monitors[name]
             assert monitor.dropped_reports == 4
-            assert controller.archive.history(name, "cpu", 0, 3) == []
+            assert leader.archive.history(name, "cpu", 0, 3) == []
         # after the outage window reports flow again
         controller.tick(4)
         for name in platform.hosts:
-            assert len(controller.archive.history(name, "cpu", 4, 4)) == 1
+            assert len(leader.archive.history(name, "cpu", 4, 4)) == 1
 
 
 class TestChaosOnSapLandscape:
@@ -200,7 +201,7 @@ class TestChaosOnSapLandscape:
             paper_landscape(), Scenario.CONSTRAINED_MOBILITY
         )
         platform = Platform(landscape)
-        controller = AutoGlobeController(platform)
+        controller = FederatedControlPlane(platform)
         workload = WorkloadModel(
             platform, seed=5,
             noise=NoiseParameters(sigma=0.0, burst_probability=0.0),

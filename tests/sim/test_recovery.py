@@ -142,7 +142,7 @@ class TestTelemetryPipeline:
         )
         runner.run()
         if standby:
-            assert _stale_windows(runner.controller.events), "no leader was deposed"
+            assert _stale_windows(runner.controller.shards[""].events), "no leader was deposed"
         assert archive.batches == runner.platform.bus.counts()["reports"] > 0
         assert sum(archive.writes.values()) > archive.batches
 
@@ -208,7 +208,7 @@ print([
     (a.time, a.action.value, a.service_name, a.status, a.attempts)
     for a in result.actions
 ])
-print(runner.controller.events)
+print(runner.controller.shards[""].events)
 """
 
 
@@ -259,7 +259,7 @@ class TestDeposedLeader:
             standby=True, archive=archive,
         )
         runner.run()
-        windows = _stale_windows(runner.controller.events)
+        windows = _stale_windows(runner.controller.shards[""].events)
         assert windows, "no leader was deposed"
         stale = set()
         for __, promoted, healed in windows:
@@ -620,7 +620,7 @@ class TestCommitPoints:
         """``state.db`` commits at run snapshots, action intents, lease
         grants and the end of the run — not per statement."""
         runner = _durable(tmp_path / "state", HORIZON)
-        connection = runner.controller.store.db.connection
+        connection = runner.controller.shards[""].store.db.connection
         commits = []
 
         def trace(sql):

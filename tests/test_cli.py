@@ -196,14 +196,37 @@ class TestLintRefusesAHostileNumber:
 class TestRunRefusesAStateFileOfAnotherFormat:
     def test_resume_is_one_line_and_exit_2(self, tmp_path, capsys):
         """A state directory from before the load archive packed one row
-        per minute: refused, never resumed into an empty archive."""
+        per minute (format 0), or from before every run's snapshot held
+        a plane of domains (format 3): refused, never resumed."""
         import sqlite3
 
-        with sqlite3.connect(tmp_path / "state.db") as parent:
-            parent.execute("CREATE TABLE journal (seq INTEGER PRIMARY KEY)")
-        assert main(["run", "--hours", "1", "--state-dir", str(tmp_path),
-                     "--resume"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("autoglobe run: state database ")
-        assert "state format 0," in captured.err
-        assert captured.err.count("\n") == 1
+        for version in (0, 3):
+            directory = tmp_path / f"format-{version}"
+            directory.mkdir()
+            with sqlite3.connect(directory / "state.db") as parent:
+                parent.execute("CREATE TABLE journal (seq INTEGER PRIMARY KEY)")
+                parent.execute(f"PRAGMA user_version = {version}")
+            assert main(["run", "--hours", "1", "--state-dir", str(directory),
+                         "--resume"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("autoglobe run: state database ")
+            assert f"state format {version}," in captured.err
+            assert captured.err.count("\n") == 1
+
+
+class TestRunValidatesTheClock:
+    """``--start``/``--hours`` are checked before anything is built."""
+
+    def test_start_beyond_the_horizon_is_rejected(self):
+        with pytest.raises(ValueError, match="lies beyond the 660-minute horizon"):
+            main(["run", "--start", "12:00", "--hours", "-1"])
+
+    def test_negative_horizon_is_rejected(self):
+        with pytest.raises(ValueError, match="horizon cannot be negative"):
+            main(["run", "--start", "00:30", "--hours", "-1"])
+
+    def test_negative_start_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "--start=-1:00", "--hours", "1"])
+        assert caught.value.code == 2
+        assert "invalid clock time" in capsys.readouterr().err

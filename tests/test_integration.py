@@ -110,7 +110,7 @@ class TestFuzzyPathCounters:
         ramp: in a run every output has the closed form, and a rule base
         is compiled once."""
         runner, __ = run(Scenario.FULL_MOBILITY, 1.15, horizon=60)
-        controller = runner.controller
+        [controller] = runner.controller.leaders()
         action = controller.action_selector.fuzzy_stats
         server = controller.server_selector.fuzzy_stats
         for stats in (action, server):
@@ -123,7 +123,7 @@ class TestFuzzyPathCounters:
 class TestMonitoringEndToEnd:
     def test_archive_has_full_series_for_every_host(self):
         runner, result = run(Scenario.STATIC, 1.0, horizon=120)
-        archive = runner.controller.archive
+        archive = runner.controller.shards[""].archive
         for host_name in runner.platform.hosts:
             history = archive.history(host_name, "cpu")
             assert len(history) == 120
@@ -139,7 +139,7 @@ class TestMonitoringEndToEnd:
 
     def test_escalations_only_for_overloads(self):
         runner, __ = run(Scenario.CONSTRAINED_MOBILITY, 1.30)
-        for alert in runner.controller.alerts.escalations():
+        for alert in runner.controller.escalations():
             assert "Overloaded" in alert.message or "overload" in alert.message
 
 
