@@ -30,6 +30,12 @@ def run_day(with_faults: bool):
         landscape,
         user_distribution=user_distribution_for(Scenario.CONSTRAINED_MOBILITY),
     )
+    # the run's history (actions, faults) is what the collector folds
+    # from the bus: it subscribes before anything publishes
+    collector = ResultCollector(
+        platform, "cm-faults" if with_faults else "cm", USERS,
+        collect_host_series=False, start_minute=12 * 60,
+    )
     controller = FederatedControlPlane(platform)
     workload = WorkloadModel(platform, seed=7)
     workload.initialize()
@@ -41,10 +47,6 @@ def run_day(with_faults: bool):
             hang_probability=1.0 / 360,
             seed=23,
         )
-    collector = ResultCollector(
-        platform, "cm-faults" if with_faults else "cm", USERS,
-        collect_host_series=False, start_minute=12 * 60,
-    )
     start = 12 * 60
     for now in range(start, start + MINUTES_PER_DAY):
         workload.tick(now)
@@ -53,7 +55,7 @@ def run_day(with_faults: bool):
             injector.tick(now)
         collector.observe(now)
     result = collector.finalize(start + MINUTES_PER_DAY - 1)
-    return platform, workload, result, injector
+    return platform, workload, result
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -61,18 +63,19 @@ def test_self_healing_under_fault_storm(benchmark):
     def experiment():
         return run_day(with_faults=False), run_day(with_faults=True)
 
-    (__, __, clean, __), (platform, workload, stormy, injector) = (
+    (__, __, clean), (platform, workload, stormy) = (
         benchmark.pedantic(experiment, rounds=1, iterations=1)
     )
 
-    restarts = [a for a in platform.audit_log if "restart" in a.note]
+    restarts = [a for a in stormy.actions if "restart" in a.note]
+    kinds = [fault.kind for fault in stormy.fault_records]
     print("\nRobustness — self-healing under a fault storm (CM @ 115%, one day)")
-    print(f"  faults injected: {injector.crash_count} crashes, "
-          f"{injector.hang_count} hangs; restarts executed: {len(restarts)}")
+    print(f"  faults injected: {kinds.count('crash')} crashes, "
+          f"{kinds.count('hang')} hangs; restarts executed: {len(restarts)}")
     print(f"  degraded min/day: clean {clean.overload_minutes_per_day:.0f} vs "
           f"stormy {stormy.overload_minutes_per_day:.0f}")
 
-    assert injector.faults, "the storm must inject faults"
+    assert stormy.fault_records, "the storm must inject faults"
     assert restarts, "the controller must restart failed instances"
     # the installation stays serviceable: every service alive with its
     # minimum instance count, and no user session permanently lost

@@ -75,6 +75,10 @@ def main() -> None:
     platform = Platform(landscape)
     # the landscape declares no control domains: one domain, one controller
     controller = FederatedControlPlane(platform)
+    # the controller console (Figure 8): its messages are the alerts the
+    # bridge sees on the bus, so it listens from the start
+    bridge = OpsBridge(platform, controller)
+    bridge.attach(platform.bus)
 
     # saturate the checkout host; the service-specific rule base makes the
     # controller reach for a priority boost before structural actions
@@ -87,8 +91,7 @@ def main() -> None:
     print(f"checkout priority is now {platform.service('checkout').priority} "
           f"(neutral is 5)")
     print()
-    # the controller console (Figure 8): the frame `autoglobe console` prints
-    bridge = OpsBridge(platform, controller)
+    # the frame `autoglobe console` prints
     bridge.refresh(7)
     print(render_snapshot(*map(bridge.snapshot, ("landscape", "situations", "approvals"))))
 

@@ -21,6 +21,7 @@ from repro.core.autoglobe import AutoGlobeController
 from repro.core.variables import applicability_variable, load_variable, performance_index_variable
 from repro.fuzzy import FuzzyController, RuleBase, parse_rules
 from repro.serviceglobe.platform import Platform
+from repro.telemetry.records import TOPIC_ALERTS
 
 
 def paper_worked_example() -> None:
@@ -90,6 +91,9 @@ def self_organizing_demo() -> None:
     from repro.serviceglobe.dispatcher import UserDistribution
 
     platform = Platform(tiny_landscape(), UserDistribution.REDISTRIBUTE)
+    # the controller publishes its alerts; whoever wants them subscribes
+    alerts = []
+    platform.bus.subscribe(TOPIC_ALERTS, lambda envelope: alerts.append(envelope.record))
     controller = AutoGlobeController(platform)
     shop = platform.service("shop")
     shop.running_instances[0].users = 140  # ~95% of the small blade
@@ -106,7 +110,7 @@ def self_organizing_demo() -> None:
     final = platform.service("shop").running_instances
     print("final placement:", ", ".join(str(i) for i in final))
     print("alerts:")
-    for alert in controller.alerts.alerts:
+    for alert in alerts:
         print(f"  {alert}")
 
 

@@ -23,12 +23,16 @@ from repro.serviceglobe.platform import Platform
 from repro.sim.clock import MINUTES_PER_DAY, format_minute
 from repro.sim.scenarios import Scenario, apply_scenario
 from repro.sim.workload import NoiseParameters, WorkloadModel
+from repro.telemetry.records import TOPIC_ACTIONS, TOPIC_ALERTS
 
 
 def self_healing_demo() -> None:
     print("=== self-healing: crash and restart ===")
     landscape = apply_scenario(paper_landscape(), Scenario.CONSTRAINED_MOBILITY)
     platform = Platform(landscape)
+    # the controller publishes its alerts; whoever wants them subscribes
+    alerts = []
+    platform.bus.subscribe(TOPIC_ALERTS, lambda envelope: alerts.append(envelope.record))
     controller = AutoGlobeController(platform)
     controller.tick(0)
 
@@ -43,7 +47,7 @@ def self_healing_demo() -> None:
     print(f"crashing {db_instance} (a service that allows NO actions)")
     outcome = controller.report_failure(db_instance.instance_id, now=2)
     print(f"  controller: {outcome}  (self-healing outranks the action policy)")
-    for alert in controller.alerts.alerts:
+    for alert in alerts:
         print(f"  {alert}")
 
 
@@ -52,6 +56,10 @@ def forecasting_demo() -> None:
     landscape = apply_scenario(paper_landscape(), Scenario.FULL_MOBILITY)
     landscape = landscape.scaled_users(1.25)
     platform = Platform(landscape)
+    executed = []
+    platform.bus.subscribe(
+        TOPIC_ACTIONS, lambda envelope: executed.append(envelope.record.outcome)
+    )
     controller = AutoGlobeController(platform)
     workload = WorkloadModel(
         platform, seed=11, noise=NoiseParameters(sigma=0.0, burst_probability=0.0)
@@ -68,7 +76,7 @@ def forecasting_demo() -> None:
     print(f"anticipated situations: {len(scaler.anticipations)}")
     for outcome in proactive[:8]:
         print(f"  {format_minute(outcome.time)}  proactive: {outcome}")
-    reactive = [a for a in platform.audit_log if a not in proactive]
+    reactive = [a for a in executed if a not in proactive]
     print(f"(plus {len(reactive)} reactive controller actions)")
 
 

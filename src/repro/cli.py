@@ -368,13 +368,17 @@ def _cmd_run(args) -> int:
     horizon = int(args.hours * 60)
     start_minute = args.start if args.start is not None else 12 * 60
     # fail fast on a negative --hours before building the platform
+    refusal = None
     if start_minute + horizon < 0:
-        raise ValueError("clock horizon cannot be negative")
-    if horizon < 0:
-        raise ValueError(
+        refusal = "clock horizon cannot be negative"
+    elif horizon < 0:
+        refusal = (
             f"clock start minute {start_minute} lies beyond the "
             f"{start_minute + horizon}-minute horizon"
         )
+    if refusal is not None:
+        print(f"autoglobe run: {refusal}", file=sys.stderr)
+        return EXIT_ERRORS
     store_path = args.store
     if args.export and store_path is None:
         # the exported trace is rendered from the run's store: complete
@@ -422,7 +426,7 @@ def _cmd_run(args) -> int:
               f"cross-domain relocations: {moved} moved / "
               f"{len(requests)} requested")
     if runner.injector is not None:
-        print(f"  {runner.injector.summary()}")
+        print(f"  {_injected_faults(result)}")
         worst = sorted(
             (a for a in result.availability.values() if a.down_minutes),
             key=lambda a: a.availability,
@@ -460,6 +464,29 @@ def _cmd_run(args) -> int:
         print(report.render("text"))
         return report.exit_code(strict=args.strict)
     return 0
+
+
+def _injected_faults(result) -> str:
+    """The chaos line of ``run``: the run's fault records the injector
+    raised, by kind (supervision outcomes such as recoveries left out)."""
+    from collections import Counter
+
+    from repro.telemetry.records import SupervisionEventKind
+
+    supervision = {kind.value for kind in SupervisionEventKind if kind.creates_fault_record}
+    counts = Counter(
+        record.kind for record in result.fault_records if record.kind not in supervision
+    )
+    parts = [
+        f"crashes: {counts['crash']}",
+        f"hangs: {counts['hang']}",
+        f"host crashes: {counts['host-crash']}",
+        f"monitor outages: {counts['monitor-outage']}",
+    ]
+    if counts["controller-crash"] or counts["leader-partition"]:
+        parts.append(f"controller crashes: {counts['controller-crash']}")
+        parts.append(f"leader partitions: {counts['leader-partition']}")
+    return f"injected faults: {sum(counts.values())} ({', '.join(parts)})"
 
 
 def _cmd_run_multiproc(args) -> int:
@@ -580,8 +607,10 @@ def _cmd_console(args) -> int:
         seed=args.seed,
         collect_host_series=False,
     )
+    # the message view is the alerts the bridge sees: attached before the run
+    bridge = OpsBridge(runner.platform, runner.controller, collector=runner.collector)
+    bridge.attach(runner.platform.bus)
     runner.run()
-    bridge = OpsBridge(runner.platform, runner.controller)
     bridge.refresh(runner.start_minute + runner.horizon - 1)
     print(render_snapshot(*map(bridge.snapshot, ("landscape", "situations", "approvals"))))
     return 0

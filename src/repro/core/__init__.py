@@ -22,7 +22,7 @@ console, whose frame :mod:`repro.ops.console` renders.
 """
 
 from repro.core.action_selection import ActionContext, ActionSelector, RankedAction
-from repro.core.alerts import Alert, AlertChannel
+from repro.core.alerts import AlertChannel
 from repro.core.autoglobe import AutoGlobeController
 from repro.core.constraints import verify_action
 from repro.core.decision import DecisionLoop, DecisionRecord
@@ -33,7 +33,6 @@ from repro.core.server_selection import RankedHost, ServerSelector
 __all__ = [
     "ActionContext",
     "ActionSelector",
-    "Alert",
     "AlertChannel",
     "AutoGlobeController",
     "DecisionLoop",

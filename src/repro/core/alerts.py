@@ -19,7 +19,6 @@ from repro.telemetry.records import AlertEvent, ApprovalEvent, ApprovalPhase
 
 __all__ = [
     "AlertSeverity",
-    "Alert",
     "ApprovalRequest",
     "ApprovalQueue",
     "ApprovalCommand",
@@ -32,18 +31,6 @@ class AlertSeverity(enum.Enum):
     INFO = "info"
     WARNING = "warning"
     ESCALATION = "escalation"
-
-
-@dataclass(frozen=True)
-class Alert:
-    """One administrative message."""
-
-    time: int
-    severity: AlertSeverity
-    message: str
-
-    def __str__(self) -> str:
-        return f"[t={self.time} {self.severity.value}] {self.message}"
 
 
 #: Asked in semi-automatic mode; returns True to approve the action.
@@ -290,10 +277,15 @@ class ApprovalQueue:
 
 
 class AlertChannel:
-    """Collects administrative messages and brokers confirmations.
+    """Publishes administrative messages and brokers confirmations.
 
     Parameters
     ----------
+    bus:
+        The :class:`~repro.telemetry.bus.EventBus` every alert is
+        published on (the ``alerts`` topic); the channel keeps no copy —
+        the run's consumers (result collector, ops bridge, event store)
+        subscribe.
     confirm:
         Callback consulted in semi-automatic mode before executing an
         action.  When no callback is installed, confirmation requests are
@@ -303,36 +295,29 @@ class AlertChannel:
 
     def __init__(
         self,
+        bus,
         confirm: Optional[ConfirmationCallback] = None,
         approval_ttl: int = 240,
-        bus=None,
     ) -> None:
         self._confirm = confirm
-        self.alerts: List[Alert] = []
-        #: optional :class:`~repro.telemetry.bus.EventBus`: every alert
-        #: also publishes on the ``alerts`` topic when set
         self.bus = bus
         #: every confirmation request is tracked here; unanswered ones
         #: expire after ``approval_ttl`` simulated minutes
         self.approvals = ApprovalQueue(approval_ttl)
         self.approvals.bus = bus
 
-    def _record(self, alert: Alert) -> None:
-        self.alerts.append(alert)
-        if self.bus is not None:
-            self.bus.publish(
-                AlertEvent(alert.time, alert.severity.value, alert.message)
-            )
+    def _publish(self, time: int, severity: AlertSeverity, message: str) -> None:
+        self.bus.publish(AlertEvent(time, severity.value, message))
 
     def info(self, time: int, message: str) -> None:
-        self._record(Alert(time, AlertSeverity.INFO, message))
+        self._publish(time, AlertSeverity.INFO, message)
 
     def warning(self, time: int, message: str) -> None:
-        self._record(Alert(time, AlertSeverity.WARNING, message))
+        self._publish(time, AlertSeverity.WARNING, message)
 
     def escalate(self, time: int, message: str) -> None:
         """Request human interaction (no applicable action/host found)."""
-        self._record(Alert(time, AlertSeverity.ESCALATION, message))
+        self._publish(time, AlertSeverity.ESCALATION, message)
 
     def request_confirmation(
         self,
@@ -367,6 +352,3 @@ class AlertChannel:
         verdict = "approved" if approved else "declined"
         self.info(time, f"administrator {verdict}: {description}")
         return approved
-
-    def escalations(self) -> List[Alert]:
-        return [a for a in self.alerts if a.severity is AlertSeverity.ESCALATION]

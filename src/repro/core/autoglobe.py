@@ -82,7 +82,7 @@ class AutoGlobeController:
         self.lms.domain = self.domain
         self.protection = ProtectionRegistry(self.settings.protection_time)
         self.alerts = AlertChannel(
-            confirm, approval_ttl=self.settings.approval_ttl, bus=platform.bus
+            platform.bus, confirm, approval_ttl=self.settings.approval_ttl
         )
         self.alerts.approvals.domain = self.domain
         #: operator verdicts posted from outside the simulation thread

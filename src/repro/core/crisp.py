@@ -46,7 +46,7 @@ class CrispThresholdController:
         self.platform = platform
         self.settings = settings if settings is not None else platform.landscape.controller
         self.enabled = enabled
-        self.alerts = AlertChannel()
+        self.alerts = AlertChannel(platform.bus)
         self.protection = ProtectionRegistry(self.settings.protection_time)
         self._overload_streak: Dict[str, int] = {}
         self._idle_streak: Dict[str, int] = {}

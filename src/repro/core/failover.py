@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config.model import ControllerSettings
-from repro.core.alerts import Alert, AlertSeverity, CommandQueue
+from repro.core.alerts import CommandQueue
 from repro.core.autoglobe import AutoGlobeController
 from repro.core.state import DurableStateStore, replay_journal
 from repro.monitoring.archive import InMemoryLoadArchive, LoadArchive
@@ -139,14 +139,8 @@ class ControllerSupervisor:
             else replica_executors(platform)
         )
         self._replica_sequence = 0
-        #: every replica ever created, newest last (alert aggregation)
+        #: every replica ever created, newest last
         self.replicas: List[Any] = []
-        #: escalations raised before the snapshot this run resumed from;
-        #: their replicas are gone, the run's escalation count is not
-        self.restored_escalations: List[Alert] = []
-        #: (time, kind, detail) supervision events: crashes, recoveries,
-        #: failovers, partition heals — merged into the run's fault records
-        self.events: List[Tuple[int, str, str]] = []
         self.downtime_minutes = 0
         self._restart_at: Optional[int] = None
         self._partitioned_until: Optional[int] = None
@@ -165,16 +159,16 @@ class ControllerSupervisor:
         )
 
     def _record_event(self, now: int, kind: str, detail: str) -> None:
-        """Record one supervision event and publish it on the bus.
+        """Publish one supervision event (crash, recovery, failover,
+        partition heal) on the bus; the result collector keeps those that
+        count as faults.
 
         ``kind`` must name a :class:`SupervisionEventKind` member —
         a typo or a new unregistered kind raises ``ValueError`` here, at
         the producer, instead of being silently dropped downstream.
         """
-        event_kind = SupervisionEventKind(kind)
-        self.events.append((now, kind, detail))
         self.platform.bus.publish(
-            SupervisionEvent(now, event_kind, detail, self.domain)
+            SupervisionEvent(now, SupervisionEventKind(kind), detail, self.domain)
         )
 
     # -- replica construction -------------------------------------------------------
@@ -335,11 +329,10 @@ class ControllerSupervisor:
     def adopt_token(self, now: int, token: int) -> None:
         """Lead under fencing ``token``; announce a new leadership epoch.
 
-        The ``LEADER_EPOCH`` event is published (not journaled in
-        ``events``) so the verifier's fencing watermark advances before
-        the first action of the new epoch — a stale application right
-        after a failover is flagged even if the new leader has not acted
-        yet.
+        The ``LEADER_EPOCH`` event is published so the verifier's fencing
+        watermark advances before the first action of the new epoch — a
+        stale application right after a failover is flagged even if the
+        new leader has not acted yet.
         """
         if self.active is None or token == self.active.executor.fencing_token:
             return
@@ -474,15 +467,6 @@ class ControllerSupervisor:
                 else None
             ),
             "monitor_outages": dict(self._monitor_outages),
-            "events": [list(event) for event in self.events],
-            "escalations": [
-                [alert.time, alert.message]
-                for alert in self.restored_escalations + [
-                    alert
-                    for replica in self.replicas
-                    for alert in replica.alerts.escalations()
-                ]
-            ],
             "downtime_minutes": self.downtime_minutes,
             "restart_at": self._restart_at,
             "partitioned_until": self._partitioned_until,
@@ -504,11 +488,6 @@ class ControllerSupervisor:
             self.active.restore_state(payload["controller"])
             self.active.executor.restore_state(payload["executor"])
             return
-        self.events = [tuple(event) for event in payload.get("events", [])]
-        self.restored_escalations = [
-            Alert(int(time), AlertSeverity.ESCALATION, message)
-            for time, message in payload.get("escalations", [])
-        ]
         self.downtime_minutes = int(payload.get("downtime_minutes", 0))
         self._restart_at = payload.get("restart_at")
         self._partitioned_until = payload.get("partitioned_until")

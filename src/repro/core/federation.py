@@ -10,10 +10,11 @@ controller per landscape (Figure 2).  A larger one is partitioned into
 named shards of its servers (``<controlDomains>`` in the XML language),
 each administered through a :class:`~repro.serviceglobe.platform.DomainView`
 so situation detection, placement and archive writes never cross
-shards, over one shared substrate (landscape state, dispatcher, audit
-log, telemetry bus).  Whatever the runner, the fault injector and the
-ops API read of the controllers is aggregated here, once, over
-domains × replicas.
+shards, over one shared substrate (landscape state, dispatcher,
+telemetry bus).  Whatever the runner, the fault injector and the ops
+API read of the controllers' state is aggregated here, once, over
+domains × replicas; their history (actions, faults, escalations) is on
+the bus, where the run's result collector folds it.
 
 Beyond ticking the domains in order, the plane arbitrates
 **cross-domain relocation**.  A domain whose decision loop cannot
@@ -46,7 +47,7 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from repro.config.model import Action, ControllerSettings
-from repro.core.alerts import Alert, ApprovalRequest, CommandQueue
+from repro.core.alerts import ApprovalRequest, CommandQueue
 from repro.core.failover import ControllerSupervisor, replica_executors
 from repro.core.server_selection import ServerSelector
 from repro.core.state import DurableStateStore
@@ -443,18 +444,6 @@ class FederatedControlPlane:
         for supervisor in self.shards.values():
             supervisor.enabled = value
 
-    def escalations(self) -> List[Alert]:
-        """Every escalation of the run, those restored from a snapshot too."""
-        return [
-            alert
-            for supervisor in self.shards.values()
-            for alert in supervisor.restored_escalations
-        ] + [
-            alert
-            for replica in self._replicas()
-            for alert in replica.alerts.escalations()
-        ]
-
     def approvals(self, status: Optional[str] = None) -> List[ApprovalRequest]:
         """Every semi-automatic approval request, or those of ``status``."""
         return [
@@ -471,17 +460,6 @@ class FederatedControlPlane:
     @property
     def downtime_minutes(self) -> int:
         return sum(supervisor.downtime_minutes for supervisor in self.shards.values())
-
-    @property
-    def events(self):
-        """Merged (time, kind, detail, domain) supervision events of every domain."""
-        merged = [
-            (*event, supervisor.domain)
-            for supervisor in self.shards.values()
-            for event in supervisor.events
-        ]
-        merged.sort(key=lambda event: event[0])
-        return merged
 
     # -- failure detection, routed to the owning domain ----------------------------------
     #

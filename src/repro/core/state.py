@@ -149,9 +149,12 @@ class StateCorruptError(Exception):
 #: one row per minute, one of format 2 while the archive still copied
 #: situations and actions into a table of its own, one of format 3
 #: while a flat run's snapshot held a bare supervisor instead of a
-#: plane of domains; none is read here, so all are refused rather than
+#: plane of domains, one of format 4 while the run snapshot kept the
+#: run's history (actions, faults, supervision events, escalations) in
+#: the platform, injector and supervisor payloads instead of the result
+#: collector's; none is read here, so all are refused rather than
 #: resumed.
-STATE_FORMAT = 4
+STATE_FORMAT = 5
 
 #: How long a connection waits for a competing process's transaction
 #: before giving up; transactions here are tiny, so contention clears in
@@ -314,7 +317,9 @@ class StateDb:
                 f"{STATE_FORMAT} only; format 0 is a file from before the "
                 "load archive packed one row per minute, format 2 one whose "
                 "archive also kept situations and actions, format 3 one "
-                "whose run snapshot holds no control plane of domains",
+                "whose run snapshot holds no control plane of domains, "
+                "format 4 one whose run snapshot keeps the run's history "
+                "outside the result collector",
             )
 
     def execute(
@@ -465,6 +470,16 @@ class StateJournal(_Table):
         if kind == "action-intent":
             self._db.commit_group()
         return JournalRecord(seq=int(cursor.lastrowid or 0), kind=kind, data=data)
+
+    def compact(self, through: int) -> None:
+        """Delete the records at or below ``through``, but never the
+        newest: SQLite numbers a row ``max(seq) + 1``, so an emptied table
+        would number the next one 1, below every snapshot's sequence."""
+        self._db.execute(
+            "DELETE FROM journal WHERE seq <= ? "
+            "AND seq < (SELECT MAX(seq) FROM journal)",
+            (through,),
+        )
 
     def since(self, seq: int) -> List[JournalRecord]:
         """Records with a sequence number strictly greater than ``seq``."""
@@ -679,6 +694,19 @@ class DurableStateStore:
         with self.db.transaction() as connection:
             connection.execute("DELETE FROM journal WHERE seq > ?", (journal_seq,))
             self.archive.truncate_after(tick)
+
+    def compact(self, journal_seq: int) -> None:
+        """Drop the journal rows no recovery reads again, once a run
+        snapshot at ``journal_seq`` committed.
+
+        A resume rewinds to ``journal_seq``; a replica recovers from the
+        controller snapshot (the one the run snapshot carries while the
+        leader is down, too) and replays past its sequence.  Rows at or
+        below both are read by neither.
+        """
+        controller = self.snapshots.load("controller")
+        seen = int(controller["journal_seq"]) if controller is not None else 0
+        self.journal.compact(min(journal_seq, seen))
 
     def close(self) -> None:
         self.db.close()

@@ -25,8 +25,10 @@ Two halves, meeting at a thread boundary:
   :class:`~repro.core.alerts.ApprovalCommand` into the control plane's
   thread-safe command queue, drained at the next tick.  The bridge
   reads the run's :class:`~repro.core.federation.FederatedControlPlane`
-  through its accessors only: ``leaders()`` for the situation, message
-  and selector views, ``approvals()`` for the approval view.
+  through its accessors only: ``leaders()`` for the situation and
+  selector views, ``approvals()`` for the approval view.  The message
+  view is the last alerts the bridge saw on the bus, whichever replica
+  raised them; the action count is the run's result collector's.
 
 The server never touches simulation state directly: snapshots flow
 sim-thread -> bridge -> server, verdicts flow server -> command queue ->
@@ -42,13 +44,14 @@ import hashlib
 import json
 import struct
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.alerts import ApprovalCommand
 from repro.telemetry.bus import Envelope, EventBus, WILDCARD
-from repro.telemetry.records import record_payload
+from repro.telemetry.records import TOPIC_ALERTS, record_payload
 
 __all__ = ["OpsBridge", "OpsServer"]
 
@@ -122,8 +125,12 @@ class OpsBridge:
 
     ``control_plane`` is the run's
     :class:`~repro.core.federation.FederatedControlPlane`: its leaders
-    give the situation and message views, its approvals the approval
-    view, and its thread-safe ``commands`` queue takes the verdicts.
+    give the situation view, its approvals the approval view, and its
+    thread-safe ``commands`` queue takes the verdicts.  The message view
+    is the last :data:`MESSAGE_LIMIT` alerts published on the bus since
+    :meth:`attach`.  ``collector`` is the run's
+    :class:`~repro.sim.results.ResultCollector`, whose action count
+    ``/summary`` shows (``None`` without one).
     """
 
     def __init__(
@@ -131,9 +138,11 @@ class OpsBridge:
         platform: Any,
         control_plane: Any,
         run_info: Optional[Dict[str, Any]] = None,
+        collector: Any = None,
     ) -> None:
         self.platform = platform
         self.control_plane = control_plane
+        self.collector = collector
         self.run_info = dict(run_info or {})
         self._lock = threading.Lock()
         #: the last boundary's capture; the one ``/state`` was rendered from
@@ -143,8 +152,8 @@ class OpsBridge:
         #: ids, placement and user rows by topology_version
         self._names: Tuple[Any, ...] = (-1,)
         self._instances: Tuple[Any, ...] = (-1,)
-        #: the message view, by each leaf controller's alert list and length
-        self._messages: Tuple[List[Tuple[int, int]], List[str]] = ([], [])
+        #: the message view: the last alerts published, formatted
+        self._messages: Deque[str] = deque(maxlen=MESSAGE_LIMIT)
         self._snapshots: Dict[str, Any] = {
             "landscape": {"time": None, "hosts": [], "services": []},
             "situations": {"time": None, "open": [], "handled": 0, "recent": [],
@@ -180,6 +189,8 @@ class OpsBridge:
 
     def _on_envelope(self, envelope: Envelope) -> None:
         self.events_seen += 1
+        if envelope.topic == TOPIC_ALERTS:
+            self._messages.append(str(envelope.record))
         listeners = self._listeners
         if not listeners:
             return
@@ -266,8 +277,7 @@ class OpsBridge:
         handled = 0
         recent: List[str] = []
         protected: List[str] = []
-        leaves = self.control_plane.leaders()
-        for controller in leaves:
+        for controller in self.control_plane.leaders():
             open_observations.extend(controller.lms.snapshot_state())
             handled_list = controller.situations_handled
             handled += len(handled_list)
@@ -279,19 +289,8 @@ class OpsBridge:
             "handled": handled,
             "recent": recent[-20:],
             "protected": sorted(set(protected)),
-            "messages": self._message_tail(leaves),
+            "messages": list(self._messages),
         }
-
-    def _message_tail(self, leaves: List[Any]) -> List[str]:
-        """The last :data:`MESSAGE_LIMIT` alerts of ``leaves``, oldest first;
-        formatted again only after an alert was raised (alert lists only grow)."""
-        lists = [controller.alerts.alerts for controller in leaves]
-        key = [(id(alerts), len(alerts)) for alerts in lists]
-        if key != self._messages[0]:
-            tail = [alert for alerts in lists for alert in alerts[-MESSAGE_LIMIT:]]
-            tail.sort(key=lambda alert: alert.time)  # stable: shards interleave
-            self._messages = (key, [str(alert) for alert in tail[-MESSAGE_LIMIT:]])
-        return self._messages[1]
 
     def _approvals_snapshot(self, now: int) -> Dict[str, Any]:
         requests = [
@@ -315,7 +314,9 @@ class OpsBridge:
         summary.update(
             time=now,
             events_seen=self.events_seen,
-            actions=len(self.platform.audit_log),
+            actions=(
+                self.collector.action_count if self.collector is not None else None
+            ),
             pending_approvals=len(plane.approvals("pending")),
             expired_approvals=len(plane.approvals("expired")),
             commands_posted=self.commands_posted,

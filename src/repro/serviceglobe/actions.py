@@ -1,8 +1,8 @@
 """Management actions and their error taxonomy.
 
 The nine actions of Table 2 are defined in :class:`repro.config.model.Action`;
-this module adds the execution-side vocabulary: outcomes for the audit log
-and the errors raised when an action cannot be carried out.  The
+this module adds the execution-side vocabulary: the outcomes the platform
+publishes and the errors raised when an action cannot be carried out.  The
 controller's Figure 6 loop catches :class:`ActionError` and falls back to
 the next-best host or action.
 """

@@ -156,7 +156,8 @@ class ActionExecutor:
         #: distinguishes executors sharing one journal (controller replicas)
         self.name = name
         #: every outcome this executor produced, including failures and
-        #: compensations (successes also land in the platform audit log)
+        #: compensations (every one is also published on the ``actions``
+        #: topic)
         self.log: List[ActionOutcome] = []
         self.retry_count = 0
         self.failure_count = 0
@@ -320,8 +321,8 @@ class ActionExecutor:
     ) -> ActionOutcome:
         """Execute one action with the retry/timeout/backoff budget.
 
-        Returns the successful outcome (also appended to the platform
-        audit log).  Permanent :class:`ActionError` subclasses propagate
+        Returns the successful outcome (also published on the
+        ``actions`` topic).  Permanent :class:`ActionError` subclasses propagate
         unchanged; exhausting the retry budget raises
         :class:`TransientActionFailure` after writing a ``"failed"``
         audit record.  A stale fencing token is rejected by the platform

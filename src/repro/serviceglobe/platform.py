@@ -68,7 +68,7 @@ class Platform:
         instance-set change (full mobility).
     clock:
         Callable returning the current simulated minute, used to stamp
-        audit records.
+        action outcomes.
     """
 
     def __init__(
@@ -103,7 +103,6 @@ class Platform:
             host_load=lambda i: self.hosts[i.host_name].cpu_load,
             host_capacity=lambda i: self.hosts[i.host_name].cpu_capacity,
         )
-        self.audit_log: List[ActionOutcome] = []
         #: Instances lost in flight: a relocation's source host died before
         #: the move could be rolled back.  The controller's self-healing
         #: path drains this list and restarts them elsewhere.
@@ -431,8 +430,8 @@ class Platform:
         """Execute one management action (Table 2).
 
         Raises :class:`ActionError` subclasses when the action is not
-        permitted or not executable; on success appends an
-        :class:`ActionOutcome` to :attr:`audit_log` and returns it.
+        permitted or not executable; on success publishes an
+        :class:`ActionOutcome` on the ``actions`` topic and returns it.
         ``attempts``/``duration`` are stamped into the outcome by the
         failure-hardened executor when the action needed retries.
         ``fencing_token`` identifies the leadership epoch of the issuing
@@ -489,16 +488,14 @@ class Platform:
         domain: str = "",
         fencing_token: Optional[int] = None,
     ) -> None:
-        """Append one outcome to the audit log and publish it on the bus.
+        """Publish one executed action's outcome on the ``actions`` topic.
 
-        The single entry point for recording executed actions: the audit
-        log stays the durable source of truth (it rides in snapshots)
-        while bus subscribers — the result collector, the event store —
-        observe the same record live.  ``fencing_token`` is the issuing
-        leadership epoch, stamped on the published event for the
-        temporal-invariant verifier.
+        The single entry point for recording executed actions; the
+        platform keeps no copy: the result collector holds the run's
+        actions, the event store persists them.  ``fencing_token`` is
+        the issuing leadership epoch, stamped on the published event for
+        the temporal-invariant verifier.
         """
-        self.audit_log.append(outcome)
         self.bus.publish(ActionEvent(outcome.time, outcome, domain, fencing_token))
 
     # Individual handlers.  Each returns a provisional ActionOutcome; the
@@ -641,11 +638,9 @@ class Platform:
 
         Together with :meth:`restore_state` this backs kill-and-resume
         recovery: a resumed run continues from the snapshot minute with
-        identical instances, sessions, demands, host health, priorities,
-        orphans and audit history.
+        identical instances, sessions, demands, host health, priorities
+        and orphans.
         """
-        from repro.core.state import outcome_to_dict
-
         return {
             "current_time": self.current_time,
             "instance_sequence": self._instance_sequence,
@@ -657,7 +652,6 @@ class Platform:
             "stopped_services": sorted(self.stopped_services),
             "landscape": self.landscape_state.snapshot_columns(),
             "orphans": [orphan.state_id for orphan in self.orphans],
-            "audit_log": [outcome_to_dict(o) for o in self.audit_log],
             "adopted_services": [
                 service_spec_to_dict(spec) for spec in self._adopted_specs()
             ],
@@ -669,14 +663,12 @@ class Platform:
         The landscape (specs, constraints) is construction-time state and
         stays as built; everything mutable — the landscape state's columns
         (instances with their ids and virtual IPs, host health, members in
-        attach order), the instance sequence, priorities, orphans, audit
-        log, fencing watermark — is replaced wholesale.  An older payload's
+        attach order), the instance sequence, priorities, orphans, the
+        fencing watermark — is replaced wholesale.  An older payload's
         two further keys, the IP binding table's next suffix and the code
         repository's caches, only repeated what the columns and the
         instance sequence hold, and are ignored.
         """
-        from repro.core.state import outcome_from_dict
-
         for raw_spec in payload.get("adopted_services", []):
             self.adopt_service(service_spec_from_dict(raw_spec))
         self.current_time = int(payload["current_time"])
@@ -687,9 +679,6 @@ class Platform:
         for name, definition in self.services.items():
             definition.priority = int(payload["priorities"][name])
         self.orphans = [self.landscape_state.instance_objs[row] for row in payload["orphans"]]
-        self.audit_log = [
-            outcome_from_dict(raw) for raw in payload.get("audit_log", [])
-        ]
 
     # -- measurements (read by the monitoring framework) ---------------------------------
 
@@ -731,7 +720,7 @@ class Platform:
 class DomainView:
     """One control domain's scoped view of a shared :class:`Platform`.
 
-    The substrate (landscape state, dispatcher, audit log, telemetry bus)
+    The substrate (landscape state, dispatcher, telemetry bus)
     stays shared — there is still exactly one
     ServiceGlobe federation.  What the view scopes is *administration*:
 
@@ -819,7 +808,7 @@ class DomainView:
     # -- shared substrate (objects the Platform may replace wholesale) ------------
 
     def __getattr__(self, name: str) -> Any:
-        # landscape state, landscape, bus, audit log, dispatcher, stopped
+        # landscape state, landscape, bus, dispatcher, stopped
         # services, user distribution: the platform's, read at every access
         return getattr(self.platform, name)
 

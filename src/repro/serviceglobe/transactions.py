@@ -18,8 +18,8 @@ entry and, if the block raises, hands it back to
 The undo is exact: every instance returns with its original id, virtual
 IP, host, users and demand, instances started inside the block are gone,
 the instance sequence is rewound (the next start reuses the first id the
-block drew), and priorities, orphans and the audit log are those of the
-entry.  Handles held across the block read the restored facts: rows are
+block drew), and priorities and orphans are those of the entry.  An
+outcome published inside the block stays published.  Handles held across the block read the restored facts: rows are
 never renumbered, and the entry's rows come back in place.
 
 Everything else :meth:`Platform.restore_state` replaces comes back too:
@@ -56,8 +56,8 @@ class PlatformTransaction:
     def __exit__(self, exc_type, exc, traceback) -> bool:
         self.active = False
         if exc_type is not None:
-            # Restoring the audit log cannot retract records already
-            # pushed to telemetry-bus subscribers; transactions only run
+            # A rollback cannot retract outcomes already published to
+            # telemetry-bus subscribers; transactions only run
             # in offline tooling (rebalance planning), never inside a
             # controller tick, so live consumers never observe
             # rolled-back outcomes.

@@ -31,7 +31,7 @@ scenario measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -91,7 +91,6 @@ class FaultInjector:
     leader_partition_probability: float = 0.0
     leader_partition_minutes: Tuple[int, int] = (10, 20)
     seed: int = 99
-    faults: List[FaultRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         for name in (
@@ -144,8 +143,8 @@ class FaultInjector:
     def _record_fault(
         self, record: FaultRecord, injected: List[FaultRecord]
     ) -> None:
-        """Book one fault and publish it on the ``faults`` topic."""
-        self.faults.append(record)
+        """Publish one fault on the ``faults`` topic (the run's result
+        collector keeps it) and return it from this tick."""
         injected.append(record)
         self.controller.platform.bus.publish(record)
 
@@ -300,47 +299,6 @@ class FaultInjector:
                 )
                 self.controller.suppress(instance.instance_id)
 
-    # -- accounting -------------------------------------------------------------------
-
-    def count(self, kind: str) -> int:
-        return sum(1 for fault in self.faults if fault.kind == kind)
-
-    @property
-    def crash_count(self) -> int:
-        return self.count("crash")
-
-    @property
-    def hang_count(self) -> int:
-        return self.count("hang")
-
-    @property
-    def host_crash_count(self) -> int:
-        return self.count("host-crash")
-
-    @property
-    def monitor_outage_count(self) -> int:
-        return self.count("monitor-outage")
-
-    @property
-    def controller_crash_count(self) -> int:
-        return self.count("controller-crash")
-
-    @property
-    def leader_partition_count(self) -> int:
-        return self.count("leader-partition")
-
-    def summary(self) -> str:
-        parts = [
-            f"crashes: {self.crash_count}",
-            f"hangs: {self.hang_count}",
-            f"host crashes: {self.host_crash_count}",
-            f"monitor outages: {self.monitor_outage_count}",
-        ]
-        if self.controller_crash_count or self.leader_partition_count:
-            parts.append(f"controller crashes: {self.controller_crash_count}")
-            parts.append(f"leader partitions: {self.leader_partition_count}")
-        return f"injected faults: {len(self.faults)} ({', '.join(parts)})"
-
     # -- durability (kill -9 and resume) -----------------------------------------------
 
     def snapshot_state(self) -> Dict[str, object]:
@@ -348,10 +306,6 @@ class FaultInjector:
         return {
             "rng": self._rng.bit_generator.state,
             "reboot_at": dict(self._reboot_at),
-            "faults": [
-                [f.time, f.instance_id, f.service_name, f.host_name, f.kind, f.domain]
-                for f in self.faults
-            ],
         }
 
     def restore_state(self, payload: Dict[str, object]) -> None:
@@ -360,11 +314,3 @@ class FaultInjector:
             host: int(minute)
             for host, minute in payload.get("reboot_at", {}).items()  # type: ignore[union-attr]
         }
-        # pre-domain snapshots stored 5-element fault rows; tolerate both
-        self.faults = [
-            FaultRecord(
-                int(row[0]), str(row[1]), str(row[2]), str(row[3]), str(row[4]),
-                str(row[5]) if len(row) > 5 else "",
-            )
-            for row in payload.get("faults", [])  # type: ignore[union-attr]
-        ]

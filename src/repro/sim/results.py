@@ -24,10 +24,18 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.config.model import Action
+from repro.core.alerts import AlertSeverity
+from repro.core.state import outcome_from_dict, outcome_to_dict
 from repro.serviceglobe.actions import ActionOutcome
 from repro.serviceglobe.platform import Platform
 from repro.sim.clock import MINUTES_PER_DAY
-from repro.telemetry.records import TOPIC_ACTIONS
+from repro.telemetry.records import (
+    TOPIC_ACTIONS,
+    TOPIC_ALERTS,
+    TOPIC_FAULTS,
+    TOPIC_SUPERVISION,
+    FaultRecord,
+)
 
 __all__ = [
     "SlaPolicy",
@@ -311,7 +319,15 @@ class SimulationResult:
 
 
 class ResultCollector:
-    """Observes the platform each minute and builds a SimulationResult."""
+    """Observes the platform each minute and builds a SimulationResult.
+
+    It is the one holder of the run's history: subscribed to the
+    platform bus before anything publishes, it folds the executed
+    actions, the injected faults, the supervision events that count as
+    faults and the escalations from the stream.  The producers only
+    publish; what they published survives a resume in this collector's
+    snapshot, nowhere else.
+    """
 
     def __init__(
         self,
@@ -350,15 +366,41 @@ class ResultCollector:
         }
         self._host_down_minutes: Dict[str, int] = {n: 0 for n in self._host_names}
         self._ticks = 0
-        #: executed actions, fed live by the platform bus's ``actions``
-        #: topic instead of re-reading the audit log at finalize.  Seeded
-        #: from the audit log so a collector attached mid-run (or after a
-        #: resume) starts complete.
-        self._actions: List[ActionOutcome] = list(platform.audit_log)
-        platform.bus.subscribe(TOPIC_ACTIONS, self._on_action)
+        #: executed actions, injected faults, the fault records of
+        #: supervision events and the escalation count, folded live
+        self._actions: List[ActionOutcome] = []
+        self._faults: List[FaultRecord] = []
+        self._supervision_faults: List[FaultRecord] = []
+        self._escalation_count = 0
+        bus = platform.bus
+        bus.subscribe(TOPIC_ACTIONS, self._on_action)
+        bus.subscribe(TOPIC_FAULTS, self._on_fault)
+        bus.subscribe(TOPIC_SUPERVISION, self._on_supervision)
+        bus.subscribe(TOPIC_ALERTS, self._on_alert)
 
     def _on_action(self, envelope) -> None:
         self._actions.append(envelope.record.outcome)
+
+    def _on_fault(self, envelope) -> None:
+        self._faults.append(envelope.record)
+
+    def _on_supervision(self, envelope) -> None:
+        # crashes and partitions arrive as the injector's own fault
+        # records; the kind decides what a supervision event adds
+        event = envelope.record
+        if event.kind.creates_fault_record:
+            self._supervision_faults.append(
+                FaultRecord(event.time, "", "", "", event.kind.value, event.domain)
+            )
+
+    def _on_alert(self, envelope) -> None:
+        if envelope.record.severity == AlertSeverity.ESCALATION.value:
+            self._escalation_count += 1
+
+    @property
+    def action_count(self) -> int:
+        """Actions executed so far, those before a resumed snapshot too."""
+        return len(self._actions)
 
     def track_service(self, name: str) -> None:
         """Start availability accounting for a service adopted mid-run.
@@ -418,8 +460,6 @@ class ResultCollector:
     def finalize(
         self,
         final_minute: int,
-        escalation_count: int = 0,
-        fault_records: Optional[List] = None,
         controller_down_minutes: int = 0,
         expired_approval_count: int = 0,
         pending_approval_count: int = 0,
@@ -448,6 +488,11 @@ class ResultCollector:
             )
             for name in self._service_names
         }
+        # the injector's records first, then the supervision events,
+        # ordered by minute (a stable sort keeps each minute's order)
+        fault_records = sorted(
+            self._faults + self._supervision_faults, key=lambda record: record.time
+        )
         return SimulationResult(
             scenario_name=self._scenario_name,
             user_factor=self._user_factor,
@@ -461,7 +506,7 @@ class ResultCollector:
             overload_minutes_by_host=dict(self._overload_minutes),
             episodes=sorted(self._episodes, key=lambda e: (e.start, e.host_name)),
             actions=list(self._actions),
-            escalation_count=escalation_count,
+            escalation_count=self._escalation_count,
             final_instance_counts={
                 name: len(self._platform.service(name).running_instances)
                 for name in self._platform.services
@@ -469,7 +514,7 @@ class ResultCollector:
             availability=availability,
             downtime_episodes=downtime_episodes,
             host_down_minutes=dict(self._host_down_minutes),
-            fault_records=list(fault_records) if fault_records else [],
+            fault_records=fault_records,
             controller_down_minutes=controller_down_minutes,
             expired_approval_count=expired_approval_count,
             pending_approval_count=pending_approval_count,
@@ -496,6 +541,12 @@ class ResultCollector:
             "open_down_since": dict(self._open_down_since),
             "host_down_minutes": dict(self._host_down_minutes),
             "ticks": self._ticks,
+            "actions": [outcome_to_dict(outcome) for outcome in self._actions],
+            "faults": [_fault_row(record) for record in self._faults],
+            "supervision_faults": [
+                _fault_row(record) for record in self._supervision_faults
+            ],
+            "escalation_count": self._escalation_count,
         }
 
     def restore_state(self, payload: Dict[str, object]) -> None:
@@ -552,6 +603,17 @@ class ResultCollector:
             for name, v in payload.get("host_down_minutes", {}).items()  # type: ignore[union-attr]
         }
         self._ticks = int(payload.get("ticks", 0))  # type: ignore[arg-type]
-        # actions ride in the platform snapshot (the durable source of
-        # truth); the bus subscription resumes from there
-        self._actions = list(self._platform.audit_log)
+        # the history up to the snapshot; the subscriptions go on from there
+        self._actions = [outcome_from_dict(raw) for raw in payload["actions"]]  # type: ignore[union-attr]
+        self._faults = [FaultRecord(*row) for row in payload["faults"]]  # type: ignore[union-attr]
+        self._supervision_faults = [
+            FaultRecord(*row) for row in payload["supervision_faults"]  # type: ignore[union-attr]
+        ]
+        self._escalation_count = int(payload["escalation_count"])  # type: ignore[arg-type]
+
+
+def _fault_row(record: FaultRecord) -> List[Any]:
+    return [
+        record.time, record.instance_id, record.service_name,
+        record.host_name, record.kind, record.domain,
+    ]

@@ -29,7 +29,7 @@ from repro.core.state import DurableStateStore
 from repro.serviceglobe.executor import ExecutionFaults
 from repro.serviceglobe.platform import Platform
 from repro.sim.clock import PAPER_HORIZON_MINUTES
-from repro.sim.faults import FaultInjector, FaultRecord
+from repro.sim.faults import FaultInjector
 from repro.sim.results import (
     ResultCollector,
     SimulationResult,
@@ -44,16 +44,10 @@ from repro.sim.scenarios import (
     user_distribution_for,
 )
 from repro.sim.workload import NoiseParameters, WorkloadModel
-from repro.telemetry.records import (
-    TOPIC_SUPERVISION,
-    SupervisionEvent,
-    SupervisionEventKind,
-)
 
 __all__ = [
     "SimulationRunner",
     "execution_faults",
-    "merged_fault_records",
     "approval_counts",
 ]
 
@@ -66,22 +60,6 @@ def execution_faults(chaos: ChaosProfile) -> ExecutionFaults:
         latency_means=dict(chaos.action_latency_means),
         latency_jitter=chaos.action_latency_jitter,
     )
-
-
-def merged_fault_records(injector: Optional[FaultInjector], supervision_events):
-    """The injector's fault records plus the supervision events that
-    count as faults (crash/partition records come from the injector
-    itself; the kind's own verdict decides what the merge adds)."""
-    records = list(injector.faults) if injector is not None else []
-    for event in supervision_events:
-        if event.kind.creates_fault_record:
-            records.append(
-                FaultRecord(
-                    event.time, "", "", "", event.kind.value, event.domain
-                )
-            )
-    records.sort(key=lambda record: record.time)
-    return records or None
 
 
 def approval_counts(plane):
@@ -299,6 +277,19 @@ class SimulationRunner:
         self.platform = Platform(
             scenario_landscape, user_distribution=user_distribution_for(scenario)
         )
+        self.sla = sla if sla is not None else SlaPolicy()
+        #: the one holder of the run's history (actions, faults,
+        #: supervision faults, escalations): subscribed to the bus before
+        #: anything is built that publishes
+        self.collector = ResultCollector(
+            self.platform,
+            scenario_name=scenario.value,
+            user_factor=user_factor,
+            sla=self.sla,
+            collect_host_series=collect_host_series,
+            collect_services=collect_services,
+            start_minute=start_minute,
+        )
         #: the live AG3xx sanitizer; attached before anything publishes
         #: so its view of the stream is complete (a resumed run's attaches
         #: in _resume_from_snapshot, after the stream's restored prefix)
@@ -310,16 +301,6 @@ class SimulationRunner:
             self.verifier = TraceVerifier()
             if not resume:
                 self.verifier.attach(self.platform.bus)
-        #: typed supervision events (crashes, recoveries, failovers)
-        #: observed on the telemetry bus; merged into the run's fault
-        #: records at finalize.  The subscription is typed end to end: an
-        #: unknown event kind fails at the producer (ValueError in
-        #: :class:`SupervisionEventKind`), never silently dropped here.
-        self._supervision_events: list = []
-        self.platform.bus.subscribe(
-            TOPIC_SUPERVISION,
-            lambda envelope: self._supervision_events.append(envelope.record),
-        )
         enabled = (
             controller_enabled
             if controller_enabled is not None
@@ -422,16 +403,6 @@ class SimulationRunner:
                 seed=chaos.seed + 1,
             )
         self.workload = WorkloadModel(self.platform, seed=seed, noise=noise)
-        self.sla = sla if sla is not None else SlaPolicy()
-        self.collector = ResultCollector(
-            self.platform,
-            scenario_name=scenario.value,
-            user_factor=user_factor,
-            sla=self.sla,
-            collect_host_series=collect_host_series,
-            collect_services=collect_services,
-            start_minute=start_minute,
-        )
         if store_path is not None:
             from repro.ops.store import TelemetryStore
 
@@ -447,6 +418,7 @@ class SimulationRunner:
             self.ops_bridge = OpsBridge(
                 self.platform,
                 self.controller,
+                collector=self.collector,
                 run_info={
                     "scenario": scenario.value,
                     "user_factor": user_factor,
@@ -493,6 +465,13 @@ class SimulationRunner:
         # the snapshot commits with the rows it covers
         for db in self._groups:
             db.commit_group()
+        # then each domain's journal drops what no recovery or resume
+        # reads again.  The delete commits at the next commit point, never
+        # ahead of this snapshot: with control domains a domain's file
+        # commits before the root file holding the snapshot
+        domains = payload["supervisor"]["domains"]
+        for name, supervisor in self.controller.shards.items():
+            supervisor.store.compact(domains[name]["journal_seq"])
 
     def _resume_from_snapshot(self) -> int:
         """Restore every component from the last run snapshot.
@@ -519,13 +498,6 @@ class SimulationRunner:
             self.injector.restore_state(payload["injector"])
         # rewinds every domain's journal and archive to the snapshot too
         self.controller.restore_state(payload["supervisor"], tick)
-        # bus subscriptions only observe live publishes: reseed the typed
-        # event list from the plane's restored history, then let the
-        # subscription pick up everything after the resume
-        self._supervision_events = [
-            SupervisionEvent(time_, SupervisionEventKind(kind), detail, domain)
-            for time_, kind, detail, domain in self.controller.events
-        ]
         # attach drops the rows past the bus (the abandoned timeline)
         if self.telemetry_store is not None:
             self.telemetry_store.attach(self.platform.bus)
@@ -593,10 +565,6 @@ class SimulationRunner:
             self.close()
         return self.collector.finalize(
             final_minute=last,
-            escalation_count=len(self.controller.escalations()),
-            fault_records=merged_fault_records(
-                self.injector, self._supervision_events
-            ),
             controller_down_minutes=self.controller.downtime_minutes,
             **approval_counts(self.controller),
         )

@@ -159,7 +159,7 @@ class SupervisionEvent:
 
 @dataclass(frozen=True)
 class ActionEvent:
-    """One management-action outcome appended to the platform audit log."""
+    """One management-action outcome (ok, failed, compensated or fenced)."""
 
     time: int
     #: a :class:`repro.serviceglobe.actions.ActionOutcome`
@@ -245,6 +245,9 @@ class AlertEvent:
     time: int
     severity: str
     message: str
+
+    def __str__(self) -> str:
+        return f"[t={self.time} {self.severity}] {self.message}"
 
 
 class ApprovalPhase(enum.Enum):

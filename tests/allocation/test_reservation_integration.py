@@ -5,6 +5,7 @@ from repro.config.model import Action
 from repro.core.autoglobe import AutoGlobeController
 from repro.core.server_selection import ServerSelector
 from repro.serviceglobe.platform import Platform
+from tests.conftest import executed
 from tests.core.conftest import build_landscape, set_demand
 from tests.fuzzy.oracle import host_measurements, server_score
 
@@ -73,6 +74,7 @@ class TestSelectionSteering:
 
     def test_controller_end_to_end_respects_reservation(self):
         platform = Platform(build_landscape())
+        outcomes = executed(platform)
         book = ReservationBook()
         book.register(Reservation("Big1", demand=8.5, start=0, end=300))
         controller = AutoGlobeController(platform, reservations=book)
@@ -80,7 +82,7 @@ class TestSelectionSteering:
             set_demand(platform, "Weak1", 0.95)
             controller.tick(now)
         placements = {
-            o.target_host for o in platform.audit_log if o.target_host
+            o.target_host for o in outcomes if o.target_host
         }
         assert placements  # the controller did remedy the overload
         assert "Big1" not in placements

@@ -1,8 +1,34 @@
 """Helpers shared across the test packages."""
 
 from repro.telemetry.bus import WILDCARD
-from repro.telemetry.records import record_to_dict
+from repro.telemetry.records import TOPIC_ACTIONS, TOPIC_ALERTS, record_to_dict
 from repro.telemetry.trace import trace_event_line, trace_header_line
+
+
+def published(bus, topic):
+    """The records published on ``topic`` from now on: a list the bus
+    appends to (the producers keep no copy)."""
+    records = []
+    bus.subscribe(topic, lambda envelope: records.append(envelope.record))
+    return records
+
+
+def executed(platform):
+    """The outcomes of the actions ``platform`` executes from now on."""
+    outcomes = []
+    platform.bus.subscribe(
+        TOPIC_ACTIONS, lambda envelope: outcomes.append(envelope.record.outcome)
+    )
+    return outcomes
+
+
+def alerts_of(platform):
+    """The alerts published on ``platform``'s bus from now on."""
+    return published(platform.bus, TOPIC_ALERTS)
+
+
+def escalations(alerts):
+    return [alert for alert in alerts if alert.severity == "escalation"]
 
 
 class JsonlRecorder:

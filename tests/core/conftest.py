@@ -95,12 +95,24 @@ class _OnePlane:
         ]
 
 
-def console_frame(controller, now=0):
-    """The controller console's frame, as ``autoglobe console`` prints it."""
+def console(controller):
+    """An ops bridge over ``controller``, listening from now on: the
+    console's message view is the alerts the bridge sees published."""
+    from repro.ops.api import OpsBridge
+
+    bridge = OpsBridge(controller.platform, _OnePlane(controller))
+    bridge.attach(controller.platform.bus)
+    return bridge
+
+
+def console_frame(controller, now=0, bridge=None):
+    """The controller console's frame, as ``autoglobe console`` prints it
+    (its messages those ``bridge`` saw; none without one)."""
     from repro.ops.api import OpsBridge
     from repro.ops.console import render_snapshot
 
-    bridge = OpsBridge(controller.platform, _OnePlane(controller))
+    if bridge is None:
+        bridge = OpsBridge(controller.platform, _OnePlane(controller))
     bridge.refresh(now)
     return render_snapshot(
         *map(bridge.snapshot, ("landscape", "situations", "approvals"))

@@ -12,6 +12,7 @@ from repro.core.autoglobe import AutoGlobeController
 from repro.core.explain import explain_last_decisions
 from repro.monitoring.lms import SituationKind
 from repro.serviceglobe.platform import Platform
+from tests.conftest import alerts_of, executed
 from tests.core.conftest import build_landscape, console_frame, console_view, set_demand
 
 
@@ -111,6 +112,7 @@ class TestIdleReaction:
 class TestSelfHealing:
     def test_crashed_instance_restarted(self):
         platform, controller = make_controller()
+        outcomes = executed(platform)
         instance = platform.service("APP").running_instances[0]
         instance.users = 120
         outcome = controller.report_failure(instance.instance_id, now=5)
@@ -118,7 +120,7 @@ class TestSelfHealing:
         restarted = platform.service("APP").running_instances
         assert len(restarted) == 1
         assert restarted[0].instance_id != instance.instance_id
-        assert "restart after failure" in platform.audit_log[-1].note
+        assert "restart after failure" in outcomes[-1].note
 
     def test_restart_prefers_original_host(self):
         platform, controller = make_controller()
@@ -207,12 +209,13 @@ class TestConsole:
 
     def test_manual_execution_protects_and_logs(self):
         platform, controller = make_controller()
+        alerts = alerts_of(platform)
         outcome = controller.execute_manually(
             Action.SCALE_OUT, "APP", target_host="Weak2", now=3
         )
         assert outcome.note == "manual execution via controller console"
         assert controller.protection.is_protected("APP", 4)
-        assert controller.alerts.alerts
+        assert alerts
 
     def test_decision_view_renders_explanations(self):
         platform, controller = make_controller()

@@ -2,7 +2,8 @@
 
 The frame is what ``autoglobe console`` prints: an
 :class:`~repro.ops.api.OpsBridge` over the controller, refreshed at a
-tick boundary, rendered by :func:`repro.ops.console.render_snapshot`.
+tick boundary, rendered by :func:`repro.ops.console.render_snapshot`;
+its messages are the alerts the bridge saw published.
 Manual execution (Section 4.3) is the controller's own
 :meth:`~repro.core.autoglobe.AutoGlobeController.execute_manually`.
 """
@@ -12,7 +13,13 @@ import pytest
 from repro.config.model import Action
 from repro.core.autoglobe import AutoGlobeController
 from repro.serviceglobe.platform import Platform
-from tests.core.conftest import build_landscape, console_frame, console_view, set_demand
+from tests.core.conftest import (
+    build_landscape,
+    console,
+    console_frame,
+    console_view,
+    set_demand,
+)
 
 
 @pytest.fixture
@@ -78,9 +85,10 @@ class TestMessageView:
         assert console_view(console_frame(controller), "Messages") == ["(no messages)"]
 
     def test_limit_applies(self, controller):
+        bridge = console(controller)
         for index in range(30):
             controller.alerts.info(index, f"message {index}")
-        lines = console_view(console_frame(controller, now=30), "Messages")
+        lines = console_view(console_frame(controller, now=30, bridge=bridge), "Messages")
         assert len(lines) == 20
         assert lines[0].endswith("message 10") and lines[-1].endswith("message 29")
 
@@ -93,11 +101,12 @@ class TestMessageView:
 
 class TestManualExecution:
     def test_manual_action_executes_and_logs(self, controller):
+        bridge = console(controller)
         outcome = controller.execute_manually(
             Action.SCALE_OUT, "APP", target_host="Weak2", now=2
         )
         assert outcome.target_host == "Weak2"
-        messages = console_view(console_frame(controller, now=2), "Messages")
+        messages = console_view(console_frame(controller, now=2, bridge=bridge), "Messages")
         assert any("manual action" in line for line in messages)
         assert row(console_view(console_frame(controller, now=2), "Servers"),
                    "Weak2").endswith("yes")

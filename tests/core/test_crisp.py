@@ -5,6 +5,7 @@ import pytest
 from repro.config.model import Action, ControllerSettings
 from repro.core.crisp import CrispThresholdController
 from repro.serviceglobe.platform import Platform
+from tests.conftest import alerts_of, escalations
 from tests.core.conftest import build_landscape, set_demand
 
 
@@ -61,9 +62,10 @@ class TestOverloadPath:
     def test_escalates_when_no_action_possible(self):
         landscape = build_landscape(app_actions=frozenset())
         platform = Platform(landscape)
+        alerts = alerts_of(platform)
         controller = CrispThresholdController(platform)
         drive(platform, controller, 15, {"Weak1": 0.95, "Big1": 3.0})
-        assert controller.alerts.escalations()
+        assert escalations(alerts)
 
 
 class TestIdlePath:
@@ -80,3 +82,37 @@ class TestIdlePath:
         controller = CrispThresholdController(platform, enabled=False)
         outcomes = drive(platform, controller, 30, {"Weak1": 0.95})
         assert outcomes == []
+
+
+class TestBaselineRun:
+    def test_the_baseline_escalations_reach_the_stream(self):
+        """The ablation's crisp replica set, constrained mobility at 140 %
+        for a day: it escalates, and the live verifier's AG305 finds every
+        escalation of the summary on the event stream."""
+        from repro.core.failover import ControllerSupervisor
+        from repro.sim.runner import SimulationRunner
+        from repro.sim.scenarios import Scenario
+
+        class CrispSupervisor(ControllerSupervisor):
+            def _new_controller(self):
+                controller = CrispThresholdController(
+                    self.platform, self.settings, self._enabled
+                )
+                self.replicas.append(controller)
+                return controller
+
+        runner = SimulationRunner(
+            Scenario.CONSTRAINED_MOBILITY,
+            user_factor=1.4,
+            horizon=24 * 60,
+            seed=7,
+            collect_host_series=False,
+            verify=True,
+            controller_factory=lambda platform, settings, enabled, store: (
+                CrispSupervisor(platform, settings=settings, enabled=enabled, store=store)
+            ),
+        )
+        result = runner.run()
+        assert result.escalation_count > 0
+        report = runner.verification_report(result)
+        assert report.exit_code() == 0, report.render()

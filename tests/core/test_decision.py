@@ -10,18 +10,19 @@ from repro.core.protection import ProtectionRegistry
 from repro.core.server_selection import ServerSelector
 from repro.monitoring.lms import Situation, SituationKind
 from repro.serviceglobe.platform import Platform
+from tests.conftest import alerts_of, escalations, executed
 from tests.core.conftest import build_landscape, set_demand
 
 
 def make_loop(platform, mode=ControllerMode.AUTOMATIC, confirm=None,
               min_applicability=0.10):
     settings = ControllerSettings(mode=mode, min_applicability=min_applicability)
-    alerts = AlertChannel(confirm)
+    alerts = alerts_of(platform)
     loop = DecisionLoop(
         platform=platform,
         server_selector=ServerSelector(),
         protection=ProtectionRegistry(settings.protection_time),
-        alerts=alerts,
+        alerts=AlertChannel(platform.bus, confirm),
         settings=settings,
     )
     return loop, alerts
@@ -62,8 +63,9 @@ class TestExecution:
 
     def test_applicability_recorded_in_audit(self, platform):
         loop, __ = make_loop(platform)
+        outcomes = executed(platform)
         loop.handle(situation(), [ranked(Action.SCALE_OUT, 0.8)], now=0)
-        assert platform.audit_log[-1].applicability == pytest.approx(0.8)
+        assert outcomes[-1].applicability == pytest.approx(0.8)
 
 
 class TestFallback:
@@ -73,7 +75,7 @@ class TestFallback:
         loop, alerts = make_loop(platform, min_applicability=0.5)
         outcome = loop.handle(situation(), [ranked(Action.SCALE_OUT, 0.3)], now=0)
         assert outcome is None
-        assert alerts.escalations()
+        assert escalations(alerts)
 
     def test_falls_back_to_next_action_when_first_infeasible(self, platform):
         loop, __ = make_loop(platform)
@@ -123,8 +125,8 @@ class TestFallback:
         loop.protection.protect(["APP"], now=0)
         outcome = loop.handle(situation(), [ranked(Action.SCALE_OUT, 0.9)], now=5)
         assert outcome is None
-        assert not alerts.escalations()
-        assert any("deferred" in a.message for a in alerts.alerts)
+        assert not escalations(alerts)
+        assert any("deferred" in a.message for a in alerts)
 
     def test_escalates_when_nothing_possible(self, platform):
         """'If there are no possible hosts and actions with a sufficient
@@ -132,8 +134,8 @@ class TestFallback:
         loop, alerts = make_loop(platform)
         outcome = loop.handle(situation(), [ranked(Action.SCALE_IN, 0.9)], now=0)
         assert outcome is None
-        assert len(alerts.escalations()) == 1
-        assert "human interaction" in alerts.escalations()[0].message
+        assert len(escalations(alerts)) == 1
+        assert "human interaction" in escalations(alerts)[0].message
 
     def test_decision_record_keeps_rejection_reasons(self, platform):
         loop, __ = make_loop(platform)
@@ -167,7 +169,7 @@ class TestSemiAutomaticMode:
         loop, alerts = make_loop(platform, mode=ControllerMode.SEMI_AUTOMATIC)
         outcome = loop.handle(situation(), [ranked(Action.SCALE_OUT, 0.8)], now=0)
         assert outcome is None
-        assert alerts.escalations()
+        assert escalations(alerts)
 
     def test_priority_action_also_needs_confirmation(self, platform):
         asked = []

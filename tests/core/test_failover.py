@@ -13,6 +13,8 @@ from repro.core.failover import ControllerSupervisor
 from repro.core.state import DurableStateStore
 from repro.monitoring.archive import InMemoryLoadArchive
 from repro.serviceglobe.actions import FencedActionError
+from repro.telemetry.records import TOPIC_SUPERVISION
+from tests.conftest import executed, published
 
 START = 720  # noon, like the simulation runner
 
@@ -35,6 +37,7 @@ def run_until_recovered(supervisor, start, limit=30):
 
 class TestCrashRecovery:
     def test_replacement_inherits_journalled_soft_state(self, platform):
+        events = published(platform.bus, TOPIC_SUPERVISION)
         supervisor = make_supervisor(platform)
         supervisor.tick(START)
         supervisor.active.protection.protect(["host:Weak2"], START + 1)
@@ -64,7 +67,7 @@ class TestCrashRecovery:
             and record.data["service_name"] == "APP"
         ]
         assert resolved, "pending restart was not inherited by the replacement"
-        kinds = [kind for _, kind, _ in supervisor.events]
+        kinds = [event.kind.value for event in events]
         assert kinds.count("controller-crash") == 1
         assert kinds.count("controller-recovery") == 1
 
@@ -113,6 +116,7 @@ class TestHotStandbyFencing:
         return supervisor, now
 
     def test_partitioned_leader_is_superseded_at_lease_expiry(self, platform):
+        events = published(platform.bus, TOPIC_SUPERVISION)
         supervisor, now = self._promote_over_partition(platform)
         # promotion waited exactly for the lease to run out, no longer
         assert now - 1 == START + supervisor.lease_ttl
@@ -121,11 +125,12 @@ class TestHotStandbyFencing:
         assert supervisor.active.executor.fencing_token == 2
         assert stale.executor.fencing_token == 1
         assert platform.fence.token == 2
-        kinds = [kind for _, kind, _ in supervisor.events]
+        kinds = [event.kind.value for event in events]
         assert "leader-partition" in kinds
         assert "leader-failover" in kinds
 
     def test_deposed_leaders_actions_are_fenced_not_applied(self, platform):
+        outcomes = executed(platform)
         supervisor, _ = self._promote_over_partition(platform)
         stale, _ = supervisor._stale
         instances_before = {
@@ -142,28 +147,30 @@ class TestHotStandbyFencing:
         }
         assert instances_after == instances_before, "fenced action mutated"
         assert stale.executor.fenced_count == 1
-        fenced = [o for o in platform.audit_log if o.status == "fenced"]
+        fenced = [o for o in outcomes if o.status == "fenced"]
         assert len(fenced) == 1
         assert "fencing guard" in fenced[0].note
 
     def test_partition_heals_and_the_stale_leader_demotes(self, platform):
+        events = published(platform.bus, TOPIC_SUPERVISION)
         supervisor, now = self._promote_over_partition(platform, 10)
         heal_at = START + 1 + 10
         for minute in range(now, heal_at + 1):
             supervisor.tick(minute)
         assert supervisor._stale is None
         assert not supervisor.fault_in_progress(heal_at + 1)
-        kinds = [kind for _, kind, _ in supervisor.events]
+        kinds = [event.kind.value for event in events]
         assert "partition-healed" in kinds
 
     def test_standby_failover_is_faster_than_a_restart(self, platform):
+        events = published(platform.bus, TOPIC_SUPERVISION)
         supervisor = make_supervisor(platform, standby=True)
         supervisor.tick(START)
         supervisor.crash_active(START + 1, down_minutes=60)
         run_until_recovered(supervisor, START + 1)
         # the standby takes over at lease expiry, not after the hour
         assert supervisor.downtime_minutes <= supervisor.lease_ttl
-        kinds = [kind for _, kind, _ in supervisor.events]
+        kinds = [event.kind.value for event in events]
         assert "leader-failover" in kinds
 
 
@@ -266,6 +273,7 @@ class TestUnsupervised:
         """Without a store the one replica journals nothing, takes no
         lease and snapshots nothing, also while it acts; the same minutes
         supervised do all three."""
+        outcomes = executed(platform)
         from repro.core.state import LeaseStore, SnapshotStore, StateJournal
         from tests.core.conftest import set_demand
 
@@ -292,7 +300,7 @@ class TestUnsupervised:
             return supervisor, writes
 
         unsupervised, writes = run()
-        assert platform.audit_log, "the replica took no action"
+        assert outcomes, "the replica took no action"
         assert writes == []
         assert unsupervised.replicas == [unsupervised.active]
         assert unsupervised.active.journal is None

@@ -156,4 +156,4 @@ def test_paper_scenarios_match_golden_summaries():
         result = runner.run()
         golden = json.loads((GOLDEN / f"summary_{scenario.value}.json").read_text())
         assert result.summary().split("\n") == golden["summary"], scenario
-        assert [str(o) for o in runner.platform.audit_log] == golden["audit_log"]
+        assert [str(o) for o in result.actions] == golden["audit_log"]

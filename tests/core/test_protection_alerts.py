@@ -6,6 +6,15 @@ from hypothesis import strategies as st
 
 from repro.core.alerts import AlertChannel, AlertSeverity
 from repro.core.protection import ProtectionRegistry
+from repro.telemetry.bus import EventBus
+from repro.telemetry.records import TOPIC_ALERTS
+from tests.conftest import escalations, published as published_on
+
+
+def _channel(confirm=None):
+    """A channel over a fresh bus, and the alerts it publishes."""
+    bus = EventBus()
+    return AlertChannel(bus, confirm), published_on(bus, TOPIC_ALERTS)
 
 
 class TestProtection:
@@ -74,35 +83,34 @@ class TestProtection:
 
 class TestAlerts:
     def test_severities(self):
-        channel = AlertChannel()
+        channel, published = _channel()
         channel.info(0, "started")
         channel.warning(1, "load rising")
         channel.escalate(2, "no applicable action")
-        assert [a.severity for a in channel.alerts] == [
-            AlertSeverity.INFO,
-            AlertSeverity.WARNING,
-            AlertSeverity.ESCALATION,
+        assert [a.severity for a in published] == [
+            AlertSeverity.INFO.value,
+            AlertSeverity.WARNING.value,
+            AlertSeverity.ESCALATION.value,
         ]
-        assert len(channel.escalations()) == 1
+        assert len(escalations(published)) == 1
 
     def test_confirmation_approved(self):
-        channel = AlertChannel(confirm=lambda description: True)
+        channel, published = _channel(confirm=lambda description: True)
         assert channel.request_confirmation(0, "scaleOut(FI)")
-        assert "approved" in channel.alerts[-1].message
+        assert "approved" in published[-1].message
 
     def test_confirmation_declined(self):
-        channel = AlertChannel(confirm=lambda description: False)
+        channel, published = _channel(confirm=lambda description: False)
         assert not channel.request_confirmation(0, "scaleOut(FI)")
-        assert "declined" in channel.alerts[-1].message
+        assert "declined" in published[-1].message
 
     def test_unattended_semi_automatic_denies_and_escalates(self):
         """Without an administrator, semi-automatic mode must not act."""
-        channel = AlertChannel()
+        channel, published = _channel()
         assert not channel.request_confirmation(0, "scaleOut(FI)")
-        assert channel.escalations()
+        assert escalations(published)
 
     def test_alert_str(self):
-        channel = AlertChannel()
+        channel, published = _channel()
         channel.escalate(7, "help")
-        assert "t=7" in str(channel.alerts[0])
-        assert "escalation" in str(channel.alerts[0])
+        assert str(published[0]) == "[t=7 escalation] help"

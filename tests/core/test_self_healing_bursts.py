@@ -13,6 +13,7 @@ from repro.core.autoglobe import AutoGlobeController
 from repro.serviceglobe.actions import TransientActionFailure
 from repro.serviceglobe.executor import ActionExecutor, ExecutionFaults
 from repro.serviceglobe.platform import Platform
+from tests.conftest import alerts_of, escalations
 from tests.core.conftest import build_landscape
 
 
@@ -82,6 +83,7 @@ class TestLastInstanceWithHostDown:
         """The only instance of a minInstances=1 service dies with its
         only eligible host: the restart cannot run anywhere, so it is
         deferred and retried until the host rejoins the landscape."""
+        alerts = alerts_of(platform)
         controller = AutoGlobeController(platform)
         controller.tick(0)
         victims = platform.crash_host("Big1")  # kills DB's only instance
@@ -92,7 +94,7 @@ class TestLastInstanceWithHostDown:
         # no eligible host (DB needs performanceIndex >= 5): escalated
         assert any(
             "could not restart" in a.message
-            for a in controller.alerts.escalations()
+            for a in escalations(alerts)
         )
         for now in range(2, 6):
             controller.tick(now)

@@ -91,6 +91,37 @@ class TestStateJournal:
         assert [r.seq for r in journal.since(2)] == [3, 4]
         assert journal.since(4) == []
 
+    def test_compaction_keeps_the_newest_row_so_numbering_goes_on(self, tmp_path):
+        """Compacting through every row keeps the newest: SQLite numbers
+        a row ``max(seq) + 1``, so an emptied table would restart at 1,
+        below every snapshot, and recovery's ``since`` would skip it."""
+        store = DurableStateStore(tmp_path)
+        for now in range(1, 6):
+            store.journal.append("tick", now=now)
+        store.snapshots.save("controller", 5, 5, {})
+        store.compact(5)
+        assert [r.seq for r in store.journal.since(0)] == [5]
+        store.close()
+        reopened = DurableStateStore(tmp_path)
+        record = reopened.journal.append("tick", now=6)
+        assert record.seq == 6
+        assert reopened.journal.since(5) == [record]
+        reopened.close()
+
+    def test_compaction_keeps_what_a_recovery_or_a_resume_replays(self):
+        """Rows past the controller snapshot's sequence stay (a recovering
+        replica replays them), and so do rows past the run snapshot's (a
+        resume rewinds to it)."""
+        store = DurableStateStore()
+        for now in range(1, 9):
+            store.journal.append("tick", now=now)
+        store.snapshots.save("controller", 3, 3, {})
+        store.compact(8)
+        assert [r.seq for r in store.journal.since(0)] == [4, 5, 6, 7, 8]
+        store.snapshots.save("controller", 8, 8, {})
+        store.compact(5)
+        assert [r.seq for r in store.journal.since(0)] == [6, 7, 8]
+
 
 class TestSnapshotStore:
     def test_save_then_load_round_trips(self, tmp_path):
@@ -511,11 +542,12 @@ class TestCrashSafety:
         assert caught.value.path == str(path)
         assert not (tmp_path / "state.db-wal").exists()
 
-    @pytest.mark.parametrize("version", [0, 2, 3, 5])
+    @pytest.mark.parametrize("version", [0, 2, 3, 4, 6])
     def test_a_state_file_of_another_format_is_refused(self, tmp_path, version):
         """Format 0 kept one archive row per sample, format 2 a copy of
         situations and actions in the archive, format 3 a flat run's
-        snapshot without a plane of domains, 5 is from the future:
+        snapshot without a plane of domains, format 4 the run's history
+        outside the result collector, 6 is from the future:
         refused, never resumed into an empty archive; no table is added
         to the file."""
         path = tmp_path / "state.db"

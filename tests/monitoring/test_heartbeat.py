@@ -6,6 +6,7 @@ from repro.config.model import Action
 from repro.core.autoglobe import AutoGlobeController
 from repro.monitoring.heartbeat import HeartbeatDetector
 from repro.serviceglobe.platform import Platform
+from tests.conftest import alerts_of
 from tests.core.conftest import build_landscape
 
 
@@ -112,11 +113,12 @@ class TestSelfHealingLoop:
         assert platform.service("APP").total_users == 77
 
     def test_restart_logged_as_warning(self, platform):
+        alerts = alerts_of(platform)
         controller = AutoGlobeController(platform)
         controller.tick(0)
         victim = platform.service("APP").running_instances[0]
         controller.failure_detector.suppress(victim.instance_id)
         for now in range(1, 8):
             controller.tick(now)
-        warnings = [a for a in controller.alerts.alerts if "restarted" in a.message]
+        warnings = [a for a in alerts if "restarted" in a.message]
         assert warnings

@@ -29,11 +29,14 @@ from repro.ops.api import OpsBridge, OpsServer
 from repro.ops.console import MalformedResponse, OpsClient, render_snapshot, run_console
 from repro.serviceglobe.actions import ActionOutcome
 from repro.sim.runner import SimulationRunner
-from repro.sim.scenarios import Scenario, default_chaos
+from repro.sim.scenarios import Scenario, controller_chaos, default_chaos
+from repro.telemetry.bus import WILDCARD
 from repro.telemetry.records import (
     ActionEvent,
     AlertEvent,
     LoadReportBatch,
+    SupervisionEvent,
+    SupervisionEventKind,
     record_to_dict,
     topic_of,
 )
@@ -54,6 +57,7 @@ def harness():
         runner.platform,
         runner.controller,
         run_info={"scenario": "full-mobility", "seed": 7},
+        collector=runner.collector,
     )
     bridge.attach(runner.platform.bus)
     bridge.refresh(T0)
@@ -865,12 +869,14 @@ class TestConsole:
             Scenario.FULL_MOBILITY, user_factor=1.15, horizon=120, seed=7,
             chaos=default_chaos(), semi_automatic=True, collect_host_series=False,
         )
+        # the message view is the alerts the bridge sees: attached first
+        bridge = OpsBridge(runner.platform, runner.controller, collector=runner.collector)
+        bridge.attach(runner.platform.bus)
         runner.run()
         last = runner.start_minute + runner.horizon - 1
         runner.controller.leaders()[0].execute_manually(
             Action.SCALE_OUT, "FI", target_host="Blade3", now=last
         )
-        bridge = OpsBridge(runner.platform, runner.controller)
         bridge.refresh(last)
         direct = render_snapshot(
             *map(bridge.snapshot, ("landscape", "situations", "approvals"))
@@ -888,6 +894,70 @@ class TestConsole:
         assert "@Blade3" in direct and "manual action: " in direct
         assert "(no messages)" not in direct
         assert "== approvals: 0 pending ==" not in direct
+
+
+class TestMessagesAndActionsOutliveTheirProducers:
+    """The message view is the alerts the bridge saw, whichever replica
+    raised them; ``/summary.actions`` is the result collector's count."""
+
+    def test_a_crashed_leaders_last_alert_stays_in_the_messages(self):
+        # seed 122 crashes controller-1 at 794; the standby leads from 798
+        runner = SimulationRunner(
+            Scenario.FULL_MOBILITY, user_factor=1.15, horizon=80, seed=7,
+            collect_host_series=False, chaos=controller_chaos(122), standby=True,
+        )
+        bridge = OpsBridge(runner.platform, runner.controller, collector=runner.collector)
+        bridge.attach(runner.platform.bus)
+        stream = []
+        runner.platform.bus.subscribe(
+            WILDCARD, lambda envelope: stream.append(envelope.record)
+        )
+        result = runner.run()
+        crash = next(
+            index for index, record in enumerate(stream)
+            if isinstance(record, SupervisionEvent)
+            and record.kind is SupervisionEventKind.CONTROLLER_CRASH
+        )
+        assert stream[crash].detail == "controller-1"
+        last = [r for r in stream[:crash] if isinstance(r, AlertEvent)][-1]
+        [leader] = runner.controller.leaders()
+        assert leader.executor.name != "controller-1"
+        bridge.refresh(runner.start_minute + runner.horizon - 1)
+        server = OpsServer(bridge, port=0).start()
+        try:
+            client = OpsClient("127.0.0.1", server.port)
+            messages, summary = client.situations()["messages"], client.summary()
+        finally:
+            server.stop()
+            bridge.detach()
+        assert str(last) in messages
+        assert summary["actions"] == len(result.actions)
+
+    def test_a_resumed_run_counts_the_actions_before_its_snapshot(self, tmp_path):
+        def durable(**kwargs):
+            return SimulationRunner(
+                Scenario.FULL_MOBILITY, user_factor=1.15, horizon=240, seed=7,
+                collect_host_series=False, chaos=default_chaos(115),
+                state_dir=tmp_path, **kwargs,
+            )
+
+        stopped = durable()
+
+        def stop_at_899(envelope):
+            if getattr(envelope.record, "time", None) == 899:
+                stopped.request_stop()  # snapshots there; the directory resumes
+
+        stopped.platform.bus.subscribe(WILDCARD, stop_at_899)
+        before = len(stopped.run().actions)
+        assert before > 0
+        resumed = durable(resume=True)
+        bridge = OpsBridge(resumed.platform, resumed.controller, collector=resumed.collector)
+        bridge.attach(resumed.platform.bus)
+        result = resumed.run()
+        bridge.refresh(resumed.start_minute + resumed.horizon - 1)
+        bridge.detach()
+        assert len(result.actions) > before
+        assert bridge.snapshot("summary")["actions"] == len(result.actions)
 
 
 class _ScriptedPeer(threading.Thread):

@@ -14,6 +14,7 @@ from repro.serviceglobe.executor import (
     RetryPolicy,
 )
 from repro.serviceglobe.platform import Platform
+from tests.conftest import executed
 from tests.core.conftest import build_landscape
 
 
@@ -64,6 +65,7 @@ class TestPassThrough:
 
 class TestRetries:
     def test_transient_fault_retried_to_success(self, platform):
+        outcomes = executed(platform)
         probability = 0.5
         seed = _seed_failing_then_passing(probability)
         executor = ActionExecutor(
@@ -80,9 +82,10 @@ class TestRetries:
         assert outcome.duration == executor.policy.backoff_delay(1)
         assert len(platform.service("APP").running_instances) == 2
         # the successful outcome is the audit trail of the retry
-        assert platform.audit_log[-1] is outcome
+        assert outcomes[-1] is outcome
 
     def test_exhausted_budget_raises_and_audits(self, platform):
+        outcomes = executed(platform)
         executor = ActionExecutor(
             platform,
             policy=RetryPolicy(max_attempts=3),
@@ -92,12 +95,13 @@ class TestRetries:
             executor.execute(Action.SCALE_OUT, "APP", target_host="Weak2")
         assert executor.failure_count == 1
         assert len(platform.service("APP").running_instances) == 1
-        failed = [a for a in platform.audit_log if a.status == "failed"]
+        failed = [a for a in outcomes if a.status == "failed"]
         assert len(failed) == 1
         assert failed[0].attempts == 3
         assert "gave up" in failed[0].note
 
     def test_permanent_error_is_not_retried(self, platform):
+        outcomes = executed(platform)
         # non-pristine faults but the platform rejects the action outright:
         # the error must propagate on the first attempt, no retry loop
         executor = ActionExecutor(
@@ -107,9 +111,10 @@ class TestRetries:
         with pytest.raises(ActionNotAllowed):
             executor.execute(Action.SCALE_OUT, "DB", target_host="Big1")
         assert executor.failure_count == 0
-        assert all(a.status == "ok" for a in platform.audit_log)
+        assert all(a.status == "ok" for a in outcomes)
 
     def test_deterministic_timeout_exhausts_budget(self, platform):
+        outcomes = executed(platform)
         executor = ActionExecutor(
             platform,
             policy=RetryPolicy(max_attempts=2, timeout=10.0),
@@ -119,7 +124,7 @@ class TestRetries:
         )
         with pytest.raises(TransientActionFailure):
             executor.execute(Action.SCALE_OUT, "APP", target_host="Weak2")
-        failed = [a for a in platform.audit_log if a.status == "failed"]
+        failed = [a for a in outcomes if a.status == "failed"]
         assert len(failed) == 1
         assert "timed out" in failed[0].note
         # two timed-out attempts plus one backoff pause
@@ -139,6 +144,7 @@ class TestRetries:
 
 class TestCompensation:
     def test_failed_move_commit_restores_source(self, platform):
+        outcomes = executed(platform)
         instance = platform.service("APP").running_instances[0]
         instance.users = 40
         source = instance.host_name
@@ -160,12 +166,13 @@ class TestCompensation:
         assert platform.service("APP").total_users == 40
         assert executor.compensation_count == 2
         compensated = [
-            a for a in platform.audit_log if a.status == "compensated"
+            a for a in outcomes if a.status == "compensated"
         ]
         assert len(compensated) == 2
         assert all("rolled back" in a.note for a in compensated)
 
     def test_source_host_death_during_move_orphans_instance(self, platform):
+        outcomes = executed(platform)
         instance = platform.service("APP").running_instances[0]
         source = instance.host_name
 
@@ -191,7 +198,7 @@ class TestCompensation:
         assert [o.instance_id for o in platform.orphans] == [
             instance.instance_id
         ]
-        lost = [a for a in platform.audit_log if a.status == "compensated"]
+        lost = [a for a in outcomes if a.status == "compensated"]
         assert len(lost) == 1
         assert "source lost" in lost[0].note
 

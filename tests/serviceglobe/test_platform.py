@@ -19,6 +19,7 @@ from repro.serviceglobe.actions import (
 from repro.serviceglobe.dispatcher import UserDistribution
 from repro.serviceglobe.platform import Platform
 from repro.serviceglobe.service import VirtualIP
+from tests.conftest import executed
 
 ALL_ACTIONS = frozenset(Action)
 
@@ -271,16 +272,18 @@ class TestPriorities:
 
 class TestAuditLog:
     def test_actions_are_logged(self, platform):
+        outcomes = executed(platform)
         platform.execute(Action.SCALE_OUT, "APP", target_host="H2", applicability=0.8)
-        assert len(platform.audit_log) == 1
-        outcome = platform.audit_log[0]
+        assert len(outcomes) == 1
+        outcome = outcomes[0]
         assert outcome.action is Action.SCALE_OUT
         assert outcome.applicability == pytest.approx(0.8)
 
     def test_failed_actions_not_logged(self, platform):
+        outcomes = executed(platform)
         with pytest.raises(ConstraintViolation):
             platform.execute(Action.SCALE_IN, "APP")
-        assert platform.audit_log == []
+        assert outcomes == []
 
     def test_outcome_str_readable(self, platform):
         outcome = platform.execute(

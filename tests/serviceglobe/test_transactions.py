@@ -7,6 +7,7 @@ from repro.serviceglobe.actions import ActionError
 from repro.serviceglobe.platform import Platform
 from repro.serviceglobe.transactions import PlatformTransaction
 from tests.core.conftest import build_landscape
+from tests.conftest import executed
 
 
 def placement(platform):
@@ -30,9 +31,10 @@ class TestCommit:
         assert len(platform.service("APP").running_instances) == 2
 
     def test_audit_log_kept_on_commit(self, platform):
+        outcomes = executed(platform)
         with PlatformTransaction(platform):
             platform.execute(Action.SCALE_OUT, "APP", target_host="Weak2")
-        assert len(platform.audit_log) == 1
+        assert len(outcomes) == 1
 
 
 class TestRollback:
@@ -115,13 +117,17 @@ class TestRollback:
                 raise ActionError("boom")
         assert platform.service("APP").priority == 5
 
-    def test_rollback_truncates_audit_log(self, platform):
+    def test_rollback_cannot_retract_published_actions(self, platform):
+        """The platform keeps no action history to roll back: an outcome
+        published inside a failed block stays published."""
+        outcomes = executed(platform)
         platform.execute(Action.INCREASE_PRIORITY, "APP")
         with pytest.raises(ActionError):
             with PlatformTransaction(platform):
                 platform.execute(Action.SCALE_OUT, "APP", target_host="Weak2")
                 raise ActionError("boom")
-        assert len(platform.audit_log) == 1
+        assert [o.action for o in outcomes] == [Action.INCREASE_PRIORITY, Action.SCALE_OUT]
+        assert len(platform.service("APP").running_instances) == 1
 
     def test_nested_state_flag(self, platform):
         transaction = PlatformTransaction(platform)

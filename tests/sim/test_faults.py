@@ -8,64 +8,76 @@ from repro.sim.faults import FaultInjector
 from repro.sim.scenarios import Scenario, apply_scenario
 from repro.sim.workload import NoiseParameters, WorkloadModel
 from repro.config.builtin import paper_landscape
+from repro.telemetry.records import TOPIC_FAULTS
+from tests.conftest import executed, published
 from tests.core.conftest import build_landscape
+
+
+def _count(faults, kind):
+    return sum(1 for fault in faults if fault.kind == kind)
 
 
 class TestInjector:
     def test_no_faults_with_zero_probability(self):
         platform = Platform(build_landscape())
+        faults = published(platform.bus, TOPIC_FAULTS)
         controller = FederatedControlPlane(platform)
         injector = FaultInjector(controller, crash_probability=0.0,
                                  hang_probability=0.0)
         for now in range(100):
             controller.tick(now)
             assert injector.tick(now) == []
-        assert injector.faults == []
+        assert faults == []
 
     def test_crash_restarts_instance(self):
         platform = Platform(build_landscape())
+        faults = published(platform.bus, TOPIC_FAULTS)
         controller = FederatedControlPlane(platform)
         injector = FaultInjector(controller, crash_probability=1.0,
                                  hang_probability=0.0, seed=1)
         controller.tick(0)
         injector.tick(0)
-        assert injector.crash_count >= 1
+        assert _count(faults, "crash") >= 1
         # every crashed service is running again (restart succeeded)
-        for fault in injector.faults:
+        for fault in faults:
             assert platform.service(fault.service_name).running_instances
 
     def test_hang_detected_and_healed(self):
         platform = Platform(build_landscape())
+        faults = published(platform.bus, TOPIC_FAULTS)
         controller = FederatedControlPlane(platform)
         injector = FaultInjector(controller, crash_probability=0.0,
                                  hang_probability=1.0, seed=1)
+        outcomes = executed(platform)
         controller.tick(0)
         injector.tick(0)  # everything hangs at t=0
-        assert injector.hang_count >= 1
+        assert _count(faults, "hang") >= 1
         for now in range(1, 8):
             controller.tick(now)
         # the heartbeat detector noticed and the controller restarted
-        restarts = [a for a in platform.audit_log if "restart" in a.note]
+        restarts = [a for a in outcomes if "restart" in a.note]
         assert restarts
-        for fault in injector.faults:
+        for fault in faults:
             assert platform.service(fault.service_name).running_instances
 
     def test_deterministic_under_seed(self):
         def run():
             platform = Platform(build_landscape())
+            faults = published(platform.bus, TOPIC_FAULTS)
             controller = FederatedControlPlane(platform)
             injector = FaultInjector(controller, crash_probability=0.05,
                                      hang_probability=0.05, seed=42)
             for now in range(60):
                 controller.tick(now)
                 injector.tick(now)
-            return [(f.time, f.service_name, f.kind) for f in injector.faults]
+            return [(f.time, f.service_name, f.kind) for f in faults]
 
         assert run() == run()
 
     def test_deterministic_with_host_faults(self):
         def run():
             platform = Platform(build_landscape())
+            faults = published(platform.bus, TOPIC_FAULTS)
             controller = FederatedControlPlane(platform)
             injector = FaultInjector(
                 controller,
@@ -82,7 +94,7 @@ class TestInjector:
                 controller.tick(now)
             return [
                 (f.time, f.service_name, f.host_name, f.kind)
-                for f in injector.faults
+                for f in faults
             ]
 
         assert run() == run()
@@ -103,16 +115,17 @@ class TestInjector:
 
     def test_disabled_controller_leaves_crashes_unhealed(self):
         platform = Platform(build_landscape())
+        faults = published(platform.bus, TOPIC_FAULTS)
         controller = FederatedControlPlane(platform, enabled=False)
         injector = FaultInjector(controller, crash_probability=1.0,
                                  hang_probability=0.0, seed=1)
         controller.tick(0)
         injector.tick(0)
-        assert injector.crash_count >= 1
+        assert _count(faults, "crash") >= 1
         for now in range(1, 10):
             controller.tick(now)
         # nothing heals: the crashed services stay dead (chaos baseline)
-        for fault in injector.faults:
+        for fault in faults:
             if fault.kind == "crash":
                 assert not platform.service(fault.service_name).running_instances
 
@@ -120,18 +133,20 @@ class TestInjector:
 class TestHostFaults:
     def test_host_crash_takes_capacity_and_instances(self):
         platform = Platform(build_landscape())
+        faults = published(platform.bus, TOPIC_FAULTS)
         controller = FederatedControlPlane(platform, enabled=False)
         injector = FaultInjector(
             controller, crash_probability=0.0, hang_probability=0.0,
             host_crash_probability=1.0, host_reboot_minutes=(5, 5), seed=1,
         )
         injector.tick(0)
-        assert injector.host_crash_count == len(platform.hosts)
+        assert _count(faults, "host-crash") == len(platform.hosts)
         assert platform.hosts_down() == sorted(platform.hosts)
         assert platform.all_instances() == []
 
     def test_crashed_host_rejoins_after_reboot(self):
         platform = Platform(build_landscape())
+        faults = published(platform.bus, TOPIC_FAULTS)
         controller = FederatedControlPlane(platform)
         injector = FaultInjector(
             controller, crash_probability=0.0, hang_probability=0.0,
@@ -145,7 +160,7 @@ class TestHostFaults:
             injector.tick(now)
             controller.tick(now)
         assert platform.hosts_down() == []
-        assert injector.count("host-recovery") == injector.host_crash_count
+        assert _count(faults, "host-recovery") == _count(faults, "host-crash")
         # the controller restarted every service once capacity returned
         for name, definition in platform.services.items():
             assert definition.running_instances, f"{name} still down"
@@ -170,6 +185,7 @@ class TestHostFaults:
 class TestMonitoringOutages:
     def test_outage_drops_reports_instead_of_sampling_zero(self):
         platform = Platform(build_landscape())
+        faults = published(platform.bus, TOPIC_FAULTS)
         controller = FederatedControlPlane(platform)
         injector = FaultInjector(
             controller, crash_probability=0.0, hang_probability=0.0,
@@ -178,7 +194,7 @@ class TestMonitoringOutages:
         )
         injector.tick(0)
         injector.monitor_outage_probability = 0.0
-        assert injector.monitor_outage_count == len(platform.hosts)
+        assert _count(faults, "monitor-outage") == len(platform.hosts)
         for now in range(0, 4):
             controller.tick(now)
         [leader] = controller.leaders()
@@ -201,6 +217,7 @@ class TestChaosOnSapLandscape:
             paper_landscape(), Scenario.CONSTRAINED_MOBILITY
         )
         platform = Platform(landscape)
+        faults = published(platform.bus, TOPIC_FAULTS)
         controller = FederatedControlPlane(platform)
         workload = WorkloadModel(
             platform, seed=5,
@@ -218,7 +235,7 @@ class TestChaosOnSapLandscape:
             workload.tick(now)
             controller.tick(now)
             injector.tick(now)
-        assert injector.faults, "the storm should have injected faults"
+        assert faults, "the storm should have injected faults"
         for definition in platform.services.values():
             running = len(definition.running_instances)
             assert running >= max(definition.spec.constraints.min_instances, 1)

@@ -24,11 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.state import DurableStateStore
+from repro.cli import _injected_faults
+from repro.core.state import DurableStateStore, SnapshotStore, StateJournal
 from repro.monitoring.archive import InMemoryLoadArchive
 from repro.sim.export import export_summary_json
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario, controller_chaos, default_chaos
+from repro.telemetry.records import TOPIC_ACTIONS, TOPIC_FAULTS, TOPIC_SUPERVISION
+from tests.conftest import published
 
 HORIZON = 12 * 60  # half a simulated day keeps the suite fast
 
@@ -43,7 +46,12 @@ def _run(chaos, **kwargs):
         chaos=chaos,
         **kwargs,
     )
-    return runner, runner.run()
+    # what the run published, by topic: the producers keep no copy
+    seen = {
+        topic: published(runner.platform.bus, topic)
+        for topic in (TOPIC_ACTIONS, TOPIC_FAULTS, TOPIC_SUPERVISION)
+    }
+    return runner, runner.run(), seen
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +63,14 @@ def recovery_runs():
 
 class TestChaosAcceptance:
     def test_controller_faults_were_injected(self, recovery_runs):
-        __, (runner, result) = recovery_runs
-        assert runner.injector.controller_crash_count > 0
-        assert runner.injector.leader_partition_count > 0
+        __, (__, result, __) = recovery_runs
+        assert result.controller_fault_count("controller-crash") > 0
+        assert result.controller_fault_count("leader-partition") > 0
         assert result.controller_down_minutes > 0
-        assert "controller crashes" in runner.injector.summary()
+        assert "controller crashes" in _injected_faults(result)
 
     def test_availability_within_two_points_of_crash_free(self, recovery_runs):
-        (__, baseline), (__, recovered) = recovery_runs
+        (__, baseline, __), (__, recovered, __) = recovery_runs
         assert baseline.fault_records and recovered.fault_records
         delta = abs(baseline.mean_availability - recovered.mean_availability)
         assert delta <= 0.02, (
@@ -72,14 +80,14 @@ class TestChaosAcceptance:
         )
 
     def test_fenced_actions_are_observable_not_applied(self, recovery_runs):
-        __, (__, result) = recovery_runs
+        __, (__, result, __) = recovery_runs
         fenced = [a for a in result.actions if a.status == "fenced"]
         assert fenced, "the deposed leader never hit the fencing guard"
         assert result.fenced_action_count == len(fenced)
         assert all("fencing guard" in a.note for a in fenced)
 
     def test_supervision_events_merge_into_fault_records(self, recovery_runs):
-        __, (__, result) = recovery_runs
+        __, (__, result, __) = recovery_runs
         kinds = {record.kind for record in result.fault_records}
         assert {"controller-crash", "leader-partition", "leader-failover"} <= kinds
         assert result.controller_fault_count("controller-crash") > 0
@@ -89,7 +97,7 @@ class TestChaosAcceptance:
     def test_summary_and_export_surface_recovery_metrics(
         self, recovery_runs, tmp_path
     ):
-        __, (__, result) = recovery_runs
+        __, (__, result, __) = recovery_runs
         summary = result.summary()
         assert "controller faults:" in summary
         assert f"{result.fenced_action_count} fenced actions" in summary
@@ -103,7 +111,7 @@ class TestChaosAcceptance:
         assert payload["leader_partition_count"] > 0
 
     def test_unanswered_approvals_surface_in_the_summary(self, recovery_runs):
-        __, (__, result) = recovery_runs
+        __, (__, result, __) = recovery_runs
         surfaced = dataclasses.replace(
             result, pending_approval_count=1, expired_approval_count=2
         )
@@ -118,14 +126,14 @@ class TestTelemetryPipeline:
     consumers used to read from private lists."""
 
     def test_result_actions_mirror_the_audit_log(self, recovery_runs):
-        for runner, result in recovery_runs:
-            assert result.actions == list(runner.platform.audit_log)
+        for __, result, seen in recovery_runs:
+            assert result.actions == [event.outcome for event in seen[TOPIC_ACTIONS]]
 
     def test_bus_counts_match_the_producers(self, recovery_runs):
-        (runner, __), __ = recovery_runs
+        (runner, result, __), __ = recovery_runs
         counts = runner.platform.bus.counts()
-        assert counts["actions"] == len(runner.platform.audit_log)
-        assert counts["faults"] == len(runner.injector.faults)
+        assert counts["actions"] == len(result.actions)
+        assert counts["faults"] == len(result.fault_records)
         assert counts.get("reports", 0) > 0
         assert counts.get("situations", 0) > 0
 
@@ -140,17 +148,18 @@ class TestTelemetryPipeline:
             collect_host_series=False, standby=standby, archive=archive,
             chaos=controller_chaos(3) if standby else default_chaos(115),
         )
+        events = _supervision(runner)
         runner.run()
         if standby:
-            assert _stale_windows(runner.controller.shards[""].events), "no leader was deposed"
+            assert _stale_windows(events()), "no leader was deposed"
         assert archive.batches == runner.platform.bus.counts()["reports"] > 0
         assert sum(archive.writes.values()) > archive.batches
 
     def test_supervision_events_are_typed_on_the_bus(self, recovery_runs):
         from repro.telemetry.records import SupervisionEvent, SupervisionEventKind
 
-        __, (runner, result) = recovery_runs
-        events = runner._supervision_events
+        __, (__, result, seen) = recovery_runs
+        events = seen[TOPIC_SUPERVISION]
         assert events and all(
             isinstance(event, SupervisionEvent)
             and isinstance(event.kind, SupervisionEventKind)
@@ -189,11 +198,14 @@ print([
 
 _STANDBY_HARNESS = """\
 import sys
+from repro.ops.store import read_store
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario, controller_chaos
 
 state_dir, mode, seed, kill_at = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
-kwargs = {"state_dir": state_dir}
+# the run's event log: a resume continues it from the snapshot
+store = state_dir + ".events.db"
+kwargs = {"state_dir": state_dir, "store_path": store}
 if mode == "kill":
     kwargs["kill_at"] = kill_at
 if mode == "resume":
@@ -208,8 +220,24 @@ print([
     (a.time, a.action.value, a.service_name, a.status, a.attempts)
     for a in result.actions
 ])
-print(runner.controller.shards[""].events)
+# the supervision events (crashes, failovers, heals) of the whole run
+print([
+    (event.record["time"], event.record["kind"], event.record["detail"])
+    for event in read_store(store)[1]
+    if event.topic == "supervision" and event.record["kind"] != "leader-epoch"
+])
 """
+
+
+def _supervision(runner):
+    """The ``(time, kind, detail)`` supervision events ``runner`` is
+    going to publish (leadership epochs left out)."""
+    events = published(runner.platform.bus, TOPIC_SUPERVISION)
+    return lambda: [
+        (event.time, event.kind.value, event.detail)
+        for event in events
+        if event.kind.value != "leader-epoch"
+    ]
 
 
 def _stale_windows(events):
@@ -258,8 +286,9 @@ class TestDeposedLeader:
             collect_host_series=False, chaos=controller_chaos(seed),
             standby=True, archive=archive,
         )
+        events = _supervision(runner)
         runner.run()
-        windows = _stale_windows(runner.controller.shards[""].events)
+        windows = _stale_windows(events())
         assert windows, "no leader was deposed"
         stale = set()
         for __, promoted, healed in windows:
@@ -334,11 +363,11 @@ class TestKillAndResume:
         run = self._harness(tmp_path)
         uninterrupted = run(str(tmp_path / "full"), "full")
         assert uninterrupted.returncode == 0, uninterrupted.stderr
-        full = DurableStateStore(tmp_path / "full")
+        # the harness's run, in process: its journal is compacted at every
+        # run snapshot, so the intents are seen as they are appended
         intents = sorted(
-            {r.data["time"] for r in full.journal.since(0) if r.kind == "action-intent"}
+            {data["time"] for data in _journalled(_durable(tmp_path / "intents", 180))}
         )
-        full.close()
         # resumable: past the first snapshot (minute 729), before the last
         minutes = range(730, 720 + 179)
         rng = random.Random(2026)
@@ -583,6 +612,22 @@ class TestVerifiedResume:
         assert resumed.verifier.fed == len(events)
 
 
+def _journalled(runner, kind="action-intent"):
+    """Run ``runner``; the data of every ``kind`` record it journalled."""
+    appended = []
+    append = StateJournal.append
+
+    def spy(journal, record_kind, /, **data):
+        if record_kind == kind:
+            appended.append(data)
+        return append(journal, record_kind, **data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StateJournal, "append", spy)
+        runner.run()
+    return appended
+
+
 def _durable(state_dir, horizon, **kwargs):
     return SimulationRunner(
         Scenario.FULL_MOBILITY,
@@ -615,6 +660,71 @@ class TestResumeOfAFinishedRun:
             assert (state / "state.db").stat().st_size == size
 
 
+class TestJournalCompaction:
+    def test_a_12h_run_leaves_one_snapshot_interval_of_journal(self, tmp_path):
+        """Each run snapshot compacts the journal: a 12-hour durable chaos
+        run ends with no more rows than one snapshot interval appended,
+        and the next row is numbered above every snapshot's sequence."""
+        appended = [0]  # journal appends per snapshot interval
+        append, save = StateJournal.append, SnapshotStore.save
+
+        def counting(journal, kind, /, **data):
+            appended[-1] += 1
+            return append(journal, kind, **data)
+
+        def marking(snapshots, kind, *args):
+            if kind == "run":
+                appended.append(0)
+            return save(snapshots, kind, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(StateJournal, "append", counting)
+            patch.setattr(SnapshotStore, "save", marking)
+            _durable(tmp_path, HORIZON).run()
+        store = DurableStateStore(tmp_path)
+        rows = len(store.journal.since(0))
+        assert store.journal.last_seq == sum(appended) > 0
+        assert 0 < rows <= max(appended)
+        snapshots = [store.snapshots.load(kind) for kind in ("run", "controller")]
+        record = store.journal.append("tick", now=720 + HORIZON)
+        store.close()
+        assert all(record.seq > snapshot["journal_seq"] for snapshot in snapshots)
+
+
+class TestOneHolderOfHistory:
+    def test_only_the_collector_payload_holds_the_runs_history(self, tmp_path):
+        """After a supervised chaos run, the run snapshot's actions,
+        faults, supervision faults and escalations are the collector's;
+        no other payload (platform, injector, any domain) keeps a copy."""
+        SimulationRunner(
+            Scenario.FULL_MOBILITY, user_factor=1.15, horizon=HORIZON, seed=7,
+            collect_host_series=False, chaos=controller_chaos(115),
+            standby=True, state_dir=tmp_path,
+        ).run()
+        store = DurableStateStore(tmp_path)
+        payload = store.snapshots.load("run")["payload"]
+        store.close()
+        collector = payload.pop("collector")
+        for key in ("actions", "faults", "supervision_faults"):
+            assert collector[key], key
+        assert collector["escalation_count"] > 0
+
+        def keys(value):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield key
+                    yield from keys(item)
+            elif isinstance(value, list):
+                for item in value:
+                    yield from keys(item)
+
+        assert set(payload) == {"platform", "workload", "supervisor", "injector", "bus_seq"}
+        assert payload["supervisor"]["domains"]
+        history = {"audit_log", "actions", "faults", "events", "escalations"}
+        for name, part in payload.items():
+            assert not history & set(keys(part)), name
+
+
 class TestCommitPoints:
     def test_a_durable_run_commits_only_where_a_guarantee_needs_it(self, tmp_path):
         """``state.db`` commits at run snapshots, action intents, lease
@@ -632,9 +742,8 @@ class TestCommitPoints:
                 commits.append(sql)
 
         connection.set_trace_callback(trace)
-        runner.run()
+        intents = len(_journalled(runner))
         store = DurableStateStore(tmp_path / "state")
-        intents = sum(r.kind == "action-intent" for r in store.journal.since(0))
         grants = store.lease.current()[1]  # one token per grant
         store.close()
         snapshots = HORIZON // runner.snapshot_interval

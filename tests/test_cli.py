@@ -196,11 +196,13 @@ class TestLintRefusesAHostileNumber:
 class TestRunRefusesAStateFileOfAnotherFormat:
     def test_resume_is_one_line_and_exit_2(self, tmp_path, capsys):
         """A state directory from before the load archive packed one row
-        per minute (format 0), or from before every run's snapshot held
-        a plane of domains (format 3): refused, never resumed."""
+        per minute (format 0), from before every run's snapshot held
+        a plane of domains (format 3), or from before the result
+        collector held the run's history (format 4): refused, never
+        resumed."""
         import sqlite3
 
-        for version in (0, 3):
+        for version in (0, 3, 4):
             directory = tmp_path / f"format-{version}"
             directory.mkdir()
             with sqlite3.connect(directory / "state.db") as parent:
@@ -217,13 +219,18 @@ class TestRunRefusesAStateFileOfAnotherFormat:
 class TestRunValidatesTheClock:
     """``--start``/``--hours`` are checked before anything is built."""
 
-    def test_start_beyond_the_horizon_is_rejected(self):
-        with pytest.raises(ValueError, match="lies beyond the 660-minute horizon"):
-            main(["run", "--start", "12:00", "--hours", "-1"])
+    def test_start_beyond_the_horizon_is_rejected(self, capsys):
+        assert main(["run", "--start", "12:00", "--hours", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "autoglobe run: clock start minute 720 lies beyond the "
+            "660-minute horizon\n"
+        )
 
-    def test_negative_horizon_is_rejected(self):
-        with pytest.raises(ValueError, match="horizon cannot be negative"):
-            main(["run", "--start", "00:30", "--hours", "-1"])
+    def test_negative_horizon_is_rejected(self, capsys):
+        assert main(["run", "--start", "00:30", "--hours", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "autoglobe run: clock horizon cannot be negative\n"
+        )
 
     def test_negative_start_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as caught:

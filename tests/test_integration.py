@@ -12,16 +12,19 @@ from repro.config.model import Action, ServiceKind
 from repro.sim.clock import MINUTES_PER_DAY
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario
+from tests.conftest import alerts_of, escalations, executed
 
 MORNING_TO_EVENING = 12 * 60  # noon -> midnight
 
 
-def run(scenario, factor, horizon=MORNING_TO_EVENING, **kwargs):
+def run(scenario, factor, horizon=MORNING_TO_EVENING, watch=None, **kwargs):
+    """Run one scenario; ``watch(platform)`` subscribes before the run."""
     runner = SimulationRunner(
         scenario, user_factor=factor, horizon=horizon, seed=13, **kwargs
     )
+    watched = watch(runner.platform) if watch is not None else None
     result = runner.run()
-    return runner, result
+    return (runner, result) if watch is None else (runner, result, watched)
 
 
 class TestConservationLaws:
@@ -100,8 +103,9 @@ class TestActionPolicyEndToEnd:
             assert action.service_name not in ("DB-ERP", "DB-CRM")
 
     def test_audit_log_matches_result_actions(self):
-        runner, result = run(Scenario.CONSTRAINED_MOBILITY, 1.30)
-        assert result.actions == runner.platform.audit_log
+        """The result's actions are the ``actions`` topic's, in order."""
+        __, result, outcomes = run(Scenario.CONSTRAINED_MOBILITY, 1.30, watch=executed)
+        assert result.actions == outcomes
 
 
 class TestFuzzyPathCounters:
@@ -138,8 +142,9 @@ class TestMonitoringEndToEnd:
                 assert record.situation.observed_mean > 0.70
 
     def test_escalations_only_for_overloads(self):
-        runner, __ = run(Scenario.CONSTRAINED_MOBILITY, 1.30)
-        for alert in runner.controller.escalations():
+        __, result, alerts = run(Scenario.CONSTRAINED_MOBILITY, 1.30, watch=alerts_of)
+        assert len(escalations(alerts)) == result.escalation_count
+        for alert in escalations(alerts):
             assert "Overloaded" in alert.message or "overload" in alert.message
 
 
@@ -159,6 +164,7 @@ class TestSemiAutomaticEndToEnd:
             controller=ControllerSettings(mode=ControllerMode.SEMI_AUTOMATIC),
         )
         platform = Platform(landscape)
+        alerts = alerts_of(platform)
         controller = AutoGlobeController(platform, confirm=lambda d: False)
         workload = WorkloadModel(platform, seed=13)
         workload.initialize()
@@ -172,4 +178,4 @@ class TestSemiAutomaticEndToEnd:
             (i.service_name, i.host_name) for i in platform.all_instances()
         )
         assert after == before
-        assert any("declined" in a.message for a in controller.alerts.alerts)
+        assert any("declined" in a.message for a in alerts)
