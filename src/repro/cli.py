@@ -205,10 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --verify: suppress a diagnostic code "
                           "(repeatable)")
     run.add_argument("--store", default=None, metavar="STORE.db",
-                     help="persist every telemetry event to a SQLite "
-                          "event store (crash-tolerant, verifiable with "
+                     help="keep the run's event log in this SQLite file "
+                          "instead of --state-dir's state.db (a run with "
+                          "neither keeps none); verifiable with "
                           "'autoglobe verify', tailable with "
-                          "'autoglobe tail')")
+                          "'autoglobe tail'; a --resume needs the log "
+                          "the run was started with")
     run.add_argument("--serve", type=_serve_addr, default=None,
                      metavar="HOST:PORT",
                      help="expose the live ops API while the run "
@@ -409,14 +411,16 @@ def _cmd_run(args) -> int:
             pace=args.pace,
             semi_automatic=args.semi_automatic,
         )
-    except StateCorruptError as exc:
-        # a damaged state file, or one of another format: one line, exit 2
+        if runner.ops_server is not None:
+            print(f"ops API listening on http://{runner.ops_server.host}:"
+                  f"{runner.ops_server.port}", file=sys.stderr)
+        result = runner.run()
+    except (StateCorruptError, ValueError) as exc:
+        # a damaged state file or one of another format, a used state
+        # directory, a resume without a snapshot or with a log shorter
+        # than it: one line, exit 2
         print(f"autoglobe run: {exc}", file=sys.stderr)
         return EXIT_ERRORS
-    if runner.ops_server is not None:
-        print(f"ops API listening on http://{runner.ops_server.host}:"
-              f"{runner.ops_server.port}", file=sys.stderr)
-    result = runner.run()
     print(result.summary())
     plane = runner.controller
     if len(plane.shards) > 1:

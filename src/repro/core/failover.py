@@ -418,9 +418,8 @@ class ControllerSupervisor:
             self.active.degrade_monitoring(host_name, until)
 
     def close(self) -> None:
-        """Close the state store, if any (idempotent)."""
-        if self.store is not None:
-            self.store.close()
+        """The end of the run: nothing to release here (whoever opened
+        the state store closes it); an agent's replica set deregisters."""
 
     # -- run-level durability (kill -9 and resume) -------------------------------------
 

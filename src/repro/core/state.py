@@ -27,10 +27,11 @@ once by :class:`StateDb`:
   archive (:class:`~repro.monitoring.archive.SqliteLoadArchive`):
   one row per minute, its samples packed as float64 in the order of a
   layout of interned series ids; one all-or-nothing batch per tick.
-* ``events`` / ``meta`` — the telemetry event log
-  (:class:`~repro.ops.store.TelemetryStore`): a domain agent's stream in
-  its own ``state.db``, a runner's or the federation server's merged
-  stream in a ``store.db`` that is a state file like any other.
+* ``events`` / ``meta`` — the run's event log
+  (:class:`~repro.ops.store.TelemetryStore`), next to the run snapshot
+  that points into it — unless the run names a ``store_path``, a
+  ``store.db`` that is a state file like any other (so is the
+  federation server's merged store).
 
 When a row commits: outside a write group, when the statement (or the
 :meth:`StateDb.transaction`) that wrote it returns.  A run loop whose
@@ -66,9 +67,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.config.model import Action
 from repro.monitoring.archive import SqliteLoadArchive
-from repro.serviceglobe.actions import ActionOutcome
 
 __all__ = [
     "STATE_FILE",
@@ -82,45 +81,7 @@ __all__ = [
     "LeaseStore",
     "DurableStateStore",
     "replay_journal",
-    "outcome_to_dict",
-    "outcome_from_dict",
 ]
-
-
-# -- codecs ---------------------------------------------------------------------------
-
-
-def outcome_to_dict(outcome: ActionOutcome) -> Dict[str, Any]:
-    """JSON-able form of an audit record (the Action enum by value)."""
-    return {
-        "time": outcome.time,
-        "action": outcome.action.value,
-        "service_name": outcome.service_name,
-        "instance_id": outcome.instance_id,
-        "source_host": outcome.source_host,
-        "target_host": outcome.target_host,
-        "applicability": outcome.applicability,
-        "note": outcome.note,
-        "status": outcome.status,
-        "attempts": outcome.attempts,
-        "duration": outcome.duration,
-    }
-
-
-def outcome_from_dict(payload: Dict[str, Any]) -> ActionOutcome:
-    return ActionOutcome(
-        time=int(payload["time"]),
-        action=Action(payload["action"]),
-        service_name=payload["service_name"],
-        instance_id=payload.get("instance_id"),
-        source_host=payload.get("source_host"),
-        target_host=payload.get("target_host"),
-        applicability=payload.get("applicability"),
-        note=payload.get("note", ""),
-        status=payload.get("status", "ok"),
-        attempts=int(payload.get("attempts", 1)),
-        duration=float(payload.get("duration", 0.0)),
-    )
 
 
 # -- the one state file ---------------------------------------------------------------
@@ -152,9 +113,10 @@ class StateCorruptError(Exception):
 #: plane of domains, one of format 4 while the run snapshot kept the
 #: run's history (actions, faults, supervision events, escalations) in
 #: the platform, injector and supervisor payloads instead of the result
-#: collector's; none is read here, so all are refused rather than
-#: resumed.
-STATE_FORMAT = 5
+#: collector's, one of format 5 while the collector's payload still
+#: copied that history, which the run's event log holds; none is read
+#: here, so all are refused rather than resumed.
+STATE_FORMAT = 6
 
 #: How long a connection waits for a competing process's transaction
 #: before giving up; transactions here are tiny, so contention clears in
@@ -319,7 +281,8 @@ class StateDb:
                 "archive also kept situations and actions, format 3 one "
                 "whose run snapshot holds no control plane of domains, "
                 "format 4 one whose run snapshot keeps the run's history "
-                "outside the result collector",
+                "outside the result collector, format 5 one whose run "
+                "snapshot copies the history its event log holds",
             )
 
     def execute(

@@ -18,12 +18,14 @@ closes, and around the supervisor's own work it speaks the
 * **heartbeats** — renew the server-side session and return the global
   minimum simulated minute, the pacing floor that keeps loosely coupled
   agents within ``SIM_LEAD_MINUTES`` of the slowest peer;
-* **events** — every envelope published on the agent's bus is
-  Lamport-stamped into the ``events`` table of the domain's ``state.db``
-  and nowhere else: the server reads the table at finalization and
-  merges the per-domain streams into one causally consistent trace
-  (every message carries the sender's clock, so the stamps order
-  across domains without the events crossing the wire);
+* **events** — the runner's event log lives in the domain's
+  ``state.db``, like every runner's with a state directory and no
+  ``store_path``; the agent labels its stream with the domain name and
+  hands it the session's Lamport clock, which stamps every envelope:
+  the server reads the table at finalization and merges the
+  per-domain streams into one causally consistent trace (every
+  message carries the sender's clock, so the stamps order across
+  domains without the events crossing the wire);
 * **escrow** — overloads no local action can remedy go through the
   server-brokered two-phase relocation (prepare / commit / attach),
   with every phase published as an :class:`~repro.telemetry.records.EscrowEvent`
@@ -50,16 +52,16 @@ re-handshakes immediately and adopts the bumped token.
 
 Durability is the runner's: events are state — rows of the same
 ``state.db`` as journal, snapshots and load archive, committed by the
-store's one group-commit policy and before every snapshot — and the
+log's one group-commit policy and before every snapshot — and the
 plane's part of the run snapshot carries a ``net`` section (Lamport
 clock, escrow reservations and reply caches).  Unlike a runner's own
 plane, an agent's opens no write group
 (:meth:`~repro.core.state.StateDb.group`): the federation server writes
 the domain's lease into the same ``state.db`` from its process, so
-journal, archive and snapshot rows keep committing statement by
-statement and no transaction is open while the agent waits on the
-wire.  A SIGKILLed agent
-resumes by dropping the event rows past the snapshot's bus sequence.
+journal, archive, event and snapshot rows keep committing statement
+by statement and no transaction is open while the agent waits on the
+wire.  A SIGKILLed agent resumes like any run: the log drops the rows
+past the snapshot's bus sequence.
 SIGTERM is graceful (:meth:`SimulationRunner.request_stop`): finish the
 current minute, snapshot, deregister (the plane's ``close()``), finalize,
 then write the run summary — last, so it counts everything the agent
@@ -96,7 +98,6 @@ from repro.monitoring.lms import Situation
 from repro.net.agent_session import DOWN, HELLO, UP, AgentSession
 from repro.net.protocol import FrameError
 from repro.net.transport import EndpointClosed, connect_tcp
-from repro.ops.store import TelemetryStore
 from repro.serviceglobe.actions import ActionError, ActionOutcome
 from repro.serviceglobe.platform import DomainView
 from repro.sim.clock import PAPER_HORIZON_MINUTES
@@ -104,12 +105,10 @@ from repro.sim.export import summary_json_payload
 from repro.sim.results import SimulationResult
 from repro.sim.runner import SimulationRunner, execution_faults
 from repro.sim.scenarios import ChaosProfile, Scenario, default_chaos
-from repro.telemetry.bus import WILDCARD, Envelope
 from repro.telemetry.records import (
     EscrowEvent,
     EscrowPhase,
     SituationKind,
-    record_payload,
 )
 
 __all__ = ["SessionSupervisor", "DomainAgent", "main"]
@@ -171,18 +170,19 @@ class SessionSupervisor(ControllerSupervisor):
             session.hold_attaches = False
         agent._ticks += 1
         agent._pump()
-        agent.events.end_tick()
         return outcomes
 
     def snapshot_state(self) -> Dict[str, Any]:
         payload = super().snapshot_state()
-        payload["net"] = self._agent._snapshot_net()
+        payload["net"] = self._agent.session.snapshot()
         return payload
 
     def restore_state(self, payload: Dict[str, Any], now: int) -> None:
         # rewinds the journal and the load archive to the snapshot too
         super().restore_state(payload, now)
-        self._agent._restore_net(payload["net"], now)
+        # the net section of the snapshot the runner resumes from
+        self._agent.session.minute = now
+        self._agent.session.restore(payload["net"])
 
     def close(self) -> None:
         """Deregister, bounded; the runner finalizes after this."""
@@ -234,7 +234,6 @@ class DomainAgent:
                 domain_index = 0
         self.domain = domain
         self.chaos = chaos
-        self.resume = resume
         self._endpoint_factory = endpoint_factory
         self._endpoint: Any = None
         self.dir = Path(state_dir) / domain
@@ -276,18 +275,15 @@ class DomainAgent:
             snapshot_interval=snapshot_interval,
             kill_at=kill_at,
         )
+        # the run's event log is in the domain's state.db: the domain's
+        # stream, one Lamport stamp per envelope (the merge sorts by it)
+        self.runner.telemetry_store.source = domain
+        self.runner.telemetry_store.clock = self.session.clock
 
     def _build_plane(self, platform, settings, enabled, store) -> SessionSupervisor:
-        """The runner's ``controller_factory``: the domain's event log and
-        its replica set, on the run's platform and (already checked) store.
-        Executors draw from the profile's own seed, ``+ 1000 + replica``."""
-        self.store = store
-        #: the domain's event log: rows of the same state.db
-        self.events = TelemetryStore(store.db, source=self.domain)
-        if not self.resume:
-            # subscribed below before anything publishes, on an unused file
-            self.events.mark_complete(True)
-        platform.bus.subscribe(WILDCARD, self._on_envelope)
+        """The runner's ``controller_factory``: the domain's replica set,
+        on the run's platform and (already checked) store.  Executors
+        draw from the profile's own seed, ``+ 1000 + replica``."""
         self.view = DomainView(
             platform, self.domain, list(platform.hosts), list(platform.services)
         )
@@ -308,15 +304,6 @@ class DomainAgent:
             relocation_handler=self._relocation_handler,
         )
         return self.supervisor
-
-    def _on_envelope(self, envelope: Envelope) -> None:
-        """One Lamport stamp per envelope (the merge sorts by it)."""
-        self.events.add(
-            envelope.seq,
-            envelope.topic,
-            record_payload(envelope.record),
-            self.session.clock.tick(),
-        )
 
     def request_stop(self) -> None:
         """Ask the agent to shut down gracefully after the current minute."""
@@ -684,38 +671,23 @@ class DomainAgent:
         )
         return ok, note
 
-    # -- the plane's part of the run snapshot, and of the run's end -----------------------
-
-    def _snapshot_net(self) -> Dict[str, Any]:
-        # the event rows must be committed before the snapshot that
-        # points into them: resume keeps the rows up to its bus_seq
-        self.events.flush()
-        return self.session.snapshot()
-
-    def _restore_net(self, net: Dict[str, Any], now: int) -> None:
-        """The ``net`` section of the snapshot the runner resumes from."""
-        self.session.minute = now
-        self.session.restore(net)
-        # cut the event log back to the snapshot, where the runner has
-        # put the bus: everything after belongs to the abandoned
-        # timeline between snapshot and kill
-        self.events.truncate_after(self.view.bus.last_seq)
+    # -- the plane's part of the run's end ----------------------------------------------
 
     def _close_session(self) -> None:
         """Deregister (bounded) and hang up; the runner finalizes afterwards.
 
         In that order: an escrow attach (or a commit refusal's
         compensation) that still lands while the deregistration waits
-        is an action the result has to count.
+        is an action the result has to count; the runner's log takes what
+        deregistering publishes, and holds everything before it already.
         """
-        self.events.flush()
+        self.runner.telemetry_store.flush()
         session = self.session
         if not session.deregistered:  # closed: a second close talks to nobody
             session.deregister()
             self._pump(
                 lambda: session.deregistered, time.monotonic() + DEREGISTER_SECONDS
             )
-        self.events.close()  # what deregistering itself published
         session.close()
         self._flush()
 

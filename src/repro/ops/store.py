@@ -2,26 +2,31 @@
 
 :class:`TelemetryStore` is a table accessor over a
 :class:`~repro.core.state.StateDb`, the way the journal, the snapshots
-and the load archive are: a domain agent's events are rows of its own
-``state.db``; a runner's ``store_path`` and the federation server's
-merged store are state files of their own.  Opening, WAL, the integrity
-check, transactions and :class:`~repro.core.state.StateCorruptError`
-are the database's; what this module adds is the stream's:
+and the load archive are.  A run keeps one event log, built by
+:class:`~repro.sim.runner.SimulationRunner` in one place: at its
+``store_path``, else in the run snapshot's ``state.db``, else nowhere;
+the federation server's merged store is a state file of its own.
+Opening, WAL, the integrity check, transactions and
+:class:`~repro.core.state.StateCorruptError` are the database's; what
+this module adds is the stream's:
 
 * **Group commit by wall-clock age.**  Envelopes buffer in memory and
-  commit in one transaction at a tick boundary: the runner calls
+  are written in one transaction at a tick boundary: the runner calls
   :meth:`TelemetryStore.end_tick` after every tick, served or not, and
-  the batch commits once it is ``MAX_AGE_S`` (0.25 s) of wall time old
-  or ``MAX_BATCH`` rows long — every tick of a paced run, about four
-  times a second of an unpaced one, and never in the middle of a tick.
-  :meth:`flush` is "commit now" (before every run snapshot, at close).
-  A SIGKILL loses at most the uncommitted tail batch — SQLite's WAL
-  guarantees every committed batch survives intact, never torn — and a
-  reopened store needs no repair.
+  the batch is written once it is ``MAX_AGE_S`` (0.25 s) of wall time
+  old or ``MAX_BATCH`` rows long — every tick of a paced run, about
+  four times a second of an unpaced one, and never in the middle of a
+  tick.  :meth:`flush` is "write now" (before every run snapshot, at
+  close).  In a ``state.db`` whose run loop groups its writes, a batch
+  joins the group and commits at its commit points, with the run
+  snapshot that covers it.  A SIGKILL loses at most the uncommitted
+  tail — SQLite's WAL guarantees every committed batch survives
+  intact, never torn — and a reopened store needs no repair.
 * **One attach.**  :meth:`TelemetryStore.attach` lines the rows up with
   the bus they continue: a resumed run drops the abandoned timeline
-  past its snapshot and appends gaplessly; any other run replaces what
-  an earlier one left (a store is an output).
+  past its snapshot and appends gaplessly, after reading the stream
+  up to it back (:meth:`events`); any other run replaces what an
+  earlier one left (a store is an output).
 * **Typed errors for readers.**  :func:`read_store` and
   :func:`tail_store` raise :class:`~repro.core.state.StateCorruptError`
   for a damaged file and :class:`~repro.telemetry.trace.TraceSchemaError`
@@ -47,7 +52,7 @@ import threading
 import time as _time
 from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.state import StateCorruptError, StateDb, open_readonly
 from repro.telemetry.bus import Envelope, EventBus, WILDCARD
@@ -164,13 +169,13 @@ class TelemetryStore:
     """The ``events`` table of a state file.
 
     ``db`` is an open :class:`~repro.core.state.StateDb` shared with the
-    file's other accessors (a domain agent's ``state.db``; the owner
+    file's other accessors (the run snapshot's ``state.db``; the owner
     closes it) or a path the store opens one on and closes (a runner's
     ``store_path``, the server's merged store).  ``source`` labels the
-    store's own stream: ``""`` for a single-process run, whose bus the
-    store subscribes to (:meth:`attach`); the domain name for an agent,
-    which stamps each envelope itself and hands it to :meth:`add`.
-    :meth:`insert_events` takes any source's finished rows.
+    store's own stream, the one :meth:`attach` subscribes to a bus:
+    ``""`` for a single-process run, the domain name for an agent's,
+    which also sets :attr:`clock`.  :meth:`insert_events` takes any
+    source's finished rows.
     """
 
     #: rows after which a tick boundary commits whatever the batch's age
@@ -184,6 +189,10 @@ class TelemetryStore:
         self._db = db if isinstance(db, StateDb) else StateDb(db)
         self._owns_db = self._db is not db
         self.source = source
+        #: the Lamport clock that stamps each envelope of the attached
+        #: bus (a domain agent's session clock); ``None`` leaves the
+        #: ``clock`` column empty
+        self.clock = None
         # once per file, not an upsert: opening must not write, so that
         # a refused run leaves an earlier run's bytes alone
         self._db.execute(
@@ -219,19 +228,19 @@ class TelemetryStore:
         self._bus = bus
 
     def _on_envelope(self, envelope: Envelope) -> None:
-        self.add(envelope.seq, envelope.topic, record_payload(envelope.record))
+        """Buffer one event of this store's own stream for the next batch."""
+        clock = self.clock
+        self._buffer.append(
+            self._row(
+                self.source,
+                envelope.seq,
+                envelope.topic,
+                record_payload(envelope.record),
+                clock.tick() if clock is not None else None,
+            )
+        )
 
     # -- writes -----------------------------------------------------------------------
-
-    def add(
-        self,
-        seq: int,
-        topic: str,
-        record: Dict[str, Any],
-        clock: Optional[int] = None,
-    ) -> None:
-        """Buffer one event of this store's own stream for the next commit."""
-        self._buffer.append(self._row(self.source, seq, topic, record, clock))
 
     @staticmethod
     def _row(
@@ -263,7 +272,8 @@ class TelemetryStore:
         return 0
 
     def flush(self) -> int:
-        """Commit the buffered batch now, in one transaction; rows committed."""
+        """Write the buffered batch now, in one transaction (inside a
+        write group: a savepoint of the group's); rows written."""
         if not self._buffer:
             return 0
         rows, self._buffer = self._buffer, []
@@ -306,6 +316,27 @@ class TelemetryStore:
             "SELECT MAX(seq) FROM events WHERE source = ?", (self.source,)
         ).fetchone()
         return int(row[0]) if row and row[0] is not None else 0
+
+    @property
+    def path(self) -> str:
+        """The state file the log lives in."""
+        return self._db.path
+
+    def events(
+        self, through: int, topics: Optional[Sequence[str]] = None
+    ) -> Iterator[TraceEvent]:
+        """This stream's events up to ``through``, in sequence order (of
+        ``topics`` only, when given): what a resumed run reads back."""
+        query = (
+            "SELECT seq, topic, clock, record FROM events "
+            "WHERE source = ? AND seq <= ?"
+        )
+        args: Tuple[Any, ...] = (self.source, through)
+        if topics is not None:
+            query += f" AND topic IN ({', '.join('?' * len(topics))})"
+            args += tuple(topics)
+        for row in self._db.connection.execute(query + " ORDER BY seq", args):
+            yield _event(self.path, self.source, *row)
 
     def truncate_after(self, seq: int) -> int:
         """Drop this stream's rows past ``seq`` (a resumed run abandons

@@ -10,7 +10,7 @@ the next-best host or action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from repro.config.model import Action
 
@@ -153,6 +153,17 @@ class ActionOutcome:
     status: str = "ok"
     attempts: int = 1
     duration: float = 0.0
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The one codec of an audit record, its ``actions`` event's
+        payload too: every field, the Action enum by value."""
+        return {**self.__dict__, "action": self.action.value}
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "ActionOutcome":
+        """What :meth:`to_dict` wrote, exactly (other keys are ignored)."""
+        fields = {name: payload[name] for name in cls.__dataclass_fields__}
+        return cls(**{**fields, "action": Action(payload["action"])})
 
     @property
     def succeeded(self) -> bool:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Iterator, List, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -155,10 +155,6 @@ class ActionExecutor:
         self._rng = np.random.default_rng(seed)
         #: distinguishes executors sharing one journal (controller replicas)
         self.name = name
-        #: every outcome this executor produced, including failures and
-        #: compensations (every one is also published on the ``actions``
-        #: topic)
-        self.log: List[ActionOutcome] = []
         self.retry_count = 0
         self.failure_count = 0
         self.compensation_count = 0
@@ -302,7 +298,6 @@ class ActionExecutor:
             attempts=attempts,
             duration=duration,
         )
-        self.log.append(outcome)
         self.platform.record_outcome(outcome, fencing_token=self.fencing_token)
         return outcome
 
@@ -354,7 +349,6 @@ class ActionExecutor:
                     note=note,
                     fencing_token=self.fencing_token,
                 )
-                self.log.append(outcome)
             else:
                 outcome = self._execute_with_faults(
                     action,
@@ -458,7 +452,6 @@ class ActionExecutor:
                 else:
                     if attempts > 1:
                         self.retry_count += attempts - 1
-                    self.log.append(outcome)
                     return outcome
             if attempts >= policy.max_attempts:
                 self.failure_count += 1

@@ -19,13 +19,12 @@ between a controller-enabled and a controller-disabled run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.config.model import Action
 from repro.core.alerts import AlertSeverity
-from repro.core.state import outcome_from_dict, outcome_to_dict
 from repro.serviceglobe.actions import ActionOutcome
 from repro.serviceglobe.platform import Platform
 from repro.sim.clock import MINUTES_PER_DAY
@@ -35,6 +34,8 @@ from repro.telemetry.records import (
     TOPIC_FAULTS,
     TOPIC_SUPERVISION,
     FaultRecord,
+    SupervisionEventKind,
+    record_payload,
 )
 
 __all__ = [
@@ -325,9 +326,13 @@ class ResultCollector:
     platform bus before anything publishes, it folds the executed
     actions, the injected faults, the supervision events that count as
     faults and the escalations from the stream.  The producers only
-    publish; what they published survives a resume in this collector's
-    snapshot, nowhere else.
+    publish; what they published survives a resume in the run's event
+    log, which :meth:`restore_state` folds again, through the same
+    :meth:`_fold` — the snapshot holds none of it.
     """
+
+    #: the topics the run's history is folded from
+    HISTORY_TOPICS = (TOPIC_ACTIONS, TOPIC_FAULTS, TOPIC_SUPERVISION, TOPIC_ALERTS)
 
     def __init__(
         self,
@@ -372,29 +377,31 @@ class ResultCollector:
         self._faults: List[FaultRecord] = []
         self._supervision_faults: List[FaultRecord] = []
         self._escalation_count = 0
-        bus = platform.bus
-        bus.subscribe(TOPIC_ACTIONS, self._on_action)
-        bus.subscribe(TOPIC_FAULTS, self._on_fault)
-        bus.subscribe(TOPIC_SUPERVISION, self._on_supervision)
-        bus.subscribe(TOPIC_ALERTS, self._on_alert)
+        for topic in self.HISTORY_TOPICS:
+            platform.bus.subscribe(topic, self._on_envelope)
 
-    def _on_action(self, envelope) -> None:
-        self._actions.append(envelope.record.outcome)
+    def _on_envelope(self, envelope) -> None:
+        self._fold(envelope.topic, record_payload(envelope.record))
 
-    def _on_fault(self, envelope) -> None:
-        self._faults.append(envelope.record)
-
-    def _on_supervision(self, envelope) -> None:
-        # crashes and partitions arrive as the injector's own fault
-        # records; the kind decides what a supervision event adds
-        event = envelope.record
-        if event.kind.creates_fault_record:
-            self._supervision_faults.append(
-                FaultRecord(event.time, "", "", "", event.kind.value, event.domain)
+    def _fold(self, topic: str, record: Dict[str, Any]) -> None:
+        """One event of the run's history, as the log's payload: live
+        from the bus, or read back from the log on resume."""
+        if topic == TOPIC_ACTIONS:
+            self._actions.append(ActionOutcome.from_dict(record))
+        elif topic == TOPIC_FAULTS:
+            self._faults.append(
+                FaultRecord(**{k: v for k, v in record.items() if k != "type"})
             )
-
-    def _on_alert(self, envelope) -> None:
-        if envelope.record.severity == AlertSeverity.ESCALATION.value:
+        elif topic == TOPIC_SUPERVISION:
+            # crashes and partitions arrive as the injector's own fault
+            # records; the kind decides what a supervision event adds
+            if SupervisionEventKind(record["kind"]).creates_fault_record:
+                self._supervision_faults.append(
+                    FaultRecord(
+                        record["time"], "", "", "", record["kind"], record["domain"]
+                    )
+                )
+        elif record["severity"] == AlertSeverity.ESCALATION.value:
             self._escalation_count += 1
 
     @property
@@ -541,15 +548,13 @@ class ResultCollector:
             "open_down_since": dict(self._open_down_since),
             "host_down_minutes": dict(self._host_down_minutes),
             "ticks": self._ticks,
-            "actions": [outcome_to_dict(outcome) for outcome in self._actions],
-            "faults": [_fault_row(record) for record in self._faults],
-            "supervision_faults": [
-                _fault_row(record) for record in self._supervision_faults
-            ],
-            "escalation_count": self._escalation_count,
         }
 
-    def restore_state(self, payload: Dict[str, object]) -> None:
+    def restore_state(
+        self, payload: Dict[str, object], history: Iterable[Any]
+    ) -> None:
+        """Back to a snapshot: its payload, and ``history``, the run's
+        logged events of :attr:`HISTORY_TOPICS` up to the snapshot."""
         series = payload.get("series", {})
         if self._collect_host_series and not series:
             raise ValueError(
@@ -604,16 +609,5 @@ class ResultCollector:
         }
         self._ticks = int(payload.get("ticks", 0))  # type: ignore[arg-type]
         # the history up to the snapshot; the subscriptions go on from there
-        self._actions = [outcome_from_dict(raw) for raw in payload["actions"]]  # type: ignore[union-attr]
-        self._faults = [FaultRecord(*row) for row in payload["faults"]]  # type: ignore[union-attr]
-        self._supervision_faults = [
-            FaultRecord(*row) for row in payload["supervision_faults"]  # type: ignore[union-attr]
-        ]
-        self._escalation_count = int(payload["escalation_count"])  # type: ignore[arg-type]
-
-
-def _fault_row(record: FaultRecord) -> List[Any]:
-    return [
-        record.time, record.instance_id, record.service_name,
-        record.host_name, record.kind, record.domain,
-    ]
+        for event in history:
+            self._fold(event.topic, event.record)

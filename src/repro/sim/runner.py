@@ -145,7 +145,8 @@ class SimulationRunner:
         Continue a previous run from the last full-run snapshot in
         ``state_dir`` instead of starting fresh.  The re-simulation is
         deterministic: platform, workload RNG, fault injector, collector
-        and controller all restore their exact state.
+        and controller all restore their exact state; the history
+        (actions, faults, escalations) comes from the run's event log.
     standby:
         Keep a hot-standby controller: crashes and leader partitions
         fail over at lease expiry instead of waiting out a restart.
@@ -163,15 +164,16 @@ class SimulationRunner:
         bus as a sanitizer: every published event is checked live, and
         :meth:`verification_report` returns the findings after the run.
     store_path:
-        Persist every telemetry envelope to a SQLite event store
-        (:class:`repro.ops.store.TelemetryStore`) at this path; batches
-        commit at the first tick boundary 0.25 s of wall time after the
-        last one (every tick of a paced run), served or not.
-        ``autoglobe verify`` and ``autoglobe tail`` read the store
-        directly.  The store is an output: a run replaces what an
-        earlier run left at the path, and only a resumed run
-        (``resume=True``) continues it, gaplessly, from the snapshot's
-        sequence.
+        Where the run's one event log
+        (:class:`repro.ops.store.TelemetryStore`) goes: this file when
+        given, else the run snapshot's state file when ``state_dir``
+        is, else nowhere.  Batches commit at the first tick boundary
+        0.25 s of wall time after the last one; in the state file, with
+        the run snapshot that covers them.  ``autoglobe verify`` and
+        ``tail`` read either.  The log is an output: only a resumed run
+        continues it, from the snapshot's sequence, after refolding the
+        run's history from it — a log that ends before the snapshot
+        refuses the resume.
     serve:
         ``(host, port)`` to expose the live ops API
         (:class:`repro.ops.api.OpsServer`) for the duration of the run:
@@ -338,9 +340,6 @@ class SimulationRunner:
                 "domains; each domain keeps its own archive (pass "
                 "state_dir for per-domain SQLite archives)"
             )
-        #: the persistent SQLite event store, when the run keeps one
-        self.telemetry_store = None
-        self._store_path = store_path
         #: the live ops API (bridge + asyncio server), when serving
         self.ops_bridge = None
         self.ops_server = None
@@ -355,9 +354,14 @@ class SimulationRunner:
         self._store = stores.get("")
         if federated and self.state_dir is not None:
             self._store = DurableStateStore(self.state_dir)
+        #: every state store this runner opened; it closes them
+        self._stores = [
+            store for store in dict.fromkeys([*stores.values(), self._store])
+            if store is not None
+        ]
         if self.state_dir is not None and not resume:
             # before the plane is built on the files: its factory may write
-            self._require_unused(dict.fromkeys([*stores.values(), self._store]))
+            self._require_unused(self._stores)
         self.controller = FederatedControlPlane(
             self.platform,
             settings=scenario_landscape.controller,
@@ -403,14 +407,16 @@ class SimulationRunner:
                 seed=chaos.seed + 1,
             )
         self.workload = WorkloadModel(self.platform, seed=seed, noise=noise)
-        if store_path is not None:
+        #: the run's one event log; :meth:`run` attaches it, so an agent
+        #: sets its ``source`` and ``clock`` before that
+        self.telemetry_store = None
+        log = store_path if store_path is not None else (
+            self._store.db if self.state_dir is not None else None
+        )
+        if log is not None:
             from repro.ops.store import TelemetryStore
 
-            self.telemetry_store = TelemetryStore(store_path)
-            if not resume:
-                # a resumed run attaches in _resume_from_snapshot, once
-                # the bus stands at the snapshot's sequence
-                self.telemetry_store.attach(self.platform.bus)
+            self.telemetry_store = TelemetryStore(log)
         if serve is not None:
             from repro.ops.api import OpsBridge, OpsServer
 
@@ -474,7 +480,8 @@ class SimulationRunner:
             supervisor.store.compact(domains[name]["journal_seq"])
 
     def _resume_from_snapshot(self) -> int:
-        """Restore every component from the last run snapshot.
+        """Restore every component from the last run snapshot, and the
+        run's history from the event log up to it.
 
         Returns the snapshot's tick; the loop continues at tick + 1.
         """
@@ -485,32 +492,32 @@ class SimulationRunner:
             )
         tick = int(snapshot["tick"])
         payload = snapshot["payload"]
-        # continue the telemetry sequence where the snapshot left it,
-        # before the plane restores: one that keeps the event rows cuts
-        # them back to where the bus stands
-        bus_seq = int(payload.get("bus_seq", 0))
-        if bus_seq:
-            self.platform.bus.fast_forward(bus_seq)
+        bus_seq = int(payload["bus_seq"])
+        log = self.telemetry_store
+        if log.last_seq() < bus_seq:
+            # never resume with a shorter history than the snapshot's
+            raise ValueError(
+                f"cannot resume: the event log in {log.path} ends at event "
+                f"{log.last_seq()}, before the run snapshot's event {bus_seq} "
+                "(resume with the log the run was started with)"
+            )
+        # continue the telemetry sequence where the snapshot left it
+        self.platform.bus.fast_forward(bus_seq)
         self.platform.restore_state(payload["platform"])
         self.workload.restore_state(payload["workload"])
-        self.collector.restore_state(payload["collector"])
+        self.collector.restore_state(
+            payload["collector"],
+            log.events(bus_seq, ResultCollector.HISTORY_TOPICS),
+        )
         if self.injector is not None and "injector" in payload:
             self.injector.restore_state(payload["injector"])
         # rewinds every domain's journal and archive to the snapshot too
         self.controller.restore_state(payload["supervisor"], tick)
-        # attach drops the rows past the bus (the abandoned timeline)
-        if self.telemetry_store is not None:
-            self.telemetry_store.attach(self.platform.bus)
         if self.verifier is not None:
-            # the live verdict is the whole run's: first the store's events
-            # up to the snapshot (the rows --export renders), then the live
-            # stream; without a store the prefix is missing, and the
-            # verifier calls the stream incomplete
-            if self.telemetry_store is not None:
-                from repro.ops.store import read_store
-
-                for event in read_store(self._store_path)[1]:
-                    self.verifier.feed(event)
+            # the live verdict is the whole run's: first the logged events
+            # up to the snapshot, then the live stream
+            for event in log.events(bus_seq):
+                self.verifier.feed(event)
             self.verifier.attach(self.platform.bus)
         return tick
 
@@ -526,17 +533,22 @@ class SimulationRunner:
     def run(self) -> SimulationResult:
         """Execute the full horizon and return the collected result."""
         start = self.start_minute
-        if self.resume:
-            start = self._resume_from_snapshot() + 1
-        else:
-            self.workload.initialize()
         end = self.start_minute + self.horizon
         persistent = self.state_dir is not None
-        last = start - 1
         try:
+            if self.resume:
+                start = self._resume_from_snapshot() + 1
+            last = start - 1
             with ExitStack() as groups:
                 for db in self._groups:
                     groups.enter_context(db.group())
+                if self.telemetry_store is not None:
+                    # past what the bus numbered the rows are an earlier
+                    # run's or a resumed run's abandoned timeline: attach
+                    # drops them (in the write group, when it has one)
+                    self.telemetry_store.attach(self.platform.bus)
+                if not self.resume:
+                    self.workload.initialize()
                 for now in range(start, end):
                     self.workload.tick(now)
                     if self.injector is not None:
@@ -549,12 +561,18 @@ class SimulationRunner:
                         self.ops_bridge.refresh(now)
                     last = now
                     stop = self.stop_requested  # once: a signal sets it any time
-                    if persistent and (
+                    if (
                         (now - self.start_minute + 1) % self.snapshot_interval == 0
                         or now == end - 1
                         or stop
                     ):
-                        self._save_run_snapshot(now)
+                        if persistent:
+                            self._save_run_snapshot(now)
+                        else:
+                            # nothing resumes a store without a file: its
+                            # controller row alone bounds what recovery reads
+                            for store in self._stores:
+                                store.compact(store.journal.last_seq)
                     if self.kill_at is not None and now == self.kill_at:
                         os.kill(os.getpid(), signal.SIGKILL)
                     if stop:
@@ -570,10 +588,11 @@ class SimulationRunner:
         )
 
     def close(self) -> None:
-        """Stop the ops API, then close plane, event store and state
-        store (idempotent) — in that order: a plane's ``close()`` may
-        still act and publish (an agent's deregistration can execute an
-        escrow attach), and both stores must take that."""
+        """Stop the ops API, then close plane, event log and state stores
+        (idempotent) — in that order: a plane's ``close()`` may still act
+        and publish (an agent's deregistration can execute an escrow
+        attach), and the log, which may live in a state store, must take
+        that."""
         if self.ops_server is not None:
             self.ops_server.stop()
             self.ops_server = None
@@ -583,8 +602,8 @@ class SimulationRunner:
         self.controller.close()
         if self.telemetry_store is not None:
             self.telemetry_store.close()
-        if self._store is not None:
-            self._store.close()
+        for store in self._stores:
+            store.close()
 
     def verification_report(self, result: Optional[SimulationResult] = None):
         """Finalize the live sanitizer and return its findings.
@@ -593,8 +612,8 @@ class SimulationRunner:
         the AG305 accounting reconciliation; the report reuses the lint
         framework (``render``, ``exit_code``, ``--strict`` semantics).
         Only meaningful for single-process runs.  A resumed run's verdict
-        covers the whole run when it keeps a store; without one the
-        stream before the snapshot is unknown, so AG305 is skipped.
+        covers the whole run: its event log holds the stream before the
+        snapshot.
         """
         if self.verifier is None:
             raise RuntimeError("runner was not constructed with verify=True")

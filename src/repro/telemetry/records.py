@@ -356,25 +356,15 @@ def topic_of(record: TelemetryRecord) -> str:
 def record_to_dict(record: TelemetryRecord) -> Dict[str, Any]:
     """JSON-able dict of one record (for the JSONL export).
 
-    Enums flatten to their value strings; the action outcome flattens to
-    its public scalar fields.
+    Enums flatten to their value strings; an action event is its
+    outcome's one codec (``ActionOutcome.to_dict``, which
+    ``ActionOutcome.from_dict`` reads back exactly) plus its domain and
+    fencing token.
     """
     payload: Dict[str, Any] = {"type": type(record).__name__}
     if isinstance(record, ActionEvent):
-        outcome = record.outcome
-        payload.update(
-            time=record.time,
-            action=getattr(getattr(outcome, "action", None), "value", None),
-            service_name=getattr(outcome, "service_name", None),
-            instance_id=getattr(outcome, "instance_id", None),
-            source_host=getattr(outcome, "source_host", None),
-            target_host=getattr(outcome, "target_host", None),
-            status=getattr(outcome, "status", None),
-            attempts=getattr(outcome, "attempts", None),
-            note=getattr(outcome, "note", None),
-            domain=record.domain,
-            fencing_token=record.fencing_token,
-        )
+        payload.update(record.outcome.to_dict())
+        payload.update(domain=record.domain, fencing_token=record.fencing_token)
         return payload
     for field in dataclasses.fields(record):
         value = getattr(record, field.name)
@@ -401,7 +391,7 @@ def record_payload(record: TelemetryRecord) -> Dict[str, Any]:
     for the store's and the ops API's hot paths, which encode it and
     drop it; consumers that keep JSON shape in memory use
     :func:`record_to_dict`.  Action events keep that path — their
-    outcome flattening is bespoke and they are rare.
+    outcome has a codec of its own, and they are rare.
     """
     if isinstance(record, ActionEvent):
         return record_to_dict(record)

@@ -297,7 +297,7 @@ def _leading_executor(configuration, profile, tmp_path):
         agent = DomainAgent(
             "domain-2", 2, unreachable, tmp_path, chaos=profile, horizon=1
         )
-        agent.store.close()
+        agent.supervisor.store.close()
         return agent.supervisor.active.executor
     from repro.sim.runner import SimulationRunner
     from repro.sim.scenarios import Scenario

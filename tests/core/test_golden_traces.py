@@ -28,7 +28,6 @@ from repro.config.model import (
     WorkloadSpec,
 )
 from repro.core.autoglobe import AutoGlobeController
-from repro.core.state import outcome_to_dict
 from repro.serviceglobe.platform import Platform
 from tests.core.conftest import MOBILE_ACTIONS, set_demand
 
@@ -111,7 +110,7 @@ def _drive(landscape: LandscapeSpec, load_seed: int, minutes: int):
                      s.observed_mean)
                     for s in controller.lms.confirmed
                 ],
-                "actions": [outcome_to_dict(outcome) for outcome in outcomes],
+                "actions": [outcome.to_dict() for outcome in outcomes],
                 "placement": sorted(
                     (i.instance_id, i.host_name, i.state.value)
                     for service in platform.services.values()

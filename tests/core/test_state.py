@@ -542,12 +542,13 @@ class TestCrashSafety:
         assert caught.value.path == str(path)
         assert not (tmp_path / "state.db-wal").exists()
 
-    @pytest.mark.parametrize("version", [0, 2, 3, 4, 6])
+    @pytest.mark.parametrize("version", [0, 2, 3, 4, 5, 7])
     def test_a_state_file_of_another_format_is_refused(self, tmp_path, version):
         """Format 0 kept one archive row per sample, format 2 a copy of
         situations and actions in the archive, format 3 a flat run's
         snapshot without a plane of domains, format 4 the run's history
-        outside the result collector, 6 is from the future:
+        outside the result collector, format 5 a copy of it in the
+        collector's payload, 7 is from the future:
         refused, never resumed into an empty archive; no table is added
         to the file."""
         path = tmp_path / "state.db"

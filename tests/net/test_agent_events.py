@@ -212,11 +212,13 @@ def test_a_killed_and_resumed_agent_leaves_the_uninterrupted_log(tmp_path):
         )
 
     def resume():
-        agent = _agent(tmp_path / "killed", resume=True)
-        tick = agent.runner._resume_from_snapshot()
-        kept = agent.events.last_seq()
-        agent.events.close()
-        agent.store.close()
+        runner = _agent(tmp_path / "killed", resume=True).runner
+        tick = runner._resume_from_snapshot()
+        log = runner.telemetry_store
+        log.attach(runner.platform.bus)
+        kept = log.last_seq()
+        log.close()
+        runner.controller.shards[""].store.close()
         return tick, kept
 
     # the last snapshot before the kill, and the rows up to its cursor
@@ -465,7 +467,7 @@ def test_an_agent_never_holds_a_transaction_at_a_wire_step(tmp_path, monkeypatch
     step = DomainAgent._step
 
     def spy(self, wait):
-        open_at_step.append(self.store.db.connection.in_transaction)
+        open_at_step.append(self.supervisor.store.db.connection.in_transaction)
         return step(self, wait)
 
     def respond(message, reply):

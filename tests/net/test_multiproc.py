@@ -12,12 +12,13 @@ import json
 import signal
 import subprocess
 import time
+from contextlib import closing
 
 import pytest
 
 from repro.analysis import EXIT_ERRORS
 from repro.cli import main
-from repro.core.state import DurableStateStore, StateCorruptError
+from repro.core.state import DurableStateStore, StateCorruptError, open_readonly
 from repro.net.orchestrator import (
     _agent_command,
     _agent_environment,
@@ -221,6 +222,19 @@ class TestChaosRun:
         header, events = read_trace(result.trace_path)
         assert header.complete
         assert events
+        # each agent's log is the runner's, in its state.db: one gapless,
+        # Lamport-stamped stream of the domain's, the killed one's too
+        for domain in DOMAINS:
+            path = tmp_path / "state" / domain / "state.db"
+            header, events = read_store(path)
+            assert header.complete
+            assert [event.seq for event in events] == list(range(1, len(events) + 1))
+            clocks = [event.clock for event in events]
+            assert None not in clocks and clocks == sorted(clocks)
+            with closing(open_readonly(path)) as connection:
+                assert connection.execute(
+                    "SELECT DISTINCT source FROM events"
+                ).fetchall() == [(domain,)]
 
     def test_landscape_chaos_runs_to_completion(self, tmp_path):
         """Host crashes injected inside an agent go through its

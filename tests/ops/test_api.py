@@ -444,9 +444,10 @@ class TestListenerLifecycle:
         assert server.events_forwarded == forwarded
 
 
-#: three envelopes and the frames the parent commit sent for them
-#: (``json.dumps`` of ``{"seq", "topic", "record": record_to_dict(...)}``,
-#: default separators) — the bench suite's subscriber parses the prefix
+#: three envelopes and the frames they are sent as (``json.dumps`` of
+#: ``{"seq", "topic", "record": record_to_dict(...)}``, default
+#: separators; an action's record is its outcome's one codec) — the
+#: bench suite's subscriber parses the prefix
 GOLDEN = [
     (
         LoadReportBatch(
@@ -476,8 +477,8 @@ GOLDEN = [
         '{"seq": %d, "topic": "actions", "record": {"type": "ActionEvent", '
         '"time": 726, "action": "scaleOut", "service_name": "FI", '
         '"instance_id": "FI#7", "source_host": null, "target_host": "Blade3", '
-        '"status": "ok", "attempts": 2, "note": "caf\\u00e9", "domain": "", '
-        '"fencing_token": 3}}',
+        '"applicability": 0.8125, "note": "caf\\u00e9", "status": "ok", '
+        '"attempts": 2, "duration": 1.5, "domain": "", "fencing_token": 3}}',
     ),
     (
         AlertEvent(time=727, severity="escalation", message='no action for "LES"'),

@@ -40,6 +40,7 @@ class TestPassThrough:
             Action.SCALE_OUT, "APP", target_host="Weak2"
         )
         executor = ActionExecutor(platform)
+        outcomes = executed(platform)
         outcome = executor.execute(Action.SCALE_OUT, "APP", target_host="Weak2")
         assert outcome.status == "ok"
         assert outcome.attempts == 1
@@ -47,7 +48,7 @@ class TestPassThrough:
         assert outcome.action == expected.action
         assert outcome.target_host == expected.target_host
         assert len(platform.service("APP").running_instances) == 2
-        assert executor.log == [outcome]
+        assert outcomes == [outcome]
         assert executor.retry_count == 0
         assert executor.failure_count == 0
 

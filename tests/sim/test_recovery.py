@@ -690,24 +690,56 @@ class TestJournalCompaction:
         store.close()
         assert all(record.seq > snapshot["journal_seq"] for snapshot in snapshots)
 
+    def test_a_standby_run_without_a_state_directory_stays_bounded(self):
+        """A store without a file is never resumed: every snapshot
+        interval the run compacts its journal through the controller
+        row, so over a day of controller chaos the journal never holds
+        more than about one interval of rows (4,438 at the end before),
+        and the recoveries the chaos forces still replay."""
+        rows = []
+        compact = DurableStateStore.compact
+
+        def counting(store, journal_seq):
+            rows.append(len(store.journal.since(0)))
+            compact(store, journal_seq)
+
+        runner = SimulationRunner(
+            Scenario.FULL_MOBILITY, user_factor=1.15, horizon=24 * 60, seed=7,
+            collect_host_series=False, chaos=controller_chaos(115), standby=True,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DurableStateStore, "compact", counting)
+            result = runner.run()
+        assert result.controller_down_minutes > 0
+        assert len(rows) == 24 * 60 // runner.snapshot_interval
+        assert max(rows) <= 100, max(rows)
+
 
 class TestOneHolderOfHistory:
-    def test_only_the_collector_payload_holds_the_runs_history(self, tmp_path):
-        """After a supervised chaos run, the run snapshot's actions,
-        faults, supervision faults and escalations are the collector's;
-        no other payload (platform, injector, any domain) keeps a copy."""
-        SimulationRunner(
+    def test_the_event_log_holds_the_runs_history_and_no_payload_does(
+        self, tmp_path
+    ):
+        """After a supervised chaos run, the run's actions, faults,
+        supervision events and escalations are rows of the event log in
+        its ``state.db``; no payload of the run snapshot, the
+        collector's included, keeps a copy."""
+        from repro.ops.store import read_store
+
+        result = SimulationRunner(
             Scenario.FULL_MOBILITY, user_factor=1.15, horizon=HORIZON, seed=7,
             collect_host_series=False, chaos=controller_chaos(115),
             standby=True, state_dir=tmp_path,
         ).run()
+        assert result.actions and result.fault_records
+        assert result.escalation_count > 0
+        header, events = read_store(tmp_path / "state.db")
+        assert header.complete
+        assert {"actions", "faults", "supervision", "alerts"} <= {
+            event.topic for event in events
+        }
         store = DurableStateStore(tmp_path)
         payload = store.snapshots.load("run")["payload"]
         store.close()
-        collector = payload.pop("collector")
-        for key in ("actions", "faults", "supervision_faults"):
-            assert collector[key], key
-        assert collector["escalation_count"] > 0
 
         def keys(value):
             if isinstance(value, dict):
@@ -718,9 +750,14 @@ class TestOneHolderOfHistory:
                 for item in value:
                     yield from keys(item)
 
-        assert set(payload) == {"platform", "workload", "supervisor", "injector", "bus_seq"}
+        assert set(payload) == {
+            "platform", "workload", "collector", "supervisor", "injector", "bus_seq",
+        }
         assert payload["supervisor"]["domains"]
-        history = {"audit_log", "actions", "faults", "events", "escalations"}
+        history = {
+            "audit_log", "actions", "faults", "supervision_faults",
+            "escalation_count", "events", "escalations",
+        }
         for name, part in payload.items():
             assert not history & set(keys(part)), name
 

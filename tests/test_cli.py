@@ -197,12 +197,13 @@ class TestRunRefusesAStateFileOfAnotherFormat:
     def test_resume_is_one_line_and_exit_2(self, tmp_path, capsys):
         """A state directory from before the load archive packed one row
         per minute (format 0), from before every run's snapshot held
-        a plane of domains (format 3), or from before the result
-        collector held the run's history (format 4): refused, never
+        a plane of domains (format 3), from before the result
+        collector held the run's history (format 4), or from before the
+        run's event log alone held it (format 5): refused, never
         resumed."""
         import sqlite3
 
-        for version in (0, 3, 4):
+        for version in (0, 3, 4, 5):
             directory = tmp_path / f"format-{version}"
             directory.mkdir()
             with sqlite3.connect(directory / "state.db") as parent:

@@ -44,6 +44,7 @@ INVOCATIONS: List[Tuple[List[str], int]] = [
               "--resume"], 0),
     (CHAOS + ["--hours", "3", "--state-dir", "killed", "--kill-at", "800"], -9),
     (CHAOS + ["--hours", "3", "--state-dir", "killed", "--resume"], 0),
+    (["verify", "killed/state.db"], 0),
     (CHAOS + ["--hours", "6", "--chaos-controller", "--standby"], 0),
     (CHAOS + ["--hours", "2", "--no-controller"], 0),
     (CHAOS + ["--hours", "2", "--domains", "4", "--verify"], 0),
