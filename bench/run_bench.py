@@ -73,13 +73,17 @@ def _time_us(fn, iterations: int) -> float:
 
 
 def _microbench_archive() -> float:
+    import numpy as np
+
     from repro.monitoring.archive import InMemoryLoadArchive
+    from repro.telemetry.records import LoadReportBatch
 
     archive = InMemoryLoadArchive()
+    series = (("host01", "cpu"),)
     for minute in range(4800):
-        archive.record_reports(
-            [("host01", "cpu", minute, 0.25 + (minute % 97) / 200.0)]
-        )
+        archive.record_reports(LoadReportBatch(
+            minute, series, np.array([0.25 + (minute % 97) / 200.0])
+        ))
     end = 4799
     return round(
         _time_us(lambda: archive.average("host01", "cpu", end - 9, end), 20000), 3

@@ -16,16 +16,16 @@ from repro.serviceglobe.platform import Platform
 from repro.sim.clock import MINUTES_PER_DAY
 from repro.sim.faults import FaultInjector
 from repro.sim.results import ResultCollector
-from repro.sim.scenarios import Scenario, apply_scenario, user_distribution_for
+from repro.sim.scenarios import Scenario, scenario_landscape, user_distribution_for
 from repro.sim.workload import WorkloadModel
 
 USERS = 1.15
 
 
 def run_day(with_faults: bool):
-    landscape = apply_scenario(
-        paper_landscape(), Scenario.CONSTRAINED_MOBILITY
-    ).scaled_users(USERS)
+    landscape = scenario_landscape(
+        paper_landscape(), Scenario.CONSTRAINED_MOBILITY, USERS
+    )
     platform = Platform(
         landscape,
         user_distribution=user_distribution_for(Scenario.CONSTRAINED_MOBILITY),

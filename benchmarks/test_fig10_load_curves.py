@@ -13,13 +13,13 @@ import pytest
 from repro.config.builtin import paper_landscape
 from repro.serviceglobe.platform import Platform
 from repro.sim.clock import MINUTES_PER_DAY
-from repro.sim.scenarios import Scenario, apply_scenario
+from repro.sim.scenarios import Scenario, scenario_landscape
 from repro.sim.workload import NoiseParameters, WorkloadModel
 
 
 def one_quiet_day():
     """Per-minute CPU load of an LES blade and a BW blade over a day."""
-    platform = Platform(apply_scenario(paper_landscape(), Scenario.STATIC))
+    platform = Platform(scenario_landscape(paper_landscape(), Scenario.STATIC, 1.0))
     workload = WorkloadModel(
         platform, seed=7,
         noise=NoiseParameters(sigma=0.0, burst_probability=0.0, derived_sigma=0.0),

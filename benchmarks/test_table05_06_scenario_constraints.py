@@ -8,11 +8,11 @@ import pytest
 
 from repro.config.builtin import paper_landscape
 from repro.config.model import Action
-from repro.sim.scenarios import Scenario, apply_scenario
+from repro.sim.scenarios import Scenario, scenario_landscape
 
 
 def render_scenario_table(scenario):
-    landscape = apply_scenario(paper_landscape(), scenario)
+    landscape = scenario_landscape(paper_landscape(), scenario, 1.0)
     rows = []
     for service in landscape.services:
         constraints = service.constraints

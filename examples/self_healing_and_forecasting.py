@@ -21,14 +21,14 @@ from repro.core.autoglobe import AutoGlobeController
 from repro.forecasting.forecast import ProactiveScaler
 from repro.serviceglobe.platform import Platform
 from repro.sim.clock import MINUTES_PER_DAY, format_minute
-from repro.sim.scenarios import Scenario, apply_scenario
+from repro.sim.scenarios import Scenario, scenario_landscape
 from repro.sim.workload import NoiseParameters, WorkloadModel
 from repro.telemetry.records import TOPIC_ACTIONS, TOPIC_ALERTS
 
 
 def self_healing_demo() -> None:
     print("=== self-healing: crash and restart ===")
-    landscape = apply_scenario(paper_landscape(), Scenario.CONSTRAINED_MOBILITY)
+    landscape = scenario_landscape(paper_landscape(), Scenario.CONSTRAINED_MOBILITY, 1.0)
     platform = Platform(landscape)
     # the controller publishes its alerts; whoever wants them subscribes
     alerts = []
@@ -53,8 +53,7 @@ def self_healing_demo() -> None:
 
 def forecasting_demo() -> None:
     print("\n=== feed-forward: anticipating the morning rush ===")
-    landscape = apply_scenario(paper_landscape(), Scenario.FULL_MOBILITY)
-    landscape = landscape.scaled_users(1.25)
+    landscape = scenario_landscape(paper_landscape(), Scenario.FULL_MOBILITY, 1.25)
     platform = Platform(landscape)
     executed = []
     platform.bus.subscribe(

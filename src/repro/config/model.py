@@ -480,35 +480,3 @@ class LandscapeSpec:
         for service in self.services:
             homes.setdefault(service.name, domains[0].name)
         return homes
-
-    def scaled_users(self, factor: float) -> "LandscapeSpec":
-        """A copy with every interactive service's users scaled by ``factor``.
-
-        Batch services keep their job count; their per-job load is scaled
-        instead, matching Section 5.1 ("we increase the load per batch job
-        by 5% and leave the number of jobs constant").
-        """
-        scaled_services = []
-        for service in self.services:
-            workload = service.workload
-            if workload.batch:
-                scaled = replace(
-                    service,
-                    workload=replace(
-                        workload, load_per_user=workload.load_per_user * factor
-                    ),
-                )
-            else:
-                scaled = replace(
-                    service,
-                    workload=replace(workload, users=round(workload.users * factor)),
-                )
-            scaled_services.append(scaled)
-        return LandscapeSpec(
-            name=self.name,
-            servers=list(self.servers),
-            services=scaled_services,
-            initial_allocation=list(self.initial_allocation),
-            controller=self.controller,
-            domains=list(self.domains),
-        )

@@ -125,9 +125,11 @@ class AutoGlobeController:
         #: observation descriptors recovered from a snapshot/journal,
         #: revived in the next tick once their monitors exist again
         self._pending_observation_restores: List[Dict[str, Any]] = []
-        #: one tick's load reports, stored in the archive and published in
-        #: one batch after the sampling pass
-        self._report_buffer: List[Tuple[str, str, int, float]] = []
+        #: blind hosts -> a batch's series and the instance advisors' host
+        #: ids; emptied whenever the monitor syncs run
+        self._report_layouts: Dict[
+            frozenset, Tuple[Tuple[Tuple[str, str], ...], np.ndarray]
+        ] = {}
         #: set by :meth:`depose`: this replica's reports are dropped
         self._deposed = False
         self._host_cpu_monitors: Dict[str, LoadMonitor] = {}
@@ -171,9 +173,7 @@ class AutoGlobeController:
             if host.name in self._host_cpu_monitors:
                 continue
             cpu_monitor = LoadMonitor(host.name, "cpu")
-            cpu_monitor.report_sink = self._report_buffer
             mem_monitor = LoadMonitor(host.name, "mem")
-            mem_monitor.report_sink = self._report_buffer
             self._host_cpu_monitors[host.name] = cpu_monitor
             self._host_mem_monitors[host.name] = mem_monitor
             self._host_advisors[host.name] = Advisor(
@@ -191,9 +191,9 @@ class AutoGlobeController:
             # total demand, not average load: invariant under the
             # controller's own scale-outs, so daily patterns stay clean
             monitor = LoadMonitor(f"service:{service_name}", "demand")
-            monitor.report_sink = self._report_buffer
             self._service_monitors[service_name] = monitor
         self._registry_cursor = state.registry_version
+        self._report_layouts.clear()
         self._host_monitor_ids = np.fromiter(
             (state.host_index.ids[name] for name in self._host_cpu_monitors),
             dtype=np.int64,
@@ -220,6 +220,7 @@ class AutoGlobeController:
         if self._topology_cursor == state.topology_version:
             return
         self._topology_cursor = state.topology_version
+        self._report_layouts.clear()
         running: Dict[str, ServiceInstance] = {
             instance.instance_id: instance
             for instance in self.platform.all_instances()
@@ -244,7 +245,6 @@ class AutoGlobeController:
             monitor = self._instance_monitors.get(instance.instance_id)
             if monitor is None:
                 monitor = LoadMonitor(instance.instance_id, "cpu")
-                monitor.report_sink = self._report_buffer
                 self._instance_monitors[instance.instance_id] = monitor
             host = self.platform.host(instance.host_name)
             self._instance_advisors[key] = Advisor(
@@ -419,60 +419,94 @@ class AutoGlobeController:
 
     # -- the per-minute cycle ------------------------------------------------------------
 
-    def _sample(self, now: int, blind: set) -> None:
+    def _report_layout(
+        self, blind: set
+    ) -> Tuple[Tuple[Tuple[str, str], ...], np.ndarray]:
+        """This tick's batch series and the instance advisors' host ids.
+
+        The series lists every sample the sweep reports — cpu monitors,
+        mem monitors, service monitors, instance advisors' monitors, each
+        in dict insertion order, blind hosts' entries left out — which
+        fixes the order of the batch and of the advisors' observations,
+        and with it the seeded traces.  It is built once per monitor set
+        and blind set, so the batches in between share it.
+        """
+        key = frozenset(blind)
+        layout = self._report_layouts.get(key)
+        if layout is None:
+            hosts = [name not in blind for name in self._host_cpu_monitors]
+            series = tuple(
+                [m.key for m, kept in zip(self._host_cpu_monitors.values(), hosts) if kept]
+                + [m.key for m, kept in zip(self._host_mem_monitors.values(), hosts) if kept]
+                + [m.key for m in self._service_monitors.values()]
+                + [
+                    advisor.monitor.key
+                    for (__, host_name), advisor in self._instance_advisors.items()
+                    if host_name not in blind
+                ]
+            )
+            host_ids = self.platform.landscape_state.host_index.ids
+            layout = self._report_layouts[key] = (
+                series,
+                np.fromiter(
+                    (host_ids[host_name] for __, host_name in self._instance_advisors),
+                    dtype=np.int64,
+                    count=len(self._instance_advisors),
+                ),
+            )
+        return layout
+
+    def _sample(self, now: int, blind: set) -> Optional[LoadReportBatch]:
         """One tick's monitor sweep off the columnar state.
 
         Each monitor family's values come from one vectorized column read
-        (the columns are current: every write re-summed them) and are pushed
-        through :meth:`LoadMonitor.push`.  The loop order — cpu monitors,
-        mem monitors, service monitors, instance monitors, each in dict
-        insertion order — fixes the order of the report buffer and of the
-        advisors' observations, and with it the seeded traces.
+        (the columns are current: every write re-summed them) and are
+        pushed through :meth:`LoadMonitor.push`; an instance monitor
+        reports its *current* host's cpu load.  The same reads, blind
+        hosts' entries left out, are the tick's report batch (``None``
+        when nothing is monitored), in the order of
+        :meth:`_report_layout`.
         """
         state = self.platform.landscape_state
+        series, instance_host_ids = self._report_layout(blind)
         cpu_values = state.host_cpu_values(self._host_monitor_ids)
         mem_values = state.host_mem_values(self._host_monitor_ids)
+        # service demand is aggregated from the registry's own state, not
+        # shipped through per-host monitoring agents: always available
+        demand_values = state.service_demand_values(self._service_monitor_ids)
+        instance_values = state.host_cpu_values(instance_host_ids)
         if blind:
-            for (name, monitor), value in zip(
-                self._host_cpu_monitors.items(), cpu_values
+            reported: List[float] = []
+            for monitors, values in (
+                (self._host_cpu_monitors, cpu_values),
+                (self._host_mem_monitors, mem_values),
             ):
-                if name in blind:
-                    monitor.mark_dropped(now)
-                else:
-                    monitor.push(now, value)
-            for (name, monitor), value in zip(
-                self._host_mem_monitors.items(), mem_values
-            ):
-                if name in blind:
-                    monitor.mark_dropped(now)
-                else:
-                    monitor.push(now, value)
+                for (name, monitor), value in zip(monitors.items(), values):
+                    if name in blind:
+                        monitor.mark_dropped(now)
+                    else:
+                        monitor.push(now, value)
+                        reported.append(value)
+            reported += demand_values
         else:
             for monitor, value in zip(self._host_cpu_monitors.values(), cpu_values):
                 monitor.push(now, value)
             for monitor, value in zip(self._host_mem_monitors.values(), mem_values):
                 monitor.push(now, value)
-        # service demand is aggregated from the registry's own state, not
-        # shipped through per-host monitoring agents: always available
-        for monitor, value in zip(
-            self._service_monitors.values(),
-            state.service_demand_values(self._service_monitor_ids),
-        ):
+            reported = cpu_values + mem_values + demand_values
+        for monitor, value in zip(self._service_monitors.values(), demand_values):
             monitor.push(now, value)
-        # an instance monitor reports its *current* host's cpu load; the
-        # already-computed column read covers the monitored hosts, and a
-        # foreign host (relocated instance in a domain view) falls back
-        # to a cached scalar read
-        cpu_by_name = dict(zip(self._host_cpu_monitors, cpu_values))
-        host_ids = state.host_index.ids
-        for (__, host_name), advisor in list(self._instance_advisors.items()):
+        for ((__, host_name), advisor), value in zip(
+            self._instance_advisors.items(), instance_values
+        ):
             if host_name in blind:
                 advisor.monitor.mark_dropped(now)
             else:
-                value = cpu_by_name.get(host_name)
-                if value is None:
-                    value = state.host_cpu_load(host_ids[host_name])
                 advisor.monitor.push(now, value)
+                reported.append(value)
+        if not series:
+            return None
+        return LoadReportBatch(now, series, np.array(reported), self.domain)
 
     def tick(self, now: int) -> List[ActionOutcome]:
         """One controller cycle: sample, inspect, confirm, decide, act."""
@@ -482,15 +516,12 @@ class AutoGlobeController:
         if self._pending_observation_restores:
             self._restore_observations()
         blind = self._blind_hosts(now)
-        self._sample(now, blind)
+        batch = self._sample(now, blind)
         # one batch per tick: the archive holds this minute's reports
         # before any decision queries watch-time means
-        if self._report_buffer:
-            if not self._deposed:
-                rows = tuple(self._report_buffer)
-                self.archive.record_reports(rows)
-                self.platform.bus.publish(LoadReportBatch(now, rows, self.domain))
-            self._report_buffer.clear()
+        if batch is not None and not self._deposed:
+            self.archive.record_reports(batch)
+            self.platform.bus.publish(batch)
         for name, advisor in self._host_advisors.items():
             if name not in blind:
                 advisor.inspect(now)

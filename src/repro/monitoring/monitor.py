@@ -7,14 +7,16 @@ and of resource usage of services, respectively."  (Section 2)
 A :class:`LoadMonitor` is push-only: the controller reads one tick's
 values for all monitored subjects off the landscape state's columns and
 hands each monitor its measurement.  The monitor keeps only its newest
-real sample, which its advisor inspects, and appends every sample to the
-controller's per-tick report buffer; the buffer is flushed to the load
-archive in one batch, and the archive is the only store of samples.
+real sample, which its advisor inspects.  The tick's samples travel as
+one column, not per monitor: the controller builds a
+:class:`~repro.telemetry.records.LoadReportBatch` from the same column
+reads, stores it in the load archive — the only store of samples — and
+publishes it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 __all__ = ["LoadMonitor"]
 
@@ -34,19 +36,18 @@ class LoadMonitor:
     def __init__(self, subject: str, metric: str) -> None:
         self.subject = subject
         self.metric = metric
+        #: the ``(subject, metric)`` series this monitor reports to: one
+        #: tuple, shared by every report batch layout that lists it
+        self.key = (subject, metric)
         #: minute and value of the newest real sample; ``None`` before the first
         self.latest_time: Optional[int] = None
         self.latest: Optional[float] = None
         #: minutes whose report never arrived (monitoring degradation)
         self.dropped_reports = 0
-        #: samples are appended here as ``(subject, metric, time, value)``;
-        #: the controller flushes the buffer to the archive in one batch
-        #: per tick
-        self.report_sink: Optional[List[Tuple[str, str, int, float]]] = None
 
     def push(self, time: int, value: float) -> None:
-        """Record this minute's measurement and report it; minutes must
-        strictly increase."""
+        """Record this minute's measurement; minutes must strictly
+        increase."""
         last = self.latest_time
         if last is not None and time <= last:
             raise ValueError(
@@ -54,8 +55,6 @@ class LoadMonitor:
             )
         self.latest_time = time
         self.latest = float(value)
-        if self.report_sink is not None:
-            self.report_sink.append((self.subject, self.metric, time, value))
 
     def mark_dropped(self, time: int) -> None:
         """This minute's load report was lost in transit.

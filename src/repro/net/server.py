@@ -60,6 +60,7 @@ from repro.telemetry.records import (
     record_to_dict,
 )
 from repro.telemetry.trace import TraceEvent, merge_traces, write_trace
+from repro.telemetry.windows import sum_forward
 
 __all__ = ["FederationServer", "merge_summaries"]
 
@@ -444,9 +445,8 @@ def merge_summaries(
         sorted(expired_by_service.items())
     )
     if availability:
-        merged["mean_availability"] = sum(
-            record["availability"] for record in availability.values()
-        ) / len(availability)
+        values = [record["availability"] for record in availability.values()]
+        merged["mean_availability"] = sum_forward(values, 0, len(values)) / len(values)
     merged["violates_default_sla"] = any(
         s.get("violates_default_sla") for s in per_domain
     )

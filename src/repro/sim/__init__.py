@@ -26,7 +26,12 @@ from repro.sim.results import (
     SlaPolicy,
 )
 from repro.sim.runner import SimulationRunner
-from repro.sim.scenarios import ChaosProfile, Scenario, apply_scenario, default_chaos
+from repro.sim.scenarios import (
+    ChaosProfile,
+    Scenario,
+    default_chaos,
+    scenario_landscape,
+)
 from repro.sim.workload import WorkloadModel
 
 __all__ = [
@@ -42,11 +47,11 @@ __all__ = [
     "SimulationRunner",
     "SlaPolicy",
     "WorkloadModel",
-    "apply_scenario",
     "available_profiles",
     "capacity_search",
     "default_chaos",
     "export_all",
     "format_minute",
     "profile_value",
+    "scenario_landscape",
 ]

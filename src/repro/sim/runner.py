@@ -39,8 +39,8 @@ from repro.sim.results import (
 from repro.sim.scenarios import (
     ChaosProfile,
     Scenario,
-    apply_scenario,
     controller_enabled_for,
+    scenario_landscape,
     user_distribution_for,
 )
 from repro.sim.workload import NoiseParameters, WorkloadModel
@@ -250,20 +250,18 @@ class SimulationRunner:
         self.user_factor = user_factor
         self.horizon = horizon
         self.start_minute = start_minute
-        scenario_landscape = apply_scenario(landscape, scenario).scaled_users(
-            user_factor
-        )
+        run_landscape = scenario_landscape(landscape, scenario, user_factor)
         if controller_settings is not None:
-            scenario_landscape = dataclasses.replace(
-                scenario_landscape, controller=controller_settings
+            run_landscape = dataclasses.replace(
+                run_landscape, controller=controller_settings
             )
         if semi_automatic:
             from repro.config.model import ControllerMode
 
-            scenario_landscape = dataclasses.replace(
-                scenario_landscape,
+            run_landscape = dataclasses.replace(
+                run_landscape,
                 controller=dataclasses.replace(
-                    scenario_landscape.controller,
+                    run_landscape.controller,
                     mode=ControllerMode.SEMI_AUTOMATIC,
                 ),
             )
@@ -274,10 +272,10 @@ class SimulationRunner:
         if lint != "off":
             from repro.analysis import analyze_landscape
 
-            self.lint_report = analyze_landscape(scenario_landscape)
+            self.lint_report = analyze_landscape(run_landscape)
             self.lint_report.raise_for_findings(strict=(lint == "strict"))
         self.platform = Platform(
-            scenario_landscape, user_distribution=user_distribution_for(scenario)
+            run_landscape, user_distribution=user_distribution_for(scenario)
         )
         self.sla = sla if sla is not None else SlaPolicy()
         #: the one holder of the run's history (actions, faults,
@@ -296,7 +294,7 @@ class SimulationRunner:
         #: so its view of the stream is complete (a resumed run's attaches
         #: in _resume_from_snapshot, after the stream's restored prefix)
         self.verifier = None
-        self._landscape_name = scenario_landscape.name
+        self._landscape_name = run_landscape.name
         if verify:
             from repro.analysis.verify import TraceVerifier
 
@@ -320,7 +318,7 @@ class SimulationRunner:
             or standby
             or (chaos is not None and chaos.has_controller_faults)
         )
-        federated = scenario_landscape.is_federated
+        federated = run_landscape.is_federated
         if controller_factory is not None and (
             standby or (chaos is not None and chaos.has_controller_faults)
         ):
@@ -344,7 +342,7 @@ class SimulationRunner:
         self.ops_bridge = None
         self.ops_server = None
         # a flat run is one domain, "", whose state.db is the run's own
-        names = [domain.name for domain in scenario_landscape.domains] if federated else [""]
+        names = [domain.name for domain in run_landscape.domains] if federated else [""]
         stores = {
             name: DurableStateStore(self.state_dir / name if self.state_dir else None)
             for name in names
@@ -364,7 +362,7 @@ class SimulationRunner:
             self._require_unused(self._stores)
         self.controller = FederatedControlPlane(
             self.platform,
-            settings=scenario_landscape.controller,
+            settings=run_landscape.controller,
             enabled=enabled,
             stores=stores,
             archives=(

@@ -24,7 +24,7 @@ from repro.serviceglobe.dispatcher import UserDistribution
 
 __all__ = [
     "Scenario",
-    "apply_scenario",
+    "scenario_landscape",
     "user_distribution_for",
     "controller_enabled_for",
     "ChaosProfile",
@@ -69,22 +69,39 @@ _FM_BW_DATABASE_ACTIONS = frozenset({Action.SCALE_IN, Action.SCALE_OUT})
 _FM_BW_DATABASE_MAX_INSTANCES = 3
 
 
-def apply_scenario(landscape: LandscapeSpec, scenario: Scenario) -> LandscapeSpec:
-    """A copy of the landscape with the scenario's allowed actions."""
+def scenario_landscape(
+    landscape: LandscapeSpec, scenario: Scenario, user_factor: float
+) -> LandscapeSpec:
+    """The landscape a run administers, in one copy per service.
+
+    Each service gets the scenario's allowed actions (Tables 5 and 6) and
+    its share of ``user_factor``: an interactive service's users are
+    scaled, a batch service keeps its job count and scales its per-job
+    load instead (Section 5.1: "we increase the load per batch job by 5%
+    and leave the number of jobs constant").  ``user_factor`` 1.0 leaves
+    the workloads as they are.
+    """
     services = []
     for service in landscape.services:
+        max_instances = service.constraints.max_instances
         if scenario is Scenario.STATIC:
-            allowed = frozenset()
-            max_instances = service.constraints.max_instances
+            allowed: frozenset = frozenset()
         elif scenario is Scenario.CONSTRAINED_MOBILITY:
             allowed = _CM_ACTIONS[service.kind]
-            max_instances = service.constraints.max_instances
         else:
             allowed = _FM_ACTIONS[service.kind]
-            max_instances = service.constraints.max_instances
             if service.kind is ServiceKind.DATABASE and service.subsystem == "BW":
                 allowed = _FM_BW_DATABASE_ACTIONS
                 max_instances = _FM_BW_DATABASE_MAX_INSTANCES
+        workload = service.workload
+        if workload.batch:
+            workload = dataclasses.replace(
+                workload, load_per_user=workload.load_per_user * user_factor
+            )
+        else:
+            workload = dataclasses.replace(
+                workload, users=round(workload.users * user_factor)
+            )
         services.append(
             dataclasses.replace(
                 service,
@@ -93,6 +110,7 @@ def apply_scenario(landscape: LandscapeSpec, scenario: Scenario) -> LandscapeSpe
                     allowed_actions=allowed,
                     max_instances=max_instances,
                 ),
+                workload=workload,
             )
         )
     return LandscapeSpec(

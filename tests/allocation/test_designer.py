@@ -14,6 +14,7 @@ from repro.config.model import (
 )
 from repro.config.validation import validate_landscape
 from repro.sim.clock import MINUTES_PER_DAY
+from repro.sim.scenarios import Scenario, scenario_landscape
 
 
 def naive_worst_peak(landscape):
@@ -83,7 +84,7 @@ class TestInstanceCountSuggestion:
         landscape = paper_landscape()
         base = LandscapeDesigner(landscape).suggest_instance_counts()
         grown = LandscapeDesigner(
-            landscape.scaled_users(2.0)
+            scenario_landscape(landscape, Scenario.STATIC, 2.0)
         ).suggest_instance_counts()
         assert grown["FI"] > base["FI"]
         assert grown["LES"] > base["LES"]

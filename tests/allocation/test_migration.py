@@ -6,7 +6,7 @@ from repro.allocation.designer import LandscapeDesigner
 from repro.allocation.migration import Migrator
 from repro.config.builtin import paper_landscape
 from repro.serviceglobe.platform import Platform
-from repro.sim.scenarios import Scenario, apply_scenario
+from repro.sim.scenarios import Scenario, scenario_landscape
 
 
 def current_allocation(platform):
@@ -17,7 +17,7 @@ def current_allocation(platform):
 
 @pytest.fixture
 def platform():
-    return Platform(apply_scenario(paper_landscape(), Scenario.STATIC))
+    return Platform(scenario_landscape(paper_landscape(), Scenario.STATIC, 1.0))
 
 
 class TestPlanning:

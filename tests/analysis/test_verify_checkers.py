@@ -5,6 +5,8 @@ Every test builds a small synthetic event stream (the JSON-shaped dicts
 through one checker or the full :class:`TraceVerifier`.
 """
 
+import numpy as np
+
 from repro.analysis.verify import (
     TraceVerifier,
     VerificationContext,
@@ -426,7 +428,7 @@ class TestTraceVerifier:
         verifier.attach(bus)
         bus.publish(AlertEvent(5, "info", "m"))
         bus.publish(LoadReportBatch(10 + COMPENSATION_GRACE_MINUTES + 1,
-                                    (("Blade1", "cpu", 26, 0.5),)))
+                                    (("Blade1", "cpu"),), np.array([0.5])))
         assert converted == ["AlertEvent"]
         assert verifier.fed == 2
         verifier.feed(_action(

@@ -21,7 +21,7 @@ from repro.core.federation import FederatedControlPlane
 from repro.serviceglobe.actions import FencedActionError, FencingGuard
 from repro.serviceglobe.executor import ActionExecutor
 from repro.serviceglobe.platform import Platform
-from repro.sim.scenarios import Scenario, apply_scenario
+from repro.sim.scenarios import Scenario, scenario_landscape
 from repro.telemetry.records import SupervisionEvent, SupervisionEventKind
 from repro.telemetry.trace import TraceEvent
 
@@ -31,7 +31,7 @@ def _codes(report) -> List[str]:
 
 
 def _mobile_landscape():
-    return apply_scenario(paper_landscape(), Scenario.FULL_MOBILITY)
+    return scenario_landscape(paper_landscape(), Scenario.FULL_MOBILITY, 1.0)
 
 
 def _scale_out_target(platform: Platform, service_name: str) -> str:

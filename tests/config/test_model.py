@@ -11,6 +11,7 @@ from repro.config.model import (
     ServiceSpec,
     WorkloadSpec,
 )
+from repro.sim.scenarios import Scenario, scenario_landscape
 
 
 class TestAction:
@@ -147,18 +148,18 @@ class TestLandscapeSpec:
         assert self._landscape().instance_hosts() == {"A": ["H1", "H2"], "B": ["H2"]}
 
     def test_scaled_users_scales_interactive_users(self):
-        scaled = self._landscape().scaled_users(1.15)
+        scaled = scenario_landscape(self._landscape(), Scenario.STATIC, 1.15)
         assert scaled.service("A").workload.users == 115
 
     def test_scaled_users_scales_batch_load_not_jobs(self):
         """Section 5.1: for BW 'we increase the load per batch job by 5%
         and leave the number of jobs constant'."""
-        scaled = self._landscape().scaled_users(1.05)
+        scaled = scenario_landscape(self._landscape(), Scenario.STATIC, 1.05)
         batch = scaled.service("B").workload
         assert batch.users == 60
         assert batch.load_per_user == pytest.approx(0.0105)
 
     def test_scaled_users_leaves_original_untouched(self):
         landscape = self._landscape()
-        landscape.scaled_users(2.0)
+        scenario_landscape(landscape, Scenario.STATIC, 2.0)
         assert landscape.service("A").workload.users == 100

@@ -31,6 +31,7 @@ from repro.core.state import (
     open_readonly,
     replay_journal,
 )
+from tests.monitoring.batches import record as record_rows
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -225,7 +226,7 @@ class TestDurableStateStore:
         store.journal.append("tick", now=1)
         store.snapshots.save("controller", 1, 1, {})
         store.lease.acquire("controller-1", now=1, ttl=5)
-        store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
+        record_rows(store.archive, [("Blade1", "cpu", 1, 0.5)])
         names = {p.name for p in (tmp_path / "state").iterdir()}
         assert names == {"state.db", "state.db-wal", "state.db-shm"}
         store.close()
@@ -238,7 +239,7 @@ class TestDurableStateStore:
         store = DurableStateStore(None)
         store.journal.append("tick", now=1)
         store.snapshots.save("controller", 1, 1, {"tick": 1})
-        store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
+        record_rows(store.archive, [("Blade1", "cpu", 1, 0.5)])
         assert store.snapshots.load("controller")["payload"] == {"tick": 1}
         store.close()
         assert list(tmp_path.iterdir()) == []
@@ -415,13 +416,16 @@ class TestLeaseFencingAcrossProcesses:
 
 _KILLED_MID_TICK = """
 import os, signal, sys
+import numpy as np
 from repro.core.state import DurableStateStore
+from repro.telemetry.records import LoadReportBatch
 
 store = DurableStateStore(sys.argv[1])
 store.lease.acquire("controller-1", now=1, ttl=5)
 store.journal.append("tick", now=1)
 store.snapshots.save("controller", 1, store.journal.last_seq, {"tick": 1})
-store.archive.record_reports([(f"Blade{i}", "cpu", 1, 0.5) for i in range(65)])
+series = tuple((f"Blade{i}", "cpu") for i in range(65))
+store.archive.record_reports(LoadReportBatch(1, series, np.full(65, 0.5)))
 store.journal.append("action-intent", intent_id="controller-1:000001", action="move")
 
 
@@ -429,10 +433,12 @@ def half_a_batch():
     for i in range(65):
         if i == 32:
             os.kill(os.getpid(), signal.SIGKILL)
-        yield (f"Blade{i}", "cpu", 2, 0.5)
+        yield 0.5
 
 
-store.archive.record_reports(half_a_batch())
+store.archive.record_reports(
+    LoadReportBatch(2, series, np.fromiter(half_a_batch(), dtype=float))
+)
 """
 
 
@@ -514,9 +520,7 @@ class TestCrashSafety:
         the file before it raises."""
         store = DurableStateStore(tmp_path)
         for now in (1, 2):
-            store.archive.record_reports(
-                [(f"Blade{i}", "cpu", now, 0.5) for i in range(3)]
-            )
+            record_rows(store.archive, [(f"Blade{i}", "cpu", now, 0.5) for i in range(3)])
         store.close()
         path = tmp_path / "state.db"
 
@@ -583,15 +587,18 @@ class TestCrashSafety:
 
 _KILLED_MID_GROUP = """
 import os, signal, sys
+import numpy as np
 from repro.core.state import DurableStateStore
+from repro.telemetry.records import LoadReportBatch
 
 store = DurableStateStore(sys.argv[1])
 store.db.grouped = True  # what StateDb.group() does around a run loop
+series = tuple((f"Blade{i}", "cpu") for i in range(65))
 store.journal.append("tick", now=1)
-store.archive.record_reports([(f"Blade{i}", "cpu", 1, 0.5) for i in range(65)])
+store.archive.record_reports(LoadReportBatch(1, series, np.full(65, 0.5)))
 store.journal.append("action-intent", intent_id="controller-1:000001", action="move")
 store.journal.append("tick", now=2)
-store.archive.record_reports([(f"Blade{i}", "cpu", 2, 0.5) for i in range(65)])
+store.archive.record_reports(LoadReportBatch(2, series, np.full(65, 0.5)))
 store.snapshots.save("controller", 2, store.journal.last_seq, {"tick": 2})
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -620,7 +627,7 @@ class TestWriteGroups:
 
         with store.db.group():
             store.journal.append("tick", now=1)
-            store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
+            record_rows(store.archive, [("Blade1", "cpu", 1, 0.5)])
             assert (store.journal.last_seq, committed()) == (1, 0)
             store.journal.append("action-intent", intent_id="c:1")
             assert committed() == 2
@@ -671,7 +678,7 @@ class TestWriteGroups:
             with store.db.group():
                 store.journal.append("action-intent", intent_id="c:1")
                 store.journal.append("tick", now=1)
-                store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
+                record_rows(store.archive, [("Blade1", "cpu", 1, 0.5)])
                 raise RuntimeError("torn tick")
         assert not store.db.grouped
         assert [r.kind for r in store.journal.since(0)] == ["action-intent"]
@@ -684,10 +691,10 @@ class TestWriteGroups:
         store = DurableStateStore(tmp_path)
         with pytest.raises(RuntimeError, match="torn tick"):
             with store.db.group():
-                store.archive.record_reports([("Blade1", "cpu", 1, 0.5)])
+                record_rows(store.archive, [("Blade1", "cpu", 1, 0.5)])
                 raise RuntimeError("torn tick")
-        store.archive.record_reports([("Blade2", "cpu", 1, 0.25)])
-        store.archive.record_reports([("Blade1", "cpu", 2, 0.75)])
+        record_rows(store.archive, [("Blade2", "cpu", 1, 0.25)])
+        record_rows(store.archive, [("Blade1", "cpu", 2, 0.75)])
         for archive in (store.archive, DurableStateStore(tmp_path).archive):
             assert archive.subjects() == ["Blade1", "Blade2"]
             assert archive.history("Blade1", "cpu") == [(2, 0.75)]
@@ -731,13 +738,16 @@ lease.close()
 
 _AGENT_SIDE = """
 import sys
+import numpy as np
 from repro.core.state import DurableStateStore
+from repro.telemetry.records import LoadReportBatch
 
-# what an agent does to it: journal rows and one 65-row archive batch a tick
+# what an agent does to it: journal rows and one 65-sample archive batch a tick
 store = DurableStateStore(sys.argv[1])
+series = tuple((f"Blade{i}", "cpu") for i in range(65))
 for now in range(int(sys.argv[2])):
     store.journal.append("action-intent", intent_id=f"c:{now}")
-    store.archive.record_reports([(f"Blade{i}", "cpu", now, 0.5) for i in range(65)])
+    store.archive.record_reports(LoadReportBatch(now, series, np.full(65, 0.5)))
     store.journal.append("action-commit", intent_id=f"c:{now}")
     store.journal.append("tick", now=now)
     store.snapshots.save("controller", now, store.journal.last_seq, {"tick": now})
@@ -853,7 +863,7 @@ def test_store_equals_a_plain_dict_model(tmp_path_factory, on_disk, operations):
             snapshots[kind] = (tick, len(journal))
         elif operation[0] == "reports":
             __, time, subjects = operation
-            store.archive.record_reports([(s, "cpu", time, 0.25) for s in subjects])
+            record_rows(store.archive, [(s, "cpu", time, 0.25) for s in subjects])
             samples.update({(s, time): 0.25 for s in subjects})
         elif operation[0] == "rewind":
             __, seq, tick = operation

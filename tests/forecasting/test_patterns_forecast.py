@@ -8,6 +8,7 @@ from repro.forecasting.forecast import LoadForecaster, ProactiveScaler
 from repro.forecasting.patterns import extract_daily_pattern
 from repro.monitoring.archive import InMemoryLoadArchive
 from repro.sim.clock import MINUTES_PER_DAY
+from tests.monitoring.batches import record
 
 
 def sinusoidal_history(days=3, amplitude=0.4, base=0.5, noise=None):
@@ -69,7 +70,7 @@ class TestForecaster:
     def _loaded_archive(self, days=2):
         archive = InMemoryLoadArchive()
         for minute, value in sinusoidal_history(days=days):
-            archive.record_reports([("Blade1", "cpu", minute, value)])
+            record(archive, [("Blade1", "cpu", minute, value)])
         return archive
 
     def test_predict_after_refit(self):
@@ -84,16 +85,15 @@ class TestForecaster:
     def test_insufficient_history_refuses_to_fit(self):
         archive = InMemoryLoadArchive()
         for minute in range(100):
-            archive.record_reports([("Blade1", "cpu", minute, 0.5)])
+            record(archive, [("Blade1", "cpu", minute, 0.5)])
         forecaster = LoadForecaster(archive)
         assert forecaster.refit("Blade1", 100) is None
 
     def test_unreliable_pattern_yields_no_prediction(self):
         archive = InMemoryLoadArchive()
         for minute in range(2 * MINUTES_PER_DAY):
-            archive.record_reports(
-                [("Blade1", "cpu", minute, 0.5 + 0.4 * math.sin(minute * 0.7918))]
-            )
+            value = 0.5 + 0.4 * math.sin(minute * 0.7918)
+            record(archive, [("Blade1", "cpu", minute, value)])
         forecaster = LoadForecaster(archive, min_periodicity=0.5)
         forecaster.refit("Blade1", 2 * MINUTES_PER_DAY)
         assert forecaster.predict("Blade1", 100) is None

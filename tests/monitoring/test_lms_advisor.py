@@ -3,8 +3,8 @@
 These pin the paper's watch-time semantics: a threshold crossing only
 becomes a real situation if the *average* load during the watch time
 stays beyond the threshold, so short load peaks are filtered out.  The
-watch windows are read from the load archive, which a monitor's report
-sink reaches once a minute, as the controller flushes it.
+watch windows are read from the load archive, which a monitor's sample
+reaches once a minute in the controller's report batch.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.monitoring.advisor import Advisor, SubjectKind
 from repro.monitoring.archive import InMemoryLoadArchive, SqliteLoadArchive
 from repro.monitoring.lms import LoadMonitoringSystem, SituationKind
 from repro.monitoring.monitor import LoadMonitor
+from tests.monitoring.batches import record
 
 
 class Dial:
@@ -37,7 +38,6 @@ def make_stack(
     lms.archive = InMemoryLoadArchive()
     monitor = LoadMonitor("Blade1" if service_name is None else f"{service_name}#1",
                           "cpu")
-    monitor.report_sink = []
     advisor = Advisor(
         monitor,
         subject_kind,
@@ -51,10 +51,11 @@ def make_stack(
     return dial, monitor, advisor, lms
 
 
-def flush(monitor, archive):
-    """The controller's per-tick flush: the sink's rows into the archive."""
-    archive.record_reports(monitor.report_sink)
-    monitor.report_sink.clear()
+def report(monitor, archive, now):
+    """The controller's per-tick batch: the monitor's sample of minute
+    ``now`` into the archive, nothing when its report was lost."""
+    if monitor.latest_time == now:
+        record(archive, [(monitor.subject, monitor.metric, now, monitor.latest)])
 
 
 def run_minutes(dial, monitor, advisor, lms, loads, start=0):
@@ -70,7 +71,7 @@ def run_minutes(dial, monitor, advisor, lms, loads, start=0):
         else:
             dial.value = load
             monitor.push(now, dial.value)
-        flush(monitor, lms.archive)
+        report(monitor, lms.archive, now)
         advisor.inspect(now)
         situations.extend(lms.tick(now))
     return situations
@@ -192,12 +193,10 @@ class TestLoadMonitor:
 
     def test_a_dropped_report_keeps_the_last_sample(self):
         monitor = LoadMonitor("Blade1", "cpu")
-        monitor.report_sink = []
         monitor.push(0, 0.2)
         monitor.mark_dropped(1)
         assert (monitor.latest_time, monitor.latest) == (0, 0.2)
         assert monitor.dropped_reports == 1
-        assert monitor.report_sink == [("Blade1", "cpu", 0, 0.2)]
 
 
 class TestMonitorArchiveIntegration:
@@ -231,7 +230,6 @@ def observe(archive, loads, started_at, watch_time):
     the observation's journal descriptor.
     """
     monitor = LoadMonitor("Blade1", "cpu")
-    monitor.report_sink = []
     lms = LoadMonitoringSystem()
     lms.archive = archive
     situations = []
@@ -240,7 +238,7 @@ def observe(archive, loads, started_at, watch_time):
             monitor.mark_dropped(now)
         else:
             monitor.push(now, load)
-        flush(monitor, archive)
+        report(monitor, archive, now)
         if now == started_at:
             lms.open_observation(
                 kind=SituationKind.SERVER_OVERLOADED,
@@ -357,16 +355,14 @@ class TestWatchWindowOracle:
             observed, descriptor = observe(archive, *drawn[:3])
             assert _hex(observed) == expected
             # the resume rewind: cut back to minute ``rewind``, report the
-            # minutes after it again from a fresh monitor, and revive the
-            # observation in a fresh LMS
+            # minutes after it again, and revive the observation in a
+            # fresh LMS
             archive.truncate_after(rewind)
-            monitor = LoadMonitor("Blade1", "cpu")
-            monitor.report_sink = [
+            record(archive, [
                 ("Blade1", "cpu", t, load)
                 for t, load in enumerate(loads[: due + 1])
                 if t > rewind and load is not None
-            ]
-            flush(monitor, archive)
+            ])
             assert revive(archive, descriptor, due) == expected
 
     @settings(max_examples=40, deadline=None)
@@ -389,9 +385,7 @@ class TestWatchWindowOracle:
             observed, descriptor = observe(archive, *drawn[:3])
             assert _hex(observed) == expected
             with pytest.raises(_Abort), db.group():
-                archive.record_reports(
-                    [("Blade1", "cpu", t, bogus) for t in range(due + 2)]
-                )
+                record(archive, [("Blade1", "cpu", t, bogus) for t in range(due + 2)])
                 assert archive.history("Blade1", "cpu", 0, due) == [
                     (t, bogus) for t in range(due + 1)
                 ]

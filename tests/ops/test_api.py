@@ -19,6 +19,7 @@ import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -452,11 +453,8 @@ GOLDEN = [
     (
         LoadReportBatch(
             time=725,
-            rows=(
-                ("Blade1", "cpu", 725, 0.1 + 0.2),
-                ("FI", "load", 725, 2 / 3),
-                ("FI#1", "cpu", 725, 1e-07),
-            ),
+            series=(("Blade1", "cpu"), ("FI", "load"), ("FI#1", "cpu")),
+            values=np.array([0.1 + 0.2, 2 / 3, 1e-07]),
         ),
         '{"seq": %d, "topic": "reports", "record": {"type": "LoadReportBatch", '
         '"time": 725, "rows": [["Blade1", "cpu", 725, 0.30000000000000004], '

@@ -5,7 +5,7 @@ import pytest
 from repro.core.federation import FederatedControlPlane
 from repro.serviceglobe.platform import Platform
 from repro.sim.faults import FaultInjector
-from repro.sim.scenarios import Scenario, apply_scenario
+from repro.sim.scenarios import Scenario, scenario_landscape
 from repro.sim.workload import NoiseParameters, WorkloadModel
 from repro.config.builtin import paper_landscape
 from repro.telemetry.records import TOPIC_FAULTS
@@ -213,8 +213,8 @@ class TestChaosOnSapLandscape:
         """Six hours of elevated fault rates on the full SAP landscape:
         every service keeps its minimum instance count and all users
         survive."""
-        landscape = apply_scenario(
-            paper_landscape(), Scenario.CONSTRAINED_MOBILITY
+        landscape = scenario_landscape(
+            paper_landscape(), Scenario.CONSTRAINED_MOBILITY, 1.0
         )
         platform = Platform(landscape)
         faults = published(platform.bus, TOPIC_FAULTS)

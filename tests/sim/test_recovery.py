@@ -264,13 +264,12 @@ class _WriteCountingArchive(InMemoryLoadArchive):
         self.writes = {}
         self.batches = 0
 
-    def record_reports(self, rows):
-        rows = list(rows)
+    def record_reports(self, batch):
         self.batches += 1
-        for subject, metric, time, __ in rows:
-            key = (subject, metric, time)
+        for subject, metric in batch.series:
+            key = (subject, metric, batch.time)
             self.writes[key] = self.writes.get(key, 0) + 1
-        super().record_reports(rows)
+        super().record_reports(batch)
 
 
 class TestDeposedLeader:

@@ -6,7 +6,7 @@ from repro.config.builtin import paper_landscape
 from repro.serviceglobe.platform import Platform
 from repro.sim.clock import MINUTES_PER_DAY
 from repro.sim.requests import RequestFlows
-from repro.sim.scenarios import Scenario, apply_scenario
+from repro.sim.scenarios import Scenario, scenario_landscape
 from repro.sim.workload import NoiseParameters, WorkloadModel
 
 NOON = 12 * 60
@@ -18,7 +18,7 @@ QUIET = NoiseParameters(sigma=0.0, burst_probability=0.0, derived_sigma=0.0)
 
 @pytest.fixture
 def platform():
-    return Platform(apply_scenario(paper_landscape(), Scenario.STATIC))
+    return Platform(scenario_landscape(paper_landscape(), Scenario.STATIC, 1.0))
 
 
 @pytest.fixture
@@ -70,7 +70,7 @@ class TestApplicationDemand:
     def test_demand_deterministic_under_seed(self):
         loads = []
         for __ in range(2):
-            platform = Platform(apply_scenario(paper_landscape(), Scenario.STATIC))
+            platform = Platform(scenario_landscape(paper_landscape(), Scenario.STATIC, 1.0))
             model = WorkloadModel(platform, seed=42)
             model.initialize()
             for m in range(NOON, NOON + 30):
@@ -122,7 +122,7 @@ class TestRequestPath:
         from repro.config.model import Action
 
         platform = Platform(
-            apply_scenario(paper_landscape(), Scenario.FULL_MOBILITY)
+            scenario_landscape(paper_landscape(), Scenario.FULL_MOBILITY, 1.0)
         )
         workload = WorkloadModel(platform, seed=3, noise=QUIET)
         workload.initialize()

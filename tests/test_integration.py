@@ -155,12 +155,11 @@ class TestSemiAutomaticEndToEnd:
         from repro.config.model import ControllerMode, ControllerSettings
         from repro.core.autoglobe import AutoGlobeController
         from repro.serviceglobe.platform import Platform
-        from repro.sim.scenarios import apply_scenario
+        from repro.sim.scenarios import scenario_landscape
         from repro.sim.workload import WorkloadModel
 
-        landscape = apply_scenario(paper_landscape(), Scenario.CONSTRAINED_MOBILITY)
         landscape = dataclasses.replace(
-            landscape.scaled_users(1.30),
+            scenario_landscape(paper_landscape(), Scenario.CONSTRAINED_MOBILITY, 1.30),
             controller=ControllerSettings(mode=ControllerMode.SEMI_AUTOMATIC),
         )
         platform = Platform(landscape)
