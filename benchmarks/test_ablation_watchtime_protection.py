@@ -22,6 +22,7 @@ from repro.config.model import ControllerSettings
 from repro.sim.clock import MINUTES_PER_DAY
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario
+from repro.telemetry.records import TOPIC_SITUATIONS, SituationPhase
 
 
 def run_with_settings(scenario, **setting_overrides):
@@ -34,10 +35,15 @@ def run_with_settings(scenario, **setting_overrides):
         collect_host_series=False,
         controller_settings=settings,
     )
+    confirmed = []
+
+    def on_situation(envelope):
+        if envelope.record.phase is SituationPhase.CONFIRMED:
+            confirmed.append(envelope.record)
+
+    runner.platform.bus.subscribe(TOPIC_SITUATIONS, on_situation)
     result = runner.run()
-    [controller] = runner.controller.leaders()
-    confirmed = len(controller.lms.confirmed)
-    return result, confirmed
+    return result, len(confirmed)
 
 
 @pytest.mark.benchmark(group="ablation")

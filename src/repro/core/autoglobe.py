@@ -2,8 +2,10 @@
 
 Wires together the full Figure 2 architecture for one platform:
 
-* load monitors for every server and every service instance,
-* advisors escalating threshold crossings,
+* load monitors for every server and every service instance, read as
+  columns of the landscape state each tick,
+* advisors escalating threshold crossings, one vectorized comparison of
+  those columns,
 * the load monitoring system confirming real situations after watchTime,
 * the two fuzzy controllers and the Figure 6 decision loop,
 * protection mode, administrator alerts and the load archive,
@@ -16,7 +18,8 @@ minute after the workload model has updated instance demands.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -33,11 +36,9 @@ from repro.core.constraints import verify_action
 from repro.core.decision import DecisionLoop
 from repro.core.protection import ProtectionRegistry
 from repro.core.server_selection import ServerSelector
-from repro.monitoring.advisor import Advisor, SubjectKind
 from repro.monitoring.archive import InMemoryLoadArchive, LoadArchive
 from repro.monitoring.heartbeat import HeartbeatDetector
 from repro.monitoring.lms import LoadMonitoringSystem, Situation, SituationKind
-from repro.monitoring.monitor import LoadMonitor
 from repro.serviceglobe.actions import ActionError, ActionOutcome, NoSuchTarget
 from repro.serviceglobe.executor import ActionExecutor
 from repro.serviceglobe.platform import Platform
@@ -45,6 +46,14 @@ from repro.serviceglobe.service import ServiceInstance
 from repro.telemetry.records import LoadReportBatch
 
 __all__ = ["AutoGlobeController"]
+
+#: the overload and idle situations of a server and of a service instance
+_SERVER_KINDS = (SituationKind.SERVER_OVERLOADED, SituationKind.SERVER_IDLE)
+_SERVICE_KINDS = (SituationKind.SERVICE_OVERLOADED, SituationKind.SERVICE_IDLE)
+#: a ``(subject, metric)`` archive series
+SeriesKey = Tuple[str, str]
+#: a tick's batch series and the host and instance entries it keeps
+ReportLayout = Tuple[Tuple[SeriesKey, ...], np.ndarray, np.ndarray]
 
 
 class AutoGlobeController:
@@ -105,7 +114,10 @@ class AutoGlobeController:
             executor=self.executor,
             relocation_handler=relocation_handler,
         )
-        self.situations_handled: List[Situation] = []
+        #: situations handed to the decision loop or the self-healing
+        #: path: how many, and the last ten (the ops ``/situations`` view)
+        self.situations_handled = 0
+        self.recent_situations: Deque[Situation] = deque(maxlen=10)
         #: heartbeat-based failure detection feeding the self-healing path
         self.failure_detector = HeartbeatDetector(platform)
         #: host name -> last minute (inclusive) its load reports are lost;
@@ -123,35 +135,43 @@ class AutoGlobeController:
         #: (a service that never ran is not "dead", it just never started)
         self._seen_running: Set[str] = set()
         #: observation descriptors recovered from a snapshot/journal,
-        #: revived in the next tick once their monitors exist again
+        #: revived in the next tick once their subjects are watched again
         self._pending_observation_restores: List[Dict[str, Any]] = []
-        #: blind hosts -> a batch's series and the instance advisors' host
-        #: ids; emptied whenever the monitor syncs run
-        self._report_layouts: Dict[
-            frozenset, Tuple[Tuple[Tuple[str, str], ...], np.ndarray]
-        ] = {}
+        #: blind hosts -> a batch's layout; emptied whenever the monitor
+        #: syncs run
+        self._report_layouts: Dict[frozenset, ReportLayout] = {}
         #: set by :meth:`depose`: this replica's reports are dropped
         self._deposed = False
-        self._host_cpu_monitors: Dict[str, LoadMonitor] = {}
-        self._host_mem_monitors: Dict[str, LoadMonitor] = {}
-        self._host_advisors: Dict[str, Advisor] = {}
+        #: every landscape host's idle threshold, by state id (an instance
+        #: may run on a host outside this controller's domain)
+        self._idle_by_host_id = np.empty(0, dtype=np.float64)
+        #: the host monitor set, in platform order: cpu and mem series keys
+        #: (built once, on one name string per host), state ids and idle
+        #: thresholds; the host set of a platform is fixed
+        self._host_cpu_keys: List[SeriesKey] = []
+        self._host_mem_keys: List[SeriesKey] = []
+        self._host_monitor_ids = np.empty(0, dtype=np.int64)
+        self._host_idle = np.empty(0, dtype=np.float64)
         #: service-level load monitors ("service:<name>" archive subjects);
         #: their history backs the service load forecasts (Section 7)
-        self._service_monitors: Dict[str, LoadMonitor] = {}
-        #: (instance id, host name) -> advisor; recreated when the instance moves
-        self._instance_advisors: Dict[Tuple[str, str], Advisor] = {}
-        self._instance_monitors: Dict[str, LoadMonitor] = {}
-        #: a restored snapshot's advisor keys in the live order, recreated
+        self._service_keys: Dict[str, SeriesKey] = {}
+        self._service_monitor_ids = np.empty(0, dtype=np.int64)
+        #: the instance monitor set, in live order: ``(instance id, host
+        #: name)`` entries (an instance watches its *current* host, so a
+        #: move replaces its entry), their cpu series keys, services, host
+        #: state ids and idle thresholds
+        self._instance_keys: List[Tuple[str, str]] = []
+        self._instance_series: List[SeriesKey] = []
+        self._instance_services: List[str] = []
+        self._instance_host_ids = np.empty(0, dtype=np.int64)
+        self._instance_idle = np.empty(0, dtype=np.float64)
+        #: a restored snapshot's instance entries in the live order, placed
         #: first so a resumed run samples and reports in that order
-        self._restored_advisor_keys: List[Tuple[str, str]] = []
+        self._restored_instance_keys: List[Tuple[str, str]] = []
         #: landscape-state version cursors: the monitor-set scans run only
         #: when the corresponding counter moved since the last sync
         self._registry_cursor = -1
         self._topology_cursor = -1
-        #: state ids aligned with the host/service monitor dicts, the index
-        #: vectors behind the batched per-tick column reads
-        self._host_monitor_ids = np.empty(0, dtype=np.int64)
-        self._service_monitor_ids = np.empty(0, dtype=np.int64)
         self._install_service_rule_overrides()
         self._sync_host_monitors()
 
@@ -169,94 +189,87 @@ class AutoGlobeController:
         state = self.platform.landscape_state
         if self._registry_cursor == state.registry_version:
             return  # host set is fixed, service set unchanged since last sync
-        for host in self.platform.hosts.values():
-            if host.name in self._host_cpu_monitors:
-                continue
-            cpu_monitor = LoadMonitor(host.name, "cpu")
-            mem_monitor = LoadMonitor(host.name, "mem")
-            self._host_cpu_monitors[host.name] = cpu_monitor
-            self._host_mem_monitors[host.name] = mem_monitor
-            self._host_advisors[host.name] = Advisor(
-                cpu_monitor,
-                SubjectKind.SERVER,
-                self.lms,
-                overload_threshold=self.settings.overload_threshold,
-                idle_threshold=self.settings.idle_threshold(host.performance_index),
-                overload_watch_time=self.settings.overload_watch_time,
-                idle_watch_time=self.settings.idle_watch_time,
+        if not self._host_cpu_keys:
+            # 12.5% over each host's performance index, below the
+            # overload threshold
+            overload = self.settings.overload_threshold
+            idle = [
+                self.settings.idle_threshold(host.performance_index)
+                for host in state.host_objs
+            ]
+            for threshold in idle:
+                if threshold >= overload:
+                    raise ValueError(
+                        f"idle threshold {threshold} must be below overload "
+                        f"threshold {overload}"
+                    )
+            self._idle_by_host_id = np.array(idle, dtype=np.float64)
+            hosts = list(self.platform.hosts.values())
+            self._host_cpu_keys = [(host.name, "cpu") for host in hosts]
+            self._host_mem_keys = [(host.name, "mem") for host in hosts]
+            self._host_monitor_ids = np.fromiter(
+                (state.host_index.ids[host.name] for host in hosts),
+                dtype=np.int64,
+                count=len(hosts),
             )
+            self._host_idle = self._idle_by_host_id[self._host_monitor_ids]
         for service_name in self.platform.services:
-            if service_name in self._service_monitors:
-                continue
-            # total demand, not average load: invariant under the
-            # controller's own scale-outs, so daily patterns stay clean
-            monitor = LoadMonitor(f"service:{service_name}", "demand")
-            self._service_monitors[service_name] = monitor
+            if service_name not in self._service_keys:
+                # total demand, not average load: invariant under the
+                # controller's own scale-outs, so daily patterns stay clean
+                self._service_keys[service_name] = (f"service:{service_name}", "demand")
         self._registry_cursor = state.registry_version
         self._report_layouts.clear()
-        self._host_monitor_ids = np.fromiter(
-            (state.host_index.ids[name] for name in self._host_cpu_monitors),
-            dtype=np.int64,
-            count=len(self._host_cpu_monitors),
-        )
         self._service_monitor_ids = np.fromiter(
-            (state.service_index.ids[name] for name in self._service_monitors),
+            (state.service_index.ids[name] for name in self._service_keys),
             dtype=np.int64,
-            count=len(self._service_monitors),
+            count=len(self._service_keys),
         )
 
     def _sync_instance_monitors(self) -> None:
-        """Create advisors for new instances, retire stale ones.
+        """Rebuild the instance monitor set after a topology change.
 
-        An instance's advisor watches the CPU load of the instance's
-        *current* host (an instance suffers when its host saturates); its
-        idle threshold depends on the host's performance index, so moving
-        an instance recreates its advisor.  The rebuild runs only when
-        the landscape's topology version moved — placement, running set
-        and host health changes are exactly the events that can
-        invalidate the advisor set.
+        An instance watches the CPU load of its *current* host (an
+        instance suffers when its host saturates); its idle threshold
+        depends on the host's performance index, so a move replaces the
+        instance's entry.  Entries that survive keep their place, new
+        ones follow in the restored snapshot's order, then in the
+        platform's.  The rebuild runs only when the landscape's topology
+        version moved — placement, running set and host health changes
+        are exactly the events that can change the set.
         """
         state = self.platform.landscape_state
         if self._topology_cursor == state.topology_version:
             return
         self._topology_cursor = state.topology_version
         self._report_layouts.clear()
-        running: Dict[str, ServiceInstance] = {
-            instance.instance_id: instance
+        running: Dict[Tuple[str, str], ServiceInstance] = {
+            (instance.instance_id, instance.host_name): instance
             for instance in self.platform.all_instances()
         }
-        for key in list(self._instance_advisors):
-            instance_id, host_name = key
-            instance = running.get(instance_id)
-            if instance is None or instance.host_name != host_name:
-                del self._instance_advisors[key]
-                if instance is None:
-                    self._instance_monitors.pop(instance_id, None)
-        keys = self._restored_advisor_keys + [
-            (instance.instance_id, instance.host_name) for instance in running.values()
-        ]
-        self._restored_advisor_keys = []
-        for key in keys:
-            if key in self._instance_advisors:
-                continue
-            instance = running.get(key[0])
-            if instance is None or instance.host_name != key[1]:
-                continue  # gone or moved since the snapshot
-            monitor = self._instance_monitors.get(instance.instance_id)
-            if monitor is None:
-                monitor = LoadMonitor(instance.instance_id, "cpu")
-                self._instance_monitors[instance.instance_id] = monitor
-            host = self.platform.host(instance.host_name)
-            self._instance_advisors[key] = Advisor(
-                monitor,
-                SubjectKind.SERVICE_INSTANCE,
-                self.lms,
-                overload_threshold=self.settings.overload_threshold,
-                idle_threshold=self.settings.idle_threshold(host.performance_index),
-                overload_watch_time=self.settings.overload_watch_time,
-                idle_watch_time=self.settings.idle_watch_time,
-                service_name=instance.service_name,
+        keys = [
+            key
+            for key in dict.fromkeys(
+                itertools.chain(
+                    self._instance_keys, self._restored_instance_keys, running
+                )
             )
+            if key in running
+        ]
+        self._restored_instance_keys = []
+        instances = [running[key] for key in keys]
+        host_ids = state.host_index.ids
+        self._instance_keys = keys
+        self._instance_series = [
+            (instance.instance_id, "cpu") for instance in instances
+        ]
+        self._instance_services = [instance.service_name for instance in instances]
+        self._instance_host_ids = np.fromiter(
+            (host_ids[host_name] for __, host_name in keys),
+            dtype=np.int64,
+            count=len(keys),
+        )
+        self._instance_idle = self._idle_by_host_id[self._instance_host_ids]
 
     # -- measurement contexts ------------------------------------------------------------
 
@@ -381,10 +394,10 @@ class AutoGlobeController:
         """Lose the host's load reports up to minute ``until`` (inclusive).
 
         Models a monitoring outage: the host keeps running, but its
-        advisors see no fresh measurements.  The stale-data guards in
-        :class:`~repro.monitoring.advisor.Advisor` and the coverage check
-        in the LMS keep the controller from mistaking the gap for zero
-        load.
+        samples and its instances' samples are left out of the report
+        batch and the threshold pass.  The archive keeps the gap, and the
+        coverage check in the LMS keeps the controller from mistaking it
+        for zero load.
         """
         current = self._monitor_outages.get(host_name, -1)
         self._monitor_outages[host_name] = max(current, until)
@@ -419,94 +432,109 @@ class AutoGlobeController:
 
     # -- the per-minute cycle ------------------------------------------------------------
 
-    def _report_layout(
-        self, blind: set
-    ) -> Tuple[Tuple[Tuple[str, str], ...], np.ndarray]:
-        """This tick's batch series and the instance advisors' host ids.
+    def _report_layout(self, blind: set) -> ReportLayout:
+        """This tick's batch series and the host and instance entries it
+        keeps.
 
-        The series lists every sample the sweep reports — cpu monitors,
-        mem monitors, service monitors, instance advisors' monitors, each
-        in dict insertion order, blind hosts' entries left out — which
-        fixes the order of the batch and of the advisors' observations,
-        and with it the seeded traces.  It is built once per monitor set
-        and blind set, so the batches in between share it.
+        The series lists every sample the sweep reports — hosts' cpu,
+        hosts' mem, services, instances, each in monitor-set order, blind
+        hosts' entries left out — which fixes the order of the batch and
+        of the threshold pass's observations, and with it the seeded
+        traces.  It is built once per monitor set and blind set, so the
+        batches in between share it.
         """
         key = frozenset(blind)
         layout = self._report_layouts.get(key)
         if layout is None:
-            hosts = [name not in blind for name in self._host_cpu_monitors]
+            hosts = [name not in blind for name, __ in self._host_cpu_keys]
+            instances = [
+                host_name not in blind for __, host_name in self._instance_keys
+            ]
             series = tuple(
-                [m.key for m, kept in zip(self._host_cpu_monitors.values(), hosts) if kept]
-                + [m.key for m, kept in zip(self._host_mem_monitors.values(), hosts) if kept]
-                + [m.key for m in self._service_monitors.values()]
-                + [
-                    advisor.monitor.key
-                    for (__, host_name), advisor in self._instance_advisors.items()
-                    if host_name not in blind
-                ]
+                list(itertools.compress(self._host_cpu_keys, hosts))
+                + list(itertools.compress(self._host_mem_keys, hosts))
+                + list(self._service_keys.values())
+                + list(itertools.compress(self._instance_series, instances))
             )
-            host_ids = self.platform.landscape_state.host_index.ids
             layout = self._report_layouts[key] = (
                 series,
-                np.fromiter(
-                    (host_ids[host_name] for __, host_name in self._instance_advisors),
-                    dtype=np.int64,
-                    count=len(self._instance_advisors),
-                ),
+                np.array(hosts, dtype=bool),
+                np.array(instances, dtype=bool),
             )
         return layout
 
-    def _sample(self, now: int, blind: set) -> Optional[LoadReportBatch]:
+    def _sample(
+        self, now: int, layout: ReportLayout
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[LoadReportBatch]]:
         """One tick's monitor sweep off the columnar state.
 
         Each monitor family's values come from one vectorized column read
-        (the columns are current: every write re-summed them) and are
-        pushed through :meth:`LoadMonitor.push`; an instance monitor
-        reports its *current* host's cpu load.  The same reads, blind
-        hosts' entries left out, are the tick's report batch (``None``
-        when nothing is monitored), in the order of
-        :meth:`_report_layout`.
+        (the columns are current: every write re-summed them); an
+        instance monitor reports its *current* host's cpu load.  Returns
+        the hosts' and the instances' cpu columns, and the tick's report
+        batch — the same reads, blind hosts' entries left out, in the
+        order of :meth:`_report_layout` — or ``None`` when nothing is
+        monitored.
         """
         state = self.platform.landscape_state
-        series, instance_host_ids = self._report_layout(blind)
-        cpu_values = state.host_cpu_values(self._host_monitor_ids)
-        mem_values = state.host_mem_values(self._host_monitor_ids)
-        # service demand is aggregated from the registry's own state, not
-        # shipped through per-host monitoring agents: always available
-        demand_values = state.service_demand_values(self._service_monitor_ids)
-        instance_values = state.host_cpu_values(instance_host_ids)
-        if blind:
-            reported: List[float] = []
-            for monitors, values in (
-                (self._host_cpu_monitors, cpu_values),
-                (self._host_mem_monitors, mem_values),
-            ):
-                for (name, monitor), value in zip(monitors.items(), values):
-                    if name in blind:
-                        monitor.mark_dropped(now)
-                    else:
-                        monitor.push(now, value)
-                        reported.append(value)
-            reported += demand_values
-        else:
-            for monitor, value in zip(self._host_cpu_monitors.values(), cpu_values):
-                monitor.push(now, value)
-            for monitor, value in zip(self._host_mem_monitors.values(), mem_values):
-                monitor.push(now, value)
-            reported = cpu_values + mem_values + demand_values
-        for monitor, value in zip(self._service_monitors.values(), demand_values):
-            monitor.push(now, value)
-        for ((__, host_name), advisor), value in zip(
-            self._instance_advisors.items(), instance_values
-        ):
-            if host_name in blind:
-                advisor.monitor.mark_dropped(now)
-            else:
-                advisor.monitor.push(now, value)
-                reported.append(value)
+        series, hosts, instances = layout
+        host_cpu = state.host_cpu_values(self._host_monitor_ids)
+        instance_cpu = state.host_cpu_values(self._instance_host_ids)
         if not series:
-            return None
-        return LoadReportBatch(now, series, np.array(reported), self.domain)
+            return host_cpu, instance_cpu, None
+        values = np.concatenate((
+            host_cpu[hosts],
+            state.host_mem_values(self._host_monitor_ids)[hosts],
+            # service demand is aggregated from the registry's own state,
+            # not shipped through per-host monitoring agents: always there
+            state.service_demand_values(self._service_monitor_ids),
+            instance_cpu[instances],
+        ))
+        return host_cpu, instance_cpu, LoadReportBatch(now, series, values, self.domain)
+
+    def _inspect(
+        self, now: int, layout: ReportLayout, host_cpu: np.ndarray,
+        instance_cpu: np.ndarray,
+    ) -> None:
+        """The advisors: escalate this tick's threshold crossings.
+
+        One comparison per monitor set finds the seen entries whose cpu
+        load lies above the overload threshold or below their idle
+        threshold; each opens an observation of its cpu series at the
+        LMS (overload wins), host entries first, then instance entries,
+        each in monitor-set order.  A blind host's entries are skipped: a
+        report gap is not zero load.
+        """
+        __, hosts, instances = layout
+        settings = self.settings
+        overload = settings.overload_threshold
+        for values, seen, idle, keys, services, kinds in (
+            (
+                host_cpu, hosts, self._host_idle, self._host_cpu_keys, None,
+                _SERVER_KINDS,
+            ),
+            (
+                instance_cpu, instances, self._instance_idle,
+                self._instance_series, self._instance_services, _SERVICE_KINDS,
+            ),
+        ):
+            crossed = np.flatnonzero(seen & ((values > overload) | (values < idle)))
+            if not crossed.size:
+                continue
+            for index, value, idle_threshold in zip(
+                crossed.tolist(), values[crossed].tolist(), idle[crossed].tolist()
+            ):
+                if value > overload:
+                    kind, threshold = kinds[0], overload
+                    watch_time = settings.overload_watch_time
+                else:
+                    kind, threshold = kinds[1], idle_threshold
+                    watch_time = settings.idle_watch_time
+                subject, metric = keys[index]
+                self.lms.open_observation(
+                    kind, subject, metric, threshold, now, watch_time,
+                    None if services is None else services[index],
+                )
 
     def tick(self, now: int) -> List[ActionOutcome]:
         """One controller cycle: sample, inspect, confirm, decide, act."""
@@ -516,18 +544,14 @@ class AutoGlobeController:
         if self._pending_observation_restores:
             self._restore_observations()
         blind = self._blind_hosts(now)
-        batch = self._sample(now, blind)
+        layout = self._report_layout(blind)
+        host_cpu, instance_cpu, batch = self._sample(now, layout)
         # one batch per tick: the archive holds this minute's reports
         # before any decision queries watch-time means
         if batch is not None and not self._deposed:
             self.archive.record_reports(batch)
             self.platform.bus.publish(batch)
-        for name, advisor in self._host_advisors.items():
-            if name not in blind:
-                advisor.inspect(now)
-        for (__, host_name), advisor in self._instance_advisors.items():
-            if host_name not in blind:
-                advisor.inspect(now)
+        self._inspect(now, layout, host_cpu, instance_cpu)
         # a crashed host voids its pending observations: whatever was
         # suspected before the crash cannot be confirmed against a host
         # that no longer exists in the landscape
@@ -584,7 +608,7 @@ class AutoGlobeController:
                 continue
             if self._situation_protected(situation, now):
                 continue
-            self.situations_handled.append(situation)
+            self._count_handled(situation)
             ranked = ranked_cache.get(id(situation))
             if ranked is None or state.mutation_version != cache_version:
                 # the batch was computed against a landscape an earlier
@@ -596,6 +620,10 @@ class AutoGlobeController:
         if now % 60 == 0:
             self.protection.prune(now)
         return outcomes
+
+    def _count_handled(self, situation: Situation) -> None:
+        self.situations_handled += 1
+        self.recent_situations.append(situation)
 
     def _instance_vanished(self, situation: Situation) -> bool:
         if situation.kind.is_server:
@@ -644,7 +672,7 @@ class AutoGlobeController:
             detected_at=now,
             observed_mean=0.0,
         )
-        self.situations_handled.append(situation)
+        self._count_handled(situation)
         outcome = self._start_somewhere(
             instance.service_name,
             preferred_host=instance.host_name,
@@ -923,7 +951,7 @@ class AutoGlobeController:
             "monitor_outages": dict(self._monitor_outages),
             "heartbeat": self.failure_detector.snapshot_state(),
             "seen_running": sorted(self._seen_running),
-            "instance_advisors": [list(key) for key in self._instance_advisors],
+            "instance_advisors": [list(key) for key in self._instance_keys],
         }
         payload.update(self.alerts.approvals.snapshot_state())
         return payload
@@ -935,8 +963,8 @@ class AutoGlobeController:
         restoring the same payload twice — or a payload overlapping what
         this controller already knows — cannot change the result.
         Observations are revived lazily on the next tick, once their
-        monitors exist again; their watch windows are still in the load
-        archive.
+        subjects are watched again; their watch windows are still in the
+        load archive.
         """
         self.protection.restore_state(payload.get("protection", {}))
         self.alerts.approvals.restore_state(
@@ -952,7 +980,7 @@ class AutoGlobeController:
             self._monitor_outages[host_name] = max(current, int(until))
         self.failure_detector.restore_state(payload.get("heartbeat", {}))
         self._seen_running.update(payload.get("seen_running", []))
-        self._restored_advisor_keys = [
+        self._restored_instance_keys = [
             (str(instance_id), str(host_name))
             for instance_id, host_name in payload.get("instance_advisors", [])
         ]
@@ -961,19 +989,18 @@ class AutoGlobeController:
         )
 
     def _restore_observations(self) -> None:
-        """Revive recovered watch-time observations around live monitors."""
+        """Revive recovered watch-time observations of watched subjects."""
         descriptors = self._pending_observation_restores
         self._pending_observation_restores = []
+        instances = {instance_id for instance_id, __ in self._instance_keys}
         for descriptor in descriptors:
-            kind = SituationKind(str(descriptor["kind"]))
             subject = str(descriptor["subject"])
-            if kind.is_server:
-                monitor = self._host_cpu_monitors.get(subject)
+            if SituationKind(str(descriptor["kind"])).is_server:
+                watched = subject in self.platform.hosts
             else:
-                monitor = self._instance_monitors.get(subject)
-            if monitor is None:
-                continue  # the watched host/instance died with the crash
-            self.lms.restore_observation(descriptor, monitor)
+                watched = subject in instances
+            if watched:  # else the host/instance died with the crash
+                self.lms.restore_observation(descriptor)
 
     def reconcile(
         self, now: int, intents: Dict[str, Dict[str, Any]]

@@ -220,8 +220,8 @@ class ControllerSupervisor:
                 pass
         controller = self._new_controller()
         payload: Dict[str, Any] = dict(base or {})
-        # a new replica builds its own advisors in landscape order; only
-        # a resumed run continues the live replica's order
+        # a new replica builds its own instance monitor set in landscape
+        # order; only a resumed run continues the live replica's order
         payload.pop("instance_advisors", None)
         payload.update(
             {

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.monitoring.archive import LoadArchive
-from repro.monitoring.monitor import LoadMonitor
 
 # SituationKind historically lived here; it is now defined in
 # repro.telemetry.records and re-exported below as a thin alias so
@@ -71,16 +70,13 @@ class Observation:
     """
 
     kind: SituationKind
-    monitor: LoadMonitor
+    subject: str  # host name (server triggers) or instance id (service triggers)
+    metric: str  # the archive series the watch window is read from
     service_name: Optional[str]
     threshold: float
     started_at: int
     watch_time: int
     min_coverage: float = 0.5
-
-    @property
-    def subject(self) -> str:
-        return self.monitor.subject
 
     def due(self, now: int) -> bool:
         return now >= self.started_at + self.watch_time - 1
@@ -93,7 +89,7 @@ class Observation:
         ``archive.average``, which sums oldest first.
         """
         samples = archive.history(
-            self.subject, self.monitor.metric, self.started_at, now
+            self.subject, self.metric, self.started_at, now
         )
         count = len(samples)
         if count / max(now - self.started_at + 1, 1) < self.min_coverage:
@@ -107,7 +103,8 @@ class Observation:
 
 
 class LoadMonitoringSystem:
-    """Collects observations from advisors and confirms real situations."""
+    """Collects observations from the controller's threshold pass (the
+    paper's advisors) and confirms real situations."""
 
     def __init__(self) -> None:
         self._observations: Dict[Tuple[str, SituationKind], Observation] = {}
@@ -117,7 +114,6 @@ class LoadMonitoringSystem:
         #: controller calls it for each down host each tick); the inner
         #: dict doubles as an ordered set, preserving insertion order
         self._by_subject: Dict[str, Dict[SituationKind, None]] = {}
-        self.confirmed: List[Situation] = []
         #: optional :class:`~repro.core.state.StateJournal`: watch-time
         #: progress is journalled (open/close) so a recovered controller
         #: resumes observations instead of restarting their watch windows
@@ -130,8 +126,8 @@ class LoadMonitoringSystem:
         #: situation events; empty in single-domain deployments
         self.domain = ""
         #: the :class:`~repro.monitoring.archive.LoadArchive` watch windows
-        #: are read from: the controller's, which its monitors' reports
-        #: reach each tick before the LMS confirms anything
+        #: are read from: the controller's, which its report batch reaches
+        #: each tick before the LMS confirms anything
         self.archive: Optional[LoadArchive] = None
 
     def _index_add(self, key: Tuple[str, SituationKind]) -> None:
@@ -171,25 +167,25 @@ class LoadMonitoringSystem:
             )
         )
 
-    def observing(self, subject: str, kind: SituationKind) -> bool:
-        return (subject, kind) in self._observations
-
     def open_observation(
         self,
         kind: SituationKind,
-        monitor: LoadMonitor,
+        subject: str,
+        metric: str,
         threshold: float,
         now: int,
         watch_time: int,
         service_name: Optional[str] = None,
     ) -> bool:
-        """Begin watching a suspected situation; no-op if already watched."""
-        key = (monitor.subject, kind)
+        """Begin watching a suspected situation of ``subject``'s ``metric``
+        series; no-op if already watched."""
+        key = (subject, kind)
         if key in self._observations:
             return False
         observation = Observation(
             kind=kind,
-            monitor=monitor,
+            subject=subject,
+            metric=metric,
             service_name=service_name,
             threshold=threshold,
             started_at=now,
@@ -203,15 +199,6 @@ class LoadMonitoringSystem:
             )
         self._publish(now, SituationPhase.OPENED, observation)
         return True
-
-    def cancel(
-        self, subject: str, kind: SituationKind, now: Optional[int] = None
-    ) -> None:
-        observation = self._observations.pop((subject, kind), None)
-        if observation is not None:
-            self._index_discard((subject, kind))
-            self._journal_close((subject, kind))
-            self._publish(now, SituationPhase.CANCELLED, observation)
 
     def cancel_subject(self, subject: str, now: Optional[int] = None) -> int:
         """Drop every observation of one subject (e.g. its host crashed).
@@ -254,13 +241,8 @@ class LoadMonitoringSystem:
                 detected_at=now,
                 observed_mean=mean,
             )
-            self.confirmed.append(situation)
             new_situations.append(situation)
         return new_situations
-
-    @property
-    def active_observations(self) -> List[Observation]:
-        return list(self._observations.values())
 
     # -- durability -------------------------------------------------------------
 
@@ -281,10 +263,8 @@ class LoadMonitoringSystem:
         """Descriptors of every in-progress observation."""
         return [self._describe(o) for o in self._observations.values()]
 
-    def restore_observation(
-        self, descriptor: Dict[str, object], monitor: LoadMonitor
-    ) -> bool:
-        """Revive one observation around a freshly built monitor.
+    def restore_observation(self, descriptor: Dict[str, object]) -> bool:
+        """Revive one observation of a subject's cpu series.
 
         The archive still holds the watch window's samples recorded
         before the crash (a resume rewinds it with the journal), so the
@@ -293,13 +273,15 @@ class LoadMonitoringSystem:
         kind) is left untouched.
         """
         kind = SituationKind(str(descriptor["kind"]))
-        key = (monitor.subject, kind)
+        subject = str(descriptor["subject"])
+        key = (subject, kind)
         if key in self._observations:
             return False
         self._index_add(key)
         self._observations[key] = Observation(
             kind=kind,
-            monitor=monitor,
+            subject=subject,
+            metric="cpu",
             service_name=descriptor.get("service_name"),  # type: ignore[arg-type]
             threshold=float(descriptor["threshold"]),  # type: ignore[arg-type]
             started_at=int(descriptor["started_at"]),  # type: ignore[arg-type]

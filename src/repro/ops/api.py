@@ -279,9 +279,8 @@ class OpsBridge:
         protected: List[str] = []
         for controller in self.control_plane.leaders():
             open_observations.extend(controller.lms.snapshot_state())
-            handled_list = controller.situations_handled
-            handled += len(handled_list)
-            recent.extend(str(situation) for situation in handled_list[-10:])
+            handled += controller.situations_handled
+            recent.extend(str(situation) for situation in controller.recent_situations)
             protected.extend(controller.protection.protected_subjects(now))
         return {
             "time": now,

@@ -29,7 +29,8 @@ placement-eligibility inputs.
 
 Cursors for consumers that react to deltas: ``registry_version`` (the
 service set changed: monitor-set sync), ``topology_version``
-(placement, running set or host health: advisor sync, down-host scan),
+(placement, running set or host health: instance monitor sync,
+down-host scan),
 ``mutation_version`` (any write: the batched fuzzy ranking's cache);
 ``host_stamp[hid]`` is the ``refresh_seq`` of the host's last re-sum,
 so a consumer remembering the ``refresh_seq`` it saw finds the hosts to
@@ -50,7 +51,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    cast,
 )
 
 import numpy as np
@@ -399,15 +399,13 @@ class LandscapeState:
 
     # -- vectorized reads ---------------------------------------------------------------
 
-    def host_cpu_values(self, ids: npt.NDArray[np.int64]) -> List[float]:
-        """``cpu_load`` of every host in ``ids``, in order, as Python floats."""
-        loads = np.minimum(self.host_demand[ids] / self.host_perf_index[ids], 1.0)
-        return cast(List[float], loads.tolist())
+    def host_cpu_values(self, ids: npt.NDArray[np.int64]) -> npt.NDArray[np.float64]:
+        """``cpu_load`` of every host in ``ids``, in order, as a float column."""
+        return np.minimum(self.host_demand[ids] / self.host_perf_index[ids], 1.0)
 
-    def host_mem_values(self, ids: npt.NDArray[np.int64]) -> List[float]:
-        """``mem_load`` of every host in ``ids``, in order, as Python floats."""
-        loads = np.minimum(self.host_mem_used[ids] / self.host_memory_mb[ids], 1.0)
-        return cast(List[float], loads.tolist())
+    def host_mem_values(self, ids: npt.NDArray[np.int64]) -> npt.NDArray[np.float64]:
+        """``mem_load`` of every host in ``ids``, in order, as a float column."""
+        return np.minimum(self.host_mem_used[ids] / self.host_memory_mb[ids], 1.0)
 
     def host_server_inputs(
         self, ids: npt.NDArray[np.int64]
@@ -447,8 +445,10 @@ class LandscapeState:
                 return None
         return np.asarray(ids, dtype=np.int64)
 
-    def service_demand_values(self, ids: npt.NDArray[np.int64]) -> List[float]:
-        return cast(List[float], self.service_demand_sum[ids].tolist())
+    def service_demand_values(
+        self, ids: npt.NDArray[np.int64]
+    ) -> npt.NDArray[np.float64]:
+        return self.service_demand_sum[ids]
 
     def down_host_ids(self) -> Tuple[int, ...]:
         """Ids of down hosts in registration (= substrate iteration) order.

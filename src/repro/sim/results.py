@@ -18,6 +18,7 @@ between a controller-enabled and a controller-disabled run.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -359,8 +360,9 @@ class ResultCollector:
             dtype=np.int64,
             count=len(self._host_names),
         )
-        self._series: Dict[str, List[float]] = {
-            name: [] for name in self._host_names
+        #: host name -> its cpu load per minute, 8 bytes a sample
+        self._series: Dict[str, array] = {
+            name: array("d") for name in self._host_names
         } if collect_host_series else {}
         self._service_samples: Dict[str, List[Tuple[int, str, str, float]]] = {
             name: [] for name in self._collect_services
@@ -442,7 +444,7 @@ class ResultCollector:
         for name, up, load, running in zip(
             self._host_names,
             state.host_up[ids].tolist(),
-            state.host_cpu_values(ids),
+            state.host_cpu_values(ids).tolist(),
             state.host_running_instances[ids].tolist(),
         ):
             if not up:
@@ -580,7 +582,7 @@ class ResultCollector:
                 "--export); rerun both with the same collection settings"
             )
         self._series = {
-            name: [float(v) for v in values]
+            name: array("d", values)
             for name, values in series.items()  # type: ignore[union-attr]
         }
         if not self._collect_host_series:

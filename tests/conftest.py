@@ -1,7 +1,13 @@
 """Helpers shared across the test packages."""
 
 from repro.telemetry.bus import WILDCARD
-from repro.telemetry.records import TOPIC_ACTIONS, TOPIC_ALERTS, record_to_dict
+from repro.telemetry.records import (
+    TOPIC_ACTIONS,
+    TOPIC_ALERTS,
+    TOPIC_SITUATIONS,
+    SituationPhase,
+    record_to_dict,
+)
 from repro.telemetry.trace import trace_event_line, trace_header_line
 
 
@@ -11,6 +17,19 @@ def published(bus, topic):
     records = []
     bus.subscribe(topic, lambda envelope: records.append(envelope.record))
     return records
+
+
+def confirmed(bus):
+    """The situations the LMS confirms on ``bus`` from now on: its
+    CONFIRMED situation events, in publish order."""
+    situations = []
+
+    def on_situation(envelope):
+        if envelope.record.phase is SituationPhase.CONFIRMED:
+            situations.append(envelope.record)
+
+    bus.subscribe(TOPIC_SITUATIONS, on_situation)
+    return situations
 
 
 def executed(platform):

@@ -12,7 +12,7 @@ from repro.core.autoglobe import AutoGlobeController
 from repro.core.explain import explain_last_decisions
 from repro.monitoring.lms import SituationKind
 from repro.serviceglobe.platform import Platform
-from tests.conftest import alerts_of, executed
+from tests.conftest import alerts_of, confirmed, executed
 from tests.core.conftest import build_landscape, console_frame, console_view, set_demand
 
 
@@ -77,10 +77,11 @@ class TestOverloadReaction:
     def test_disabled_controller_never_acts(self):
         platform, controller = make_controller()
         controller.enabled = False
+        situations = confirmed(platform.bus)
         outcomes = run(controller, platform, 40, {"Weak1": 0.95})
         assert outcomes == []
         # monitoring still runs: the situation was confirmed, just unhandled
-        assert controller.lms.confirmed
+        assert situations
 
 
 class TestIdleReaction:
@@ -99,10 +100,11 @@ class TestIdleReaction:
         host (6.25%)."""
         platform, controller = make_controller()
         platform.execute(Action.SCALE_OUT, "APP", target_host="Strong1")
+        situations = confirmed(platform.bus)
         run(controller, platform, 25, {"Weak1": 0.10, "Strong1": 0.20, "Big1": 3.0})
         idle_subjects = {
             s.subject
-            for s in controller.lms.confirmed
+            for s in situations
             if s.kind in (SituationKind.SERVER_IDLE, SituationKind.SERVICE_IDLE)
         }
         assert "Weak1" in idle_subjects
@@ -152,7 +154,7 @@ class TestMonitoringLifecycle:
         platform.execute(Action.SCALE_OUT, "APP", target_host="Weak2")
         controller.tick(1)
         new_instance = platform.service("APP").running_instances[-1]
-        assert new_instance.instance_id in controller._instance_monitors
+        assert (new_instance.instance_id, "cpu") in controller._instance_series
 
     def test_moved_instance_advisor_recreated(self):
         platform, controller = make_controller()
@@ -163,8 +165,16 @@ class TestMonitoringLifecycle:
             target_host="Big1",
         )
         controller.tick(1)
-        assert (instance.instance_id, "Big1") in controller._instance_advisors
-        assert (instance.instance_id, "Weak1") not in controller._instance_advisors
+        assert (instance.instance_id, "Big1") in controller._instance_keys
+        assert (instance.instance_id, "Weak1") not in controller._instance_keys
+
+    def test_an_idle_threshold_at_the_overload_threshold_is_refused(self):
+        """12.5% over a performance index of 1 is not below a 12.5%
+        overload threshold: the host's thresholds cannot be built."""
+        with pytest.raises(ValueError, match="must be below overload threshold"):
+            make_controller(overload_threshold=0.125)
+        with pytest.raises(ValueError, match="must be below overload threshold"):
+            make_controller(overload_threshold=0.1, idle_threshold_base=0.5)
 
     def test_archive_populated(self):
         platform, controller = make_controller()

@@ -29,6 +29,8 @@ from repro.config.model import (
 )
 from repro.core.autoglobe import AutoGlobeController
 from repro.serviceglobe.platform import Platform
+from repro.telemetry.records import TOPIC_REPORTS
+from tests.conftest import confirmed, published
 from tests.core.conftest import MOBILE_ACTIONS, set_demand
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden"
@@ -84,6 +86,8 @@ def _drive(landscape: LandscapeSpec, load_seed: int, minutes: int):
         ),
     )
     rng = random.Random(load_seed)
+    reports = published(platform.bus, TOPIC_REPORTS)
+    situations = confirmed(platform.bus)
     trace = []
     for now in range(minutes):
         for host_name in sorted(platform.hosts):
@@ -91,24 +95,23 @@ def _drive(landscape: LandscapeSpec, load_seed: int, minutes: int):
             demand = rng.uniform(0.0, 1.3) * host.performance_index
             set_demand(platform, host_name, demand)
         outcomes = controller.tick(now)
+        # the tick's samples, as its report batch carried them
+        (batch,) = reports
+        reports.clear()
+        assert batch.time == now
+        samples = dict(zip(batch.series, batch.values.tolist()))
         trace.append(
             {
-                "cpu": {
-                    name: monitor.latest
-                    for name, monitor in controller._host_cpu_monitors.items()
-                },
-                "mem": {
-                    name: monitor.latest
-                    for name, monitor in controller._host_mem_monitors.items()
-                },
+                "cpu": {name: samples[name, "cpu"] for name in platform.hosts},
+                "mem": {name: samples[name, "mem"] for name in platform.hosts},
                 "open": sorted(
                     (subject, kind.value)
                     for subject, kind in controller.lms._observations
                 ),
                 "confirmed": [
-                    (s.kind.value, s.subject, s.service_name, s.detected_at,
+                    (s.kind.value, s.subject, s.service_name, s.time,
                      s.observed_mean)
-                    for s in controller.lms.confirmed
+                    for s in situations
                 ],
                 "actions": [outcome.to_dict() for outcome in outcomes],
                 "placement": sorted(

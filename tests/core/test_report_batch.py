@@ -3,9 +3,10 @@
 The controller's report batch is a series layout plus a float64 array;
 its encoding is still the ``(subject, metric, time, value)`` rows each
 monitor once appended to a per-tick buffer.  :func:`tuple_rows` is that
-builder, kept as the oracle: the JSON and pickle bytes of a batch must
-equal those of its rows, for a plain tick, a tick with a blind host and
-a tick with a relocated instance on a host outside the domain.
+builder, over the deleted monitor objects kept as the oracle: the JSON
+and pickle bytes of a batch must equal those of its rows, for a plain
+tick, a tick with a blind host and a tick with a relocated instance on
+a host outside the domain.
 """
 
 import json
@@ -19,38 +20,14 @@ from repro.core.autoglobe import AutoGlobeController
 from repro.serviceglobe.platform import DomainView, Platform
 from repro.telemetry.records import LoadReportBatch, record_payload, record_to_dict
 from tests.core.conftest import build_landscape, set_demand
+from tests.monitoring.advisor_oracle import AdvisorShadow
 
 
-def tuple_rows(controller, now, blind):
+def tuple_rows(shadow, now, blind):
     """The sweep's rows as the per-tick report buffer held them: one
-    tuple per sample, built from the monitor that pushed it."""
-    state = controller.platform.landscape_state
-    rows = []
-    cpu_values = state.host_cpu_values(controller._host_monitor_ids)
-    mem_values = state.host_mem_values(controller._host_monitor_ids)
-    for monitors, values in (
-        (controller._host_cpu_monitors, cpu_values),
-        (controller._host_mem_monitors, mem_values),
-    ):
-        for (name, monitor), value in zip(monitors.items(), values):
-            if name not in blind:
-                rows.append((monitor.subject, monitor.metric, now, value))
-    for monitor, value in zip(
-        controller._service_monitors.values(),
-        state.service_demand_values(controller._service_monitor_ids),
-    ):
-        rows.append((monitor.subject, monitor.metric, now, value))
-    cpu_by_name = dict(zip(controller._host_cpu_monitors, cpu_values))
-    host_ids = state.host_index.ids
-    for (__, host_name), advisor in controller._instance_advisors.items():
-        if host_name in blind:
-            continue
-        value = cpu_by_name.get(host_name)
-        if value is None:
-            value = state.host_cpu_load(host_ids[host_name])
-        monitor = advisor.monitor
-        rows.append((monitor.subject, monitor.metric, now, value))
-    return tuple(rows)
+    tuple per sample, built from the monitor object that pushed it (the
+    deleted monitors, rebuilt by the oracle's shadow of the controller)."""
+    return shadow.tick(now, blind)
 
 
 def encodings(payload):
@@ -64,15 +41,21 @@ def sweeps(monkeypatch):
     platform = Platform(build_landscape())
     view = DomainView(platform, "d1", ["Weak1", "Strong1", "Big1"], ["APP", "DB"])
     controller = AutoGlobeController(view, enabled=False)
+    shadow = AdvisorShadow(controller, [])
     pairs = []
+    report_layout = controller._report_layout
     sample = controller._sample
 
-    def paired(now, blind):
-        rows = tuple_rows(controller, now, blind)
-        batch = sample(now, blind)
-        pairs.append((rows, batch))
-        return batch
+    def layout(blind):
+        pairs.append(tuple_rows(shadow, controller.platform.current_time, blind))
+        return report_layout(blind)
 
+    def paired(now, layout):
+        sampled = sample(now, layout)
+        pairs[-1] = (pairs[-1], sampled[2])
+        return sampled
+
+    monkeypatch.setattr(controller, "_report_layout", layout)
     monkeypatch.setattr(controller, "_sample", paired)
     set_demand(platform, "Weak1", 0.7)
     set_demand(platform, "Big1", 2.9)

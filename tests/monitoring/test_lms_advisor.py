@@ -4,17 +4,18 @@ These pin the paper's watch-time semantics: a threshold crossing only
 becomes a real situation if the *average* load during the watch time
 stays beyond the threshold, so short load peaks are filtered out.  The
 watch windows are read from the load archive, which a monitor's sample
-reaches once a minute in the controller's report batch.
+reaches once a minute in the controller's report batch.  The monitor
+and advisor are the oracle's (the controller's threshold pass replaced
+them; ``tests/core/test_threshold_pass.py`` holds the two equal).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monitoring.advisor import Advisor, SubjectKind
 from repro.monitoring.archive import InMemoryLoadArchive, SqliteLoadArchive
 from repro.monitoring.lms import LoadMonitoringSystem, SituationKind
-from repro.monitoring.monitor import LoadMonitor
+from tests.monitoring.advisor_oracle import Advisor, LoadMonitor, SubjectKind
 from tests.monitoring.batches import record
 
 
@@ -117,7 +118,7 @@ class TestOverloadDetection:
         advisor.inspect(0)
         monitor.push(1, dial.value)
         advisor.inspect(1)
-        assert len(lms.active_observations) == 1
+        assert len(lms.snapshot_state()) == 1
 
     def test_service_kind_trigger(self):
         dial, monitor, advisor, lms = make_stack(
@@ -210,9 +211,13 @@ class TestMonitorArchiveIntegration:
         dial.value = 0.9
         monitor.push(0, dial.value)
         advisor.inspect(0)
-        assert lms.observing("Blade1", SituationKind.SERVER_OVERLOADED)
-        lms.cancel("Blade1", SituationKind.SERVER_OVERLOADED)
-        assert not lms.observing("Blade1", SituationKind.SERVER_OVERLOADED)
+        [descriptor] = lms.snapshot_state()
+        assert (descriptor["subject"], descriptor["kind"]) == (
+            "Blade1", SituationKind.SERVER_OVERLOADED.value
+        )
+        assert lms.cancel_subject("Blade1", now=1) == 1
+        assert lms.snapshot_state() == []
+        assert lms.cancel_subject("Blade1", now=1) == 0
 
     def test_situation_str(self):
         dial, monitor, advisor, lms = make_stack()
@@ -242,14 +247,15 @@ def observe(archive, loads, started_at, watch_time):
         if now == started_at:
             lms.open_observation(
                 kind=SituationKind.SERVER_OVERLOADED,
-                monitor=monitor,
+                subject=monitor.subject,
+                metric=monitor.metric,
                 threshold=-1.0,
                 now=now,
                 watch_time=watch_time,
             )
             (descriptor,) = lms.snapshot_state()
         situations.extend(lms.tick(now))
-    assert len(situations) <= 1 and not lms.active_observations
+    assert len(situations) <= 1 and not lms.snapshot_state()
     return (situations[0].observed_mean if situations else None), descriptor
 
 
@@ -332,7 +338,7 @@ def revive(archive, descriptor, due):
     and tick it at ``due``: the confirmed mean's hex, or ``None``."""
     lms = LoadMonitoringSystem()
     lms.archive = archive
-    lms.restore_observation(descriptor, LoadMonitor("Blade1", "cpu"))
+    lms.restore_observation(descriptor)
     revived = lms.tick(due)
     return _hex(revived[0].observed_mean if revived else None)
 

@@ -11,6 +11,7 @@ socket, never a traceback.
 """
 
 import asyncio
+import hashlib
 import io
 import json
 import logging
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.ops.api as api
+from repro.config.builtin import paper_landscape, partition_landscape
 from repro.config.model import Action
 from repro.ops.api import OpsBridge, OpsServer
 from repro.ops.console import MalformedResponse, OpsClient, render_snapshot, run_console
@@ -101,6 +103,26 @@ class TestHttpEndpoints:
         assert situations["handled"] == 0
         assert situations["open"] == []
         assert situations["protected"] == [] and situations["messages"] == []
+
+    def test_situations_json_of_a_seeded_run(self):
+        """A controller keeps a count and its last ten handled situations,
+        not every one: the ``/situations`` JSON of a seeded two-domain
+        chaos run is the one the full lists gave, byte for byte."""
+        runner = SimulationRunner(
+            Scenario.FULL_MOBILITY, user_factor=1.15, horizon=6 * 60, seed=7,
+            collect_host_series=False, chaos=default_chaos(),
+            landscape=partition_landscape(paper_landscape(), 2),
+        )
+        bridge = OpsBridge(runner.platform, runner.controller, collector=runner.collector)
+        bridge.attach(runner.platform.bus)
+        runner.run()
+        bridge.detach()
+        situations = bridge._situations_snapshot(runner.platform.current_time)
+        assert situations["handled"] == 139 and len(situations["recent"]) == 20
+        text = json.dumps(situations, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "779b28d4a7e2f5fdb9f599fb5c6fc2460a66a8affbc9a75b32944b50babd98f6"
+        )
 
     def test_summary_carries_run_info_and_counters(self, harness):
         _, _, _, client = harness

@@ -140,9 +140,9 @@ def assert_state_equals_naive(platform, views=(), scalar_first=0):
     sids = np.array([service_ids[d.name] for d in services], dtype=np.int64)
     cpu = [naive.cpu_load(h) for h in hosts]
     mem = [naive.mem_load(h) for h in hosts]
-    assert state.host_cpu_values(ids) == cpu
-    assert state.host_mem_values(ids) == mem
-    assert state.service_demand_values(sids) == [naive.demand(d) for d in services]
+    assert state.host_cpu_values(ids).tolist() == cpu
+    assert state.host_mem_values(ids).tolist() == mem
+    assert state.service_demand_values(sids).tolist() == [naive.demand(d) for d in services]
     got_cpu, got_mem, got_running, got_free = state.host_server_inputs(ids)
     assert got_cpu.tolist() == cpu
     assert got_mem.tolist() == mem
@@ -265,9 +265,9 @@ def test_three_hosts_by_hand():
     assert state.service_capacity(db) == 4.0
 
     ids = np.array([a, b, c])
-    assert state.host_cpu_values(ids) == [0.375, 0.75, 0.0]
-    assert state.host_mem_values(ids) == [0.25, 0.125, 0.0]
-    assert state.service_demand_values(np.array([web, db])) == [0.75, 3.0]
+    assert state.host_cpu_values(ids).tolist() == [0.375, 0.75, 0.0]
+    assert state.host_mem_values(ids).tolist() == [0.25, 0.125, 0.0]
+    assert state.service_demand_values(np.array([web, db])).tolist() == [0.75, 3.0]
     cpu, mem, running, free = state.host_server_inputs(ids)
     assert running.tolist() == [2.0, 1.0, 0.0]
     assert free.tolist() == [3072.0, 7168.0, 2048.0]

@@ -199,8 +199,7 @@ class TestMonitoringOutages:
             controller.tick(now)
         [leader] = controller.leaders()
         for name in platform.hosts:
-            monitor = leader._host_cpu_monitors[name]
-            assert monitor.dropped_reports == 4
+            # the archive holds no cpu sample for the outage's minutes
             assert leader.archive.history(name, "cpu", 0, 3) == []
         # after the outage window reports flow again
         controller.tick(4)

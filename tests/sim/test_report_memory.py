@@ -1,4 +1,4 @@
-"""What a run keeps per load sample.
+"""What a run keeps per load sample and per host-minute of series.
 
 Each tick's samples are kept twice: as the published batch (the bus's
 ``reports`` ring holds it) and in the load archive's columns.  In
@@ -11,6 +11,8 @@ boxed floats, cost about 143 bytes of heap per sample on this run.
 import tracemalloc
 
 from repro.config.builtin import replicated_landscape
+from repro.serviceglobe.platform import Platform
+from repro.sim.results import ResultCollector
 from repro.sim.runner import SimulationRunner
 from repro.sim.scenarios import Scenario
 
@@ -50,3 +52,30 @@ def test_a_sample_costs_bytes_not_objects():
     assert samples > 10_000
     growth = traced[59] - traced[10]
     assert growth / samples < BYTES_PER_SAMPLE, (growth, samples)
+
+
+#: net heap growth per host-minute of collected host series: a float64
+#: slot is 8 bytes, plus the arrays' over-allocation; a list slot and a
+#: boxed float cost about 32
+BYTES_PER_HOST_MINUTE = 16
+
+
+def test_a_host_minute_of_series_costs_a_float64():
+    """Heap growth of 200 minutes of the result collector's accounting
+    over three replicas of the paper's landscape, per host-minute."""
+    platform = Platform(replicated_landscape(3))
+    collector = ResultCollector(platform, "static", 1.0)
+    for now in range(20):
+        collector.observe(now)
+    minutes = 200
+    tracemalloc.start()
+    try:
+        for now in range(20, 20 + minutes):
+            collector.observe(now)
+        growth = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    result = collector.finalize(20 + minutes - 1)
+    assert len(result.host_series[result.host_names[0]]) == 20 + minutes
+    host_minutes = len(platform.hosts) * minutes
+    assert growth / host_minutes < BYTES_PER_HOST_MINUTE, (growth, host_minutes)
