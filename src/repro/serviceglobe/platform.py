@@ -100,7 +100,6 @@ class Platform:
             definition = self.landscape_state.add_service(spec)
             self.services[spec.name] = definition
         self.dispatcher = Dispatcher(
-            host_load=lambda i: self.hosts[i.host_name].cpu_load,
             host_capacity=lambda i: self.hosts[i.host_name].cpu_capacity,
         )
         #: Instances lost in flight: a relocation's source host died before

@@ -1,13 +1,18 @@
 """Tests for the workload model and request-path propagation."""
 
+from functools import partial
+
+import numpy as np
 import pytest
 
-from repro.config.builtin import paper_landscape
+from repro.config.builtin import paper_landscape, partition_landscape, replicated_landscape
 from repro.serviceglobe.platform import Platform
 from repro.sim.clock import MINUTES_PER_DAY
 from repro.sim.requests import RequestFlows
-from repro.sim.scenarios import Scenario, scenario_landscape
+from repro.sim.runner import SimulationRunner
+from repro.sim.scenarios import Scenario, default_chaos, scenario_landscape
 from repro.sim.workload import NoiseParameters, WorkloadModel
+from tests.sim import workload_oracle
 
 NOON = 12 * 60
 PEAK_MORNING = 9 * 60 + 0
@@ -154,3 +159,99 @@ class TestFluctuation:
             model.tick(m)
         assert instances[0].users < total * 0.6
         assert sum(i.users for i in instances) == total
+
+
+# -- the column pass against the per-object oracle -------------------------------------
+
+AGGREGATES = (
+    "host_demand", "host_mem_used", "host_running_instances", "host_distinct_services",
+    "host_exclusive_services", "host_stamp", "service_running", "service_demand_sum",
+    "service_load_sum", "service_capacity_sum",
+)
+
+
+def _bits(values):
+    """A float column as bytes: equal means equal bit for bit, -0.0 included."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _minute_record(runner):
+    """Wrap the runner's demand pass to keep what it left after each minute."""
+    model = runner.workload
+    state = runner.platform.landscape_state
+    tick = model.tick
+    minutes = []
+
+    def recorded(now):
+        tick(now)
+        minutes.append((
+            now,
+            _bits(state.inst_demand),
+            list(state.inst_users),
+            {iid: (b.remaining, _bits([b.amplitude])) for iid, b in model._bursts.items()},
+            model._rng.bit_generator.state,
+            [(name, getattr(state, name).tobytes()) for name in AGGREGATES],
+            (state.refresh_seq, state.mutation_version, state.topology_version),
+        ))
+
+    model.tick = recorded
+    return minutes
+
+
+ORACLE_RUNS = {
+    "chaos-day-3h": dict(
+        scenario=Scenario.FULL_MOBILITY, user_factor=1.15, horizon=180,
+        chaos=default_chaos(seed=115),
+    ),
+    "domains-4x-2h": dict(
+        scenario=Scenario.FULL_MOBILITY, user_factor=1.15, horizon=120,
+        chaos=default_chaos(seed=115),
+        landscape=partition_landscape(replicated_landscape(4), 4),
+    ),
+    "replicated-3x-30m": dict(
+        scenario=Scenario.FULL_MOBILITY, user_factor=1.0, horizon=30,
+        landscape=replicated_landscape(3), lint="off",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+def test_column_pass_equals_the_per_object_oracle(name):
+    """The same seed through the column pass and the oracle, minute by
+    minute: demands, users, bursts, the random stream and every
+    aggregate column stay equal bit for bit — through crashes, actions
+    and the topology changes they make."""
+    runs = []
+    for oracle in (False, True):
+        runner = SimulationRunner(seed=7, collect_host_series=False, **ORACLE_RUNS[name])
+        if oracle:
+            runner.workload.tick = partial(workload_oracle.tick, runner.workload)
+        minutes = _minute_record(runner)
+        runner.run()
+        runs.append(minutes)
+    columns, objects = runs
+    assert len(columns) == len(objects) == ORACLE_RUNS[name]["horizon"]
+    for ours, theirs in zip(columns, objects):
+        assert ours == theirs, f"minute {ours[0]} differs"
+    first, last = objects[0], objects[-1]
+    assert first[2] != last[2], "no user moved: the run did not exercise fluctuation"
+    assert first[6][2] != last[6][2], "the topology never moved"
+
+
+def test_array_binomial_moves_the_stream_like_the_scalar_loop():
+    """One ``binomial(users, rates)`` call over a column with empty
+    instances in it draws what the scalar loop ``binomial(u, r) if u else
+    0`` drew, and leaves the generator in the same state.  The fluctuation
+    pass (and every seeded digest) rests on this; if numpy ever draws for
+    ``n = 0`` or changes its array path, this test names the cause."""
+    setup = np.random.default_rng(11)
+    users = setup.integers(0, 400, size=500)
+    users[setup.random(500) < 0.3] = 0
+    rates = np.repeat([0.003, 0.01, 0.02, 0.5, 0.97], 100)
+    scalar_rng, array_rng = np.random.default_rng(7), np.random.default_rng(7)
+    scalar = [
+        int(scalar_rng.binomial(int(u), float(r))) if u else 0 for u, r in zip(users, rates)
+    ]
+    drawn = array_rng.binomial(users, rates)
+    assert drawn.tolist() == scalar
+    assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
